@@ -2,11 +2,14 @@
 
 Element nil indices use power iteration with cycle detection.  Ring-level
 verdicts enumerate all elements when the coefficient domain is finite and
-small enough (batched with numpy, exact integer arithmetic mod m), fall back
-to seeded sampling over the rationals, and can certify a bounded nil index
-symbolically by expanding the power of a general element in commuting
-indeterminates.  A symbolic proof is valid over every domain; a symbolic
-non-vanishing only refutes over the rationals.
+small enough, fall back to seeded sampling over the rationals, and can
+certify a bounded nil index symbolically by expanding the power of a general
+element in commuting indeterminates.  Enumeration multiplies rows in batches
+with ``kernel.mul_rows``: in int64 while t * (m-1)^2 < 2^63 for the largest
+number t of structure constants landing on one basis vector, and in Python
+integers (numpy object dtype) otherwise, so it is exact at every modulus.
+A symbolic proof is valid over every domain; a symbolic non-vanishing only
+refutes over the rationals.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .grading import GradedRing, component_indices, neutral_ring, support
+from .kernel import mul_rows
 from .monoid import element_order
 from .ringcore import DEFAULT_ELEM_CAP, Element, Ring
 
@@ -79,41 +83,22 @@ def element_nil_index(a: Element, cap=DEFAULT_POWER_CAP) -> NilVerdict:
 # ---------------------------------------------------------------------------
 # Batched enumeration over finite coefficient domains.
 
-_CHUNK = 1 << 14
-
-
-def _sc_tensor(ring: Ring):
-    C = np.zeros((ring.rank, ring.rank, ring.rank), dtype=np.int64)
-    for (i, j), terms in ring.sc.items():
-        for k, c in terms.items():
-            C[i, j, k] = c
-    return C
-
-
-def _batch_mul(A, B, C, m):
-    """Row-wise ring product of coordinate rows: out[n] = A[n] * B[n]."""
-    out = np.empty_like(A)
-    for lo in range(0, A.shape[0], _CHUNK):
-        hi = lo + _CHUNK
-        out[lo:hi] = np.einsum(
-            "ni,nj,ijk->nk", A[lo:hi], B[lo:hi], C, optimize=True
-        ) % m
-    return out
-
 
 def _coord_rows(q, positions, rank):
     """All coordinate rows supported on ``positions``, lex order, int64."""
-    n = q ** len(positions)
-    rows = np.zeros((n, rank), dtype=np.int64)
-    if positions:
-        digits = np.stack(
-            np.unravel_index(np.arange(n), (q,) * len(positions)), axis=1
-        )
-        rows[:, positions] = digits
+    L = len(positions)
+    rows = np.zeros((q**L, rank), dtype=np.int64)
+    # One grid axis per position, most significant first: row numbers are
+    # the base-q numbers the digits spell.
+    grid = rows.reshape((q,) * L + (rank,))
+    for axis, t in enumerate(positions):
+        shape = [1] * L
+        shape[axis] = q
+        grid[..., t] = np.arange(q).reshape(shape)
     return rows
 
 
-def _classify_all_nilpotent(base, C, m, index_bound):
+def _classify_all_nilpotent(ring, base, index_bound):
     """Exact nilpotence test by repeated squaring up to exponent >= bound.
 
     Returns the original-order row number of the first non-nilpotent element,
@@ -126,7 +111,7 @@ def _classify_all_nilpotent(base, C, m, index_bound):
     idx, sq = idx[alive], sq[alive]
     e = 1
     while idx.size and e < index_bound:
-        sq = _batch_mul(sq, sq, C, m)
+        sq = mul_rows(ring, sq, sq)
         e *= 2
         alive = sq.any(axis=1)
         idx, sq = idx[alive], sq[alive]
@@ -140,8 +125,6 @@ def _batch_nil_indices(ring, X, power_cap):
     exact indices; on a stalled step the survivors are classified once by
     repeated squaring so non-nil rings terminate.
     """
-    m = ring.coeff.size
-    C = _sc_tensor(ring)
     count = ring.element_count()
     N = X.shape[0]
     indices = np.zeros(N, dtype=np.int64)
@@ -152,19 +135,21 @@ def _batch_nil_indices(ring, X, power_cap):
     classified = False
     while idx_map.size:
         zero = ~cur.any(axis=1)
-        indices[idx_map[zero]] = n
-        keep = ~zero
-        idx_map, cur, base = idx_map[keep], cur[keep], base[keep]
-        if not idx_map.size:
-            break
+        died = zero.any()
+        if died:
+            indices[idx_map[zero]] = n
+            keep = ~zero
+            idx_map, cur, base = idx_map[keep], cur[keep], base[keep]
+            if not idx_map.size:
+                break
         if n >= power_cap:
             return Status.CAPPED, None, None
-        if not zero.any() and n > 1 and not classified:
-            bad = _classify_all_nilpotent(base, C, m, count)
+        if not died and n > 1 and not classified:
+            bad = _classify_all_nilpotent(ring, base, count)
             if bad is not None:
                 return Status.REFUTED, None, base[bad]
             classified = True
-        cur = _batch_mul(cur, base, C, m)
+        cur = mul_rows(ring, cur, base)
         n += 1
     return Status.PROVED, indices, None
 
@@ -197,8 +182,7 @@ def ring_is_nil(
     count = r.element_count()
     if count is not None and count <= elem_cap:
         X = _coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-        C = _sc_tensor(r)
-        bad = _classify_all_nilpotent(X, C, r.coeff.size, count)
+        bad = _classify_all_nilpotent(r, X, count)
         if bad is None:
             return NilVerdict(Status.PROVED, note=f"exhaustive over {count} elements")
         return NilVerdict(
@@ -371,8 +355,7 @@ def s_nil_check(
         count = None if not r.coeff.finite else r.coeff.size ** len(idx)
         if count is not None and count <= elem_cap:
             X = _coord_rows(r.coeff.size, idx, r.rank)
-            C = _sc_tensor(r)
-            bad = _classify_all_nilpotent(X, C, r.coeff.size, r.element_count())
+            bad = _classify_all_nilpotent(r, X, r.element_count())
             if bad is None:
                 out[g] = NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
             else:

@@ -108,6 +108,19 @@ def test_cli_report_m2_two_z8(tmp_path, capsys):
     assert data["caps"]["seed"] == 0
 
 
+def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
+    # The diagonal component (rank 16, 3^16 elements) is past the element cap
+    # while the base ring (3^8 elements) is enumerated; a sampled verdict on
+    # one and an exhaustive one on the other must not read as a failure.
+    spec = str(tmp_path / "n.spec")
+    assert main(["zoo", "truncated-nagata", "--k", "2", "--p", "3", "--out", spec]) == 0
+    code = main(["report", spec, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    status = {c["id"]: c["status"] for c in data["checks"]}
+    assert status["T3.29-REDUCTION"] == "PASS"
+    assert code == 0
+
+
 def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
     text = "[ring]\ncoeff = fp 2\nrank = 1\nnames = b\nsc = 0 0 0 1\n"
     path = _write(tmp_path, "idem.spec", text)

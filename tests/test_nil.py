@@ -12,7 +12,7 @@ from gradednil.nil import (
     s_nil_check,
     symbolic_power,
 )
-from gradednil.ringcore import Ring, fp, matrix_ring, rat
+from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
 
@@ -207,3 +207,30 @@ def test_group_ring_refutations_pick_first_witness():
     assert element_nil_index(bounded.witness).status == Status.REFUTED
     nd = nilpotency_index(r)
     assert nd.status == Status.REFUTED
+
+
+def test_enumeration_exact_near_int64_limit():
+    # b^2 = -3b over Z/3^15, so b^n = (-3)^(n-1) b and b has nil index 16.
+    # Unreduced products of size (m-1)^3 overflow int64 here.
+    m = 3**15
+    r = Ring(zmod(m), ["b"], {(0, 0): {0: m - 3}})
+    assert element_nil_index(r.basis_element(0)).index == 16
+    assert ring_is_nil(r, elem_cap=m).proved
+    v = nil_bounded_index(r, "enum", elem_cap=m, power_cap=100)
+    assert v.proved and v.index == 16
+
+
+@pytest.mark.parametrize("ring", [
+    two_z_2k(3), matrix_ring(two_z_2k(3), 2),
+    sut(3, fp(2)).ring, matrix_ring(sut(3, fp(2)).ring, 2),
+    grassmann_star(2, fp(3)).ring, truncated_nagata(1, 3),
+    matrix_ring(truncated_nagata(1, 3), 2), idempotent_ring(fp(3)),
+], ids=lambda r: f"{r.coeff.label()}-rank{r.rank}")
+def test_enum_bounded_index_matches_elementwise_maximum(ring):
+    per_element = [element_nil_index(a) for a in ring.elements()]
+    v = nil_bounded_index(ring, "enum")
+    if any(e.status == Status.REFUTED for e in per_element):
+        assert v.status == Status.REFUTED
+        assert element_nil_index(v.witness).status == Status.REFUTED
+    else:
+        assert v.proved and v.index == max(e.index for e in per_element)
