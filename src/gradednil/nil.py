@@ -139,7 +139,12 @@ def _batch_nil_indices(ring, X, power_cap):
         if died:
             indices[idx_map[zero]] = n
             keep = ~zero
-            idx_map, cur, base = idx_map[keep], cur[keep], base[keep]
+            # Filter one array at a time, so the old cur is freed before
+            # base is copied; before the first product cur is base itself.
+            aliased = cur is base
+            idx_map = idx_map[keep]
+            cur = cur[keep]
+            base = cur if aliased else base[keep]
             if not idx_map.size:
                 break
         if n >= power_cap:

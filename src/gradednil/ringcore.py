@@ -3,6 +3,11 @@
 A ring of rank R is stored as sparse structure constants c[i][j][k] with
 b_i * b_j = sum_k c[i][j][k] b_k.  Coefficients live in Z/mZ, a prime field,
 or the rationals; all arithmetic is exact.  Rings carry no implicit unit.
+
+The product and the associativity check walk only the nonzero constants,
+grouped once by left index (the row-wise sparse product of Gustavson, ACM
+TOMS 4(3), 1978), and reduce each output coordinate mod m once.  Sums are
+Python integers or Fractions, so they are exact at every modulus.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ class AssociativityError(ValueError):
             f"(b{i}*b{j})*b{k} = {left} but b{i}*(b{j}*b{k}) = {right}"
         )
         self.triple = (i, j, k)
+        self.left = left
+        self.right = right
 
 
 class RingMismatchError(ValueError):
@@ -191,25 +198,52 @@ class Ring:
             if clean:
                 table[(i, j)] = clean
         self.sc = table
+        # _left[i] = [(j, ((k, c), ...)), ...]: the nonzero constants of b_i b_j.
+        self._left = {}
+        for (i, j), terms in table.items():
+            self._left.setdefault(i, []).append((j, tuple(terms.items())))
         self.note = note
         if check:
             self._check_associativity()
 
     def _check_associativity(self):
+        """Check (b_i b_j) b_k = b_i (b_j b_k) on every basis triple.
+
+        Both sides are expanded from the nonzero constants, one left index i
+        at a time: (b_i b_j) b_k through ``_left``, b_i (b_j b_k) through the
+        pairs (j, k) whose product reaches each target t.  A triple that no
+        constant reaches is zero on both sides.  Raises on the first failing
+        triple in lexicographic order.
+        """
+        into = {}
+        for (j, k), terms in self.sc.items():
+            for t, c in terms.items():
+                into.setdefault(t, []).append((j, k, c))
         for i in range(self.rank):
-            for j in range(self.rank):
-                ij = self.sc.get((i, j), {})
-                for k in range(self.rank):
-                    left = {}
-                    for t, c in ij.items():
-                        for v, c2 in self.sc.get((t, k), {}).items():
-                            _acc(self.coeff, left, v, self.coeff.mul(c, c2))
-                    right = {}
-                    for t, c in self.sc.get((j, k), {}).items():
-                        for v, c2 in self.sc.get((i, t), {}).items():
-                            _acc(self.coeff, right, v, self.coeff.mul(c, c2))
-                    if left != right:
-                        raise AssociativityError(i, j, k, left, right)
+            row = self._left.get(i, ())
+            left = {}
+            for j, terms in row:
+                for t, c in terms:
+                    for k, terms_tk in self._left.get(t, ()):
+                        acc = left.setdefault((j, k), {})
+                        for v, c2 in terms_tk:
+                            acc[v] = acc.get(v, 0) + c * c2
+            right = {}
+            for t, terms_it in row:
+                for j, k, c in into.get(t, ()):
+                    acc = right.setdefault((j, k), {})
+                    for v, c2 in terms_it:
+                        acc[v] = acc.get(v, 0) + c * c2
+            for j, k in sorted(left.keys() | right.keys()):
+                lhs = self._reduced(left.get((j, k), {}))
+                rhs = self._reduced(right.get((j, k), {}))
+                if lhs != rhs:
+                    raise AssociativityError(i, j, k, lhs, rhs)
+
+    def _reduced(self, acc):
+        """A raw sum {k: coeff} normalized, with zero coordinates dropped."""
+        norm = self.coeff.normalize
+        return {k: y for k, x in acc.items() if (y := norm(x))}
 
     def mul_basis(self, i, j):
         return self.sc.get((i, j), {})
@@ -232,22 +266,26 @@ class Ring:
         return [self.basis_element(t) for t in range(self.rank)]
 
     def mul_coords(self, xs, ys):
-        """Raw bilinear product of two coordinate tuples."""
-        dom = self.coeff
-        out = [dom.zero()] * self.rank
-        for i, xi in enumerate(xs):
-            if dom.is_zero(xi):
+        """Raw bilinear product of two coordinate tuples.
+
+        Walks only the nonzero structure constants b_i b_j with x_i and y_j
+        nonzero.  Over Z/mZ and F_p each output coordinate is reduced mod m
+        once, at the end; the result is a normalized tuple.
+        """
+        out = [self.coeff.zero()] * self.rank
+        for i, row in self._left.items():
+            xi = xs[i]
+            if not xi:
                 continue
-            for j, yj in enumerate(ys):
-                if dom.is_zero(yj):
+            for j, terms in row:
+                yj = ys[j]
+                if not yj:
                     continue
-                terms = self.sc.get((i, j))
-                if not terms:
-                    continue
-                c = dom.mul(xi, yj)
-                for k, ck in terms.items():
-                    out[k] = dom.add(out[k], dom.mul(c, ck))
-        return tuple(out)
+                c = xi * yj
+                for k, ck in terms:
+                    out[k] += c * ck
+        m = self.coeff.modulus
+        return tuple(out) if m is None else tuple(v % m for v in out)
 
     def element_count(self):
         return None if not self.coeff.finite else self.coeff.size**self.rank
@@ -275,14 +313,6 @@ class Ring:
 
     def __repr__(self):
         return f"Ring({self.coeff.label()}, rank={self.rank})"
-
-
-def _acc(dom, acc, k, c):
-    v = dom.add(acc.get(k, dom.zero()), c)
-    if dom.is_zero(v):
-        acc.pop(k, None)
-    else:
-        acc[k] = v
 
 
 class Element:
@@ -415,19 +445,13 @@ def power_chain(r: Ring, cap=512):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    chain = [Submodule(r, r.basis())]
+    basis = [b.coords for b in r.basis()]
+    chain = [Submodule(r, basis)]
     while len(chain) <= cap:
         cur = chain[-1]
         if cur.is_zero():
             return chain
-        nxt = Submodule(
-            r,
-            [
-                r.element(r.mul_coords(row, b.coords))
-                for row in cur.rows
-                for b in r.basis()
-            ],
-        )
+        nxt = Submodule(r, [r.mul_coords(row, b) for row in cur.rows for b in basis])
         if nxt == cur:
             chain.append(nxt)
             return chain

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,13 @@ from gradednil.ringcore import (
     rat,
     zmod,
 )
-from gradednil.zoo import grassmann_star, sut, two_z_2k
+from gradednil.zoo import (
+    grassmann_star,
+    sut,
+    truncated_nagata,
+    truncated_poly_positive,
+    two_z_2k,
+)
 
 
 def zero_product_ring(dom, rank):
@@ -180,3 +188,117 @@ def test_min_generators_greedy_fallback_over_q():
     res = min_generators(grassmann_star(2, rat()).ring)
     assert not res.exact
     assert res.count == 2
+
+
+def dense_mul(ring, xs, ys):
+    """Reference product: every basis pair, reduced after each operation."""
+    dom = ring.coeff
+    out = [dom.zero()] * ring.rank
+    for i, xi in enumerate(xs):
+        if dom.is_zero(xi):
+            continue
+        for j, yj in enumerate(ys):
+            if dom.is_zero(yj):
+                continue
+            terms = ring.sc.get((i, j))
+            if not terms:
+                continue
+            c = dom.mul(xi, yj)
+            for k, ck in terms.items():
+                out[k] = dom.add(out[k], dom.mul(c, ck))
+    return tuple(out)
+
+
+def brute_force_associativity(ring):
+    """First ((i, j, k), left, right) over all rank^3 triples, or None."""
+    dom = ring.coeff
+
+    def acc(sums, k, c):
+        v = dom.add(sums.get(k, dom.zero()), c)
+        if dom.is_zero(v):
+            sums.pop(k, None)
+        else:
+            sums[k] = v
+
+    for i, j, k in itertools.product(range(ring.rank), repeat=3):
+        left, right = {}, {}
+        for t, c in ring.sc.get((i, j), {}).items():
+            for v, c2 in ring.sc.get((t, k), {}).items():
+                acc(left, v, dom.mul(c, c2))
+        for t, c in ring.sc.get((j, k), {}).items():
+            for v, c2 in ring.sc.get((i, t), {}).items():
+                acc(right, v, dom.mul(c, c2))
+        if left != right:
+            return (i, j, k), left, right
+    return None
+
+
+def coefficients(dom):
+    """Zero, the extremes, and values outside [0, m): act_coords results and
+    raw tuples reach the product unreduced."""
+    if not dom.finite:
+        return st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=12))
+    m = dom.modulus
+    return st.one_of(st.sampled_from((0, 1, m - 1, m, -1)), st.integers(-2 * m, 2 * m))
+
+
+@st.composite
+def tables(draw, domains, max_rank, max_terms, min_pairs=0):
+    dom = draw(st.sampled_from(domains))
+    rank = draw(st.integers(1, max_rank))
+    basis = st.integers(0, rank - 1)
+    terms = st.dictionaries(basis, coefficients(dom), min_size=min(min_pairs, 1),
+                            max_size=max_terms)
+    sc = draw(st.dictionaries(st.tuples(basis, basis), terms,
+                              min_size=min(min_pairs, rank * rank), max_size=rank * rank))
+    return dom, [f"b{t}" for t in range(rank)], sc
+
+
+@st.composite
+def products(draw):
+    dom, names, sc = draw(tables(
+        (zmod(3**15), zmod(2**61 - 1), zmod(2**64 + 13), fp(5), rat()), 6, 6))
+    # Both products are bilinear, so they must agree on any constants.
+    ring = Ring(dom, names, sc, check=False)
+    vec = st.lists(st.one_of(st.just(dom.zero()), coefficients(dom)),
+                   min_size=ring.rank, max_size=ring.rank).map(tuple)
+    return ring, draw(vec), draw(vec)
+
+
+@given(products())
+@settings(max_examples=400, deadline=None)
+def test_mul_coords_matches_dense_reference(case):
+    ring, xs, ys = case
+    got = ring.mul_coords(xs, ys)
+    want = dense_mul(ring, xs, ys)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+# Four or more filled pairs: about three in four tables are not associative.
+@given(tables((fp(2), zmod(4), fp(3), zmod(2**64 + 13), rat()), 4, 2, min_pairs=4))
+@settings(max_examples=400, deadline=None)
+def test_associativity_check_matches_brute_force(case):
+    dom, names, sc = case
+    expect = brute_force_associativity(Ring(dom, names, sc, check=False))
+    if expect is None:
+        Ring(dom, names, sc)
+        return
+    with pytest.raises(AssociativityError) as err:
+        Ring(dom, names, sc)
+    assert (err.value.triple, err.value.left, err.value.right) == expect
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sut(4, zmod(6)).ring,
+    lambda: truncated_nagata(3, 3),
+    lambda: grassmann_star(3, fp(5)).ring,
+    lambda: grassmann_star(2, rat()).ring,
+    lambda: two_z_2k(3),
+    lambda: truncated_poly_positive(5, fp(3)).ring,
+], ids=["sut4-z6", "nagata33", "grassmann3-f5", "grassmann2-q", "2z8", "poly5-f3"])
+def test_associativity_check_accepts_zoo_and_matrix_rings(make):
+    # Ring() and matrix_ring() both run the check; a false violation raises.
+    r = make()
+    assert Ring(r.coeff, r.names, r.sc) == r
+    assert matrix_ring(r, 2).rank == 4 * r.rank
