@@ -137,6 +137,8 @@ def rref(rows, ncols, dom):
         return row
 
     for row in rows:
+        if not any(row):
+            continue
         row = reduce([dom.normalize(v) for v in row])
         lead = next((j for j, v in enumerate(row) if not dom.is_zero(v)), None)
         if lead is None:

@@ -8,13 +8,17 @@ element in commuting indeterminates.  Enumeration multiplies rows in batches
 with ``kernel.mul_rows``: in int64 while t * (m-1)^2 < 2^63 for the largest
 number t of structure constants landing on one basis vector, and in Python
 integers (numpy object dtype) otherwise, so it is exact at every modulus.
+The per-degree tuple products of ``homogeneous_power_report`` (P3.31) go
+through the same kernel in blocks of about ``kernel._CHUNK`` coordinates
+per factor, whether the tuples are enumerated or sampled; over the
+rationals, which the kernel does not cover, they are multiplied one at a
+time with ``Ring.mul_coords``.
 A symbolic proof is valid over every domain; a symbolic non-vanishing only
 refutes over the rationals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .grading import GradedRing, component_indices, neutral_ring, support
-from .kernel import mul_rows
+from .kernel import _CHUNK, kernel_dtype, mul_rows
 from .monoid import element_order
 from .ringcore import DEFAULT_ELEM_CAP, Element, Ring
 
@@ -355,7 +359,7 @@ def s_nil_check(
     """
     r = gr.ring
     out = {}
-    for g in sorted(support(gr), key=_degree_sort_key):
+    for g in sorted(support(gr)):
         idx = component_indices(gr, g)
         count = None if not r.coeff.finite else r.coeff.size ** len(idx)
         if count is not None and count <= elem_cap:
@@ -392,10 +396,6 @@ def s_nil_check(
     return out
 
 
-def _degree_sort_key(g):
-    return g
-
-
 @dataclass
 class HomogeneousPowerReport:
     """Per-degree power-vanishing data for a grading with nil neutral part.
@@ -429,8 +429,15 @@ def homogeneous_power_report(
     """Verify (a_1 ... a_{kg})^s = 0 per degree, plus a^{k*s} = 0 spot checks.
 
     Requires a nonzero neutral component that is nil of bounded index s;
-    otherwise the report is not applicable.  Tuple spaces beyond the cap are
-    sampled deterministically with the recorded seed.
+    otherwise the report is not applicable.  Over Z/mZ and F_p a degree with
+    at most ``tuple_cap`` tuples is checked exhaustively, in
+    ``itertools.product`` order; larger tuple spaces, and every tuple space
+    over the rationals, are sampled deterministically with the recorded seed.
+    Finite domains multiply the tuples with ``kernel.mul_rows``, in blocks of
+    about ``kernel._CHUNK`` coordinates per factor, so memory stays flat at
+    any tuple count and rank; the rationals multiply them one at a time with
+    ``Ring.mul_coords``.  The counterexample is the first tuple, in that
+    order, whose power does not vanish.
     """
     r = gr.ring
     m0, _ = neutral_ring(gr)
@@ -445,80 +452,113 @@ def homogeneous_power_report(
     supp = support(gr)
     d = len(supp)
     kg = {}
-    for g in sorted(supp, key=_degree_sort_key):
+    for g in sorted(supp):
         kg[g] = int(min(element_order(gr.monoid, g), d))
     k = math.lcm(*kg.values())
     report = HomogeneousPowerReport(True, s=s, kg=kg, k=k, seed=seed)
     rng = random.Random(seed)
-    for g in sorted(supp, key=_degree_sort_key):
+    q = r.coeff.size
+    for g in sorted(supp):
         idx = component_indices(gr, g)
-        entry = {"tuples_checked": 0, "sampled": False, "status": "PASS"}
-        tuples = _component_tuples(r, idx, kg[g], tuple_cap, samples, rng, entry)
-        for tup in tuples:
-            prod = tup[0]
-            for x in tup[1:]:
-                prod = r.mul_coords(prod, x)
-            acc = prod
-            for _ in range(s - 1):
-                acc = r.mul_coords(acc, prod)
-            entry["tuples_checked"] += 1
-            if any(not r.coeff.is_zero(c) for c in acc):
-                report.counterexample = (g, tup)
-                entry["status"] = "FAIL"
-                return report
-        # bounded homogeneous conclusion: a^{k*s} = 0 on the checked degree
-        for coords in _component_sample(r, idx, rng, limit=64):
-            a = r.element(coords)
-            acc = a
-            for _ in range(k * s - 1):
-                acc = acc * a
-                if acc.is_zero():
-                    break
-            if not acc.is_zero():
-                report.counterexample = (g, (coords,))
-                entry["status"] = "FAIL"
-                return report
+        count = None if q is None else q ** len(idx)
+        exhaustive = count is not None and count ** kg[g] <= tuple_cap
+        if exhaustive:
+            blocks = _product_blocks(_coord_rows(q, idx, r.rank), kg[g])
+        else:
+            blocks = _sample_blocks(r, idx, rng, samples, kg[g])
+        entry = {
+            "tuples_checked": count ** kg[g] if exhaustive else samples,
+            "sampled": not exhaustive,
+            "status": "PASS",
+        }
+        bad = _first_nonvanishing(r, blocks, s)
+        if bad is None:
+            # bounded homogeneous conclusion: a^{k*s} = 0 on the checked degree
+            if count is not None and count <= 64:
+                spots = _coord_rows(q, idx, r.rank)
+            else:
+                spots = _sampled_rows(r, idx, rng, 64)
+            bad = _first_nonvanishing(r, _product_blocks(spots, 1), k * s)
+        if bad is not None:
+            report.counterexample = (g, bad)
+            return report
         report.per_degree[g] = entry
     return report
 
 
-def _component_tuples(r, idx, length, tuple_cap, samples, rng, entry):
+def _sampled_rows(r, idx, rng, n):
+    """``n`` rows supported on ``idx`` with seeded entries in [-3, 3].
+
+    Entries are drawn row by row, in ``idx`` order.  Rows over Z/mZ have
+    ``kernel_dtype(r)``, so moduli past the int64 limit get Python integers.
+    """
     dom = r.coeff
-    if dom.finite:
-        count = dom.size ** len(idx)
-        total = count**length
-        if total <= tuple_cap:
-            singles = []
-            for digits in itertools.product(dom.elements(), repeat=len(idx)):
-                coords = [dom.zero()] * r.rank
-                for t, c in zip(idx, digits):
-                    coords[t] = c
-                singles.append(tuple(coords))
-            return itertools.product(singles, repeat=length)
-    entry["sampled"] = True
-    out = []
-    for _ in range(samples):
-        tup = []
-        for _ in range(length):
-            coords = [dom.zero()] * r.rank
-            for t in idx:
-                coords[t] = dom.normalize(rng.randint(-3, 3))
-            tup.append(tuple(coords))
-        out.append(tuple(tup))
-    return out
+    dtype = kernel_dtype(r) if dom.finite else object
+    draws = [dom.normalize(rng.randint(-3, 3)) for _ in range(n * len(idx))]
+    rows = np.zeros((n, r.rank), dtype=dtype)
+    rows[:, idx] = np.array(draws, dtype=dtype).reshape(n, len(idx))
+    return rows
 
 
-def _component_sample(r, idx, rng, limit):
-    dom = r.coeff
-    if dom.finite and dom.size ** len(idx) <= limit:
-        for digits in itertools.product(dom.elements(), repeat=len(idx)):
-            coords = [dom.zero()] * r.rank
-            for t, c in zip(idx, digits):
-                coords[t] = c
-            yield tuple(coords)
-        return
-    for _ in range(limit):
-        coords = [dom.zero()] * r.rank
-        for t in idx:
-            coords[t] = dom.normalize(rng.randint(-3, 3))
-        yield tuple(coords)
+def _block_tuples(rank):
+    """Tuples per block: about ``_CHUNK`` coordinates per factor array, so a
+    block's working set stays the same at every rank."""
+    return max(1, _CHUNK // rank)
+
+
+def _product_blocks(singles, length):
+    """Factor rows of every ``length``-tuple of ``singles``, a block of
+    tuples at a time, in ``itertools.product`` order.
+
+    Tuple n takes as its p-th factor the row numbered by the p-th base-count
+    digit of n, most significant first.
+    """
+    count, rank = singles.shape
+    total = count**length
+    per = _block_tuples(rank)
+    for lo in range(0, total, per):
+        n = np.arange(lo, min(lo + per, total))
+        yield [singles[n // count ** (length - 1 - p) % count] for p in range(length)]
+
+
+def _sample_blocks(r, idx, rng, samples, length):
+    """Factor rows of ``samples`` seeded ``length``-tuples, a block at a time.
+
+    Each block is drawn when it is reached, tuple by tuple and factor by
+    factor, so the draws follow one another as in a tuple-by-tuple loop and
+    only one block is held at a time.
+    """
+    per = _block_tuples(r.rank)
+    for lo in range(0, samples, per):
+        rows = _sampled_rows(r, idx, rng, min(per, samples - lo) * length)
+        yield [rows[p::length] for p in range(length)]
+
+
+def _first_nonvanishing(r, blocks, exponent):
+    """First tuple whose product, raised to ``exponent``, is nonzero.
+
+    ``blocks`` yields lists of factor rows, one array per factor position.
+    Returns the tuple as coordinate tuples, or None when every power
+    vanishes.  Over the rationals rows are multiplied one by one with
+    ``Ring.mul_coords``; ``kernel.mul_rows`` covers Z/mZ only.
+    """
+    def mul(A, B):
+        if r.coeff.finite:
+            return mul_rows(r, A, B)
+        return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
+
+    for factors in blocks:
+        prod = factors[0]
+        for x in factors[1:]:
+            prod = mul(prod, x)
+        acc = prod
+        for _ in range(exponent - 1):
+            if not acc.any():
+                break
+            acc = mul(acc, prod)
+        bad = np.flatnonzero(acc.any(axis=1))
+        if bad.size:
+            return tuple(
+                tuple(r.coeff.normalize(v) for v in f[bad[0]]) for f in factors
+            )
+    return None

@@ -696,7 +696,7 @@ def verify_quotient_grading_transfer(
         return _na(check, f"induced grading rejected: {exc}")
     check.details["induced_support_size"] = len(support(induced))
     if f is None or act is None:
-        f, act = _derive_fmap(induced, caps)
+        f, act, _ = _derive_fmap(induced, caps)
         if f is not None:
             check.details["derived_factor"] = f.label
     sub = {
@@ -773,14 +773,26 @@ class VerifierReport:
 
 def _derive_fmap(gr: GradedRing, caps):
     """Pointwise scalar search on the neutral component, used when the caller
-    supplies no commutation factor."""
+    supplies no commutation factor.
+
+    Returns (f, act, why); when no factor is found, ``why`` says whether the
+    neutral component is zero, the pair search was capped, or which pair no
+    scalar fits.
+    """
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
-        return None, None
-    fmap, _witness = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
-    if fmap is None:
-        return None, None
-    return fmap, scalar_action(m0)
+        return None, None, "the neutral component is zero"
+    fmap, witness = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
+    if fmap is not None:
+        return fmap, scalar_action(m0), None
+    if witness is None:
+        count = m0.element_count()
+        return None, None, (
+            f"pair search capped: {count}^2 pairs of the neutral component "
+            f"exceed pair_cap {caps.pair_cap}"
+        )
+    a, b = witness
+    return None, None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
 
 
 def full_report(
@@ -800,9 +812,11 @@ def full_report(
     caps = caps or Caps()
     notes = []
     if f is None or act is None:
-        f, act = _derive_fmap(gr, caps)
+        f, act, why = _derive_fmap(gr, caps)
         if f is not None:
             notes.append(f"commutation factor derived automatically: {f.label}")
+        else:
+            notes.append(f"no commutation factor derived: {why}")
     m0, _ = neutral_ring(gr)
 
     def run(name, fn):

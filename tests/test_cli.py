@@ -119,6 +119,10 @@ def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
     status = {c["id"]: c["status"] for c in data["checks"]}
     assert status["T3.29-REDUCTION"] == "PASS"
     assert code == 0
+    # 6561^2 neutral pairs are past the pair cap: the note must say so rather
+    # than suggest that no factor exists.
+    assert ("no commutation factor derived: pair search capped: 6561^2 pairs "
+            "of the neutral component exceed pair_cap 1000000") in data["notes"]
 
 
 def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):

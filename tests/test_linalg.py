@@ -77,3 +77,17 @@ def test_empty_and_zero_rows():
     assert howell([], 3, 6) == ()
     assert howell([[0, 0, 0]], 3, 6) == ()
     assert rref([[0, 0]], 2, rat()) == ()
+
+
+@given(
+    st.sampled_from([fp(2), fp(5), rat()]),
+    st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), max_size=5),
+    st.lists(st.integers(0, 5), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_rref_ignores_zero_rows(dom, rows, slots):
+    ncols = 3
+    mixed = list(rows)
+    for slot in slots:
+        mixed.insert(slot % (len(mixed) + 1), [dom.zero()] * ncols)
+    assert rref(mixed, ncols, dom) == rref(rows, ncols, dom)

@@ -1,7 +1,21 @@
+import itertools
+import math
+import random
+
 import pytest
 
-from gradednil.grading import elementary_grading, trivial_grading
+from gradednil import nil
+from gradednil.grading import (
+    GradedRing,
+    component_indices,
+    elementary_grading,
+    neutral_ring,
+    support,
+    trivial_grading,
+)
+from gradednil.monoid import Monoid, element_order
 from gradednil.nil import (
+    HomogeneousPowerReport,
     Status,
     bounded_nil_index_auto,
     element_nil_index,
@@ -234,3 +248,189 @@ def test_enum_bounded_index_matches_elementwise_maximum(ring):
         assert element_nil_index(v.witness).status == Status.REFUTED
     else:
         assert v.proved and v.index == max(e.index for e in per_element)
+
+
+# ---------------------------------------------------------------------------
+# P3.31: the batched tuple check against the tuple-by-tuple loop it replaced.
+
+
+def reference_component_tuples(r, idx, length, tuple_cap, samples, rng, entry):
+    dom = r.coeff
+    if dom.finite:
+        count = dom.size ** len(idx)
+        if count**length <= tuple_cap:
+            singles = []
+            for digits in itertools.product(dom.elements(), repeat=len(idx)):
+                coords = [dom.zero()] * r.rank
+                for t, c in zip(idx, digits):
+                    coords[t] = c
+                singles.append(tuple(coords))
+            return itertools.product(singles, repeat=length)
+    entry["sampled"] = True
+    out = []
+    for _ in range(samples):
+        tup = []
+        for _ in range(length):
+            coords = [dom.zero()] * r.rank
+            for t in idx:
+                coords[t] = dom.normalize(rng.randint(-3, 3))
+            tup.append(tuple(coords))
+        out.append(tuple(tup))
+    return out
+
+
+def reference_component_sample(r, idx, rng, limit):
+    dom = r.coeff
+    if dom.finite and dom.size ** len(idx) <= limit:
+        for digits in itertools.product(dom.elements(), repeat=len(idx)):
+            coords = [dom.zero()] * r.rank
+            for t, c in zip(idx, digits):
+                coords[t] = c
+            yield tuple(coords)
+        return
+    for _ in range(limit):
+        coords = [dom.zero()] * r.rank
+        for t in idx:
+            coords[t] = dom.normalize(rng.randint(-3, 3))
+        yield tuple(coords)
+
+
+def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
+    """Every tuple multiplied one at a time with Ring.mul_coords."""
+    r = gr.ring
+    m0, _ = neutral_ring(gr)
+    if m0.rank == 0:
+        return HomogeneousPowerReport(False, reason="neutral component is zero")
+    sv = bounded_nil_index_auto(m0)
+    if not sv.proved:
+        return HomogeneousPowerReport(False, reason="neutral not proved nil")
+    s = sv.index
+    supp = sorted(support(gr))
+    kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in supp}
+    k = math.lcm(*kg.values())
+    report = HomogeneousPowerReport(True, s=s, kg=kg, k=k, seed=seed)
+    rng = random.Random(seed)
+    for g in supp:
+        idx = component_indices(gr, g)
+        entry = {"tuples_checked": 0, "sampled": False, "status": "PASS"}
+        tuples = reference_component_tuples(r, idx, kg[g], tuple_cap, samples, rng, entry)
+        for tup in tuples:
+            prod = tup[0]
+            for x in tup[1:]:
+                prod = r.mul_coords(prod, x)
+            acc = prod
+            for _ in range(s - 1):
+                acc = r.mul_coords(acc, prod)
+            entry["tuples_checked"] += 1
+            if any(not r.coeff.is_zero(c) for c in acc):
+                report.counterexample = (g, tup)
+                return report
+        for coords in reference_component_sample(r, idx, rng, limit=64):
+            a = r.element(coords)
+            acc = a
+            for _ in range(k * s - 1):
+                acc = acc * a
+                if acc.is_zero():
+                    break
+            if not acc.is_zero():
+                report.counterexample = (g, (coords,))
+                return report
+        report.per_degree[g] = entry
+    return report
+
+
+def int_add_chain_grading():
+    # chain ring u1, u2 (u1^2 = u2) in degree 0 plus a square-zero x in
+    # degree 1 of the integers: o(1) is infinite, so k_1 = d = 2
+    sc = {(0, 0): {1: 1}}
+    ring = Ring(fp(5), ["u1", "u2", "x"], sc)
+    return GradedRing(ring, Monoid.int_add(), [0, 0, 1])
+
+
+@pytest.mark.parametrize("gr, caps", [
+    (elementary_grading(two_z_2k(3), 2), {}),
+    (grassmann_star(2, fp(3)), {}),
+    (int_add_chain_grading(), {}),
+    (grassmann_star(3, zmod(2**61 - 1)), {"tuple_cap": 1, "samples": 300}),
+    (grassmann_star(3, zmod(2**64 + 13)), {"tuple_cap": 1, "samples": 300}),
+    (grassmann_star(2, rat()), {"samples": 300}),
+], ids=["m2-2z8", "grass2-f3", "chain-int-add", "grass3-z2^61-1",
+        "grass3-z2^64+13", "grass2-q"])
+def test_power_report_matches_tuple_loop(gr, caps):
+    got = homogeneous_power_report(gr, seed=5, **caps)
+    want = reference_power_report(gr, seed=5, **caps)
+    assert got.applicable and want.applicable
+    assert (got.per_degree, got.counterexample, got.k, got.s) == (
+        want.per_degree, want.counterexample, want.k, want.s)
+    assert got.per_degree
+
+
+def test_sampled_rows_are_objects_past_int64():
+    for m in (2**61 - 1, 2**64 + 13):
+        r = grassmann_star(3, zmod(m)).ring
+        rows = nil._sampled_rows(r, [0, 1, 2], random.Random(1), 50)
+        assert rows.dtype == object
+        assert {int(v) for v in rows[:, :3].ravel()} <= {0, 1, 2, 3, m - 3, m - 2, m - 1}
+
+
+def first_failing_tuple(r, tuples, exponent):
+    for tup in tuples:
+        prod = tup[0]
+        for x in tup[1:]:
+            prod = r.mul_coords(prod, x)
+        acc = prod
+        for _ in range(exponent - 1):
+            acc = r.mul_coords(acc, prod)
+        if any(acc):
+            return tup
+    return None
+
+
+def random_ring(dom, rank, rnd):
+    sc = {}
+    for i, j in itertools.product(range(rank), repeat=2):
+        if rnd.random() < 0.7:
+            sc[(i, j)] = {rnd.randrange(rank): rnd.randint(-2, 2)}
+    # the tuple check is multilinear, so associativity does not matter here
+    return Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch):
+    # Blocks of a few tuples, so the first failure often lies past the first.
+    monkeypatch.setattr(nil, "_CHUNK", 8)
+    rnd = random.Random(case)
+    dom = [fp(2), fp(3), zmod(4)][case % 3]
+    rank = rnd.randint(2, 4)
+    r = random_ring(dom, rank, rnd)
+    idx = sorted(rnd.sample(range(rank), rnd.randint(1, rank)))
+    length, exponent = rnd.randint(2, 3), rnd.randint(1, 2)
+    singles = nil._coord_rows(dom.size, idx, rank)
+    got = nil._first_nonvanishing(r, nil._product_blocks(singles, length), exponent)
+    want = first_failing_tuple(
+        r,
+        itertools.product([tuple(int(v) for v in row) for row in singles], repeat=length),
+        exponent,
+    )
+    assert got == want
+
+
+def test_batched_tuples_order_first_factor_most_significant():
+    # x*y = x0*y2*c + x1*y0*a: the first failing pair in product order is
+    # (b, a), while scanning with the last factor most significant finds (a, c)
+    r = Ring(fp(2), ["a", "b", "c"], {(0, 2): {2: 1}, (1, 0): {0: 1}}, check=False)
+    singles = nil._coord_rows(2, [0, 1, 2], 3)
+    got = nil._first_nonvanishing(r, nil._product_blocks(singles, 2), 1)
+    assert got == ((0, 1, 0), (1, 0, 0))
+
+
+@pytest.mark.parametrize("dom", [fp(3), zmod(2**64 + 13), rat()], ids=str)
+def test_batched_samples_fail_at_the_first_drawn_tuple(dom, monkeypatch):
+    monkeypatch.setattr(nil, "_CHUNK", 8)
+    r = random_ring(dom, 3, random.Random(7))
+    idx, length, samples = [0, 2], 2, 40
+    blocks = nil._sample_blocks(r, idx, random.Random(3), samples, length)
+    got = nil._first_nonvanishing(r, blocks, 2)
+    drawn = reference_component_tuples(r, idx, length, 0, samples, random.Random(3), {})
+    want = first_failing_tuple(r, drawn, 2)
+    assert want is not None and got == want

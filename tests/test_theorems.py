@@ -356,6 +356,16 @@ def test_full_report_sut5():
     assert by_id["T3.18"].status == CheckStatus.PASS
     assert rep.worst() == CheckStatus.PASS
     assert [c.id for c in rep.checks] == sorted(c.id for c in rep.checks)
+    assert rep.notes == ["no commutation factor derived: the neutral component is zero"]
+
+
+def test_full_report_names_the_pair_no_scalar_fits():
+    # E12*E23 = E13 while E23*E12 = 0, so no l gives E12*E23 = l*(E23*E12)
+    rep = full_report(trivial_grading(sut(3, fp(2)).ring))
+    assert rep.notes == [
+        "no commutation factor derived: no scalar l has a*b = l*(b*a) "
+        "for a = E12, b = E23"
+    ]
 
 
 def test_full_report_m2_two_z8():
