@@ -130,10 +130,10 @@ class Action:
     def act(self, s, x: Element) -> Element:
         return self.ring.element(self.act_coords(s, x.coords))
 
-    def _sample_semigroup(self, limit=8):
+    def _sample_semigroup(self):
         dom = self.ring.coeff
         if self.kind == SCALAR:
-            if dom.finite:
+            if dom.finite and dom.size <= 64:
                 return [dom.normalize(v) for v in dom.elements()]
             return [dom.normalize(v) for v in (0, 1, -1, 2, -2)]
         if self.kind == BLOCK_SCALAR:
@@ -281,10 +281,14 @@ def check_f_commutative(
 ) -> PairVerdict:
     """Does a*b = f(a,b).(b*a) hold for all pairs?
 
-    Exhaustive when the square of the element count fits ``pair_cap``;
-    otherwise a seeded sample of pairs (SAMPLED_OK / CAPPED on the
-    rationals).
+    A constant factor is decided on the rank^2 basis pairs over every domain
+    and at every ``pair_cap`` (see ``_basis_certificate``).  Other maps are
+    checked exhaustively when the square of the element count fits
+    ``pair_cap``, otherwise on a seeded sample of pairs (SAMPLED_OK over the
+    rationals, CAPPED over finite domains).
     """
+    if f.is_constant():
+        return _basis_certificate(r, f, act, variant)
     dom = r.coeff
     coords_list = None
     count = r.element_count()
@@ -315,8 +319,23 @@ def check_f_commutative(
     )
 
 
+def _basis_certificate(r, f, act, variant=STANDARD) -> PairVerdict:
+    """Decide commutation up to a constant factor on basis pairs alone.
+
+    Every action here is linear (scalars, block scalars, and table images
+    extended linearly), so for a constant f both a*b - f.(b*a) and
+    a*b - (f.b)*a are bilinear in (a, b): they vanish on all pairs exactly
+    when they vanish on the pairs (b_i, b_j).  The witness of a refutation is
+    the first failing basis pair.
+    """
+    basis = [r.basis_element(t).coords for t in range(r.rank)]
+    for ca, cb in itertools.product(basis, repeat=2):
+        if not _pair_commutes(r, act, f, ca, cb, variant):
+            return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
+    return PairVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
+
+
 def _pair_commutes(r, act, f, ca, cb, variant=STANDARD):
-    dom = r.coeff
     ab = r.mul_coords(ca, cb)
     s = f.at_coords(ca, cb)
     if variant == STANDARD:
@@ -333,9 +352,11 @@ def scalar_f_search(r: Ring, pair_cap=10**6, rat_bound=3, samples=2000, seed=0):
     scalar works everywhere, (None, witness_pair) when some pair admits no
     scalar, or (None, None) when enumeration exceeds the pair cap.
     Candidates are tried as 1, -1, 0, then the remaining domain elements, so
-    commutative rings report the constant 1.  Over the rationals only a
-    seeded sample of pairs is examined with candidates bounded by
-    ``rat_bound``; a constant found that way is marked as sampled.
+    commutative rings report the constant 1.  Within the pair cap, a ring
+    on which constant 1 passes the basis-pair certificate returns it without
+    enumerating: the pointwise loop would pick 1 at every pair.  Over the
+    rationals only a seeded sample of pairs is examined with candidates
+    bounded by ``rat_bound``; a constant found that way is marked as sampled.
     """
     dom = r.coeff
     if dom.finite:
@@ -347,6 +368,9 @@ def scalar_f_search(r: Ring, pair_cap=10**6, rat_bound=3, samples=2000, seed=0):
         count = r.element_count()
         if count * count > pair_cap:
             return None, None
+        one = FMap.constant(dom.one())
+        if _basis_certificate(r, one, Action(SCALAR, r, check=False)).proved:
+            return one, None
         coords_list = _element_coords(r, count)
         rule = {}
         for ca in coords_list:
@@ -473,8 +497,10 @@ def lift_f_to_diagonal(
     Builds the elementary Z_2 grading of the 2x2 matrix ring, realizes the
     lifted factor on the neutral (diagonal) component as the pair
     (f(a, c), f(b, d)) acting blockwise, and re-checks commutation up to the
-    lift there.  Only scalar base actions are supported; a general table
-    action would need the full pair semigroup.
+    lift there.  A constant f = l lifts to the constant block scalar (l, l),
+    which ``check_f_commutative`` decides on basis pairs; any other f lifts
+    to a pointwise map.  Only scalar base actions are supported; a general
+    table action would need the full pair semigroup.
     """
     if n != 2:
         raise ValueError("the diagonal lift is built for 2x2 matrices")
@@ -486,12 +512,15 @@ def lift_f_to_diagonal(
     blocks = [tuple(range(rank)), tuple(range(rank, 2 * rank))]
     lifted_act = Action(BLOCK_SCALAR, m0, blocks=blocks)
 
-    def lifted(ca, cb):
-        a, b = ca[:rank], ca[rank:]
-        c, d = cb[:rank], cb[rank:]
-        return (f.at_coords(a, c), f.at_coords(b, d))
+    if f.is_constant():
+        lifted_f = FMap.constant((f.value, f.value))
+    else:
+        def lifted(ca, cb):
+            a, b = ca[:rank], ca[rank:]
+            c, d = cb[:rank], cb[rank:]
+            return (f.at_coords(a, c), f.at_coords(b, d))
 
-    lifted_f = FMap(FUNC, func=lifted, label=f"diagonal lift of {f.label or f.kind}")
+        lifted_f = FMap(FUNC, func=lifted, label=f"diagonal lift of {f.label or f.kind}")
     verdict = check_f_commutative(
         m0, lifted_f, lifted_act, pair_cap=pair_cap, samples=samples, seed=seed
     )

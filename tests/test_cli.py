@@ -125,6 +125,27 @@ def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
             "of the neutral component exceed pair_cap 1000000") in data["notes"]
 
 
+def test_cli_report_grassmann3_f5_lift_is_proved(tmp_path, capsys):
+    # The constant factor 1 on the neutral component lifts to the constant
+    # block scalar (1, 1): the diagonal check is a basis-pair proof, where
+    # the 5^6 elements of the diagonal component once left a capped sample.
+    spec = str(tmp_path / "g3.spec")
+    assert main(["zoo", "grassmann-star", "--k", "3", "--domain", "fp 5",
+                 "--out", spec]) == 0
+    code = main(["report", spec, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    checks = {c["id"]: c for c in data["checks"]}
+    assert {i: c["status"] for i, c in checks.items()} == {
+        "C3.04": "NOT_APPLICABLE", "C3.28": "PASS", "P3.03": "NOT_APPLICABLE",
+        "P3.17": "PASS", "P3.31": "PASS", "T3.15": "PASS", "T3.18": "PASS",
+        "T3.19": "CAPPED", "T3.20": "CAPPED", "T3.24": "PASS", "T3.26": "PASS",
+        "T3.29-REDUCTION": "PASS",
+    }
+    assert checks["T3.26"]["details"]["diagonal_lift"] == "PROVED"
+    assert checks["T3.15"]["details"]["f_commutative"] == "PROVED"
+    assert code == 2  # T3.19 and T3.20 are capped by min_generators
+
+
 def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
     text = "[ring]\ncoeff = fp 2\nrank = 1\nnames = b\nsc = 0 0 0 1\n"
     path = _write(tmp_path, "idem.spec", text)

@@ -1,4 +1,8 @@
+import random
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradednil.fcomm import (
     Action,
@@ -6,9 +10,12 @@ from gradednil.fcomm import (
     BLOCK_SCALAR,
     FMap,
     FMapDomainError,
+    SCALAR,
+    STANDARD,
     SemigroupTable,
     TABLE,
     WEAKENED,
+    _pair_commutes,
     check_f_commutative,
     f_commutator,
     lift_f_to_diagonal,
@@ -17,7 +24,8 @@ from gradednil.fcomm import (
     scalar_f_search,
 )
 from gradednil.nil import Status
-from gradednil.ringcore import Ring, fp, matrix_ring, zmod
+from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
+from gradednil.specfile import emit_spec, parse_spec_text
 from gradednil.zoo import grassmann_star, two_z_2k
 
 
@@ -219,3 +227,195 @@ def test_weakened_variant_through_pair_check():
     v2 = check_f_commutative(m2, FMap.constant(1), scalar_action(m2),
                              variant=WEAKENED)
     assert v2.status == Status.REFUTED
+
+
+# --- The basis-pair certificate for constant factors, checked against the
+# element-pair loops it replaced, kept here as references.
+
+
+def exhaustive_reference(r, f, act, variant=STANDARD):
+    """Every element pair through ``_pair_commutes``; REFUTED at the first failure."""
+    coords = [e.coords for e in r.elements()]
+    for ca in coords:
+        for cb in coords:
+            if not _pair_commutes(r, act, f, ca, cb, variant):
+                return Status.REFUTED
+    return Status.PROVED
+
+
+def pointwise_search_reference(r):
+    """The pointwise scalar search over a finite domain, without any shortcut."""
+    dom = r.coeff
+    candidates = []
+    for c in [dom.normalize(1), dom.normalize(-1), dom.zero()] + list(dom.elements()):
+        if c not in candidates:
+            candidates.append(c)
+    coords = [e.coords for e in r.elements()]
+    rule = {}
+    for ca in coords:
+        for cb in coords:
+            ab, ba = r.mul_coords(ca, cb), r.mul_coords(cb, ca)
+            lam = next((c for c in candidates
+                        if ab == tuple(dom.mul(c, v) for v in ba)), None)
+            if lam is None:
+                return None, (r.element(ca), r.element(cb))
+            rule[(ca, cb)] = lam
+    values = set(rule.values())
+    if len(values) == 1:
+        return FMap.constant(values.pop()), None
+    return FMap.from_rule(rule), None
+
+
+@st.composite
+def constant_factor_cases(draw, dom, max_rank):
+    """A random ring, a linear action and a constant factor for it.
+
+    Unless the products are drawn freely the ring is twisted,
+    b_j b_i = mu * b_i b_j for i < j, and the factor is often mu, so that
+    PROVED and REFUTED both occur.
+    Rings and actions skip their law checks: the certificate needs only
+    bilinearity.
+    """
+    if dom.finite:
+        coeff = st.one_of(st.just(0), st.sampled_from((1, -1, 2)),
+                          st.integers(0, dom.size - 1))
+    else:
+        coeff = st.one_of(st.just(0), st.sampled_from((1, -1, 2)),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    rank = draw(st.integers(1, max_rank))
+    mu = draw(st.one_of(st.sampled_from((1, -1, 0)), coeff))
+    free = draw(st.booleans())
+    zero_diagonal = draw(st.booleans())
+
+    def vector():
+        return {k: draw(coeff) for k in range(rank)}
+
+    sc = {}
+    for i in range(rank):
+        sc[(i, i)] = {} if zero_diagonal else vector()
+        for j in range(i + 1, rank):
+            sc[(i, j)] = vector()
+            sc[(j, i)] = vector() if free else {k: mu * c for k, c in sc[(i, j)].items()}
+    ring = Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
+    scalar = st.one_of(st.just(mu), st.sampled_from((1, -1, 0)), coeff)
+    kind = draw(st.sampled_from((SCALAR, BLOCK_SCALAR, TABLE)))
+    if kind == SCALAR:
+        act = Action(SCALAR, ring, check=False)
+        value = dom.normalize(draw(scalar))
+    elif kind == BLOCK_SCALAR:
+        labels = [draw(st.integers(0, rank - 1)) for _ in range(rank)]
+        blocks = [tuple(t for t in range(rank) if labels[t] == b)
+                  for b in sorted(set(labels))]
+        act = Action(BLOCK_SCALAR, ring, blocks=blocks, check=False)
+        value = tuple(dom.normalize(draw(scalar)) for _ in blocks)
+    else:
+        # the sign semigroup {1, -1}; each id acts by a scalar or by random images
+        sg = SemigroupTable([[0, 1], [1, 0]])
+        act_map = {}
+        for s in range(2):
+            lam = draw(scalar)
+            scaled = draw(st.booleans())
+            for t in range(rank):
+                act_map[(s, t)] = tuple(
+                    dom.normalize(lam if k == t else 0) if scaled else
+                    dom.normalize(draw(coeff)) for k in range(rank))
+        act = Action(TABLE, ring, semigroup=sg, act_map=act_map, check=False)
+        value = draw(st.integers(0, 1))
+    variant = draw(st.sampled_from((STANDARD, WEAKENED)))
+    return ring, FMap.constant(value), act, variant
+
+
+# element count at most 64, so the reference loop stays small
+SMALL = [(fp(2), 3), (zmod(4), 3), (fp(5), 2), (zmod(6), 2)]
+
+
+@pytest.mark.parametrize("dom,max_rank", SMALL, ids=["f2", "z4", "f5", "z6"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_certificate_matches_exhaustive_reference(dom, max_rank, data):
+    r, f, act, variant = data.draw(constant_factor_cases(dom, max_rank))
+    # pair_cap=0: the element-pair path would only sample, so an exact
+    # verdict here can come from the certificate alone
+    v = check_f_commutative(r, f, act, pair_cap=0, variant=variant)
+    assert v.status == exhaustive_reference(r, f, act, variant)
+    if v.status == Status.REFUTED:
+        a, b = v.witness
+        assert not _pair_commutes(r, act, f, a.coords, b.coords, variant)
+    else:
+        assert v.note == f"bilinear: {r.rank}^2 basis pairs"
+
+
+@pytest.mark.parametrize("dom", [zmod(2**61 - 1), zmod(2**64 + 13), rat()],
+                         ids=lambda d: d.label())
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_certificate_holds_on_random_pairs_past_enumeration(dom, data):
+    r, f, act, variant = data.draw(constant_factor_cases(dom, 3))
+    v = check_f_commutative(r, f, act, variant=variant)
+    if v.status == Status.REFUTED:
+        a, b = v.witness
+        assert not _pair_commutes(r, act, f, a.coords, b.coords, variant)
+        return
+    assert v.status == Status.PROVED
+    rng = random.Random(11)
+    if dom.finite:
+        draw = lambda: tuple(rng.randrange(dom.size) for _ in range(r.rank))
+    else:
+        draw = lambda: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                             for _ in range(r.rank))
+    for _ in range(50):
+        assert _pair_commutes(r, act, f, draw(), draw(), variant)
+
+
+def test_certificate_refutes_on_a_diagonal_pair_only():
+    # b0*b0 = b1 and every other product is zero: with f = -1 only the pair
+    # (b0, b0) fails, 2*b1 != 0 over F_5
+    r = Ring(fp(5), ["b0", "b1"], {(0, 0): {1: 1}})
+    for variant in (STANDARD, WEAKENED):
+        v = check_f_commutative(r, FMap.constant(-1), scalar_action(r), variant=variant)
+        assert v.status == Status.REFUTED
+        assert v.witness == (r.basis_element(0), r.basis_element(0))
+
+
+def test_constant_minus_one_on_rational_grassmann_is_proved():
+    r = grassmann_star(2, rat()).ring
+    v = check_f_commutative(r, FMap.constant(-1), scalar_action(r))
+    assert v.status == Status.PROVED
+    assert v.note == "bilinear: 3^2 basis pairs"
+
+
+def test_constant_lift_is_a_block_scalar_certificate():
+    # 5^6 diagonal elements: the element-pair check could only sample
+    r = grassmann_star(2, fp(5)).ring
+    lift = lift_f_to_diagonal(FMap.constant(-1), scalar_action(r), r)
+    assert lift.fmap.is_constant() and lift.fmap.value == (-1, -1)
+    assert lift.action.kind == BLOCK_SCALAR
+    assert lift.verdict.status == Status.PROVED
+
+
+@pytest.mark.parametrize("ring", [
+    two_z_2k(3),
+    grassmann_star(2, fp(3)).ring,
+    m2_f2(),
+    zero_product_ring(zmod(6), 2),
+], ids=["2Z_8", "grassmann2-f3", "M2-f2", "zero-product-z6"])
+def test_scalar_search_matches_pointwise_reference(ring):
+    fmap, witness = scalar_f_search(ring)
+    ref, ref_witness = pointwise_search_reference(ring)
+    assert witness == ref_witness
+    if ref is None:
+        assert fmap is None
+    else:
+        assert (fmap.kind, fmap.value, fmap.label) == (ref.kind, ref.value, ref.label)
+        assert fmap == ref
+
+
+def test_scalar_action_validation_at_large_modulus():
+    # past 64 scalars validation samples 0, 1, -1, 2, -2 instead of listing
+    # the whole domain
+    r = Ring(zmod(2**61 - 1), ["b"], {(0, 0): {0: 3}})
+    act = scalar_action(r)
+    assert sorted(act._sample_semigroup()) == sorted(
+        r.coeff.normalize(v) for v in (0, 1, -1, 2, -2))
+    parsed = parse_spec_text(emit_spec(r, fmap_mode="constant 1"))
+    assert parsed.fmap.is_constant() and parsed.action.kind == SCALAR
