@@ -21,7 +21,7 @@ from .grading import (
     support,
     trivial_grading,
 )
-from .monoid import Congruence, Monoid
+from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
 from .ringcore import parse_domain
 from .theorems import (
@@ -44,6 +44,7 @@ from .theorems import (
 from .words import (
     DegreeWord,
     ProductVerdict,
+    exhaustive_splits,
     neutral_split,
     neutral_split_bruteforce,
     small_gap_blocks,
@@ -259,14 +260,18 @@ def cmd_oracle(args):
         supp = {int(t) for t in args.supp.replace(",", " ").split()}
     except ValueError:
         raise SystemExit(_input_error("bad --supp"))
+    if not supp or not all(map(monoid.contains, supp)):
+        raise SystemExit(_input_error(
+            f"--supp needs element ids in 0..{monoid.size - 1}, got {sorted(supp)}"
+        ))
+    if not check_cancellative(monoid).left:
+        # the split cuts at repeated prefix degrees, which needs left cancellation
+        raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
     r = args.r
     disagreements = 0
 
-    def compare(letters):
+    def compare(letters, got, ref):
         nonlocal disagreements
-        w = DegreeWord(monoid, tuple(letters))
-        got = neutral_split(w, r, supp)
-        ref = neutral_split_bruteforce(w, r, supp)
         got_zero = got == ProductVerdict.FORCED_ZERO
         ref_zero = ref == ProductVerdict.FORCED_ZERO
         agree = got_zero == ref_zero and ref is not None
@@ -285,15 +290,14 @@ def cmd_oracle(args):
             raise SystemExit(
                 _input_error(f"word length must be r*d = {r * len(supp)}")
             )
-        compare(letters)
+        w = DegreeWord(monoid, tuple(letters))
+        compare(letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
     elif args.exhaustive:
-        import itertools
-
         length = args.len or r * len(supp)
         if length != r * len(supp):
             raise SystemExit(_input_error(f"--len must equal r*d = {r * len(supp)}"))
-        for letters in itertools.product(range(monoid.size), repeat=length):
-            compare(list(letters))
+        for letters, got, ref in exhaustive_splits(monoid, r, supp):
+            compare(list(letters), got, ref)
     else:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
     print(f"disagreements: {disagreements}")

@@ -510,7 +510,9 @@ def lift_f_to_diagonal(
     m0, idx = neutral_ring(gr)
     rank = r.rank
     blocks = [tuple(range(rank)), tuple(range(rank, 2 * rank))]
-    lifted_act = Action(BLOCK_SCALAR, m0, blocks=blocks)
+    # The diagonal is R x R, so scalars act blockwise and both action laws
+    # hold by construction; the blocks are still checked to partition.
+    lifted_act = Action(BLOCK_SCALAR, m0, blocks=blocks, check=False)
 
     if f.is_constant():
         lifted_f = FMap.constant((f.value, f.value))

@@ -113,6 +113,13 @@ class Monoid:
             return isinstance(g, int)
         return isinstance(g, int) and 0 <= g < self.size
 
+    def contains_all(self, gs):
+        """``all(map(self.contains, gs))`` for a sequence, in one pass when
+        every entry is a plain int (or bool)."""
+        if not set(map(type, gs)) <= {int, bool}:
+            return all(map(self.contains, gs))
+        return self.kind == INT_ADD or not gs or (min(gs) >= 0 and max(gs) < self.size)
+
     def elements(self):
         if self.kind == INT_ADD:
             raise MonoidError("int-add monoid is not enumerable")

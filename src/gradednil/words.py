@@ -6,14 +6,25 @@ forced to vanish.  Otherwise, for a word of length r*d over a support of
 size d (r > 1), pigeonholing the prefix degrees yields r consecutive blocks
 each of neutral degree; ``neutral_split`` constructs the cut positions and
 ``neutral_split_bruteforce`` re-derives the verdict by exhaustive search.
+
+``exhaustive_splits`` runs both on every word of length r*d over a table
+monoid as one depth-first walk over the letter tree.  Each node extends its
+parent's state by one letter instead of rebuilding it per word, and the two
+sides keep separate state, so the brute force stays an independent twin.
+The pigeonhole cut rule (``_pigeonhole_cuts``) and the cut-sequence search
+(``_first_cut_sequence``) each exist once, for the per-word functions and
+the walk alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import accumulate
+from operator import add, lt, sub
 
-from .monoid import Monoid
+from .monoid import TABLE, Monoid
 
 
 class ProductVerdict(Enum):
@@ -22,14 +33,6 @@ class ProductVerdict(Enum):
 
 
 FORCED_ZERO = ProductVerdict.FORCED_ZERO
-
-
-def _fast_op(monoid):
-    """Raw operation lookup; degree words validate membership up front."""
-    if monoid.kind == "table":
-        table = monoid.table
-        return lambda a, b: table[a][b]
-    return lambda a, b: a + b
 
 
 class SplitInternalError(RuntimeError):
@@ -42,10 +45,11 @@ class DegreeWord:
     degrees: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        for g in self.degrees:
-            if not self.monoid.contains(g):
-                raise ValueError(f"degree {g!r} is not a monoid element")
+        degrees = tuple(self.degrees)
+        object.__setattr__(self, "degrees", degrees)
+        if not self.monoid.contains_all(degrees):
+            bad = next(g for g in degrees if not self.monoid.contains(g))
+            raise ValueError(f"degree {bad!r} is not a monoid element")
 
     def __len__(self):
         return len(self.degrees)
@@ -58,8 +62,9 @@ class Decomposition:
     cuts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "cuts", tuple(self.cuts))
-        if any(a >= b for a, b in zip(self.cuts, self.cuts[1:])):
+        cuts = tuple(self.cuts)
+        object.__setattr__(self, "cuts", cuts)
+        if not all(map(lt, cuts, cuts[1:])):
             raise ValueError("cut positions must be strictly increasing")
 
     @property
@@ -67,114 +72,147 @@ class Decomposition:
         return list(zip(self.cuts, self.cuts[1:]))
 
     def gaps(self):
-        return [b - a for a, b in self.blocks]
+        return list(map(sub, self.cuts[1:], self.cuts))
+
+
+def _subproduct_rows(w: DegreeWord):
+    """Row a lists the degrees of letters a+1..b for b = a+1..n, lazily.
+
+    Table monoids index ``monoid.table`` directly; integer addition adds.
+    """
+    degs = w.degrees
+    if w.monoid.kind != TABLE:
+        for a in range(len(degs)):
+            yield list(accumulate(degs[a:]))
+        return
+    table = w.monoid.table
+    for a, g in enumerate(degs):
+        row = [g]
+        for x in degs[a + 1:]:
+            g = table[g][x]
+            row.append(g)
+        yield row
 
 
 def subproduct_degrees(w: DegreeWord):
     """Degrees of all contiguous subproducts, via prefix extension."""
-    op = _fast_op(w.monoid)
     out = set()
-    degs = w.degrees
-    n = len(degs)
-    for i in range(n):
-        acc = degs[i]
-        out.add(acc)
-        for j in range(i + 1, n):
-            acc = op(acc, degs[j])
-            out.add(acc)
+    for row in _subproduct_rows(w):
+        out.update(row)
     return out
 
 
 def product_verdict(w: DegreeWord, supp) -> ProductVerdict:
     """FORCED_ZERO iff some contiguous subproduct degree leaves the support."""
-    op = _fast_op(w.monoid)
-    degs = w.degrees
-    n = len(degs)
     supp = set(supp)
-    for i in range(n):
-        acc = degs[i]
-        if acc not in supp:
+    for row in _subproduct_rows(w):
+        if not supp.issuperset(row):
             return ProductVerdict.FORCED_ZERO
-        for j in range(i + 1, n):
-            acc = op(acc, degs[j])
-            if acc not in supp:
-                return ProductVerdict.FORCED_ZERO
     return ProductVerdict.POSSIBLY_NONZERO
 
 
 def block_degrees(w: DegreeWord, dec: Decomposition):
     """The degree of each block of a decomposition."""
-    op = _fast_op(w.monoid)
+    degs = w.degrees
+    if w.monoid.kind != TABLE:
+        return [reduce(add, degs[a:b]) for a, b in dec.blocks]
+    table = w.monoid.table
     out = []
     for a, b in dec.blocks:
-        acc = w.degrees[a]
-        for t in range(a + 1, b):
-            acc = op(acc, w.degrees[t])
+        acc = degs[a]
+        for x in degs[a + 1:b]:
+            acc = table[acc][x]
         out.append(acc)
     return out
+
+
+def _check_split_args(r, supp, n):
+    if r <= 1:
+        raise ValueError("split needs r > 1")
+    if n != r * len(supp):
+        raise ValueError(f"word length {n} is not r*d = {r}*{len(supp)}")
+
+
+def _pigeonhole_cuts(buckets, e, r):
+    """The split's cut positions from the prefix-degree buckets.
+
+    ``buckets`` maps each degree to the ascending 1-based positions of the
+    prefixes with that degree.  Either the identity occurs at least r times
+    (cut at the first r such prefixes), or some other degree occurs at least
+    r+1 times (cut at its first r+1 positions, whose consecutive quotients
+    are neutral by left cancellation).  Ties between maximal degrees break
+    toward the smallest element, positions toward the earliest index.
+    """
+    neutral_pos = buckets.get(e, ())
+    if len(neutral_pos) >= r:
+        return (0,) + tuple(neutral_pos[:r])
+    candidates = [(g, pos) for g, pos in buckets.items() if g != e and pos]
+    if not candidates:
+        raise SplitInternalError("no prefix buckets despite clean word")
+    g0, pos = max(candidates, key=lambda it: (len(it[1]), _neg_key(it[0])))
+    if len(pos) < r + 1:
+        raise SplitInternalError(
+            f"pigeonhole dichotomy failed: {len(neutral_pos)} neutral prefixes "
+            f"and at most {len(pos)} repeats of any other degree"
+        )
+    return tuple(pos[: r + 1])
+
+
+def _require_neutral(block_degs, e):
+    for g in block_degs:
+        if g != e:
+            raise SplitInternalError(f"constructed block has degree {g!r}, not neutral")
+
+
+def _first_cut_sequence(neutral_after, n, r):
+    """The lexicographically first cuts s_0 < ... < s_r of r neutral blocks.
+
+    ``neutral_after[a]`` lists, ascending, the ends b whose block a+1..b has
+    neutral degree; ``neutral_after[n]`` is empty.  Cut positions are tried
+    depth first in increasing order, pruning at the first non-neutral block,
+    so the first hit is the first of all cut sequences in lexicographic
+    order.  None if there is none.
+    """
+
+    def extend(pos, left):
+        if not left:
+            return (pos,)
+        for b in neutral_after[pos]:
+            rest = extend(b, left - 1)
+            if rest:
+                return (pos,) + rest
+        return None
+
+    for s0 in range(n - r + 1):
+        cuts = extend(s0, r)
+        if cuts:
+            return cuts
+    return None
 
 
 def neutral_split(w: DegreeWord, r: int, supp):
     """Cut a clean word of length r*d into r consecutive neutral blocks.
 
     Returns FORCED_ZERO when some contiguous subproduct leaves the support;
-    otherwise buckets the prefix degrees: either the identity occurs at least
-    r times among them (cut at the first r such prefixes), or some other
-    degree occurs at least r+1 times (cut at its first r+1 positions, whose
-    consecutive quotients are neutral by left cancellation).  Ties between
-    maximal degrees break toward the smallest element, positions toward the
-    earliest index.
+    otherwise cuts by ``_pigeonhole_cuts`` on the prefix degrees and checks
+    that every block is neutral.
     """
-    if r <= 1:
-        raise ValueError("split needs r > 1")
     supp = set(supp)
-    d = len(supp)
-    degs = w.degrees
-    n = len(degs)
-    if n != r * d:
-        raise ValueError(f"word length {n} is not r*d = {r}*{d}")
-    op = _fast_op(w.monoid)
-    e = w.monoid.identity
-
-    # Forced-zero scan over all contiguous subproducts, early exit.
-    for i in range(n):
-        acc = degs[i]
-        if acc not in supp:
+    _check_split_args(r, supp, len(w))
+    rows = []
+    for row in _subproduct_rows(w):
+        if not supp.issuperset(row):
             return ProductVerdict.FORCED_ZERO
-        for j in range(i + 1, n):
-            acc = op(acc, degs[j])
-            if acc not in supp:
-                return ProductVerdict.FORCED_ZERO
+        rows.append(row)
 
-    # Prefix degrees b_1..b_n and their buckets.
-    prefixes = []
-    acc = None
-    for g in degs:
-        acc = g if acc is None else op(acc, g)
-        prefixes.append(acc)
-    positions = {}
-    for pos, g in enumerate(prefixes, start=1):
-        positions.setdefault(g, []).append(pos)
-
-    neutral_pos = positions.get(e, [])
-    if len(neutral_pos) >= r:
-        cuts = (0,) + tuple(neutral_pos[:r])
-    else:
-        candidates = [(g, pos) for g, pos in positions.items() if g != e]
-        if not candidates:
-            raise SplitInternalError("no prefix buckets despite clean word")
-        g0, pos = max(candidates, key=lambda it: (len(it[1]), _neg_key(it[0])))
-        if len(pos) < r + 1:
-            raise SplitInternalError(
-                f"pigeonhole dichotomy failed: {len(neutral_pos)} neutral prefixes "
-                f"and at most {len(pos)} repeats of any other degree"
-            )
-        cuts = tuple(pos[: r + 1])
-    dec = Decomposition(cuts)
-    for g in block_degrees(w, dec):
-        if g != e:
-            raise SplitInternalError(f"constructed block has degree {g!r}, not neutral")
-    return dec
+    # Row 0 holds the prefix degrees b_1..b_n.
+    buckets = {}
+    for pos, g in enumerate(rows[0] if rows else (), start=1):
+        buckets.setdefault(g, []).append(pos)
+    e = w.monoid.identity
+    cuts = _pigeonhole_cuts(buckets, e, r)
+    _require_neutral([rows[a][b - a - 1] for a, b in zip(cuts, cuts[1:])], e)
+    return Decomposition(cuts)
 
 
 def _neg_key(g):
@@ -203,56 +241,112 @@ def neutral_split_bruteforce(w: DegreeWord, r: int, supp):
 
     Re-derives the forced-zero verdict from a table of all (start, end)
     subproduct degrees, then searches every cut sequence for r neutral
-    blocks, never pigeonholing prefixes.  Returns the first decomposition
-    found, FORCED_ZERO, or None if neither applies (which would contradict
-    the pigeonhole construction).
+    blocks (``_first_cut_sequence``), never pigeonholing prefixes.  Returns
+    the first decomposition found, FORCED_ZERO, or None if neither applies
+    (which would contradict the pigeonhole construction).
     """
-    if r <= 1:
-        raise ValueError("split needs r > 1")
     supp = set(supp)
-    d = len(supp)
-    degs = w.degrees
-    n = len(degs)
-    if n != r * d:
-        raise ValueError(f"word length {n} is not r*d = {r}*{d}")
-    op = _fast_op(w.monoid)
+    n = len(w)
+    _check_split_args(r, supp, n)
 
-    # prod[a][b] = degree of letters a+1 .. b (0 <= a < b <= n)
-    prod = [[None] * (n + 1) for _ in range(n)]
-    escaped = False
-    for a in range(n):
-        acc = degs[a]
-        prod[a][a + 1] = acc
-        escaped = escaped or acc not in supp
-        for b in range(a + 2, n + 1):
-            acc = op(acc, degs[b - 1])
-            prod[a][b] = acc
-            escaped = escaped or acc not in supp
-    if escaped:
+    # prod[a][b - a - 1] = degree of letters a+1 .. b (0 <= a < b <= n)
+    prod = list(_subproduct_rows(w))
+    if not all(supp.issuperset(row) for row in prod):
         return ProductVerdict.FORCED_ZERO
 
     e = w.monoid.identity
-    # Lexicographic scan over cut sequences, pruning prefixes whose last
-    # block is not neutral; returns the same first hit as iterating all
-    # combinations of cut positions in order.
     neutral_after = [
-        [b for b in range(a + 1, n + 1) if prod[a][b] == e] for a in range(n)
+        [b for b, g in enumerate(row, start=a + 1) if g == e]
+        for a, row in enumerate(prod)
     ]
+    neutral_after.append([])
+    cuts = _first_cut_sequence(neutral_after, n, r)
+    return None if cuts is None else Decomposition(cuts)
 
-    def extend(cuts):
-        pos = cuts[-1]
-        if len(cuts) == r + 1:
-            return cuts
-        if pos >= n:
-            return None
-        for b in neutral_after[pos]:
-            found = extend(cuts + (b,))
-            if found:
-                return found
-        return None
 
-    for s0 in range(n - r + 1):
-        found = extend((s0,))
-        if found:
-            return Decomposition(found)
-    return None
+def exhaustive_splits(monoid: Monoid, r: int, supp):
+    """``(letters, split, brute)`` for every word of length r*d over a table
+    monoid, in ``itertools.product(monoid.elements(), repeat=r*d)`` order.
+
+    ``split`` and ``brute`` equal ``neutral_split`` and
+    ``neutral_split_bruteforce`` on ``DegreeWord(monoid, letters)``.  The
+    words are the leaves of a depth-first walk over the letter tree; pushing
+    letter k extends two separate states by one letter:
+
+    * the split's column of subproducts ending at k (its first entry is the
+      prefix degree b_k) and the prefix-degree buckets;
+    * the brute force's own column and the starts a whose block a+1..k is
+      neutral, appended to its ``neutral_after`` lists.
+
+    A column that leaves the support marks that side FORCED_ZERO for the
+    whole subtree.  Popping a letter undoes its pushes, so the walk holds
+    O((r*d)^2) state and never lists the words.
+    """
+    size = len(monoid.elements())
+    supp = set(supp)
+    n = r * len(supp)
+    _check_split_args(r, supp, n)
+    e = monoid.identity
+    # right[x](v) = v * x extends a column of subproducts by the letter x.
+    right = [tuple(row[x] for row in monoid.table).__getitem__ for x in range(size)]
+
+    word = [0] * n
+    split_cols = [[]] + [None] * n  # None once the split side escaped
+    buckets = {g: [] for g in range(size)}
+    brute_cols = [[]] + [None] * n  # None once the brute side escaped
+    brute_starts = [()] * (n + 1)
+    neutral_after = [[] for _ in range(n + 1)]
+    k = 0
+    while True:
+        while k < n:
+            x = word[k]
+            ext = right[x]
+            k += 1
+            col = split_cols[k - 1]
+            if col is not None:
+                col = [*map(ext, col), x]
+                if supp.issuperset(col):
+                    buckets[col[0]].append(k)
+                else:
+                    col = None
+            split_cols[k] = col
+            col = brute_cols[k - 1]
+            starts = ()
+            if col is not None:
+                col = [*map(ext, col), x]
+                if supp.issuperset(col):
+                    starts = [a for a, g in enumerate(col) if g == e]
+                    for a in starts:
+                        neutral_after[a].append(k)
+                else:
+                    col = None
+            brute_cols[k] = col
+            brute_starts[k] = starts
+
+        if split_cols[n] is None:
+            split = FORCED_ZERO
+        else:
+            cuts = _pigeonhole_cuts(buckets, e, r)
+            _require_neutral([split_cols[b][a] for a, b in zip(cuts, cuts[1:])], e)
+            split = Decomposition(cuts)
+        if brute_cols[n] is None:
+            brute = FORCED_ZERO
+        else:
+            cuts = _first_cut_sequence(neutral_after, n, r)
+            brute = None if cuts is None else Decomposition(cuts)
+        yield tuple(word), split, brute
+
+        # Pop letters up to the deepest one that can still be incremented.
+        while k:
+            col = split_cols[k]
+            if col is not None:
+                buckets[col[0]].pop()
+            for a in brute_starts[k]:
+                neutral_after[a].pop()
+            k -= 1
+            if word[k] + 1 < size:
+                word[k] += 1
+                break
+            word[k] = 0
+        else:
+            return

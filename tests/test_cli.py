@@ -1,8 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from gradednil.cli import main
+from gradednil.monoid import Monoid
 from gradednil.specfile import (
     SpecFileError,
     emit_graded,
@@ -10,6 +12,13 @@ from gradednil.specfile import (
     parse_spec_text,
 )
 from gradednil.ringcore import fp
+from gradednil.words import (
+    DegreeWord,
+    ProductVerdict,
+    neutral_split,
+    neutral_split_bruteforce,
+    small_gap_blocks,
+)
 from gradednil.zoo import grassmann_star, sut, truncated_poly_positive, two_z_2k
 
 SUT3 = sut(3, fp(2))
@@ -196,6 +205,72 @@ def test_cli_oracle_exhaustive(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "disagreements: 0" in out
+
+
+def _oracle_reference_stdout(monoid, supp, r):
+    """``oracle --exhaustive`` output from a per-word loop over
+    ``itertools.product``, calling both split functions on every word."""
+    lines = []
+    disagreements = 0
+    for letters in itertools.product(range(monoid.size), repeat=r * len(supp)):
+        letters = list(letters)
+        w = DegreeWord(monoid, tuple(letters))
+        got = neutral_split(w, r, supp)
+        ref = neutral_split_bruteforce(w, r, supp)
+        got_zero = got == ProductVerdict.FORCED_ZERO
+        ref_zero = ref == ProductVerdict.FORCED_ZERO
+        if got_zero != ref_zero or ref is None:
+            disagreements += 1
+            lines.append(f"DISAGREE word={letters} split={got} oracle={ref}")
+        elif not got_zero:
+            blocks = small_gap_blocks(got, len(supp))
+            lines.append(f"word={letters} cuts={got.cuts} small-gap blocks={blocks}")
+        else:
+            lines.append(f"word={letters} FORCED_ZERO (both)")
+    lines.append(f"disagreements: {disagreements}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,supp,r", [(3, "0,1", 2), (4, "0,2", 3)])
+def test_cli_oracle_exhaustive_matches_per_word_loop(capsys, n, supp, r):
+    code = main([
+        "oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp,
+        "--r", str(r), "--exhaustive",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    ids = {int(t) for t in supp.split(",")}
+    assert out == _oracle_reference_stdout(Monoid.cyclic(n), ids, r)
+
+
+def test_cli_oracle_rejects_non_cancellative_monoid(tmp_path, capsys):
+    # 1*0 = 1*1: not left cancellative, so the pigeonhole split can fail.
+    spec = tmp_path / "nc.spec"
+    spec.write_text(
+        "[monoid]\nkind = table\nsize = 2\ntable = 0 1  1 1\n\n"
+        "[ring]\ncoeff = fp 2\nrank = 1\nnames = b\n"
+    )
+    for mode in (["--exhaustive"], ["--word", "1,1,1,1"]):
+        code = main([
+            "oracle", "lemma-3-5", "--file", str(spec), "--supp", "0,1",
+            "--r", "2", *mode,
+        ])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "left-cancellative" in captured.err
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("supp", ["0,5", "-1,0", ""])
+def test_cli_oracle_rejects_support_outside_monoid(capsys, supp):
+    code = main([
+        "oracle", "lemma-3-5", "--cyclic", "2", f"--supp={supp}",
+        "--r", "2", "--exhaustive",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "--supp" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_zoo_roundtrip(tmp_path, capsys):

@@ -26,7 +26,7 @@ from gradednil.fcomm import (
 from gradednil.nil import Status
 from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
 from gradednil.specfile import emit_spec, parse_spec_text
-from gradednil.zoo import grassmann_star, two_z_2k
+from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
 
 def zero_product_ring(dom, rank):
@@ -173,6 +173,20 @@ def test_lift_grassmann_rule():
     fmap, _ = scalar_f_search(r)
     lift = lift_f_to_diagonal(fmap, scalar_action(r), r)
     assert lift.verdict.status == Status.PROVED
+
+
+@pytest.mark.parametrize("ring", [
+    sut(5, fp(2)).ring,
+    matrix_ring(two_z_2k(3), 2),
+    grassmann_star(3, fp(5)).ring,
+    truncated_nagata(2, 3),
+], ids=["sut5", "m2z8", "grass3", "nagata23"])
+def test_diagonal_lift_action_passes_validation(ring):
+    # lift_f_to_diagonal builds its block-scalar action without validation;
+    # the same blocks must pass it.
+    lift = lift_f_to_diagonal(FMap.constant(1), scalar_action(ring), ring)
+    checked = Action(BLOCK_SCALAR, lift.neutral, blocks=lift.action.blocks, check=True)
+    assert checked.blocks == lift.action.blocks
 
 
 def test_lift_rejects_table_actions():

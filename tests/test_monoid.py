@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradednil.monoid import (
     INFINITE,
@@ -130,3 +131,18 @@ def test_power_sequence_is_eventually_periodic():
         seen.append(acc)
         acc = m.op(acc, 2)
     assert len(set(seen)) < len(seen)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-3, 6), st.booleans(), st.floats(0, 4), st.none(),
+            st.just("1"),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([Monoid.cyclic(1), Monoid.cyclic(4), Monoid.int_add()]),
+)
+@settings(max_examples=300, deadline=None)
+def test_contains_all_matches_contains(gs, m):
+    assert m.contains_all(tuple(gs)) == all(m.contains(g) for g in gs)

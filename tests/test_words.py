@@ -3,12 +3,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradednil.monoid import Monoid
+from gradednil.monoid import Monoid, MonoidError
 from gradednil.words import (
     Decomposition,
     DegreeWord,
     ProductVerdict,
     block_degrees,
+    exhaustive_splits,
     neutral_split,
     neutral_split_bruteforce,
     product_verdict,
@@ -180,3 +181,93 @@ def test_oracle_equivalence_int_add_letters():
         elif not gz:
             assert all(g == 0 for g in block_degrees(w, got))
     assert not mismatches
+
+
+def _s3():
+    """The symmetric group S_3 as a table monoid; (p*q)(i) = p(q(i))."""
+    perms = list(itertools.permutations(range(3)))  # the identity first
+    index = {p: i for i, p in enumerate(perms)}
+    return Monoid.from_table(
+        [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
+    )
+
+
+S3 = _s3()
+KLEIN = Monoid.from_table([[i ^ j for j in range(4)] for i in range(4)])
+
+# (monoid, support, r): supports with and without the identity; every word
+# count stays at or below 6^6.
+WALK_CASES = [
+    (Z2, {0, 1}, 2), (Z2, {0, 1}, 3), (Z2, {1}, 3),
+    (Z3, {0, 1}, 2), (Z3, {0, 1}, 3), (Z3, {0, 1, 2}, 2), (Z3, {1, 2}, 2),
+    (Z4, {0, 2}, 3), (Z4, {0, 1, 3}, 2), (Z4, {1, 2}, 2), (Z4, {1, 3}, 3),
+    (Monoid.cyclic(5), {0, 1}, 2), (Monoid.cyclic(5), {0, 2, 3}, 2),
+    (Monoid.cyclic(5), {2, 3}, 3),
+    (KLEIN, {0, 1}, 3), (KLEIN, {0, 1, 2}, 2), (KLEIN, {1, 2}, 2),
+    (S3, {0, 1}, 2), (S3, {0, 3}, 3), (S3, {0, 1, 3}, 2), (S3, {1, 2}, 2),
+    (S3, {2, 3, 4}, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "monoid,supp,r", WALK_CASES,
+    ids=[f"{m.size}-{sorted(s)}-r{r}" for m, s, r in WALK_CASES],
+)
+def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
+    # Same words in the same order, same verdicts and the same cuts as
+    # neutral_split and neutral_split_bruteforce word by word.
+    words = itertools.product(monoid.elements(), repeat=r * len(supp))
+    split_count = 0
+    walk = exhaustive_splits(monoid, r, supp)
+    for got, letters in itertools.zip_longest(walk, words):
+        w = DegreeWord(monoid, letters)
+        want = (letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
+        assert got == want
+        split_count += isinstance(want[1], Decomposition)
+    # A clean word over a cancellative monoid has neutral blocks, so a
+    # support without the identity forces every product to zero.
+    assert (split_count > 0) == (monoid.identity in supp)
+
+
+def test_exhaustive_walk_rejects_int_add_and_small_r():
+    with pytest.raises(MonoidError):
+        next(exhaustive_splits(ZADD, 2, {0, 1}))
+    with pytest.raises(ValueError):
+        next(exhaustive_splits(Z2, 1, {0, 1}))
+
+
+def test_degree_word_names_the_first_bad_letter():
+    with pytest.raises(ValueError, match="degree 3 is not a monoid element"):
+        DegreeWord(Z3, (0, 3, 1.0))
+    with pytest.raises(ValueError, match="degree 1.0 is not a monoid element"):
+        DegreeWord(Z3, (0, 1.0, 3))
+    with pytest.raises(ValueError, match="degree -1 is not a monoid element"):
+        DegreeWord(Z3, (-1,))
+    with pytest.raises(ValueError, match="degree 'a' is not a monoid element"):
+        DegreeWord(ZADD, (1, "a"))
+    assert DegreeWord(ZADD, (-5, 7, True)).degrees == (-5, 7, True)
+    assert DegreeWord(Z3, ()).degrees == ()
+
+
+def test_exhaustive_walk_matches_per_word_on_non_commuting_words():
+    # In S_3 the clean words over a support of at most 3 elements have
+    # pairwise commuting letters, so the order of a product never shows.
+    # Over {e, s, c, s*c} (s = 1 a transposition, c = 3 a 3-cycle,
+    # s*c = 5 but c*s = 2 is outside) a clean word can hold s right before
+    # c, so multiplying in the wrong order changes verdicts.  Of the 6^8
+    # words, those with a letter outside the support are FORCED_ZERO on
+    # both sides (a letter is a subproduct); the per-word functions decide
+    # the 4^8 others.
+    supp = {0, 1, 3, 5}
+    assert S3.op(1, 3) == 5 and S3.op(3, 1) == 2
+    words = itertools.product(S3.elements(), repeat=8)
+    clean = 0
+    for got, letters in itertools.zip_longest(exhaustive_splits(S3, 2, supp), words):
+        if supp.issuperset(letters):
+            w = DegreeWord(S3, letters)
+            want = (letters, neutral_split(w, 2, supp), neutral_split_bruteforce(w, 2, supp))
+            clean += isinstance(want[1], Decomposition)
+        else:
+            want = (letters, ProductVerdict.FORCED_ZERO, ProductVerdict.FORCED_ZERO)
+        assert got == want
+    assert clean == 2304
