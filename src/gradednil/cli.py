@@ -293,9 +293,6 @@ def cmd_oracle(args):
         w = DegreeWord(monoid, tuple(letters))
         compare(letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
     elif args.exhaustive:
-        length = args.len or r * len(supp)
-        if length != r * len(supp):
-            raise SystemExit(_input_error(f"--len must equal r*d = {r * len(supp)}"))
         for letters, got, ref in exhaustive_splits(monoid, r, supp):
             compare(list(letters), got, ref)
     else:
@@ -360,8 +357,16 @@ def cmd_zoo(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT, not argparse's 2, which means capped."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradednil",
         description="Exact analysis of monoid-graded rings and their nilpotency bounds",
     )
@@ -396,7 +401,6 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
     p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--len", type=int)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("construct", help="emit a derived spec file")
@@ -419,8 +423,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

@@ -161,3 +161,42 @@ def rref_contains(form, vec, dom):
             c = v[j]
             v = [dom.sub(v[t], dom.mul(c, row[t])) for t in range(len(v))]
     return all(dom.is_zero(x) for x in v)
+
+
+def _strip(q, g):
+    """q with every prime factor of g divided out."""
+    while (h := math.gcd(q, g)) > 1:
+        q //= h
+    return q
+
+
+def residue_pivots(rows, ncols, m):
+    """Echelon pivot columns of ``rows`` over F_p for every prime p | m.
+
+    Returns pairs (e, pivots), one per part of a split of m's primes: over
+    F_p the rows have the pivot columns ``pivots`` for each prime p of the
+    part, and e is the idempotent of Z/mZ that is 1 mod those primes and 0
+    mod the others.  m is never factored: elimination runs mod q with unit
+    pivots, and a column whose nonzero entries are all non-units splits q
+    into g = gcd(entry, q), where that entry reads 0, and the rest of q.
+    """
+    out, work = [], [m]
+    while work:
+        q = work.pop()
+        todo, pivots = [[v % q for v in row] for row in rows], []
+        for j in range(ncols):
+            live = [row for row in todo if row[j]]
+            unit = next((row for row in live if math.gcd(row[j], q) == 1), None)
+            if live and unit is None:
+                g = math.gcd(live[0][j], q)
+                work += [g] + [rest for rest in (_strip(q, g),) if rest > 1]
+                break
+            if unit:
+                c = pow(unit[j], -1, q)
+                todo = [[(v - row[j] * c * u) % q for v, u in zip(row, unit)]
+                        for row in todo if row is not unit]
+                pivots.append(j)
+        else:
+            rest = _strip(m, q)
+            out.append((rest * pow(rest, -1, m // rest) % m, tuple(pivots)))
+    return out

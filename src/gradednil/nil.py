@@ -330,10 +330,14 @@ def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
 
 
 def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
-    """Smallest d with all length-d products zero, from the power chain."""
-    from .ringcore import power_chain
+    """Smallest d with all length-d products zero, from the power chain;
+    CAPPED when the chain runs past ``cap`` entries."""
+    from .ringcore import PowerChainError, power_chain
 
-    chain = power_chain(r, cap=cap)
+    try:
+        chain = power_chain(r, cap=cap)
+    except PowerChainError:
+        return NilVerdict(Status.CAPPED, note=f"power chain longer than power_cap {cap}")
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
     witness = chain[-1].generators()[0]

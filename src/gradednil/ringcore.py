@@ -456,10 +456,7 @@ def power_chain(r: Ring, cap=512):
             chain.append(nxt)
             return chain
         chain.append(nxt)
-    raise PowerChainError(
-        f"power chain did not stabilize within {cap} steps; this cannot happen "
-        "for a finite-rank ring and indicates an internal error"
-    )
+    raise PowerChainError(f"power chain did not stabilize within {cap} steps")
 
 
 def generated_subalgebra(r: Ring, elements) -> Submodule:
@@ -476,55 +473,41 @@ def generated_subalgebra(r: Ring, elements) -> Submodule:
 
 @dataclass
 class MinGenerators:
-    """Result of the generating-set search.
+    """Minimal generator count of a nilpotent ring and a generating set of that size."""
 
-    ``exact`` is False when enumeration was capped; then ``count`` is the
-    greedy upper bound and ``witness`` the greedy set.
-    """
-
-    exact: bool
     count: int
     witness: tuple
-    note: str = ""
 
 
-def min_generators(r: Ring, elem_cap=DEFAULT_ELEM_CAP, combo_cap=200_000) -> MinGenerators:
-    """Smallest size of a subset generating the whole ring.
+def min_generators(r: Ring) -> MinGenerators:
+    """Smallest size of a set generating the nilpotent ring r.
 
-    Exhaustive over all element subsets in lexicographic order when the
-    element count and the subset count fit the caps, otherwise a greedy
-    upper bound over basis vectors (marked not exact).
+    A set S generates a nilpotent R exactly when S spans R modulo R^2:
+    products land in R^2, and R = A + R^2 gives R = A + R^k for every k.
+    So the count is rank - dim R^2 over a field and the largest
+    dim_{F_p} R/(R^2 + pR) over the primes p | m over Z/mZ; no set can do
+    with fewer, since it must span each of these quotients.  The witness is
+    the basis vectors outside the pivot columns of R^2 (mod p; Nakayama's
+    lemma covers Z/p^k).  When the primes of m disagree on those columns,
+    the per-prime lists, padded with 0, are glued with CRT idempotents:
+    basis vectors alone may need more generators.  R^2 is entry 1 of the
+    power chain, which also proves nilpotency; raises ValueError otherwise.
     """
-    full = Submodule(r, r.basis())
-    if r.rank == 0:
-        return MinGenerators(True, 0, ())
-    n_elems = r.element_count()
-    if n_elems is not None and n_elems <= elem_cap:
-        elems = [e for e in r.elements(cap=elem_cap) if not e.is_zero()]
-        for size in range(1, r.rank + 1):
-            if math.comb(len(elems), size) > combo_cap:
-                break
-            for combo in itertools.combinations(elems, size):
-                if generated_subalgebra(r, combo) == full:
-                    return MinGenerators(True, size, combo)
-        else:
-            # No subset of size <= rank generates, yet the basis does.
-            raise AssertionError("basis subset search exhausted without witness")
-
-    witness = []
-    span = Submodule(r, [])
-    while span != full:
-        best = None
-        for b in r.basis():
-            if span.contains(b):
-                continue
-            cand = generated_subalgebra(r, witness + [b])
-            size = len(cand)
-            if best is None or size > best[0]:
-                best = (size, b, cand)
-        witness.append(best[1])
-        span = best[2]
-    return MinGenerators(False, len(witness), tuple(witness), note="greedy upper bound")
+    chain = power_chain(r)
+    if not chain[-1].is_zero():
+        raise ValueError("the generator count needs a nilpotent ring")
+    square = chain[1].rows if len(chain) > 1 else ()
+    if r.coeff.kind == ZMOD:
+        parts = linalg.residue_pivots(square, r.rank, r.coeff.modulus)
+    else:
+        # the field rows are in rref: each pivot is its row's first nonzero
+        parts = [(1, [next(j for j, v in enumerate(row) if v) for row in square])]
+    lists = [(e, [t for t in range(r.rank) if t not in pivots]) for e, pivots in parts]
+    gens = [[0] * r.rank for _ in range(max(len(cols) for _, cols in lists))]
+    for e, cols in lists:
+        for gen, t in zip(gens, cols):
+            gen[t] += e
+    return MinGenerators(len(gens), tuple(r.element(g) for g in gens))
 
 
 def matrix_ring(r: Ring, n: int) -> Ring:

@@ -149,6 +149,19 @@ def _capped(check, reason):
     return check
 
 
+def _judge_nilpotency(check, ndv, holds):
+    """Observe the nilpotency verdict ``ndv``: PASS or FAIL by ``holds(index)``.
+    A power chain past the cap is CAPPED, never FAIL; a ring that is not
+    nilpotent FAILs with the nonzero stable span as witness."""
+    if ndv.status == Status.CAPPED:
+        return _capped(check, ndv.note)
+    if not ndv.proved:
+        return _fail(check, non_nilpotent=ndv.witness)
+    check.observed = ndv.index
+    check.status = CheckStatus.PASS if holds(ndv.index) else CheckStatus.FAIL
+    return check
+
+
 def _grading_data(gr: GradedRing):
     supp = support(gr)
     m0, idx = neutral_ring(gr)
@@ -168,11 +181,7 @@ def verify_empty_neutral_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
     if m0.rank != 0:
         return _na(check, "neutral component is nonzero")
     ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = CheckStatus.PASS if ndv.index <= d + 1 else CheckStatus.FAIL
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: nd <= d + 1)
 
 
 def verify_neutral_nil_fcomm_bound(
@@ -193,13 +202,7 @@ def verify_neutral_nil_fcomm_bound(
         check.bound = d + 1
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
         ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-        if ndv.status != Status.PROVED:
-            return _fail(check, non_nilpotent=ndv.witness)
-        check.observed = ndv.index
-        check.status = (
-            CheckStatus.PASS if ndv.index <= d + 1 else CheckStatus.FAIL
-        )
-        return check
+        return _judge_nilpotency(check, ndv, lambda nd: nd <= d + 1)
     if f is None or act is None:
         return _na(check, "no commutation factor supplied or derived")
     fc = check_f_commutative(
@@ -245,6 +248,8 @@ def verify_nilpotent_neutral_bounds(gr: GradedRing, caps=Caps()) -> TheoremCheck
         True,
     )
     rv = nilpotency_index(m0, cap=caps.power_cap)
+    if rv.status == Status.CAPPED:
+        return _capped(check, rv.note)
     if rv.status != Status.PROVED:
         return _na(check, "neutral component is not nilpotent")
     r = rv.index
@@ -252,23 +257,13 @@ def verify_nilpotent_neutral_bounds(gr: GradedRing, caps=Caps()) -> TheoremCheck
     check.bound = [lo, hi]
     check.details["neutral_nilpotency_index"] = r
     ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = (
-        CheckStatus.PASS if lo <= ndv.index <= hi else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: lo <= nd <= hi)
 
 
-def _generator_nil_data(r: Ring, witness, caps):
-    s = 1
-    for g in witness:
-        v = element_nil_index(g, cap=caps.power_cap)
-        if v.status != Status.PROVED:
-            return None
-        s = max(s, v.index)
-    return s
+def _generator_nil_index(witness, caps):
+    """Largest nil index of the generators, 1 for none.  Each is at most the
+    nilpotency index, which the caller has proved within the power cap."""
+    return max((element_nil_index(g, cap=caps.power_cap).index for g in witness), default=1)
 
 
 def verify_generated_nil_ring_bound(
@@ -297,25 +292,16 @@ def verify_generated_nil_ring_bound(
             return _na(check, f"not f-commutative at {fc.witness}")
         if fc.status == Status.CAPPED:
             return _capped(check, "f-commutativity check capped")
-    mg = min_generators(r, elem_cap=caps.elem_cap)
-    if not mg.exact:
-        return _capped(check, "minimal generator count unknown (capped search)")
-    n = mg.count
-    s = _generator_nil_data(r, mg.witness, caps) or 1
+    ndv = nilpotency_index(r, cap=caps.power_cap)
+    if not ndv.proved:
+        return _judge_nilpotency(check, ndv, None)
+    mg = min_generators(r)
+    n, s = mg.count, _generator_nil_index(mg.witness, caps)
     check.details["generators"] = n
     check.details["generator_nil_index"] = s
     check.bound = [s, (s - 1) * n + 1]
-    ndv = nilpotency_index(r, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = (
-        CheckStatus.PASS
-        if s <= ndv.index <= (s - 1) * n + 1
-        else CheckStatus.FAIL
-    )
     check.witnesses["generators"] = mg.witness
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= (s - 1) * n + 1)
 
 
 def verify_generated_neutral_bound(
@@ -332,13 +318,7 @@ def verify_generated_neutral_bound(
     if m0.rank == 0:
         check.bound = [1, d + 1]
         ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-        if ndv.status != Status.PROVED:
-            return _fail(check, non_nilpotent=ndv.witness)
-        check.observed = ndv.index
-        check.status = (
-            CheckStatus.PASS if ndv.index <= d + 1 else CheckStatus.FAIL
-        )
-        return check
+        return _judge_nilpotency(check, ndv, lambda nd: nd <= d + 1)
     if f is None or act is None:
         return _na(check, "no commutation factor supplied or derived")
     nil0 = bounded_nil_index_auto(
@@ -356,25 +336,16 @@ def verify_generated_neutral_bound(
         return _na(check, f"neutral component not f-commutative at {fc.witness}")
     if fc.status == Status.CAPPED:
         return _capped(check, "f-commutativity check capped")
-    mg = min_generators(m0, elem_cap=caps.elem_cap)
-    if not mg.exact:
-        return _capped(check, "minimal generator count of the neutral part unknown")
-    n = mg.count
-    s = _generator_nil_data(m0, mg.witness, caps) or 1
+    ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
+    if not ndv.proved:
+        return _judge_nilpotency(check, ndv, None)
+    mg = min_generators(m0)
+    n, s = mg.count, _generator_nil_index(mg.witness, caps)
     check.details.update(
         {"generators": n, "generator_nil_index": s, "support_size": d}
     )
     check.bound = [s, d * ((s - 1) * n + 1)]
-    ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = (
-        CheckStatus.PASS
-        if s <= ndv.index <= check.bound[1]
-        else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= check.bound[1])
 
 
 def verify_index2_char_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
@@ -399,19 +370,15 @@ def verify_index2_char_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
     if sv.index != 2:
         return _na(check, f"neutral nil index is {sv.index}, not 2")
     cube = nilpotency_index(m0, cap=caps.power_cap)
+    if cube.status == Status.CAPPED:
+        return _capped(check, cube.note)
     check.details["neutral_nilpotency_index"] = (
         cube.index if cube.proved else "not nilpotent"
     )
     if not (cube.proved and cube.index <= 3):
         return _fail(check, neutral_cube_nonzero=cube.witness)
     ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = (
-        CheckStatus.PASS if ndv.index <= 3 * d else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: nd <= 3 * d)
 
 
 def verify_field_bounded_index_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
@@ -453,13 +420,7 @@ def verify_field_bounded_index_bound(gr: GradedRing, caps=Caps()) -> TheoremChec
     else:
         return _na(check, f"characteristic {p} is neither 0 nor > nil index {s}")
     ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED:
-        return _fail(check, non_nilpotent=ndv.witness)
-    check.observed = ndv.index
-    check.status = (
-        CheckStatus.PASS if ndv.index <= check.bound else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, ndv, lambda nd: nd <= check.bound)
 
 
 def verify_product_length_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCheck:
@@ -488,14 +449,10 @@ def verify_product_length_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCheck
         return _na(check, f"neutral nil index {s} outside {{2,3,4}}")
     length = d * (2**s - 1)
     check.bound = length
-    ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
-    if ndv.status != Status.PROVED or ndv.index > length:
-        return _fail(check, non_nilpotent=getattr(ndv, "witness", None))
     # Nilpotency index <= length is exactly "every product of length
-    # `length` vanishes"; the power chain above proved it.
-    check.observed = ndv.index
-    check.status = CheckStatus.PASS
-    return check
+    # `length` vanishes"; the power chain proves it.
+    ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
+    return _judge_nilpotency(check, ndv, lambda nd: nd <= length)
 
 
 def matrix_nil_verdict(r: Ring, n: int, caps=Caps()) -> NilVerdict:
@@ -708,6 +665,8 @@ def verify_quotient_grading_transfer(
     m0, _ = neutral_ring(induced)
     coarse = nilpotency_index(m0, cap=caps.power_cap)
     whole = nilpotency_index(gr.ring, cap=caps.power_cap)
+    if Status.CAPPED in (coarse.status, whole.status):
+        return _capped(check, f"power chain longer than power_cap {caps.power_cap}")
     equiv = coarse.proved == whole.proved
     check.details["coarse_neutral_nilpotent"] = coarse.proved
     check.details["ring_nilpotent"] = whole.proved

@@ -138,6 +138,8 @@ def test_cli_report_grassmann3_f5_lift_is_proved(tmp_path, capsys):
     # The constant factor 1 on the neutral component lifts to the constant
     # block scalar (1, 1): the diagonal check is a basis-pair proof, where
     # the 5^6 elements of the diagonal component once left a capped sample.
+    # The generator count dim R/R^2 = 3 decides T3.19 and T3.20, where the
+    # element-subset search once gave up.
     spec = str(tmp_path / "g3.spec")
     assert main(["zoo", "grassmann-star", "--k", "3", "--domain", "fp 5",
                  "--out", spec]) == 0
@@ -147,12 +149,12 @@ def test_cli_report_grassmann3_f5_lift_is_proved(tmp_path, capsys):
     assert {i: c["status"] for i, c in checks.items()} == {
         "C3.04": "NOT_APPLICABLE", "C3.28": "PASS", "P3.03": "NOT_APPLICABLE",
         "P3.17": "PASS", "P3.31": "PASS", "T3.15": "PASS", "T3.18": "PASS",
-        "T3.19": "CAPPED", "T3.20": "CAPPED", "T3.24": "PASS", "T3.26": "PASS",
+        "T3.19": "PASS", "T3.20": "PASS", "T3.24": "PASS", "T3.26": "PASS",
         "T3.29-REDUCTION": "PASS",
     }
     assert checks["T3.26"]["details"]["diagonal_lift"] == "PROVED"
     assert checks["T3.15"]["details"]["f_commutative"] == "PROVED"
-    assert code == 2  # T3.19 and T3.20 are capped by min_generators
+    assert code == 0
 
 
 def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
@@ -195,6 +197,30 @@ def test_cli_oracle_single_word(capsys):
     assert code == 0
     assert "cuts=(0, 2, 4)" in out
     assert "disagreements: 0" in out
+
+
+def test_cli_oracle_rejects_len(capsys):
+    # the word length is always r*d, derived from --r and --supp
+    code = main([
+        "oracle", "lemma-3-5", "--cyclic", "3", "--supp", "0,1",
+        "--r", "2", "--exhaustive", "--len", "4",
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "--len" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--bogus", "x"],
+    ["report", "--elem-cap", "abc", "x.spec"],
+], ids=["unknown-option", "non-integer-cap"])
+def test_cli_usage_errors_exit_3(capsys, args):
+    # exit 2 means a capped verdict, so argparse's own usage exit is not used
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_oracle_exhaustive(capsys):

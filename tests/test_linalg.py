@@ -2,7 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from gradednil.linalg import howell, howell_contains, rref, rref_contains
+from gradednil.linalg import howell, howell_contains, residue_pivots, rref, rref_contains
 from gradednil.ringcore import fp, rat
 
 
@@ -91,3 +91,23 @@ def test_rref_ignores_zero_rows(dom, rows, slots):
     for slot in slots:
         mixed.insert(slot % (len(mixed) + 1), [dom.zero()] * ncols)
     assert rref(mixed, ncols, dom) == rref(rows, ncols, dom)
+
+
+def rref_pivots(rows, ncols, p):
+    return tuple(next(j for j, v in enumerate(row) if v) for row in rref(rows, ncols, fp(p)))
+
+
+@given(
+    st.sampled_from([2, 5, 4, 6, 12, 30, 36, 210]),
+    st.lists(st.lists(st.integers(0, 250), min_size=4, max_size=4), max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_residue_pivots_match_rref_mod_each_prime(m, rows):
+    parts = residue_pivots(rows, 4, m)
+    assert sum(e for e, _ in parts) % m == 1
+    for p in (p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))):
+        # exactly one part holds p: its idempotent is 1 mod p, the others 0
+        [(e, pivots)] = [(e, piv) for e, piv in parts if e % p == 1]
+        assert all(e2 % p == 0 for e2, _ in parts if e2 != e)
+        assert e * e % m == e
+        assert pivots == rref_pivots(rows, 4, p)

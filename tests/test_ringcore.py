@@ -163,31 +163,147 @@ def test_generated_subalgebra_two_z8():
 
 def test_min_generators_two_z8():
     res = min_generators(two_z_2k(3))
-    assert res.exact and res.count == 1
+    assert res.count == 1
     assert res.witness[0].coords == (1,)
 
 
 def test_min_generators_zero_product_rank2():
     res = min_generators(zero_product_ring(fp(2), 2))
-    assert res.exact and res.count == 2
+    assert res.count == 2
 
 
 def test_min_generators_sut3():
     res = min_generators(sut(3, fp(2)).ring)
-    assert res.exact and res.count == 2
+    assert res.count == 2
     names = {repr(w) for w in res.witness}
     assert names == {"E12", "E23"}
 
 
 def test_min_generators_rank0():
     res = min_generators(Ring(fp(2), [], {}))
-    assert res.exact and res.count == 0
+    assert res.count == 0
 
 
-def test_min_generators_greedy_fallback_over_q():
-    res = min_generators(grassmann_star(2, rat()).ring)
-    assert not res.exact
+def test_min_generators_grassmann2_over_q():
+    # e1 e2 spans R^2, so e1 and e2 generate; over Q no subset search can run
+    r = grassmann_star(2, rat()).ring
+    res = min_generators(r)
     assert res.count == 2
+    assert {repr(w) for w in res.witness} == {"e1", "e2"}
+    assert generated_subalgebra(r, res.witness) == Submodule(r, r.basis())
+
+
+def test_min_generators_rejects_a_ring_that_is_not_nilpotent():
+    with pytest.raises(ValueError, match="nilpotent"):
+        min_generators(idempotent_ring(fp(3)))
+
+
+def exhaustive_min_generators_reference(r, elem_cap=4096, combo_cap=2000):
+    """Smallest generating element subset, by trying every subset in
+    lexicographic order through ``generated_subalgebra``.
+
+    Returns (count, witness), or None when the element count passes
+    ``elem_cap`` or ``combo_cap`` subsets were tried without an answer.
+    """
+    full = Submodule(r, r.basis())
+    if r.rank == 0:
+        return 0, ()
+    n_elems = r.element_count()
+    if n_elems is None or n_elems > elem_cap:
+        return None
+    elems = [e for e in r.elements(cap=elem_cap) if not e.is_zero()]
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(elems, size) for size in range(1, r.rank + 1))
+    for combo in itertools.islice(subsets, combo_cap):
+        if generated_subalgebra(r, combo) == full:
+            return len(combo), combo
+    return None
+
+
+def monomial_ring(dom, seeds, weight):
+    """Nilpotent ring on the words of ``seeds`` and all their factors:
+    b_u b_v = weight[last of u, first of v] b_uv when uv is one of the words,
+    else 0.  The junction weight is a 2-cocycle, so the ring is associative;
+    zero-divisor weights put multiples such as 3a into R^2."""
+    words = sorted({w[i:j] for w in seeds for i in range(len(w))
+                    for j in range(i + 1, len(w) + 1)}, key=lambda w: (len(w), w))
+    index = {w: t for t, w in enumerate(words)}
+    sc = {}
+    for u, v in itertools.product(words, repeat=2):
+        if u + v in index:
+            sc[(index[u], index[v])] = {index[u + v]: weight[(u[-1], v[0])]}
+    return Ring(dom, words, sc)
+
+
+def change_basis(r, upper):
+    """r in the basis b'_i = b_i + sum_{t > i} upper[i][t] b_t."""
+    dom, n = r.coeff, r.rank
+    rows = [tuple(dom.normalize(1 if t == i else upper[i][t] if t > i else 0)
+                  for t in range(n)) for i in range(n)]
+
+    def new_coords(x):
+        y = []
+        for j in range(n):
+            y.append(dom.sub(x[j], sum(dom.mul(y[i], rows[i][j]) for i in range(j))))
+        return y
+
+    sc = {}
+    for i, j in itertools.product(range(n), repeat=2):
+        y = new_coords(r.mul_coords(rows[i], rows[j]))
+        sc[(i, j)] = {k: c for k, c in enumerate(y) if c}
+    return Ring(dom, [f"b{t}" for t in range(n)], sc)
+
+
+@st.composite
+def nilpotent_rings(draw):
+    dom = draw(st.sampled_from((fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat())))
+    seeds = draw(st.lists(st.text("xy", min_size=1, max_size=3), min_size=1, max_size=2))
+    values = (0, 1, 2, 3, 4, 6, -1) if dom.finite else (0, 1, 2, Fraction(1, 2), -3)
+    weight = {(a, b): draw(st.sampled_from(values)) for a in "xy" for b in "xy"}
+    r = monomial_ring(dom, seeds, weight)
+    upper = [[draw(st.sampled_from(values)) for _ in range(r.rank)] for _ in range(r.rank)]
+    return change_basis(r, upper)
+
+
+@given(nilpotent_rings())
+@settings(max_examples=60, deadline=None)
+def test_min_generators_matches_exhaustive_reference(r):
+    res = min_generators(r)
+    assert len(res.witness) == res.count
+    assert generated_subalgebra(r, res.witness) == Submodule(r, r.basis())
+    ref = exhaustive_min_generators_reference(r)
+    if ref is not None:
+        assert res.count == ref[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sut(3, fp(2)).ring,
+    lambda: two_z_2k(3),
+    lambda: two_z_2k(4),
+    lambda: grassmann_star(2, fp(3)).ring,
+    lambda: zero_product_ring(fp(2), 3),
+    lambda: Ring(zmod(12), ["a", "b"], {(0, 0): {1: 6}}),
+], ids=["sut3", "2z8", "2z16", "grassmann2-f3", "zero-f2", "rank2-z12"])
+def test_min_generators_matches_reference_on_zoo_rings(make):
+    r = make()
+    assert min_generators(r).count == exhaustive_min_generators_reference(r)[0]
+
+
+def two_prime_ring(p, q):
+    # c^2 = q a and d^2 = p b over Z/pq: mod p, R^2 + pR holds a; mod q, b
+    return Ring(zmod(p * q), ["a", "b", "c", "d"], {(2, 2): {0: q}, (3, 3): {1: p}})
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (2**61 - 1, 2**31 - 1)], ids=["z6", "z-large"])
+def test_min_generators_glues_primes_with_crt_idempotents(p, q):
+    r = two_prime_ring(p, q)
+    full = Submodule(r, r.basis())
+    res = min_generators(r)
+    assert res.count == len(res.witness) == 3
+    assert generated_subalgebra(r, res.witness) == full
+    # basis vectors alone need all four
+    assert not any(generated_subalgebra(r, combo) == full
+                   for combo in itertools.combinations(r.basis(), 3))
 
 
 def dense_mul(ring, xs, ys):
