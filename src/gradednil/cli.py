@@ -160,12 +160,10 @@ def cmd_analyze(args):
 def _run_check(check_id, parsed, caps, congruence_text):
     gr = _graded_or_trivial(parsed)
     f, act = parsed.fmap, parsed.action
-    if f is None:
-        m0, _ = neutral_ring(gr)
-        if m0.rank:
-            f, _w = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
-            act = scalar_action(m0) if f is not None else None
     m0, _ = neutral_ring(gr)
+    if f is None and m0.rank:
+        f, _w = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
+        act = scalar_action(m0) if f is not None else None
     if check_id == "P3.03":
         return verify_empty_neutral_bound(gr, caps)
     if check_id == "P3.17":

@@ -34,6 +34,7 @@ class GradedRing:
         self.monoid = monoid
         self.degrees = tuple(degrees)
         self.note = note
+        self._neutral = None  # see neutral_ring
         if len(self.degrees) != ring.rank:
             raise ValueError(
                 f"need {ring.rank} degrees, got {len(self.degrees)}"
@@ -92,19 +93,22 @@ def neutral_ring(gr: GradedRing):
 
     Degree e is the only component guaranteed multiplicatively closed; the
     grading axiom makes the restricted structure constants well defined.
+    A subring of an associative ring is associative, so the ring is built
+    unchecked, once per graded ring; every caller shares it and its power
+    chain.
     """
-    e = gr.monoid.identity
-    idx = component_indices(gr, e)
-    back = {t: a for a, t in enumerate(idx)}
-    sc = {}
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            terms = gr.ring.mul_basis(i, j)
-            entry = {back[k]: c for k, c in terms.items()}
-            if entry:
-                sc[(a, b)] = entry
-    names = [gr.ring.names[t] for t in idx]
-    return Ring(gr.ring.coeff, names, sc), idx
+    if gr._neutral is None:
+        idx = component_indices(gr, gr.monoid.identity)
+        back = {t: a for a, t in enumerate(idx)}
+        sc = {}
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                entry = {back[k]: c for k, c in gr.ring.mul_basis(i, j).items()}
+                if entry:
+                    sc[(a, b)] = entry
+        names = [gr.ring.names[t] for t in idx]
+        gr._neutral = Ring(gr.ring.coeff, names, sc, check=False), idx
+    return gr._neutral
 
 
 def homogeneous_parts(gr: GradedRing, x: Element):

@@ -1,20 +1,19 @@
 """Nil and nilpotency analysis.
 
-Element nil indices use power iteration with cycle detection.  Ring-level
-verdicts enumerate all elements when the coefficient domain is finite and
-small enough, fall back to seeded sampling over the rationals, and can
-certify a bounded nil index symbolically by expanding the power of a general
-element in commuting indeterminates.  Enumeration multiplies rows in batches
-with ``kernel.mul_rows``: in int64 while t * (m-1)^2 < 2^63 for the largest
-number t of structure constants landing on one basis vector, and in Python
-integers (numpy object dtype) otherwise, so it is exact at every modulus.
-The per-degree tuple products of ``homogeneous_power_report`` (P3.31) go
-through the same kernel in blocks of about ``kernel._CHUNK`` coordinates
-per factor, whether the tuples are enumerated or sampled; over the
-rationals, which the kernel does not cover, they are multiplied one at a
-time with ``Ring.mul_coords``.
-A symbolic proof is valid over every domain; a symbolic non-vanishing only
-refutes over the rationals.
+Ring-level nil verdicts ask the power chain first.  R^d = 0 makes the ring
+and each homogeneous component nil and bounds the nil index by d; one
+element with x^(d-1) != 0 makes d exact.  The basis and a fixed-seed batch
+of random elements are tried: by Schwartz-Zippel (J. ACM 27(4), 1980) a
+random element over F_q misses with probability at most (d-1)/q when
+x^(d-1) is a nonzero polynomial in its coordinates.
+When the chain does not decide: enumeration of every element (finite
+domains within the cap), then symbolic expansion of the power of a general
+element in commuting indeterminates, then seeded sampling.  Enumeration
+and the per-degree tuple products of ``homogeneous_power_report`` (P3.31)
+multiply rows in batches with ``kernel.mul_rows``, exact at every modulus;
+over the rationals rows are multiplied one at a time with
+``Ring.mul_coords``.  A symbolic proof is valid over every domain; a
+symbolic non-vanishing only refutes over the rationals.
 """
 
 from __future__ import annotations
@@ -29,12 +28,15 @@ import numpy as np
 from .grading import GradedRing, component_indices, neutral_ring, support
 from .kernel import _CHUNK, kernel_dtype, mul_rows
 from .monoid import element_order
-from .ringcore import DEFAULT_ELEM_CAP, Element, Ring
+from .ringcore import DEFAULT_ELEM_CAP, Element, PowerChainError, Ring, power_chain
 
 DEFAULT_POWER_CAP = 512
 DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_SAMPLES = 10**4
 DEFAULT_SYMBOLIC_CAP = 16
+# Random elements the power-chain certificate tries beside the basis; the
+# seed is fixed, so its verdicts repeat.
+_CERT_SAMPLES = 32
 
 
 class Status(str, Enum):
@@ -182,12 +184,16 @@ def ring_is_nil(
 ) -> NilVerdict:
     """Is every element nilpotent?
 
-    Exhaustive (PROVED / REFUTED with witness) when the domain is finite and
-    the element count fits the cap; otherwise basis plus seeded random
-    elements are tested, giving SAMPLED_OK, REFUTED, or CAPPED.
+    PROVED when the power chain reaches zero.  Otherwise exhaustive (PROVED
+    / REFUTED with witness) when the domain is finite and the element count
+    fits the cap; else basis plus seeded random elements are tested, giving
+    SAMPLED_OK, REFUTED, or CAPPED.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, note="zero ring")
+    nd = nilpotency_index(r, cap=power_cap)
+    if nd.proved:
+        return NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
     count = r.element_count()
     if count is not None and count <= elem_cap:
         X = _coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
@@ -320,10 +326,51 @@ def nil_bounded_index(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _mul(r, A, B):
+    """Row-wise product: ``kernel.mul_rows`` over Z/mZ, ``Ring.mul_coords``
+    one row at a time over the rationals."""
+    if r.coeff.finite:
+        return mul_rows(r, A, B)
+    return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
+
+
+def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
+    """PROVED with index d when R^d = 0 and some tried x has x^(d-1) != 0.
+
+    The tried elements are the basis, then ``_CERT_SAMPLES`` seeded random
+    ones; the note names the first that works.  None when the chain does
+    not reach zero within ``power_cap`` or no tried element works.
+    """
+    nd = nilpotency_index(r, cap=power_cap)
+    if not nd.proved or nd.index < 2:
+        return None
+    d, dom = nd.index, r.coeff
+    rng = random.Random(0)
+    lo, hi = (0, dom.size - 1) if dom.finite else (-3, 3)
+    draws = [[dom.normalize(rng.randint(lo, hi)) for _ in range(r.rank)]
+             for _ in range(_CERT_SAMPLES)]
+    x = np.array([b.coords for b in r.basis()] + draws,
+                 dtype=kernel_dtype(r) if dom.finite else object)
+    acc = x
+    for _ in range(d - 2):
+        acc = _mul(r, acc, x)
+    hit = np.flatnonzero(acc.any(axis=1))
+    if not hit.size:
+        return None
+    w = r.element(x[hit[0]])
+    return NilVerdict(
+        Status.PROVED, index=d, note=f"power chain: R^{d} = 0, x^{d - 1} != 0 at x = {w!r}"
+    )
+
+
 def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
                            power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
-    """Enumerate when feasible, otherwise prove symbolically."""
+    """The power-chain certificate, else enumeration when feasible, else a
+    symbolic proof."""
+    cert = _certified_index(r, power_cap)
+    if cert is not None:
+        return cert
     if r.coeff.finite and r.element_count() <= elem_cap:
         return nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
     return nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
@@ -332,8 +379,6 @@ def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
 def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     """Smallest d with all length-d products zero, from the power chain;
     CAPPED when the chain runs past ``cap`` entries."""
-    from .ringcore import PowerChainError, power_chain
-
     try:
         chain = power_chain(r, cap=cap)
     except PowerChainError:
@@ -357,11 +402,16 @@ def s_nil_check(
 ):
     """Nil verdict for each homogeneous component, keyed by degree.
 
-    Powers of a homogeneous element wander through other components, so each
-    verdict enumerates coordinate vectors supported on the component's basis
-    but computes powers in the ambient ring.
+    When the power chain reaches zero every component is PROVED nil.
+    Otherwise, since powers of a homogeneous element wander through other
+    components, each verdict enumerates coordinate vectors supported on the
+    component's basis but computes powers in the ambient ring.
     """
     r = gr.ring
+    nd = nilpotency_index(r, cap=power_cap)
+    if nd.proved:
+        note = f"power chain: R^{nd.index} = 0"
+        return {g: NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
     out = {}
     for g in sorted(support(gr)):
         idx = component_indices(gr, g)
@@ -546,20 +596,15 @@ def _first_nonvanishing(r, blocks, exponent):
     vanishes.  Over the rationals rows are multiplied one by one with
     ``Ring.mul_coords``; ``kernel.mul_rows`` covers Z/mZ only.
     """
-    def mul(A, B):
-        if r.coeff.finite:
-            return mul_rows(r, A, B)
-        return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
-
     for factors in blocks:
         prod = factors[0]
         for x in factors[1:]:
-            prod = mul(prod, x)
+            prod = _mul(r, prod, x)
         acc = prod
         for _ in range(exponent - 1):
             if not acc.any():
                 break
-            acc = mul(acc, prod)
+            acc = _mul(r, acc, prod)
         bad = np.flatnonzero(acc.any(axis=1))
         if bad.size:
             return tuple(

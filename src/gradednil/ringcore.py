@@ -69,14 +69,9 @@ class CoeffDomain:
                 raise ValueError("rat takes no modulus")
         else:
             raise ValueError(f"unknown coefficient domain kind {kind!r}")
-
-    @property
-    def finite(self):
-        return self.kind != RAT
-
-    @property
-    def size(self):
-        return self.modulus if self.finite else None
+        # plain attributes: every coefficient operation reads them
+        self.finite = kind != RAT
+        self.size = modulus
 
     def char(self):
         """Additive exponent: m for Z/mZ and F_p, 0 for Q."""
@@ -203,6 +198,8 @@ class Ring:
         for (i, j), terms in table.items():
             self._left.setdefault(i, []).append((j, tuple(terms.items())))
         self.note = note
+        # the power chain computed so far; see power_chain
+        self._chain = []
         if check:
             self._check_associativity()
 
@@ -441,21 +438,26 @@ def power_chain(r: Ring, cap=512):
 
     Entry t (0-based) is the span of all products of t+1 elements; the chain
     stops at the zero module or at the first repeat (a nonzero stable span
-    certifies the ring is not nilpotent).
+    certifies the ring is not nilpotent).  Raises ``PowerChainError`` when
+    it runs past ``cap`` entries.  The entries are computed once per ring
+    and kept on it, so every cap sees the same chain.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    basis = [b.coords for b in r.basis()]
-    chain = [Submodule(r, basis)]
-    while len(chain) <= cap:
-        cur = chain[-1]
-        if cur.is_zero():
-            return chain
-        nxt = Submodule(r, [r.mul_coords(row, b) for row in cur.rows for b in basis])
-        if nxt == cur:
-            chain.append(nxt)
-            return chain
-        chain.append(nxt)
+    chain = r._chain
+    if not chain:
+        chain.append(Submodule(r, r.basis()))
+
+    def ended():
+        return chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])
+
+    while not ended() and len(chain) <= cap:
+        basis = [b.coords for b in r.basis()]
+        products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
+        chain.append(Submodule(r, products))
+    # a zero end is seen one step after it is appended, a repeat at once
+    if ended() and len(chain) - (not chain[-1].is_zero()) <= cap:
+        return list(chain)
     raise PowerChainError(f"power chain did not stabilize within {cap} steps")
 
 

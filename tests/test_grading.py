@@ -17,8 +17,14 @@ from gradednil.grading import (
     trivial_grading,
 )
 from gradednil.monoid import Congruence, Monoid
-from gradednil.ringcore import Ring, fp
-from gradednil.zoo import grassmann_star, sut, two_z_2k
+from gradednil.ringcore import Ring, fp, zmod
+from gradednil.zoo import (
+    grassmann_star,
+    sut,
+    truncated_nagata,
+    truncated_poly_positive,
+    two_z_2k,
+)
 
 
 def cyclic_group_ring(dom, n):
@@ -62,6 +68,26 @@ def test_neutral_ring_of_elementary_grading_is_product():
     assert idx == [0, 3]
     # componentwise product ring: b_i * b_j = 0 for i != j, b_i^2 = 2 b_i
     assert m0.sc == {(0, 0): {0: 2}, (1, 1): {1: 2}}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sut(5, fp(2)),
+    lambda: elementary_grading(two_z_2k(3), 2),
+    lambda: grassmann_star(3, fp(5)),
+    lambda: trivial_grading(truncated_nagata(2, 3)),
+    lambda: elementary_grading(grassmann_star(2, fp(3)).ring, 2),
+    lambda: truncated_poly_positive(4, zmod(6)),
+    lambda: cyclic_group_ring(fp(2), 3),
+], ids=["sut5", "m2-2z8", "grass3-f5", "nagata23", "m2-grass2-f3", "poly4-z6",
+        "group-ring-z3"])
+def test_neutral_ring_is_built_once_and_associative(make):
+    gr = make()
+    m0, idx = neutral_ring(gr)
+    assert neutral_ring(gr)[0] is m0
+    # built unchecked; the full associativity check must agree
+    checked = Ring(m0.coeff, m0.names, m0.sc, check=True)
+    assert checked.sc == m0.sc
+    assert [gr.ring.names[t] for t in idx] == list(m0.names)
 
 
 def test_grading_axiom_mutation_detected():

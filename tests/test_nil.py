@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from test_ringcore import nilpotent_rings
 
 from gradednil import nil
 from gradednil.grading import (
@@ -15,6 +17,7 @@ from gradednil.grading import (
 )
 from gradednil.monoid import Monoid, element_order
 from gradednil.nil import (
+    DEFAULT_POWER_CAP,
     HomogeneousPowerReport,
     Status,
     bounded_nil_index_auto,
@@ -32,6 +35,12 @@ from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
 def idempotent_ring(dom):
     return Ring(dom, ["b"], {(0, 0): {0: 1}})
+
+
+def enumerated_is_nil(r):
+    """ring_is_nil's enumeration path, run past the power-chain certificate."""
+    X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+    return nil._classify_all_nilpotent(r, X, r.element_count()) is None
 
 
 def zero_product_ring(dom, rank):
@@ -66,6 +75,7 @@ def test_ring_is_nil_sut3():
 def test_ring_is_nil_idempotent_witness():
     v = ring_is_nil(idempotent_ring(fp(2)))
     assert v.status == Status.REFUTED
+    assert v.witness.coords == (1,)  # the chain stays silent; enumeration picks it
     assert not v.witness.is_zero()
     assert element_nil_index(v.witness).status == Status.REFUTED
 
@@ -75,11 +85,14 @@ def test_ring_is_nil_m2_two_z8_exhaustive():
     assert m2.element_count() == 256
     v = ring_is_nil(m2)
     assert v.proved
+    assert enumerated_is_nil(m2)
 
 
 def test_ring_is_nil_rationals_sampled():
+    # the power chain proves R^3 = 0, so no sampling is needed
     v = ring_is_nil(grassmann_star(2, rat()).ring)
-    assert v.status == Status.SAMPLED_OK
+    assert v.status == Status.PROVED
+    assert v.note == "power chain: R^3 = 0"
 
 
 def test_bounded_index_enum_two_z8():
@@ -204,8 +217,72 @@ def test_homogeneous_power_report_kg_rule():
 
 
 def test_bounded_auto_switches_to_symbolic():
+    # R^3 = 0 but x^2 = 0 for every x: the certificate is silent, and the
+    # symbolic expansion gives the index
     v = bounded_nil_index_auto(grassmann_star(2, rat()).ring)
     assert v.proved and v.index == 2
+    assert v.note == "symbolic expansion"
+
+
+# ---------------------------------------------------------------------------
+# The power-chain certificate against the enumeration it goes before.
+
+
+def certificate_witness(r, verdict):
+    """The element the certificate's note names, found among all elements."""
+    text = verdict.note.split(" at x = ", 1)[1]
+    return next(a for a in r.elements() if repr(a) == text)
+
+
+@given(nilpotent_rings(domains=(fp(2), fp(3), zmod(4), zmod(6))))
+@settings(max_examples=60, deadline=None)
+def test_certified_index_matches_enumeration(r):
+    assume(r.element_count() <= 6**6)
+    assert ring_is_nil(r).proved
+    assert all(v.proved for v in s_nil_check(trivial_grading(r)).values())
+    enum = nil_bounded_index(r, "enum")
+    cert = nil._certified_index(r, DEFAULT_POWER_CAP)
+    if cert is not None:
+        assert cert.proved and cert.index == enum.index
+        assert cert.index == nilpotency_index(r).index
+        if r.element_count() <= 4096:
+            w = certificate_witness(r, cert)
+            assert element_nil_index(w).index == cert.index
+    assert bounded_nil_index_auto(r).index == enum.index
+
+
+def d4_ring():
+    # F_2[A,B]/(A^3, B^3, A^2B - AB^2, degree >= 4); basis A B A2 AB B2 V
+    A, B, A2, AB, B2, V = range(6)
+    sc = {(A, A): {A2: 1}, (A, B): {AB: 1}, (B, A): {AB: 1}, (B, B): {B2: 1},
+          (A, AB): {V: 1}, (AB, A): {V: 1}, (B, AB): {V: 1}, (AB, B): {V: 1},
+          (A, B2): {V: 1}, (B2, A): {V: 1}, (B, A2): {V: 1}, (A2, B): {V: 1}}
+    return Ring(fp(2), ["A", "B", "A2", "AB", "B2", "V"], sc)
+
+
+def test_certificate_silent_on_d4_ring():
+    # R^4 = 0, and x^3 = (t1^2 t2 + t1 t2^2) V vanishes at every point of F_2^2
+    r = d4_ring()
+    assert nilpotency_index(r).index == 4
+    assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
+    v = bounded_nil_index_auto(r)
+    assert v.proved and v.index == 3
+    assert v.note == "exhaustive over 64 elements"
+
+
+def test_certificate_decides_m2_grassmann2_f3():
+    # no basis element has a nonzero square; a seeded random element does
+    r = matrix_ring(grassmann_star(2, fp(3)).ring, 2)
+    v = bounded_nil_index_auto(r)
+    assert v.proved and v.index == 3
+    assert v.note.startswith("power chain: R^3 = 0, x^2 != 0 at x = ")
+    assert ring_is_nil(r).note == "power chain: R^3 = 0"
+
+
+def test_certificate_takes_a_basis_witness_first():
+    v = bounded_nil_index_auto(two_z_2k(3))
+    assert v.proved and v.index == 3
+    assert v.note == "power chain: R^3 = 0, x^2 != 0 at x = b"
 
 
 def test_group_ring_refutations_pick_first_witness():
@@ -230,6 +307,7 @@ def test_enumeration_exact_near_int64_limit():
     r = Ring(zmod(m), ["b"], {(0, 0): {0: m - 3}})
     assert element_nil_index(r.basis_element(0)).index == 16
     assert ring_is_nil(r, elem_cap=m).proved
+    assert enumerated_is_nil(r)
     v = nil_bounded_index(r, "enum", elem_cap=m, power_cap=100)
     assert v.proved and v.index == 16
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradednil.ringcore import (
     AssociativityError,
+    PowerChainError,
     Ring,
     RingMismatchError,
     Submodule,
@@ -148,6 +149,49 @@ def test_power_chain_stabilizes_on_idempotent():
     assert not chain[-1].is_zero()
 
 
+def reference_power_chain(r, cap):
+    """The power chain recomputed from scratch, kept nowhere."""
+    basis = [b.coords for b in r.basis()]
+    chain = [Submodule(r, basis)]
+    while len(chain) <= cap:
+        cur = chain[-1]
+        if cur.is_zero():
+            return chain
+        nxt = Submodule(r, [r.mul_coords(row, b) for row in cur.rows for b in basis])
+        chain.append(nxt)
+        if nxt == cur:
+            return chain
+    raise PowerChainError(f"power chain did not stabilize within {cap} steps")
+
+
+def chain_outcome(chain_fn, r, cap):
+    try:
+        return [s.rows for s in chain_fn(r, cap=cap)]
+    except PowerChainError as exc:
+        return f"PowerChainError: {exc}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ring(fp(2), [], {}),
+    lambda: zero_product_ring(fp(3), 2),
+    lambda: two_z_2k(3),
+    lambda: sut(4, fp(2)).ring,
+    lambda: idempotent_ring(fp(3)),
+    lambda: Ring(zmod(3**6), ["b"], {(0, 0): {0: 3**6 - 3}}),
+    lambda: grassmann_star(2, rat()).ring,
+], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q"])
+def test_power_chain_memo_matches_reference_at_every_cap(make):
+    length = len(reference_power_chain(make(), 512))
+    caps = range(1, length + 2)
+    want = [chain_outcome(reference_power_chain, make(), cap) for cap in caps]
+    # one ring per call order: the memo must not depend on which cap came first
+    for order in (list(caps), list(reversed(caps))):
+        r = make()
+        got = {cap: chain_outcome(power_chain, r, cap) for cap in order}
+        assert [got[cap] for cap in caps] == want
+    assert want[-1] == chain_outcome(reference_power_chain, make(), 512)
+
+
 def test_submodule_membership_over_zmod():
     r = matrix_ring(two_z_2k(3), 2)
     sub = Submodule(r, [r.basis_element(0).scale(2)])
@@ -255,8 +299,8 @@ def change_basis(r, upper):
 
 
 @st.composite
-def nilpotent_rings(draw):
-    dom = draw(st.sampled_from((fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat())))
+def nilpotent_rings(draw, domains=(fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat())):
+    dom = draw(st.sampled_from(domains))
     seeds = draw(st.lists(st.text("xy", min_size=1, max_size=3), min_size=1, max_size=2))
     values = (0, 1, 2, 3, 4, 6, -1) if dom.finite else (0, 1, 2, Fraction(1, 2), -3)
     weight = {(a, b): draw(st.sampled_from(values)) for a in "xy" for b in "xy"}
@@ -418,3 +462,69 @@ def test_associativity_check_accepts_zoo_and_matrix_rings(make):
     r = make()
     assert Ring(r.coeff, r.names, r.sc) == r
     assert matrix_ring(r, 2).rank == 4 * r.rank
+
+
+# ---------------------------------------------------------------------------
+# Diagonal powers of matrix rings (the reduction behind T3.29).
+
+
+def diagonal_tuples(r, n, samples, seed=0):
+    """(exhaustive, tuples): every n-tuple of elements when there are at
+    most 4096, otherwise ``samples`` seeded random ones."""
+    dom = r.coeff
+    count = r.element_count()
+    if count is not None and r.rank and count**n <= 4096:
+        singles = list(itertools.product(dom.elements(), repeat=r.rank))
+        return True, list(itertools.product(singles, repeat=n))
+    rng = random.Random(seed)
+    lo, hi = (0, dom.size - 1) if dom.finite else (-3, 3)
+    return False, [
+        tuple(tuple(dom.normalize(rng.randint(lo, hi)) for _ in range(r.rank))
+              for _ in range(n))
+        for _ in range(samples)
+    ]
+
+
+def check_diagonal_powers(r, n, samples):
+    """diag(b_1..b_n)^s = diag(b_1^s..b_n^s) in M_n(r) for s = 2, 3, 4:
+    the diagonal of the matrix ring multiplies componentwise.  Returns
+    whether every n-tuple was tried."""
+    mr = matrix_ring(r, n)
+    dom = r.coeff
+
+    def diag(entries):
+        coords = [dom.zero()] * mr.rank
+        for i, x in enumerate(entries):
+            coords[(i * n + i) * r.rank:(i * n + i + 1) * r.rank] = x
+        return tuple(coords)
+
+    exhaustive, tuples = diagonal_tuples(r, n, samples)
+    for entries in tuples:
+        a = diag(entries)
+        acc, powers = a, list(entries)
+        for s in (2, 3, 4):
+            acc = mr.mul_coords(acc, a)
+            powers = [r.mul_coords(p, x) for p, x in zip(powers, entries)]
+            assert acc == diag(powers), (entries, s)
+    return exhaustive
+
+
+@pytest.mark.parametrize("make, n, exhaustive", [
+    (lambda: two_z_2k(3), 2, True),
+    (lambda: two_z_2k(3), 3, True),
+    (lambda: idempotent_ring(fp(2)), 2, True),
+    (lambda: zero_product_ring(fp(2), 1), 2, True),
+    (lambda: sut(3, fp(2)).ring, 2, True),
+    (lambda: grassmann_star(2, fp(3)).ring, 2, True),
+    (lambda: grassmann_star(3, fp(2)).ring, 2, False),
+    (lambda: grassmann_star(2, rat()).ring, 2, False),
+], ids=["2z8", "2z8-n3", "idempotent-f2", "zero-f2", "sut3", "grassmann2-f3",
+        "grassmann3-f2", "grassmann2-q"])
+def test_matrix_ring_diagonal_powers_are_componentwise(make, n, exhaustive):
+    assert check_diagonal_powers(make(), n, samples=200) == exhaustive
+
+
+@given(nilpotent_rings())
+@settings(max_examples=30, deadline=None)
+def test_matrix_ring_diagonal_powers_on_random_rings(r):
+    check_diagonal_powers(r, 2, samples=20)

@@ -287,7 +287,6 @@ def test_matrix_nil_verdict_predicate_sizes_2_and_3():
 def test_diagonal_reduction_two_z8():
     chk = verify_diagonal_power_reduction(two_z_2k(3), 2, CAPS)
     assert chk.status == CheckStatus.PASS
-    assert chk.details["exhaustive"]
     assert chk.details["base_nil"] == "PROVED"
     assert chk.details["diagonal_nil"] == "PROVED"
 
