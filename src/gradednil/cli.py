@@ -57,33 +57,47 @@ EXIT_INPUT = 3
 
 ENV_CAPS = {
     "GRADEDNIL_ELEM_CAP": "elem_cap",
-    "GRADEDNIL_TUPLE_CAP": "tuple_cap",
     "GRADEDNIL_POWER_CAP": "power_cap",
     "GRADEDNIL_PAIR_CAP": "pair_cap",
     "GRADEDNIL_SAMPLES": "samples",
     "GRADEDNIL_SEED": "seed",
 }
+# Smallest legal value of each cap: a power cap or sample count below 1
+# decides nothing, while an element or pair cap of 0 means "never enumerate".
+CAP_FLOORS = {"elem_cap": 0, "power_cap": 1, "pair_cap": 0, "samples": 1}
 
 
 def _caps_from(args) -> Caps:
-    caps = Caps()
+    """Caps from the environment, overridden by flags; a value that is not an
+    integer or lies below its floor is an input error naming its source."""
+    given = {}
     for env, attr in ENV_CAPS.items():
         if env in os.environ:
-            setattr(caps, attr, int(os.environ[env]))
-    for attr in ("elem_cap", "tuple_cap", "power_cap", "pair_cap", "samples", "seed"):
+            try:
+                given[attr] = (env, int(os.environ[env]))
+            except ValueError:
+                raise SystemExit(_input_error(
+                    f"{env} must be an integer, got {os.environ[env]!r}"))
+    for attr in ENV_CAPS.values():
         v = getattr(args, attr, None)
         if v is not None:
-            setattr(caps, attr, v)
+            given[attr] = (_flag(attr), v)
+    caps = Caps()
+    for attr, (source, v) in given.items():
+        floor = CAP_FLOORS.get(attr)
+        if floor is not None and v < floor:
+            raise SystemExit(_input_error(f"{source} must be >= {floor}, got {v}"))
+        setattr(caps, attr, v)
     return caps
 
 
+def _flag(attr):
+    return "--" + attr.replace("_", "-")
+
+
 def _add_caps(parser):
-    parser.add_argument("--elem-cap", dest="elem_cap", type=int)
-    parser.add_argument("--tuple-cap", dest="tuple_cap", type=int)
-    parser.add_argument("--power-cap", dest="power_cap", type=int)
-    parser.add_argument("--pair-cap", dest="pair_cap", type=int)
-    parser.add_argument("--samples", dest="samples", type=int)
-    parser.add_argument("--seed", dest="seed", type=int)
+    for attr in ENV_CAPS.values():
+        parser.add_argument(_flag(attr), dest=attr, type=int)
 
 
 def _load(path):
@@ -123,8 +137,8 @@ def _verdict_exit(statuses):
 
 
 def cmd_analyze(args):
-    parsed = _load(args.file)
     caps = _caps_from(args)
+    parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
     r = gr.ring
     supp = sorted(support(gr), key=repr)
@@ -200,8 +214,8 @@ def _run_check(check_id, parsed, caps, congruence_text):
 
 
 def cmd_verify(args):
-    parsed = _load(args.file)
     caps = _caps_from(args)
+    parsed = _load(args.file)
     check = _run_check(args.check_id, parsed, caps, args.classes)
     if args.json:
         print(json.dumps(check.to_dict(), indent=2))
@@ -221,8 +235,8 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    parsed = _load(args.file)
     caps = _caps_from(args)
+    parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
     cong = None
     if args.classes:

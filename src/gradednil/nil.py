@@ -9,11 +9,12 @@ x^(d-1) is a nonzero polynomial in its coordinates.
 When the chain does not decide: enumeration of every element (finite
 domains within the cap), then symbolic expansion of the power of a general
 element in commuting indeterminates, then seeded sampling.  Enumeration
-and the per-degree tuple products of ``homogeneous_power_report`` (P3.31)
-multiply rows in batches with ``kernel.mul_rows``, exact at every modulus;
-over the rationals rows are multiplied one at a time with
+multiplies rows in batches with ``kernel.mul_rows``, exact at every
+modulus; over the rationals rows are multiplied one at a time with
 ``Ring.mul_coords``.  A symbolic proof is valid over every domain; a
 symbolic non-vanishing only refutes over the rationals.
+``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
+powers of each support degree and reads the verdict off the grading.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from enum import Enum
 import numpy as np
 
 from .grading import GradedRing, component_indices, neutral_ring, support
-from .kernel import _CHUNK, kernel_dtype, mul_rows
+from .kernel import kernel_dtype, mul_rows
 from .monoid import element_order
 from .ringcore import DEFAULT_ELEM_CAP, Element, PowerChainError, Ring, power_chain
 
 DEFAULT_POWER_CAP = 512
-DEFAULT_TUPLE_CAP = 10**6
 DEFAULT_SAMPLES = 10**4
 DEFAULT_SYMBOLIC_CAP = 16
 # Random elements the power-chain certificate tries beside the basis; the
@@ -450,6 +450,11 @@ def s_nil_check(
     return out
 
 
+class DegreeWalkInternalError(RuntimeError):
+    """A P3.31 degree walk ended inside the support away from e; the
+    grading checks rule this out, so it indicates an implementation bug."""
+
+
 @dataclass
 class HomogeneousPowerReport:
     """Per-degree power-vanishing data for a grading with nil neutral part.
@@ -465,35 +470,26 @@ class HomogeneousPowerReport:
     kg: dict = field(default_factory=dict)
     k: int | None = None
     per_degree: dict = field(default_factory=dict)
-    counterexample: tuple | None = None
-    seed: int = 0
-
-    @property
-    def passed(self):
-        return self.applicable and self.counterexample is None
 
 
 def homogeneous_power_report(
-    gr: GradedRing,
-    elem_cap=DEFAULT_ELEM_CAP,
-    tuple_cap=DEFAULT_TUPLE_CAP,
-    samples=DEFAULT_SAMPLES,
-    seed=0,
+    gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP
 ) -> HomogeneousPowerReport:
-    """Verify (a_1 ... a_{kg})^s = 0 per degree, plus a^{k*s} = 0 spot checks.
+    """Prove (a_1 ... a_{kg})^s = 0 per degree, and a^{k*s} = 0, by degrees.
 
     Requires a nonzero neutral component that is nil of bounded index s;
-    otherwise the report is not applicable.  Over Z/mZ and F_p a degree with
-    at most ``tuple_cap`` tuples is checked exhaustively, in
-    ``itertools.product`` order; larger tuple spaces, and every tuple space
-    over the rationals, are sampled deterministically with the recorded seed.
-    Finite domains multiply the tuples with ``kernel.mul_rows``, in blocks of
-    about ``kernel._CHUNK`` coordinates per factor, so memory stays flat at
-    any tuple count and rank; the rationals multiply them one at a time with
-    ``Ring.mul_coords``.  The counterexample is the first tuple, in that
-    order, whose power does not vanish.
+    otherwise the report is not applicable.  By the grading axiom a product
+    of i factors of degree g lies in R_{g^i}.  The walk g, g^2, ... stops at
+    the first power outside the support, where the product of that many
+    factors is already zero, or at g^{kg} = e, where the product lies in the
+    nil neutral component and its s-th power vanishes.  No other ending is
+    possible: left cancellation makes the powers of g distinct until one is
+    e, so with kg = min(o(g), d) either g^{o(g)} = e is reached, or kg = d
+    distinct powers other than e cannot all lie among the d - 1 support
+    degrees other than e.  Then a^{k*s} = (a^{kg})^{(k/kg)*s} vanishes too.
+    Each ``per_degree`` entry records the walk's ``product_degree`` (e, or
+    None when it left the support) and ``length``; no tuple is multiplied.
     """
-    r = gr.ring
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero")
@@ -502,112 +498,24 @@ def homogeneous_power_report(
         return HomogeneousPowerReport(
             False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})"
         )
-    s = sv.index
     supp = support(gr)
-    d = len(supp)
-    kg = {}
+    e = gr.monoid.identity
+    kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in sorted(supp)}
+    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()))
     for g in sorted(supp):
-        kg[g] = int(min(element_order(gr.monoid, g), d))
-    k = math.lcm(*kg.values())
-    report = HomogeneousPowerReport(True, s=s, kg=kg, k=k, seed=seed)
-    rng = random.Random(seed)
-    q = r.coeff.size
-    for g in sorted(supp):
-        idx = component_indices(gr, g)
-        count = None if q is None else q ** len(idx)
-        exhaustive = count is not None and count ** kg[g] <= tuple_cap
-        if exhaustive:
-            blocks = _product_blocks(_coord_rows(q, idx, r.rank), kg[g])
-        else:
-            blocks = _sample_blocks(r, idx, rng, samples, kg[g])
-        entry = {
-            "tuples_checked": count ** kg[g] if exhaustive else samples,
-            "sampled": not exhaustive,
+        h, length = g, 1
+        while h in supp and h != e:
+            if length == kg[g]:
+                raise DegreeWalkInternalError(
+                    f"degree walk of {g!r} ends at {h!r} after {length} steps, "
+                    "inside the support and not neutral"
+                )
+            h = gr.monoid.op(h, g)
+            length += 1
+        report.per_degree[g] = {
+            "tuples_checked": 0,
+            "product_degree": h if h == e else None,
+            "length": length,
             "status": "PASS",
         }
-        bad = _first_nonvanishing(r, blocks, s)
-        if bad is None:
-            # bounded homogeneous conclusion: a^{k*s} = 0 on the checked degree
-            if count is not None and count <= 64:
-                spots = _coord_rows(q, idx, r.rank)
-            else:
-                spots = _sampled_rows(r, idx, rng, 64)
-            bad = _first_nonvanishing(r, _product_blocks(spots, 1), k * s)
-        if bad is not None:
-            report.counterexample = (g, bad)
-            return report
-        report.per_degree[g] = entry
     return report
-
-
-def _sampled_rows(r, idx, rng, n):
-    """``n`` rows supported on ``idx`` with seeded entries in [-3, 3].
-
-    Entries are drawn row by row, in ``idx`` order.  Rows over Z/mZ have
-    ``kernel_dtype(r)``, so moduli past the int64 limit get Python integers.
-    """
-    dom = r.coeff
-    dtype = kernel_dtype(r) if dom.finite else object
-    draws = [dom.normalize(rng.randint(-3, 3)) for _ in range(n * len(idx))]
-    rows = np.zeros((n, r.rank), dtype=dtype)
-    rows[:, idx] = np.array(draws, dtype=dtype).reshape(n, len(idx))
-    return rows
-
-
-def _block_tuples(rank):
-    """Tuples per block: about ``_CHUNK`` coordinates per factor array, so a
-    block's working set stays the same at every rank."""
-    return max(1, _CHUNK // rank)
-
-
-def _product_blocks(singles, length):
-    """Factor rows of every ``length``-tuple of ``singles``, a block of
-    tuples at a time, in ``itertools.product`` order.
-
-    Tuple n takes as its p-th factor the row numbered by the p-th base-count
-    digit of n, most significant first.
-    """
-    count, rank = singles.shape
-    total = count**length
-    per = _block_tuples(rank)
-    for lo in range(0, total, per):
-        n = np.arange(lo, min(lo + per, total))
-        yield [singles[n // count ** (length - 1 - p) % count] for p in range(length)]
-
-
-def _sample_blocks(r, idx, rng, samples, length):
-    """Factor rows of ``samples`` seeded ``length``-tuples, a block at a time.
-
-    Each block is drawn when it is reached, tuple by tuple and factor by
-    factor, so the draws follow one another as in a tuple-by-tuple loop and
-    only one block is held at a time.
-    """
-    per = _block_tuples(r.rank)
-    for lo in range(0, samples, per):
-        rows = _sampled_rows(r, idx, rng, min(per, samples - lo) * length)
-        yield [rows[p::length] for p in range(length)]
-
-
-def _first_nonvanishing(r, blocks, exponent):
-    """First tuple whose product, raised to ``exponent``, is nonzero.
-
-    ``blocks`` yields lists of factor rows, one array per factor position.
-    Returns the tuple as coordinate tuples, or None when every power
-    vanishes.  Over the rationals rows are multiplied one by one with
-    ``Ring.mul_coords``; ``kernel.mul_rows`` covers Z/mZ only.
-    """
-    for factors in blocks:
-        prod = factors[0]
-        for x in factors[1:]:
-            prod = _mul(r, prod, x)
-        acc = prod
-        for _ in range(exponent - 1):
-            if not acc.any():
-                break
-            acc = _mul(r, acc, prod)
-        bad = np.flatnonzero(acc.any(axis=1))
-        if bad.size:
-            return tuple(
-                tuple(r.coeff.normalize(v) for v in f[bad[0]]) for f in factors
-            )
-    return None

@@ -214,13 +214,46 @@ def test_cli_oracle_rejects_len(capsys):
 @pytest.mark.parametrize("args", [
     ["report", "--bogus", "x"],
     ["report", "--elem-cap", "abc", "x.spec"],
-], ids=["unknown-option", "non-integer-cap"])
+    ["report", "--tuple-cap", "5", "x.spec"],
+], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap"])
 def test_cli_usage_errors_exit_3(capsys, args):
     # exit 2 means a capped verdict, so argparse's own usage exit is not used
     assert main(args) == 3
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, env, named", [
+    (["--samples", "-3"], {}, "--samples"),
+    (["--samples", "0"], {}, "--samples"),
+    (["--power-cap", "0"], {}, "--power-cap"),
+    (["--pair-cap", "-1"], {}, "--pair-cap"),
+    (["--elem-cap", "-5"], {}, "--elem-cap"),
+    ([], {"GRADEDNIL_POWER_CAP": "abc"}, "GRADEDNIL_POWER_CAP"),
+    ([], {"GRADEDNIL_SAMPLES": "0"}, "GRADEDNIL_SAMPLES"),
+    ([], {"GRADEDNIL_ELEM_CAP": "-1"}, "GRADEDNIL_ELEM_CAP"),
+], ids=["samples-negative", "samples-zero", "power-cap-zero", "pair-cap-negative",
+        "elem-cap-negative", "env-power-cap-text", "env-samples-zero",
+        "env-elem-cap-negative"])
+def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, named):
+    path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    for cmd in (["analyze", path], ["verify", "P3.03", path], ["report", path]):
+        assert main(cmd + flags) == 3
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+
+def test_cli_zero_caps_mean_never_enumerate(tmp_path, capsys, monkeypatch):
+    # a flag overrides the environment, and 0 is a legal element or pair cap
+    monkeypatch.setenv("GRADEDNIL_PAIR_CAP", "-1")
+    path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
+    code = main(["analyze", path, "--json", "--elem-cap", "0", "--pair-cap", "0"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["nil"].startswith("NilVerdict(PROVED")
 
 
 def test_cli_oracle_exhaustive(capsys):

@@ -192,11 +192,13 @@ def test_nilpotent_implies_bounded_implies_nil():
 def test_homogeneous_power_report_m2_two_z8():
     gr = elementary_grading(two_z_2k(3), 2)
     rep = homogeneous_power_report(gr)
-    assert rep.applicable and rep.passed
+    assert rep.applicable
     assert rep.s == 3
     assert rep.kg == {0: 1, 1: 2}
     assert rep.k == 2
-    assert rep.per_degree[1]["tuples_checked"] == 256
+    # the walk: two factors of degree 1 multiply into degree 0
+    assert rep.per_degree[1]["product_degree"] == 0
+    assert rep.per_degree[1]["length"] == 2
 
 
 def test_homogeneous_power_report_requires_nonzero_neutral():
@@ -329,7 +331,7 @@ def test_enum_bounded_index_matches_elementwise_maximum(ring):
 
 
 # ---------------------------------------------------------------------------
-# P3.31: the batched tuple check against the tuple-by-tuple loop it replaced.
+# P3.31: the degree walk against the tuple-by-tuple loop it replaced.
 
 
 def reference_component_tuples(r, idx, length, tuple_cap, samples, rng, entry):
@@ -374,19 +376,22 @@ def reference_component_sample(r, idx, rng, limit):
 
 
 def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
-    """Every tuple multiplied one at a time with Ring.mul_coords."""
+    """Every tuple multiplied one at a time with Ring.mul_coords.
+
+    Returns the report and the first tuple whose power does not vanish, or
+    None."""
     r = gr.ring
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
-        return HomogeneousPowerReport(False, reason="neutral component is zero")
+        return HomogeneousPowerReport(False, reason="neutral component is zero"), None
     sv = bounded_nil_index_auto(m0)
     if not sv.proved:
-        return HomogeneousPowerReport(False, reason="neutral not proved nil")
+        return HomogeneousPowerReport(False, reason="neutral not proved nil"), None
     s = sv.index
     supp = sorted(support(gr))
     kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in supp}
     k = math.lcm(*kg.values())
-    report = HomogeneousPowerReport(True, s=s, kg=kg, k=k, seed=seed)
+    report = HomogeneousPowerReport(True, s=s, kg=kg, k=k)
     rng = random.Random(seed)
     for g in supp:
         idx = component_indices(gr, g)
@@ -401,8 +406,7 @@ def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
                 acc = r.mul_coords(acc, prod)
             entry["tuples_checked"] += 1
             if any(not r.coeff.is_zero(c) for c in acc):
-                report.counterexample = (g, tup)
-                return report
+                return report, (g, tup)
         for coords in reference_component_sample(r, idx, rng, limit=64):
             a = r.element(coords)
             acc = a
@@ -411,10 +415,9 @@ def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
                 if acc.is_zero():
                     break
             if not acc.is_zero():
-                report.counterexample = (g, (coords,))
-                return report
+                return report, (g, (coords,))
         report.per_degree[g] = entry
-    return report
+    return report, None
 
 
 def int_add_chain_grading():
@@ -425,6 +428,29 @@ def int_add_chain_grading():
     return GradedRing(ring, Monoid.int_add(), [0, 0, 1])
 
 
+def z5_graded_on_012():
+    # F_3-ring graded by Z_5: u in degree 0 (u^2 = 0), x in degree 1 and
+    # y = x^2 in degree 2; o(1) = 5 > d = 3, and x^3 lies in empty degree 3
+    ring = Ring(fp(3), ["u", "x", "y"], {(1, 1): {2: 1}})
+    return GradedRing(ring, Monoid.cyclic(5), [0, 1, 2])
+
+
+# The walk's record per degree: (product_degree, length).  Degree e ends at
+# once; elsewhere the walk reaches e at k_g = o(g), or leaves the support at
+# finite order o(g) > d or at infinite order.
+@pytest.mark.parametrize("gr, walks", [
+    (elementary_grading(two_z_2k(3), 3), {0: (0, 1), 1: (0, 3), 2: (0, 3)}),
+    (z5_graded_on_012(), {0: (0, 1), 1: (None, 3), 2: (None, 2)}),
+    (int_add_chain_grading(), {0: (0, 1), 1: (None, 2)}),
+], ids=["m3-2z8-z3", "z5-supp-012", "chain-int-add"])
+def test_degree_walk_records(gr, walks):
+    rep = homogeneous_power_report(gr)
+    got = {g: (e["product_degree"], e["length"]) for g, e in rep.per_degree.items()}
+    assert got == walks
+    assert all(e["tuples_checked"] == 0 and e["status"] == "PASS"
+               for e in rep.per_degree.values())
+
+
 @pytest.mark.parametrize("gr, caps", [
     (elementary_grading(two_z_2k(3), 2), {}),
     (grassmann_star(2, fp(3)), {}),
@@ -432,83 +458,25 @@ def int_add_chain_grading():
     (grassmann_star(3, zmod(2**61 - 1)), {"tuple_cap": 1, "samples": 300}),
     (grassmann_star(3, zmod(2**64 + 13)), {"tuple_cap": 1, "samples": 300}),
     (grassmann_star(2, rat()), {"samples": 300}),
+    (elementary_grading(two_z_2k(3), 3), {"tuple_cap": 1, "samples": 300}),
+    (z5_graded_on_012(), {}),
 ], ids=["m2-2z8", "grass2-f3", "chain-int-add", "grass3-z2^61-1",
-        "grass3-z2^64+13", "grass2-q"])
+        "grass3-z2^64+13", "grass2-q", "m3-2z8-z3", "z5-supp-012"])
 def test_power_report_matches_tuple_loop(gr, caps):
-    got = homogeneous_power_report(gr, seed=5, **caps)
-    want = reference_power_report(gr, seed=5, **caps)
+    got = homogeneous_power_report(gr)
+    want, counterexample = reference_power_report(gr, seed=5, **caps)
     assert got.applicable and want.applicable
-    assert (got.per_degree, got.counterexample, got.k, got.s) == (
-        want.per_degree, want.counterexample, want.k, want.s)
-    assert got.per_degree
+    assert counterexample is None
+    assert (got.s, got.k, got.kg) == (want.s, want.k, want.kg)
+    assert got.per_degree.keys() == want.kg.keys()
+    assert all(e["status"] == "PASS" for e in got.per_degree.values())
 
 
-def test_sampled_rows_are_objects_past_int64():
-    for m in (2**61 - 1, 2**64 + 13):
-        r = grassmann_star(3, zmod(m)).ring
-        rows = nil._sampled_rows(r, [0, 1, 2], random.Random(1), 50)
-        assert rows.dtype == object
-        assert {int(v) for v in rows[:, :3].ravel()} <= {0, 1, 2, 3, m - 3, m - 2, m - 1}
-
-
-def first_failing_tuple(r, tuples, exponent):
-    for tup in tuples:
-        prod = tup[0]
-        for x in tup[1:]:
-            prod = r.mul_coords(prod, x)
-        acc = prod
-        for _ in range(exponent - 1):
-            acc = r.mul_coords(acc, prod)
-        if any(acc):
-            return tup
-    return None
-
-
-def random_ring(dom, rank, rnd):
-    sc = {}
-    for i, j in itertools.product(range(rank), repeat=2):
-        if rnd.random() < 0.7:
-            sc[(i, j)] = {rnd.randrange(rank): rnd.randint(-2, 2)}
-    # the tuple check is multilinear, so associativity does not matter here
-    return Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
-
-
-@pytest.mark.parametrize("case", range(12))
-def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch):
-    # Blocks of a few tuples, so the first failure often lies past the first.
-    monkeypatch.setattr(nil, "_CHUNK", 8)
-    rnd = random.Random(case)
-    dom = [fp(2), fp(3), zmod(4)][case % 3]
-    rank = rnd.randint(2, 4)
-    r = random_ring(dom, rank, rnd)
-    idx = sorted(rnd.sample(range(rank), rnd.randint(1, rank)))
-    length, exponent = rnd.randint(2, 3), rnd.randint(1, 2)
-    singles = nil._coord_rows(dom.size, idx, rank)
-    got = nil._first_nonvanishing(r, nil._product_blocks(singles, length), exponent)
-    want = first_failing_tuple(
-        r,
-        itertools.product([tuple(int(v) for v in row) for row in singles], repeat=length),
-        exponent,
-    )
-    assert got == want
-
-
-def test_batched_tuples_order_first_factor_most_significant():
-    # x*y = x0*y2*c + x1*y0*a: the first failing pair in product order is
-    # (b, a), while scanning with the last factor most significant finds (a, c)
-    r = Ring(fp(2), ["a", "b", "c"], {(0, 2): {2: 1}, (1, 0): {0: 1}}, check=False)
-    singles = nil._coord_rows(2, [0, 1, 2], 3)
-    got = nil._first_nonvanishing(r, nil._product_blocks(singles, 2), 1)
-    assert got == ((0, 1, 0), (1, 0, 0))
-
-
-@pytest.mark.parametrize("dom", [fp(3), zmod(2**64 + 13), rat()], ids=str)
-def test_batched_samples_fail_at_the_first_drawn_tuple(dom, monkeypatch):
-    monkeypatch.setattr(nil, "_CHUNK", 8)
-    r = random_ring(dom, 3, random.Random(7))
-    idx, length, samples = [0, 2], 2, 40
-    blocks = nil._sample_blocks(r, idx, random.Random(3), samples, length)
-    got = nil._first_nonvanishing(r, blocks, 2)
-    drawn = reference_component_tuples(r, idx, length, 0, samples, random.Random(3), {})
-    want = first_failing_tuple(r, drawn, 2)
-    assert want is not None and got == want
+def test_degree_walk_raises_inside_the_support():
+    # An unchecked grading by {e, a} with a*a = a, which is not left
+    # cancellative: the walk of a stays at a, inside the support.
+    monoid = Monoid.from_table([[0, 1], [1, 1]])
+    ring = Ring(fp(2), ["u", "x"], {})
+    gr = GradedRing(ring, monoid, [0, 1], check=False)
+    with pytest.raises(nil.DegreeWalkInternalError, match="walk of 1 ends at 1"):
+        homogeneous_power_report(gr)
