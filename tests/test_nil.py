@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from test_ringcore import nilpotent_rings
 
-from gradednil import nil
+from gradednil import kernel, nil
 from gradednil.grading import (
     GradedRing,
     component_indices,
@@ -480,3 +481,71 @@ def test_degree_walk_raises_inside_the_support():
     gr = GradedRing(ring, monoid, [0, 1], check=False)
     with pytest.raises(nil.DegreeWalkInternalError, match="walk of 1 ends at 1"):
         homogeneous_power_report(gr)
+
+
+# ---------------------------------------------------------------------------
+# The row-wise products of the enumeration paths (``nil._coord_rows`` rows
+# multiplied by ``nil._mul``) against the tuple-by-tuple loop.
+
+
+def first_failing_tuple(r, tuples, exponent):
+    for tup in tuples:
+        prod = tup[0]
+        for x in tup[1:]:
+            prod = r.mul_coords(prod, x)
+        acc = prod
+        for _ in range(exponent - 1):
+            acc = r.mul_coords(acc, prod)
+        if any(acc):
+            return tup
+    return None
+
+
+def random_ring(dom, rank, rnd):
+    sc = {}
+    for i, j in itertools.product(range(rank), repeat=2):
+        if rnd.random() < 0.7:
+            sc[(i, j)] = {rnd.randrange(rank): rnd.randint(-2, 2)}
+    # the tuple check is multilinear, so associativity does not matter here
+    return Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
+
+
+def first_failing_batched(r, singles, length, exponent, per=64):
+    """First tuple of ``singles`` rows, in ``itertools.product`` order, whose
+    product raised to ``exponent`` is nonzero, multiplied ``per`` tuples at a
+    time: tuple n takes as its p-th factor the row numbered by the p-th
+    base-count digit of n, most significant first."""
+    count = singles.shape[0]
+    total = count**length
+    for lo in range(0, total, per):
+        n = np.arange(lo, min(lo + per, total))
+        factors = [singles[n // count ** (length - 1 - p) % count] for p in range(length)]
+        prod = factors[0]
+        for x in factors[1:]:
+            prod = nil._mul(r, prod, x)
+        acc = prod
+        for _ in range(exponent - 1):
+            acc = nil._mul(r, acc, prod)
+        bad = np.flatnonzero(acc.any(axis=1))
+        if bad.size:
+            return tuple(tuple(int(v) for v in f[bad[0]]) for f in factors)
+    return None
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch):
+    # Chunks of a few rows, so the first failure often lies past the first.
+    monkeypatch.setattr(kernel, "_CHUNK", 8)
+    rnd = random.Random(case)
+    dom = [fp(2), fp(3), zmod(4)][case % 3]
+    rank = rnd.randint(2, 4)
+    r = random_ring(dom, rank, rnd)
+    idx = sorted(rnd.sample(range(rank), rnd.randint(1, rank)))
+    length, exponent = rnd.randint(2, 3), rnd.randint(1, 2)
+    singles = nil._coord_rows(dom.size, idx, rank)
+    got = first_failing_batched(r, singles, length, exponent)
+    # the reference builds its rows itself, so this also pins the lex order
+    # of ``_coord_rows``
+    tuples = reference_component_tuples(
+        r, idx, length, len(singles) ** length, 0, None, {})
+    assert got == first_failing_tuple(r, tuples, exponent)
