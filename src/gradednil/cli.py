@@ -12,35 +12,11 @@ import os
 import sys
 
 from . import specfile, zoo
-from .fcomm import scalar_action, scalar_f_search
-from .grading import (
-    GradedRing,
-    component_indices,
-    elementary_grading,
-    neutral_ring,
-    support,
-    trivial_grading,
-)
+from .grading import GradedRing, component_indices, elementary_grading, support, trivial_grading
 from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
 from .ringcore import parse_domain
-from .theorems import (
-    Caps,
-    CheckStatus,
-    full_report,
-    verify_diagonal_power_reduction,
-    verify_empty_neutral_bound,
-    verify_field_bounded_index_bound,
-    verify_generated_neutral_bound,
-    verify_generated_nil_ring_bound,
-    verify_homogeneous_power_vanishing,
-    verify_index2_char_bound,
-    verify_matrix_nil_transfer,
-    verify_neutral_nil_fcomm_bound,
-    verify_nilpotent_neutral_bounds,
-    verify_product_length_vanishing,
-    verify_quotient_grading_transfer,
-)
+from .theorems import Caps, CheckStatus, full_report
 from .words import (
     DegreeWord,
     ProductVerdict,
@@ -129,9 +105,10 @@ def _parse_classes(text, monoid):
 
 
 def _verdict_exit(statuses):
-    if any(s in (Status.REFUTED,) or s == CheckStatus.FAIL for s in statuses):
+    """1 on any refutation or FAIL, else 2 on any CAPPED verdict, else 0."""
+    if any(s in (Status.REFUTED, CheckStatus.FAIL) for s in statuses):
         return EXIT_REFUTED
-    if any(s in (Status.CAPPED,) or s == CheckStatus.CAPPED for s in statuses):
+    if any(s in (Status.CAPPED, CheckStatus.CAPPED) for s in statuses):
         return EXIT_CAPPED
     return EXIT_OK
 
@@ -171,52 +148,26 @@ def cmd_analyze(args):
     return _verdict_exit(statuses)
 
 
-def _run_check(check_id, parsed, caps, congruence_text):
+def _report(args, classes, only=None):
+    """Load the spec and run the checks of ``full_report`` on it: all of
+    them, or the one with id ``only``."""
+    caps = _caps_from(args)
+    parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
-    f, act = parsed.fmap, parsed.action
-    m0, _ = neutral_ring(gr)
-    if f is None and m0.rank:
-        f, _w = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
-        act = scalar_action(m0) if f is not None else None
-    if check_id == "P3.03":
-        return verify_empty_neutral_bound(gr, caps)
-    if check_id == "P3.17":
-        return verify_index2_char_bound(gr, caps)
-    if check_id == "P3.31":
-        return verify_homogeneous_power_vanishing(gr, caps)
-    if check_id == "T3.15":
-        return verify_neutral_nil_fcomm_bound(gr, f, act, caps)
-    if check_id == "T3.18":
-        return verify_nilpotent_neutral_bounds(gr, caps)
-    if check_id == "T3.19":
-        target = m0 if parsed.graded is not None else parsed.ring
-        return verify_generated_nil_ring_bound(target, f, act, caps)
-    if check_id == "T3.20":
-        return verify_generated_neutral_bound(gr, f, act, caps)
-    if check_id == "T3.24":
-        return verify_field_bounded_index_bound(gr, caps)
-    if check_id == "C3.28":
-        return verify_product_length_vanishing(gr, caps)
-    if check_id == "T3.26":
-        target = m0 if parsed.graded is not None else parsed.ring
-        return verify_matrix_nil_transfer(target, f, act, caps)
-    if check_id == "T3.29-REDUCTION":
-        target = m0 if parsed.graded is not None else parsed.ring
-        return verify_diagonal_power_reduction(target, 2, caps)
-    if check_id == "C3.04":
-        if congruence_text is None:
-            raise SystemExit(_input_error("C3.04 needs --classes"))
+    cong = None
+    if classes:
         if gr.monoid.kind != "table":
-            raise SystemExit(_input_error("C3.04 needs a table monoid grading"))
-        cong = _parse_classes(congruence_text, gr.monoid)
-        return verify_quotient_grading_transfer(gr, cong, caps)
-    raise SystemExit(_input_error(f"unknown check id {check_id!r}"))
+            raise SystemExit(_input_error("--classes needs a table monoid grading"))
+        cong = _parse_classes(classes, gr.monoid)
+    return full_report(gr, parsed.fmap, parsed.action, caps, congruence=cong, only=only)
 
 
 def cmd_verify(args):
-    caps = _caps_from(args)
-    parsed = _load(args.file)
-    check = _run_check(args.check_id, parsed, caps, args.classes)
+    # only C3.04 reads the congruence, and it cannot run without one
+    classes = args.classes if args.check_id == "C3.04" else None
+    if args.check_id == "C3.04" and not classes:
+        raise SystemExit(_input_error("C3.04 needs --classes"))
+    check = _report(args, classes, args.check_id).checks[0]
     if args.json:
         print(json.dumps(check.to_dict(), indent=2))
     else:
@@ -227,33 +178,16 @@ def cmd_verify(args):
             print(f"observed: {check.observed}")
         if check.reason:
             print(f"reason: {check.reason}")
-    if check.status == CheckStatus.FAIL:
-        return EXIT_REFUTED
-    if check.status == CheckStatus.CAPPED:
-        return EXIT_CAPPED
-    return EXIT_OK
+    return _verdict_exit([check.status])
 
 
 def cmd_report(args):
-    caps = _caps_from(args)
-    parsed = _load(args.file)
-    gr = _graded_or_trivial(parsed)
-    cong = None
-    if args.classes:
-        if gr.monoid.kind != "table":
-            raise SystemExit(_input_error("--classes needs a table monoid grading"))
-        cong = _parse_classes(args.classes, gr.monoid)
-    report = full_report(gr, parsed.fmap, parsed.action, caps, congruence=cong)
+    report = _report(args, args.classes)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.to_text())
-    worst = report.worst()
-    if worst == CheckStatus.FAIL:
-        return EXIT_REFUTED
-    if worst == CheckStatus.CAPPED:
-        return EXIT_CAPPED
-    return EXIT_OK
+    return _verdict_exit([c.status for c in report.checks])
 
 
 def cmd_oracle(args):

@@ -95,10 +95,13 @@ def neutral_ring(gr: GradedRing):
     grading axiom makes the restricted structure constants well defined.
     A subring of an associative ring is associative, so the ring is built
     unchecked, once per graded ring; every caller shares it and its power
-    chain.
+    chain.  When every degree is e the neutral ring is the ring itself.
     """
     if gr._neutral is None:
         idx = component_indices(gr, gr.monoid.identity)
+        if len(idx) == gr.ring.rank:
+            gr._neutral = gr.ring, idx
+            return gr._neutral
         back = {t: a for a, t in enumerate(idx)}
         sc = {}
         for a, i in enumerate(idx):

@@ -367,13 +367,17 @@ def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
                            power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
     """The power-chain certificate, else enumeration when feasible, else a
-    symbolic proof."""
-    cert = _certified_index(r, power_cap)
-    if cert is not None:
-        return cert
-    if r.coeff.finite and r.element_count() <= elem_cap:
-        return nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
-    return nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
+    symbolic proof.  The verdict is kept on the ring per cap triple, so
+    every caller with the same caps shares one computation."""
+    key = (elem_cap, power_cap, symbolic_cap)
+    if key not in r._nil_index:
+        verdict = _certified_index(r, power_cap)
+        if verdict is None and r.coeff.finite and r.element_count() <= elem_cap:
+            verdict = nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
+        elif verdict is None:
+            verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
+        r._nil_index[key] = verdict
+    return r._nil_index[key]
 
 
 def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
@@ -462,6 +466,7 @@ class HomogeneousPowerReport:
     For each support degree g, ``kg[g]`` letters of degree g multiply into
     the neutral component or to zero, so every such product raised to the
     neutral bounded nil index s vanishes; ``k`` is the lcm of the kg.
+    ``neutral`` is the verdict on that index, None for a zero component.
     """
 
     applicable: bool
@@ -470,10 +475,12 @@ class HomogeneousPowerReport:
     kg: dict = field(default_factory=dict)
     k: int | None = None
     per_degree: dict = field(default_factory=dict)
+    neutral: NilVerdict | None = None
 
 
 def homogeneous_power_report(
-    gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP
+    gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
+    symbolic_cap=DEFAULT_SYMBOLIC_CAP,
 ) -> HomogeneousPowerReport:
     """Prove (a_1 ... a_{kg})^s = 0 per degree, and a^{k*s} = 0, by degrees.
 
@@ -493,15 +500,17 @@ def homogeneous_power_report(
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero")
-    sv = bounded_nil_index_auto(m0, elem_cap=elem_cap)
+    sv = bounded_nil_index_auto(m0, elem_cap=elem_cap, power_cap=power_cap,
+                                symbolic_cap=symbolic_cap)
     if not sv.proved:
         return HomogeneousPowerReport(
-            False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})"
+            False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})",
+            neutral=sv,
         )
     supp = support(gr)
     e = gr.monoid.identity
     kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in sorted(supp)}
-    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()))
+    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()), neutral=sv)
     for g in sorted(supp):
         h, length = g, 1
         while h in supp and h != e:

@@ -200,6 +200,8 @@ class Ring:
         self.note = note
         # the power chain computed so far; see power_chain
         self._chain = []
+        # bounded nil index verdicts by caps; see nil.bounded_nil_index_auto
+        self._nil_index = {}
         if check:
             self._check_associativity()
 

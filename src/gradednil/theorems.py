@@ -158,6 +158,44 @@ def _judge_nilpotency(check, ndv, holds):
     return check
 
 
+def _nil_index(check, r, caps, not_nil, uncertified):
+    """The bounded nil index verdict on ``r`` under ``caps``.  Unless it is
+    PROVED, ``check`` is finished: NOT_APPLICABLE for reason ``not_nil`` when
+    ``r`` is refuted nil and that reason is given, else CAPPED for reason
+    ``uncertified``."""
+    sv = bounded_nil_index_auto(
+        r, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
+        symbolic_cap=caps.symbolic_cap,
+    )
+    if sv.status == Status.REFUTED and not_nil:
+        _na(check, not_nil)
+    elif not sv.proved:
+        _capped(check, uncertified)
+    return sv
+
+
+_NO_FACTOR = "no commutation factor supplied or derived"
+
+
+def _f_commutative(check, r, f, act, caps, where=""):
+    """The verdict that ``r`` commutes up to ``f``, or None with ``check``
+    finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
+    prefixes its reason), CAPPED when the pair check is capped."""
+    if f is None or act is None:
+        _na(check, _NO_FACTOR)
+        return None
+    fc = check_f_commutative(
+        r, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
+    )
+    if fc.status == Status.REFUTED:
+        _na(check, f"{where}not f-commutative at {fc.witness}")
+    elif fc.status == Status.CAPPED:
+        _capped(check, "f-commutativity check capped")
+    else:
+        return fc
+    return None
+
+
 def _grading_data(gr: GradedRing):
     supp = support(gr)
     m0, idx = neutral_ring(gr)
@@ -199,24 +237,14 @@ def verify_neutral_nil_fcomm_bound(
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
         ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
         return _judge_nilpotency(check, ndv, lambda nd: nd <= d + 1)
-    if f is None or act is None:
-        return _na(check, "no commutation factor supplied or derived")
-    fc = check_f_commutative(
-        m0, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
-    )
-    if fc.status == Status.REFUTED:
-        return _na(check, f"neutral component not f-commutative at {fc.witness}")
-    if fc.status == Status.CAPPED:
-        return _capped(check, "f-commutativity check capped")
+    fc = _f_commutative(check, m0, f, act, caps, "neutral component ")
+    if fc is None:
+        return check
     check.details["f_commutative"] = fc.status.value
-    sv = bounded_nil_index_auto(
-        m0, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
-    if sv.status == Status.REFUTED:
-        return _na(check, "neutral component is not nil")
+    sv = _nil_index(check, m0, caps, "neutral component is not nil",
+                    "neutral nil index could not be certified")
     if not sv.proved:
-        return _capped(check, "neutral nil index could not be certified")
+        return check
     s = sv.index
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
@@ -270,24 +298,10 @@ def verify_generated_nil_ring_bound(
     check = TheoremCheck(
         "T3.19", "nil, f-commutative, n generators: s <= nd <= (s-1)*n+1", True
     )
-    nilv = bounded_nil_index_auto(
-        r, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
-    if nilv.status == Status.REFUTED:
-        return _na(check, "ring is not nil")
-    if not nilv.proved:
-        return _capped(check, "nil certificate unavailable")
-    if r.rank and (f is None or act is None):
-        return _na(check, "no commutation factor supplied or derived")
-    if r.rank:
-        fc = check_f_commutative(
-            r, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
-        )
-        if fc.status == Status.REFUTED:
-            return _na(check, f"not f-commutative at {fc.witness}")
-        if fc.status == Status.CAPPED:
-            return _capped(check, "f-commutativity check capped")
+    if not _nil_index(check, r, caps, "ring is not nil", "nil certificate unavailable").proved:
+        return check
+    if r.rank and _f_commutative(check, r, f, act, caps) is None:
+        return check
     ndv = nilpotency_index(r, cap=caps.power_cap)
     if not ndv.proved:
         return _judge_nilpotency(check, ndv, None)
@@ -315,23 +329,13 @@ def verify_generated_neutral_bound(
         check.bound = [1, d + 1]
         ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
         return _judge_nilpotency(check, ndv, lambda nd: nd <= d + 1)
-    if f is None or act is None:
-        return _na(check, "no commutation factor supplied or derived")
-    nil0 = bounded_nil_index_auto(
-        m0, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
-    if nil0.status == Status.REFUTED:
-        return _na(check, "neutral component is not nil")
-    if not nil0.proved:
-        return _capped(check, "neutral nil certificate unavailable")
-    fc = check_f_commutative(
-        m0, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
-    )
-    if fc.status == Status.REFUTED:
-        return _na(check, f"neutral component not f-commutative at {fc.witness}")
-    if fc.status == Status.CAPPED:
-        return _capped(check, "f-commutativity check capped")
+    if f is None or act is None:  # not applicable, whatever the neutral nil index
+        return _na(check, _NO_FACTOR)
+    if not _nil_index(check, m0, caps, "neutral component is not nil",
+                      "neutral nil certificate unavailable").proved:
+        return check
+    if _f_commutative(check, m0, f, act, caps, "neutral component ") is None:
+        return check
     ndv = nilpotency_index(gr.ring, cap=caps.power_cap)
     if not ndv.proved:
         return _judge_nilpotency(check, ndv, None)
@@ -357,12 +361,9 @@ def verify_index2_char_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
         return _na(check, f"coefficient characteristic {char} has 2-torsion")
     if m0.rank == 0:
         return _na(check, "neutral nil index is 1, not 2")
-    sv = bounded_nil_index_auto(
-        m0, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
+    sv = _nil_index(check, m0, caps, None, "neutral nil index could not be certified")
     if not sv.proved:
-        return _capped(check, "neutral nil index could not be certified")
+        return check
     if sv.index != 2:
         return _na(check, f"neutral nil index is {sv.index}, not 2")
     cube = nilpotency_index(m0, cap=caps.power_cap)
@@ -396,14 +397,10 @@ def verify_field_bounded_index_bound(gr: GradedRing, caps=Caps()) -> TheoremChec
     if m0.rank == 0:
         s = 1
     else:
-        sv = bounded_nil_index_auto(
-            m0, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-            symbolic_cap=caps.symbolic_cap,
-        )
-        if sv.status == Status.REFUTED:
-            return _na(check, "neutral component is not nil of bounded index")
+        sv = _nil_index(check, m0, caps, "neutral component is not nil of bounded index",
+                        "neutral nil index could not be certified")
         if not sv.proved:
-            return _capped(check, "neutral nil index could not be certified")
+            return check
         s = sv.index
     check.details.update({"neutral_nil_index": s, "char": p, "support_size": d})
     if s == 1:
@@ -434,12 +431,9 @@ def verify_product_length_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCheck
         return _na(check, f"characteristic {dom.char()} excluded")
     if m0.rank == 0:
         return _na(check, "neutral nil index is 1, outside {2,3,4}")
-    sv = bounded_nil_index_auto(
-        m0, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
+    sv = _nil_index(check, m0, caps, None, "neutral nil index could not be certified")
     if not sv.proved:
-        return _capped(check, "neutral nil index could not be certified")
+        return check
     s = sv.index
     if s not in (2, 3, 4):
         return _na(check, f"neutral nil index {s} outside {{2,3,4}}")
@@ -474,40 +468,25 @@ def verify_matrix_nil_transfer(
     check = TheoremCheck(
         "T3.26", "2x2 matrices over a nil f-commutative ring are nil", True
     )
-    nilv = bounded_nil_index_auto(
-        r, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
-    if nilv.status == Status.REFUTED:
-        return _na(check, "ring is not nil")
-    if not nilv.proved:
-        return _capped(check, "nil certificate unavailable")
+    if not _nil_index(check, r, caps, "ring is not nil", "nil certificate unavailable").proved:
+        return check
     if r.rank == 0:
         check.bound = 1
         check.observed = 1
         check.status = CheckStatus.PASS
         return check
-    if f is None or act is None:
-        return _na(check, "no commutation factor supplied or derived")
-    fc = check_f_commutative(
-        r, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
-    )
-    if fc.status == Status.REFUTED:
-        return _na(check, f"not f-commutative at {fc.witness}")
-    if fc.status == Status.CAPPED:
-        return _capped(check, "f-commutativity check capped")
+    if _f_commutative(check, r, f, act, caps) is None:
+        return check
     lift = lift_f_to_diagonal(
         f, act, r, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
     )
     if lift.verdict.status == Status.REFUTED:
         return _fail(check, lift_counterexample=lift.verdict.witness)
     check.details["diagonal_lift"] = lift.verdict.status.value
-    m0_nil = bounded_nil_index_auto(
-        lift.neutral, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
+    m0_nil = _nil_index(check, lift.neutral, caps, None,
+                        "diagonal component nil index not certified")
     if not m0_nil.proved:
-        return _capped(check, "diagonal component nil index not certified")
+        return check
     check.details["diagonal_nil_index"] = m0_nil.index
     check.bound = nil_index_bound(m0_nil.index, 2)
     m2 = lift.graded.ring
@@ -563,9 +542,10 @@ def verify_homogeneous_power_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCh
         "neutral nil index; k = lcm(k_g)",
         True,
     )
-    report = homogeneous_power_report(gr, elem_cap=caps.elem_cap)
+    report = homogeneous_power_report(gr, caps.elem_cap, caps.power_cap, caps.symbolic_cap)
     if not report.applicable:
-        return _na(check, report.reason)
+        capped = report.neutral is not None and report.neutral.status == Status.CAPPED
+        return (_capped if capped else _na)(check, report.reason)
     check.bound = {"k": report.k, "kg": {str(g): v for g, v in report.kg.items()}}
     check.details["neutral_nil_index"] = report.s
     check.details["per_degree"] = {
@@ -577,17 +557,20 @@ def verify_homogeneous_power_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCh
 
 
 def verify_quotient_grading_transfer(
-    gr: GradedRing, cong: Congruence, caps=Caps(),
+    gr: GradedRing, cong: Congruence | None, caps=Caps(),
     f: FMap | None = None, act: Action | None = None,
 ) -> TheoremCheck:
     """C3.04: rerun the zero-neutral bound, the f-commutative transfer, and
     the nilpotent-neutral bounds on the grading induced by a congruence;
-    also check that the coarse neutral part is nilpotent iff the ring is."""
+    also check that the coarse neutral part is nilpotent iff the ring is.
+    Without a congruence the check is not applicable."""
     check = TheoremCheck(
         "C3.04",
         "checks transfer to the grading induced by a monoid congruence",
         True,
     )
+    if cong is None:
+        return _na(check, "no congruence supplied")
     try:
         induced = induced_quotient_grading(gr, cong)
     except Exception as exc:
@@ -701,8 +684,10 @@ def full_report(
     act: Action | None = None,
     caps: Caps | None = None,
     congruence: Congruence | None = None,
+    only: str | None = None,
 ) -> VerifierReport:
-    """Run every applicable check on a graded ring.
+    """Run every check on a graded ring, in registry order, or only the
+    check with id ``only``.
 
     The supplied commutation factor pertains to the neutral component; when
     none is given a pointwise scalar rule is searched for automatically.
@@ -718,33 +703,28 @@ def full_report(
         else:
             notes.append(f"no commutation factor derived: {why}")
     m0, _ = neutral_ring(gr)
-
-    def run(name, fn):
+    # The check registry.  Each entry looks its verify_* function up in the
+    # module globals when it runs, so a wrapper installed on that name sees
+    # every call.
+    registry = {
+        "C3.04": lambda: verify_quotient_grading_transfer(gr, congruence, caps),
+        "C3.28": lambda: verify_product_length_vanishing(gr, caps),
+        "P3.03": lambda: verify_empty_neutral_bound(gr, caps),
+        "P3.17": lambda: verify_index2_char_bound(gr, caps),
+        "P3.31": lambda: verify_homogeneous_power_vanishing(gr, caps),
+        "T3.15": lambda: verify_neutral_nil_fcomm_bound(gr, f, act, caps),
+        "T3.18": lambda: verify_nilpotent_neutral_bounds(gr, caps),
+        "T3.19": lambda: verify_generated_nil_ring_bound(m0, f, act, caps),
+        "T3.20": lambda: verify_generated_neutral_bound(gr, f, act, caps),
+        "T3.24": lambda: verify_field_bounded_index_bound(gr, caps),
+        "T3.26": lambda: verify_matrix_nil_transfer(m0, f, act, caps),
+        "T3.29-REDUCTION": lambda: verify_diagonal_power_reduction(m0, 2, caps),
+    }
+    if only is not None and only not in registry:
+        raise ValueError(f"unknown check id {only!r}")
+    checks, timings = [], {}
+    for name in registry if only is None else [only]:
         t0 = time.monotonic()
-        chk = fn()
+        checks.append(registry[name]())
         timings[name] = time.monotonic() - t0
-        return chk
-
-    timings = {}
-    checks = [
-        run("C3.04", lambda: (
-            verify_quotient_grading_transfer(gr, congruence, caps)
-            if congruence is not None
-            else _na(
-                TheoremCheck("C3.04", "checks transfer to an induced quotient grading", True),
-                "no congruence supplied",
-            )
-        )),
-        run("C3.28", lambda: verify_product_length_vanishing(gr, caps)),
-        run("P3.03", lambda: verify_empty_neutral_bound(gr, caps)),
-        run("P3.17", lambda: verify_index2_char_bound(gr, caps)),
-        run("P3.31", lambda: verify_homogeneous_power_vanishing(gr, caps)),
-        run("T3.15", lambda: verify_neutral_nil_fcomm_bound(gr, f, act, caps)),
-        run("T3.18", lambda: verify_nilpotent_neutral_bounds(gr, caps)),
-        run("T3.19", lambda: verify_generated_nil_ring_bound(m0, f, act, caps)),
-        run("T3.20", lambda: verify_generated_neutral_bound(gr, f, act, caps)),
-        run("T3.24", lambda: verify_field_bounded_index_bound(gr, caps)),
-        run("T3.26", lambda: verify_matrix_nil_transfer(m0, f, act, caps)),
-        run("T3.29-REDUCTION", lambda: verify_diagonal_power_reduction(m0, 2, caps)),
-    ]
     return VerifierReport(checks, caps, caps.seed, timings, notes)

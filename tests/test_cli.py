@@ -355,15 +355,17 @@ def test_cli_zoo_list(capsys):
     assert "golod" in out and "not constructible" in out
 
 
+# parity-graded ring over Z_4 supported away from the neutral class
+Z4_PARITY = (
+    "[monoid]\nkind = table\nsize = 4\n"
+    "table = 0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2\n\n"
+    "[ring]\ncoeff = fp 2\nrank = 2\nnames = a c\n\n"
+    "[grading]\ndeg = 1 3\n"
+)
+
+
 def test_cli_verify_c304_with_classes(tmp_path, capsys):
-    # parity-graded ring over Z_4 supported away from the neutral class
-    text = (
-        "[monoid]\nkind = table\nsize = 4\n"
-        "table = 0 1 2 3 1 2 3 0 2 3 0 1 3 0 1 2\n\n"
-        "[ring]\ncoeff = fp 2\nrank = 2\nnames = a c\n\n"
-        "[grading]\ndeg = 1 3\n"
-    )
-    path = _write(tmp_path, "z4.spec", text)
+    path = _write(tmp_path, "z4.spec", Z4_PARITY)
     code = main(["verify", "C3.04", path, "--classes", "0 2 | 1 3", "--json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -371,6 +373,64 @@ def test_cli_verify_c304_with_classes(tmp_path, capsys):
     code = main(["verify", "C3.04", path])
     capsys.readouterr()
     assert code == 3  # missing --classes
+
+
+# The bench specs, made by the CLI's own generators ("@x" names spec x).
+BENCH_SPECS = {
+    "sut5": ["zoo", "sut", "--n", "5", "--domain", "fp 2"],
+    "z8": ["zoo", "two-z-2k", "--k", "3"],
+    "m2z8": ["construct", "elementary", "@z8", "--n", "2"],
+    "grass3": ["zoo", "grassmann-star", "--k", "3", "--domain", "fp 5"],
+    "nagata23": ["zoo", "truncated-nagata", "--k", "2", "--p", "3"],
+}
+
+
+def _bench_spec(tmp_path, label):
+    args = BENCH_SPECS[label]
+    if "@z8" in args:
+        _bench_spec(tmp_path, "z8")
+    path = str(tmp_path / f"{label}.spec")
+    args = [str(tmp_path / "z8.spec") if a == "@z8" else a for a in args]
+    assert main(args + ["--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("label", list(BENCH_SPECS))
+def test_cli_verify_agrees_with_report(tmp_path, capsys, label):
+    # one check registry serves both commands: each check id verified alone
+    # gives the entry the report holds for it
+    path = _bench_spec(tmp_path, label)
+    capsys.readouterr()
+    main(["report", path, "--json"])
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert len(entries) == 12
+    for entry in entries:
+        if entry["id"] == "C3.04":
+            continue  # verify needs --classes; see the test below
+        main(["verify", entry["id"], path, "--json"])
+        assert json.loads(capsys.readouterr().out) == entry, entry["id"]
+
+
+def test_cli_verify_c304_agrees_with_report(tmp_path, capsys):
+    path = _write(tmp_path, "z4.spec", Z4_PARITY)
+    classes = ["--classes", "0 2 | 1 3"]
+    assert main(["verify", "C3.04", path, "--json"] + classes) == 0
+    alone = json.loads(capsys.readouterr().out)
+    main(["report", path, "--json"] + classes)
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert alone == next(e for e in entries if e["id"] == "C3.04")
+    assert alone["status"] == "PASS"
+
+
+def test_cli_verify_p331_honours_power_cap(tmp_path, capsys):
+    # the neutral nil index under --power-cap 1 is CAPPED, as for T3.18
+    path = _bench_spec(tmp_path, "m2z8")
+    capsys.readouterr()
+    assert main(["verify", "P3.31", path, "--power-cap", "1"]) == 2
+    assert capsys.readouterr().out.startswith("P3.31: CAPPED\n")
+    assert main(["verify", "T3.18", path, "--power-cap", "1"]) == 2
+    assert capsys.readouterr().out.startswith("T3.18: CAPPED\n")
+    assert main(["verify", "P3.31", path]) == 0
 
 
 def test_cli_seed_determinism(tmp_path, capsys):

@@ -90,6 +90,13 @@ def test_neutral_ring_is_built_once_and_associative(make):
     assert [gr.ring.names[t] for t in idx] == list(m0.names)
 
 
+def test_neutral_ring_of_trivial_grading_is_the_ring():
+    r = truncated_nagata(2, 3)
+    m0, idx = neutral_ring(trivial_grading(r))
+    assert m0 is r
+    assert idx == list(range(r.rank))
+
+
 def test_grading_axiom_mutation_detected():
     gr = sut(3, fp(2))
     degrees = list(gr.degrees)

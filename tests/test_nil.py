@@ -227,6 +227,32 @@ def test_bounded_auto_switches_to_symbolic():
     assert v.note == "symbolic expansion"
 
 
+def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
+    # the symbolic expansion runs once per ring and cap triple
+    modes = []
+    expand = nil.nil_bounded_index
+
+    def counted(r, mode="enum", **kw):
+        modes.append(mode)
+        return expand(r, mode, **kw)
+
+    monkeypatch.setattr(nil, "nil_bounded_index", counted)
+    r = grassmann_star(2, rat()).ring
+    first = bounded_nil_index_auto(r)
+    assert bounded_nil_index_auto(r) == first
+    assert modes == ["symbolic"]
+    other = bounded_nil_index_auto(r, symbolic_cap=4)
+    assert modes == ["symbolic", "symbolic"]
+    assert other.proved and other.index == first.index == 2
+
+
+def test_homogeneous_power_report_uses_the_callers_power_cap():
+    gr = elementary_grading(two_z_2k(3), 2)
+    rep = homogeneous_power_report(gr, power_cap=1)
+    assert not rep.applicable and rep.neutral.status == Status.CAPPED
+    assert homogeneous_power_report(gr).neutral.proved
+
+
 # ---------------------------------------------------------------------------
 # The power-chain certificate against the enumeration it goes before.
 
