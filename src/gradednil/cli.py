@@ -7,6 +7,8 @@ Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
@@ -18,6 +20,7 @@ from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, 
 from .ringcore import parse_domain
 from .theorems import Caps, CheckStatus, full_report
 from .words import (
+    Decomposition,
     DegreeWord,
     ProductVerdict,
     exhaustive_splits,
@@ -239,8 +242,30 @@ def cmd_oracle(args):
         w = DegreeWord(monoid, tuple(letters))
         compare(letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
     elif args.exhaustive:
+        d = len(supp)
+        words = itertools.product([str(g) for g in monoid.elements()], repeat=r * d)
+
+        @functools.cache
+        def tail(cuts):
+            dec = Decomposition(cuts)
+            return f" cuts={dec.cuts} small-gap blocks={small_gap_blocks(dec, d)}"
+
         for letters, got, ref in exhaustive_splits(monoid, r, supp):
-            compare(list(letters), got, ref)
+            agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
+            lines = []
+            rows = zip(itertools.islice(words, len(letters)), agree.tolist(),
+                       got.zero.tolist(), got.cuts.tolist())
+            for i, (word, ok, zero, cuts) in enumerate(rows):
+                word = f"[{', '.join(word)}]"
+                if not ok:
+                    disagreements += 1
+                    lines.append(f"DISAGREE word={word} split={got.verdict(i)} "
+                                 f"oracle={ref.verdict(i)}\n")
+                elif zero:
+                    lines.append(f"word={word} FORCED_ZERO (both)\n")
+                else:
+                    lines.append(f"word={word}{tail(tuple(cuts))}\n")
+            sys.stdout.write("".join(lines))
     else:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
     print(f"disagreements: {disagreements}")

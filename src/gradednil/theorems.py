@@ -361,7 +361,8 @@ def verify_index2_char_bound(gr: GradedRing, caps=Caps()) -> TheoremCheck:
         return _na(check, f"coefficient characteristic {char} has 2-torsion")
     if m0.rank == 0:
         return _na(check, "neutral nil index is 1, not 2")
-    sv = _nil_index(check, m0, caps, None, "neutral nil index could not be certified")
+    sv = _nil_index(check, m0, caps, "neutral component is not nil",
+                    "neutral nil index could not be certified")
     if not sv.proved:
         return check
     if sv.index != 2:
@@ -431,7 +432,8 @@ def verify_product_length_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCheck
         return _na(check, f"characteristic {dom.char()} excluded")
     if m0.rank == 0:
         return _na(check, "neutral nil index is 1, outside {2,3,4}")
-    sv = _nil_index(check, m0, caps, None, "neutral nil index could not be certified")
+    sv = _nil_index(check, m0, caps, "neutral component is not nil",
+                    "neutral nil index could not be certified")
     if not sv.proved:
         return check
     s = sv.index

@@ -7,13 +7,15 @@ size d (r > 1), pigeonholing the prefix degrees yields r consecutive blocks
 each of neutral degree; ``neutral_split`` constructs the cut positions and
 ``neutral_split_bruteforce`` re-derives the verdict by exhaustive search.
 
-``exhaustive_splits`` runs both on every word of length r*d over a table
-monoid as one depth-first walk over the letter tree.  Each node extends its
-parent's state by one letter instead of rebuilding it per word, and the two
-sides keep separate state, so the brute force stays an independent twin.
-The pigeonhole cut rule (``_pigeonhole_cuts``) and the cut-sequence search
-(``_first_cut_sequence``) each exist once, for the per-word functions and
-the walk alike.
+``exhaustive_splits`` decides both on every word of length r*d over a table
+monoid, ``_CHUNK`` words at a time, with numpy arrays over the batch in
+place of a Python loop per word.  Each side has its own kernel, which
+builds its own subproduct degrees from the letters with ``table[g, x]``
+gathers: ``_split_batch`` applies the pigeonhole cut rule to prefix-degree
+counts, and ``_brute_batch`` finds the first cut sequence by a reachability
+DP over neutral blocks.  Neither reads the other's arrays, so the brute
+force stays an independent twin.  The per-word functions stay as the
+reference the kernels are tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from functools import reduce
 from itertools import accumulate
 from operator import add, lt, sub
 
+import numpy as np
+
 from .monoid import TABLE, Monoid
+
+# Words per batch of ``exhaustive_splits``.  Each batch holds two
+# (words, r*d+1, r*d+1) arrays, so a small chunk keeps peak memory flat.
+_CHUNK = 1 << 10
 
 
 class ProductVerdict(Enum):
@@ -264,89 +272,134 @@ def neutral_split_bruteforce(w: DegreeWord, r: int, supp):
     return None if cuts is None else Decomposition(cuts)
 
 
+@dataclass(frozen=True)
+class Splits:
+    """One side's verdicts on a batch of words.
+
+    Word i is FORCED_ZERO where ``zero[i]``; otherwise ``cuts[i]`` holds its
+    cut positions s_0 < ... < s_r, or all -1 when it has no cut sequence.
+    """
+
+    zero: np.ndarray
+    cuts: np.ndarray
+
+    def verdict(self, i):
+        """Word i's verdict as the per-word functions give it."""
+        if self.zero[i]:
+            return FORCED_ZERO
+        cuts = self.cuts[i].tolist()
+        return None if cuts[0] < 0 else Decomposition(tuple(cuts))
+
+
+def _word_letters(lo, hi, size, n):
+    """Letters of words lo..hi-1 of ``itertools.product(range(size),
+    repeat=n)``: letter k of word i is (i // size^(n-1-k)) % size.  A place
+    value past int64 raises OverflowError as it converts, never wraps."""
+    place = np.array([size**k for k in range(n - 1, -1, -1)], dtype=np.int64)
+    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % size
+
+
+def _split_batch(table, e, inside, letters, r):
+    """``neutral_split`` on every row of ``letters`` at once.
+
+    Column b of ``sub`` holds the degrees of the subproducts ending at
+    letter b (``sub[:, a, b]`` is letters a+1..b), each column extending the
+    last by one ``table[g, x]`` gather.  The cut rule is
+    ``_pigeonhole_cuts``'s, on prefix-degree counts: the first r identity
+    positions after 0 if the identity occurs r times, else the first r+1
+    positions of the most frequent other degree (``argmax`` takes the
+    smallest id on ties).  Raises ``SplitInternalError`` if a clean word
+    breaks the dichotomy or gets a non-neutral block.
+    """
+    m, n = letters.shape
+    sub = np.zeros((m, n + 1, n + 1), dtype=table.dtype)
+    clean = np.ones(m, dtype=bool)
+    for b in range(1, n + 1):
+        x = letters[:, b - 1]
+        sub[:, :b - 1, b] = table[sub[:, :b - 1, b - 1], x[:, None]]
+        sub[:, b - 1, b] = x
+        clean &= inside[sub[:, :b, b]].all(axis=1)
+
+    prefix = sub[:, 0, 1:]
+    counts = (prefix[:, :, None] == np.arange(len(table))).sum(axis=1)
+    neutral = counts[:, e] >= r
+    counts[:, e] = -1
+    g0 = counts.argmax(axis=1)
+    hits = prefix == np.where(neutral, e, g0)[:, None]
+    # The first r+1 hit positions; a padded miss at n+1, clipped to n, fills
+    # the rows with fewer hits, which the dichotomy check rejects.
+    misses = np.ones((m, n + 1), dtype=bool)
+    misses[:, :n] = ~hits
+    cuts = np.minimum(np.argsort(misses, axis=1, kind="stable")[:, :r + 1] + 1, n)
+    cuts[neutral, 1:] = cuts[neutral, :r]
+    cuts[neutral, 0] = 0
+    broken = ~neutral & (counts.max(axis=1) < r + 1)
+    broken |= (sub[np.arange(m)[:, None], cuts[:, :-1], cuts[:, 1:]] != e).any(axis=1)
+    bad = np.flatnonzero(clean & broken)
+    if bad.size:
+        raise SplitInternalError(
+            f"word {letters[bad[0]].tolist()}: pigeonhole dichotomy failed "
+            "or a block is not neutral"
+        )
+    cuts[~clean] = -1
+    return Splits(~clean, cuts)
+
+
+def _brute_batch(table, e, inside, letters, r):
+    """``neutral_split_bruteforce`` on every row of ``letters`` at once.
+
+    Builds its own subproduct degrees, one block length at a time, and runs
+    a reachability DP over neutral blocks: ``reach[t][:, a]`` says that t
+    neutral blocks can follow a cut at a.  Taking the smallest reachable
+    cut at each step gives the lexicographically first cut sequence, as
+    ``_first_cut_sequence`` does; a clean word with none gets cuts of -1
+    (None).
+    """
+    m, n = letters.shape
+    block = np.zeros((m, n + 1, n + 1), dtype=bool)  # letters a+1..b neutral
+    clean = np.ones(m, dtype=bool)
+    degs = letters
+    for length in range(1, n + 1):
+        if length > 1:
+            degs = table[degs[:, :-1], letters[:, length - 1:]]
+        clean &= inside[degs].all(axis=1)
+        starts = np.arange(n - length + 1)
+        block[:, starts, starts + length] = degs == e
+
+    reach = [np.ones((m, n + 1), dtype=bool)]
+    for _ in range(r):
+        reach.append((block & reach[-1][:, None, :]).any(axis=2))
+    found = clean & reach[r].any(axis=1)
+    cuts = np.empty((m, r + 1), dtype=np.intp)
+    cuts[:, 0] = reach[r].argmax(axis=1)
+    rows = np.arange(m)
+    for j in range(1, r + 1):
+        cuts[:, j] = (block[rows, cuts[:, j - 1]] & reach[r - j]).argmax(axis=1)
+    cuts[~found] = -1
+    return Splits(~clean, cuts)
+
+
 def exhaustive_splits(monoid: Monoid, r: int, supp):
-    """``(letters, split, brute)`` for every word of length r*d over a table
-    monoid, in ``itertools.product(monoid.elements(), repeat=r*d)`` order.
+    """``(letters, split, brute)`` per chunk of the words of length r*d over
+    a table monoid, in ``itertools.product(monoid.elements(), repeat=r*d)``
+    order.
 
-    ``split`` and ``brute`` equal ``neutral_split`` and
-    ``neutral_split_bruteforce`` on ``DegreeWord(monoid, letters)``.  The
-    words are the leaves of a depth-first walk over the letter tree; pushing
-    letter k extends two separate states by one letter:
-
-    * the split's column of subproducts ending at k (its first entry is the
-      prefix degree b_k) and the prefix-degree buckets;
-    * the brute force's own column and the starts a whose block a+1..k is
-      neutral, appended to its ``neutral_after`` lists.
-
-    A column that leaves the support marks that side FORCED_ZERO for the
-    whole subtree.  Popping a letter undoes its pushes, so the walk holds
-    O((r*d)^2) state and never lists the words.
+    ``letters`` is a (words, r*d) array of at most ``_CHUNK`` rows;
+    ``split`` and ``brute`` are ``Splits`` whose verdicts equal
+    ``neutral_split`` and ``neutral_split_bruteforce`` on each word.  The
+    two sides are computed by separate functions from the letters alone, so
+    the brute force stays an independent twin of the split.
     """
     size = len(monoid.elements())
     supp = set(supp)
     n = r * len(supp)
     _check_split_args(r, supp, n)
+    # the narrowest dtype that holds every element id keeps the arrays small
+    table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
+    inside = np.isin(np.arange(size), list(supp))
     e = monoid.identity
-    # right[x](v) = v * x extends a column of subproducts by the letter x.
-    right = [tuple(row[x] for row in monoid.table).__getitem__ for x in range(size)]
-
-    word = [0] * n
-    split_cols = [[]] + [None] * n  # None once the split side escaped
-    buckets = {g: [] for g in range(size)}
-    brute_cols = [[]] + [None] * n  # None once the brute side escaped
-    brute_starts = [()] * (n + 1)
-    neutral_after = [[] for _ in range(n + 1)]
-    k = 0
-    while True:
-        while k < n:
-            x = word[k]
-            ext = right[x]
-            k += 1
-            col = split_cols[k - 1]
-            if col is not None:
-                col = [*map(ext, col), x]
-                if supp.issuperset(col):
-                    buckets[col[0]].append(k)
-                else:
-                    col = None
-            split_cols[k] = col
-            col = brute_cols[k - 1]
-            starts = ()
-            if col is not None:
-                col = [*map(ext, col), x]
-                if supp.issuperset(col):
-                    starts = [a for a, g in enumerate(col) if g == e]
-                    for a in starts:
-                        neutral_after[a].append(k)
-                else:
-                    col = None
-            brute_cols[k] = col
-            brute_starts[k] = starts
-
-        if split_cols[n] is None:
-            split = FORCED_ZERO
-        else:
-            cuts = _pigeonhole_cuts(buckets, e, r)
-            _require_neutral([split_cols[b][a] for a, b in zip(cuts, cuts[1:])], e)
-            split = Decomposition(cuts)
-        if brute_cols[n] is None:
-            brute = FORCED_ZERO
-        else:
-            cuts = _first_cut_sequence(neutral_after, n, r)
-            brute = None if cuts is None else Decomposition(cuts)
-        yield tuple(word), split, brute
-
-        # Pop letters up to the deepest one that can still be incremented.
-        while k:
-            col = split_cols[k]
-            if col is not None:
-                buckets[col[0]].pop()
-            for a in brute_starts[k]:
-                neutral_after[a].pop()
-            k -= 1
-            if word[k] + 1 < size:
-                word[k] += 1
-                break
-            word[k] = 0
-        else:
-            return
+    total = size**n
+    for lo in range(0, total, _CHUNK):
+        letters = _word_letters(lo, min(lo + _CHUNK, total), size, n).astype(table.dtype)
+        yield (letters, _split_batch(table, e, inside, letters, r),
+               _brute_batch(table, e, inside, letters, r))

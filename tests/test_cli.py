@@ -1,8 +1,10 @@
+import functools
 import itertools
 import json
 
 import pytest
 
+from gradednil import words
 from gradednil.cli import main
 from gradednil.monoid import Monoid
 from gradednil.specfile import (
@@ -300,6 +302,81 @@ def test_cli_oracle_exhaustive_matches_per_word_loop(capsys, n, supp, r):
     assert code == 0
     ids = {int(t) for t in supp.split(",")}
     assert out == _oracle_reference_stdout(Monoid.cyclic(n), ids, r)
+
+
+def _s3_spec():
+    """A spec holding the symmetric group S_3 as a table monoid;
+    (p*q)(i) = p(q(i)), the identity first."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = "  ".join(
+        " ".join(str(index[tuple(p[q[i]] for i in range(3))]) for q in perms)
+        for p in perms
+    )
+    return (f"[monoid]\nkind = table\nsize = 6\ntable = {table}\n\n"
+            "[ring]\ncoeff = fp 2\nrank = 1\nnames = b\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_reference_stdout(monoid, supp, r):
+    return _oracle_reference_stdout(monoid, supp, r)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+@pytest.mark.parametrize("case", ["cyclic", "s3"])
+def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeypatch,
+                                                       chunk, case):
+    # 4096 and 46656 words: batches of 7 or 1000 words end mid-run of the
+    # product order, and the output must not show where.
+    monkeypatch.setattr(words, "_CHUNK", chunk)
+    if case == "cyclic":
+        source, supp, r = ["--cyclic", "4"], "0,2", 3
+        monoid = Monoid.cyclic(4)
+    else:
+        path = _write(tmp_path, "s3.spec", _s3_spec())
+        source, supp, r = ["--file", path], "0,1,3", 2
+        monoid = parse_spec_text(_s3_spec()).monoid
+    code = main(["oracle", "lemma-3-5", *source, "--supp", supp, "--r", str(r),
+                 "--exhaustive"])
+    out = capsys.readouterr().out
+    assert code == 0
+    ids = frozenset(int(t) for t in supp.split(","))
+    assert out == _cached_reference_stdout(monoid, ids, r)
+
+
+def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
+    # A brute side that finds no cut sequence for the word 1 1 1 1 (word 15)
+    # gives one DISAGREE line in its place, and exit 1.
+    brute_batch = words._brute_batch
+
+    def lose_word_15(table, e, inside, letters, r):
+        out = brute_batch(table, e, inside, letters, r)
+        out.cuts[(letters == 1).all(axis=1)] = -1
+        return out
+
+    monkeypatch.setattr(words, "_brute_batch", lose_word_15)
+    code = main(["oracle", "lemma-3-5", "--cyclic", "2", "--supp", "0,1", "--r", "2",
+                 "--exhaustive"])
+    want = _oracle_reference_stdout(Monoid.cyclic(2), {0, 1}, 2).splitlines()
+    want[15] = "DISAGREE word=[1, 1, 1, 1] split=Decomposition(cuts=(0, 2, 4)) oracle=None"
+    want[16] = "disagreements: 1"
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == want
+
+
+IDEMPOTENT = "[ring]\ncoeff = fp {p}\nrank = 1\nsc = 0 0 0 1\n"
+
+
+@pytest.mark.parametrize("check_id,p", [("C3.28", 5), ("P3.17", 3)])
+def test_cli_verify_refuted_neutral_nil_index_is_not_applicable(tmp_path, capsys,
+                                                                 check_id, p):
+    # an idempotent is not nil, so the check's hypothesis fails: its verdict
+    # is NOT_APPLICABLE (exit 0), as T3.24's is, not CAPPED (exit 2)
+    path = _write(tmp_path, "idem.spec", IDEMPOTENT.format(p=p))
+    assert main(["verify", check_id, path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{check_id}: NOT_APPLICABLE\n")
+    assert "reason: neutral component is not nil\n" in out
 
 
 def test_cli_oracle_rejects_non_cancellative_monoid(tmp_path, capsys):

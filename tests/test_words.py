@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,8 @@ from gradednil.words import (
     Decomposition,
     DegreeWord,
     ProductVerdict,
+    SplitInternalError,
+    _split_batch,
     block_degrees,
     exhaustive_splits,
     neutral_split,
@@ -209,6 +212,15 @@ WALK_CASES = [
 ]
 
 
+def _unpack(batches):
+    """``(letters, split, brute)`` per word from the batches of
+    ``exhaustive_splits``, with each side's verdict as a per-word function
+    returns it."""
+    for letters, split, brute in batches:
+        for i, row in enumerate(letters.tolist()):
+            yield tuple(row), split.verdict(i), brute.verdict(i)
+
+
 @pytest.mark.parametrize(
     "monoid,supp,r", WALK_CASES,
     ids=[f"{m.size}-{sorted(s)}-r{r}" for m, s, r in WALK_CASES],
@@ -218,7 +230,7 @@ def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
     # neutral_split and neutral_split_bruteforce word by word.
     words = itertools.product(monoid.elements(), repeat=r * len(supp))
     split_count = 0
-    walk = exhaustive_splits(monoid, r, supp)
+    walk = _unpack(exhaustive_splits(monoid, r, supp))
     for got, letters in itertools.zip_longest(walk, words):
         w = DegreeWord(monoid, letters)
         want = (letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
@@ -262,7 +274,8 @@ def test_exhaustive_walk_matches_per_word_on_non_commuting_words():
     assert S3.op(1, 3) == 5 and S3.op(3, 1) == 2
     words = itertools.product(S3.elements(), repeat=8)
     clean = 0
-    for got, letters in itertools.zip_longest(exhaustive_splits(S3, 2, supp), words):
+    walk = _unpack(exhaustive_splits(S3, 2, supp))
+    for got, letters in itertools.zip_longest(walk, words):
         if supp.issuperset(letters):
             w = DegreeWord(S3, letters)
             want = (letters, neutral_split(w, 2, supp), neutral_split_bruteforce(w, 2, supp))
@@ -271,3 +284,30 @@ def test_exhaustive_walk_matches_per_word_on_non_commuting_words():
             want = (letters, ProductVerdict.FORCED_ZERO, ProductVerdict.FORCED_ZERO)
         assert got == want
     assert clean == 2304
+
+
+def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
+    # 1*0 = 1*1: not left cancellative, so a pigeonholed block can be
+    # non-neutral; the oracle command rejects this monoid up front.
+    nc = Monoid.from_table([[0, 1], [1, 1]])
+    table = np.array(nc.table)
+    inside = np.ones(2, dtype=bool)
+    words = list(itertools.product(range(2), repeat=4))
+    raises = []
+    for letters in words:
+        try:
+            neutral_split(DegreeWord(nc, letters), 2, {0, 1})
+            per_word = False
+        except SplitInternalError:
+            per_word = True
+        try:
+            _split_batch(table, nc.identity, inside, np.array([letters]), 2)
+            batched = False
+        except SplitInternalError:
+            batched = True
+        assert batched == per_word, letters
+        raises.append(per_word)
+    assert 0 < sum(raises) < len(words)
+    # a batch holding one such word raises as a whole
+    with pytest.raises(SplitInternalError, match=r"word \[0, 1, 0, 1\]"):
+        _split_batch(table, nc.identity, inside, np.array(words), 2)
