@@ -6,13 +6,21 @@ element with x^(d-1) != 0 makes d exact.  The basis and a fixed-seed batch
 of random elements are tried: by Schwartz-Zippel (J. ACM 27(4), 1980) a
 random element over F_q misses with probability at most (d-1)/q when
 x^(d-1) is a nonzero polynomial in its coordinates.
-When the chain does not decide: enumeration of every element (finite
-domains within the cap), then symbolic expansion of the power of a general
-element in commuting indeterminates, then seeded sampling.  Enumeration
-multiplies rows in batches with ``kernel.mul_rows``, exact at every
-modulus; over the rationals rows are multiplied one at a time with
-``Ring.mul_coords``.  A symbolic proof is valid over every domain; a
-symbolic non-vanishing only refutes over the rationals.
+When the chain does not decide whether the ring is nil: enumeration of
+every element (finite domains within the cap), then seeded sampling.
+Enumeration multiplies rows in batches with ``kernel.mul_rows``, exact at
+every modulus.
+When no tried element fixes the bounded nil index, it comes from the
+powers of a general element x = sum_j t_j b_j in commuting indeterminates,
+expanded by a sparse numpy scatter.  Over F_p a map F_p^n -> F_p is a
+unique polynomial with every exponent below p (Lidl & Niederreiter, Finite
+Fields, 1997), so exponents are reduced by t^p = t: the first vanishing
+power is the exact nil index, found within d - 1 products when R^d = 0,
+and a power that survives is refuted at a witness point.  Over Q the
+unreduced expansion is exact too.  Over Z/m it only bounds the index from
+above, so enumeration remains there, within the element cap, and goes
+first; over F_p it remains only for a ring whose power chain does not
+reach zero.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
 """
@@ -29,7 +37,15 @@ import numpy as np
 from .grading import GradedRing, component_indices, neutral_ring, support
 from .kernel import kernel_dtype, mul_rows
 from .monoid import element_order
-from .ringcore import DEFAULT_ELEM_CAP, Element, PowerChainError, Ring, power_chain
+from .ringcore import (
+    DEFAULT_ELEM_CAP,
+    FP,
+    ZMOD,
+    Element,
+    PowerChainError,
+    Ring,
+    power_chain,
+)
 
 DEFAULT_POWER_CAP = 512
 DEFAULT_SAMPLES = 10**4
@@ -218,48 +234,114 @@ def ring_is_nil(
 
 
 # ---------------------------------------------------------------------------
-# Symbolic expansion of the general element.
+# Symbolic expansion of the general element by a sparse scatter.
 
 
-def _sym_general(ring):
-    gen = {}
-    for t in range(ring.rank):
-        mono = [0] * ring.rank
-        mono[t] = 1
-        gen[tuple(mono)] = ring.basis_element(t).coords
-    return gen
+class SymbolicInternalError(RuntimeError):
+    """A witness read off a surviving reduced power has a zero power; the
+    reduction makes this impossible, so it indicates an implementation bug."""
 
 
-def _sym_mul(ring, A, B):
-    dom = ring.coeff
-    out = {}
-    for ma, va in A.items():
-        for mb, vb in B.items():
-            vc = ring.mul_coords(va, vb)
-            if all(dom.is_zero(c) for c in vc):
+def _merge(parts, m):
+    """Join (exps, coefs) parts, sum the coefficient columns of equal
+    exponent rows, reduce them mod m (None over Q) and drop the zero ones."""
+    exps = np.concatenate([e for e, _ in parts])
+    coefs = np.concatenate([c for _, c in parts], axis=1)
+    if not len(exps):
+        return exps, coefs
+    keys = exps.view(np.dtype((np.void, exps.shape[1] * exps.itemsize))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    coefs = np.add.reduceat(coefs[:, order], starts, axis=1)
+    if m is not None:
+        coefs %= m
+    live = (coefs != 0).any(axis=0)
+    return exps[order[starts[live]]], coefs[:, live]
+
+
+def _general_powers(r: Ring, last):
+    """Yield x, x^2, ..., x^last of the general element x = sum_j t_j b_j,
+    stopping after the first zero power.
+
+    A power is (exps, coefs): row n of ``exps`` holds a monomial's exponents
+    in t_0 .. t_{rank-1} and column n of ``coefs`` its nonzero coefficient
+    vector.  Over F_p every exponent e >= 1 is reduced to ((e-1) mod (p-1))
+    + 1, since t^p = t as a function on F_p; reduction is a ring map, so the
+    result is the unique reduced polynomial of the map a -> a^s.  Over Z/m
+    and Q the expansion is not reduced.
+
+    Each step multiplies by x from the right, one basis index j at a time:
+    through each constant b_i b_j = c b_k + ..., coefficient k gains
+    coefficient i times c, and exponent j rises by one.  Blocks are merged
+    into the next power whenever they hold as many monomials as the current
+    one, so the working set stays near monomials x rank.  Coefficients use
+    ``kernel_dtype``: a block's target sums as many reduced terms as
+    ``mul_rows`` does, and a merge sums at most 2 rank + 1 values below m.
+    """
+    dom, rank = r.coeff, r.rank
+    m = dom.modulus
+    # an exponent reaches p only at powers past p - 1
+    wrap = m if dom.kind == FP and m <= last else None
+    dtype = kernel_dtype(r) if dom.finite else object
+    by_right = {}
+    for (i, j), terms in r.sc.items():
+        for k, c in terms.items():
+            by_right.setdefault(j, []).append((i, k, c))
+    exps = np.eye(rank, dtype=np.min_scalar_type(last))
+    coefs = np.eye(rank, dtype=dtype)
+    for _ in range(last - 1):
+        yield exps, coefs
+        parts, pending = [(exps[:0], coefs[:, :0])], 0
+        for j, terms in sorted(by_right.items()):
+            block = np.zeros_like(coefs)
+            for i, k, c in terms:
+                block[k] += coefs[i] if c == 1 else coefs[i] * c
+            if m is not None:
+                block %= m
+            live = (block != 0).any(axis=0)
+            if not live.any():
                 continue
-            key = tuple(x + y for x, y in zip(ma, mb))
-            cur = out.get(key)
-            if cur is None:
-                out[key] = vc
-            else:
-                summed = tuple(dom.add(a, b) for a, b in zip(cur, vc))
-                if all(dom.is_zero(c) for c in summed):
-                    del out[key]
-                else:
-                    out[key] = summed
-    return out
+            shifted = exps[live]
+            shifted[:, j] += 1
+            if wrap is not None:
+                shifted[shifted[:, j] == wrap, j] = 1
+            parts.append((shifted, block[:, live]))
+            pending += len(shifted)
+            if pending >= len(exps):
+                parts, pending = [_merge(parts, m)], 0
+        exps, coefs = _merge(parts, m)
+        if not len(exps):
+            break
+    yield exps, coefs
 
 
-def symbolic_power(ring: Ring, s: int):
-    """Coefficient vectors of the s-th power of the general element."""
-    if s < 1:
-        raise ValueError("exponent must be >= 1")
-    gen = _sym_general(ring)
-    cur = gen
-    for _ in range(s - 1):
-        cur = _sym_mul(ring, cur, gen)
-    return cur
+def _nonzero_point(r: Ring, exps, coefs, values):
+    """A point where the nonzero polynomial (exps, coefs) is nonzero.
+
+    Fixes t_0, t_1, ... in turn to the first of ``values`` that leaves a
+    nonzero polynomial.  Over F_p with reduced exponents, and over Q, one of
+    any deg + 1 distinct values does (a nonzero univariate coefficient has
+    at most deg roots), so ``values`` needs one more than the degree.
+    """
+    m = r.coeff.modulus
+    point = []
+    for j in range(r.rank):
+        col = exps[:, j]
+        rest = exps.copy()
+        rest[:, j] = 0
+        for v in values:
+            powers = np.array([pow(v, e, m) for e in range(int(col.max()) + 1)],
+                              dtype=coefs.dtype)
+            scaled = coefs * powers[col]
+            if m is not None:
+                scaled %= m
+            sub_e, sub_c = _merge([(rest, scaled)], m)
+            if len(sub_e):
+                break
+        point.append(v)
+        exps, coefs = sub_e, sub_c
+    return r.element(point)
 
 
 def nil_bounded_index(
@@ -272,12 +354,14 @@ def nil_bounded_index(
     """Smallest s with a^s = 0 for every element.
 
     ``enum`` takes the maximum element nil index over an exhaustive
-    enumeration (finite domains).  ``symbolic`` expands the general element
-    in commuting indeterminates and returns the smallest exponent up to
-    ``candidate`` whose power vanishes identically; vanishing proves the
-    bound over any domain, while a surviving coefficient refutes the
-    candidate only over the rationals (REFUTED there, CAPPED on finite
-    domains where pointwise vanishing is still possible).
+    enumeration (finite domains).  ``symbolic`` expands the powers of the
+    general element with ``_general_powers`` and returns the smallest
+    exponent up to ``candidate`` whose power vanishes.  Over F_p (reduced
+    exponents) and Q that exponent is exact, and a surviving monomial at
+    ``candidate`` is REFUTED with a witness a, a^candidate != 0.  Over Z/m
+    the expansion is not reduced: a vanishing power bounds the index from
+    above, and a surviving monomial is CAPPED, since pointwise vanishing is
+    still possible.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, index=1, note="zero ring")
@@ -303,26 +387,34 @@ def nil_bounded_index(
     if mode == "symbolic":
         if candidate is None:
             raise ValueError("symbolic mode needs a candidate exponent")
-        gen = _sym_general(r)
-        cur = gen
-        s = 1
-        while True:
-            if not cur:
-                return NilVerdict(Status.PROVED, index=s, note="symbolic expansion")
-            if s >= candidate:
-                mono = min(cur)
-                if r.coeff.finite:
-                    return NilVerdict(
-                        Status.CAPPED,
-                        note=f"general element power {candidate} has surviving "
-                        f"monomial {mono}; pointwise vanishing not excluded",
-                    )
-                return NilVerdict(
-                    Status.REFUTED,
-                    note=f"candidate {candidate} refuted: monomial {mono} survives",
-                )
-            cur = _sym_mul(r, cur, gen)
-            s += 1
+        dom = r.coeff
+        note = "symbolic expansion"
+        if dom.kind == FP:
+            note += f" reduced by t^{dom.modulus} = t"
+        for s, (exps, coefs) in enumerate(_general_powers(r, candidate), 1):
+            if not len(exps):
+                return NilVerdict(Status.PROVED, index=s, note=note)
+        mono = min(map(tuple, exps.tolist()))
+        if dom.kind == ZMOD:
+            return NilVerdict(
+                Status.CAPPED,
+                note=f"general element power {candidate} has surviving "
+                f"monomial {mono}; pointwise vanishing not excluded",
+            )
+        top = min(dom.modulus, candidate + 1) if dom.finite else candidate + 1
+        w = _nonzero_point(r, exps, coefs, range(top))
+        acc = w
+        for _ in range(candidate - 1):
+            acc = acc * w
+        if acc.is_zero():
+            raise SymbolicInternalError(
+                f"power {candidate} of the witness {w!r} is zero, but monomial "
+                f"{mono} survives"
+            )
+        return NilVerdict(
+            Status.REFUTED, witness=w,
+            note=f"candidate {candidate} refuted: monomial {mono} survives",
+        )
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -366,16 +458,27 @@ def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
 def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
                            power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
-    """The power-chain certificate, else enumeration when feasible, else a
-    symbolic proof.  The verdict is kept on the ring per cap triple, so
-    every caller with the same caps shares one computation."""
+    """The power-chain certificate; over F_p with R^d = 0, the reduced
+    symbolic expansion up to d; else enumeration when feasible; else the
+    symbolic expansion up to ``symbolic_cap``.  That last one refutes only
+    the cap, so its REFUTED stands for "not nil" only when the chain ends
+    nonzero (a nil finite-rank algebra over a field is nilpotent), and is
+    CAPPED while the chain runs past ``power_cap``.  The verdict is kept on
+    the ring per cap triple, so every caller with the same caps shares one
+    computation."""
     key = (elem_cap, power_cap, symbolic_cap)
     if key not in r._nil_index:
         verdict = _certified_index(r, power_cap)
+        nd = nilpotency_index(r, cap=power_cap)
+        if verdict is None and nd.proved and r.coeff.kind == FP:
+            # x^d vanishes, so the expansion ends within d - 1 products
+            verdict = nil_bounded_index(r, "symbolic", candidate=nd.index)
         if verdict is None and r.coeff.finite and r.element_count() <= elem_cap:
             verdict = nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
         elif verdict is None:
             verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
+            if verdict.status == Status.REFUTED and nd.status == Status.CAPPED:
+                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; {verdict.note}")
         r._nil_index[key] = verdict
     return r._nil_index[key]
 

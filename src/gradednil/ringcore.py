@@ -43,11 +43,35 @@ class RingMismatchError(ValueError):
     """Operands belong to different rings."""
 
 
+# Miller-Rabin with the prime bases up to 37 decides primality exactly below
+# this bound, the least strong pseudoprime to all of them (Sorenson &
+# Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(n):
+    """Exact primality: deterministic Miller-Rabin below ``_MR_EXACT_BELOW``,
+    trial division above it."""
     if n < 2:
         return False
-    for p in range(2, int(math.isqrt(n)) + 1):
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    if n >= _MR_EXACT_BELOW:
+        return all(n % f for f in range(41, math.isqrt(n) + 1, 2))
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

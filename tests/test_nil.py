@@ -28,7 +28,6 @@ from gradednil.nil import (
     nilpotency_index,
     ring_is_nil,
     s_nil_check,
-    symbolic_power,
 )
 from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
@@ -122,8 +121,14 @@ def test_bounded_index_symbolic_refuted_over_q():
     assert "monomial" in v.note
 
 
-def test_bounded_index_symbolic_capped_on_finite():
+def test_bounded_index_symbolic_refuted_with_witness_over_fp():
+    # x^3 = t^3 b reduces to t b over F_2, nonzero at t = 1: b^3 = b
     v = nil_bounded_index(idempotent_ring(fp(2)), "symbolic", candidate=3)
+    assert v.status == Status.REFUTED
+    assert v.witness.coords == (1,)
+    assert element_nil_index(v.witness).status == Status.REFUTED
+    # unreduced over Z/4, a surviving monomial may still vanish pointwise
+    v = nil_bounded_index(idempotent_ring(zmod(4)), "symbolic", candidate=3)
     assert v.status == Status.CAPPED
 
 
@@ -138,8 +143,10 @@ def test_enum_and_symbolic_agree_on_finite_domains():
 
 def test_symbolic_power_vanishes_grassmann():
     r = grassmann_star(2, rat()).ring
-    assert symbolic_power(r, 2) == {}
-    assert symbolic_power(r, 1) != {}
+    (e1, c1), (e2, c2) = nil._general_powers(r, 4)
+    assert sym_dict(e1, c1) == {(1, 0, 0): (1, 0, 0), (0, 1, 0): (0, 1, 0),
+                                (0, 0, 1): (0, 0, 1)}
+    assert sym_dict(e2, c2) == {}
 
 
 @pytest.mark.parametrize("n, expected", [(3, 3), (4, 4), (5, 5)])
@@ -246,6 +253,19 @@ def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
     assert other.proved and other.index == first.index == 2
 
 
+@pytest.mark.parametrize("dom", [fp(2), rat()], ids=["f2", "q"])
+def test_bounded_auto_keeps_a_capped_chain_capped(dom):
+    # sut(6) has nil index 6: x^3 != 0 refutes a symbolic cap of 3, not
+    # nil-ness, while the power chain runs past its cap
+    v = bounded_nil_index_auto(sut(6, dom).ring, elem_cap=1, power_cap=2, symbolic_cap=3)
+    assert v.status == Status.CAPPED
+    assert v.note.startswith("power chain longer than power_cap 2; candidate 3 refuted")
+    # a chain that ends nonzero proves the ring not nil, so REFUTED stands
+    v = bounded_nil_index_auto(idempotent_ring(dom), elem_cap=1, symbolic_cap=3)
+    assert v.status == Status.REFUTED
+    assert element_nil_index(v.witness).status == Status.REFUTED
+
+
 def test_homogeneous_power_report_uses_the_callers_power_cap():
     gr = elementary_grading(two_z_2k(3), 2)
     rep = homogeneous_power_report(gr, power_cap=1)
@@ -296,7 +316,112 @@ def test_certificate_silent_on_d4_ring():
     assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
     v = bounded_nil_index_auto(r)
     assert v.proved and v.index == 3
-    assert v.note == "exhaustive over 64 elements"
+    assert v.note == "symbolic expansion reduced by t^2 = t"
+
+
+def test_d4_ring_symbolic_index_is_exact():
+    # unreduced, x^3 survives and the index read 4; reduced by t^2 = t it
+    # is 3, as enumeration says, on every path
+    r = d4_ring()
+    assert nil_bounded_index(r, "enum").index == 3
+    v = nil_bounded_index(r, "symbolic", candidate=8)
+    assert v.proved and v.index == 3
+    assert bounded_nil_index_auto(r, elem_cap=32).index == 3
+    low = nil_bounded_index(r, "symbolic", candidate=2)
+    assert low.status == Status.REFUTED
+    assert element_nil_index(low.witness).index == 3
+
+
+# ---------------------------------------------------------------------------
+# The symbolic scatter against enumeration and the dict expansion it replaced.
+
+
+def sym_dict(exps, coefs):
+    """A scatter power as {exponents: coefficient vector}."""
+    return {tuple(int(v) for v in e): tuple(int(v) if isinstance(v, np.integer) else v
+                                            for v in c)
+            for e, c in zip(exps, coefs.T)}
+
+
+def sym_powers_reference(ring, last):
+    """x, x^2, ..., x^last as dicts, by the dict expansion the scatter
+    replaced: one ``mul_coords`` per pair of monomials, Python integers or
+    Fractions throughout, exponents reduced by t^p = t over F_p."""
+    dom = ring.coeff
+
+    def reduce(e):
+        return e if dom.kind != "fp" or e < dom.modulus else (e - 1) % (dom.modulus - 1) + 1
+
+    gen = {tuple(int(t == j) for t in range(ring.rank)): ring.basis_element(j).coords
+           for j in range(ring.rank)}
+    cur, out = gen, [gen]
+    for _ in range(last - 1):
+        nxt = {}
+        for ma, va in cur.items():
+            for mb, vb in gen.items():
+                key = tuple(reduce(x + y) for x, y in zip(ma, mb))
+                prev = nxt.get(key, (dom.zero(),) * ring.rank)
+                nxt[key] = tuple(dom.add(a, b) for a, b in zip(prev, ring.mul_coords(va, vb)))
+        cur = {k: v for k, v in nxt.items() if any(v)}
+        out.append(cur)
+        if not cur:
+            break
+    return out
+
+
+def scatter_dicts(ring, last):
+    return [sym_dict(e, c) for e, c in nil._general_powers(ring, last)]
+
+
+@given(nilpotent_rings(domains=(zmod(4), zmod(6), rat())))
+@settings(max_examples=40, deadline=None)
+def test_unreduced_scatter_matches_dict_expansion(r):
+    assert scatter_dicts(r, 6) == sym_powers_reference(r, 6)
+
+
+@given(nilpotent_rings(domains=(fp(2**61 - 1), zmod(2**63 - 25))))
+@settings(max_examples=30, deadline=None)
+def test_scatter_matches_python_integers_near_int64_limit(r):
+    # the constant -1 becomes m - 1, so products run far past int64
+    assert scatter_dicts(r, 6) == sym_powers_reference(r, 6)
+
+
+def test_scatter_in_int64_at_the_kernel_bound():
+    # the D4 ring with every constant -1 over the largest prime below 2^30:
+    # V receives 8 terms of up to (p-1)^2, so the scatter runs in int64 with
+    # sums just below 2^63
+    p = 1073741789
+    r = d4_ring()
+    r = Ring(fp(p), r.names, {ij: {k: -1 for k in t} for ij, t in r.sc.items()})
+    assert kernel.kernel_dtype(r) is np.int64
+    assert scatter_dicts(r, 4) == sym_powers_reference(r, 4)
+
+
+@given(nilpotent_rings(domains=(fp(2), fp(3), fp(5))))
+@settings(max_examples=60, deadline=None)
+def test_reduced_scatter_matches_enumeration(r):
+    assume(r.element_count() <= 5**5)
+    enum = nil_bounded_index(r, "enum")
+    sym = nil_bounded_index(r, "symbolic", candidate=nilpotency_index(r).index)
+    assert sym.proved and sym.index == enum.index
+    assert bounded_nil_index_auto(r).index == enum.index
+    if enum.index > 1:
+        low = nil_bounded_index(r, "symbolic", candidate=enum.index - 1)
+        assert low.status == Status.REFUTED
+        assert element_nil_index(low.witness).index == enum.index
+    # each reduced power is the map a -> a^s, point by point
+    powers = scatter_dicts(r, enum.index)
+    assert powers == sym_powers_reference(r, enum.index)
+    dom = r.coeff
+    for a in itertools.islice(r.elements(), 125):
+        acc = a
+        for poly in powers:
+            value = [0] * r.rank
+            for mono, vec in poly.items():
+                w = math.prod(pow(x, e, dom.modulus) for x, e in zip(a.coords, mono))
+                value = [(v + w * c) % dom.modulus for v, c in zip(value, vec)]
+            assert tuple(value) == acc.coords
+            acc = acc * a
 
 
 def test_certificate_decides_m2_grassmann2_f3():

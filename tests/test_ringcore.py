@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednil import ringcore
 from gradednil.ringcore import (
     AssociativityError,
     PowerChainError,
@@ -46,6 +48,30 @@ def test_domain_parsing_and_validation():
         fp(6)
     with pytest.raises(ValueError):
         zmod(1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if ringcore._is_prime(n) != trial(n)] == []
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to every prime base up to 31
+    43 * 10**23,  # past the Miller-Rabin bound: trial division finds 43
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not ringcore._is_prime(n)
+
+
+def test_fp_accepts_moduli_near_the_int64_limit():
+    # trial division to sqrt(2^61 - 1) did not finish; Miller-Rabin is instant
+    assert fp(2**61 - 1).modulus == 2**61 - 1
+    assert fp(2**63 - 25).modulus == 2**63 - 25
+    with pytest.raises(ValueError, match="not prime"):
+        fp(2**63 - 1)
 
 
 def test_sut3_matrix_units_multiply():
