@@ -3,10 +3,11 @@
 The commutation factor of a pair (a, b) is a semigroup element f(a, b) acting
 on the ring from the left; the pair commutes up to f when a*b equals f(a, b)
 acting on b*a.  Scalar actions (the multiplicative semigroup of the
-coefficient domain) cover every construction in this package; block-scalar
-actions scale disjoint basis blocks independently and realize the diagonal
-lift onto the neutral component of a 2x2 matrix grading.  Explicit table
-semigroups with a per-basis action map are supported for small cases.
+coefficient domain) cover every construction in this package.  Explicit
+table semigroups with a per-basis action map are supported for small cases.
+The diagonal lift onto the neutral component of a 2x2 matrix grading needs no
+machinery of its own: that component is R x R, so the lift holds exactly when
+the check on R does (see ``lift_f_to_diagonal``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .grading import elementary_grading, neutral_ring
 from .nil import Status
 from .ringcore import Element, Ring
 
@@ -55,7 +55,6 @@ class SemigroupTable:
 
 
 SCALAR = "scalar"
-BLOCK_SCALAR = "block-scalar"
 TABLE = "table"
 
 
@@ -63,8 +62,6 @@ class Action:
     """A left semigroup action on a ring.
 
     * ``scalar``: the coefficient domain acts by scalar multiplication.
-    * ``block-scalar``: tuples of scalars, one per basis block, scale the
-      blocks independently; the blocks must partition the basis.
     * ``table``: an explicit SemigroupTable with ``act_map[(s, t)]`` giving
       the coordinates of s acting on basis vector t; extended linearly.
 
@@ -72,25 +69,12 @@ class Action:
     the ring product, are validated on construction.
     """
 
-    def __init__(self, kind, ring: Ring, blocks=None, semigroup=None, act_map=None,
-                 check=True):
+    def __init__(self, kind, ring: Ring, semigroup=None, act_map=None, check=True):
         self.kind = kind
         self.ring = ring
-        self.blocks = None
         self.semigroup = semigroup
         self.act_map = act_map
-        if kind == BLOCK_SCALAR:
-            if not blocks:
-                raise ActionLawError("block-scalar action needs basis blocks")
-            flat = [t for blk in blocks for t in blk]
-            if sorted(flat) != list(range(ring.rank)):
-                raise ActionLawError("blocks must partition the basis indices")
-            self.blocks = tuple(tuple(sorted(blk)) for blk in blocks)
-            self._block_of = {}
-            for bi, blk in enumerate(self.blocks):
-                for t in blk:
-                    self._block_of[t] = bi
-        elif kind == TABLE:
+        if kind == TABLE:
             if semigroup is None or act_map is None:
                 raise ActionLawError("table action needs a semigroup and an act map")
         elif kind != SCALAR:
@@ -101,9 +85,6 @@ class Action:
     def sg_op(self, x, y):
         if self.kind == SCALAR:
             return self.ring.coeff.mul(x, y)
-        if self.kind == BLOCK_SCALAR:
-            dom = self.ring.coeff
-            return tuple(dom.mul(a, b) for a, b in zip(x, y))
         return self.semigroup.op(x, y)
 
     def act_coords(self, s, coords):
@@ -111,11 +92,6 @@ class Action:
         if self.kind == SCALAR:
             s = dom.normalize(s)
             return tuple(dom.mul(s, c) for c in coords)
-        if self.kind == BLOCK_SCALAR:
-            return tuple(
-                dom.mul(dom.normalize(s[self._block_of[t]]), c)
-                for t, c in enumerate(coords)
-            )
         out = [dom.zero()] * self.ring.rank
         for t, c in enumerate(coords):
             if dom.is_zero(c):
@@ -136,13 +112,6 @@ class Action:
             if dom.finite and dom.size <= 64:
                 return [dom.normalize(v) for v in dom.elements()]
             return [dom.normalize(v) for v in (0, 1, -1, 2, -2)]
-        if self.kind == BLOCK_SCALAR:
-            scal = (
-                [dom.normalize(v) for v in dom.elements()]
-                if dom.finite and dom.size ** len(self.blocks) <= 64
-                else [dom.normalize(v) for v in (0, 1, -1, 2)]
-            )
-            return list(itertools.product(scal, repeat=len(self.blocks)))[:64]
         return list(range(self.semigroup.size))
 
     def _validate(self):
@@ -181,24 +150,20 @@ def scalar_action(ring: Ring) -> Action:
 CONSTANT = "constant"
 SCALAR_RULE = "scalar-rule"
 PAIR_TABLE = "pair-table"
-FUNC = "func"
 
 
 class FMap:
     """A pairwise commutation-factor map into an action's semigroup."""
 
-    def __init__(self, kind, value=None, rule=None, func=None, label=""):
+    def __init__(self, kind, value=None, rule=None, label=""):
         self.kind = kind
         self.value = value
         self.rule = rule
-        self.func = func
         self.label = label
         if kind == CONSTANT and value is None:
             raise ValueError("constant map needs a value")
         if kind in (SCALAR_RULE, PAIR_TABLE) and rule is None:
             raise ValueError("rule map needs a pair table")
-        if kind == FUNC and func is None:
-            raise ValueError("func map needs a callable")
 
     @classmethod
     def constant(cls, value):
@@ -211,8 +176,6 @@ class FMap:
     def at_coords(self, ca, cb):
         if self.kind == CONSTANT:
             return self.value
-        if self.kind == FUNC:
-            return self.func(ca, cb)
         try:
             return self.rule[(ca, cb)]
         except KeyError:
@@ -225,8 +188,6 @@ class FMap:
         return self.kind == CONSTANT
 
     def __eq__(self, other):
-        if self.kind == FUNC:
-            return self is other
         return (
             isinstance(other, FMap)
             and self.kind == other.kind
@@ -322,8 +283,8 @@ def check_f_commutative(
 def _basis_certificate(r, f, act, variant=STANDARD) -> PairVerdict:
     """Decide commutation up to a constant factor on basis pairs alone.
 
-    Every action here is linear (scalars, block scalars, and table images
-    extended linearly), so for a constant f both a*b - f.(b*a) and
+    Every action here is linear (scalars, and table images extended
+    linearly), so for a constant f both a*b - f.(b*a) and
     a*b - (f.b)*a are bilinear in (a, b): they vanish on all pairs exactly
     when they vanish on the pairs (b_i, b_j).  The witness of a refutation is
     the first failing basis pair.
@@ -477,53 +438,12 @@ def rewrite_identity_check(
     )
 
 
-@dataclass
-class DiagonalLift:
-    """The neutral component of the 2x2 elementary grading, with lifted data."""
+def lift_f_to_diagonal(base: PairVerdict) -> PairVerdict:
+    """The lift of f to the diagonal of the 2x2 matrices over R, given the
+    verdict ``base`` that R commutes up to f.
 
-    graded: object
-    neutral: Ring
-    neutral_indices: list
-    fmap: FMap
-    action: Action
-    verdict: PairVerdict
-
-
-def lift_f_to_diagonal(
-    f: FMap, act: Action, r: Ring, n=2, pair_cap=10**6, samples=10**4, seed=0
-) -> DiagonalLift:
-    """Lift a commutation factor to diagonal matrices, componentwise.
-
-    Builds the elementary Z_2 grading of the 2x2 matrix ring, realizes the
-    lifted factor on the neutral (diagonal) component as the pair
-    (f(a, c), f(b, d)) acting blockwise, and re-checks commutation up to the
-    lift there.  A constant f = l lifts to the constant block scalar (l, l),
-    which ``check_f_commutative`` decides on basis pairs; any other f lifts
-    to a pointwise map.  Only scalar base actions are supported; a general
-    table action would need the full pair semigroup.
+    The diagonal is R x R as a ring and the lifted factor (f(a, c), f(b, d))
+    acts componentwise, so ((a, b), (c, d)) commutes up to the lift exactly
+    when (a, c) and (b, d) commute up to f: the lift has the base status.
     """
-    if n != 2:
-        raise ValueError("the diagonal lift is built for 2x2 matrices")
-    if act.kind != SCALAR:
-        raise ActionLawError("diagonal lift needs a scalar base action")
-    gr = elementary_grading(r, 2)
-    m0, idx = neutral_ring(gr)
-    rank = r.rank
-    blocks = [tuple(range(rank)), tuple(range(rank, 2 * rank))]
-    # The diagonal is R x R, so scalars act blockwise and both action laws
-    # hold by construction; the blocks are still checked to partition.
-    lifted_act = Action(BLOCK_SCALAR, m0, blocks=blocks, check=False)
-
-    if f.is_constant():
-        lifted_f = FMap.constant((f.value, f.value))
-    else:
-        def lifted(ca, cb):
-            a, b = ca[:rank], ca[rank:]
-            c, d = cb[:rank], cb[rank:]
-            return (f.at_coords(a, c), f.at_coords(b, d))
-
-        lifted_f = FMap(FUNC, func=lifted, label=f"diagonal lift of {f.label or f.kind}")
-    verdict = check_f_commutative(
-        m0, lifted_f, lifted_act, pair_cap=pair_cap, samples=samples, seed=seed
-    )
-    return DiagonalLift(gr, m0, idx, lifted_f, lifted_act, verdict)
+    return base

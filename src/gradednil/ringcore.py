@@ -13,7 +13,6 @@ Python integers or Fractions, so they are exact at every modulus.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,23 +42,24 @@ class RingMismatchError(ValueError):
     """Operands belong to different rings."""
 
 
-# Miller-Rabin with the prime bases up to 37 decides primality exactly below
+# Miller-Rabin with the prime bases up to 41 decides primality exactly below
 # this bound, the least strong pseudoprime to all of them (Sorenson &
-# Webster, Math. Comp. 86, 2017).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
+# Webster, Math. Comp. 86, 2017).  No exact test is made at or above it.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def _is_prime(n):
-    """Exact primality: deterministic Miller-Rabin below ``_MR_EXACT_BELOW``,
-    trial division above it."""
+    """Exact primality: a small prime factor decides it at any size, else
+    deterministic Miller-Rabin below ``_MR_EXACT_BELOW``; past that bound
+    ``ValueError``."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= _MR_EXACT_BELOW:
-        return all(n % f for f in range(41, math.isqrt(n) + 1, 2))
+        raise ValueError(f"primality is decided only below {_MR_EXACT_BELOW}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -86,6 +86,11 @@ class CoeffDomain:
             if modulus is None or modulus < 2:
                 raise ValueError("zmod modulus must be >= 2")
         elif kind == FP:
+            if modulus is not None and modulus >= _MR_EXACT_BELOW:
+                raise ValueError(
+                    f"fp modulus {modulus} is not below {_MR_EXACT_BELOW}, "
+                    "the bound below which primality is decided exactly"
+                )
             if modulus is None or not _is_prime(modulus):
                 raise ValueError(f"fp modulus {modulus!r} is not prime")
         elif kind == RAT:

@@ -120,9 +120,9 @@ def test_cli_report_m2_two_z8(tmp_path, capsys):
 
 
 def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
-    # The diagonal component (rank 16, 3^16 elements) is past the element cap
-    # while the base ring (3^8 elements) is enumerated; a sampled verdict on
-    # one and an exhaustive one on the other must not read as a failure.
+    # T3.26 takes the diagonal nil index from the base ring (3^8 elements),
+    # so no verdict is made on the diagonal component (3^16 elements); the
+    # 2x2 matrices (3^32 elements) are certified past the element cap.
     spec = str(tmp_path / "n.spec")
     assert main(["zoo", "truncated-nagata", "--k", "2", "--p", "3", "--out", spec]) == 0
     code = main(["report", spec, "--json"])
@@ -137,8 +137,8 @@ def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
 
 
 def test_cli_report_grassmann3_f5_lift_is_proved(tmp_path, capsys):
-    # The constant factor 1 on the neutral component lifts to the constant
-    # block scalar (1, 1): the diagonal check is a basis-pair proof, where
+    # The constant factor 1 on the neutral component is proved on basis
+    # pairs, and the diagonal is R x R, so the lift is proved with it, where
     # the 5^6 elements of the diagonal component once left a capped sample.
     # The generator count dim R/R^2 = 3 decides T3.19 and T3.20, where the
     # element-subset search once gave up.
@@ -183,6 +183,14 @@ def test_cli_input_error_exit_3(tmp_path, capsys):
     assert code == 3
     path2 = str(tmp_path / "missing.spec")
     assert main(["analyze", path2]) == 3
+
+
+def test_cli_fp_modulus_past_the_primality_bound_exits_3(tmp_path, capsys):
+    # 2^89 - 1 is prime, but past the bound where Miller-Rabin is exact
+    text = f"[ring]\ncoeff = fp {2**89 - 1}\nrank = 1\nnames = b\nsc = 0 0 0 0\n"
+    path = _write(tmp_path, "big.spec", text)
+    assert main(["analyze", path]) == 3
+    assert "3317044064679887385961981" in capsys.readouterr().err
 
 
 def test_cli_unknown_check_id(tmp_path):

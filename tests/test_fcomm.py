@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from gradednil.fcomm import (
     Action,
     ActionLawError,
-    BLOCK_SCALAR,
     FMap,
     FMapDomainError,
     SCALAR,
@@ -23,7 +22,8 @@ from gradednil.fcomm import (
     scalar_action,
     scalar_f_search,
 )
-from gradednil.nil import Status
+from gradednil.grading import elementary_grading, neutral_ring
+from gradednil.nil import Status, bounded_nil_index_auto
 from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
 from gradednil.specfile import emit_spec, parse_spec_text
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
@@ -163,39 +163,17 @@ def test_rewrite_identities_fail_without_f_commutativity():
 
 def test_lift_commutative_base():
     r = two_z_2k(3)
-    lift = lift_f_to_diagonal(FMap.constant(1), scalar_action(r), r)
-    assert lift.verdict.status == Status.PROVED
-    assert lift.neutral.rank == 2
+    base = check_f_commutative(r, FMap.constant(1), scalar_action(r))
+    assert lift_f_to_diagonal(base).status == Status.PROVED
 
 
 def test_lift_grassmann_rule():
+    # the pointwise rule is decided on R's pairs alone
     r = grassmann_star(2, fp(3)).ring
     fmap, _ = scalar_f_search(r)
-    lift = lift_f_to_diagonal(fmap, scalar_action(r), r)
-    assert lift.verdict.status == Status.PROVED
-
-
-@pytest.mark.parametrize("ring", [
-    sut(5, fp(2)).ring,
-    matrix_ring(two_z_2k(3), 2),
-    grassmann_star(3, fp(5)).ring,
-    truncated_nagata(2, 3),
-], ids=["sut5", "m2z8", "grass3", "nagata23"])
-def test_diagonal_lift_action_passes_validation(ring):
-    # lift_f_to_diagonal builds its block-scalar action without validation;
-    # the same blocks must pass it.
-    lift = lift_f_to_diagonal(FMap.constant(1), scalar_action(ring), ring)
-    checked = Action(BLOCK_SCALAR, lift.neutral, blocks=lift.action.blocks, check=True)
-    assert checked.blocks == lift.action.blocks
-
-
-def test_lift_rejects_table_actions():
-    r = two_z_2k(3)
-    sg = SemigroupTable([[0]])
-    act = Action(TABLE, r, semigroup=sg,
-                 act_map={(0, 0): (1,)}, check=True)
-    with pytest.raises(ActionLawError):
-        lift_f_to_diagonal(FMap.constant(0), act, r)
+    base = check_f_commutative(r, fmap, scalar_action(r))
+    assert base.note == "exhaustive over 27^2 pairs"
+    assert lift_f_to_diagonal(base).status == Status.PROVED
 
 
 def test_table_action_validation():
@@ -222,12 +200,6 @@ def test_pair_table_fmap_with_table_action():
     assert v.status == Status.PROVED
     with pytest.raises(FMapDomainError):
         f.at_coords((9,), (9,))
-
-
-def test_block_action_requires_partition():
-    r = matrix_ring(two_z_2k(3), 2)
-    with pytest.raises(ActionLawError):
-        Action(BLOCK_SCALAR, r, blocks=[(0, 1), (1, 2, 3)])
 
 
 def test_weakened_variant_through_pair_check():
@@ -312,16 +284,9 @@ def constant_factor_cases(draw, dom, max_rank):
             sc[(j, i)] = vector() if free else {k: mu * c for k, c in sc[(i, j)].items()}
     ring = Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
     scalar = st.one_of(st.just(mu), st.sampled_from((1, -1, 0)), coeff)
-    kind = draw(st.sampled_from((SCALAR, BLOCK_SCALAR, TABLE)))
-    if kind == SCALAR:
+    if draw(st.booleans()):
         act = Action(SCALAR, ring, check=False)
         value = dom.normalize(draw(scalar))
-    elif kind == BLOCK_SCALAR:
-        labels = [draw(st.integers(0, rank - 1)) for _ in range(rank)]
-        blocks = [tuple(t for t in range(rank) if labels[t] == b)
-                  for b in sorted(set(labels))]
-        act = Action(BLOCK_SCALAR, ring, blocks=blocks, check=False)
-        value = tuple(dom.normalize(draw(scalar)) for _ in blocks)
     else:
         # the sign semigroup {1, -1}; each id acts by a scalar or by random images
         sg = SemigroupTable([[0, 1], [1, 0]])
@@ -398,15 +363,6 @@ def test_constant_minus_one_on_rational_grassmann_is_proved():
     assert v.note == "bilinear: 3^2 basis pairs"
 
 
-def test_constant_lift_is_a_block_scalar_certificate():
-    # 5^6 diagonal elements: the element-pair check could only sample
-    r = grassmann_star(2, fp(5)).ring
-    lift = lift_f_to_diagonal(FMap.constant(-1), scalar_action(r), r)
-    assert lift.fmap.is_constant() and lift.fmap.value == (-1, -1)
-    assert lift.action.kind == BLOCK_SCALAR
-    assert lift.verdict.status == Status.PROVED
-
-
 @pytest.mark.parametrize("ring", [
     two_z_2k(3),
     grassmann_star(2, fp(3)).ring,
@@ -433,3 +389,100 @@ def test_scalar_action_validation_at_large_modulus():
         r.coeff.normalize(v) for v in (0, 1, -1, 2, -2))
     parsed = parse_spec_text(emit_spec(r, fmap_mode="constant 1"))
     assert parsed.fmap.is_constant() and parsed.action.kind == SCALAR
+
+
+# --- The diagonal lift.  T3.26 reads it off the check on R, because the
+# neutral component of the 2x2 elementary grading is R x R.  The element-pair
+# loop it replaced is kept here as a reference: every pair of that component,
+# with the lifted factor (f(a, c), f(b, d)) acting on each diagonal block.
+
+
+def diagonal_lift_reference(r, f, act, variant=STANDARD):
+    """Every pair ((a, b), (c, d)) of the diagonal; REFUTED at the first pair
+    that does not commute up to the componentwise lift of f."""
+    m0, _ = neutral_ring(elementary_grading(r, 2))
+    n = r.rank
+
+    def lifted_act(s, coords):
+        return act.act_coords(s[0], coords[:n]) + act.act_coords(s[1], coords[n:])
+
+    coords = [e.coords for e in m0.elements()]
+    for ca in coords:
+        for cb in coords:
+            s = (f.at_coords(ca[:n], cb[:n]), f.at_coords(ca[n:], cb[n:]))
+            if variant == STANDARD:
+                rhs = lifted_act(s, m0.mul_coords(cb, ca))
+            else:
+                rhs = m0.mul_coords(lifted_act(s, cb), ca)
+            if m0.mul_coords(ca, cb) != rhs:
+                return Status.REFUTED
+    return Status.PROVED
+
+
+@st.composite
+def lift_cases(draw, dom, rank):
+    """An associative ring R of at most 8 elements, an action, a factor map.
+
+    Over F_2 at rank 3, R is square-zero: b_0 and b_1 multiply into b_2, which
+    annihilates everything, so every triple product vanishes whatever the
+    coefficients, and R need not commute.  At rank 1, b*b = c*b.  The map is
+    a constant, a pointwise scalar rule or a pair table under a table action;
+    a rule drawn from the scalars that fit each pair is often valid, so PROVED
+    and REFUTED both occur.
+    """
+    coeff = st.integers(0, dom.size - 1)
+    if rank == 1:
+        sc = {(0, 0): {0: draw(coeff)}}
+    else:
+        sc = {(i, j): {2: draw(coeff)} for i in range(2) for j in range(2)}
+    r = Ring(dom, [f"b{t}" for t in range(rank)], sc)
+    coords = [e.coords for e in r.elements()]
+    pairs = [(ca, cb) for ca in coords for cb in coords]
+    kind = draw(st.sampled_from(("constant", "scalar-rule", "pair-table")))
+    if kind == "pair-table":
+        # the sign semigroup {1, -1}: id 0 acts as 1, id 1 by a drawn scalar
+        lam = draw(coeff)
+        act = Action(TABLE, r, semigroup=SemigroupTable([[0, 1], [1, 0]]),
+                     act_map={(s, t): tuple(v if k == t else 0 for k in range(rank))
+                              for s, v in ((0, 1), (1, lam)) for t in range(rank)},
+                     check=False)
+        scalars = st.integers(0, 1)
+    else:
+        act = scalar_action(r)
+        scalars = coeff
+    if kind == "constant":
+        f = FMap.constant(draw(scalars))
+    else:
+        fit = draw(st.booleans())
+        rule = {}
+        for ca, cb in pairs:
+            ba = r.mul_coords(cb, ca)
+            ok = [s for s in range(2 if kind == "pair-table" else dom.size)
+                  if r.mul_coords(ca, cb) == act.act_coords(s, ba)]
+            rule[(ca, cb)] = draw(st.sampled_from(ok) if fit and ok else scalars)
+        f = FMap(kind, rule=rule)
+    return r, f, act, draw(st.sampled_from((STANDARD, WEAKENED)))
+
+
+@pytest.mark.parametrize("dom,rank", [(fp(2), 3), (zmod(4), 1), (zmod(6), 1),
+                                      (fp(7), 1)], ids=["f2", "z4", "z6", "f7"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_lift_matches_diagonal_pair_reference(dom, rank, data):
+    r, f, act, variant = data.draw(lift_cases(dom, rank))
+    base = check_f_commutative(r, f, act, variant=variant)
+    assert lift_f_to_diagonal(base).status == diagonal_lift_reference(r, f, act, variant)
+
+
+@pytest.mark.parametrize("ring", [
+    sut(5, fp(2)).ring,
+    matrix_ring(two_z_2k(3), 2),
+    grassmann_star(3, fp(5)).ring,
+    truncated_nagata(2, 3),
+], ids=["sut5", "m2z8", "grass3", "nagata23"])
+def test_diagonal_nil_index_is_the_base_index(ring):
+    # T3.26 takes the diagonal nil index from R; recomputed on R x R it agrees
+    m0, _ = neutral_ring(elementary_grading(ring, 2))
+    base, diag = bounded_nil_index_auto(ring), bounded_nil_index_auto(m0)
+    assert base.proved
+    assert (diag.status, diag.index) == (base.status, base.index)

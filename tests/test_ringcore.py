@@ -60,10 +60,29 @@ def test_is_prime_matches_trial_division():
 @pytest.mark.parametrize("n", [
     3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
     3825123056546413051,  # strong pseudoprime to every prime base up to 31
-    43 * 10**23,  # past the Miller-Rabin bound: trial division finds 43
+    43 * 10**23,  # past the Miller-Rabin bound, but the base 2 divides it
 ])
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not ringcore._is_prime(n)
+
+
+def test_base_41_exposes_the_least_pseudoprime_to_bases_up_to_37():
+    # the former exactness bound: composite, yet a strong probable prime to
+    # every prime base up to 37
+    assert not ringcore._is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="not prime"):
+        fp(318665857834031151167461)
+
+
+@pytest.mark.parametrize("m", [2**89 - 1, 3317044064679887385961981, 2 * 10**30])
+def test_fp_refuses_moduli_past_the_exact_primality_bound(m):
+    # 2^89 - 1 is prime but past the bound; the bound itself is a strong
+    # pseudoprime to every prime base up to 41
+    with pytest.raises(ValueError, match="not below 3317044064679887385961981"):
+        fp(m)
+    if m % 2:
+        with pytest.raises(ValueError, match="decided only below"):
+            ringcore._is_prime(m)
 
 
 def test_fp_accepts_moduli_near_the_int64_limit():
