@@ -196,6 +196,9 @@ def cmd_report(args):
 def cmd_oracle(args):
     if args.which != "lemma-3-5":
         raise SystemExit(_input_error(f"unknown oracle {args.which!r}"))
+    if args.r <= 1:
+        # checked first: the word length r*d means nothing for such an r
+        raise SystemExit(_input_error(f"--r must be greater than 1, got {args.r}"))
     if args.cyclic is not None:
         monoid = Monoid.cyclic(args.cyclic)
     elif args.file:

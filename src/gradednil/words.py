@@ -8,14 +8,14 @@ each of neutral degree; ``neutral_split`` constructs the cut positions and
 ``neutral_split_bruteforce`` re-derives the verdict by exhaustive search.
 
 ``exhaustive_splits`` decides both on every word of length r*d over a table
-monoid, ``_CHUNK`` words at a time, with numpy arrays over the batch in
-place of a Python loop per word.  Each side has its own kernel, which
-builds its own subproduct degrees from the letters with ``table[g, x]``
-gathers: ``_split_batch`` applies the pigeonhole cut rule to prefix-degree
-counts, and ``_brute_batch`` finds the first cut sequence by a reachability
-DP over neutral blocks.  Neither reads the other's arrays, so the brute
-force stays an independent twin.  The per-word functions stay as the
-reference the kernels are tested against.
+monoid, ``_CHUNK`` words at a time, in numpy kernels that keep the words on
+the contiguous last axis.  ``_split_batch`` builds subproduct degrees
+through a table whose sink absorbs degrees off the support, then applies the
+pigeonhole cut rule to prefix-degree counts; ``_brute_batch`` tests the
+support directly and finds the first cut sequence by a reachability DP over
+neutral blocks.  Only the split uses the sink and neither reads the other's
+arrays, so the brute force stays an independent twin of it; the per-word
+functions are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 
 from .monoid import TABLE, Monoid
 
-# Words per batch of ``exhaustive_splits``.  Each batch holds two
-# (words, r*d+1, r*d+1) arrays, so a small chunk keeps peak memory flat.
+# Words per batch of ``exhaustive_splits``.  The split holds an
+# (r*d+1, r*d+1, words) array, so a small chunk keeps peak memory flat.
 _CHUNK = 1 << 10
 
 
@@ -302,81 +302,83 @@ def _word_letters(lo, hi, size, n):
 def _split_batch(table, e, inside, letters, r):
     """``neutral_split`` on every row of ``letters`` at once.
 
-    Column b of ``sub`` holds the degrees of the subproducts ending at
-    letter b (``sub[:, a, b]`` is letters a+1..b), each column extending the
-    last by one ``table[g, x]`` gather.  The cut rule is
-    ``_pigeonhole_cuts``'s, on prefix-degree counts: the first r identity
-    positions after 0 if the identity occurs r times, else the first r+1
-    positions of the most frequent other degree (``argmax`` takes the
-    smallest id on ties).  Raises ``SplitInternalError`` if a clean word
-    breaks the dichotomy or gets a non-neutral block.
+    ``sub[b, a]`` holds the degree of letters a+1..b across the words (e,
+    the empty product, where a >= b).  Row b extends row b-1 by one gather
+    from a flat (size+1)^2 table whose sink Z = size absorbs every degree
+    off the support, so Z reaches each longer subproduct from the same
+    start: a word is clean iff ``sub[n, :n]`` holds no Z.  The cuts are
+    ``_pigeonhole_cuts``'s over the prefix degrees b_0 = e, b_1..b_n: the
+    first r+1 positions of e if it occurs r+1 times, else of the most
+    frequent other degree (``argmax`` takes the smallest id on ties), read
+    off cumulative hit counts.  Raises ``SplitInternalError`` if a clean
+    word breaks the dichotomy or gets a non-neutral block.
     """
     m, n = letters.shape
-    sub = np.zeros((m, n + 1, n + 1), dtype=table.dtype)
-    clean = np.ones(m, dtype=bool)
+    size = len(table)
+    width = size + 1
+    sink = np.full((width, width), size, dtype=np.intp)
+    sink[:size, :size] = np.where(inside[table], table, size)
+    x = np.ascontiguousarray(letters.T, dtype=np.intp)
+    sub = np.full((n + 1, n + 1, m), e, dtype=np.intp)
     for b in range(1, n + 1):
-        x = letters[:, b - 1]
-        sub[:, :b - 1, b] = table[sub[:, :b - 1, b - 1], x[:, None]]
-        sub[:, b - 1, b] = x
-        clean &= inside[sub[:, :b, b]].all(axis=1)
+        sub[b, :b] = np.take(sink, sub[b - 1, :b] * width + x[b - 1])
+    clean = ~(sub[n, :n] == size).any(axis=0)
 
-    prefix = sub[:, 0, 1:]
-    counts = (prefix[:, :, None] == np.arange(len(table))).sum(axis=1)
-    neutral = counts[:, e] >= r
-    counts[:, e] = -1
-    g0 = counts.argmax(axis=1)
-    hits = prefix == np.where(neutral, e, g0)[:, None]
-    # The first r+1 hit positions; a padded miss at n+1, clipped to n, fills
-    # the rows with fewer hits, which the dichotomy check rejects.
-    misses = np.ones((m, n + 1), dtype=bool)
-    misses[:, :n] = ~hits
-    cuts = np.minimum(np.argsort(misses, axis=1, kind="stable")[:, :r + 1] + 1, n)
-    cuts[neutral, 1:] = cuts[neutral, :r]
-    cuts[neutral, 0] = 0
-    broken = ~neutral & (counts.max(axis=1) < r + 1)
-    broken |= (sub[np.arange(m)[:, None], cuts[:, :-1], cuts[:, 1:]] != e).any(axis=1)
+    prefix = sub[:, 0]
+    counts = np.array([(prefix == g).sum(axis=0) for g in range(size)])
+    neutral = counts[e] > r
+    counts[e] = -1
+    seen = np.cumsum(prefix == np.where(neutral, e, counts.argmax(axis=0)), axis=0)
+    # hit j (from 0) is at the number of positions with at most j hits so
+    # far; a word with fewer hits reads n+1, clipped to n, and is broken
+    cuts = np.minimum((seen[:, None] <= np.arange(r + 1)[:, None]).sum(axis=0), n)
+    broken = (seen[n] <= r) | (sub[cuts[1:], cuts[:-1], np.arange(m)] != e).any(axis=0)
     bad = np.flatnonzero(clean & broken)
     if bad.size:
         raise SplitInternalError(
             f"word {letters[bad[0]].tolist()}: pigeonhole dichotomy failed "
             "or a block is not neutral"
         )
-    cuts[~clean] = -1
-    return Splits(~clean, cuts)
+    cuts[:, ~clean] = -1
+    return Splits(~clean, cuts.T)
 
 
 def _brute_batch(table, e, inside, letters, r):
     """``neutral_split_bruteforce`` on every row of ``letters`` at once.
 
-    Builds its own subproduct degrees, one block length at a time, and runs
-    a reachability DP over neutral blocks: ``reach[t][:, a]`` says that t
-    neutral blocks can follow a cut at a.  Taking the smallest reachable
-    cut at each step gives the lexicographically first cut sequence, as
-    ``_first_cut_sequence`` does; a clean word with none gets cuts of -1
-    (None).
+    ``neutral[L][a]`` says, across the words, that letters a+1..a+L have
+    neutral degree; each length extends the last by one ``table[g, x]``
+    gather.  The support is tested with ``inside`` on the degrees directly,
+    not through the split's sink, so the twin shares no trick with the side
+    it checks.  A reachability DP over shifted slices gives ``first[t][a]``,
+    the shortest neutral block at a that t-1 more can follow (0 if none).
+    The smallest reachable cut, then the shortest block at each step, is the
+    lexicographically first cut sequence, as in ``_first_cut_sequence``; a
+    clean word with none gets cuts of -1 (None).
     """
     m, n = letters.shape
-    block = np.zeros((m, n + 1, n + 1), dtype=bool)  # letters a+1..b neutral
+    x = np.ascontiguousarray(letters.T)
     clean = np.ones(m, dtype=bool)
-    degs = letters
+    neutral = [None]
     for length in range(1, n + 1):
-        if length > 1:
-            degs = table[degs[:, :-1], letters[:, length - 1:]]
-        clean &= inside[degs].all(axis=1)
-        starts = np.arange(n - length + 1)
-        block[:, starts, starts + length] = degs == e
+        degs = table[degs[:-1], x[length - 1:]] if length > 1 else x
+        clean &= inside[degs].all(axis=0)
+        neutral.append(degs == e)
 
-    reach = [np.ones((m, n + 1), dtype=bool)]
+    first = [None]
+    reach = np.ones((n + 1, m), dtype=bool)
     for _ in range(r):
-        reach.append((block & reach[-1][:, None, :]).any(axis=2))
-    found = clean & reach[r].any(axis=1)
-    cuts = np.empty((m, r + 1), dtype=np.intp)
-    cuts[:, 0] = reach[r].argmax(axis=1)
-    rows = np.arange(m)
+        first.append(np.zeros((n + 1, m), dtype=np.intp))
+        for length in range(n, 0, -1):  # the shortest block writes last
+            np.copyto(first[-1][:n + 1 - length], length,
+                      where=neutral[length] & reach[length:])
+        reach = first[-1] > 0
+    cuts = np.empty((r + 1, m), dtype=np.intp)
+    cuts[0] = reach.argmax(axis=0)
     for j in range(1, r + 1):
-        cuts[:, j] = (block[rows, cuts[:, j - 1]] & reach[r - j]).argmax(axis=1)
-    cuts[~found] = -1
-    return Splits(~clean, cuts)
+        cuts[j] = cuts[j - 1] + first[r + 1 - j][cuts[j - 1], np.arange(m)]
+    cuts[:, ~(clean & reach.any(axis=0))] = -1
+    return Splits(~clean, cuts.T)
 
 
 def exhaustive_splits(monoid: Monoid, r: int, supp):
@@ -386,9 +388,7 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
 
     ``letters`` is a (words, r*d) array of at most ``_CHUNK`` rows;
     ``split`` and ``brute`` are ``Splits`` whose verdicts equal
-    ``neutral_split`` and ``neutral_split_bruteforce`` on each word.  The
-    two sides are computed by separate functions from the letters alone, so
-    the brute force stays an independent twin of the split.
+    ``neutral_split`` and ``neutral_split_bruteforce`` on each word.
     """
     size = len(monoid.elements())
     supp = set(supp)

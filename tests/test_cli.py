@@ -221,6 +221,20 @@ def test_cli_oracle_rejects_len(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("r", ["-1", "0", "1"])
+@pytest.mark.parametrize("mode", [["--word", "0"], ["--exhaustive"]],
+                         ids=["word", "exhaustive"])
+def test_cli_oracle_rejects_r_below_2_first(capsys, r, mode):
+    # the word length r*d is checked after r > 1, so the error names --r,
+    # not a word length of -2
+    code = main(["oracle", "lemma-3-5", "--cyclic", "3", "--supp", "0,1",
+                 "--r", r, *mode])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: --r must be greater than 1, got {r}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("args", [
     ["report", "--bogus", "x"],
     ["report", "--elem-cap", "abc", "x.spec"],

@@ -10,6 +10,7 @@ from gradednil.words import (
     DegreeWord,
     ProductVerdict,
     SplitInternalError,
+    _brute_batch,
     _split_batch,
     block_degrees,
     exhaustive_splits,
@@ -195,8 +196,22 @@ def _s3():
     )
 
 
+def _relabel(monoid, ids):
+    """``monoid`` with element g renamed ``ids[g]``."""
+    table = [[0] * monoid.size for _ in range(monoid.size)]
+    for a, row in enumerate(monoid.table):
+        for b, g in enumerate(row):
+            table[ids[a]][ids[b]] = ids[g]
+    return Monoid.from_table(table, identity=ids[monoid.identity])
+
+
 S3 = _s3()
 KLEIN = Monoid.from_table([[i ^ j for j in range(4)] for i in range(4)])
+# Z_4 and S_3 with the identity at id 2 and 4, so that the kernels' identity
+# indexing and smallest-id tie-break see ids that differ from the elements'
+# usual order
+Z4_E2 = _relabel(Z4, [2, 0, 3, 1])
+S3_E4 = _relabel(S3, [4, 0, 5, 2, 1, 3])
 
 # (monoid, support, r): supports with and without the identity; every word
 # count stays at or below 6^6.
@@ -209,6 +224,11 @@ WALK_CASES = [
     (KLEIN, {0, 1}, 3), (KLEIN, {0, 1, 2}, 2), (KLEIN, {1, 2}, 2),
     (S3, {0, 1}, 2), (S3, {0, 3}, 3), (S3, {0, 1, 3}, 2), (S3, {1, 2}, 2),
     (S3, {2, 3, 4}, 2),
+    (Z4_E2, {2, 0}, 3), (Z4_E2, {0, 1, 2}, 2), (Z4_E2, {0, 3}, 2), (Z4_E2, {0, 1}, 3),
+    (S3_E4, {4, 0}, 2), (S3_E4, {0, 2, 4}, 2), (S3_E4, {1, 4, 5}, 2), (S3_E4, {0, 5}, 2),
+    # {e, c, c^2} for a 3-cycle c: clean words whose prefix degrees tie
+    # between c and c^2, which the smallest-id tie-break decides
+    (S3_E4, {1, 2, 4}, 2),
 ]
 
 
@@ -223,7 +243,8 @@ def _unpack(batches):
 
 @pytest.mark.parametrize(
     "monoid,supp,r", WALK_CASES,
-    ids=[f"{m.size}-{sorted(s)}-r{r}" for m, s, r in WALK_CASES],
+    ids=[f"{m.size}-{sorted(s)}-r{r}" + (f"-e{m.identity}" if m.identity else "")
+         for m, s, r in WALK_CASES],
 )
 def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
     # Same words in the same order, same verdicts and the same cuts as
@@ -311,3 +332,20 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
     # a batch holding one such word raises as a whole
     with pytest.raises(SplitInternalError, match=r"word \[0, 1, 0, 1\]"):
         _split_batch(table, nc.identity, inside, np.array(words), 2)
+
+
+def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
+    # Over Z_4 with support {0, 1}, the word 1,1,1,1,0,0 has the subproduct
+    # 1*1 = 2 outside the support, and the longer 1*1*1*1 = 0 back inside.
+    # The split tests only its last row of subproducts, sub[n, :n], so the
+    # sink standing for 2 must absorb every letter that follows it.
+    letters = (1, 1, 1, 1, 0, 0)
+    w = DegreeWord(Z4, letters)
+    assert Z4.op(1, 1) == 2 and block_degrees(w, Decomposition((0, 4))) == [0]
+    assert neutral_split(w, 3, {0, 1}) == ProductVerdict.FORCED_ZERO
+    assert neutral_split_bruteforce(w, 3, {0, 1}) == ProductVerdict.FORCED_ZERO
+    table = np.array(Z4.table)
+    inside = np.isin(np.arange(4), [0, 1])
+    for kernel in (_split_batch, _brute_batch):
+        splits = kernel(table, Z4.identity, inside, np.array([letters]), 3)
+        assert splits.verdict(0) == ProductVerdict.FORCED_ZERO, kernel.__name__
