@@ -131,16 +131,14 @@ def cmd_analyze(args):
             str(g): len(component_indices(gr, g)) for g in supp
         },
     }
-    nilv = ring_is_nil(r, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-                       seed=caps.seed)
+    nilv = ring_is_nil(r, power_cap=caps.power_cap)
     ndv = nilpotency_index(r, cap=caps.power_cap)
     sv = bounded_nil_index_auto(r, elem_cap=caps.elem_cap,
                                 power_cap=caps.power_cap)
     out["nil"] = repr(nilv)
     out["nilpotency"] = repr(ndv)
     out["bounded_nil_index"] = repr(sv)
-    comp = s_nil_check(gr, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-                       seed=caps.seed)
+    comp = s_nil_check(gr, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
     out["component_nil"] = {str(g): repr(v) for g, v in comp.items()}
     if args.json:
         print(json.dumps(out, indent=2))

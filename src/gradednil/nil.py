@@ -1,26 +1,31 @@
 """Nil and nilpotency analysis.
 
-Ring-level nil verdicts ask the power chain first.  R^d = 0 makes the ring
-and each homogeneous component nil and bounds the nil index by d; one
-element with x^(d-1) != 0 makes d exact.  The basis and a fixed-seed batch
-of random elements are tried: by Schwartz-Zippel (J. ACM 27(4), 1980) a
-random element over F_q misses with probability at most (d-1)/q when
-x^(d-1) is a nonzero polynomial in its coordinates.
-When the chain does not decide whether the ring is nil: enumeration of
-every element (finite domains within the cap), then seeded sampling.
+Every ring here is finite (Z/m) or finite-dimensional (F_p, Q), and a nil
+ring of either kind is nilpotent (Wedderburn, 1908), so the power chain
+decides whether a ring is nil.  R^d = 0 proves the ring and each
+homogeneous component nil.  A chain that stabilizes at R^k = R^(k+1) != 0
+refutes it: the witness is the first of R^k's generators, then of seeded
+combinations of them, that repeated squaring past a nilpotence bound does
+not kill.  Per component, P3.31's degree walk decides: a walk of g that
+leaves the support kills x^l, and one that reaches e kills x^(k_g d_e) when
+R_e^(d_e) = 0.  Only a degree whose walk reaches a non-nilpotent R_e is
+enumerated, within the element cap, and past it tried on candidates.
 Enumeration multiplies rows in batches with ``kernel.mul_rows``, exact at
 every modulus.
-When no tried element fixes the bounded nil index, it comes from the
+
+With R^d = 0, one element with x^(d-1) != 0 makes d the bounded nil index.
+The basis and a fixed-seed batch of random elements are tried: by
+Schwartz-Zippel (J. ACM 27(4), 1980) a random element over F_q misses with
+probability at most (d-1)/q when x^(d-1) is a nonzero polynomial in its
+coordinates.  When no tried element fixes the index, it comes from the
 powers of a general element x = sum_j t_j b_j in commuting indeterminates,
 expanded by a sparse numpy scatter.  Over F_p a map F_p^n -> F_p is a
 unique polynomial with every exponent below p (Lidl & Niederreiter, Finite
 Fields, 1997), so exponents are reduced by t^p = t: the first vanishing
-power is the exact nil index, found within d - 1 products when R^d = 0,
-and a power that survives is refuted at a witness point.  Over Q the
+power is the exact nil index, found within d - 1 products.  Over Q the
 unreduced expansion is exact too.  Over Z/m it only bounds the index from
 above, so enumeration remains there, within the element cap, and goes
-first; over F_p it remains only for a ring whose power chain does not
-reach zero.
+first; over F_p it remains only for a ring whose power chain is capped.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
 """
@@ -120,20 +125,23 @@ def _coord_rows(q, positions, rank):
     return rows
 
 
-def _classify_all_nilpotent(ring, base, index_bound):
-    """Exact nilpotence test by repeated squaring up to exponent >= bound.
+def _classify_all_nilpotent(ring, base):
+    """Exact nilpotence test by repeated squaring.
 
     Returns the original-order row number of the first non-nilpotent element,
-    or None when every row is nilpotent.  Sound because a nilpotent element
-    of a finite ring has nil index at most the ring's element count.
+    or None when every row is nilpotent.  A nilpotent x has x^n = 0 once n
+    reaches the element count of a finite ring, or rank + 1 over Q, where x
+    spans a nilpotent algebra of dimension at most rank; squaring stops past
+    that exponent.
     """
+    index_bound = ring.element_count() if ring.coeff.finite else ring.rank + 1
     idx = np.arange(base.shape[0])
     sq = base
     alive = sq.any(axis=1)
     idx, sq = idx[alive], sq[alive]
     e = 1
     while idx.size and e < index_bound:
-        sq = mul_rows(ring, sq, sq)
+        sq = _mul(ring, sq, sq)
         e *= 2
         alive = sq.any(axis=1)
         idx, sq = idx[alive], sq[alive]
@@ -147,7 +155,6 @@ def _batch_nil_indices(ring, X, power_cap):
     exact indices; on a stalled step the survivors are classified once by
     repeated squaring so non-nil rings terminate.
     """
-    count = ring.element_count()
     N = X.shape[0]
     indices = np.zeros(N, dtype=np.int64)
     idx_map = np.arange(N)
@@ -172,7 +179,7 @@ def _batch_nil_indices(ring, X, power_cap):
         if n >= power_cap:
             return Status.CAPPED, None, None
         if not died and n > 1 and not classified:
-            bad = _classify_all_nilpotent(ring, base, count)
+            bad = _classify_all_nilpotent(ring, base)
             if bad is not None:
                 return Status.REFUTED, None, base[bad]
             classified = True
@@ -181,55 +188,61 @@ def _batch_nil_indices(ring, X, power_cap):
     return Status.PROVED, indices, None
 
 
-def _sampled_elements(ring, samples, seed):
-    """Basis vectors plus seeded random small-integer combinations."""
-    rng = random.Random(seed)
-    out = list(ring.basis())
-    for _ in range(samples):
-        coords = [rng.randint(-3, 3) for _ in range(ring.rank)]
-        out.append(ring.element(coords))
-    return out
+def _mul(r, A, B):
+    """Row-wise product: ``kernel.mul_rows`` over Z/mZ, ``Ring.mul_coords``
+    one row at a time over the rationals."""
+    if r.coeff.finite:
+        return mul_rows(r, A, B)
+    return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
 
 
-def ring_is_nil(
-    r: Ring,
-    elem_cap=DEFAULT_ELEM_CAP,
-    power_cap=DEFAULT_POWER_CAP,
-    samples=100,
-    seed=0,
-) -> NilVerdict:
-    """Is every element nilpotent?
+def _candidates(r: Ring, rows):
+    """``rows`` followed by ``_CERT_SAMPLES`` seeded combinations of them,
+    one array row each; coefficients are drawn from Z/m, or from -3..3 over
+    Q.  The seed is fixed, so verdicts repeat."""
+    dom = r.coeff
+    rng = random.Random(0)
+    lo, hi = (0, dom.size - 1) if dom.finite else (-3, 3)
+    coefs = [[rng.randint(lo, hi) for _ in rows] for _ in range(_CERT_SAMPLES)]
+    # a combination sums len(rows) products below m^2
+    exact = np.int64 if dom.finite and len(rows) * dom.size**2 < 2**63 else object
+    G = np.array(rows, dtype=exact)
+    X = np.concatenate([G, np.array(coefs, dtype=exact) @ G])
+    if dom.finite:
+        X %= dom.size
+    return X.astype(kernel_dtype(r) if dom.finite else object)
 
-    PROVED when the power chain reaches zero.  Otherwise exhaustive (PROVED
-    / REFUTED with witness) when the domain is finite and the element count
-    fits the cap; else basis plus seeded random elements are tested, giving
-    SAMPLED_OK, REFUTED, or CAPPED.
+
+def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP) -> NilVerdict:
+    """Is every element nilpotent?  The power chain decides.
+
+    PROVED when the chain reaches zero, CAPPED when it runs past
+    ``power_cap``.  Otherwise it stabilizes at R^k = R^(k+1) != 0, so R is
+    not nilpotent, hence not nil (a nil ring of finite rank is nilpotent):
+    REFUTED, with the first of R^k's generators, then of seeded
+    combinations of them, that is not nilpotent as witness, or with none
+    when every tried element is nilpotent.  Nothing is enumerated, so
+    ``elem_cap`` is unused; it stays because ``perfbench/layers.py`` binds
+    it by name.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, note="zero ring")
     nd = nilpotency_index(r, cap=power_cap)
     if nd.proved:
         return NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
-    count = r.element_count()
-    if count is not None and count <= elem_cap:
-        X = _coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-        bad = _classify_all_nilpotent(r, X, count)
-        if bad is None:
-            return NilVerdict(Status.PROVED, note=f"exhaustive over {count} elements")
-        return NilVerdict(
-            Status.REFUTED, witness=r.element([int(v) for v in X[bad]])
-        )
-    capped = False
-    for a in _sampled_elements(r, samples, seed):
-        verdict = element_nil_index(a, cap=power_cap)
-        if verdict.status == Status.REFUTED:
-            return NilVerdict(Status.REFUTED, witness=a)
-        if verdict.status == Status.CAPPED:
-            capped = True
-    if capped:
-        return NilVerdict(Status.CAPPED, note="some sampled power sequences hit the cap")
+    if nd.status == Status.CAPPED:
+        return NilVerdict(Status.CAPPED, note=nd.note)
+    chain = power_chain(r, cap=power_cap)
+    k = len(chain) - 1
+    X = _candidates(r, chain[-1].rows)
+    bad = _classify_all_nilpotent(r, X)
+    if bad is not None:
+        return NilVerdict(Status.REFUTED, witness=r.element(X[bad]),
+                          note=f"from the stable power R^{k} = R^{k + 1}")
     return NilVerdict(
-        Status.SAMPLED_OK, note=f"basis plus {samples} seeded samples (seed={seed})"
+        Status.REFUTED,
+        note=f"R^{k} = R^{k + 1} != 0 and a nil ring of finite rank is nilpotent "
+        f"(Wedderburn 1908); every tried element of R^{k} is nilpotent",
     )
 
 
@@ -418,31 +431,18 @@ def nil_bounded_index(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _mul(r, A, B):
-    """Row-wise product: ``kernel.mul_rows`` over Z/mZ, ``Ring.mul_coords``
-    one row at a time over the rationals."""
-    if r.coeff.finite:
-        return mul_rows(r, A, B)
-    return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
-
-
 def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
     """PROVED with index d when R^d = 0 and some tried x has x^(d-1) != 0.
 
     The tried elements are the basis, then ``_CERT_SAMPLES`` seeded random
-    ones; the note names the first that works.  None when the chain does
-    not reach zero within ``power_cap`` or no tried element works.
+    combinations of it; the note names the first that works.  None when the
+    chain does not reach zero within ``power_cap`` or no tried element works.
     """
     nd = nilpotency_index(r, cap=power_cap)
     if not nd.proved or nd.index < 2:
         return None
-    d, dom = nd.index, r.coeff
-    rng = random.Random(0)
-    lo, hi = (0, dom.size - 1) if dom.finite else (-3, 3)
-    draws = [[dom.normalize(rng.randint(lo, hi)) for _ in range(r.rank)]
-             for _ in range(_CERT_SAMPLES)]
-    x = np.array([b.coords for b in r.basis()] + draws,
-                 dtype=kernel_dtype(r) if dom.finite else object)
+    d = nd.index
+    x = _candidates(r, [b.coords for b in r.basis()])
     acc = x
     for _ in range(d - 2):
         acc = _mul(r, acc, x)
@@ -458,18 +458,21 @@ def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
 def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
                            power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
-    """The power-chain certificate; over F_p with R^d = 0, the reduced
-    symbolic expansion up to d; else enumeration when feasible; else the
-    symbolic expansion up to ``symbolic_cap``.  That last one refutes only
-    the cap, so its REFUTED stands for "not nil" only when the chain ends
-    nonzero (a nil finite-rank algebra over a field is nilpotent), and is
-    CAPPED while the chain runs past ``power_cap``.  The verdict is kept on
-    the ring per cap triple, so every caller with the same caps shares one
-    computation."""
+    """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
+    that is not nil has no bounded nil index.  Else the power-chain
+    certificate; over F_p with R^d = 0, the reduced symbolic expansion up to
+    d; else enumeration when feasible; else the symbolic expansion up to
+    ``symbolic_cap``.  That last one runs only on a nil ring or a capped
+    chain, so a monomial surviving at the cap refutes only the cap: CAPPED.
+    The verdict is kept on the ring per cap triple, so every caller with
+    the same caps shares one computation."""
     key = (elem_cap, power_cap, symbolic_cap)
     if key not in r._nil_index:
-        verdict = _certified_index(r, power_cap)
         nd = nilpotency_index(r, cap=power_cap)
+        if nd.status == Status.REFUTED:
+            verdict = ring_is_nil(r, power_cap=power_cap)
+        else:
+            verdict = _certified_index(r, power_cap)
         if verdict is None and nd.proved and r.coeff.kind == FP:
             # x^d vanishes, so the expansion ends within d - 1 products
             verdict = nil_bounded_index(r, "symbolic", candidate=nd.index)
@@ -477,8 +480,9 @@ def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
             verdict = nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
         elif verdict is None:
             verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
-            if verdict.status == Status.REFUTED and nd.status == Status.CAPPED:
-                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; {verdict.note}")
+            if verdict.status == Status.REFUTED:
+                note = "; ".join(filter(None, (nd.note, verdict.note)))
+                verdict = NilVerdict(Status.CAPPED, note=note)
         r._nil_index[key] = verdict
     return r._nil_index[key]
 
@@ -500,60 +504,56 @@ def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     )
 
 
-def s_nil_check(
-    gr: GradedRing,
-    elem_cap=DEFAULT_ELEM_CAP,
-    power_cap=DEFAULT_POWER_CAP,
-    samples=100,
-    seed=0,
-):
+def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP):
     """Nil verdict for each homogeneous component, keyed by degree.
 
     When the power chain reaches zero every component is PROVED nil.
-    Otherwise, since powers of a homogeneous element wander through other
-    components, each verdict enumerates coordinate vectors supported on the
-    component's basis but computes powers in the ambient ring.
+    Otherwise P3.31's degree walk decides.  A walk of g that leaves the
+    support after l steps puts x^l in a zero component.  One that reaches e
+    after k_g steps puts x^(k_g) in R_e, so x^(k_g d_e) = 0 when
+    R_e^(d_e) = 0.  Degree e of a neutral ring that is not nilpotent takes
+    ``ring_is_nil`` of that ring.  A degree g != e whose walk reaches it is
+    enumerated within ``elem_cap``, with powers taken in the ambient ring;
+    past the cap its basis and seeded combinations are tried, giving
+    REFUTED or CAPPED.
     """
     r = gr.ring
     nd = nilpotency_index(r, cap=power_cap)
     if nd.proved:
         note = f"power chain: R^{nd.index} = 0"
         return {g: NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
+    m0, idx0 = neutral_ring(gr)
+    nd0 = nilpotency_index(m0, cap=power_cap)
     out = {}
-    for g in sorted(support(gr)):
-        idx = component_indices(gr, g)
-        count = None if not r.coeff.finite else r.coeff.size ** len(idx)
-        if count is not None and count <= elem_cap:
-            X = _coord_rows(r.coeff.size, idx, r.rank)
-            bad = _classify_all_nilpotent(r, X, r.element_count())
-            if bad is None:
+    for g, (_, end, length) in _degree_walks(gr).items():
+        if end is None:
+            out[g] = NilVerdict(Status.PROVED,
+                                note=f"degree walk leaves the support: x^{length} = 0")
+        elif nd0.proved:
+            out[g] = NilVerdict(
+                Status.PROVED,
+                note=f"degree walk reaches e, R_e^{nd0.index} = 0: x^{length * nd0.index} = 0",
+            )
+        elif g == end:
+            out[g] = v = ring_is_nil(m0, power_cap=power_cap)
+            if v.witness is not None:
+                coords = np.zeros(r.rank, dtype=object)
+                coords[idx0] = v.witness.coords
+                v.witness = r.element(coords)
+        else:
+            idx = component_indices(gr, g)
+            count = r.coeff.size ** len(idx) if r.coeff.finite else None
+            exhaustive = count is not None and count <= elem_cap
+            X = (_coord_rows(r.coeff.size, idx, r.rank) if exhaustive
+                 else _candidates(r, [r.basis_element(t).coords for t in idx]))
+            bad = _classify_all_nilpotent(r, X)
+            if bad is not None:
+                out[g] = NilVerdict(Status.REFUTED, witness=r.element(X[bad]))
+            elif exhaustive:
                 out[g] = NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
             else:
-                out[g] = NilVerdict(
-                    Status.REFUTED, witness=r.element([int(v) for v in X[bad]])
-                )
-            continue
-        rng = random.Random(seed)
-        capped = False
-        verdict = None
-        for _ in range(samples):
-            coords = [r.coeff.zero()] * r.rank
-            for t in idx:
-                coords[t] = rng.randint(-3, 3)
-            a = r.element(coords)
-            v = element_nil_index(a, cap=power_cap)
-            if v.status == Status.REFUTED:
-                verdict = NilVerdict(Status.REFUTED, witness=a)
-                break
-            if v.status == Status.CAPPED:
-                capped = True
-        if verdict is None:
-            verdict = (
-                NilVerdict(Status.CAPPED, note="sampled power sequences hit the cap")
-                if capped
-                else NilVerdict(Status.SAMPLED_OK, note=f"{samples} seeded samples")
-            )
-        out[g] = verdict
+                out[g] = NilVerdict(Status.CAPPED, note=f"basis and {_CERT_SAMPLES} seeded "
+                                    "combinations nilpotent; enumeration capped")
     return out
 
 
@@ -610,24 +610,39 @@ def homogeneous_power_report(
             False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})",
             neutral=sv,
         )
+    walks = _degree_walks(gr)
+    kg = {g: walk[0] for g, walk in walks.items()}
+    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()), neutral=sv)
+    for g, (_, end, length) in walks.items():
+        report.per_degree[g] = {
+            "tuples_checked": 0,
+            "product_degree": end,
+            "length": length,
+            "status": "PASS",
+        }
+    return report
+
+
+def _degree_walks(gr: GradedRing):
+    """{g: (kg, end, length)} per support degree g, in sorted order.
+
+    The walk g, g^2, ... stops at g^length = e (``end`` is e) or at the
+    first power outside the support (``end`` is None).  It takes at most
+    kg = min(o(g), d) steps; see ``homogeneous_power_report``.
+    """
     supp = support(gr)
     e = gr.monoid.identity
-    kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in sorted(supp)}
-    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()), neutral=sv)
+    out = {}
     for g in sorted(supp):
+        kg = int(min(element_order(gr.monoid, g), len(supp)))
         h, length = g, 1
         while h in supp and h != e:
-            if length == kg[g]:
+            if length == kg:
                 raise DegreeWalkInternalError(
                     f"degree walk of {g!r} ends at {h!r} after {length} steps, "
                     "inside the support and not neutral"
                 )
             h = gr.monoid.op(h, g)
             length += 1
-        report.per_degree[g] = {
-            "tuples_checked": 0,
-            "product_degree": h if h == e else None,
-            "length": length,
-            "status": "PASS",
-        }
-    return report
+        out[g] = (kg, h if h == e else None, length)
+    return out

@@ -34,7 +34,6 @@ from .nil import (
     DEFAULT_POWER_CAP,
     DEFAULT_SAMPLES,
     DEFAULT_SYMBOLIC_CAP,
-    NilVerdict,
     Status,
     bounded_nil_index_auto,
     element_nil_index,
@@ -60,7 +59,6 @@ class Caps:
     power_cap: int = DEFAULT_POWER_CAP
     pair_cap: int = 10**6
     samples: int = DEFAULT_SAMPLES
-    symbolic_cap: int = DEFAULT_SYMBOLIC_CAP
     seed: int = 0
 
     def to_dict(self):
@@ -69,7 +67,6 @@ class Caps:
             "power_cap": self.power_cap,
             "pair_cap": self.pair_cap,
             "samples": self.samples,
-            "symbolic_cap": self.symbolic_cap,
             "seed": self.seed,
         }
 
@@ -163,10 +160,7 @@ def _nil_index(check, r, caps, not_nil, uncertified):
     PROVED, ``check`` is finished: NOT_APPLICABLE for reason ``not_nil`` when
     ``r`` is refuted nil and that reason is given, else CAPPED for reason
     ``uncertified``."""
-    sv = bounded_nil_index_auto(
-        r, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
+    sv = bounded_nil_index_auto(r, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
     if sv.status == Status.REFUTED and not_nil:
         _na(check, not_nil)
     elif not sv.proved:
@@ -249,10 +243,7 @@ def verify_neutral_nil_fcomm_bound(
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
     check.details["support_size"] = d
-    whole = bounded_nil_index_auto(
-        gr.ring, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
+    whole = bounded_nil_index_auto(gr.ring, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
     if whole.status == Status.REFUTED:
         return _fail(check, non_nil=whole.witness)
     if not whole.proved:
@@ -447,15 +438,6 @@ def verify_product_length_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCheck
     return _judge_nilpotency(check, ndv, lambda nd: nd <= length)
 
 
-def matrix_nil_verdict(r: Ring, n: int, caps=Caps()) -> NilVerdict:
-    """Nil verdict for the n x n matrices over r, enum or symbolic."""
-    mn = matrix_ring(r, n)
-    return bounded_nil_index_auto(
-        mn, elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=caps.symbolic_cap,
-    )
-
-
 def verify_matrix_nil_transfer(
     r: Ring, f: FMap | None, act: Action | None, caps=Caps()
 ) -> TheoremCheck:
@@ -485,7 +467,7 @@ def verify_matrix_nil_transfer(
     check.bound = nil_index_bound(sv.index, 2)
     m2_nil = bounded_nil_index_auto(
         matrix_ring(r, 2), elem_cap=caps.elem_cap, power_cap=caps.power_cap,
-        symbolic_cap=max(caps.symbolic_cap, sv.index * 4),
+        symbolic_cap=max(DEFAULT_SYMBOLIC_CAP, sv.index * 4),
     )
     if m2_nil.status == Status.REFUTED:
         return _fail(check, non_nil_matrix=m2_nil.witness)
@@ -502,18 +484,15 @@ def verify_diagonal_power_reduction(r: Ring, n=2, caps=Caps()) -> TheoremCheck:
     """T3.29-REDUCTION: diagonal powers are componentwise, so the diagonal
     component of the n x n matrix grading is nil exactly when the base ring is.
 
-    That component is R^n as a ring, so the one nil verdict on R decides
-    both; a second verdict on it could only differ by method (enumerated
-    versus sampled), never by nil-ness.
+    That component is R^n as a ring, so the one nil verdict on R, read
+    off R's power chain, decides both.
     """
     check = TheoremCheck(
         "T3.29-REDUCTION",
         "diag(b_1..b_n)^s = diag(b_1^s..b_n^s); diagonal component nil iff base nil",
         True,
     )
-    base_nil = ring_is_nil(
-        r, elem_cap=caps.elem_cap, power_cap=caps.power_cap, seed=caps.seed
-    )
+    base_nil = ring_is_nil(r, power_cap=caps.power_cap)
     check.details["base_nil"] = base_nil.status.value
     check.details["diagonal_nil"] = base_nil.status.value
     check.observed = base_nil.status.value
@@ -535,7 +514,7 @@ def verify_homogeneous_power_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCh
         "neutral nil index; k = lcm(k_g)",
         True,
     )
-    report = homogeneous_power_report(gr, caps.elem_cap, caps.power_cap, caps.symbolic_cap)
+    report = homogeneous_power_report(gr, caps.elem_cap, caps.power_cap)
     if not report.applicable:
         capped = report.neutral is not None and report.neutral.status == Status.CAPPED
         return (_capped if capped else _na)(check, report.reason)

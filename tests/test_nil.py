@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_ringcore import nilpotent_rings
 
 from gradednil import kernel, nil
@@ -29,7 +30,7 @@ from gradednil.nil import (
     ring_is_nil,
     s_nil_check,
 )
-from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
+from gradednil.ringcore import DEFAULT_ELEM_CAP, Ring, fp, matrix_ring, rat, zmod
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
 
@@ -38,9 +39,15 @@ def idempotent_ring(dom):
 
 
 def enumerated_is_nil(r):
-    """ring_is_nil's enumeration path, run past the power-chain certificate."""
+    """Every element classified by repeated squaring, as in the enumeration
+    path of ``reference_ring_is_nil``."""
     X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-    return nil._classify_all_nilpotent(r, X, r.element_count()) is None
+    return nil._classify_all_nilpotent(r, X) is None
+
+
+def group_ring_f2_z2():
+    return Ring(fp(2), ["t0", "t1"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                      (1, 0): {1: 1}, (1, 1): {0: 1}})
 
 
 def zero_product_ring(dom, rank):
@@ -75,7 +82,7 @@ def test_ring_is_nil_sut3():
 def test_ring_is_nil_idempotent_witness():
     v = ring_is_nil(idempotent_ring(fp(2)))
     assert v.status == Status.REFUTED
-    assert v.witness.coords == (1,)  # the chain stays silent; enumeration picks it
+    assert v.witness.coords == (1,)  # the stable power R = R^2 is spanned by b
     assert not v.witness.is_zero()
     assert element_nil_index(v.witness).status == Status.REFUTED
 
@@ -442,11 +449,10 @@ def test_certificate_takes_a_basis_witness_first():
 def test_group_ring_refutations_pick_first_witness():
     # basis t0, t1 with t_i t_j = t_{(i+j) mod 2}: t1^2 = t0, t1^3 = t1, so
     # both t0 and t1 power-cycle without dying while t0 + t1 squares to zero
-    r = Ring(fp(2), ["t0", "t1"], {(0, 0): {0: 1}, (0, 1): {1: 1},
-                                   (1, 0): {1: 1}, (1, 1): {0: 1}})
+    r = group_ring_f2_z2()
     nil = ring_is_nil(r)
     assert nil.status == Status.REFUTED
-    assert nil.witness.coords == (0, 1)  # lexicographically first non-nilpotent
+    assert nil.witness.coords == (1, 0)  # the stable power's first generator
     bounded = nil_bounded_index(r, "enum")
     assert bounded.status == Status.REFUTED
     assert element_nil_index(bounded.witness).status == Status.REFUTED
@@ -700,3 +706,213 @@ def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch)
     tuples = reference_component_tuples(
         r, idx, length, len(singles) ** length, 0, None, {})
     assert got == first_failing_tuple(r, tuples, exponent)
+
+
+# ---------------------------------------------------------------------------
+# Nil verdicts from the power chain and the degree walk, against the
+# enumeration and sampling they replaced.
+
+
+def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
+                          samples=100, seed=0):
+    """Past a silent power chain: every element within ``elem_cap``, else
+    the basis plus seeded random small-integer elements."""
+    if r.rank == 0:
+        return nil.NilVerdict(Status.PROVED, note="zero ring")
+    nd = nilpotency_index(r, cap=power_cap)
+    if nd.proved:
+        return nil.NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
+    count = r.element_count()
+    if count is not None and count <= elem_cap:
+        X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+        bad = nil._classify_all_nilpotent(r, X)
+        if bad is None:
+            return nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count} elements")
+        return nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in X[bad]]))
+    rng = random.Random(seed)
+    sampled = list(r.basis()) + [r.element([rng.randint(-3, 3) for _ in range(r.rank)])
+                                 for _ in range(samples)]
+    capped = False
+    for a in sampled:
+        verdict = element_nil_index(a, cap=power_cap)
+        if verdict.status == Status.REFUTED:
+            return nil.NilVerdict(Status.REFUTED, witness=a)
+        if verdict.status == Status.CAPPED:
+            capped = True
+    if capped:
+        return nil.NilVerdict(Status.CAPPED, note="some sampled power sequences hit the cap")
+    return nil.NilVerdict(Status.SAMPLED_OK, note=f"basis plus {samples} seeded samples")
+
+
+def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
+                          samples=100, seed=0):
+    """Past a silent power chain, per component: every element within
+    ``elem_cap``, else seeded random small-integer elements, with powers
+    taken in the ambient ring."""
+    r = gr.ring
+    nd = nilpotency_index(r, cap=power_cap)
+    if nd.proved:
+        note = f"power chain: R^{nd.index} = 0"
+        return {g: nil.NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
+    out = {}
+    for g in sorted(support(gr)):
+        idx = component_indices(gr, g)
+        count = None if not r.coeff.finite else r.coeff.size ** len(idx)
+        if count is not None and count <= elem_cap:
+            X = nil._coord_rows(r.coeff.size, idx, r.rank)
+            bad = nil._classify_all_nilpotent(r, X)
+            out[g] = (nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
+                      if bad is None else
+                      nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in X[bad]])))
+            continue
+        rng = random.Random(seed)
+        capped = False
+        verdict = None
+        for _ in range(samples):
+            coords = [r.coeff.zero()] * r.rank
+            for t in idx:
+                coords[t] = rng.randint(-3, 3)
+            a = r.element(coords)
+            v = element_nil_index(a, cap=power_cap)
+            if v.status == Status.REFUTED:
+                verdict = nil.NilVerdict(Status.REFUTED, witness=a)
+                break
+            if v.status == Status.CAPPED:
+                capped = True
+        if verdict is None:
+            verdict = (nil.NilVerdict(Status.CAPPED, note="sampled power sequences hit the cap")
+                       if capped else
+                       nil.NilVerdict(Status.SAMPLED_OK, note=f"{samples} seeded samples"))
+        out[g] = verdict
+    return out
+
+
+def non_nilpotent(w):
+    """Direct powers: over Z/m the powers of w cycle without reaching zero;
+    over Q, w^(rank + 1) != 0, a power that kills every nilpotent element."""
+    if w.ring.coeff.finite:
+        return element_nil_index(w).status == Status.REFUTED
+    acc = w
+    for _ in range(w.ring.rank):
+        acc = acc * w
+    return not acc.is_zero()
+
+
+def with_idempotent(r):
+    """R x F with a new basis vector e, e^2 = e: not nil."""
+    n = r.rank
+    sc = {ij: dict(terms) for ij, terms in r.sc.items()}
+    sc[(n, n)] = {n: 1}
+    return Ring(r.coeff, list(r.names) + ["e"], sc)
+
+
+def idempotent_acting_on_square_zero():
+    # F_3-ring e (degree 0), x (degree 1 of the integers): e^2 = e,
+    # ex = xe = x, x^2 = 0; R_0 is not nil, and the walk of 1 leaves the
+    # support at 2
+    ring = Ring(fp(3), ["e", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    return GradedRing(ring, Monoid.int_add(), [0, 1])
+
+
+NON_NIL_GRADINGS = [
+    trivial_grading(group_ring_f2_z2()),
+    GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1]),
+    *(elementary_grading(idempotent_ring(dom), 2) for dom in (fp(2), fp(3), zmod(4), rat())),
+    idempotent_acting_on_square_zero(),
+    # b^n = 2^(n-1) b never cycles, so sampling hits the power cap
+    trivial_grading(Ring(rat(), ["b"], {(0, 0): {0: 2}})),
+]
+
+
+@st.composite
+def nil_cross_check_gradings(draw):
+    kind = draw(st.sampled_from(["nilpotent", "plus-idempotent", "fixed"]))
+    if kind == "fixed":
+        return draw(st.sampled_from(NON_NIL_GRADINGS))
+    r = draw(nilpotent_rings(domains=(fp(2), fp(3), zmod(4), rat())))
+    return trivial_grading(with_idempotent(r) if kind == "plus-idempotent" else r)
+
+
+def assert_agrees_with_reference(new, ref):
+    if ref.status in (Status.PROVED, Status.REFUTED):
+        assert new.status == ref.status, (new, ref)
+    else:
+        assert new.proved or (new.status == Status.REFUTED and new.witness is not None), (new, ref)
+    assert new.status != Status.SAMPLED_OK
+    if new.witness is not None:
+        assert new.status == Status.REFUTED and non_nilpotent(new.witness)
+
+
+@given(nil_cross_check_gradings(), st.sampled_from([1, 4096]))
+@settings(max_examples=80, deadline=None)
+def test_nil_verdicts_match_enumeration_and_sampling(gr, elem_cap):
+    # ten samples keep the references' capped power sequences over Q short
+    r = gr.ring
+    assert_agrees_with_reference(ring_is_nil(r, elem_cap=elem_cap),
+                                 reference_ring_is_nil(r, elem_cap=elem_cap, samples=10))
+    new = s_nil_check(gr, elem_cap=elem_cap)
+    ref = reference_s_nil_check(gr, elem_cap=elem_cap, samples=10)
+    assert new.keys() == ref.keys()
+    for g in new:
+        assert_agrees_with_reference(new[g], ref[g])
+
+
+def test_ring_is_nil_refutes_b_squared_2b_over_q():
+    # b^n = 2^(n-1) b never cycles, so no power sequence decides b; the
+    # stable power R = R^2 does
+    r = Ring(rat(), ["b"], {(0, 0): {0: 2}})
+    v = ring_is_nil(r)
+    assert v.status == Status.REFUTED and v.witness == r.basis_element(0)
+    assert v.note == "from the stable power R^1 = R^2"
+    comp = s_nil_check(trivial_grading(r))
+    assert comp[0].status == Status.REFUTED and comp[0].witness == r.basis_element(0)
+    assert bounded_nil_index_auto(r).witness == r.basis_element(0)
+
+
+def test_bounded_auto_refutes_a_non_nil_ring_past_the_element_cap():
+    # the unreduced expansion over Z/4 cannot refute; the chain R = R^2 can
+    r = idempotent_ring(zmod(4))
+    v = bounded_nil_index_auto(r, elem_cap=1)
+    assert v.status == Status.REFUTED
+    assert v.witness == r.basis_element(0)
+
+
+# F_2 is test_s_nil_check_elementary_m2_f2_refutes_diagonal
+@pytest.mark.parametrize("dom", [fp(3), zmod(4), rat()], ids=lambda d: d.label())
+def test_elementary_m2_degrees_are_refuted(dom):
+    gr = elementary_grading(idempotent_ring(dom), 2)
+    out = s_nil_check(gr)
+    assert set(out) == {0, 1}
+    for v in out.values():
+        assert v.status == Status.REFUTED and non_nilpotent(v.witness)
+    assert non_nilpotent(ring_is_nil(gr.ring).witness)
+
+
+def test_s_nil_check_walk_leaving_the_support_proves_the_degree():
+    out = s_nil_check(idempotent_acting_on_square_zero())
+    assert out[0].status == Status.REFUTED
+    assert out[0].witness.coords == (1, 0)
+    assert out[1].proved
+    assert out[1].note == "degree walk leaves the support: x^2 = 0"
+
+
+def test_ring_is_nil_capped_only_past_the_power_cap():
+    # nothing is enumerated, so a chain past the cap leaves even a nil ring CAPPED
+    v = ring_is_nil(two_z_2k(3), power_cap=1)
+    assert v.status == Status.CAPPED
+    assert v.note == "power chain longer than power_cap 1"
+
+
+def test_ring_is_nil_without_a_witness_names_the_theorem(monkeypatch):
+    monkeypatch.setattr(nil, "_classify_all_nilpotent", lambda r, X: None)
+    v = ring_is_nil(idempotent_ring(fp(2)))
+    assert v.status == Status.REFUTED and v.witness is None
+    assert v.note.startswith("R^1 = R^2 != 0 and a nil ring of finite rank is nilpotent")
+
+
+def test_bounded_auto_caps_a_symbolic_survivor_on_a_nil_ring():
+    # R^3 = 0 but x^2 = 0 for every x: x^1 != 0 refutes the symbolic cap 1,
+    # not nil-ness
+    v = bounded_nil_index_auto(grassmann_star(2, rat()).ring, symbolic_cap=1)
+    assert v.status == Status.CAPPED
+    assert v.note.startswith("candidate 1 refuted")

@@ -8,13 +8,13 @@ from gradednil.fcomm import (
 )
 from gradednil.grading import GradedRing, elementary_grading, trivial_grading
 from gradednil.monoid import Congruence, Monoid
-from gradednil.ringcore import Ring, fp, rat
+from gradednil.nil import bounded_nil_index_auto
+from gradednil.ringcore import Ring, fp, matrix_ring, rat
 from gradednil.theorems import (
     Caps,
     CheckStatus,
     full_report,
     geometric_support_sum,
-    matrix_nil_verdict,
     nil_index_bound,
     verify_diagonal_power_reduction,
     verify_empty_neutral_bound,
@@ -298,7 +298,8 @@ def test_matrix_transfer_not_applicable_non_nil():
 def test_matrix_nil_verdict_predicate_sizes_2_and_3():
     r = two_z_2k(3)
     for n in (2, 3):
-        v = matrix_nil_verdict(r, n, CAPS)
+        v = bounded_nil_index_auto(matrix_ring(r, n), elem_cap=CAPS.elem_cap,
+                                   power_cap=CAPS.power_cap)
         assert v.proved
 
 
