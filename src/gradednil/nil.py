@@ -219,11 +219,10 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
     PROVED when the chain reaches zero, CAPPED when it runs past
     ``power_cap``.  Otherwise it stabilizes at R^k = R^(k+1) != 0, so R is
     not nilpotent, hence not nil (a nil ring of finite rank is nilpotent):
-    REFUTED, with the first of R^k's generators, then of seeded
-    combinations of them, that is not nilpotent as witness, or with none
-    when every tried element is nilpotent.  Nothing is enumerated, so
-    ``elem_cap`` is unused; it stays because ``perfbench/layers.py`` binds
-    it by name.
+    REFUTED, with ``nilpotency_index``'s non-nilpotent witness from R^k, or
+    with none when every tried element is nilpotent.  Nothing is
+    enumerated, so ``elem_cap`` is unused; it stays because
+    ``perfbench/layers.py`` binds it by name.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, note="zero ring")
@@ -232,12 +231,9 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
         return NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
     if nd.status == Status.CAPPED:
         return NilVerdict(Status.CAPPED, note=nd.note)
-    chain = power_chain(r, cap=power_cap)
-    k = len(chain) - 1
-    X = _candidates(r, chain[-1].rows)
-    bad = _classify_all_nilpotent(r, X)
-    if bad is not None:
-        return NilVerdict(Status.REFUTED, witness=r.element(X[bad]),
+    k = len(power_chain(r, cap=power_cap)) - 1
+    if nd.witness is not None:
+        return NilVerdict(Status.REFUTED, witness=nd.witness,
                           note=f"from the stable power R^{k} = R^{k + 1}")
     return NilVerdict(
         Status.REFUTED,
@@ -489,17 +485,21 @@ def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
 
 def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     """Smallest d with all length-d products zero, from the power chain;
-    CAPPED when the chain runs past ``cap`` entries."""
+    CAPPED when the chain runs past ``cap`` entries.  A chain that
+    stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the first of R^k's
+    generators, then of seeded combinations of them, that is not nilpotent
+    as witness, or with none when every tried element is nilpotent."""
     try:
         chain = power_chain(r, cap=cap)
     except PowerChainError:
         return NilVerdict(Status.CAPPED, note=f"power chain longer than power_cap {cap}")
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
-    witness = chain[-1].generators()[0]
+    X = _candidates(r, chain[-1].rows)
+    bad = _classify_all_nilpotent(r, X)
     return NilVerdict(
         Status.REFUTED,
-        witness=witness,
+        witness=None if bad is None else r.element(X[bad]),
         note=f"product spans stabilize nonzero at length {len(chain) - 1}",
     )
 

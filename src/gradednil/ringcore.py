@@ -227,8 +227,10 @@ class Ring:
         for (i, j), terms in table.items():
             self._left.setdefault(i, []).append((j, tuple(terms.items())))
         self.note = note
-        # the power chain computed so far; see power_chain
+        # the power chain computed so far and the rows its next entry
+        # multiplies by; see power_chain
         self._chain = []
+        self._chain_step = ()
         # bounded nil index verdicts by caps; see nil.bounded_nil_index_auto
         self._nil_index = {}
         if check:
@@ -464,27 +466,98 @@ class PowerChainError(RuntimeError):
     """The power chain neither stabilized nor reached zero within the cap."""
 
 
+def _word_spans(r: Ring, gens):
+    """Spans of the words in ``gens``, by length, up to closure.
+
+    W_1 = span(gens) and W_(k+1) = span(W_k * gens), so only the generators
+    multiply.  Returns ``(words, tail)``: ``words`` is W_1 ... W_k, each
+    outside the sum of the ones before it, and ``tail`` is W_(k+1), the
+    first that is zero or lies in that sum.  Every later W lies in
+    V = W_2 + ... + W_(k+1): W_(k+2) = W_(k+1) * gens lies in it since
+    W_(k+1) lies in W_1 + ... + W_k, and if W_j lies in V, then so does
+    W_(j+1) = W_j * gens, in W_3 + ... + W_(k+2).  So the words sum to the
+    subring the generators span, and those of length 2 or more to V.
+    """
+    gens = [g.coords if isinstance(g, Element) else tuple(g) for g in gens]
+    words, closure = [], None
+    w = Submodule(r, gens)
+    while not w.is_zero():
+        if words:
+            # the sum of the words so far, formed only once a nonzero W needs it
+            closure = words[0] if closure is None else Submodule(r, closure.rows + words[-1].rows)
+            if all(closure.contains(row) for row in w.rows):
+                break
+        words.append(w)
+        w = Submodule(r, [r.mul_coords(row, g) for row in w.rows for g in gens])
+    return words, w
+
+
+def _chain_start(r: Ring):
+    """The power chain of a ring of nonzero rank, from its structure table
+    and the words in a generating set.
+
+    R^2 is the span of the structure-constant vectors b_i b_j, each distinct
+    one reduced once.  The basis vectors S that are not unit pivots of R^2's
+    canonical form give R = span(S) + R^2, since a unit pivot row is b_t
+    plus a combination of columns in S.  So S generates R exactly when its
+    words of length 2 or more span R^2, and a nilpotent R is generated by S
+    (R = span(S) + R^k for every k).  Then R^k = W_k + W_(k+1) + ... for
+    the word spans W of S, and when those reach zero the chain is their
+    suffix sums.  Otherwise the chain is returned up to R^2, and
+    ``r._chain_step`` holds what each later entry multiplies by: S when it
+    generates R, since then R^(k+1) = span(R^k * S) (S is the whole basis,
+    or its words close before they vanish, as for b^2 = 2b over Z/8); else
+    the basis, and R is not nilpotent (an idempotent lies in R^2, so no
+    word in S reaches it).
+    """
+    basis = [b.coords for b in r.basis()]
+    full = Submodule(r, basis)
+    distinct = {tuple(sorted(v.items())): v for v in r.sc.values()}.values()
+    square = Submodule(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
+    units = set()
+    for row in square.rows:
+        lead = next(t for t, v in enumerate(row) if v)
+        if row[lead] == 1:
+            units.add(lead)
+    r._chain_step = gens = [b for t, b in enumerate(basis) if t not in units]
+    if len(gens) < r.rank:
+        words, tail = _word_spans(r, gens)
+        suffix = [tail]
+        for w in reversed(words[1:]):
+            suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows + suffix[-1].rows))
+        if suffix[-1] != square:
+            r._chain_step = basis
+        elif tail.is_zero():
+            return [full] + suffix[::-1]
+    return [full, square]
+
+
 def power_chain(r: Ring, cap=512):
     """Descending chain of product spans, one entry per product length.
 
-    Entry t (0-based) is the span of all products of t+1 elements; the chain
-    stops at the zero module or at the first repeat (a nonzero stable span
-    certifies the ring is not nilpotent).  Raises ``PowerChainError`` when
-    it runs past ``cap`` entries.  The entries are computed once per ring
-    and kept on it, so every cap sees the same chain.
+    Entry t (0-based) is R^(t+1), the span of all products of t+1 elements;
+    the chain stops at the zero module or at the first repeat (a nonzero
+    stable span certifies the ring is not nilpotent).  Raises
+    ``PowerChainError`` when it runs past ``cap`` entries.  The entries are
+    computed once per ring and kept on it, so every cap sees the same chain.
+
+    R^2 is read off the structure constants, and a nilpotent ring's whole
+    chain off the word spans of the basis vectors that generate it modulo
+    R^2 (see ``_chain_start``).  Any other chain grows one entry at a time
+    as R^(k+1) = span(R^k * S), with S those generators when they generate
+    R, else the basis.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     chain = r._chain
     if not chain:
-        chain.append(Submodule(r, r.basis()))
+        chain += _chain_start(r) if r.rank else [Submodule(r, [])]
 
     def ended():
         return chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])
 
     while not ended() and len(chain) <= cap:
-        basis = [b.coords for b in r.basis()]
-        products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
+        products = [r.mul_coords(row, s) for row in chain[-1].rows for s in r._chain_step]
         chain.append(Submodule(r, products))
     # a zero end is seen one step after it is appended, a repeat at once
     if ended() and len(chain) - (not chain[-1].is_zero()) <= cap:
@@ -493,15 +566,10 @@ def power_chain(r: Ring, cap=512):
 
 
 def generated_subalgebra(r: Ring, elements) -> Submodule:
-    """Smallest coefficient-span closed under multiplication containing the set."""
-    span = Submodule(r, list(elements))
-    while True:
-        gens = span.generators()
-        products = [a * b for a in gens for b in gens]
-        bigger = Submodule(r, gens + products)
-        if bigger == span:
-            return span
-        span = bigger
+    """Smallest coefficient-span closed under multiplication containing the
+    set: the sum of its word spans, which multiply by the set alone."""
+    words, _ = _word_spans(r, elements)
+    return Submodule(r, [row for w in words for row in w.rows])
 
 
 @dataclass
@@ -524,7 +592,8 @@ def min_generators(r: Ring) -> MinGenerators:
     lemma covers Z/p^k).  When the primes of m disagree on those columns,
     the per-prime lists, padded with 0, are glued with CRT idempotents:
     basis vectors alone may need more generators.  R^2 is entry 1 of the
-    power chain, which also proves nilpotency; raises ValueError otherwise.
+    power chain, read off the structure constants; the chain also proves
+    nilpotency, and raises ValueError otherwise.
     """
     chain = power_chain(r)
     if not chain[-1].is_zero():

@@ -171,6 +171,23 @@ def test_nilpotency_index_refuted():
     assert v.status == Status.REFUTED
 
 
+def test_nilpotency_index_witness_is_not_nilpotent():
+    # M_2(F_2) in the basis E12, E11, E21, E22: the stable power R^1 = R^2
+    # has E12 (a nilpotent) as its first generator
+    m2 = matrix_ring(idempotent_ring(fp(2)), 2)
+    order = [1, 0, 2, 3]
+    new = {old: t for t, old in enumerate(order)}
+    sc = {(new[i], new[j]): {new[k]: c for k, c in terms.items()}
+          for (i, j), terms in m2.sc.items()}
+    r = Ring(fp(2), [m2.names[t] for t in order], sc)
+    assert nil.power_chain(r)[-1].generators()[0] == r.basis_element(0)
+    v = nilpotency_index(r)
+    assert v.status == Status.REFUTED
+    assert v.witness == r.basis_element(1)
+    assert element_nil_index(v.witness).status == Status.REFUTED
+    assert ring_is_nil(r).witness == v.witness
+
+
 def test_s_nil_check_sut3():
     out = s_nil_check(sut(3, fp(2)))
     assert set(out) == {1, 2}

@@ -216,6 +216,14 @@ def chain_outcome(chain_fn, r, cap):
         return f"PowerChainError: {exc}"
 
 
+def plus_idempotent(r):
+    """r x F e with e^2 = e: not nilpotent, and e lies in R^2."""
+    e = r.rank
+    sc = dict(r.sc)
+    sc[(e, e)] = {e: 1}
+    return Ring(r.coeff, list(r.names) + ["e"], sc)
+
+
 @pytest.mark.parametrize("make", [
     lambda: Ring(fp(2), [], {}),
     lambda: zero_product_ring(fp(3), 2),
@@ -224,7 +232,13 @@ def chain_outcome(chain_fn, r, cap):
     lambda: idempotent_ring(fp(3)),
     lambda: Ring(zmod(3**6), ["b"], {(0, 0): {0: 3**6 - 3}}),
     lambda: grassmann_star(2, rat()).ring,
-], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q"])
+    lambda: matrix_ring(idempotent_ring(fp(2)), 2),
+    lambda: plus_idempotent(sut(3, fp(2)).ring),
+    # R^2 = span(2b) has the non-unit Howell pivot 2, so b stays a generator
+    lambda: Ring(zmod(4), ["a", "b"], {(0, 0): {1: 2}}),
+    lambda: Ring(zmod(6), ["b"], {(0, 0): {0: 2}}),
+], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q",
+        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b"])
 def test_power_chain_memo_matches_reference_at_every_cap(make):
     length = len(reference_power_chain(make(), 512))
     caps = range(1, length + 2)
@@ -235,6 +249,14 @@ def test_power_chain_memo_matches_reference_at_every_cap(make):
         got = {cap: chain_outcome(power_chain, r, cap) for cap in order}
         assert [got[cap] for cap in caps] == want
     assert want[-1] == chain_outcome(reference_power_chain, make(), 512)
+
+
+@pytest.mark.parametrize("make, dims", [
+    (lambda: matrix_ring(truncated_nagata(3, 3), 2), [104, 92, 68, 40, 16, 4, 0]),
+    (lambda: matrix_ring(truncated_nagata(4, 3), 2), [320, 304, 264, 200, 124, 60, 20, 4, 0]),
+], ids=["m2-nagata33", "m2-nagata43"])
+def test_power_chain_dimensions_of_m2_nagata(make, dims):
+    assert [len(s) for s in power_chain(make())] == dims
 
 
 def test_submodule_membership_over_zmod():
@@ -248,6 +270,13 @@ def test_generated_subalgebra_two_z8():
     r = two_z_2k(3)
     closure = generated_subalgebra(r, [r.basis_element(0)])
     assert closure == Submodule(r, r.basis())
+
+
+def test_generated_subalgebra_checks_every_row_of_a_word_span():
+    # a^2 = a and ab = ac = c: W_2 = span(a, c) leads with a, which lies in
+    # W_1 = span(a, b), while c does not
+    r = Ring(fp(2), ["a", "b", "c"], {(0, 0): {0: 1}, (0, 1): {2: 1}, (0, 2): {2: 1}})
+    assert generated_subalgebra(r, r.basis()[:2]) == Submodule(r, r.basis())
 
 
 def test_min_generators_two_z8():
@@ -344,14 +373,51 @@ def change_basis(r, upper):
 
 
 @st.composite
-def nilpotent_rings(draw, domains=(fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat())):
+def nilpotent_rings(draw, domains=(fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat()),
+                    idempotent=st.just(False)):
+    """A monomial ring in a random upper unitriangular basis; with an
+    idempotent adjoined (``plus_idempotent``) when ``idempotent`` draws True."""
     dom = draw(st.sampled_from(domains))
     seeds = draw(st.lists(st.text("xy", min_size=1, max_size=3), min_size=1, max_size=2))
     values = (0, 1, 2, 3, 4, 6, -1) if dom.finite else (0, 1, 2, Fraction(1, 2), -3)
     weight = {(a, b): draw(st.sampled_from(values)) for a in "xy" for b in "xy"}
     r = monomial_ring(dom, seeds, weight)
+    if draw(idempotent):
+        r = plus_idempotent(r)
     upper = [[draw(st.sampled_from(values)) for _ in range(r.rank)] for _ in range(r.rank)]
     return change_basis(r, upper)
+
+
+CHAIN_DOMAINS = (zmod(4), zmod(6), zmod(8), zmod(9), fp(2), fp(3), rat(), zmod(2**64 + 13))
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_power_chain_matches_reference(r, cap):
+    want = chain_outcome(reference_power_chain, r, 512)
+    assert chain_outcome(power_chain, r, 512) == want
+    # the small cap first: the chain kept on the ring must not depend on it
+    fresh = Ring(r.coeff, r.names, r.sc)
+    assert chain_outcome(power_chain, fresh, cap) == chain_outcome(reference_power_chain, r, cap)
+    assert chain_outcome(power_chain, fresh, 512) == want
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_generated_subalgebra_matches_reference(r, data):
+    gens = data.draw(st.lists(st.sampled_from(r.basis()), max_size=3))
+    assert generated_subalgebra(r, gens) == reference_generated_subalgebra(r, gens)
+
+
+def reference_generated_subalgebra(r, elements):
+    """Close the span under all products of its generators until it stops growing."""
+    span = Submodule(r, list(elements))
+    while True:
+        gens = span.generators()
+        bigger = Submodule(r, gens + [a * b for a in gens for b in gens])
+        if bigger == span:
+            return span
+        span = bigger
 
 
 @given(nilpotent_rings())
