@@ -488,20 +488,24 @@ def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     CAPPED when the chain runs past ``cap`` entries.  A chain that
     stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the first of R^k's
     generators, then of seeded combinations of them, that is not nilpotent
-    as witness, or with none when every tried element is nilpotent."""
+    as witness, or with none when every tried element is nilpotent.  The
+    chain is the same at every cap, so the REFUTED verdict is searched once
+    and kept on the ring beside it."""
     try:
         chain = power_chain(r, cap=cap)
     except PowerChainError:
         return NilVerdict(Status.CAPPED, note=f"power chain longer than power_cap {cap}")
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
-    X = _candidates(r, chain[-1].rows)
-    bad = _classify_all_nilpotent(r, X)
-    return NilVerdict(
-        Status.REFUTED,
-        witness=None if bad is None else r.element(X[bad]),
-        note=f"product spans stabilize nonzero at length {len(chain) - 1}",
-    )
+    if r._not_nilpotent is None:
+        X = _candidates(r, chain[-1].rows)
+        bad = _classify_all_nilpotent(r, X)
+        r._not_nilpotent = NilVerdict(
+            Status.REFUTED,
+            witness=None if bad is None else r.element(X[bad]),
+            note=f"product spans stabilize nonzero at length {len(chain) - 1}",
+        )
+    return r._not_nilpotent
 
 
 def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP):

@@ -227,10 +227,11 @@ class Ring:
         for (i, j), terms in table.items():
             self._left.setdefault(i, []).append((j, tuple(terms.items())))
         self.note = note
-        # the power chain computed so far and the rows its next entry
-        # multiplies by; see power_chain
+        # the power chain computed so far; see power_chain
         self._chain = []
-        self._chain_step = ()
+        # the REFUTED nilpotency verdict once its witness is searched; see
+        # nil.nilpotency_index
+        self._not_nilpotent = None
         # bounded nil index verdicts by caps; see nil.bounded_nil_index_auto
         self._nil_index = {}
         if check:
@@ -493,22 +494,21 @@ def _word_spans(r: Ring, gens):
 
 
 def _chain_start(r: Ring):
-    """The power chain of a ring of nonzero rank, from its structure table
-    and the words in a generating set.
+    """The start of the power chain of a ring of nonzero rank, from its
+    structure table and the words in a generating set.
 
     R^2 is the span of the structure-constant vectors b_i b_j, each distinct
     one reduced once.  The basis vectors S that are not unit pivots of R^2's
     canonical form give R = span(S) + R^2, since a unit pivot row is b_t
     plus a combination of columns in S.  So S generates R exactly when its
-    words of length 2 or more span R^2, and a nilpotent R is generated by S
-    (R = span(S) + R^k for every k).  Then R^k = W_k + W_(k+1) + ... for
-    the word spans W of S, and when those reach zero the chain is their
-    suffix sums.  Otherwise the chain is returned up to R^2, and
-    ``r._chain_step`` holds what each later entry multiplies by: S when it
-    generates R, since then R^(k+1) = span(R^k * S) (S is the whole basis,
-    or its words close before they vanish, as for b^2 = 2b over Z/8); else
-    the basis, and R is not nilpotent (an idempotent lies in R^2, so no
-    word in S reaches it).
+    words of length 2 or more span R^2, and then R^k = W_k + W_(k+1) + ...
+    for the word spans W of S.  When S is smaller than the basis, its words
+    vanish and they span R^2, the whole chain is their suffix sums.
+    Otherwise the chain is returned up to R^2 for ``power_chain`` to grow by
+    the basis: S is the whole basis, or S does not generate R (an
+    idempotent lies in R^2, so no word in S reaches it), or its words close
+    before they vanish (over Z/mZ a word span can fall back into W_1, as
+    for a^2 = b, ab = ba = 2c over Z/4, nilpotent all the same).
     """
     basis = [b.coords for b in r.basis()]
     full = Submodule(r, basis)
@@ -519,16 +519,15 @@ def _chain_start(r: Ring):
         lead = next(t for t, v in enumerate(row) if v)
         if row[lead] == 1:
             units.add(lead)
-    r._chain_step = gens = [b for t, b in enumerate(basis) if t not in units]
+    gens = [b for t, b in enumerate(basis) if t not in units]
     if len(gens) < r.rank:
         words, tail = _word_spans(r, gens)
-        suffix = [tail]
-        for w in reversed(words[1:]):
-            suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows + suffix[-1].rows))
-        if suffix[-1] != square:
-            r._chain_step = basis
-        elif tail.is_zero():
-            return [full] + suffix[::-1]
+        if tail.is_zero():
+            suffix = [tail]
+            for w in reversed(words[1:]):
+                suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows + suffix[-1].rows))
+            if suffix[-1] == square:
+                return [full] + suffix[::-1]
     return [full, square]
 
 
@@ -541,11 +540,10 @@ def power_chain(r: Ring, cap=512):
     ``PowerChainError`` when it runs past ``cap`` entries.  The entries are
     computed once per ring and kept on it, so every cap sees the same chain.
 
-    R^2 is read off the structure constants, and a nilpotent ring's whole
-    chain off the word spans of the basis vectors that generate it modulo
-    R^2 (see ``_chain_start``).  Any other chain grows one entry at a time
-    as R^(k+1) = span(R^k * S), with S those generators when they generate
-    R, else the basis.
+    R^2 is read off the structure constants, and when the words in the
+    basis vectors that generate R modulo R^2 vanish, the whole chain off
+    their spans (see ``_chain_start``).  Any other chain grows one entry at
+    a time as R^(k+1) = span(R^k * basis).
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -557,7 +555,8 @@ def power_chain(r: Ring, cap=512):
         return chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])
 
     while not ended() and len(chain) <= cap:
-        products = [r.mul_coords(row, s) for row in chain[-1].rows for s in r._chain_step]
+        basis = [b.coords for b in r.basis()]
+        products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
         chain.append(Submodule(r, products))
     # a zero end is seen one step after it is appended, a repeat at once
     if ended() and len(chain) - (not chain[-1].is_zero()) <= cap:

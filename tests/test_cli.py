@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradednil import words
+from gradednil import nil, words
 from gradednil.cli import main
 from gradednil.monoid import Monoid
 from gradednil.specfile import (
@@ -166,6 +166,29 @@ def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "REFUTED" in out
+
+
+def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):
+    # M_3(F_2) graded by Z_3 is not nilpotent; its REFUTED witness is
+    # searched once per ring, not once per nilpotency_index call
+    base = _write(tmp_path, "e.spec", "[ring]\ncoeff = fp 2\nrank = 1\nnames = e\nsc = 0 0 0 1\n")
+    spec = str(tmp_path / "m3.spec")
+    assert main(["construct", "elementary", base, "--n", "3", "--out", spec]) == 0
+    searches = []
+    search = nil._classify_all_nilpotent
+
+    def counted(ring, base):
+        searches.append((ring, repr(base.tolist())))
+        return search(ring, base)
+
+    monkeypatch.setattr(nil, "_classify_all_nilpotent", counted)
+    assert main(["report", spec, "--json"]) == 0
+    assert len(searches) == 1
+    searches.clear()
+    assert main(["analyze", spec, "--json"]) == 1
+    capsys.readouterr()
+    keys = [(id(ring), rows) for ring, rows in searches]
+    assert len(keys) == len(set(keys))
 
 
 def test_cli_analyze_sut3_json(tmp_path, capsys):

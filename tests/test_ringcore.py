@@ -237,8 +237,11 @@ def plus_idempotent(r):
     # R^2 = span(2b) has the non-unit Howell pivot 2, so b stays a generator
     lambda: Ring(zmod(4), ["a", "b"], {(0, 0): {1: 2}}),
     lambda: Ring(zmod(6), ["b"], {(0, 0): {0: 2}}),
+    # R^2 = span(b, 2c) has the unit pivot b, so S = {a, c}; W_3 = span(2c)
+    # lies in W_1, so the words close nonzero, yet the ring is nilpotent
+    lambda: Ring(zmod(4), ["a", "b", "c"], {(0, 0): {1: 1}, (0, 1): {2: 2}, (1, 0): {2: 2}}),
 ], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q",
-        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b"])
+        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-close"])
 def test_power_chain_memo_matches_reference_at_every_cap(make):
     length = len(reference_power_chain(make(), 512))
     caps = range(1, length + 2)
