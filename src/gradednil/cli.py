@@ -133,8 +133,7 @@ def cmd_analyze(args):
     }
     nilv = ring_is_nil(r, power_cap=caps.power_cap)
     ndv = nilpotency_index(r, cap=caps.power_cap)
-    sv = bounded_nil_index_auto(r, elem_cap=caps.elem_cap,
-                                power_cap=caps.power_cap)
+    sv = bounded_nil_index_auto(r, power_cap=caps.power_cap)
     out["nil"] = repr(nilv)
     out["nilpotency"] = repr(ndv)
     out["bounded_nil_index"] = repr(sv)

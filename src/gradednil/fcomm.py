@@ -54,6 +54,9 @@ class SemigroupTable:
         return self.table[a][b]
 
 
+# Seeded pairs or tuples a pointwise check tries past its cap.
+DEFAULT_SAMPLES = 10**4
+
 SCALAR = "scalar"
 TABLE = "table"
 
@@ -149,7 +152,6 @@ def scalar_action(ring: Ring) -> Action:
 
 CONSTANT = "constant"
 SCALAR_RULE = "scalar-rule"
-PAIR_TABLE = "pair-table"
 
 
 class FMap:
@@ -162,7 +164,7 @@ class FMap:
         self.label = label
         if kind == CONSTANT and value is None:
             raise ValueError("constant map needs a value")
-        if kind in (SCALAR_RULE, PAIR_TABLE) and rule is None:
+        if kind == SCALAR_RULE and rule is None:
             raise ValueError("rule map needs a pair table")
 
     @classmethod
@@ -237,7 +239,7 @@ def _element_coords(ring, elem_cap):
 
 
 def check_f_commutative(
-    r: Ring, f: FMap, act: Action, pair_cap=10**6, samples=10**4, seed=0,
+    r: Ring, f: FMap, act: Action, pair_cap=10**6, samples=DEFAULT_SAMPLES, seed=0,
     variant=STANDARD,
 ) -> PairVerdict:
     """Does a*b = f(a,b).(b*a) hold for all pairs?
@@ -375,7 +377,7 @@ def scalar_f_search(r: Ring, pair_cap=10**6, rat_bound=3, samples=2000, seed=0):
 
 
 def rewrite_identity_check(
-    r: Ring, f: FMap, act: Action, tuple_cap=10**6, samples=10**4, seed=0
+    r: Ring, f: FMap, act: Action, tuple_cap=10**6, samples=DEFAULT_SAMPLES, seed=0
 ) -> PairVerdict:
     """Verify both commutation-factor rewriting chains on 7-tuples.
 

@@ -19,13 +19,14 @@ Schwartz-Zippel (J. ACM 27(4), 1980) a random element over F_q misses with
 probability at most (d-1)/q when x^(d-1) is a nonzero polynomial in its
 coordinates.  When no tried element fixes the index, it comes from the
 powers of a general element x = sum_j t_j b_j in commuting indeterminates,
-expanded by a sparse numpy scatter.  Over F_p a map F_p^n -> F_p is a
-unique polynomial with every exponent below p (Lidl & Niederreiter, Finite
-Fields, 1997), so exponents are reduced by t^p = t: the first vanishing
-power is the exact nil index, found within d - 1 products.  Over Q the
-unreduced expansion is exact too.  Over Z/m it only bounds the index from
-above, so enumeration remains there, within the element cap, and goes
-first; over F_p it remains only for a ring whose power chain is capped.
+expanded by a sparse numpy scatter in the falling-factorial basis
+prod_j (t_j)_(i_j).  A polynomial in that basis is the zero function on
+(Z/m)^n exactly when every coefficient has c_I prod_j i_j! = 0 mod m
+(Kempner, 1921; Singmaster, "On polynomial functions (mod m)", 1974), since
+c_I prod_j i_j! is its I-th finite difference at 0.  Such terms are dropped
+as they arise, so the first empty power is the exact nil index over Z/m,
+over F_p (where every i_j >= p drops) and over Q (where nothing drops),
+found within d - 1 products.  Nothing is enumerated for it.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
 """
@@ -44,8 +45,6 @@ from .kernel import kernel_dtype, mul_rows
 from .monoid import element_order
 from .ringcore import (
     DEFAULT_ELEM_CAP,
-    FP,
-    ZMOD,
     Element,
     PowerChainError,
     Ring,
@@ -53,7 +52,6 @@ from .ringcore import (
 )
 
 DEFAULT_POWER_CAP = 512
-DEFAULT_SAMPLES = 10**4
 DEFAULT_SYMBOLIC_CAP = 16
 # Random elements the power-chain certificate tries beside the basis; the
 # seed is fixed, so its verdicts repeat.
@@ -148,46 +146,6 @@ def _classify_all_nilpotent(ring, base):
     return int(idx.min()) if idx.size else None
 
 
-def _batch_nil_indices(ring, X, power_cap):
-    """Exact per-row nil indices, or the first non-nilpotent witness row.
-
-    Returns (status, indices, witness_row).  Linear power iteration records
-    exact indices; on a stalled step the survivors are classified once by
-    repeated squaring so non-nil rings terminate.
-    """
-    N = X.shape[0]
-    indices = np.zeros(N, dtype=np.int64)
-    idx_map = np.arange(N)
-    cur = X
-    base = X
-    n = 1
-    classified = False
-    while idx_map.size:
-        zero = ~cur.any(axis=1)
-        died = zero.any()
-        if died:
-            indices[idx_map[zero]] = n
-            keep = ~zero
-            # Filter one array at a time, so the old cur is freed before
-            # base is copied; before the first product cur is base itself.
-            aliased = cur is base
-            idx_map = idx_map[keep]
-            cur = cur[keep]
-            base = cur if aliased else base[keep]
-            if not idx_map.size:
-                break
-        if n >= power_cap:
-            return Status.CAPPED, None, None
-        if not died and n > 1 and not classified:
-            bad = _classify_all_nilpotent(ring, base)
-            if bad is not None:
-                return Status.REFUTED, None, base[bad]
-            classified = True
-        cur = mul_rows(ring, cur, base)
-        n += 1
-    return Status.PROVED, indices, None
-
-
 def _mul(r, A, B):
     """Row-wise product: ``kernel.mul_rows`` over Z/mZ, ``Ring.mul_coords``
     one row at a time over the rationals."""
@@ -247,13 +205,17 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
 
 
 class SymbolicInternalError(RuntimeError):
-    """A witness read off a surviving reduced power has a zero power; the
-    reduction makes this impossible, so it indicates an implementation bug."""
+    """A witness read off a surviving power has a zero power; the
+    falling-factorial criterion makes this impossible, so it indicates an
+    implementation bug."""
 
 
-def _merge(parts, m):
+def _merge(parts, m, fact):
     """Join (exps, coefs) parts, sum the coefficient columns of equal
-    exponent rows, reduce them mod m (None over Q) and drop the zero ones."""
+    exponent rows and reduce them mod m (None over Q).  Given ``fact``, the
+    table of a! mod m, a coefficient c of the term prod_j (t_j)_(i_j) with
+    c * prod_j i_j! = 0 mod m is a zero function on (Z/m)^n, so it is
+    zeroed.  Terms left with no nonzero coefficient are dropped."""
     exps = np.concatenate([e for e, _ in parts])
     coefs = np.concatenate([c for _, c in parts], axis=1)
     if not len(exps):
@@ -262,37 +224,56 @@ def _merge(parts, m):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    exps = exps[order[starts]]
     coefs = np.add.reduceat(coefs[:, order], starts, axis=1)
     if m is not None:
         coefs %= m
+    if fact is not None:
+        # 0! = 1! = 1, so only terms with an exponent above 1 can be zeroed
+        big = exps > 1
+        heavy = np.flatnonzero(big.any(axis=1))
+        if heavy.size:
+            weight = np.ones(heavy.size, dtype=coefs.dtype)
+            for j in np.flatnonzero(big[heavy].any(axis=0)):
+                weight = weight * fact[exps[heavy, j]] % m
+            sub = coefs[:, heavy]
+            sub[sub * weight % m == 0] = 0
+            coefs[:, heavy] = sub
     live = (coefs != 0).any(axis=0)
-    return exps[order[starts[live]]], coefs[:, live]
+    return exps[live], coefs[:, live]
 
 
 def _general_powers(r: Ring, last):
     """Yield x, x^2, ..., x^last of the general element x = sum_j t_j b_j,
     stopping after the first zero power.
 
-    A power is (exps, coefs): row n of ``exps`` holds a monomial's exponents
-    in t_0 .. t_{rank-1} and column n of ``coefs`` its nonzero coefficient
-    vector.  Over F_p every exponent e >= 1 is reduced to ((e-1) mod (p-1))
-    + 1, since t^p = t as a function on F_p; reduction is a ring map, so the
-    result is the unique reduced polynomial of the map a -> a^s.  Over Z/m
-    and Q the expansion is not reduced.
+    A power is (exps, coefs): row n of ``exps`` holds the exponents I of a
+    term prod_j (t_j)_(I_j) in falling factorials, and column n of
+    ``coefs`` its coefficient vector.  The merge that completes a power
+    zeroes every coefficient that is a zero function (over Q only 0 is), so
+    a power is empty exactly when it vanishes at every point, over Z/m, F_p
+    and Q alike.
 
     Each step multiplies by x from the right, one basis index j at a time:
     through each constant b_i b_j = c b_k + ..., coefficient k gains
-    coefficient i times c, and exponent j rises by one.  Blocks are merged
-    into the next power whenever they hold as many monomials as the current
-    one, so the working set stays near monomials x rank.  Coefficients use
-    ``kernel_dtype``: a block's target sums as many reduced terms as
-    ``mul_rows`` does, and a merge sums at most 2 rank + 1 values below m.
+    coefficient i times c.  Since (t)_a * t = (t)_(a+1) + a (t)_a, that
+    block goes to exponents I + e_j and, times I_j, to I itself.  Blocks
+    are merged into the next power whenever they hold as many terms as the
+    current one, so the working set stays near terms x rank.  Coefficients
+    use ``kernel_dtype``: a block's target sums as many reduced terms as
+    ``mul_rows`` does, I_j is below m (a larger one has I_j! = 0 mod m), so
+    a block times I_j stays below (m-1)^2, and a merge sums at most
+    2 rank + 1 values below m.
     """
     dom, rank = r.coeff, r.rank
     m = dom.modulus
-    # an exponent reaches p only at powers past p - 1
-    wrap = m if dom.kind == FP and m <= last else None
     dtype = kernel_dtype(r) if dom.finite else object
+    fact = None
+    if m is not None:
+        fact = [1]
+        for a in range(1, last + 1):
+            fact.append(fact[-1] * a % m)
+        fact = np.array(fact, dtype=dtype)
     by_right = {}
     for (i, j), terms in r.sc.items():
         for k, c in terms.items():
@@ -302,6 +283,7 @@ def _general_powers(r: Ring, last):
     for _ in range(last - 1):
         yield exps, coefs
         parts, pending = [(exps[:0], coefs[:, :0])], 0
+        present = exps.any(axis=0)
         for j, terms in sorted(by_right.items()):
             block = np.zeros_like(coefs)
             for i, k, c in terms:
@@ -313,118 +295,66 @@ def _general_powers(r: Ring, last):
                 continue
             shifted = exps[live]
             shifted[:, j] += 1
-            if wrap is not None:
-                shifted[shifted[:, j] == wrap, j] = 1
             parts.append((shifted, block[:, live]))
             pending += len(shifted)
+            if present[j]:
+                stay = live & (exps[:, j] > 0)
+                kept = block[:, stay] * exps[stay, j].astype(dtype)
+                if m is not None:
+                    kept %= m
+                parts.append((exps[stay], kept))
+                pending += len(kept.T)
             if pending >= len(exps):
-                parts, pending = [_merge(parts, m)], 0
-        exps, coefs = _merge(parts, m)
+                parts, pending = [_merge(parts, m, None)], 0
+        exps, coefs = _merge(parts, m, fact)
         if not len(exps):
             break
     yield exps, coefs
 
 
-def _nonzero_point(r: Ring, exps, coefs, values):
-    """A point where the nonzero polynomial (exps, coefs) is nonzero.
-
-    Fixes t_0, t_1, ... in turn to the first of ``values`` that leaves a
-    nonzero polynomial.  Over F_p with reduced exponents, and over Q, one of
-    any deg + 1 distinct values does (a nonzero univariate coefficient has
-    at most deg roots), so ``values`` needs one more than the degree.
-    """
-    m = r.coeff.modulus
-    point = []
-    for j in range(r.rank):
-        col = exps[:, j]
-        rest = exps.copy()
-        rest[:, j] = 0
-        for v in values:
-            powers = np.array([pow(v, e, m) for e in range(int(col.max()) + 1)],
-                              dtype=coefs.dtype)
-            scaled = coefs * powers[col]
-            if m is not None:
-                scaled %= m
-            sub_e, sub_c = _merge([(rest, scaled)], m)
-            if len(sub_e):
-                break
-        point.append(v)
-        exps, coefs = sub_e, sub_c
-    return r.element(point)
-
-
 def nil_bounded_index(
     r: Ring,
-    mode="enum",
+    mode="symbolic",
     elem_cap=DEFAULT_ELEM_CAP,
     power_cap=DEFAULT_POWER_CAP,
     candidate=None,
 ) -> NilVerdict:
-    """Smallest s with a^s = 0 for every element.
+    """Smallest s up to ``candidate`` with a^s = 0 for every element.
 
-    ``enum`` takes the maximum element nil index over an exhaustive
-    enumeration (finite domains).  ``symbolic`` expands the powers of the
-    general element with ``_general_powers`` and returns the smallest
-    exponent up to ``candidate`` whose power vanishes.  Over F_p (reduced
-    exponents) and Q that exponent is exact, and a surviving monomial at
-    ``candidate`` is REFUTED with a witness a, a^candidate != 0.  Over Z/m
-    the expansion is not reduced: a vanishing power bounds the index from
-    above, and a surviving monomial is CAPPED, since pointwise vanishing is
-    still possible.
+    ``_general_powers`` expands the powers of the general element, and the
+    first empty one is the exact index over Z/m, F_p and Q.  A power that
+    survives at ``candidate`` is REFUTED with a witness: take its term I
+    smallest by total degree, then lexicographically.  At t = I every other
+    surviving term (t)_J with J <= I has a smaller total degree, so none is
+    left, and x^candidate takes the value c_I prod_j I_j! != 0 there.
+
+    ``symbolic`` is the only mode, and nothing is enumerated, so
+    ``elem_cap`` and ``power_cap`` are unused.  The three stay because
+    ``perfbench/layers.py`` binds them by name.
     """
+    if mode != "symbolic":
+        raise ValueError(f"unknown mode {mode!r}; only 'symbolic' remains")
+    if candidate is None:
+        raise ValueError("symbolic mode needs a candidate exponent")
     if r.rank == 0:
         return NilVerdict(Status.PROVED, index=1, note="zero ring")
-    if mode == "enum":
-        count = r.element_count()
-        if count is None or count > elem_cap:
-            return NilVerdict(
-                Status.CAPPED, note="enumeration infeasible; use symbolic mode"
-            )
-        X = _coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-        status, indices, witness = _batch_nil_indices(r, X, power_cap)
-        if status == Status.REFUTED:
-            return NilVerdict(
-                Status.REFUTED, witness=r.element([int(v) for v in witness])
-            )
-        if status == Status.CAPPED:
-            return NilVerdict(Status.CAPPED, note=f"power cap {power_cap} hit")
-        return NilVerdict(
-            Status.PROVED,
-            index=int(indices.max()),
-            note=f"exhaustive over {count} elements",
+    for s, (exps, coefs) in enumerate(_general_powers(r, candidate), 1):
+        if not len(exps):
+            return NilVerdict(Status.PROVED, index=s, note="symbolic expansion")
+    point = min(exps.tolist(), key=lambda e: (sum(e), e))
+    w = r.element(point)
+    acc = w
+    for _ in range(candidate - 1):
+        acc = acc * w
+    if acc.is_zero():
+        raise SymbolicInternalError(
+            f"power {candidate} of the witness {w!r} is zero, but monomial "
+            f"{tuple(point)} survives"
         )
-    if mode == "symbolic":
-        if candidate is None:
-            raise ValueError("symbolic mode needs a candidate exponent")
-        dom = r.coeff
-        note = "symbolic expansion"
-        if dom.kind == FP:
-            note += f" reduced by t^{dom.modulus} = t"
-        for s, (exps, coefs) in enumerate(_general_powers(r, candidate), 1):
-            if not len(exps):
-                return NilVerdict(Status.PROVED, index=s, note=note)
-        mono = min(map(tuple, exps.tolist()))
-        if dom.kind == ZMOD:
-            return NilVerdict(
-                Status.CAPPED,
-                note=f"general element power {candidate} has surviving "
-                f"monomial {mono}; pointwise vanishing not excluded",
-            )
-        top = min(dom.modulus, candidate + 1) if dom.finite else candidate + 1
-        w = _nonzero_point(r, exps, coefs, range(top))
-        acc = w
-        for _ in range(candidate - 1):
-            acc = acc * w
-        if acc.is_zero():
-            raise SymbolicInternalError(
-                f"power {candidate} of the witness {w!r} is zero, but monomial "
-                f"{mono} survives"
-            )
-        return NilVerdict(
-            Status.REFUTED, witness=w,
-            note=f"candidate {candidate} refuted: monomial {mono} survives",
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return NilVerdict(
+        Status.REFUTED, witness=w,
+        note=f"candidate {candidate} refuted: monomial {tuple(point)} survives",
+    )
 
 
 def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
@@ -451,34 +381,33 @@ def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
     )
 
 
-def bounded_nil_index_auto(r: Ring, elem_cap=DEFAULT_ELEM_CAP,
-                           power_cap=DEFAULT_POWER_CAP,
+def bounded_nil_index_auto(r: Ring, power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
     """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
     that is not nil has no bounded nil index.  Else the power-chain
-    certificate; over F_p with R^d = 0, the reduced symbolic expansion up to
-    d; else enumeration when feasible; else the symbolic expansion up to
-    ``symbolic_cap``.  That last one runs only on a nil ring or a capped
-    chain, so a monomial surviving at the cap refutes only the cap: CAPPED.
-    The verdict is kept on the ring per cap triple, so every caller with
-    the same caps shares one computation."""
-    key = (elem_cap, power_cap, symbolic_cap)
+    certificate.  Else the symbolic expansion, which is exact: up to d when
+    R^d = 0, where x^d vanishes, or up to ``symbolic_cap`` when the chain
+    runs past ``power_cap``.  There only an index within ``power_cap``
+    stands; a term surviving at ``symbolic_cap`` refutes only the cap, and
+    an index past ``power_cap`` is past the cap, so both are CAPPED.  The
+    verdict is kept on the ring per cap pair, so every caller with the same
+    caps shares one computation."""
+    key = (power_cap, symbolic_cap)
     if key not in r._nil_index:
         nd = nilpotency_index(r, cap=power_cap)
         if nd.status == Status.REFUTED:
             verdict = ring_is_nil(r, power_cap=power_cap)
         else:
             verdict = _certified_index(r, power_cap)
-        if verdict is None and nd.proved and r.coeff.kind == FP:
-            # x^d vanishes, so the expansion ends within d - 1 products
+        if verdict is None and nd.proved:
             verdict = nil_bounded_index(r, "symbolic", candidate=nd.index)
-        if verdict is None and r.coeff.finite and r.element_count() <= elem_cap:
-            verdict = nil_bounded_index(r, "enum", elem_cap=elem_cap, power_cap=power_cap)
         elif verdict is None:
             verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
-            if verdict.status == Status.REFUTED:
-                note = "; ".join(filter(None, (nd.note, verdict.note)))
-                verdict = NilVerdict(Status.CAPPED, note=note)
+            if not verdict.proved:
+                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; {verdict.note}")
+            elif verdict.index > power_cap:
+                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; symbolic "
+                                     f"index {verdict.index} is past it")
         r._nil_index[key] = verdict
     return r._nil_index[key]
 
@@ -586,8 +515,7 @@ class HomogeneousPowerReport:
 
 
 def homogeneous_power_report(
-    gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
-    symbolic_cap=DEFAULT_SYMBOLIC_CAP,
+    gr: GradedRing, power_cap=DEFAULT_POWER_CAP, symbolic_cap=DEFAULT_SYMBOLIC_CAP,
 ) -> HomogeneousPowerReport:
     """Prove (a_1 ... a_{kg})^s = 0 per degree, and a^{k*s} = 0, by degrees.
 
@@ -607,8 +535,7 @@ def homogeneous_power_report(
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero")
-    sv = bounded_nil_index_auto(m0, elem_cap=elem_cap, power_cap=power_cap,
-                                symbolic_cap=symbolic_cap)
+    sv = bounded_nil_index_auto(m0, power_cap=power_cap, symbolic_cap=symbolic_cap)
     if not sv.proved:
         return HomogeneousPowerReport(
             False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})",

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .fcomm import (
+    DEFAULT_SAMPLES,
     Action,
     FMap,
     check_f_commutative,
@@ -32,7 +33,6 @@ from .monoid import Congruence
 from .nil import (
     DEFAULT_ELEM_CAP,
     DEFAULT_POWER_CAP,
-    DEFAULT_SAMPLES,
     DEFAULT_SYMBOLIC_CAP,
     Status,
     bounded_nil_index_auto,
@@ -161,7 +161,7 @@ def _nil_index(check, r, caps, not_nil, uncertified):
     PROVED, ``check`` is finished: NOT_APPLICABLE for reason ``not_nil`` when
     ``r`` is refuted nil and that reason is given, else CAPPED for reason
     ``uncertified``."""
-    sv = bounded_nil_index_auto(r, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
+    sv = bounded_nil_index_auto(r, power_cap=caps.power_cap)
     if sv.status == Status.REFUTED and not_nil:
         _na(check, not_nil)
     elif not sv.proved:
@@ -244,7 +244,7 @@ def verify_neutral_nil_fcomm_bound(
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
     check.details["support_size"] = d
-    whole = bounded_nil_index_auto(gr.ring, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
+    whole = bounded_nil_index_auto(gr.ring, power_cap=caps.power_cap)
     if whole.status == Status.REFUTED:
         return _fail(check, non_nil=whole.witness)
     if not whole.proved:
@@ -446,8 +446,9 @@ def verify_matrix_nil_transfer(
 
     The diagonal component of the elementary grading is R x R as a ring, so
     the lift of f holds exactly when R commutes up to f, and the diagonal
-    nil index is R's: both are read off the verdicts on R.  The matrix ring
-    is certified nil exhaustively or symbolically against the bound.
+    nil index is R's: both are read off the verdicts on R.  The matrix
+    ring's bounded nil index, from its power chain or the exact symbolic
+    expansion, is checked against the bound.
     """
     check = TheoremCheck(
         "T3.26", "2x2 matrices over a nil f-commutative ring are nil", True
@@ -467,7 +468,7 @@ def verify_matrix_nil_transfer(
     check.details["diagonal_nil_index"] = sv.index
     check.bound = nil_index_bound(sv.index, 2)
     m2_nil = bounded_nil_index_auto(
-        matrix_ring(r, 2), elem_cap=caps.elem_cap, power_cap=caps.power_cap,
+        matrix_ring(r, 2), power_cap=caps.power_cap,
         symbolic_cap=max(DEFAULT_SYMBOLIC_CAP, sv.index * 4),
     )
     if m2_nil.status == Status.REFUTED:
@@ -515,7 +516,7 @@ def verify_homogeneous_power_vanishing(gr: GradedRing, caps=Caps()) -> TheoremCh
         "neutral nil index; k = lcm(k_g)",
         True,
     )
-    report = homogeneous_power_report(gr, caps.elem_cap, caps.power_cap)
+    report = homogeneous_power_report(gr, caps.power_cap)
     if not report.applicable:
         capped = report.neutral is not None and report.neutral.status == Status.CAPPED
         return (_capped if capped else _na)(check, report.reason)

@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from test_nil import enum_bounded_index
 
 from gradednil.fcomm import FMap, rewrite_identity_check, scalar_action, scalar_f_search
 from gradednil.grading import (
@@ -155,11 +156,11 @@ def test_criterion_05_matrix_nil_instances():
     details = []
     ok = True
     for label, base, s_expected in cases:
-        s = nil_bounded_index(base, "enum")
+        s = enum_bounded_index(base)
         ok = ok and s.proved and s.index == s_expected
         m2 = matrix_ring(base, 2)
         assert m2.element_count() <= 2**20
-        v = nil_bounded_index(m2, "enum")
+        v = enum_bounded_index(m2)
         bound = nil_index_bound(s.index, 2)
         assert bound == 2 * s.index * 2**2 * (2**4 - 1) // (2 - 1)
         ok = ok and v.proved and v.index <= bound
@@ -215,7 +216,7 @@ def test_criterion_08_index2_bound():
     t0 = time.monotonic()
     gr = trivial_grading(grassmann_star(2, fp(3)).ring)
     m0, _ = neutral_ring(gr)
-    s = nil_bounded_index(m0, "enum")
+    s = enum_bounded_index(m0)
     chain = power_chain(m0)
     chk = verify_index2_char_bound(gr)
     ok = (

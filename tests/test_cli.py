@@ -168,6 +168,25 @@ def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
     assert "REFUTED" in out
 
 
+D4_Z12_SPEC = (
+    "[ring]\ncoeff = zmod 12\nrank = 6\nnames = A B A2 AB B2 V\n"
+    + "".join(f"sc = {i} {j} {k} {c}\n" for i, j, k, c in [
+        (0, 0, 2, 1), (0, 1, 3, 1), (1, 0, 3, 1), (1, 1, 4, 1),
+        (0, 3, 5, 6), (3, 0, 5, 6), (1, 3, 5, 6), (3, 1, 5, 6),
+        (0, 4, 5, 6), (4, 0, 5, 6), (1, 2, 5, 6), (2, 1, 5, 6)])
+)
+
+
+def test_cli_analyze_d4_ring_over_z12_prints_the_exact_index(tmp_path, capsys):
+    # R^4 = 0, but x^3 = 0 for every x; the monomial expansion printed 4
+    path = _write(tmp_path, "d4z12.spec", D4_Z12_SPEC)
+    code = main(["analyze", path, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["nilpotency"].startswith("NilVerdict(PROVED, index=4")
+    assert data["bounded_nil_index"] == "NilVerdict(PROVED, index=3, symbolic expansion)"
+
+
 def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):
     # M_3(F_2) graded by Z_3 is not nilpotent; its REFUTED witness is
     # searched once per ring, not once per nilpotency_index call

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_nil import enum_bounded_index
 
 from gradednil.cli import main
 from gradednil.grading import (
@@ -146,7 +147,7 @@ def test_bound_arithmetic_stays_exact_for_large_supports():
 
 def test_symbolic_enum_agreement_chain_ring():
     r = chain_ring(fp(5), 3)
-    enum = nil_bounded_index(r, "enum")
+    enum = enum_bounded_index(r)
     sym = nil_bounded_index(r, "symbolic", candidate=8)
     assert enum.proved and sym.proved and enum.index == sym.index == 4
 

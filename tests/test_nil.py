@@ -103,13 +103,20 @@ def test_ring_is_nil_rationals_sampled():
 
 
 def test_bounded_index_enum_two_z8():
-    v = nil_bounded_index(two_z_2k(3), "enum")
-    assert v.proved and v.index == 3
+    for v in (enum_bounded_index(two_z_2k(3)),
+              nil_bounded_index(two_z_2k(3), "symbolic", candidate=3)):
+        assert v.proved and v.index == 3
 
 
 def test_bounded_index_enum_two_z16():
-    v = nil_bounded_index(two_z_2k(4), "enum")
-    assert v.proved and v.index == 4
+    for v in (enum_bounded_index(two_z_2k(4)),
+              nil_bounded_index(two_z_2k(4), "symbolic", candidate=4)):
+        assert v.proved and v.index == 4
+
+
+def test_bounded_index_modes_other_than_symbolic_are_gone():
+    with pytest.raises(ValueError, match="only 'symbolic' remains"):
+        nil_bounded_index(two_z_2k(3), "enum")
 
 
 def test_bounded_index_symbolic_grassmann_q():
@@ -118,8 +125,9 @@ def test_bounded_index_symbolic_grassmann_q():
 
 
 def test_bounded_index_zero_conventions():
-    assert nil_bounded_index(Ring(fp(2), [], {}), "enum").index == 1
-    assert nil_bounded_index(zero_product_ring(fp(3), 2), "enum").index == 2
+    for index in (enum_bounded_index, lambda r: nil_bounded_index(r, candidate=4)):
+        assert index(Ring(fp(2), [], {})).index == 1
+        assert index(zero_product_ring(fp(3), 2)).index == 2
 
 
 def test_bounded_index_symbolic_refuted_over_q():
@@ -129,20 +137,25 @@ def test_bounded_index_symbolic_refuted_over_q():
 
 
 def test_bounded_index_symbolic_refuted_with_witness_over_fp():
-    # x^3 = t^3 b reduces to t b over F_2, nonzero at t = 1: b^3 = b
+    # x^3 = t^3 b = ((t)_3 + 3 (t)_2 + (t)_1) b: over F_2, 3! and 3 * 2! are
+    # 0 and (t)_1 = t survives, nonzero at t = 1: b^3 = b
     v = nil_bounded_index(idempotent_ring(fp(2)), "symbolic", candidate=3)
     assert v.status == Status.REFUTED
     assert v.witness.coords == (1,)
     assert element_nil_index(v.witness).status == Status.REFUTED
-    # unreduced over Z/4, a surviving monomial may still vanish pointwise
+    # over Z/4, 3! = 3 * 2! = 2 and all three terms survive; the least,
+    # (t)_1, is nonzero at t = 1, so b is the witness
     v = nil_bounded_index(idempotent_ring(zmod(4)), "symbolic", candidate=3)
-    assert v.status == Status.CAPPED
+    assert v.status == Status.REFUTED
+    assert v.witness.coords == (1,)
+    assert v.note == "candidate 3 refuted: monomial (1,) survives"
+    assert element_nil_index(v.witness).status == Status.REFUTED
 
 
 def test_enum_and_symbolic_agree_on_finite_domains():
     for ring in (two_z_2k(3), grassmann_star(2, fp(3)).ring,
                  truncated_nagata(2, 2)):
-        enum = nil_bounded_index(ring, "enum")
+        enum = enum_bounded_index(ring)
         sym = nil_bounded_index(ring, "symbolic", candidate=8)
         assert enum.proved and sym.proved
         assert enum.index == sym.index
@@ -215,7 +228,7 @@ def test_nilpotent_implies_bounded_implies_nil():
     for ring in (two_z_2k(3), sut(4, fp(2)).ring, truncated_nagata(1, 3),
                  grassmann_star(2, fp(3)).ring):
         nd = nilpotency_index(ring)
-        s = nil_bounded_index(ring, "enum")
+        s = enum_bounded_index(ring)
         nil = ring_is_nil(ring)
         assert nd.proved and s.proved and nil.proved
         assert s.index <= nd.index
@@ -263,7 +276,7 @@ def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
     modes = []
     expand = nil.nil_bounded_index
 
-    def counted(r, mode="enum", **kw):
+    def counted(r, mode="symbolic", **kw):
         modes.append(mode)
         return expand(r, mode, **kw)
 
@@ -281,11 +294,11 @@ def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
 def test_bounded_auto_keeps_a_capped_chain_capped(dom):
     # sut(6) has nil index 6: x^3 != 0 refutes a symbolic cap of 3, not
     # nil-ness, while the power chain runs past its cap
-    v = bounded_nil_index_auto(sut(6, dom).ring, elem_cap=1, power_cap=2, symbolic_cap=3)
+    v = bounded_nil_index_auto(sut(6, dom).ring, power_cap=2, symbolic_cap=3)
     assert v.status == Status.CAPPED
     assert v.note.startswith("power chain longer than power_cap 2; candidate 3 refuted")
     # a chain that ends nonzero proves the ring not nil, so REFUTED stands
-    v = bounded_nil_index_auto(idempotent_ring(dom), elem_cap=1, symbolic_cap=3)
+    v = bounded_nil_index_auto(idempotent_ring(dom), symbolic_cap=3)
     assert v.status == Status.REFUTED
     assert element_nil_index(v.witness).status == Status.REFUTED
 
@@ -313,7 +326,7 @@ def test_certified_index_matches_enumeration(r):
     assume(r.element_count() <= 6**6)
     assert ring_is_nil(r).proved
     assert all(v.proved for v in s_nil_check(trivial_grading(r)).values())
-    enum = nil_bounded_index(r, "enum")
+    enum = enum_bounded_index(r)
     cert = nil._certified_index(r, DEFAULT_POWER_CAP)
     if cert is not None:
         assert cert.proved and cert.index == enum.index
@@ -340,24 +353,160 @@ def test_certificate_silent_on_d4_ring():
     assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
     v = bounded_nil_index_auto(r)
     assert v.proved and v.index == 3
-    assert v.note == "symbolic expansion reduced by t^2 = t"
+    assert v.note == "symbolic expansion"
 
 
 def test_d4_ring_symbolic_index_is_exact():
-    # unreduced, x^3 survives and the index read 4; reduced by t^2 = t it
-    # is 3, as enumeration says, on every path
+    # in monomials x^3 survives and the index read 4; in falling factorials
+    # every term of x^3 is a zero function over F_2, so it is 3, as
+    # enumeration says
     r = d4_ring()
-    assert nil_bounded_index(r, "enum").index == 3
+    assert enum_bounded_index(r).index == 3
     v = nil_bounded_index(r, "symbolic", candidate=8)
     assert v.proved and v.index == 3
-    assert bounded_nil_index_auto(r, elem_cap=32).index == 3
+    assert bounded_nil_index_auto(r).index == 3
     low = nil_bounded_index(r, "symbolic", candidate=2)
     assert low.status == Status.REFUTED
     assert element_nil_index(low.witness).index == 3
 
 
+def d4_ring_z12():
+    # the D4 ring over Z/12 with every product into V scaled by 6
+    r = d4_ring()
+    sc = {ij: {k: 6 if k == 5 else c for k, c in t.items()} for ij, t in r.sc.items()}
+    return Ring(zmod(12), r.names, sc)
+
+
+def test_d4_ring_over_z12_index_is_exact():
+    # R^4 = 0 and, in monomials, x^3 = 6 (t1^2 t2 + t1 t2^2) V survived and
+    # printed index 4; in falling factorials each term of x^3 has
+    # c * prod i_j! = 0 mod 12, so the index is 3
+    r = d4_ring_z12()
+    assert nilpotency_index(r).index == 4
+    assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
+    v = bounded_nil_index_auto(r)
+    assert v.proved and v.index == 3 and v.note == "symbolic expansion"
+    low = nil_bounded_index(r, "symbolic", candidate=2)
+    assert low.status == Status.REFUTED
+    assert element_nil_index(low.witness).index == 3
+    # x^3 = 0 on a seeded sample of the 12^6 elements
+    X = np.array([[random.Random(n).randrange(12) for _ in range(6)] for n in range(4096)])
+    assert not kernel.mul_rows(r, kernel.mul_rows(r, X, X), X).any()
+
+
 # ---------------------------------------------------------------------------
-# The symbolic scatter against enumeration and the dict expansion it replaced.
+# References: enumeration, and the monomial expansions the falling-factorial
+# scatter replaced.
+
+
+def batch_nil_indices(ring, X, power_cap):
+    """Exact per-row nil indices, or the first non-nilpotent witness row.
+
+    Returns (status, indices, witness_row).  Linear power iteration records
+    exact indices; on a stalled step the survivors are classified once by
+    repeated squaring so non-nil rings terminate.
+    """
+    N = X.shape[0]
+    indices = np.zeros(N, dtype=np.int64)
+    idx_map = np.arange(N)
+    cur = X
+    base = X
+    n = 1
+    classified = False
+    while idx_map.size:
+        zero = ~cur.any(axis=1)
+        died = zero.any()
+        if died:
+            indices[idx_map[zero]] = n
+            keep = ~zero
+            # Filter one array at a time, so the old cur is freed before
+            # base is copied; before the first product cur is base itself.
+            aliased = cur is base
+            idx_map = idx_map[keep]
+            cur = cur[keep]
+            base = cur if aliased else base[keep]
+            if not idx_map.size:
+                break
+        if n >= power_cap:
+            return Status.CAPPED, None, None
+        if not died and n > 1 and not classified:
+            bad = nil._classify_all_nilpotent(ring, base)
+            if bad is not None:
+                return Status.REFUTED, None, base[bad]
+            classified = True
+        cur = kernel.mul_rows(ring, cur, base)
+        n += 1
+    return Status.PROVED, indices, None
+
+
+def enum_bounded_index(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP):
+    """The bounded nil index as the largest element nil index over every
+    element of a finite ring, by batched power iteration."""
+    if r.rank == 0:
+        return nil.NilVerdict(Status.PROVED, index=1, note="zero ring")
+    count = r.element_count()
+    if count is None or count > elem_cap:
+        return nil.NilVerdict(Status.CAPPED, note="enumeration infeasible")
+    X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+    status, indices, witness = batch_nil_indices(r, X, power_cap)
+    if status == Status.REFUTED:
+        return nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in witness]))
+    if status == Status.CAPPED:
+        return nil.NilVerdict(Status.CAPPED, note=f"power cap {power_cap} hit")
+    return nil.NilVerdict(Status.PROVED, index=int(indices.max()),
+                          note=f"exhaustive over {count} elements")
+
+
+def monomial_powers(r, last):
+    """x, x^2, ..., x^last of the general element as (exps, coefs) in the
+    monomial basis, by the numpy scatter the falling-factorial one replaced:
+    unreduced over Z/m and Q, exponents reduced by t^p = t over F_p."""
+    dom, rank = r.coeff, r.rank
+    m = dom.modulus
+    wrap = m if dom.kind == "fp" and m <= last else None
+    dtype = kernel.kernel_dtype(r) if dom.finite else object
+
+    def merge(parts):
+        exps = np.concatenate([e for e, _ in parts])
+        coefs = np.concatenate([c for _, c in parts], axis=1)
+        if not len(exps):
+            return exps, coefs
+        keys = exps.view(np.dtype((np.void, exps.shape[1] * exps.itemsize))).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        coefs = np.add.reduceat(coefs[:, order], starts, axis=1)
+        if m is not None:
+            coefs %= m
+        live = (coefs != 0).any(axis=0)
+        return exps[order[starts[live]]], coefs[:, live]
+
+    by_right = {}
+    for (i, j), terms in r.sc.items():
+        for k, c in terms.items():
+            by_right.setdefault(j, []).append((i, k, c))
+    exps = np.eye(rank, dtype=np.min_scalar_type(last))
+    coefs = np.eye(rank, dtype=dtype)
+    out = [(exps, coefs)]
+    for _ in range(last - 1):
+        parts = [(exps[:0], coefs[:, :0])]
+        for j, terms in sorted(by_right.items()):
+            block = np.zeros_like(coefs)
+            for i, k, c in terms:
+                block[k] += coefs[i] if c == 1 else coefs[i] * c
+            if m is not None:
+                block %= m
+            live = (block != 0).any(axis=0)
+            shifted = exps[live]
+            shifted[:, j] += 1
+            if wrap is not None:
+                shifted[shifted[:, j] == wrap, j] = 1
+            parts.append((shifted, block[:, live]))
+        exps, coefs = merge(parts)
+        out.append((exps, coefs))
+        if not len(exps):
+            break
+    return out
 
 
 def sym_dict(exps, coefs):
@@ -368,9 +517,9 @@ def sym_dict(exps, coefs):
 
 
 def sym_powers_reference(ring, last):
-    """x, x^2, ..., x^last as dicts, by the dict expansion the scatter
-    replaced: one ``mul_coords`` per pair of monomials, Python integers or
-    Fractions throughout, exponents reduced by t^p = t over F_p."""
+    """x, x^2, ..., x^last as monomial dicts: one ``mul_coords`` per pair of
+    monomials, Python integers or Fractions throughout, exponents reduced by
+    t^p = t over F_p."""
     dom = ring.coeff
 
     def reduce(e):
@@ -393,21 +542,63 @@ def sym_powers_reference(ring, last):
     return out
 
 
+def surjections(k, i):
+    """Maps of a k-set onto an i-set: the i-th difference of t^k at 0."""
+    return sum((-1) ** (i - j) * math.comb(i, j) * j**k for j in range(i + 1))
+
+
+def differences(ring, poly, falling):
+    """{I: the I-th finite difference at 0} of a polynomial map, over its
+    nonzero differences.  Two maps are equal exactly when these agree, over
+    Z/m, F_p and Q.  ``poly`` is {exponents: vector}, in falling factorials
+    (c_I (t)_I has I-th difference c_I I!) or in monomials (t^K has
+    I-th difference prod_j surjections(K_j, I_j))."""
+    m = ring.coeff.modulus
+    out = {}
+    for mono, vec in poly.items():
+        if falling:
+            targets = [(mono, math.prod(math.factorial(e) for e in mono))]
+        else:
+            targets = [(I, math.prod(surjections(k, i) for k, i in zip(mono, I)))
+                       for I in itertools.product(*(range(1, k + 1) if k else (0,)
+                                                    for k in mono))]
+        for I, w in targets:
+            prev = out.get(I, (0,) * ring.rank)
+            out[I] = tuple(a + w * c for a, c in zip(prev, vec))
+    if m is not None:
+        out = {I: tuple(v % m for v in vec) for I, vec in out.items()}
+    return {I: vec for I, vec in out.items() if any(vec)}
+
+
+def difference_tables(ring, powers, falling, last):
+    """``differences`` of each power, padded with zero maps to ``last``."""
+    tables = [differences(ring, p, falling) for p in powers]
+    return tables + [{}] * (last - len(tables))
+
+
 def scatter_dicts(ring, last):
     return [sym_dict(e, c) for e, c in nil._general_powers(ring, last)]
+
+
+def assert_scatter_matches_dict_expansion(r, last):
+    want = difference_tables(r, sym_powers_reference(r, last), False, last)
+    assert difference_tables(r, scatter_dicts(r, last), True, last) == want
+    monomial = [sym_dict(e, c) for e, c in monomial_powers(r, last)]
+    assert monomial == sym_powers_reference(r, last)
 
 
 @given(nilpotent_rings(domains=(zmod(4), zmod(6), rat())))
 @settings(max_examples=40, deadline=None)
 def test_unreduced_scatter_matches_dict_expansion(r):
-    assert scatter_dicts(r, 6) == sym_powers_reference(r, 6)
+    # the dict expansion is unreduced here; the scatter is the same map
+    assert_scatter_matches_dict_expansion(r, 6)
 
 
 @given(nilpotent_rings(domains=(fp(2**61 - 1), zmod(2**63 - 25))))
 @settings(max_examples=30, deadline=None)
 def test_scatter_matches_python_integers_near_int64_limit(r):
     # the constant -1 becomes m - 1, so products run far past int64
-    assert scatter_dicts(r, 6) == sym_powers_reference(r, 6)
+    assert_scatter_matches_dict_expansion(r, 6)
 
 
 def test_scatter_in_int64_at_the_kernel_bound():
@@ -418,33 +609,59 @@ def test_scatter_in_int64_at_the_kernel_bound():
     r = d4_ring()
     r = Ring(fp(p), r.names, {ij: {k: -1 for k in t} for ij, t in r.sc.items()})
     assert kernel.kernel_dtype(r) is np.int64
-    assert scatter_dicts(r, 4) == sym_powers_reference(r, 4)
+    assert_scatter_matches_dict_expansion(r, 4)
 
 
-@given(nilpotent_rings(domains=(fp(2), fp(3), fp(5))))
-@settings(max_examples=60, deadline=None)
+def falling_value(ring, poly, a):
+    """The falling-factorial polynomial ``poly`` evaluated at the
+    coordinates of ``a`` (integer representatives over Z/m)."""
+    m = ring.coeff.modulus
+    value = [0] * ring.rank
+    for mono, vec in poly.items():
+        w = math.prod(math.prod(x - i for i in range(e)) for x, e in zip(a.coords, mono))
+        value = [v + w * c for v, c in zip(value, vec)]
+    return tuple(v % m for v in value) if m is not None else tuple(value)
+
+
+def small_points(r, count):
+    """Up to ``count`` elements: every one in order over Z/m, or seeded
+    points with coordinates in -2..2 over Q."""
+    if r.coeff.finite:
+        return list(itertools.islice(r.elements(), count))
+    rng = random.Random(1)
+    return [r.element([rng.randint(-2, 2) for _ in range(r.rank)]) for _ in range(count)]
+
+
+FALLING_DOMAINS = (zmod(4), zmod(6), zmod(8), zmod(9), zmod(12), zmod(16),
+                   fp(2), fp(3), fp(5), rat())
+
+
+@given(nilpotent_rings(domains=FALLING_DOMAINS))
+@settings(max_examples=300, deadline=None)
 def test_reduced_scatter_matches_enumeration(r):
-    assume(r.element_count() <= 5**5)
-    enum = nil_bounded_index(r, "enum")
-    sym = nil_bounded_index(r, "symbolic", candidate=nilpotency_index(r).index)
-    assert sym.proved and sym.index == enum.index
-    assert bounded_nil_index_auto(r).index == enum.index
-    if enum.index > 1:
-        low = nil_bounded_index(r, "symbolic", candidate=enum.index - 1)
+    assume(not r.coeff.finite or r.element_count() <= 2**16)
+    d = nilpotency_index(r).index
+    sym = nil_bounded_index(r, "symbolic", candidate=d)
+    if r.coeff.finite:
+        want = enum_bounded_index(r).index
+    else:
+        # over Q the monomial expansion is exact: x^d = 0 ends it
+        monomial = monomial_powers(r, d)
+        assert not len(monomial[-1][0])
+        want = len(monomial)
+    assert sym.proved and sym.index == want
+    assert bounded_nil_index_auto(r).index == want
+    if want > 1:
+        low = nil_bounded_index(r, "symbolic", candidate=want - 1)
         assert low.status == Status.REFUTED
-        assert element_nil_index(low.witness).index == enum.index
-    # each reduced power is the map a -> a^s, point by point
-    powers = scatter_dicts(r, enum.index)
-    assert powers == sym_powers_reference(r, enum.index)
-    dom = r.coeff
-    for a in itertools.islice(r.elements(), 125):
+        assert element_nil_index(low.witness).index == want
+    # each power is the map a -> a^s, point by point
+    powers = scatter_dicts(r, want)
+    assert len(powers) == want
+    for a in small_points(r, 125):
         acc = a
         for poly in powers:
-            value = [0] * r.rank
-            for mono, vec in poly.items():
-                w = math.prod(pow(x, e, dom.modulus) for x, e in zip(a.coords, mono))
-                value = [(v + w * c) % dom.modulus for v, c in zip(value, vec)]
-            assert tuple(value) == acc.coords
+            assert falling_value(r, poly, a) == acc.coords
             acc = acc * a
 
 
@@ -470,7 +687,7 @@ def test_group_ring_refutations_pick_first_witness():
     nil = ring_is_nil(r)
     assert nil.status == Status.REFUTED
     assert nil.witness.coords == (1, 0)  # the stable power's first generator
-    bounded = nil_bounded_index(r, "enum")
+    bounded = enum_bounded_index(r)
     assert bounded.status == Status.REFUTED
     assert element_nil_index(bounded.witness).status == Status.REFUTED
     nd = nilpotency_index(r)
@@ -485,8 +702,9 @@ def test_enumeration_exact_near_int64_limit():
     assert element_nil_index(r.basis_element(0)).index == 16
     assert ring_is_nil(r, elem_cap=m).proved
     assert enumerated_is_nil(r)
-    v = nil_bounded_index(r, "enum", elem_cap=m, power_cap=100)
+    v = enum_bounded_index(r, elem_cap=m, power_cap=100)
     assert v.proved and v.index == 16
+    assert bounded_nil_index_auto(r).index == 16
 
 
 @pytest.mark.parametrize("ring", [
@@ -497,7 +715,7 @@ def test_enumeration_exact_near_int64_limit():
 ], ids=lambda r: f"{r.coeff.label()}-rank{r.rank}")
 def test_enum_bounded_index_matches_elementwise_maximum(ring):
     per_element = [element_nil_index(a) for a in ring.elements()]
-    v = nil_bounded_index(ring, "enum")
+    v = enum_bounded_index(ring)
     if any(e.status == Status.REFUTED for e in per_element):
         assert v.status == Status.REFUTED
         assert element_nil_index(v.witness).status == Status.REFUTED
@@ -887,9 +1105,9 @@ def test_ring_is_nil_refutes_b_squared_2b_over_q():
 
 
 def test_bounded_auto_refutes_a_non_nil_ring_past_the_element_cap():
-    # the unreduced expansion over Z/4 cannot refute; the chain R = R^2 can
+    # nothing is enumerated: the chain R = R^2 refutes
     r = idempotent_ring(zmod(4))
-    v = bounded_nil_index_auto(r, elem_cap=1)
+    v = bounded_nil_index_auto(r)
     assert v.status == Status.REFUTED
     assert v.witness == r.basis_element(0)
 
@@ -928,8 +1146,13 @@ def test_ring_is_nil_without_a_witness_names_the_theorem(monkeypatch):
 
 
 def test_bounded_auto_caps_a_symbolic_survivor_on_a_nil_ring():
-    # R^3 = 0 but x^2 = 0 for every x: x^1 != 0 refutes the symbolic cap 1,
-    # not nil-ness
-    v = bounded_nil_index_auto(grassmann_star(2, rat()).ring, symbolic_cap=1)
+    # R^3 = 0 but x^2 = 0 for every x.  With the chain capped, x^1 != 0
+    # refutes the symbolic cap 1, not nil-ness
+    r = grassmann_star(2, rat()).ring
+    v = bounded_nil_index_auto(r, power_cap=2, symbolic_cap=1)
     assert v.status == Status.CAPPED
-    assert v.note.startswith("candidate 1 refuted")
+    assert v.note == ("power chain longer than power_cap 2; "
+                      "candidate 1 refuted: monomial (0, 0, 1) survives")
+    # with R^3 = 0 the expansion runs to 3, whatever the symbolic cap
+    v = bounded_nil_index_auto(r, symbolic_cap=1)
+    assert v.proved and v.index == 2

@@ -298,8 +298,7 @@ def test_matrix_transfer_not_applicable_non_nil():
 def test_matrix_nil_verdict_predicate_sizes_2_and_3():
     r = two_z_2k(3)
     for n in (2, 3):
-        v = bounded_nil_index_auto(matrix_ring(r, n), elem_cap=CAPS.elem_cap,
-                                   power_cap=CAPS.power_cap)
+        v = bounded_nil_index_auto(matrix_ring(r, n), power_cap=CAPS.power_cap)
         assert v.proved
 
 

@@ -1,4 +1,5 @@
 import pytest
+from test_nil import enum_bounded_index
 
 from gradednil.grading import component_indices, neutral_ring, support
 from gradednil.nil import nil_bounded_index, nilpotency_index, ring_is_nil
@@ -38,7 +39,7 @@ def test_truncated_nagata_k1_p2():
 def test_truncated_nagata_k2_p2_bounded_index():
     r = truncated_nagata(2, 2)
     assert r.rank == 3
-    s = nil_bounded_index(r, "enum")
+    s = enum_bounded_index(r)
     assert s.proved and s.index == 2  # squares vanish in characteristic 2
     assert r.note == NON_CONSTRUCTIBLE["nagata-union"]
 
