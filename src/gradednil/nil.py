@@ -56,6 +56,8 @@ DEFAULT_SYMBOLIC_CAP = 16
 # Random elements the power-chain certificate tries beside the basis; the
 # seed is fixed, so its verdicts repeat.
 _CERT_SAMPLES = 32
+# Entries of the largest array one block of the symbolic expansion builds.
+_EXPAND_ENTRIES = 1 << 18
 
 
 class Status(str, Enum):
@@ -254,15 +256,19 @@ def _general_powers(r: Ring, last):
     a power is empty exactly when it vanishes at every point, over Z/m, F_p
     and Q alike.
 
-    Each step multiplies by x from the right, one basis index j at a time:
-    through each constant b_i b_j = c b_k + ..., coefficient k gains
-    coefficient i times c.  Since (t)_a * t = (t)_(a+1) + a (t)_a, that
-    block goes to exponents I + e_j and, times I_j, to I itself.  Blocks
-    are merged into the next power whenever they hold as many terms as the
-    current one, so the working set stays near terms x rank.  Coefficients
-    use ``kernel_dtype``: a block's target sums as many reduced terms as
+    Each step multiplies by x from the right.  Through each constant
+    b_i b_j = c b_k + ..., coefficient i of a term I, times c, goes to
+    coefficient k of the cell (I, j), the term times t_j b_j; since
+    (t)_a * t = (t)_(a+1) + a (t)_a, a cell goes to exponents I + e_j and,
+    times I_j, to I itself.  The constants whose coefficient i is nonzero
+    in some term are applied together to a block of terms, as many as keep
+    both constants x terms and rank^2 x terms (a bound on the cells'
+    coefficients) within ``_EXPAND_ENTRIES``.  The cells are merged into
+    the next power whenever they hold as many terms as the current one, so
+    the working set stays near terms x rank.  Coefficients use
+    ``kernel_dtype``: a cell's coefficient sums as many reduced terms as
     ``mul_rows`` does, I_j is below m (a larger one has I_j! = 0 mod m), so
-    a block times I_j stays below (m-1)^2, and a merge sums at most
+    a cell times I_j stays below (m-1)^2, and a merge sums at most
     2 rank + 1 values below m.
     """
     dom, rank = r.coeff, r.rank
@@ -274,36 +280,50 @@ def _general_powers(r: Ring, last):
         for a in range(1, last + 1):
             fact.append(fact[-1] * a % m)
         fact = np.array(fact, dtype=dtype)
-    by_right = {}
-    for (i, j), terms in r.sc.items():
-        for k, c in terms.items():
-            by_right.setdefault(j, []).append((i, k, c))
+    trip = sorted((j, k, i, c) for (i, j), terms in r.sc.items() for k, c in terms.items())
+    left = np.array([i for _, _, i, _ in trip], dtype=np.intp)
+    consts = np.array([c for *_, c in trip], dtype=dtype)[:, None]
+    cell = np.array([j * rank + k for j, k, _, _ in trip], dtype=np.intp)
     exps = np.eye(rank, dtype=np.min_scalar_type(last))
     coefs = np.eye(rank, dtype=dtype)
     for _ in range(last - 1):
         yield exps, coefs
         parts, pending = [(exps[:0], coefs[:, :0])], 0
-        present = exps.any(axis=0)
-        for j, terms in sorted(by_right.items()):
-            block = np.zeros_like(coefs)
-            for i, k, c in terms:
-                block[k] += coefs[i] if c == 1 else coefs[i] * c
+        use = np.flatnonzero(coefs.any(axis=1)[left])
+        if not use.size:
+            exps, coefs = exps[:0], coefs[:, :0]
+            break
+        rows, scale, cu = left[use], consts[use], cell[use]
+        first = np.flatnonzero(np.concatenate(([True], cu[1:] != cu[:-1])))
+        gj, gk = np.divmod(cu[first], rank)
+        width = max(1, _EXPAND_ENTRIES // max(use.size, rank * rank))
+        for lo in range(0, len(exps), width):
+            block = coefs[rows, lo:lo + width]
+            block *= scale
+            block = np.add.reduceat(block, first, axis=0)
             if m is not None:
                 block %= m
-            live = (block != 0).any(axis=0)
-            if not live.any():
+            # nonzeros by column n, then by (j, k): each cell (n, j) is a
+            # run, and one column per cell keeps the block's cells in budget
+            n, g = np.nonzero(block.T)
+            if not n.size:
                 continue
-            shifted = exps[live]
-            shifted[:, j] += 1
-            parts.append((shifted, block[:, live]))
-            pending += len(shifted)
-            if present[j]:
-                stay = live & (exps[:, j] > 0)
-                kept = block[:, stay] * exps[stay, j].astype(dtype)
-                if m is not None:
-                    kept %= m
-                parts.append((exps[stay], kept))
-                pending += len(kept.T)
+            js = gj[g]
+            code = n * rank + js
+            fresh = np.concatenate(([True], code[1:] != code[:-1]))
+            term = np.cumsum(fresh) - 1
+            full = np.zeros((rank, term[-1] + 1), dtype=dtype)
+            full[gk[g], term] = block[g, n]
+            ns, js = lo + n[fresh], js[fresh]
+            a = exps[ns, js].astype(dtype)
+            shifted = exps[ns]
+            shifted[np.arange(ns.size), js] += 1
+            stay = np.flatnonzero(a)
+            kept = full[:, stay] * a[stay]
+            if m is not None:
+                kept %= m
+            parts += [(shifted, full), (exps[ns[stay]], kept)]
+            pending += ns.size + stay.size
             if pending >= len(exps):
                 parts, pending = [_merge(parts, m, None)], 0
         exps, coefs = _merge(parts, m, fact)

@@ -303,6 +303,18 @@ def test_bounded_auto_keeps_a_capped_chain_capped(dom):
     assert element_nil_index(v.witness).status == Status.REFUTED
 
 
+def test_bounded_auto_caps_an_index_past_the_power_cap_over_q():
+    # Grassmann(2) over Q has R^3 = 0 and bounded nil index 2: with
+    # power_cap 1 the chain is capped and the expansion's exact index is
+    # past the cap, so it is CAPPED; with power_cap 2 it stands
+    r = grassmann_star(2, rat()).ring
+    v = bounded_nil_index_auto(r, power_cap=1)
+    assert v.status == Status.CAPPED
+    assert v.note == "power chain longer than power_cap 1; symbolic index 2 is past it"
+    v = bounded_nil_index_auto(r, power_cap=2)
+    assert v.proved and v.index == 2 and v.note == "symbolic expansion"
+
+
 def test_homogeneous_power_report_uses_the_callers_power_cap():
     gr = elementary_grading(two_z_2k(3), 2)
     rep = homogeneous_power_report(gr, power_cap=1)
@@ -594,6 +606,17 @@ def test_unreduced_scatter_matches_dict_expansion(r):
     assert_scatter_matches_dict_expansion(r, 6)
 
 
+@given(nilpotent_rings(domains=(zmod(4), zmod(6), fp(3), rat())))
+@settings(max_examples=30, deadline=None)
+def test_scatter_in_blocks_of_one_term_matches_one_block(r):
+    # one block holds every term of these rings; blocks of one term each
+    # split every power and merge it part by part
+    whole = scatter_dicts(r, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nil, "_EXPAND_ENTRIES", 1)
+        assert scatter_dicts(r, 6) == whole
+
+
 @given(nilpotent_rings(domains=(fp(2**61 - 1), zmod(2**63 - 25))))
 @settings(max_examples=30, deadline=None)
 def test_scatter_matches_python_integers_near_int64_limit(r):
@@ -646,8 +669,8 @@ def test_reduced_scatter_matches_enumeration(r):
         want = enum_bounded_index(r).index
     else:
         # over Q the monomial expansion is exact: x^d = 0 ends it
-        monomial = monomial_powers(r, d)
-        assert not len(monomial[-1][0])
+        monomial = sym_powers_reference(r, d)
+        assert not monomial[-1]
         want = len(monomial)
     assert sym.proved and sym.index == want
     assert bounded_nil_index_auto(r).index == want
@@ -655,7 +678,9 @@ def test_reduced_scatter_matches_enumeration(r):
         low = nil_bounded_index(r, "symbolic", candidate=want - 1)
         assert low.status == Status.REFUTED
         assert element_nil_index(low.witness).index == want
-    # each power is the map a -> a^s, point by point
+    # each power is the dict expansion's map, compared by its finite
+    # differences at 0, and the map a -> a^s at sample points
+    assert_scatter_matches_dict_expansion(r, want)
     powers = scatter_dicts(r, want)
     assert len(powers) == want
     for a in small_points(r, 125):
