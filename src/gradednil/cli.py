@@ -7,13 +7,14 @@ Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
 import sys
 
-from . import specfile, zoo
+import numpy as np
+
+from . import specfile, words, zoo
 from .grading import GradedRing, component_indices, elementary_grading, support, trivial_grading
 from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_CAPPED = 2
 EXIT_INPUT = 3
+INT64_MAX = np.iinfo(np.int64).max
 
 ENV_CAPS = {
     "GRADEDNIL_ELEM_CAP": "elem_cap",
@@ -217,22 +219,6 @@ def cmd_oracle(args):
         # the split cuts at repeated prefix degrees, which needs left cancellation
         raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
     r = args.r
-    disagreements = 0
-
-    def compare(letters, got, ref):
-        nonlocal disagreements
-        got_zero = got == ProductVerdict.FORCED_ZERO
-        ref_zero = ref == ProductVerdict.FORCED_ZERO
-        agree = got_zero == ref_zero and ref is not None
-        if not agree:
-            disagreements += 1
-            print(f"DISAGREE word={letters} split={got} oracle={ref}")
-        elif not got_zero:
-            blocks = small_gap_blocks(got, len(supp))
-            print(f"word={letters} cuts={got.cuts} small-gap blocks={blocks}")
-        else:
-            print(f"word={letters} FORCED_ZERO (both)")
-
     if args.word:
         letters = [int(t) for t in args.word.replace(",", " ").split()]
         if len(letters) != r * len(supp):
@@ -240,36 +226,87 @@ def cmd_oracle(args):
                 _input_error(f"word length must be r*d = {r * len(supp)}")
             )
         w = DegreeWord(monoid, tuple(letters))
-        compare(letters, neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
+        got = neutral_split(w, r, supp)
+        ref = neutral_split_bruteforce(w, r, supp)
+        got_zero = got == ProductVerdict.FORCED_ZERO
+        disagreements = int(got_zero != (ref == ProductVerdict.FORCED_ZERO) or ref is None)
+        if disagreements:
+            print(f"DISAGREE word={letters} split={got} oracle={ref}")
+        elif not got_zero:
+            blocks = small_gap_blocks(got, len(supp))
+            print(f"word={letters} cuts={got.cuts} small-gap blocks={blocks}")
+        else:
+            print(f"word={letters} FORCED_ZERO (both)")
     elif args.exhaustive:
-        d = len(supp)
-        words = itertools.product([str(g) for g in monoid.elements()], repeat=r * d)
-
-        @functools.cache
-        def tail(cuts):
-            dec = Decomposition(cuts)
-            return f" cuts={dec.cuts} small-gap blocks={small_gap_blocks(dec, d)}"
-
-        for letters, got, ref in exhaustive_splits(monoid, r, supp):
-            agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
-            lines = []
-            rows = zip(itertools.islice(words, len(letters)), agree.tolist(),
-                       got.zero.tolist(), got.cuts.tolist())
-            for i, (word, ok, zero, cuts) in enumerate(rows):
-                word = f"[{', '.join(word)}]"
-                if not ok:
-                    disagreements += 1
-                    lines.append(f"DISAGREE word={word} split={got.verdict(i)} "
-                                 f"oracle={ref.verdict(i)}\n")
-                elif zero:
-                    lines.append(f"word={word} FORCED_ZERO (both)\n")
-                else:
-                    lines.append(f"word={word}{tail(tuple(cuts))}\n")
-            sys.stdout.write("".join(lines))
+        n = r * len(supp)
+        if monoid.size > 1 and (n >= 63 or monoid.size**n > INT64_MAX):
+            # the words are numbered in int64; for size >= 2 a word length
+            # of 63 or more is past it, checked first so no huge power is taken
+            return _input_error(
+                f"{monoid.size}**{n} words are past the int64 limit; lower --r")
+        disagreements = _write_exhaustive(monoid, r, supp)
     else:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
     print(f"disagreements: {disagreements}")
     return EXIT_OK if disagreements == 0 else EXIT_REFUTED
+
+
+def _write_exhaustive(monoid, r, supp):
+    """Write ``oracle --exhaustive``'s line for every word, one chunk of
+    ``exhaustive_splits`` at a time, and return the number of disagreements.
+
+    A line is four pieces: ``word=[`` (or ``DISAGREE word=[``), the leading
+    letters, the last j letters and the verdict suffix.  Each chunk's
+    pieces fill a (words, 4) object array that is joined once.  The last j
+    letters index a table of size**j <= ``_CHUNK`` texts by their place
+    value; the leading letters are formatted once per distinct value in the
+    chunk.  Suffixes are made once per cut sequence, coded as the bitmask
+    of its cut positions: the word count fits int64, so n <= 62 unless the
+    monoid has one element, and then one word.  Only disagreeing rows, none
+    on a correct run, are formatted one by one.
+    """
+    d = len(supp)
+    n = r * d
+    size = monoid.size
+    names = [str(g) for g in monoid.elements()]
+    # j < n keeps one leading letter, so every tail text starts with ", "
+    j = 0
+    while j < n - 1 and size ** (j + 1) <= words._CHUNK:
+        j += 1
+    tails = np.array(["".join(", " + names[g] for g in t)
+                      for t in itertools.product(range(size), repeat=j)], dtype=object)
+    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    suffixes = {}
+    disagreements = 0
+    for letters, got, ref in exhaustive_splits(monoid, r, supp):
+        agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
+        lead, tail = np.divmod(letters @ place, size**j)
+        _, lead_at, lead_of = np.unique(lead, return_index=True, return_inverse=True)
+        leads = np.array([", ".join(map(names.__getitem__, row))
+                          for row in letters[lead_at, :n - j].tolist()], dtype=object)
+        split = agree & ~got.zero
+        code = np.where(split, (1 << np.maximum(got.cuts, 0)).sum(axis=1), 0)
+        codes, code_at, code_of = np.unique(code, return_index=True, return_inverse=True)
+        for c, i in zip(codes.tolist(), code_at.tolist()):
+            if c in suffixes:
+                continue
+            if not split[i]:
+                suffixes[c] = "] FORCED_ZERO (both)\n"
+                continue
+            dec = Decomposition(tuple(got.cuts[i].tolist()))
+            suffixes[c] = f"] cuts={dec.cuts} small-gap blocks={small_gap_blocks(dec, d)}\n"
+
+        pieces = np.empty((len(letters), 4), dtype=object)
+        pieces[:, 0] = "word=["
+        pieces[:, 1] = leads[lead_of]
+        pieces[:, 2] = tails[tail]
+        pieces[:, 3] = np.array([suffixes[c] for c in codes.tolist()], dtype=object)[code_of]
+        for i in np.flatnonzero(~agree).tolist():
+            disagreements += 1
+            pieces[i, 0] = "DISAGREE word=["
+            pieces[i, 3] = f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
+        sys.stdout.write("".join(pieces.ravel().tolist()))
+    return disagreements
 
 
 def cmd_construct(args):

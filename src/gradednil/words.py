@@ -11,11 +11,13 @@ each of neutral degree; ``neutral_split`` constructs the cut positions and
 monoid, ``_CHUNK`` words at a time, in numpy kernels that keep the words on
 the contiguous last axis.  ``_split_batch`` builds subproduct degrees
 through a table whose sink absorbs degrees off the support, then applies the
-pigeonhole cut rule to prefix-degree counts; ``_brute_batch`` tests the
-support directly and finds the first cut sequence by a reachability DP over
-neutral blocks.  Only the split uses the sink and neither reads the other's
-arrays, so the brute force stays an independent twin of it; the per-word
-functions are the reference both are tested against.
+pigeonhole cut rule to prefix-degree counts; ``_brute_batch`` gathers
+subproduct degrees from a flat view of ``table`` itself, tests the support
+on those degrees directly and finds the first cut sequence by a
+reachability DP over neutral blocks.  Only the split uses the sink and
+neither reads the other's arrays, so the brute force stays an independent
+twin of it; the per-word functions are the reference both are tested
+against.
 """
 
 from __future__ import annotations
@@ -347,21 +349,24 @@ def _brute_batch(table, e, inside, letters, r):
     """``neutral_split_bruteforce`` on every row of ``letters`` at once.
 
     ``neutral[L][a]`` says, across the words, that letters a+1..a+L have
-    neutral degree; each length extends the last by one ``table[g, x]``
-    gather.  The support is tested with ``inside`` on the degrees directly,
-    not through the split's sink, so the twin shares no trick with the side
-    it checks.  A reachability DP over shifted slices gives ``first[t][a]``,
-    the shortest neutral block at a that t-1 more can follow (0 if none).
+    neutral degree; each length extends the last by one gather of
+    ``table[g, x]`` at g*size + x in the flat ``table`` itself.  The support
+    is tested with ``inside`` on the degrees directly, not through the
+    split's sink, so the twin shares no trick with the side it checks.  A
+    reachability DP over shifted slices gives ``first[t][a]``, the shortest
+    neutral block at a that t-1 more can follow (0 if none).
     The smallest reachable cut, then the shortest block at each step, is the
     lexicographically first cut sequence, as in ``_first_cut_sequence``; a
     clean word with none gets cuts of -1 (None).
     """
     m, n = letters.shape
-    x = np.ascontiguousarray(letters.T)
+    size = len(table)
+    flat = table.ravel().astype(np.intp)
+    x = np.ascontiguousarray(letters.T, dtype=np.intp)
     clean = np.ones(m, dtype=bool)
     neutral = [None]
     for length in range(1, n + 1):
-        degs = table[degs[:-1], x[length - 1:]] if length > 1 else x
+        degs = np.take(flat, degs[:-1] * size + x[length - 1:]) if length > 1 else x
         clean &= inside[degs].all(axis=0)
         neutral.append(degs == e)
 

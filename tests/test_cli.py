@@ -356,7 +356,11 @@ def _oracle_reference_stdout(monoid, supp, r):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("n,supp,r", [(3, "0,1", 2), (4, "0,2", 3)])
+# r*d odd: the leading and trailing letter groups of the word texts differ
+# in length.  Over Z_1 the one word's cuts reach position 65, past the bits
+# of an int64 cut code.
+@pytest.mark.parametrize("n,supp,r", [(3, "0,1", 2), (4, "0,2", 3), (3, "0", 5),
+                                      (3, "0,1,2", 3), (1, "0", 65)])
 def test_cli_oracle_exhaustive_matches_per_word_loop(capsys, n, supp, r):
     code = main([
         "oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp,
@@ -406,6 +410,19 @@ def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeyp
     assert code == 0
     ids = frozenset(int(t) for t in supp.split(","))
     assert out == _cached_reference_stdout(monoid, ids, r)
+
+
+@pytest.mark.parametrize("n,supp,r", [(4, "0,1,2,3", 9), (2, "0", 63),
+                                      (3, "0,1", 10**9)])
+def test_cli_oracle_exhaustive_rejects_a_word_count_past_int64(capsys, n, supp, r):
+    # 4**36, 2**63 and 3**(2*10**9) words cannot be numbered in int64; the
+    # command says so before it writes a line
+    code = main(["oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp,
+                 "--r", str(r), "--exhaustive"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and "int64" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):

@@ -349,3 +349,10 @@ def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
     for kernel in (_split_batch, _brute_batch):
         splits = kernel(table, Z4.identity, inside, np.array([letters]), 3)
         assert splits.verdict(0) == ProductVerdict.FORCED_ZERO, kernel.__name__
+    # The brute twin gathers from ``table`` itself, not through the split's
+    # sink, and tests the support on the degrees directly: with every degree
+    # inside, its block 1..4 is neutral only because 1*1 = 2 and 2*1 = 3
+    # are read from the table and 3*1 = 0 follows them.
+    everywhere = np.ones(4, dtype=bool)
+    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)
+    assert splits.verdict(0) == Decomposition((0, 4, 5, 6))
