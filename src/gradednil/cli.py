@@ -7,14 +7,13 @@ Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import specfile, words, zoo
+from . import specfile, zoo
 from .grading import GradedRing, component_indices, elementary_grading, support, trivial_grading
 from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
@@ -240,8 +239,9 @@ def cmd_oracle(args):
     elif args.exhaustive:
         n = r * len(supp)
         if monoid.size > 1 and (n >= 63 or monoid.size**n > INT64_MAX):
-            # the words are numbered in int64; for size >= 2 a word length
-            # of 63 or more is past it, checked first so no huge power is taken
+            # no walk over so many words ends, and the writer's cut codes are
+            # int64 bitmasks of positions; for size >= 2 a word length of 63
+            # or more is past the limit, checked first so no huge power is taken
             return _input_error(
                 f"{monoid.size}**{n} words are past the int64 limit; lower --r")
         disagreements = _write_exhaustive(monoid, r, supp)
@@ -255,35 +255,25 @@ def _write_exhaustive(monoid, r, supp):
     """Write ``oracle --exhaustive``'s line for every word, one chunk of
     ``exhaustive_splits`` at a time, and return the number of disagreements.
 
-    A line is four pieces: ``word=[`` (or ``DISAGREE word=[``), the leading
-    letters, the last j letters and the verdict suffix.  Each chunk's
-    pieces fill a (words, 4) object array that is joined once.  The last j
-    letters index a table of size**j <= ``_CHUNK`` texts by their place
-    value; the leading letters are formatted once per distinct value in the
-    chunk.  Suffixes are made once per cut sequence, coded as the bitmask
-    of its cut positions: the word count fits int64, so n <= 62 unless the
-    monoid has one element, and then one word.  Only disagreeing rows, none
-    on a correct run, are formatted one by one.
+    A chunk is one head followed by every tail, so a line is three pieces:
+    ``word=[`` and the head letters (or ``DISAGREE word=[`` and them), made
+    once per chunk; the tail letters, made once for all chunks; and the
+    verdict suffix.  Each chunk's pieces fill a (words, 3) object array that
+    is joined once.  Suffixes are made once per cut sequence, coded as the
+    bitmask of its cut positions: the word count fits int64, so n <= 62
+    unless the monoid has one element, and then one word.  Only disagreeing
+    rows, none on a correct run, are formatted one by one.
     """
     d = len(supp)
-    n = r * d
-    size = monoid.size
     names = [str(g) for g in monoid.elements()]
-    # j < n keeps one leading letter, so every tail text starts with ", "
-    j = 0
-    while j < n - 1 and size ** (j + 1) <= words._CHUNK:
-        j += 1
-    tails = np.array(["".join(", " + names[g] for g in t)
-                      for t in itertools.product(range(size), repeat=j)], dtype=object)
-    place = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    tails, chunks = exhaustive_splits(monoid, r, supp)
+    # j < n keeps one head letter, so every tail text starts with ", "
+    tail_texts = np.array(["".join(", " + names[g] for g in t) for t in tails.tolist()],
+                          dtype=object)
     suffixes = {}
     disagreements = 0
-    for letters, got, ref in exhaustive_splits(monoid, r, supp):
+    for head, got, ref in chunks:
         agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
-        lead, tail = np.divmod(letters @ place, size**j)
-        _, lead_at, lead_of = np.unique(lead, return_index=True, return_inverse=True)
-        leads = np.array([", ".join(map(names.__getitem__, row))
-                          for row in letters[lead_at, :n - j].tolist()], dtype=object)
         split = agree & ~got.zero
         code = np.where(split, (1 << np.maximum(got.cuts, 0)).sum(axis=1), 0)
         codes, code_at, code_of = np.unique(code, return_index=True, return_inverse=True)
@@ -296,15 +286,15 @@ def _write_exhaustive(monoid, r, supp):
             dec = Decomposition(tuple(got.cuts[i].tolist()))
             suffixes[c] = f"] cuts={dec.cuts} small-gap blocks={small_gap_blocks(dec, d)}\n"
 
-        pieces = np.empty((len(letters), 4), dtype=object)
-        pieces[:, 0] = "word=["
-        pieces[:, 1] = leads[lead_of]
-        pieces[:, 2] = tails[tail]
-        pieces[:, 3] = np.array([suffixes[c] for c in codes.tolist()], dtype=object)[code_of]
+        lead = ", ".join(map(names.__getitem__, head))
+        pieces = np.empty((len(tail_texts), 3), dtype=object)
+        pieces[:, 0] = "word=[" + lead
+        pieces[:, 1] = tail_texts
+        pieces[:, 2] = np.array([suffixes[c] for c in codes.tolist()], dtype=object)[code_of]
         for i in np.flatnonzero(~agree).tolist():
             disagreements += 1
-            pieces[i, 0] = "DISAGREE word=["
-            pieces[i, 3] = f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
+            pieces[i, 0] = "DISAGREE word=[" + lead
+            pieces[i, 2] = f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
         sys.stdout.write("".join(pieces.ravel().tolist()))
     return disagreements
 

@@ -8,15 +8,18 @@ each of neutral degree; ``neutral_split`` constructs the cut positions and
 ``neutral_split_bruteforce`` re-derives the verdict by exhaustive search.
 
 ``exhaustive_splits`` decides both on every word of length r*d over a table
-monoid, ``_CHUNK`` words at a time, in numpy kernels that keep the words on
-the contiguous last axis.  ``_split_batch`` builds subproduct degrees
-through a table whose sink absorbs degrees off the support, then applies the
-pigeonhole cut rule to prefix-degree counts; ``_brute_batch`` gathers
-subproduct degrees from a flat view of ``table`` itself, tests the support
-on those degrees directly and finds the first cut sequence by a
-reachability DP over neutral blocks.  Only the split uses the sink and
-neither reads the other's arrays, so the brute force stays an independent
-twin of it; the per-word functions are the reference both are tested
+monoid, each word factored as head . tail: the tails of the last j letters
+form one block of at most ``_CHUNK`` words, kept on the contiguous last
+axis, and a chunk is one head followed by every tail.  Each numpy kernel
+builds the tables that depend on the tail alone once, indexed at most by
+the degree g a head hands to the tail, and then works only on the head's
+own positions.  ``_split_batch`` reads the prefix degrees past the head as
+g times the tail's prefix degrees (associativity) and applies the
+pigeonhole cut rule to their counts; ``_brute_batch`` extends every degree
+letter by letter through ``table``, tests the support on each, and finds
+the first cut sequence by a reachability DP over neutral blocks.  Neither
+reads the other's tables, so the brute force stays an independent twin of
+the split; the per-word functions are the reference both are tested
 against.
 """
 
@@ -25,15 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate
-from operator import add, lt, sub
+from itertools import accumulate, product
+from operator import add, and_, lt, sub
 
 import numpy as np
 
 from .monoid import TABLE, Monoid
 
-# Words per batch of ``exhaustive_splits``.  The split holds an
-# (r*d+1, r*d+1, words) array, so a small chunk keeps peak memory flat.
+# Most tails per block of ``exhaustive_splits``.  The split holds a (j+1,
+# j+1, tails) triangle, so a small block keeps peak memory flat.
 _CHUNK = 1 << 10
 
 
@@ -292,108 +295,230 @@ class Splits:
         cuts = self.cuts[i].tolist()
         return None if cuts[0] < 0 else Decomposition(tuple(cuts))
 
-
-def _word_letters(lo, hi, size, n):
-    """Letters of words lo..hi-1 of ``itertools.product(range(size),
-    repeat=n)``: letter k of word i is (i // size^(n-1-k)) % size.  A place
-    value past int64 raises OverflowError as it converts, never wraps."""
-    place = np.array([size**k for k in range(n - 1, -1, -1)], dtype=np.int64)
-    return np.arange(lo, hi, dtype=np.int64)[:, None] // place % size
+    @classmethod
+    def forced_zero(cls, m, r):
+        """m words, all FORCED_ZERO."""
+        return cls(np.ones(m, dtype=bool), np.full((m, r + 1), -1, dtype=np.intp))
 
 
-def _split_batch(table, e, inside, letters, r):
-    """``neutral_split`` on every row of ``letters`` at once.
+def _word_letters(size, j):
+    """The tail block: the words of ``itertools.product(range(size),
+    repeat=j)`` as a (size**j, j) array, letter c of word i being
+    (i // size^(j-1-c)) % size.  size**j <= ``_CHUNK``, so no place value
+    nears int64."""
+    place = size ** np.arange(j - 1, -1, -1)
+    return np.arange(size**j)[:, None] // place % size
 
-    ``sub[b, a]`` holds the degree of letters a+1..b across the words (e,
-    the empty product, where a >= b).  Row b extends row b-1 by one gather
-    from a flat (size+1)^2 table whose sink Z = size absorbs every degree
-    off the support, so Z reaches each longer subproduct from the same
-    start: a word is clean iff ``sub[n, :n]`` holds no Z.  The cuts are
-    ``_pigeonhole_cuts``'s over the prefix degrees b_0 = e, b_1..b_n: the
-    first r+1 positions of e if it occurs r+1 times, else of the most
-    frequent other degree (``argmax`` takes the smallest id on ties), read
-    off cumulative hit counts.  Raises ``SplitInternalError`` if a clean
-    word breaks the dichotomy or gets a non-neutral block.
+
+def _split_batch(table, e, inside, tails, r):
+    """``neutral_split`` on the words head + tail over the rows of ``tails``,
+    returned as a function of the head.
+
+    Built here once from the tail alone: its subproduct triangle ``tri[b,
+    a]`` (letters a+1..b, e where a = b) with the support tested on it and
+    its prefix degrees S = ``tri[:, 0]``; and, per starting degree g in the
+    support or e, G[g] = ``table[g, S]``, the prefix degrees of g followed
+    by the tail (associativity, nothing more), with the support tested on
+    them and their counts.  A head h_1..h_k of subproducts inside the
+    support adds only its own positions: with P_a the degree of letters
+    a+1..k, a word is clean iff every G[P_a] stays inside, its prefix
+    degrees are the head's B_0 = e, B_1..B_k followed by G[B_k], and their
+    counts are the head's plus G[B_k]'s.  The cuts are
+    ``_pigeonhole_cuts``'s: the first r+1 positions of e if it occurs r+1
+    times, else of the most frequent other degree (a score of count * K plus
+    a rank sends ties to the smallest id), read off cumulative hit counts.  Each block's
+    degree is read from the head, from G or from ``tri``.  Raises
+    ``SplitInternalError`` if a clean word breaks the dichotomy or gets a
+    non-neutral block.  The tail tables hold degrees in ``table.dtype`` and
+    are indexed at most by one starting degree: G has (K, j+1, m) entries
+    and the count scores (K, K, m), for K = |supp + {e}| and m tails.
+    Positions and counts take the narrowest unsigned dtype above n: uint8,
+    as n <= 62 whenever size**n fits int64 and the monoid has two elements
+    or more.
     """
-    m, n = letters.shape
-    size = len(table)
-    width = size + 1
-    sink = np.full((width, width), size, dtype=np.intp)
-    sink[:size, :size] = np.where(inside[table], table, size)
-    x = np.ascontiguousarray(letters.T, dtype=np.intp)
-    sub = np.full((n + 1, n + 1, m), e, dtype=np.intp)
-    for b in range(1, n + 1):
-        sub[b, :b] = np.take(sink, sub[b - 1, :b] * width + x[b - 1])
-    clean = ~(sub[n, :n] == size).any(axis=0)
+    m, j = tails.shape
+    rows = table.tolist()
+    supp = set(np.flatnonzero(inside).tolist())
+    keys = np.array(sorted(supp | {e}), dtype=table.dtype)
+    slot = {g: i for i, g in enumerate(keys.tolist())}
+    x = tails.T
+    tri = np.full((j + 1, j + 1, m), e, dtype=table.dtype)
+    for b in range(1, j + 1):
+        tri[b, :b] = table[tri[b - 1, :b], x[b - 1]]
+    clean = inside[tri[np.tril_indices(j + 1, -1)]].all(axis=0)
+    G = table[keys[:, None, None], tri[:, 0]]
+    clean_from = clean & inside[G[:, 1:]].all(axis=1)
+    # score = count * K + rank, rank K-1 for the smallest id: the largest
+    # score is the most frequent degree, ties going to the smallest id
+    K = len(keys)
+    rank = K - 1 - np.arange(K)[:, None]
+    by_rank = keys[::-1]
+    score_from = (G[:, 1:, None] == keys[:, None]).sum(axis=1) * K + rank
+    # one flat source for the block degrees: G, then tri
+    source = np.concatenate((G.ravel(), tri.ravel()))
+    column = np.arange(m)
 
-    prefix = sub[:, 0]
-    counts = np.array([(prefix == g).sum(axis=0) for g in range(size)])
-    neutral = counts[e] > r
-    counts[e] = -1
-    seen = np.cumsum(prefix == np.where(neutral, e, counts.argmax(axis=0)), axis=0)
-    # hit j (from 0) is at the number of positions with at most j hits so
-    # far; a word with fewer hits reads n+1, clipped to n, and is broken
-    cuts = np.minimum((seen[:, None] <= np.arange(r + 1)[:, None]).sum(axis=0), n)
-    broken = (seen[n] <= r) | (sub[cuts[1:], cuts[:-1], np.arange(m)] != e).any(axis=0)
-    bad = np.flatnonzero(clean & broken)
-    if bad.size:
-        raise SplitInternalError(
-            f"word {letters[bad[0]].tolist()}: pigeonhole dichotomy failed "
-            "or a block is not neutral"
-        )
-    cuts[:, ~clean] = -1
-    return Splits(~clean, cuts.T)
+    def split(head):
+        k = len(head)
+        n = k + j
+        subs = [[e, *accumulate(head[a:], lambda g, h: rows[g][h])] for a in range(k + 1)]
+        if not all(supp.issuperset(row[1:]) for row in subs):
+            return Splits.forced_zero(m, r)
+        prefix = subs[0]
+        pos = np.min_scalar_type(n + 1)
+        word_clean = reduce(and_, (clean_from[slot[row[-1]]] for row in subs[:k]), clean)
+
+        head_score = np.zeros((K, 1), dtype=np.intp)
+        for g in prefix:
+            head_score[slot[g]] += K
+        score = score_from[slot[prefix[-1]]] + head_score
+        neutral = score[slot[e]] >= (r + 1) * K
+        score[slot[e]] = 0
+        target = np.where(neutral, e, by_rank[score.max(axis=0) % K])
+        hits = np.empty((n + 1, m), dtype=bool)
+        hits[:k + 1] = np.array(prefix, dtype=table.dtype)[:, None] == target
+        hits[k + 1:] = G[slot[prefix[-1]], 1:] == target
+        seen = np.empty((n + 1, m), dtype=pos)
+        seen[0] = hits[0]
+        for p in range(1, n + 1):
+            np.add(seen[p - 1], hits[p], out=seen[p])
+        # hit i (from 0) is at the number of positions with at most i hits so
+        # far; a word with fewer hits reads n+1, clipped to n, and is broken
+        cuts = np.minimum((seen[:, None] <= np.arange(r + 1, dtype=pos)[:, None])
+                          .sum(axis=0, dtype=pos), n)
+
+        # block a+1..b: from the head if b <= k, else from G[P_a] at b - k
+        # if a < k, else from tri[b - k, a - k]
+        head_neutral = np.zeros((k + 1, k + 1), dtype=bool)
+        for a, row in enumerate(subs):
+            head_neutral[a, a:] = np.equal(row, e)
+        base = np.empty(n + 1, dtype=np.intp)
+        stride = np.full(n + 1, (j + 1) * m, dtype=np.intp)
+        base[:k] = [(slot[row[-1]] * (j + 1) - k) * m for row in subs[:k]]
+        stride[:k] = m
+        base[k:] = G.size + (np.arange(j + 1) - k * (j + 1)) * m
+        a, b = cuts[:-1].astype(np.intp), cuts[1:].astype(np.intp)
+        in_head = np.take(head_neutral, np.minimum(a, k) * (k + 1) + np.minimum(b, k))
+        in_tail = np.take(source, base[a] + b * stride[a] + column, mode="clip") == e
+        broken = (seen[n] <= r) | ~np.where(b <= k, in_head, in_tail).all(axis=0)
+        bad = np.flatnonzero(word_clean & broken)
+        if bad.size:
+            raise SplitInternalError(
+                f"word {[*head, *tails[bad[0]].tolist()]}: pigeonhole dichotomy failed "
+                "or a block is not neutral"
+            )
+        cuts = cuts.astype(np.intp)
+        cuts[:, ~word_clean] = -1
+        return Splits(~word_clean, cuts.T)
+
+    return split
 
 
-def _brute_batch(table, e, inside, letters, r):
-    """``neutral_split_bruteforce`` on every row of ``letters`` at once.
+def _brute_batch(table, e, inside, tails, r):
+    """``neutral_split_bruteforce`` on the words head + tail over the rows of
+    ``tails``, returned as a function of the head.
 
-    ``neutral[L][a]`` says, across the words, that letters a+1..a+L have
-    neutral degree; each length extends the last by one gather of
-    ``table[g, x]`` at g*size + x in the flat ``table`` itself.  The support
-    is tested with ``inside`` on the degrees directly, not through the
-    split's sink, so the twin shares no trick with the side it checks.  A
-    reachability DP over shifted slices gives ``first[t][a]``, the shortest
-    neutral block at a that t-1 more can follow (0 if none).
-    The smallest reachable cut, then the shortest block at each step, is the
-    lexicographically first cut sequence, as in ``_first_cut_sequence``; a
-    clean word with none gets cuts of -1 (None).
+    Every degree is extended letter by letter through ``table``, one gather
+    of ``table[g, x]`` at g*size + x in the flat table per letter, and the
+    support is tested on each.  Built here once from the tail alone:
+    ``neutral[L][c]``, that tail letters c+1..c+L have neutral degree, and
+    from those a reachability DP over shifted slices, ``first[t][c]``, the
+    shortest neutral block at c that t-1 more can follow (0 if none); and,
+    per starting degree g in the support, E[g], g extended by the tail
+    letters, tested against the support and reduced to ``cross[g][t]``, the
+    shortest c >= 1 with E[g][c] neutral and t-1 blocks placeable after
+    tail letter c.  A head h_1..h_k of subproducts inside the support adds
+    only the DP rows of its own k start positions: a block from head
+    position a is a head subproduct or, past the head, Q_a = h_{a+1}..h_k
+    extended by E[Q_a].  The smallest reachable cut, then the shortest block
+    at each step, is the lexicographically first cut sequence, as in
+    ``_first_cut_sequence``; a clean word with none gets cuts of -1 (None).
     """
-    m, n = letters.shape
+    m, j = tails.shape
     size = len(table)
+    rows = table.tolist()
+    supp = set(np.flatnonzero(inside).tolist())
     flat = table.ravel().astype(np.intp)
-    x = np.ascontiguousarray(letters.T, dtype=np.intp)
+    x = tails.T.astype(np.intp)
     clean = np.ones(m, dtype=bool)
     neutral = [None]
-    for length in range(1, n + 1):
+    for length in range(1, j + 1):
         degs = np.take(flat, degs[:-1] * size + x[length - 1:]) if length > 1 else x
         clean &= inside[degs].all(axis=0)
         neutral.append(degs == e)
+    lengths = np.min_scalar_type(j + 1)
+    first = np.zeros((r + 1, j + 1, m), dtype=lengths)
+    reach = np.ones((r + 1, j + 1, m), dtype=bool)
+    for t in range(1, r + 1):
+        for length in range(j, 0, -1):  # the shortest block writes last
+            np.copyto(first[t, :j + 1 - length], length,
+                      where=neutral[length] & reach[t - 1, length:])
+        reach[t] = first[t] > 0
+    tail_start = np.full(m, -1, dtype=np.intp)
+    for c in range(j, -1, -1):
+        np.copyto(tail_start, c, where=reach[r, c])
 
-    first = [None]
-    reach = np.ones((n + 1, m), dtype=bool)
-    for _ in range(r):
-        first.append(np.zeros((n + 1, m), dtype=np.intp))
-        for length in range(n, 0, -1):  # the shortest block writes last
-            np.copyto(first[-1][:n + 1 - length], length,
-                      where=neutral[length] & reach[length:])
-        reach = first[-1] > 0
-    cuts = np.empty((r + 1, m), dtype=np.intp)
-    cuts[0] = reach.argmax(axis=0)
-    for j in range(1, r + 1):
-        cuts[j] = cuts[j - 1] + first[r + 1 - j][cuts[j - 1], np.arange(m)]
-    cuts[:, ~(clean & reach.any(axis=0))] = -1
-    return Splits(~clean, cuts.T)
+    cross = {}
+    for g in supp:
+        degs, ends = np.full(m, g, dtype=np.intp), []
+        ok = clean.copy()
+        for c in range(j):
+            degs = np.take(flat, degs * size + x[c])
+            ok &= inside[degs]
+            ends.append(degs == e)
+        shortest = np.zeros((r + 1, m), dtype=lengths)
+        for t in range(1, r + 1):
+            for c in range(j, 0, -1):
+                np.copyto(shortest[t], c, where=ends[c - 1] & reach[t - 1, c])
+        cross[g] = ok, shortest
+    column = np.arange(m)
+
+    def brute(head):
+        k = len(head)
+        n = k + j
+        prods = [list(accumulate(head[a:], lambda g, h: rows[g][h])) for a in range(k)]
+        if not all(supp.issuperset(row) for row in prods):
+            return Splits.forced_zero(m, r)
+        word_clean = reduce(and_, (cross[row[-1]][0] for row in prods), clean)
+        pos = np.min_scalar_type(n + 1)
+        head_first = np.zeros((r + 1, k, m), dtype=pos)
+        head_reach = np.ones((r + 1, k, m), dtype=bool)
+        for t in range(1, r + 1):
+            for a in range(k - 1, -1, -1):
+                row = head_first[t, a]
+                shortest = cross[prods[a][-1]][1][t]
+                # a cross block ends k - a letters later than in the tail
+                np.multiply(np.add(shortest, k - a, dtype=pos), shortest > 0, out=row)
+                for length in range(k - a, 0, -1):
+                    if prods[a][length - 1] == e:
+                        after = head_reach[t - 1, a + length] if a + length < k else reach[t - 1, 0]
+                        np.copyto(row, length, where=after)
+                np.greater(row, 0, out=head_reach[t, a])
+        start = np.where(tail_start < 0, -1, tail_start + k)
+        for a in range(k - 1, -1, -1):
+            np.copyto(start, a, where=head_reach[r, a])
+        cuts = np.empty((r + 1, m), dtype=np.intp)
+        cuts[0] = start
+        for i in range(1, r + 1):
+            steps = np.concatenate((head_first[r + 1 - i], first[r + 1 - i])).ravel()
+            cuts[i] = cuts[i - 1] + np.take(steps, cuts[i - 1] * m + column, mode="clip")
+        cuts[:, ~(word_clean & (start >= 0))] = -1
+        return Splits(~word_clean, cuts.T)
+
+    return brute
 
 
 def exhaustive_splits(monoid: Monoid, r: int, supp):
-    """``(letters, split, brute)`` per chunk of the words of length r*d over
-    a table monoid, in ``itertools.product(monoid.elements(), repeat=r*d)``
-    order.
+    """The words of length n = r*d over a table monoid as ``(tails, chunks)``.
 
-    ``letters`` is a (words, r*d) array of at most ``_CHUNK`` rows;
-    ``split`` and ``brute`` are ``Splits`` whose verdicts equal
-    ``neutral_split`` and ``neutral_split_bruteforce`` on each word.
+    A word is a head of k = n - j letters followed by a tail of j, for the
+    largest j < n with size**j <= ``_CHUNK``.  ``tails`` is the (size**j, j)
+    block of every tail, in ``itertools.product`` order.  ``chunks`` yields
+    ``(head, split, brute)`` per head, heads in that order too, so the words
+    head + tails[0], head + tails[1], ... of one chunk after another are
+    those of ``itertools.product(monoid.elements(), repeat=n)``.  ``split``
+    and ``brute`` are ``Splits`` whose verdicts equal ``neutral_split`` and
+    ``neutral_split_bruteforce`` on each word.
     """
     size = len(monoid.elements())
     supp = set(supp)
@@ -403,8 +528,11 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
     inside = np.isin(np.arange(size), list(supp))
     e = monoid.identity
-    total = size**n
-    for lo in range(0, total, _CHUNK):
-        letters = _word_letters(lo, min(lo + _CHUNK, total), size, n).astype(table.dtype)
-        yield (letters, _split_batch(table, e, inside, letters, r),
-               _brute_batch(table, e, inside, letters, r))
+    j = 0
+    while j < n - 1 and size ** (j + 1) <= _CHUNK:
+        j += 1
+    tails = _word_letters(size, j).astype(table.dtype)
+    split = _split_batch(table, e, inside, tails, r)
+    brute = _brute_batch(table, e, inside, tails, r)
+    heads = product(range(size), repeat=n - j)
+    return tails, ((head, split(head), brute(head)) for head in heads)

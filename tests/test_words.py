@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradednil import words as words_module
 from gradednil.monoid import Monoid, MonoidError
 from gradednil.words import (
     Decomposition,
@@ -232,20 +233,21 @@ WALK_CASES = [
 ]
 
 
-def _unpack(batches):
-    """``(letters, split, brute)`` per word from the batches of
+WALK_IDS = [f"{m.size}-{sorted(s)}-r{r}" + (f"-e{m.identity}" if m.identity else "")
+            for m, s, r in WALK_CASES]
+
+
+def _unpack(walk):
+    """``(letters, split, brute)`` per word from the ``(tails, chunks)`` of
     ``exhaustive_splits``, with each side's verdict as a per-word function
     returns it."""
-    for letters, split, brute in batches:
-        for i, row in enumerate(letters.tolist()):
-            yield tuple(row), split.verdict(i), brute.verdict(i)
+    tails, chunks = walk
+    for head, split, brute in chunks:
+        for i, tail in enumerate(tails.tolist()):
+            yield head + tuple(tail), split.verdict(i), brute.verdict(i)
 
 
-@pytest.mark.parametrize(
-    "monoid,supp,r", WALK_CASES,
-    ids=[f"{m.size}-{sorted(s)}-r{r}" + (f"-e{m.identity}" if m.identity else "")
-         for m, s, r in WALK_CASES],
-)
+@pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
 def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
     # Same words in the same order, same verdicts and the same cuts as
     # neutral_split and neutral_split_bruteforce word by word.
@@ -260,6 +262,15 @@ def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
     # A clean word over a cancellative monoid has neutral blocks, so a
     # support without the identity forces every product to zero.
     assert (split_count > 0) == (monoid.identity in supp)
+
+
+@pytest.mark.parametrize("chunk", [1, 10**9], ids=["one-word-chunks", "one-letter-heads"])
+@pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
+def test_exhaustive_walk_at_the_extreme_chunk_sizes(monkeypatch, monoid, supp, r, chunk):
+    # _CHUNK = 1 leaves an empty tail, so every word is a head of n letters;
+    # 10**9 leaves a head of one letter and a tail of n - 1.
+    monkeypatch.setattr(words_module, "_CHUNK", chunk)
+    test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
 
 
 def test_exhaustive_walk_rejects_int_add_and_small_r():
@@ -322,7 +333,7 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
         except SplitInternalError:
             per_word = True
         try:
-            _split_batch(table, nc.identity, inside, np.array([letters]), 2)
+            _split_batch(table, nc.identity, inside, np.array([letters]), 2)(())
             batched = False
         except SplitInternalError:
             batched = True
@@ -331,14 +342,14 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
     assert 0 < sum(raises) < len(words)
     # a batch holding one such word raises as a whole
     with pytest.raises(SplitInternalError, match=r"word \[0, 1, 0, 1\]"):
-        _split_batch(table, nc.identity, inside, np.array(words), 2)
+        _split_batch(table, nc.identity, inside, np.array(words), 2)(())
 
 
 def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
     # Over Z_4 with support {0, 1}, the word 1,1,1,1,0,0 has the subproduct
     # 1*1 = 2 outside the support, and the longer 1*1*1*1 = 0 back inside.
-    # The split tests only its last row of subproducts, sub[n, :n], so the
-    # sink standing for 2 must absorb every letter that follows it.
+    # Cut into head and tail anywhere, the 2 lies in the head, in the tail
+    # or across the cut, and both kernels must find it there.
     letters = (1, 1, 1, 1, 0, 0)
     w = DegreeWord(Z4, letters)
     assert Z4.op(1, 1) == 2 and block_degrees(w, Decomposition((0, 4))) == [0]
@@ -347,12 +358,46 @@ def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
     table = np.array(Z4.table)
     inside = np.isin(np.arange(4), [0, 1])
     for kernel in (_split_batch, _brute_batch):
-        splits = kernel(table, Z4.identity, inside, np.array([letters]), 3)
-        assert splits.verdict(0) == ProductVerdict.FORCED_ZERO, kernel.__name__
-    # The brute twin gathers from ``table`` itself, not through the split's
-    # sink, and tests the support on the degrees directly: with every degree
+        for k in range(len(letters) + 1):
+            run = kernel(table, Z4.identity, inside, np.array([letters[k:]]), 3)
+            assert run(letters[:k]).verdict(0) == ProductVerdict.FORCED_ZERO, (kernel.__name__, k)
+    # The brute twin extends every degree letter by letter through ``table``
+    # and tests the support on the degrees directly: with every degree
     # inside, its block 1..4 is neutral only because 1*1 = 2 and 2*1 = 3
     # are read from the table and 3*1 = 0 follows them.
     everywhere = np.ones(4, dtype=bool)
-    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)
+    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(())
     assert splits.verdict(0) == Decomposition((0, 4, 5, 6))
+
+
+# Every monoid the kernels are cross-checked on: identities at 0, 2 and 4.
+KERNEL_MONOIDS = [Monoid.cyclic(size) for size in range(2, 7)] + [KLEIN, S3, Z4_E2, S3_E4]
+
+
+@given(st.sampled_from(KERNEL_MONOIDS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_head_tail_kernels_match_per_word_functions(monoid, data):
+    # A random head of k letters, 0 <= k <= n, before a block of random
+    # tails: both kernels give each word head + tail the verdict and cuts
+    # the per-word functions give it.  Half the examples draw their letters
+    # from the support alone, where most words are clean.
+    size = monoid.size
+    supp = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 4)))
+    supp |= data.draw(st.sampled_from([set(), {monoid.identity}]))
+    r = data.draw(st.integers(2, 3))
+    n = r * len(supp)
+    letter = st.sampled_from(data.draw(st.sampled_from([sorted(supp), list(range(size))])))
+    k = data.draw(st.integers(0, n))
+    head = tuple(data.draw(st.lists(letter, min_size=k, max_size=k)))
+    tails = data.draw(st.lists(st.lists(letter, min_size=n - k, max_size=n - k),
+                               min_size=1, max_size=6))
+    dtype = np.min_scalar_type(size - 1)
+    table = np.array(monoid.table, dtype=dtype)
+    inside = np.isin(np.arange(size), sorted(supp))
+    block = np.array(tails, dtype=dtype).reshape(len(tails), n - k)
+    split = _split_batch(table, monoid.identity, inside, block, r)(head)
+    brute = _brute_batch(table, monoid.identity, inside, block, r)(head)
+    for i, tail in enumerate(tails):
+        w = DegreeWord(monoid, head + tuple(tail))
+        assert split.verdict(i) == neutral_split(w, r, supp), w.degrees
+        assert brute.verdict(i) == neutral_split_bruteforce(w, r, supp), w.degrees
