@@ -19,11 +19,12 @@ Schwartz-Zippel (J. ACM 27(4), 1980) a random element over F_q misses with
 probability at most (d-1)/q when x^(d-1) is a nonzero polynomial in its
 coordinates.  When no tried element fixes the index, it comes from the
 powers of a general element x = sum_j t_j b_j in commuting indeterminates,
-expanded by a sparse numpy scatter in the falling-factorial basis
-prod_j (t_j)_(i_j).  A polynomial in that basis is the zero function on
-(Z/m)^n exactly when every coefficient has c_I prod_j i_j! = 0 mod m
-(Kempner, 1921; Singmaster, "On polynomial functions (mod m)", 1974), since
-c_I prod_j i_j! is its I-th finite difference at 0.  Such terms are dropped
+kept as flat sparse entries (monomial, coordinate, coefficient) in the
+falling-factorial basis prod_j (t_j)_(i_j).  A polynomial in that basis is
+the zero function on (Z/m)^n exactly when every coefficient has
+c_I prod_j i_j! = 0 mod m (Kempner, 1921; Singmaster, "On polynomial
+functions (mod m)", 1974), since c_I prod_j i_j! is its I-th finite
+difference at 0.  Such terms are dropped
 as they arise, so the first empty power is the exact nil index over Z/m,
 over F_p (where every i_j >= p drops) and over Q (where nothing drops),
 found within d - 1 products.  Nothing is enumerated for it.
@@ -56,8 +57,6 @@ DEFAULT_SYMBOLIC_CAP = 16
 # Random elements the power-chain certificate tries beside the basis; the
 # seed is fixed, so its verdicts repeat.
 _CERT_SAMPLES = 32
-# Entries of the largest array one block of the symbolic expansion builds.
-_EXPAND_ENTRIES = 1 << 18
 
 
 class Status(str, Enum):
@@ -129,12 +128,16 @@ def _classify_all_nilpotent(ring, base):
     """Exact nilpotence test by repeated squaring.
 
     Returns the original-order row number of the first non-nilpotent element,
-    or None when every row is nilpotent.  A nilpotent x has x^n = 0 once n
-    reaches the element count of a finite ring, or rank + 1 over Q, where x
-    spans a nilpotent algebra of dimension at most rank; squaring stops past
-    that exponent.
+    or None when every row is nilpotent.  For a nilpotent x the spans S_k of
+    {x^j : j >= k} fall strictly until they reach 0: S_k = S_(k+1) puts
+    x^k = x^k z with z a combination of powers of x, so z is nilpotent and
+    x^k = x^k z^n = 0.  A strict chain of submodules of (Z/m)^rank has at
+    most rank * Omega(m) <= rank * bit_length(m) steps, and one of subspaces
+    over F_p or Q at most rank, so x^n = 0 once n passes that; squaring
+    stops there.
     """
-    index_bound = ring.element_count() if ring.coeff.finite else ring.rank + 1
+    dom = ring.coeff
+    index_bound = ring.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
     idx = np.arange(base.shape[0])
     sq = base
     alive = sq.any(axis=1)
@@ -203,7 +206,7 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
 
 
 # ---------------------------------------------------------------------------
-# Symbolic expansion of the general element by a sparse scatter.
+# Symbolic expansion of the general element in flat sparse entries.
 
 
 class SymbolicInternalError(RuntimeError):
@@ -212,124 +215,94 @@ class SymbolicInternalError(RuntimeError):
     implementation bug."""
 
 
-def _merge(parts, m, fact):
-    """Join (exps, coefs) parts, sum the coefficient columns of equal
-    exponent rows and reduce them mod m (None over Q).  Given ``fact``, the
-    table of a! mod m, a coefficient c of the term prod_j (t_j)_(i_j) with
-    c * prod_j i_j! = 0 mod m is a zero function on (Z/m)^n, so it is
-    zeroed.  Terms left with no nonzero coefficient are dropped."""
-    exps = np.concatenate([e for e, _ in parts])
-    coefs = np.concatenate([c for _, c in parts], axis=1)
-    if not len(exps):
-        return exps, coefs
-    keys = exps.view(np.dtype((np.void, exps.shape[1] * exps.itemsize))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    exps = exps[order[starts]]
-    coefs = np.add.reduceat(coefs[:, order], starts, axis=1)
-    if m is not None:
-        coefs %= m
-    if fact is not None:
-        # 0! = 1! = 1, so only terms with an exponent above 1 can be zeroed
-        big = exps > 1
-        heavy = np.flatnonzero(big.any(axis=1))
-        if heavy.size:
-            weight = np.ones(heavy.size, dtype=coefs.dtype)
-            for j in np.flatnonzero(big[heavy].any(axis=0)):
-                weight = weight * fact[exps[heavy, j]] % m
-            sub = coefs[:, heavy]
-            sub[sub * weight % m == 0] = 0
-            coefs[:, heavy] = sub
-    live = (coefs != 0).any(axis=0)
-    return exps[live], coefs[:, live]
-
-
 def _general_powers(r: Ring, last):
     """Yield x, x^2, ..., x^last of the general element x = sum_j t_j b_j,
     stopping after the first zero power.
 
-    A power is (exps, coefs): row n of ``exps`` holds the exponents I of a
-    term prod_j (t_j)_(I_j) in falling factorials, and column n of
-    ``coefs`` its coefficient vector.  The merge that completes a power
-    zeroes every coefficient that is a zero function (over Q only 0 is), so
-    a power is empty exactly when it vanishes at every point, over Z/m, F_p
-    and Q alike.
+    A power is flat sparse entries (mono, coord, coef), one per monomial
+    and coordinate: entry n is coef[n] prod_j (t_j)_(I_j) b_(coord[n]) in
+    falling factorials, and row n of ``mono`` is I as the sorted multiset of
+    its variable indices, padded to ``last`` columns with the sentinel
+    ``rank``.  The merge that completes a power drops every coefficient that
+    is a zero function (over Q only 0 is), so a power is empty exactly when
+    it vanishes at every point, over Z/m, F_p and Q alike.
 
-    Each step multiplies by x from the right.  Through each constant
-    b_i b_j = c b_k + ..., coefficient i of a term I, times c, goes to
-    coefficient k of the cell (I, j), the term times t_j b_j; since
-    (t)_a * t = (t)_(a+1) + a (t)_a, a cell goes to exponents I + e_j and,
-    times I_j, to I itself.  The constants whose coefficient i is nonzero
-    in some term are applied together to a block of terms, as many as keep
-    both constants x terms and rank^2 x terms (a bound on the cells'
-    coefficients) within ``_EXPAND_ENTRIES``.  The cells are merged into
-    the next power whenever they hold as many terms as the current one, so
-    the working set stays near terms x rank.  Coefficients use
-    ``kernel_dtype``: a cell's coefficient sums as many reduced terms as
-    ``mul_rows`` does, I_j is below m (a larger one has I_j! = 0 mod m), so
-    a cell times I_j stays below (m-1)^2, and a merge sums at most
-    2 rank + 1 values below m.
+    Each step multiplies by x from the right.  An entry (I, i, c) and a
+    constant b_i b_j = c' b_k + ... give c c' (t)_I t_j b_k, and since
+    (t)_a * t = (t)_(a+1) + a (t)_a, that is the entry (I + e_j, k, c c')
+    and, when a = I_j > 0, the entry (I, k, a c c').  Every entry takes all
+    the constants with left index i at once, and equal (mono, coord) pairs
+    are summed in one merge per step.  The step has no memory budget: its
+    working set is entries x constants per coordinate.
+
+    Coefficients use ``kernel_dtype``.  c c' is reduced mod m before it is
+    scaled by a, and reduced again after; a is below m, since I_j >= m makes
+    I_j! = 0 mod m and drops the entry.  So every summand is below m, and a
+    merge group (I, k) takes at most two per constant with target k: with
+    t such constants its sum is at most 2 t (m - 1), within the
+    t (m - 1)^2 < 2^63 that ``kernel_dtype`` checks once m >= 3, and far
+    below 2^63 at m = 2.
     """
     dom, rank = r.coeff, r.rank
     m = dom.modulus
     dtype = kernel_dtype(r) if dom.finite else object
-    fact = None
-    if m is not None:
-        fact = [1]
-        for a in range(1, last + 1):
-            fact.append(fact[-1] * a % m)
-        fact = np.array(fact, dtype=dtype)
-    trip = sorted((j, k, i, c) for (i, j), terms in r.sc.items() for k, c in terms.items())
-    left = np.array([i for _, _, i, _ in trip], dtype=np.intp)
-    consts = np.array([c for *_, c in trip], dtype=dtype)[:, None]
-    cell = np.array([j * rank + k for j, k, _, _ in trip], dtype=np.intp)
-    exps = np.eye(rank, dtype=np.min_scalar_type(last))
-    coefs = np.eye(rank, dtype=dtype)
+    trip = sorted((i, j, k, c) for (i, j), terms in r.sc.items() for k, c in terms.items())
+    left, right, target = (np.array([t[n] for t in trip], dtype=np.int32) for n in range(3))
+    const = np.array([t[3] for t in trip], dtype=dtype)
+    start = np.searchsorted(left, np.arange(rank + 1))
+    # key[n] is entry n's mono followed by its coord, so one void view of a
+    # row sorts and compares the pair
+    key = np.full((rank, last + 1), rank, dtype=np.int32)
+    key[:, 0] = key[:, last] = np.arange(rank)
+    coef = np.ones(rank, dtype=dtype)
     for _ in range(last - 1):
-        yield exps, coefs
-        parts, pending = [(exps[:0], coefs[:, :0])], 0
-        use = np.flatnonzero(coefs.any(axis=1)[left])
-        if not use.size:
-            exps, coefs = exps[:0], coefs[:, :0]
+        yield key[:, :last], key[:, last], coef
+        first = start[key[:, last]]
+        per = start[key[:, last] + 1] - first
+        if not per.any():
+            key, coef = key[:0], coef[:0]
             break
-        rows, scale, cu = left[use], consts[use], cell[use]
-        first = np.flatnonzero(np.concatenate(([True], cu[1:] != cu[:-1])))
-        gj, gk = np.divmod(cu[first], rank)
-        width = max(1, _EXPAND_ENTRIES // max(use.size, rank * rank))
-        for lo in range(0, len(exps), width):
-            block = coefs[rows, lo:lo + width]
-            block *= scale
-            block = np.add.reduceat(block, first, axis=0)
-            if m is not None:
-                block %= m
-            # nonzeros by column n, then by (j, k): each cell (n, j) is a
-            # run, and one column per cell keeps the block's cells in budget
-            n, g = np.nonzero(block.T)
-            if not n.size:
-                continue
-            js = gj[g]
-            code = n * rank + js
-            fresh = np.concatenate(([True], code[1:] != code[:-1]))
-            term = np.cumsum(fresh) - 1
-            full = np.zeros((rank, term[-1] + 1), dtype=dtype)
-            full[gk[g], term] = block[g, n]
-            ns, js = lo + n[fresh], js[fresh]
-            a = exps[ns, js].astype(dtype)
-            shifted = exps[ns]
-            shifted[np.arange(ns.size), js] += 1
-            stay = np.flatnonzero(a)
-            kept = full[:, stay] * a[stay]
-            if m is not None:
-                kept %= m
-            parts += [(shifted, full), (exps[ns[stay]], kept)]
-            pending += ns.size + stay.size
-            if pending >= len(exps):
-                parts, pending = [_merge(parts, m, None)], 0
-        exps, coefs = _merge(parts, m, fact)
-        if not len(exps):
+        src = np.repeat(np.arange(len(coef)), per)
+        con = np.arange(src.size) + np.repeat(first - np.cumsum(per) + per, per)
+        c = coef[src] * const[con]
+        if m is not None:
+            c %= m
+        rows = key[src]
+        rows[:, last] = target[con]
+        j = right[con]
+        a = (rows[:, :last] == j[:, None]).sum(axis=1)
+        stay = np.flatnonzero(a)
+        kept = c[stay] * a[stay]
+        if m is not None:
+            kept %= m
+        kept_rows = rows[stay]
+        # the degree is below last, so the last mono column is the sentinel
+        rows[:, last - 1] = j
+        rows[:, :last].sort(axis=1)
+        key = np.concatenate((rows, kept_rows))
+        flat = key.view(np.dtype((np.void, key.shape[1] * key.itemsize))).ravel()
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+        key = key[order[starts]]
+        coef = np.add.reduceat(np.concatenate((c, kept))[order], starts)
+        if m is None:
+            live = coef != 0
+        else:
+            # Kempner: drop c with c prod_j I_j! = 0 mod m; in a sorted row
+            # prod_j I_j! is the product of each index's place in its run
+            coef %= m
+            weight = np.ones(len(coef), dtype=dtype)
+            place = np.ones(len(coef), dtype=np.int64)
+            for col in range(1, last):
+                run = (key[:, col] == key[:, col - 1]) & (key[:, col] < rank)
+                place = np.where(run, place + 1, 1)
+                weight = weight * place % m
+            live = coef * weight % m != 0
+        key, coef = key[live], coef[live]
+        if not len(coef):
             break
-    yield exps, coefs
+    yield key[:, :last], key[:, last], coef
 
 
 def nil_bounded_index(
@@ -343,8 +316,9 @@ def nil_bounded_index(
 
     ``_general_powers`` expands the powers of the general element, and the
     first empty one is the exact index over Z/m, F_p and Q.  A power that
-    survives at ``candidate`` is REFUTED with a witness: take its term I
-    smallest by total degree, then lexicographically.  At t = I every other
+    survives at ``candidate`` is REFUTED with a witness: read the exponent
+    vector I off each surviving entry's monomial and take the one smallest
+    by total degree, then lexicographically.  At t = I every other
     surviving term (t)_J with J <= I has a smaller total degree, so none is
     left, and x^candidate takes the value c_I prod_j I_j! != 0 there.
 
@@ -358,10 +332,14 @@ def nil_bounded_index(
         raise ValueError("symbolic mode needs a candidate exponent")
     if r.rank == 0:
         return NilVerdict(Status.PROVED, index=1, note="zero ring")
-    for s, (exps, coefs) in enumerate(_general_powers(r, candidate), 1):
-        if not len(exps):
+    for s, (mono, _, coef) in enumerate(_general_powers(r, candidate), 1):
+        if not len(coef):
             return NilVerdict(Status.PROVED, index=s, note="symbolic expansion")
-    point = min(exps.tolist(), key=lambda e: (sum(e), e))
+    degree = (mono < r.rank).sum(axis=1)
+    low = mono[degree == degree.min()]
+    exps = np.zeros((len(low), r.rank + 1), dtype=np.int64)
+    np.add.at(exps, (np.arange(len(low))[:, None], low), 1)
+    point = min(exps[:, :-1].tolist())
     w = r.element(point)
     acc = w
     for _ in range(candidate - 1):

@@ -163,10 +163,10 @@ def test_enum_and_symbolic_agree_on_finite_domains():
 
 def test_symbolic_power_vanishes_grassmann():
     r = grassmann_star(2, rat()).ring
-    (e1, c1), (e2, c2) = nil._general_powers(r, 4)
-    assert sym_dict(e1, c1) == {(1, 0, 0): (1, 0, 0), (0, 1, 0): (0, 1, 0),
-                                (0, 0, 1): (0, 0, 1)}
-    assert sym_dict(e2, c2) == {}
+    p1, p2 = nil._general_powers(r, 4)
+    assert entry_dict(r, *p1) == {(1, 0, 0): (1, 0, 0), (0, 1, 0): (0, 1, 0),
+                                  (0, 0, 1): (0, 0, 1)}
+    assert entry_dict(r, *p2) == {}
 
 
 @pytest.mark.parametrize("n, expected", [(3, 3), (4, 4), (5, 5)])
@@ -528,6 +528,16 @@ def sym_dict(exps, coefs):
             for e, c in zip(exps, coefs.T)}
 
 
+def entry_dict(ring, mono, coord, coef):
+    """A power's flat entries as {exponents: coefficient vector}."""
+    out = {}
+    for row, k, c in zip(mono.tolist(), coord.tolist(), coef):
+        exps = tuple(row.count(t) for t in range(ring.rank))
+        vec = out.setdefault(exps, [0] * ring.rank)
+        vec[k] = int(c) if isinstance(c, np.integer) else c
+    return {e: tuple(v) for e, v in out.items()}
+
+
 def sym_powers_reference(ring, last):
     """x, x^2, ..., x^last as monomial dicts: one ``mul_coords`` per pair of
     monomials, Python integers or Fractions throughout, exponents reduced by
@@ -589,7 +599,7 @@ def difference_tables(ring, powers, falling, last):
 
 
 def scatter_dicts(ring, last):
-    return [sym_dict(e, c) for e, c in nil._general_powers(ring, last)]
+    return [entry_dict(ring, *power) for power in nil._general_powers(ring, last)]
 
 
 def assert_scatter_matches_dict_expansion(r, last):
@@ -604,17 +614,6 @@ def assert_scatter_matches_dict_expansion(r, last):
 def test_unreduced_scatter_matches_dict_expansion(r):
     # the dict expansion is unreduced here; the scatter is the same map
     assert_scatter_matches_dict_expansion(r, 6)
-
-
-@given(nilpotent_rings(domains=(zmod(4), zmod(6), fp(3), rat())))
-@settings(max_examples=30, deadline=None)
-def test_scatter_in_blocks_of_one_term_matches_one_block(r):
-    # one block holds every term of these rings; blocks of one term each
-    # split every power and merge it part by part
-    whole = scatter_dicts(r, 6)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nil, "_EXPAND_ENTRIES", 1)
-        assert scatter_dicts(r, 6) == whole
 
 
 @given(nilpotent_rings(domains=(fp(2**61 - 1), zmod(2**63 - 25))))
@@ -633,6 +632,28 @@ def test_scatter_in_int64_at_the_kernel_bound():
     r = Ring(fp(p), r.names, {ij: {k: -1 for k in t} for ij, t in r.sc.items()})
     assert kernel.kernel_dtype(r) is np.int64
     assert_scatter_matches_dict_expansion(r, 4)
+
+
+def test_scatter_reduces_before_scaling_by_the_exponent():
+    # b_i b_j = -b1 for i, j in {0, 1}: b1 receives four constants m - 1, so
+    # the int64 kernel has room for four (m-1)^2 and no more; a coefficient
+    # times a constant must be reduced before the exponent I_j scales it
+    p = 1518500213
+    r = Ring(fp(p), ["b0", "b1"], {(i, j): {1: -1} for i in (0, 1) for j in (0, 1)})
+    assert kernel.kernel_dtype(r) is np.int64
+    want = difference_tables(r, sym_powers_reference(r, 16), False, 16)
+    assert difference_tables(r, scatter_dicts(r, 16), True, 16) == want
+    v = nil_bounded_index(r, candidate=16)
+    assert v.status == Status.REFUTED and v.witness.coords == (0, 1)
+
+
+def test_scatter_monomial_counts_on_m2_nagata33():
+    # rank 104: many constants per coordinate land in one merge group
+    r = matrix_ring(truncated_nagata(3, 3), 2)
+    counts = [len({tuple(row) for row in mono.tolist()})
+              for mono, _, _ in nil._general_powers(r, 8)]
+    assert counts == [104, 999, 3282, 4458, 1800, 0]
+    assert nil_bounded_index(r, candidate=8).index == 6
 
 
 def falling_value(ring, poly, a):
