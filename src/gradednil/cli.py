@@ -7,6 +7,7 @@ Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -363,7 +364,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.  ``main`` looks each
+    command up by name when it runs, so a wrapper installed on a ``cmd_*``
+    function after the first build is still called."""
     parser = _Parser(
         prog="gradednil",
         description="Exact analysis of monoid-graded rings and their nilpotency bounds",
@@ -374,7 +379,6 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     _add_caps(p)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="run one bound check by id (e.g. P3.03, T3.18)")
     p.add_argument("check_id")
@@ -382,14 +386,12 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="congruence classes for C3.04, e.g. '0 2 | 1 3'")
     _add_caps(p)
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("report", help="run every applicable check")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="optional congruence classes for C3.04")
     _add_caps(p)
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("oracle", help="cross-validate the neutral-split construction")
     p.add_argument("which", choices=["lemma-3-5"])
@@ -399,14 +401,12 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
     p.add_argument("--exhaustive", action="store_true")
-    p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("construct", help="emit a derived spec file")
     p.add_argument("which", choices=["elementary"])
     p.add_argument("file")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("zoo", help="emit a spec file for a built-in example ring")
     p.add_argument("name")
@@ -415,7 +415,6 @@ def build_parser():
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--domain", default="fp 2")
     p.add_argument("--out", default="-")
-    p.set_defaults(fn=cmd_zoo)
 
     return parser
 
@@ -423,7 +422,7 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except (ValueError, KeyError) as exc:

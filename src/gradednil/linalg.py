@@ -21,6 +21,7 @@ about rings; callers supply raw coefficient rows.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def _xgcd(a, b):
@@ -124,31 +125,39 @@ def howell_contains(form, vec, m):
 
 
 def rref(rows, ncols, dom):
-    """Reduced row echelon form over a field domain (fp or rat)."""
+    """Reduced row echelon form over a field domain (fp or rat).
+
+    Entries are plain ints reduced mod p over F_p and Fractions over Q.  A
+    new row is reduced by every pivot row (each is 0 at the other pivots, so
+    their order does not matter), scaled only when its leading entry is not
+    already 1, and then cleared from the lead column of the other pivots.
+    The row length gives the width; ``ncols`` keeps ``howell``'s signature.
+    """
+    p = dom.modulus if dom.finite else None
+
+    def axpy(row, c, prow):
+        """row - c * prow"""
+        if p is None:
+            return [a - c * b for a, b in zip(row, prow)]
+        return [(a - c * b) % p for a, b in zip(row, prow)]
+
     pivots = {}  # leading column -> row
-
-    def reduce(row):
-        row = list(row)
-        for j in sorted(pivots):
-            if not dom.is_zero(row[j]):
-                c = row[j]
-                prow = pivots[j]
-                row = [dom.sub(row[t], dom.mul(c, prow[t])) for t in range(ncols)]
-        return row
-
     for row in rows:
         if not any(row):
             continue
-        row = reduce([dom.normalize(v) for v in row])
-        lead = next((j for j, v in enumerate(row) if not dom.is_zero(v)), None)
+        row = [Fraction(v) for v in row] if p is None else [int(v) % p for v in row]
+        for j, prow in pivots.items():
+            if row[j]:
+                row = axpy(row, row[j], prow)
+        lead = next((j for j, v in enumerate(row) if v), None)
         if lead is None:
             continue
-        inv = dom.inv(row[lead])
-        row = [dom.mul(inv, v) for v in row]
-        for j, prow in list(pivots.items()):
-            c = prow[lead]
-            if not dom.is_zero(c):
-                pivots[j] = [dom.sub(prow[t], dom.mul(c, row[t])) for t in range(ncols)]
+        if row[lead] != 1:
+            inv = 1 / row[lead] if p is None else pow(row[lead], -1, p)
+            row = [v * inv for v in row] if p is None else [v * inv % p for v in row]
+        for j, prow in pivots.items():
+            if prow[lead]:
+                pivots[j] = axpy(prow, prow[lead], row)
         pivots[lead] = row
     return tuple(tuple(pivots[j]) for j in sorted(pivots))
 

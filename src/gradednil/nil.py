@@ -13,21 +13,18 @@ enumerated, within the element cap, and past it tried on candidates.
 Enumeration multiplies rows in batches with ``kernel.mul_rows``, exact at
 every modulus.
 
-With R^d = 0, one element with x^(d-1) != 0 makes d the bounded nil index.
-The basis and a fixed-seed batch of random elements are tried: by
-Schwartz-Zippel (J. ACM 27(4), 1980) a random element over F_q misses with
-probability at most (d-1)/q when x^(d-1) is a nonzero polynomial in its
-coordinates.  When no tried element fixes the index, it comes from the
-powers of a general element x = sum_j t_j b_j in commuting indeterminates,
-kept as flat sparse entries (monomial, coordinate, coefficient) in the
-falling-factorial basis prod_j (t_j)_(i_j).  A polynomial in that basis is
-the zero function on (Z/m)^n exactly when every coefficient has
-c_I prod_j i_j! = 0 mod m (Kempner, 1921; Singmaster, "On polynomial
-functions (mod m)", 1974), since c_I prod_j i_j! is its I-th finite
-difference at 0.  Such terms are dropped
+The bounded nil index comes from the powers of a general element
+x = sum_j t_j b_j in commuting indeterminates, kept as flat sparse entries
+(monomial, coordinate, coefficient) in the falling-factorial basis
+prod_j (t_j)_(i_j).  A polynomial in that basis is the zero function on
+(Z/m)^n exactly when every coefficient has c_I prod_j i_j! = 0 mod m
+(Kempner, 1921; Singmaster, "On polynomial functions (mod m)", 1974), since
+c_I prod_j i_j! is its I-th finite difference at 0.  Such terms are dropped
 as they arise, so the first empty power is the exact nil index over Z/m,
 over F_p (where every i_j >= p drops) and over Q (where nothing drops),
-found within d - 1 products.  Nothing is enumerated for it.
+found within d - 1 products when R^d = 0.  The smallest term of the last
+surviving power names a point where that power is nonzero, the witness.
+Nothing is enumerated for it.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
 """
@@ -54,8 +51,8 @@ from .ringcore import (
 
 DEFAULT_POWER_CAP = 512
 DEFAULT_SYMBOLIC_CAP = 16
-# Random elements the power-chain certificate tries beside the basis; the
-# seed is fixed, so its verdicts repeat.
+# Seeded random combinations tried beside the generators when a witness of
+# non-nilpotence is sought; the seed is fixed, so verdicts repeat.
 _CERT_SAMPLES = 32
 
 
@@ -305,6 +302,28 @@ def _general_powers(r: Ring, last):
     yield key[:, :last], key[:, last], coef
 
 
+def _witness(r: Ring, mono, k):
+    """The point t = I of a surviving power x^k, read off its entries'
+    monomials: the exponent vector I smallest by total degree, then
+    lexicographically.  At t = I every other surviving term (t)_J with
+    J <= I has a smaller total degree, so none is left, and x^k takes the
+    value c_I prod_j I_j! != 0 there; the power is checked all the same."""
+    degree = (mono < r.rank).sum(axis=1)
+    low = mono[degree == degree.min()]
+    exps = np.zeros((len(low), r.rank + 1), dtype=np.int64)
+    np.add.at(exps, (np.arange(len(low))[:, None], low), 1)
+    point = tuple(min(exps[:, :-1].tolist()))
+    w = r.element(point)
+    acc = w
+    for _ in range(k - 1):
+        acc = acc * w
+    if acc.is_zero():
+        raise SymbolicInternalError(
+            f"power {k} of the witness {w!r} is zero, but monomial {point} survives"
+        )
+    return w, point
+
+
 def nil_bounded_index(
     r: Ring,
     mode="symbolic",
@@ -315,12 +334,10 @@ def nil_bounded_index(
     """Smallest s up to ``candidate`` with a^s = 0 for every element.
 
     ``_general_powers`` expands the powers of the general element, and the
-    first empty one is the exact index over Z/m, F_p and Q.  A power that
-    survives at ``candidate`` is REFUTED with a witness: read the exponent
-    vector I off each surviving entry's monomial and take the one smallest
-    by total degree, then lexicographically.  At t = I every other
-    surviving term (t)_J with J <= I has a smaller total degree, so none is
-    left, and x^candidate takes the value c_I prod_j I_j! != 0 there.
+    first empty one is the exact index over Z/m, F_p and Q.  ``_witness``
+    reads a point off the last surviving power: x^(s-1) != 0 there, named
+    in the PROVED note, or x^candidate != 0 there, the REFUTED witness when
+    the power at ``candidate`` survives.
 
     ``symbolic`` is the only mode, and nothing is enumerated, so
     ``elem_cap`` and ``power_cap`` are unused.  The three stay because
@@ -332,74 +349,39 @@ def nil_bounded_index(
         raise ValueError("symbolic mode needs a candidate exponent")
     if r.rank == 0:
         return NilVerdict(Status.PROVED, index=1, note="zero ring")
+    # x itself is never empty, so a surviving power comes before the empty one
     for s, (mono, _, coef) in enumerate(_general_powers(r, candidate), 1):
         if not len(coef):
-            return NilVerdict(Status.PROVED, index=s, note="symbolic expansion")
-    degree = (mono < r.rank).sum(axis=1)
-    low = mono[degree == degree.min()]
-    exps = np.zeros((len(low), r.rank + 1), dtype=np.int64)
-    np.add.at(exps, (np.arange(len(low))[:, None], low), 1)
-    point = min(exps[:, :-1].tolist())
-    w = r.element(point)
-    acc = w
-    for _ in range(candidate - 1):
-        acc = acc * w
-    if acc.is_zero():
-        raise SymbolicInternalError(
-            f"power {candidate} of the witness {w!r} is zero, but monomial "
-            f"{tuple(point)} survives"
-        )
+            w, _ = _witness(r, alive, s - 1)
+            return NilVerdict(Status.PROVED, index=s,
+                              note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
+        alive = mono
+    w, point = _witness(r, mono, candidate)
     return NilVerdict(
         Status.REFUTED, witness=w,
-        note=f"candidate {candidate} refuted: monomial {tuple(point)} survives",
-    )
-
-
-def _certified_index(r: Ring, power_cap) -> NilVerdict | None:
-    """PROVED with index d when R^d = 0 and some tried x has x^(d-1) != 0.
-
-    The tried elements are the basis, then ``_CERT_SAMPLES`` seeded random
-    combinations of it; the note names the first that works.  None when the
-    chain does not reach zero within ``power_cap`` or no tried element works.
-    """
-    nd = nilpotency_index(r, cap=power_cap)
-    if not nd.proved or nd.index < 2:
-        return None
-    d = nd.index
-    x = _candidates(r, [b.coords for b in r.basis()])
-    acc = x
-    for _ in range(d - 2):
-        acc = _mul(r, acc, x)
-    hit = np.flatnonzero(acc.any(axis=1))
-    if not hit.size:
-        return None
-    w = r.element(x[hit[0]])
-    return NilVerdict(
-        Status.PROVED, index=d, note=f"power chain: R^{d} = 0, x^{d - 1} != 0 at x = {w!r}"
+        note=f"candidate {candidate} refuted: monomial {point} survives",
     )
 
 
 def bounded_nil_index_auto(r: Ring, power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
     """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
-    that is not nil has no bounded nil index.  Else the power-chain
-    certificate.  Else the symbolic expansion, which is exact: up to d when
-    R^d = 0, where x^d vanishes, or up to ``symbolic_cap`` when the chain
-    runs past ``power_cap``.  There only an index within ``power_cap``
-    stands; a term surviving at ``symbolic_cap`` refutes only the cap, and
-    an index past ``power_cap`` is past the cap, so both are CAPPED.  The
-    verdict is kept on the ring per cap pair, so every caller with the same
-    caps shares one computation."""
+    that is not nil has no bounded nil index.  Else the symbolic expansion,
+    which is exact: up to d when R^d = 0, where x^d vanishes, so it always
+    ends at an empty power, or up to ``symbolic_cap`` when the chain runs
+    past ``power_cap``.  There only an index within ``power_cap`` stands; a
+    term surviving at ``symbolic_cap`` refutes only the cap, and an index
+    past ``power_cap`` is past the cap, so both are CAPPED.  The verdict is
+    kept on the ring per cap pair, so every caller with the same caps
+    shares one computation."""
     key = (power_cap, symbolic_cap)
     if key not in r._nil_index:
         nd = nilpotency_index(r, cap=power_cap)
         if nd.status == Status.REFUTED:
             verdict = ring_is_nil(r, power_cap=power_cap)
-        else:
-            verdict = _certified_index(r, power_cap)
-        if verdict is None and nd.proved:
+        elif nd.proved:
             verdict = nil_bounded_index(r, "symbolic", candidate=nd.index)
-        elif verdict is None:
+        else:
             verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
             if not verdict.proved:
                 verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; {verdict.note}")

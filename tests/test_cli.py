@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gradednil import nil, words
+from gradednil import cli, nil, words
 from gradednil.cli import main
 from gradednil.monoid import Monoid
 from gradednil.specfile import (
@@ -184,7 +184,38 @@ def test_cli_analyze_d4_ring_over_z12_prints_the_exact_index(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert data["nilpotency"].startswith("NilVerdict(PROVED, index=4")
-    assert data["bounded_nil_index"] == "NilVerdict(PROVED, index=3, symbolic expansion)"
+    assert data["bounded_nil_index"] == (
+        "NilVerdict(PROVED, index=3, symbolic expansion: x^2 != 0 at x = B)")
+
+
+def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process: calls through it print and exit
+    # as calls through a freshly built one do, whatever the subcommand
+    path = _write(tmp_path, "d4z12.spec", D4_Z12_SPEC)
+    argvs = [["analyze", path, "--json"], ["zoo", "sut", "--n", "3"],
+             ["verify", "P3.17", path], ["analyze", path, "--power-cap", "0"],
+             ["oracle", "lemma-3-5", "--cyclic", "2", "--supp", "1", "--r", "2",
+              "--exhaustive"]]
+
+    def run(argv, fresh):
+        if fresh:
+            cli.build_parser.cache_clear()
+        code = main(argv)
+        return code, capsys.readouterr()
+
+    fresh = [run(argv, True) for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 0, 0, 3, 0]
+    assert [run(argv, False) for argv in argvs] == fresh
+    assert cli.build_parser() is cli.build_parser()
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gradednil")
+    # a wrapper put on a command after the parser is built is still called
+    seen = []
+    analyze = cli.cmd_analyze
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.file) or analyze(args))
+    assert main(["analyze", path]) == 0
+    assert seen == [path]
 
 
 def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):

@@ -93,6 +93,67 @@ def test_rref_ignores_zero_rows(dom, rows, slots):
     assert rref(mixed, ncols, dom) == rref(rows, ncols, dom)
 
 
+def rref_reference(rows, ncols, dom):
+    """The coordinate-by-coordinate reduction ``rref`` replaced, through the
+    domain's methods: the reference its plain-int and Fraction arithmetic
+    is checked against."""
+    pivots = {}  # leading column -> row
+
+    def reduce(row):
+        row = list(row)
+        for j in sorted(pivots):
+            if not dom.is_zero(row[j]):
+                c = row[j]
+                prow = pivots[j]
+                row = [dom.sub(row[t], dom.mul(c, prow[t])) for t in range(ncols)]
+        return row
+
+    for row in rows:
+        if not any(row):
+            continue
+        row = reduce([dom.normalize(v) for v in row])
+        lead = next((j for j, v in enumerate(row) if not dom.is_zero(v)), None)
+        if lead is None:
+            continue
+        inv = dom.inv(row[lead])
+        row = [dom.mul(inv, v) for v in row]
+        for j, prow in list(pivots.items()):
+            c = prow[lead]
+            if not dom.is_zero(c):
+                pivots[j] = [dom.sub(prow[t], dom.mul(c, row[t])) for t in range(ncols)]
+        pivots[lead] = row
+    return tuple(tuple(pivots[j]) for j in sorted(pivots))
+
+
+@st.composite
+def field_rows(draw):
+    dom = draw(st.sampled_from([fp(2), fp(3), fp(5), fp(2**61 - 1), rat()]))
+    ncols = draw(st.integers(1, 6))
+    if dom.finite:
+        # small entries make dependent rows and pivots of 1 common; large
+        # ones reach past the modulus and the int64 range
+        entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=7))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    # repeat some rows scaled, so spans are not all of full rank
+    for i in draw(st.lists(st.integers(0, 7), max_size=3)):
+        if rows:
+            rows.append([2 * v for v in rows[i % len(rows)]])
+    return dom, ncols, rows
+
+
+@given(field_rows())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_the_domain_method_reference(case):
+    dom, ncols, rows = case
+    form = rref(rows, ncols, dom)
+    ref = rref_reference(rows, ncols, dom)
+    assert form == ref
+    # the same entry types: ints over F_p, Fractions over Q
+    assert [type(v) for row in form for v in row] == [type(v) for row in ref for v in row]
+
+
 def rref_pivots(rows, ncols, p):
     return tuple(next(j for j, v in enumerate(row) if v) for row in rref(rows, ncols, fp(p)))
 

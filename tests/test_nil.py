@@ -264,11 +264,11 @@ def test_homogeneous_power_report_kg_rule():
 
 
 def test_bounded_auto_switches_to_symbolic():
-    # R^3 = 0 but x^2 = 0 for every x: the certificate is silent, and the
-    # symbolic expansion gives the index
+    # R^3 = 0 but x^2 = 0 for every x: the symbolic expansion gives the
+    # index 2, below the nilpotency index, and names an x with x != 0
     v = bounded_nil_index_auto(grassmann_star(2, rat()).ring)
     assert v.proved and v.index == 2
-    assert v.note == "symbolic expansion"
+    assert v.note == "symbolic expansion: x^1 != 0 at x = e12"
 
 
 def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
@@ -312,7 +312,8 @@ def test_bounded_auto_caps_an_index_past_the_power_cap_over_q():
     assert v.status == Status.CAPPED
     assert v.note == "power chain longer than power_cap 1; symbolic index 2 is past it"
     v = bounded_nil_index_auto(r, power_cap=2)
-    assert v.proved and v.index == 2 and v.note == "symbolic expansion"
+    assert v.proved and v.index == 2
+    assert v.note == "symbolic expansion: x^1 != 0 at x = e12"
 
 
 def test_homogeneous_power_report_uses_the_callers_power_cap():
@@ -323,11 +324,11 @@ def test_homogeneous_power_report_uses_the_callers_power_cap():
 
 
 # ---------------------------------------------------------------------------
-# The power-chain certificate against the enumeration it goes before.
+# The expansion's PROVED index and its witness against enumeration.
 
 
 def certificate_witness(r, verdict):
-    """The element the certificate's note names, found among all elements."""
+    """The element a PROVED note names, found among all elements."""
     text = verdict.note.split(" at x = ", 1)[1]
     return next(a for a in r.elements() if repr(a) == text)
 
@@ -339,14 +340,14 @@ def test_certified_index_matches_enumeration(r):
     assert ring_is_nil(r).proved
     assert all(v.proved for v in s_nil_check(trivial_grading(r)).values())
     enum = enum_bounded_index(r)
-    cert = nil._certified_index(r, DEFAULT_POWER_CAP)
-    if cert is not None:
-        assert cert.proved and cert.index == enum.index
-        assert cert.index == nilpotency_index(r).index
-        if r.element_count() <= 4096:
-            w = certificate_witness(r, cert)
-            assert element_nil_index(w).index == cert.index
-    assert bounded_nil_index_auto(r).index == enum.index
+    v = bounded_nil_index_auto(r)
+    assert v.proved and v.index == enum.index
+    assert v.index <= nilpotency_index(r).index
+    assert v.note.startswith(f"symbolic expansion: x^{v.index - 1} != 0 at x = ")
+    if r.element_count() <= 4096:
+        # the named witness has x^(s-1) != 0, so its own index is s
+        w = certificate_witness(r, v)
+        assert element_nil_index(w).index == v.index
 
 
 def d4_ring():
@@ -358,14 +359,14 @@ def d4_ring():
     return Ring(fp(2), ["A", "B", "A2", "AB", "B2", "V"], sc)
 
 
-def test_certificate_silent_on_d4_ring():
-    # R^4 = 0, and x^3 = (t1^2 t2 + t1 t2^2) V vanishes at every point of F_2^2
+def test_d4_ring_witness_sits_below_the_nilpotency_index():
+    # R^4 = 0, and x^3 = (t1^2 t2 + t1 t2^2) V vanishes at every point of
+    # F_2^2, so the index is 3 and its witness B has B^2 = B2 != 0
     r = d4_ring()
     assert nilpotency_index(r).index == 4
-    assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
     v = bounded_nil_index_auto(r)
     assert v.proved and v.index == 3
-    assert v.note == "symbolic expansion"
+    assert v.note == "symbolic expansion: x^2 != 0 at x = B"
 
 
 def test_d4_ring_symbolic_index_is_exact():
@@ -395,9 +396,9 @@ def test_d4_ring_over_z12_index_is_exact():
     # c * prod i_j! = 0 mod 12, so the index is 3
     r = d4_ring_z12()
     assert nilpotency_index(r).index == 4
-    assert nil._certified_index(r, DEFAULT_POWER_CAP) is None
     v = bounded_nil_index_auto(r)
-    assert v.proved and v.index == 3 and v.note == "symbolic expansion"
+    assert v.proved and v.index == 3
+    assert v.note == "symbolic expansion: x^2 != 0 at x = B"
     low = nil_bounded_index(r, "symbolic", candidate=2)
     assert low.status == Status.REFUTED
     assert element_nil_index(low.witness).index == 3
@@ -712,18 +713,35 @@ def test_reduced_scatter_matches_enumeration(r):
 
 
 def test_certificate_decides_m2_grassmann2_f3():
-    # no basis element has a nonzero square; a seeded random element does
+    # no basis element has a nonzero square; the expansion's smallest
+    # surviving term of x^2 names a sum of two that does
     r = matrix_ring(grassmann_star(2, fp(3)).ring, 2)
     v = bounded_nil_index_auto(r)
     assert v.proved and v.index == 3
-    assert v.note.startswith("power chain: R^3 = 0, x^2 != 0 at x = ")
+    assert v.note == "symbolic expansion: x^2 != 0 at x = E21(e2) + E22(e1)"
+    w = r.basis_element(r.names.index("E21(e2)")) + r.basis_element(r.names.index("E22(e1)"))
+    assert not (w * w).is_zero()
     assert ring_is_nil(r).note == "power chain: R^3 = 0"
 
 
 def test_certificate_takes_a_basis_witness_first():
     v = bounded_nil_index_auto(two_z_2k(3))
     assert v.proved and v.index == 3
-    assert v.note == "power chain: R^3 = 0, x^2 != 0 at x = b"
+    assert v.note == "symbolic expansion: x^2 != 0 at x = b"
+
+
+def test_sut12_over_q_index_is_exact_with_a_witness():
+    # the index equals the nilpotency index 12; the witness is the
+    # superdiagonal, whose 11th power is E1,12
+    r = sut(12, rat()).ring
+    v = bounded_nil_index_auto(r)
+    assert v.proved and v.index == 12
+    names = [f"E{i}{i + 1}" for i in range(1, 12)]
+    assert v.note == f"symbolic expansion: x^11 != 0 at x = {' + '.join(names)}"
+    w = r.zero()
+    for name in names:
+        w = w + r.basis_element(r.names.index(name))
+    assert element_nil_index(w).index == 12
 
 
 def test_group_ring_refutations_pick_first_witness():
