@@ -37,15 +37,14 @@ EXIT_INPUT = 3
 INT64_MAX = np.iinfo(np.int64).max
 
 ENV_CAPS = {
-    "GRADEDNIL_ELEM_CAP": "elem_cap",
     "GRADEDNIL_POWER_CAP": "power_cap",
     "GRADEDNIL_PAIR_CAP": "pair_cap",
     "GRADEDNIL_SAMPLES": "samples",
     "GRADEDNIL_SEED": "seed",
 }
 # Smallest legal value of each cap: a power cap or sample count below 1
-# decides nothing, while an element or pair cap of 0 means "never enumerate".
-CAP_FLOORS = {"elem_cap": 0, "power_cap": 1, "pair_cap": 0, "samples": 1}
+# decides nothing, while a pair cap of 0 means "never enumerate".
+CAP_FLOORS = {"power_cap": 1, "pair_cap": 0, "samples": 1}
 
 
 def _caps_from(args) -> Caps:
@@ -139,7 +138,7 @@ def cmd_analyze(args):
     out["nil"] = repr(nilv)
     out["nilpotency"] = repr(ndv)
     out["bounded_nil_index"] = repr(sv)
-    comp = s_nil_check(gr, elem_cap=caps.elem_cap, power_cap=caps.power_cap)
+    comp = s_nil_check(gr, power_cap=caps.power_cap)
     out["component_nil"] = {str(g): repr(v) for g, v in comp.items()}
     if args.json:
         print(json.dumps(out, indent=2))

@@ -228,10 +228,8 @@ class PairVerdict:
         return self.status == Status.PROVED
 
 
-def _element_coords(ring, elem_cap):
-    count = ring.element_count()
-    if count is None or count > elem_cap:
-        return None
+def _element_coords(ring):
+    """Every coordinate tuple of a finite ``ring``, in product order."""
     return [
         tuple(coords)
         for coords in itertools.product(ring.coeff.elements(), repeat=ring.rank)
@@ -253,11 +251,9 @@ def check_f_commutative(
     if f.is_constant():
         return _basis_certificate(r, f, act, variant)
     dom = r.coeff
-    coords_list = None
     count = r.element_count()
     if count is not None and count * count <= pair_cap:
-        coords_list = _element_coords(r, count)
-    if coords_list is not None:
+        coords_list = _element_coords(r)
         for ca in coords_list:
             for cb in coords_list:
                 if not _pair_commutes(r, act, f, ca, cb, variant):
@@ -334,7 +330,7 @@ def scalar_f_search(r: Ring, pair_cap=10**6, rat_bound=3, samples=2000, seed=0):
         one = FMap.constant(dom.one())
         if _basis_certificate(r, one, Action(SCALAR, r, check=False)).proved:
             return one, None
-        coords_list = _element_coords(r, count)
+        coords_list = _element_coords(r)
         rule = {}
         for ca in coords_list:
             for cb in coords_list:
@@ -373,70 +369,6 @@ def scalar_f_search(r: Ring, pair_cap=10**6, rat_bound=3, samples=2000, seed=0):
     return (
         FMap(CONSTANT, value=surviving[0], label=f"constant {surviving[0]} (sampled)"),
         None,
-    )
-
-
-def rewrite_identity_check(
-    r: Ring, f: FMap, act: Action, tuple_cap=10**6, samples=DEFAULT_SAMPLES, seed=0
-) -> PairVerdict:
-    """Verify both commutation-factor rewriting chains on 7-tuples.
-
-    For x, m1, y, m2, z, m3, t the product x m1 y m2 z m3 t must equal
-
-      (f(x,m1).m1)(f(xy,m2).m2)(f(xyz,m3).m3) x y z t          (left chain)
-      x (f(m1,y).y)(f(m1 m2,z).z) m1 m2 m3 t                   (right chain)
-
-    whenever the ring commutes up to f.  Exhaustive when the 7-th power of
-    the element count fits the cap, else seeded samples.
-    """
-    dom = r.coeff
-    count = r.element_count()
-    exhaustive = count is not None and count**7 <= tuple_cap
-    if exhaustive:
-        coords_list = _element_coords(r, count)
-        tuples = itertools.product(coords_list, repeat=7)
-    else:
-        rng = random.Random(seed)
-        if dom.finite:
-            draw = lambda: tuple(rng.randrange(dom.size) for _ in range(r.rank))
-        else:
-            draw = lambda: tuple(
-                dom.normalize(rng.randint(-2, 2)) for _ in range(r.rank)
-            )
-        tuples = (tuple(draw() for _ in range(7)) for _ in range(samples))
-    checked = 0
-    for x, m1, y, m2, z, m3, t in tuples:
-        mul = r.mul_coords
-        lhs = mul(mul(mul(mul(mul(mul(x, m1), y), m2), z), m3), t)
-        xy = mul(x, y)
-        xyz = mul(xy, z)
-        left = mul(
-            mul(
-                mul(act.act_coords(f.at_coords(x, m1), m1),
-                    act.act_coords(f.at_coords(xy, m2), m2)),
-                act.act_coords(f.at_coords(xyz, m3), m3),
-            ),
-            mul(xyz, t),
-        )
-        m1m2 = mul(m1, m2)
-        right = mul(
-            mul(
-                mul(x, act.act_coords(f.at_coords(m1, y), y)),
-                act.act_coords(f.at_coords(m1m2, z), z),
-            ),
-            mul(mul(m1m2, m3), t),
-        )
-        if lhs != left or lhs != right:
-            side = "left" if lhs != left else "right"
-            return PairVerdict(
-                Status.REFUTED,
-                witness=tuple(r.element(c) for c in (x, m1, y, m2, z, m3, t)),
-                note=f"{side} rewriting chain differs",
-            )
-        checked += 1
-    note = f"{checked} tuples ({'exhaustive' if exhaustive else f'seed={seed}'})"
-    return PairVerdict(
-        Status.PROVED if exhaustive else Status.SAMPLED_OK, note=note
     )
 
 

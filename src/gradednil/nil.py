@@ -8,10 +8,8 @@ refutes it: the witness is the first of R^k's generators, then of seeded
 combinations of them, that repeated squaring past a nilpotence bound does
 not kill.  Per component, P3.31's degree walk decides: a walk of g that
 leaves the support kills x^l, and one that reaches e kills x^(k_g d_e) when
-R_e^(d_e) = 0.  Only a degree whose walk reaches a non-nilpotent R_e is
-enumerated, within the element cap, and past it tried on candidates.
-Enumeration multiplies rows in batches with ``kernel.mul_rows``, exact at
-every modulus.
+R_e^(d_e) = 0.  A degree whose walk reaches a non-nilpotent R_e takes the
+expansion below, with variables on its own basis only.
 
 The bounded nil index comes from the powers of a general element
 x = sum_j t_j b_j in commuting indeterminates, kept as flat sparse entries
@@ -24,7 +22,10 @@ as they arise, so the first empty power is the exact nil index over Z/m,
 over F_p (where every i_j >= p drops) and over Q (where nothing drops),
 found within d - 1 products when R^d = 0.  The smallest term of the last
 surviving power names a point where that power is nonzero, the witness.
-Nothing is enumerated for it.
+A homogeneous component is nil exactly when its general element has
+x^N = 0, for N the bound ``_index_bound`` on the index of one nilpotent
+element, so the same expansion decides it (``_component_nil``).  Nothing
+is enumerated.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
 """
@@ -104,37 +105,31 @@ def element_nil_index(a: Element, cap=DEFAULT_POWER_CAP) -> NilVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Batched enumeration over finite coefficient domains.
+# Witnesses of non-nilpotence.
 
 
-def _coord_rows(q, positions, rank):
-    """All coordinate rows supported on ``positions``, lex order, int64."""
-    L = len(positions)
-    rows = np.zeros((q**L, rank), dtype=np.int64)
-    # One grid axis per position, most significant first: row numbers are
-    # the base-q numbers the digits spell.
-    grid = rows.reshape((q,) * L + (rank,))
-    for axis, t in enumerate(positions):
-        shape = [1] * L
-        shape[axis] = q
-        grid[..., t] = np.arange(q).reshape(shape)
-    return rows
+def _index_bound(r: Ring):
+    """N with x^N = 0 for every nilpotent x of ``r``.
+
+    For a nilpotent x the spans S_k of {x^j : j >= k} fall strictly until
+    they reach 0: S_k = S_(k+1) puts x^k = x^k z with z a combination of
+    powers of x, so z is nilpotent and x^k = x^k z^n = 0.  A strict chain of
+    submodules of (Z/m)^rank has at most rank * Omega(m) <=
+    rank * bit_length(m) steps, and one of subspaces over F_p or Q at most
+    rank, so N is one more than that.
+    """
+    dom = r.coeff
+    return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
 
 
 def _classify_all_nilpotent(ring, base):
     """Exact nilpotence test by repeated squaring.
 
     Returns the original-order row number of the first non-nilpotent element,
-    or None when every row is nilpotent.  For a nilpotent x the spans S_k of
-    {x^j : j >= k} fall strictly until they reach 0: S_k = S_(k+1) puts
-    x^k = x^k z with z a combination of powers of x, so z is nilpotent and
-    x^k = x^k z^n = 0.  A strict chain of submodules of (Z/m)^rank has at
-    most rank * Omega(m) <= rank * bit_length(m) steps, and one of subspaces
-    over F_p or Q at most rank, so x^n = 0 once n passes that; squaring
-    stops there.
+    or None when every row is nilpotent.  Squaring stops once the exponent
+    reaches ``_index_bound``, where every nilpotent row is zero.
     """
-    dom = ring.coeff
-    index_bound = ring.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
+    index_bound = _index_bound(ring)
     idx = np.arange(base.shape[0])
     sq = base
     alive = sq.any(axis=1)
@@ -212,9 +207,10 @@ class SymbolicInternalError(RuntimeError):
     implementation bug."""
 
 
-def _general_powers(r: Ring, last):
+def _general_powers(r: Ring, last, positions=None):
     """Yield x, x^2, ..., x^last of the general element x = sum_j t_j b_j,
-    stopping after the first zero power.
+    with j over the basis ``positions`` (all by default), stopping after the
+    first zero power.
 
     A power is flat sparse entries (mono, coord, coef), one per monomial
     and coordinate: entry n is coef[n] prod_j (t_j)_(I_j) b_(coord[n]) in
@@ -229,8 +225,9 @@ def _general_powers(r: Ring, last):
     (t)_a * t = (t)_(a+1) + a (t)_a, that is the entry (I + e_j, k, c c')
     and, when a = I_j > 0, the entry (I, k, a c c').  Every entry takes all
     the constants with left index i at once, and equal (mono, coord) pairs
-    are summed in one merge per step.  The step has no memory budget: its
-    working set is entries x constants per coordinate.
+    are summed in one merge per step.  A constant b_i b_j with j off the
+    positions meets no variable, so it is left out.  The step has no memory
+    budget: its working set is entries x constants per coordinate.
 
     Coefficients use ``kernel_dtype``.  c c' is reduced mod m before it is
     scaled by a, and reduced again after; a is below m, since I_j >= m makes
@@ -246,12 +243,16 @@ def _general_powers(r: Ring, last):
     trip = sorted((i, j, k, c) for (i, j), terms in r.sc.items() for k, c in terms.items())
     left, right, target = (np.array([t[n] for t in trip], dtype=np.int32) for n in range(3))
     const = np.array([t[3] for t in trip], dtype=dtype)
+    positions = np.arange(rank) if positions is None else np.asarray(positions)
+    if len(positions) < rank:
+        on = np.isin(right, positions)
+        left, right, target, const = left[on], right[on], target[on], const[on]
     start = np.searchsorted(left, np.arange(rank + 1))
     # key[n] is entry n's mono followed by its coord, so one void view of a
     # row sorts and compares the pair
-    key = np.full((rank, last + 1), rank, dtype=np.int32)
-    key[:, 0] = key[:, last] = np.arange(rank)
-    coef = np.ones(rank, dtype=dtype)
+    key = np.full((len(positions), last + 1), rank, dtype=np.int32)
+    key[:, 0] = key[:, last] = positions
+    coef = np.ones(len(positions), dtype=dtype)
     for _ in range(last - 1):
         yield key[:, :last], key[:, last], coef
         first = start[key[:, last]]
@@ -363,6 +364,28 @@ def nil_bounded_index(
     )
 
 
+def _component_nil(r: Ring, positions) -> NilVerdict:
+    """PROVED at the first empty power of the general element of the span of
+    the basis ``positions``, with its index, or REFUTED by the first
+    ``_witness`` point of a power that is not nilpotent, every nilpotent
+    element having x^N = 0 for N = ``_index_bound``.  The point of a
+    surviving x^N is one, and trying each power's point stops a span that is
+    not nil before its terms grow to degree N."""
+    n = _index_bound(r)
+    for s, (mono, _, coef) in enumerate(_general_powers(r, n, positions), 1):
+        if not len(coef):
+            w, _ = _witness(r, alive, s - 1)
+            return NilVerdict(Status.PROVED, index=s,
+                              note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
+        alive = mono
+        w, _ = _witness(r, mono, 1)
+        if not element_nil_index(w, cap=n).proved:
+            return NilVerdict(Status.REFUTED, witness=w,
+                              note=f"symbolic expansion: x^{n} != 0 at the witness, the "
+                              f"point of x^{s}; every nilpotent x has x^{n} = 0")
+    raise SymbolicInternalError(f"x^{n} survives, but the point of its least term is nilpotent")
+
+
 def bounded_nil_index_auto(r: Ring, power_cap=DEFAULT_POWER_CAP,
                            symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
     """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
@@ -425,10 +448,11 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POW
     support after l steps puts x^l in a zero component.  One that reaches e
     after k_g steps puts x^(k_g) in R_e, so x^(k_g d_e) = 0 when
     R_e^(d_e) = 0.  Degree e of a neutral ring that is not nilpotent takes
-    ``ring_is_nil`` of that ring.  A degree g != e whose walk reaches it is
-    enumerated within ``elem_cap``, with powers taken in the ambient ring;
-    past the cap its basis and seeded combinations are tried, giving
-    REFUTED or CAPPED.
+    ``ring_is_nil`` of that ring.  A degree g != e whose walk reaches it
+    takes ``_component_nil``, the expansion on its own basis: PROVED with
+    its index, or REFUTED by a point that is not nilpotent.  Nothing is
+    enumerated, so ``elem_cap`` is unused; it stays because
+    ``perfbench/layers.py`` binds it by name.
     """
     r = gr.ring
     nd = nilpotency_index(r, cap=power_cap)
@@ -454,19 +478,7 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POW
                 coords[idx0] = v.witness.coords
                 v.witness = r.element(coords)
         else:
-            idx = component_indices(gr, g)
-            count = r.coeff.size ** len(idx) if r.coeff.finite else None
-            exhaustive = count is not None and count <= elem_cap
-            X = (_coord_rows(r.coeff.size, idx, r.rank) if exhaustive
-                 else _candidates(r, [r.basis_element(t).coords for t in idx]))
-            bad = _classify_all_nilpotent(r, X)
-            if bad is not None:
-                out[g] = NilVerdict(Status.REFUTED, witness=r.element(X[bad]))
-            elif exhaustive:
-                out[g] = NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
-            else:
-                out[g] = NilVerdict(Status.CAPPED, note=f"basis and {_CERT_SAMPLES} seeded "
-                                    "combinations nilpotent; enumeration capped")
+            out[g] = _component_nil(r, component_indices(gr, g))
     return out
 
 

@@ -31,7 +31,6 @@ from .grading import (
 )
 from .monoid import Congruence
 from .nil import (
-    DEFAULT_ELEM_CAP,
     DEFAULT_POWER_CAP,
     DEFAULT_SYMBOLIC_CAP,
     Status,
@@ -55,7 +54,6 @@ class CheckStatus(str, Enum):
 class Caps:
     """Work limits and the sampling seed, recorded in every report."""
 
-    elem_cap: int = DEFAULT_ELEM_CAP
     power_cap: int = DEFAULT_POWER_CAP
     pair_cap: int = 10**6
     samples: int = DEFAULT_SAMPLES
@@ -63,7 +61,6 @@ class Caps:
 
     def to_dict(self):
         return {
-            "elem_cap": self.elem_cap,
             "power_cap": self.power_cap,
             "pair_cap": self.pair_cap,
             "samples": self.samples,

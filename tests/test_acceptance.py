@@ -10,9 +10,10 @@ import random
 import time
 
 import pytest
+from test_fcomm import rewrite_identity_check
 from test_nil import enum_bounded_index
 
-from gradednil.fcomm import FMap, rewrite_identity_check, scalar_action, scalar_f_search
+from gradednil.fcomm import FMap, scalar_action, scalar_f_search
 from gradednil.grading import (
     GradedRing,
     GradingAxiomError,

@@ -310,9 +310,10 @@ def test_cli_oracle_rejects_r_below_2_first(capsys, r, mode):
 
 @pytest.mark.parametrize("args", [
     ["report", "--bogus", "x"],
-    ["report", "--elem-cap", "abc", "x.spec"],
+    ["report", "--power-cap", "abc", "x.spec"],
     ["report", "--tuple-cap", "5", "x.spec"],
-], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap"])
+    ["analyze", "--elem-cap", "5", "x.spec"],
+], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap", "removed-elem-cap"])
 def test_cli_usage_errors_exit_3(capsys, args):
     # exit 2 means a capped verdict, so argparse's own usage exit is not used
     assert main(args) == 3
@@ -326,13 +327,10 @@ def test_cli_usage_errors_exit_3(capsys, args):
     (["--samples", "0"], {}, "--samples"),
     (["--power-cap", "0"], {}, "--power-cap"),
     (["--pair-cap", "-1"], {}, "--pair-cap"),
-    (["--elem-cap", "-5"], {}, "--elem-cap"),
     ([], {"GRADEDNIL_POWER_CAP": "abc"}, "GRADEDNIL_POWER_CAP"),
     ([], {"GRADEDNIL_SAMPLES": "0"}, "GRADEDNIL_SAMPLES"),
-    ([], {"GRADEDNIL_ELEM_CAP": "-1"}, "GRADEDNIL_ELEM_CAP"),
 ], ids=["samples-negative", "samples-zero", "power-cap-zero", "pair-cap-negative",
-        "elem-cap-negative", "env-power-cap-text", "env-samples-zero",
-        "env-elem-cap-negative"])
+        "env-power-cap-text", "env-samples-zero"])
 def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, named):
     path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
     for name, value in env.items():
@@ -345,10 +343,10 @@ def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, 
 
 
 def test_cli_zero_caps_mean_never_enumerate(tmp_path, capsys, monkeypatch):
-    # a flag overrides the environment, and 0 is a legal element or pair cap
+    # a flag overrides the environment, and 0 is a legal pair cap
     monkeypatch.setenv("GRADEDNIL_PAIR_CAP", "-1")
     path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
-    code = main(["analyze", path, "--json", "--elem-cap", "0", "--pair-cap", "0"])
+    code = main(["analyze", path, "--json", "--pair-cap", "0"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["nil"].startswith("NilVerdict(PROVED")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,20 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradednil.fcomm import (
+    DEFAULT_SAMPLES,
     Action,
     ActionLawError,
     FMap,
     FMapDomainError,
+    PairVerdict,
     SCALAR,
     STANDARD,
     SemigroupTable,
     TABLE,
     WEAKENED,
+    _element_coords,
     _pair_commutes,
     check_f_commutative,
     f_commutator,
     lift_f_to_diagonal,
-    rewrite_identity_check,
     scalar_action,
     scalar_f_search,
 )
@@ -132,6 +135,68 @@ def test_search_result_always_passes_check():
         assert fmap is not None
         v = check_f_commutative(ring, fmap, scalar_action(ring))
         assert v.status == Status.PROVED
+
+
+def rewrite_identity_check(r, f, act, tuple_cap=10**6, samples=DEFAULT_SAMPLES, seed=0):
+    """Verify both commutation-factor rewriting chains on 7-tuples.
+
+    For x, m1, y, m2, z, m3, t the product x m1 y m2 z m3 t must equal
+
+      (f(x,m1).m1)(f(xy,m2).m2)(f(xyz,m3).m3) x y z t          (left chain)
+      x (f(m1,y).y)(f(m1 m2,z).z) m1 m2 m3 t                   (right chain)
+
+    whenever the ring commutes up to f.  Exhaustive when the 7-th power of
+    the element count fits the cap, else seeded samples.
+    """
+    dom = r.coeff
+    count = r.element_count()
+    exhaustive = count is not None and count**7 <= tuple_cap
+    if exhaustive:
+        coords_list = _element_coords(r)
+        tuples = itertools.product(coords_list, repeat=7)
+    else:
+        rng = random.Random(seed)
+        if dom.finite:
+            draw = lambda: tuple(rng.randrange(dom.size) for _ in range(r.rank))
+        else:
+            draw = lambda: tuple(
+                dom.normalize(rng.randint(-2, 2)) for _ in range(r.rank)
+            )
+        tuples = (tuple(draw() for _ in range(7)) for _ in range(samples))
+    checked = 0
+    for x, m1, y, m2, z, m3, t in tuples:
+        mul = r.mul_coords
+        lhs = mul(mul(mul(mul(mul(mul(x, m1), y), m2), z), m3), t)
+        xy = mul(x, y)
+        xyz = mul(xy, z)
+        left = mul(
+            mul(
+                mul(act.act_coords(f.at_coords(x, m1), m1),
+                    act.act_coords(f.at_coords(xy, m2), m2)),
+                act.act_coords(f.at_coords(xyz, m3), m3),
+            ),
+            mul(xyz, t),
+        )
+        m1m2 = mul(m1, m2)
+        right = mul(
+            mul(
+                mul(x, act.act_coords(f.at_coords(m1, y), y)),
+                act.act_coords(f.at_coords(m1m2, z), z),
+            ),
+            mul(mul(m1m2, m3), t),
+        )
+        if lhs != left or lhs != right:
+            side = "left" if lhs != left else "right"
+            return PairVerdict(
+                Status.REFUTED,
+                witness=tuple(r.element(c) for c in (x, m1, y, m2, z, m3, t)),
+                note=f"{side} rewriting chain differs",
+            )
+        checked += 1
+    note = f"{checked} tuples ({'exhaustive' if exhaustive else f'seed={seed}'})"
+    return PairVerdict(
+        Status.PROVED if exhaustive else Status.SAMPLED_OK, note=note
+    )
 
 
 def test_rewrite_identities_commutative():

@@ -38,10 +38,26 @@ def idempotent_ring(dom):
     return Ring(dom, ["b"], {(0, 0): {0: 1}})
 
 
+def coord_rows(q, positions, rank):
+    """All coordinate rows supported on ``positions``, lex order, int64: the
+    elements of a component over Z/q, as the enumeration references take
+    them."""
+    L = len(positions)
+    rows = np.zeros((q**L, rank), dtype=np.int64)
+    # One grid axis per position, most significant first: row numbers are
+    # the base-q numbers the digits spell.
+    grid = rows.reshape((q,) * L + (rank,))
+    for axis, t in enumerate(positions):
+        shape = [1] * L
+        shape[axis] = q
+        grid[..., t] = np.arange(q).reshape(shape)
+    return rows
+
+
 def enumerated_is_nil(r):
     """Every element classified by repeated squaring, as in the enumeration
     path of ``reference_ring_is_nil``."""
-    X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+    X = coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
     return nil._classify_all_nilpotent(r, X) is None
 
 
@@ -460,7 +476,7 @@ def enum_bounded_index(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP
     count = r.element_count()
     if count is None or count > elem_cap:
         return nil.NilVerdict(Status.CAPPED, note="enumeration infeasible")
-    X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+    X = coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
     status, indices, witness = batch_nil_indices(r, X, power_cap)
     if status == Status.REFUTED:
         return nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in witness]))
@@ -940,7 +956,7 @@ def test_degree_walk_raises_inside_the_support():
 
 
 # ---------------------------------------------------------------------------
-# The row-wise products of the enumeration paths (``nil._coord_rows`` rows
+# The row-wise products of the enumeration paths (``coord_rows`` rows
 # multiplied by ``nil._mul``) against the tuple-by-tuple loop.
 
 
@@ -998,10 +1014,10 @@ def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch)
     r = random_ring(dom, rank, rnd)
     idx = sorted(rnd.sample(range(rank), rnd.randint(1, rank)))
     length, exponent = rnd.randint(2, 3), rnd.randint(1, 2)
-    singles = nil._coord_rows(dom.size, idx, rank)
+    singles = coord_rows(dom.size, idx, rank)
     got = first_failing_batched(r, singles, length, exponent)
     # the reference builds its rows itself, so this also pins the lex order
-    # of ``_coord_rows``
+    # of ``coord_rows``
     tuples = reference_component_tuples(
         r, idx, length, len(singles) ** length, 0, None, {})
     assert got == first_failing_tuple(r, tuples, exponent)
@@ -1023,7 +1039,7 @@ def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_
         return nil.NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
     count = r.element_count()
     if count is not None and count <= elem_cap:
-        X = nil._coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
+        X = coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
         bad = nil._classify_all_nilpotent(r, X)
         if bad is None:
             return nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count} elements")
@@ -1058,7 +1074,7 @@ def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER
         idx = component_indices(gr, g)
         count = None if not r.coeff.finite else r.coeff.size ** len(idx)
         if count is not None and count <= elem_cap:
-            X = nil._coord_rows(r.coeff.size, idx, r.rank)
+            X = coord_rows(r.coeff.size, idx, r.rank)
             bad = nil._classify_all_nilpotent(r, X)
             out[g] = (nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
                       if bad is None else
@@ -1105,19 +1121,64 @@ def with_idempotent(r):
     return Ring(r.coeff, list(r.names) + ["e"], sc)
 
 
-def idempotent_acting_on_square_zero():
-    # F_3-ring e (degree 0), x (degree 1 of the integers): e^2 = e,
-    # ex = xe = x, x^2 = 0; R_0 is not nil, and the walk of 1 leaves the
-    # support at 2
-    ring = Ring(fp(3), ["e", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
-    return GradedRing(ring, Monoid.int_add(), [0, 1])
+def unit_over_c2(r):
+    """e + r (x) F[C_2] graded by Z_2, with e the identity and u^2 = 1 in
+    C_2.  R_0 = F e + r (x) 1 is not nilpotent, so the walk of 1 reaches a
+    non-nilpotent R_e; R_1 = r (x) u has (y (x) u)^s = y^s (x) u^s, so its
+    index is the bounded nil index of r."""
+    n = r.rank
+    names = ["e"] + [f"{a}_1" for a in r.names] + [f"{a}_u" for a in r.names]
+    sc = {(0, 0): {0: 1}}
+    for t in range(1, 2 * n + 1):
+        sc[(0, t)] = sc[(t, 0)] = {t: 1}
+    for (i, j), terms in r.sc.items():
+        for a, b in itertools.product((0, 1), repeat=2):
+            sc[(1 + a * n + i, 1 + b * n + j)] = {
+                1 + (a + b) % 2 * n + k: c for k, c in terms.items()}
+    return GradedRing(Ring(r.coeff, names, sc), Monoid.cyclic(2), [0] * (n + 1) + [1] * n)
+
+
+def identity_on_powers(dom, n):
+    """e acting as the identity on y1 ... yn, with yi yj = y(i+j), zero past
+    n, graded by Z_2 by parity: R_1 spans the odd powers, and x^n has the
+    term t_1^n yn, so its index is n + 1, while R_0 holds e."""
+    names = ["e"] + [f"y{i}" for i in range(1, n + 1)]
+    sc = {(0, 0): {0: 1}}
+    for i in range(1, n + 1):
+        sc[(0, i)] = sc[(i, 0)] = {i: 1}
+        for j in range(1, n + 1 - i):
+            sc[(i, j)] = {i + j: 1}
+    return GradedRing(Ring(dom, names, sc), Monoid.cyclic(2), [0] + [i % 2 for i in range(1, n + 1)])
+
+
+def enumerated_component_index(gr, g, elem_cap=4096):
+    """The largest element nil index over the elements of R_g, by batched
+    power iteration, or None over Q or past ``elem_cap`` elements."""
+    r = gr.ring
+    idx = component_indices(gr, g)
+    if not r.coeff.finite or r.coeff.size ** len(idx) > elem_cap:
+        return None
+    status, indices, _ = batch_nil_indices(r, coord_rows(r.coeff.size, idx, r.rank),
+                                           DEFAULT_POWER_CAP)
+    assert status == Status.PROVED
+    return int(indices.max())
+
+
+def idempotent_acting_on_square_zero(dom, monoid):
+    # e (degree 0), x (degree 1): e^2 = e, ex = xe = x, x^2 = 0; R_0 is not
+    # nil.  Graded by the integers, the walk of 1 leaves the support at 2;
+    # graded by Z_2, it reaches e
+    ring = Ring(dom, ["e", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    return GradedRing(ring, monoid, [0, 1])
 
 
 NON_NIL_GRADINGS = [
     trivial_grading(group_ring_f2_z2()),
     GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1]),
     *(elementary_grading(idempotent_ring(dom), 2) for dom in (fp(2), fp(3), zmod(4), rat())),
-    idempotent_acting_on_square_zero(),
+    idempotent_acting_on_square_zero(fp(3), Monoid.int_add()),
+    *(idempotent_acting_on_square_zero(dom, Monoid.cyclic(2)) for dom in (fp(2), zmod(4), rat())),
+    *(identity_on_powers(dom, n) for dom, n in ((fp(2), 7), (fp(3), 6), (zmod(4), 5))),
     # b^n = 2^(n-1) b never cycles, so sampling hits the power cap
     trivial_grading(Ring(rat(), ["b"], {(0, 0): {0: 2}})),
 ]
@@ -1125,10 +1186,12 @@ NON_NIL_GRADINGS = [
 
 @st.composite
 def nil_cross_check_gradings(draw):
-    kind = draw(st.sampled_from(["nilpotent", "plus-idempotent", "fixed"]))
+    kind = draw(st.sampled_from(["nilpotent", "plus-idempotent", "unit-over-c2", "fixed"]))
     if kind == "fixed":
         return draw(st.sampled_from(NON_NIL_GRADINGS))
     r = draw(nilpotent_rings(domains=(fp(2), fp(3), zmod(4), rat())))
+    if kind == "unit-over-c2":
+        return unit_over_c2(r)
     return trivial_grading(with_idempotent(r) if kind == "plus-idempotent" else r)
 
 
@@ -1154,6 +1217,69 @@ def test_nil_verdicts_match_enumeration_and_sampling(gr, elem_cap):
     assert new.keys() == ref.keys()
     for g in new:
         assert_agrees_with_reference(new[g], ref[g])
+        if new[g].index is not None and (want := enumerated_component_index(gr, g)):
+            assert new[g].index == want
+
+
+@given(nilpotent_rings(domains=(fp(2), fp(3), zmod(4), zmod(6), rat())))
+@settings(max_examples=40, deadline=None)
+def test_component_over_c2_has_the_rings_bounded_index(r):
+    v = s_nil_check(unit_over_c2(r))[1]
+    assert v.proved and v.index == bounded_nil_index_auto(r).index
+
+
+def test_component_over_q_reaching_a_non_nilpotent_neutral_part_is_proved():
+    # nothing over Q is enumerable, so this component used to be CAPPED
+    out = s_nil_check(idempotent_acting_on_square_zero(rat(), Monoid.cyclic(2)))
+    assert out[0].status == Status.REFUTED
+    assert out[1].proved and out[1].index == 2
+    assert out[1].note == "symbolic expansion: x^1 != 0 at x = x"
+
+
+def test_component_past_the_old_element_cap_is_proved():
+    # R_1 spans y1, y3, ..., y19: 5^10 elements, past the 2^20 that
+    # enumeration could reach, so this component used to be CAPPED
+    out = s_nil_check(identity_on_powers(fp(5), 20))
+    assert out[1].proved and out[1].index == 21
+    assert out[1].note == "symbolic expansion: x^20 != 0 at x = y1"
+
+
+@pytest.mark.parametrize("dom, n", [(fp(2), 8), (fp(3), 7), (fp(5), 12), (zmod(4), 6),
+                                    (zmod(6), 5)],
+                         ids=["fp2-n8", "fp3-n7", "fp5-n12", "zmod4-n6", "zmod6-n5"])
+def test_component_index_is_the_largest_element_index(dom, n):
+    gr = identity_on_powers(dom, n)
+    v = s_nil_check(gr)[1]
+    assert v.proved and v.index == n + 1 == enumerated_component_index(gr, 1, 5**6)
+
+
+def clifford(n, dom):
+    """The Clifford algebra of n anticommuting square roots of 1, basis the
+    subsets of {0, ..., n - 1}, graded by Z_2 by the parity of their size."""
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    pos = {b: t for t, b in enumerate(subsets)}
+    sc = {(a, b): {pos[A ^ B]: (-1) ** sum(i > j for i in A for j in B)}
+          for (a, A), (b, B) in itertools.product(enumerate(subsets), repeat=2)}
+    names = ["e" + "".join(map(str, sorted(b))) for b in subsets]
+    return GradedRing(Ring(dom, names, sc), Monoid.cyclic(2), [len(b) % 2 for b in subsets])
+
+
+@pytest.mark.parametrize("gr, point, witness", [
+    # t1^2 = t0, the identity: x = t1 is the point of x itself
+    (GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1]), 1, "t1"),
+    # E12 is nilpotent, so the point of x^2 refutes
+    (elementary_grading(idempotent_ring(rat()), 2), 2, "E12(b) + E21(b)"),
+    # every odd basis vector squares to +-1, so the point of x refutes; run
+    # on to x^N instead, the expansion over Q grows past 1.5 GB at n = 4
+    (clifford(3, rat()), 1, "e012"),
+], ids=["group-ring-f2", "m2-q", "clifford3-q"])
+def test_refuted_component_witness_is_not_nilpotent(gr, point, witness):
+    v = s_nil_check(gr)[1]
+    assert v.status == Status.REFUTED and non_nilpotent(v.witness)
+    assert repr(v.witness) == witness
+    n = gr.ring.rank + 1
+    assert v.note == (f"symbolic expansion: x^{n} != 0 at the witness, the point of "
+                      f"x^{point}; every nilpotent x has x^{n} = 0")
 
 
 def test_ring_is_nil_refutes_b_squared_2b_over_q():
@@ -1188,7 +1314,7 @@ def test_elementary_m2_degrees_are_refuted(dom):
 
 
 def test_s_nil_check_walk_leaving_the_support_proves_the_degree():
-    out = s_nil_check(idempotent_acting_on_square_zero())
+    out = s_nil_check(idempotent_acting_on_square_zero(fp(3), Monoid.int_add()))
     assert out[0].status == Status.REFUTED
     assert out[0].witness.coords == (1, 0)
     assert out[1].proved
