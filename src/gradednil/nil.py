@@ -4,12 +4,13 @@ Every ring here is finite (Z/m) or finite-dimensional (F_p, Q), and a nil
 ring of either kind is nilpotent (Wedderburn, 1908), so the power chain
 decides whether a ring is nil.  R^d = 0 proves the ring and each
 homogeneous component nil.  A chain that stabilizes at R^k = R^(k+1) != 0
-refutes it: the witness is the first of R^k's generators, then of seeded
-combinations of them, that repeated squaring past a nilpotence bound does
-not kill.  Per component, P3.31's degree walk decides: a walk of g that
-leaves the support kills x^l, and one that reaches e kills x^(k_g d_e) when
-R_e^(d_e) = 0.  A degree whose walk reaches a non-nilpotent R_e takes the
-expansion below, with variables on its own basis only.
+refutes it, and the expansion below names the witness: ``_component_nil``
+on the whole basis, a point x with x^N != 0 for N the bound
+``_index_bound`` that every nilpotent element meets.  Per component,
+P3.31's degree walk decides: a walk of g that leaves the support kills
+x^l, and one that reaches e kills x^(k_g d_e) when R_e^(d_e) = 0.  A degree
+whose walk reaches a non-nilpotent R_e takes the same expansion, with
+variables on its own basis only.
 
 The bounded nil index comes from the powers of a general element
 x = sum_j t_j b_j in commuting indeterminates, kept as flat sparse entries
@@ -22,9 +23,8 @@ as they arise, so the first empty power is the exact nil index over Z/m,
 over F_p (where every i_j >= p drops) and over Q (where nothing drops),
 found within d - 1 products when R^d = 0.  The smallest term of the last
 surviving power names a point where that power is nonzero, the witness.
-A homogeneous component is nil exactly when its general element has
-x^N = 0, for N the bound ``_index_bound`` on the index of one nilpotent
-element, so the same expansion decides it (``_component_nil``).  Nothing
+A span of basis elements is nil exactly when its general element has
+x^N = 0, so the same expansion decides it (``_component_nil``).  Nothing
 is enumerated.
 ``homogeneous_power_report`` (P3.31) multiplies nothing: it walks the
 powers of each support degree and reads the verdict off the grading.
@@ -33,14 +33,13 @@ powers of each support degree and reads the verdict off the grading.
 from __future__ import annotations
 
 import math
-import random
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .grading import GradedRing, component_indices, neutral_ring, support
-from .kernel import kernel_dtype, mul_rows
 from .monoid import element_order
 from .ringcore import (
     DEFAULT_ELEM_CAP,
@@ -52,9 +51,6 @@ from .ringcore import (
 
 DEFAULT_POWER_CAP = 512
 DEFAULT_SYMBOLIC_CAP = 16
-# Seeded random combinations tried beside the generators when a witness of
-# non-nilpotence is sought; the seed is fixed, so verdicts repeat.
-_CERT_SAMPLES = 32
 
 
 class Status(str, Enum):
@@ -122,62 +118,16 @@ def _index_bound(r: Ring):
     return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
 
 
-def _classify_all_nilpotent(ring, base):
-    """Exact nilpotence test by repeated squaring.
-
-    Returns the original-order row number of the first non-nilpotent element,
-    or None when every row is nilpotent.  Squaring stops once the exponent
-    reaches ``_index_bound``, where every nilpotent row is zero.
-    """
-    index_bound = _index_bound(ring)
-    idx = np.arange(base.shape[0])
-    sq = base
-    alive = sq.any(axis=1)
-    idx, sq = idx[alive], sq[alive]
-    e = 1
-    while idx.size and e < index_bound:
-        sq = _mul(ring, sq, sq)
-        e *= 2
-        alive = sq.any(axis=1)
-        idx, sq = idx[alive], sq[alive]
-    return int(idx.min()) if idx.size else None
-
-
-def _mul(r, A, B):
-    """Row-wise product: ``kernel.mul_rows`` over Z/mZ, ``Ring.mul_coords``
-    one row at a time over the rationals."""
-    if r.coeff.finite:
-        return mul_rows(r, A, B)
-    return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
-
-
-def _candidates(r: Ring, rows):
-    """``rows`` followed by ``_CERT_SAMPLES`` seeded combinations of them,
-    one array row each; coefficients are drawn from Z/m, or from -3..3 over
-    Q.  The seed is fixed, so verdicts repeat."""
-    dom = r.coeff
-    rng = random.Random(0)
-    lo, hi = (0, dom.size - 1) if dom.finite else (-3, 3)
-    coefs = [[rng.randint(lo, hi) for _ in rows] for _ in range(_CERT_SAMPLES)]
-    # a combination sums len(rows) products below m^2
-    exact = np.int64 if dom.finite and len(rows) * dom.size**2 < 2**63 else object
-    G = np.array(rows, dtype=exact)
-    X = np.concatenate([G, np.array(coefs, dtype=exact) @ G])
-    if dom.finite:
-        X %= dom.size
-    return X.astype(kernel_dtype(r) if dom.finite else object)
-
-
 def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP) -> NilVerdict:
     """Is every element nilpotent?  The power chain decides.
 
     PROVED when the chain reaches zero, CAPPED when it runs past
     ``power_cap``.  Otherwise it stabilizes at R^k = R^(k+1) != 0, so R is
     not nilpotent, hence not nil (a nil ring of finite rank is nilpotent):
-    REFUTED, with ``nilpotency_index``'s non-nilpotent witness from R^k, or
-    with none when every tried element is nilpotent.  Nothing is
-    enumerated, so ``elem_cap`` is unused; it stays because
-    ``perfbench/layers.py`` binds it by name.
+    REFUTED, with ``nilpotency_index``'s witness x, whose x^N is checked
+    nonzero for N = ``_index_bound``.  Nothing is enumerated, so
+    ``elem_cap`` is unused; it stays because ``perfbench/layers.py`` binds
+    it by name.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, note="zero ring")
@@ -187,14 +137,9 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
     if nd.status == Status.CAPPED:
         return NilVerdict(Status.CAPPED, note=nd.note)
     k = len(power_chain(r, cap=power_cap)) - 1
-    if nd.witness is not None:
-        return NilVerdict(Status.REFUTED, witness=nd.witness,
-                          note=f"from the stable power R^{k} = R^{k + 1}")
-    return NilVerdict(
-        Status.REFUTED,
-        note=f"R^{k} = R^{k + 1} != 0 and a nil ring of finite rank is nilpotent "
-        f"(Wedderburn 1908); every tried element of R^{k} is nilpotent",
-    )
+    return NilVerdict(Status.REFUTED, witness=nd.witness,
+                      note=f"R^{k} = R^{k + 1} != 0 and x^{_index_bound(r)} != 0 "
+                      "at the witness")
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +147,22 @@ def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP)
 
 
 class SymbolicInternalError(RuntimeError):
-    """A witness read off a surviving power has a zero power; the
-    falling-factorial criterion makes this impossible, so it indicates an
-    implementation bug."""
+    """A witness read off a surviving power has a zero power, or the
+    expansion finds every element nilpotent in a ring whose power chain
+    stabilizes nonzero; the falling-factorial criterion and Wedderburn's
+    theorem make both impossible, so either indicates an implementation bug."""
+
+
+def kernel_dtype(r: Ring):
+    """int64 when every coordinate's sum of reduced terms stays below 2^63,
+    else object: with t constants landing on one coordinate, each term
+    reduced as ((a_i b_j) mod m) c is at most (m - 1)^2, so the sum is at
+    most t (m - 1)^2 (the delayed-reduction bound of FFLAS-FFPACK, Dumas,
+    Giorgi & Pernet, ACM TOMS 34(3), 2008)."""
+    m = r.coeff.size
+    per_target = Counter(k for terms in r.sc.values() for k in terms)
+    worst = max(per_target.values(), default=1)
+    return np.int64 if worst * (m - 1) ** 2 < 2**63 else object
 
 
 def _general_powers(r: Ring, last, positions=None):
@@ -418,11 +376,10 @@ def bounded_nil_index_auto(r: Ring, power_cap=DEFAULT_POWER_CAP,
 def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     """Smallest d with all length-d products zero, from the power chain;
     CAPPED when the chain runs past ``cap`` entries.  A chain that
-    stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the first of R^k's
-    generators, then of seeded combinations of them, that is not nilpotent
-    as witness, or with none when every tried element is nilpotent.  The
-    chain is the same at every cap, so the REFUTED verdict is searched once
-    and kept on the ring beside it."""
+    stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the witness of
+    ``_component_nil`` on the whole basis, an x with x^N != 0 for N =
+    ``_index_bound``.  The chain is the same at every cap, so the REFUTED
+    verdict is expanded once and kept on the ring beside it."""
     try:
         chain = power_chain(r, cap=cap)
     except PowerChainError:
@@ -430,11 +387,14 @@ def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
     if r._not_nilpotent is None:
-        X = _candidates(r, chain[-1].rows)
-        bad = _classify_all_nilpotent(r, X)
+        v = _component_nil(r, range(r.rank))
+        if v.proved:
+            raise SymbolicInternalError(
+                f"R^{len(chain) - 1} = R^{len(chain)} != 0, but the expansion "
+                f"gives every element nil index {v.index}"
+            )
         r._not_nilpotent = NilVerdict(
-            Status.REFUTED,
-            witness=None if bad is None else r.element(X[bad]),
+            Status.REFUTED, witness=v.witness,
             note=f"product spans stabilize nonzero at length {len(chain) - 1}",
         )
     return r._not_nilpotent

@@ -229,7 +229,7 @@ class Ring:
         self.note = note
         # the power chain computed so far; see power_chain
         self._chain = []
-        # the REFUTED nilpotency verdict once its witness is searched; see
+        # the REFUTED nilpotency verdict once its witness is expanded; see
         # nil.nilpotency_index
         self._not_nilpotent = None
         # bounded nil index verdicts by caps; see nil.bounded_nil_index_auto

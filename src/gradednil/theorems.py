@@ -142,8 +142,7 @@ def _capped(check, reason):
 def _judge_nilpotency(check, ndv, holds):
     """Observe the nilpotency verdict ``ndv``: PASS or FAIL by ``holds(index)``.
     A power chain past the cap is CAPPED, never FAIL; a ring that is not
-    nilpotent FAILs with a non-nilpotent element of the nonzero stable span
-    as witness (none when every tried element is nilpotent)."""
+    nilpotent FAILs with ``nilpotency_index``'s non-nilpotent witness."""
     if ndv.status == Status.CAPPED:
         return _capped(check, ndv.note)
     if not ndv.proved:

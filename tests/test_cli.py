@@ -220,24 +220,25 @@ def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
 
 def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):
     # M_3(F_2) graded by Z_3 is not nilpotent; its REFUTED witness is
-    # searched once per ring, not once per nilpotency_index call
+    # expanded once per ring, not once per nilpotency_index call, and each
+    # component of analyze's nil map once
     base = _write(tmp_path, "e.spec", "[ring]\ncoeff = fp 2\nrank = 1\nnames = e\nsc = 0 0 0 1\n")
     spec = str(tmp_path / "m3.spec")
     assert main(["construct", "elementary", base, "--n", "3", "--out", spec]) == 0
     searches = []
-    search = nil._classify_all_nilpotent
+    search = nil._component_nil
 
-    def counted(ring, base):
-        searches.append((ring, repr(base.tolist())))
-        return search(ring, base)
+    def counted(ring, positions):
+        searches.append((ring, tuple(positions)))
+        return search(ring, positions)
 
-    monkeypatch.setattr(nil, "_classify_all_nilpotent", counted)
+    monkeypatch.setattr(nil, "_component_nil", counted)
     assert main(["report", spec, "--json"]) == 0
     assert len(searches) == 1
     searches.clear()
     assert main(["analyze", spec, "--json"]) == 1
     capsys.readouterr()
-    keys = [(id(ring), rows) for ring, rows in searches]
+    keys = [(id(ring), positions) for ring, positions in searches]
     assert len(keys) == len(set(keys))
 
 

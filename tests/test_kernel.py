@@ -1,7 +1,10 @@
+"""The reference batched product ``mul_rows``, which the enumeration
+references of ``test_nil`` multiply with, against ``Ring.mul_coords``."""
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from test_nil import mul_rows
 
-from gradednil.kernel import kernel_dtype, mul_rows
 from gradednil.ringcore import Ring, zmod
 
 # 3^15 runs in int64, 2^31 - 1 too while at most two constants land on one
@@ -37,21 +40,6 @@ def test_mul_rows_matches_mul_coords(case):
     assert out.shape == (len(A), ring.rank)
     for a, b, row in zip(A, B, out):
         assert tuple(int(v) for v in row) == ring.mul_coords(tuple(a), tuple(b))
-
-
-def test_kernel_dtype_follows_the_int64_bound():
-    m = 2**31 - 1  # 2 (m-1)^2 < 2^63 <= 3 (m-1)^2
-
-    def ring(terms_on_b0):
-        sc = {(0, j): {0: m - 1} for j in range(terms_on_b0)}
-        return Ring(zmod(m), ["b0", "b1", "b2"], sc, check=False)
-
-    assert kernel_dtype(ring(2)) == np.int64
-    assert kernel_dtype(ring(3)) == object
-    top = np.full((3, 3), m - 1, dtype=np.int64)
-    for t in (2, 3):
-        expect = t * (m - 1) ** 3 % m
-        assert mul_rows(ring(t), top, top).tolist() == [[expect, 0, 0]] * 3
 
 
 def test_mul_rows_spans_chunks():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_ringcore import nilpotent_rings
 
-from gradednil import kernel, nil
+from gradednil import nil
 from gradednil.grading import (
     GradedRing,
     component_indices,
@@ -22,9 +22,11 @@ from gradednil.nil import (
     DEFAULT_POWER_CAP,
     HomogeneousPowerReport,
     Status,
+    _index_bound,
     bounded_nil_index_auto,
     element_nil_index,
     homogeneous_power_report,
+    kernel_dtype,
     nil_bounded_index,
     nilpotency_index,
     ring_is_nil,
@@ -54,11 +56,79 @@ def coord_rows(q, positions, rank):
     return rows
 
 
+_CHUNK = 1 << 14
+
+
+def mul_rows(ring, A, B):
+    """Row-wise ring product over Z/mZ: out[n] = A[n] * B[n], exact, straight
+    from the sparse structure constants.
+
+    ``A`` and ``B`` hold coordinate rows reduced mod m (entries in [0, m)),
+    one row per element.  Each term is reduced as ((a_i * b_j) mod m) * c,
+    and the result has ``kernel_dtype(ring)``, which keeps every target's
+    sum of terms below 2^63 in int64.  Rows are taken ``_CHUNK`` at a time
+    and transposed per chunk, so columns are contiguous.
+    """
+    m = ring.coeff.size
+    dtype = kernel_dtype(ring)
+    A = np.asarray(A).astype(dtype, copy=False)
+    B = np.asarray(B).astype(dtype, copy=False)
+    out = np.empty(A.shape, dtype=dtype)
+    for lo in range(0, A.shape[0], _CHUNK):
+        a = A[lo:lo + _CHUNK].T.copy()
+        b = a if B is A else B[lo:lo + _CHUNK].T.copy()
+        acc = np.zeros_like(a)
+        for (i, j), terms in ring.sc.items():
+            prod = a[i] * b[j] % m
+            for k, c in terms.items():
+                acc[k] += prod if c == 1 else prod * c
+        acc %= m
+        out[lo:lo + _CHUNK] = acc.T
+    return out
+
+
+def row_mul(r, A, B):
+    """Row-wise product: ``mul_rows`` over Z/mZ, ``Ring.mul_coords`` one row
+    at a time over the rationals."""
+    if r.coeff.finite:
+        return mul_rows(r, A, B)
+    return np.array([r.mul_coords(a, b) for a, b in zip(A, B)], dtype=object)
+
+
+def classify_all_nilpotent(ring, base):
+    """Exact nilpotence test by repeated squaring.
+
+    Returns the original-order row number of the first non-nilpotent element,
+    or None when every row is nilpotent.  Squaring stops once the exponent
+    reaches ``_index_bound``, where every nilpotent row is zero.
+    """
+    index_bound = _index_bound(ring)
+    idx = np.arange(base.shape[0])
+    sq = base
+    alive = sq.any(axis=1)
+    idx, sq = idx[alive], sq[alive]
+    e = 1
+    while idx.size and e < index_bound:
+        sq = row_mul(ring, sq, sq)
+        e *= 2
+        alive = sq.any(axis=1)
+        idx, sq = idx[alive], sq[alive]
+    return int(idx.min()) if idx.size else None
+
+
 def enumerated_is_nil(r):
     """Every element classified by repeated squaring, as in the enumeration
     path of ``reference_ring_is_nil``."""
     X = coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-    return nil._classify_all_nilpotent(r, X) is None
+    return classify_all_nilpotent(r, X) is None
+
+
+def permuted(r, order):
+    """``r`` in the basis b_order[0], b_order[1], ..."""
+    new = {old: t for t, old in enumerate(order)}
+    sc = {(new[i], new[j]): {new[k]: c for k, c in terms.items()}
+          for (i, j), terms in r.sc.items()}
+    return Ring(r.coeff, [r.names[t] for t in order], sc)
 
 
 def group_ring_f2_z2():
@@ -98,7 +168,7 @@ def test_ring_is_nil_sut3():
 def test_ring_is_nil_idempotent_witness():
     v = ring_is_nil(idempotent_ring(fp(2)))
     assert v.status == Status.REFUTED
-    assert v.witness.coords == (1,)  # the stable power R = R^2 is spanned by b
+    assert v.witness.coords == (1,)  # the point of x = t0 b
     assert not v.witness.is_zero()
     assert element_nil_index(v.witness).status == Status.REFUTED
 
@@ -202,17 +272,14 @@ def test_nilpotency_index_refuted():
 
 def test_nilpotency_index_witness_is_not_nilpotent():
     # M_2(F_2) in the basis E12, E11, E21, E22: the stable power R^1 = R^2
-    # has E12 (a nilpotent) as its first generator
-    m2 = matrix_ring(idempotent_ring(fp(2)), 2)
-    order = [1, 0, 2, 3]
-    new = {old: t for t, old in enumerate(order)}
-    sc = {(new[i], new[j]): {new[k]: c for k, c in terms.items()}
-          for (i, j), terms in m2.sc.items()}
-    r = Ring(fp(2), [m2.names[t] for t in order], sc)
+    # has E12 (a nilpotent) as its first generator, but the witness is the
+    # point of x's least term, the exponent vector (0, 0, 0, 1): E22, an
+    # idempotent
+    r = permuted(matrix_ring(idempotent_ring(fp(2)), 2), [1, 0, 2, 3])
     assert nil.power_chain(r)[-1].generators()[0] == r.basis_element(0)
     v = nilpotency_index(r)
     assert v.status == Status.REFUTED
-    assert v.witness == r.basis_element(1)
+    assert v.witness == r.basis_element(3)
     assert element_nil_index(v.witness).status == Status.REFUTED
     assert ring_is_nil(r).witness == v.witness
 
@@ -420,7 +487,7 @@ def test_d4_ring_over_z12_index_is_exact():
     assert element_nil_index(low.witness).index == 3
     # x^3 = 0 on a seeded sample of the 12^6 elements
     X = np.array([[random.Random(n).randrange(12) for _ in range(6)] for n in range(4096)])
-    assert not kernel.mul_rows(r, kernel.mul_rows(r, X, X), X).any()
+    assert not mul_rows(r, mul_rows(r, X, X), X).any()
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +526,11 @@ def batch_nil_indices(ring, X, power_cap):
         if n >= power_cap:
             return Status.CAPPED, None, None
         if not died and n > 1 and not classified:
-            bad = nil._classify_all_nilpotent(ring, base)
+            bad = classify_all_nilpotent(ring, base)
             if bad is not None:
                 return Status.REFUTED, None, base[bad]
             classified = True
-        cur = kernel.mul_rows(ring, cur, base)
+        cur = mul_rows(ring, cur, base)
         n += 1
     return Status.PROVED, indices, None
 
@@ -493,7 +560,7 @@ def monomial_powers(r, last):
     dom, rank = r.coeff, r.rank
     m = dom.modulus
     wrap = m if dom.kind == "fp" and m <= last else None
-    dtype = kernel.kernel_dtype(r) if dom.finite else object
+    dtype = kernel_dtype(r) if dom.finite else object
 
     def merge(parts):
         exps = np.concatenate([e for e, _ in parts])
@@ -640,6 +707,21 @@ def test_scatter_matches_python_integers_near_int64_limit(r):
     assert_scatter_matches_dict_expansion(r, 6)
 
 
+def test_kernel_dtype_follows_the_int64_bound():
+    m = 2**31 - 1  # 2 (m-1)^2 < 2^63 <= 3 (m-1)^2
+
+    def ring(terms_on_b0):
+        sc = {(0, j): {0: m - 1} for j in range(terms_on_b0)}
+        return Ring(zmod(m), ["b0", "b1", "b2"], sc, check=False)
+
+    assert kernel_dtype(ring(2)) == np.int64
+    assert kernel_dtype(ring(3)) == object
+    top = np.full((3, 3), m - 1, dtype=np.int64)
+    for t in (2, 3):
+        expect = t * (m - 1) ** 3 % m
+        assert mul_rows(ring(t), top, top).tolist() == [[expect, 0, 0]] * 3
+
+
 def test_scatter_in_int64_at_the_kernel_bound():
     # the D4 ring with every constant -1 over the largest prime below 2^30:
     # V receives 8 terms of up to (p-1)^2, so the scatter runs in int64 with
@@ -647,7 +729,7 @@ def test_scatter_in_int64_at_the_kernel_bound():
     p = 1073741789
     r = d4_ring()
     r = Ring(fp(p), r.names, {ij: {k: -1 for k in t} for ij, t in r.sc.items()})
-    assert kernel.kernel_dtype(r) is np.int64
+    assert kernel_dtype(r) is np.int64
     assert_scatter_matches_dict_expansion(r, 4)
 
 
@@ -657,7 +739,7 @@ def test_scatter_reduces_before_scaling_by_the_exponent():
     # times a constant must be reduced before the exponent I_j scales it
     p = 1518500213
     r = Ring(fp(p), ["b0", "b1"], {(i, j): {1: -1} for i in (0, 1) for j in (0, 1)})
-    assert kernel.kernel_dtype(r) is np.int64
+    assert kernel_dtype(r) is np.int64
     want = difference_tables(r, sym_powers_reference(r, 16), False, 16)
     assert difference_tables(r, scatter_dicts(r, 16), True, 16) == want
     v = nil_bounded_index(r, candidate=16)
@@ -766,7 +848,7 @@ def test_group_ring_refutations_pick_first_witness():
     r = group_ring_f2_z2()
     nil = ring_is_nil(r)
     assert nil.status == Status.REFUTED
-    assert nil.witness.coords == (1, 0)  # the stable power's first generator
+    assert nil.witness.coords == (0, 1)  # the point of x's least term, t1
     bounded = enum_bounded_index(r)
     assert bounded.status == Status.REFUTED
     assert element_nil_index(bounded.witness).status == Status.REFUTED
@@ -957,7 +1039,7 @@ def test_degree_walk_raises_inside_the_support():
 
 # ---------------------------------------------------------------------------
 # The row-wise products of the enumeration paths (``coord_rows`` rows
-# multiplied by ``nil._mul``) against the tuple-by-tuple loop.
+# multiplied by ``row_mul``) against the tuple-by-tuple loop.
 
 
 def first_failing_tuple(r, tuples, exponent):
@@ -994,10 +1076,10 @@ def first_failing_batched(r, singles, length, exponent, per=64):
         factors = [singles[n // count ** (length - 1 - p) % count] for p in range(length)]
         prod = factors[0]
         for x in factors[1:]:
-            prod = nil._mul(r, prod, x)
+            prod = row_mul(r, prod, x)
         acc = prod
         for _ in range(exponent - 1):
-            acc = nil._mul(r, acc, prod)
+            acc = row_mul(r, acc, prod)
         bad = np.flatnonzero(acc.any(axis=1))
         if bad.size:
             return tuple(tuple(int(v) for v in f[bad[0]]) for f in factors)
@@ -1007,7 +1089,7 @@ def first_failing_batched(r, singles, length, exponent, per=64):
 @pytest.mark.parametrize("case", range(12))
 def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch):
     # Chunks of a few rows, so the first failure often lies past the first.
-    monkeypatch.setattr(kernel, "_CHUNK", 8)
+    monkeypatch.setitem(globals(), "_CHUNK", 8)
     rnd = random.Random(case)
     dom = [fp(2), fp(3), zmod(4)][case % 3]
     rank = rnd.randint(2, 4)
@@ -1040,7 +1122,7 @@ def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_
     count = r.element_count()
     if count is not None and count <= elem_cap:
         X = coord_rows(r.coeff.size, list(range(r.rank)), r.rank)
-        bad = nil._classify_all_nilpotent(r, X)
+        bad = classify_all_nilpotent(r, X)
         if bad is None:
             return nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count} elements")
         return nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in X[bad]]))
@@ -1075,7 +1157,7 @@ def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER
         count = None if not r.coeff.finite else r.coeff.size ** len(idx)
         if count is not None and count <= elem_cap:
             X = coord_rows(r.coeff.size, idx, r.rank)
-            bad = nil._classify_all_nilpotent(r, X)
+            bad = classify_all_nilpotent(r, X)
             out[g] = (nil.NilVerdict(Status.PROVED, note=f"exhaustive over {count}")
                       if bad is None else
                       nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in X[bad]])))
@@ -1288,10 +1370,67 @@ def test_ring_is_nil_refutes_b_squared_2b_over_q():
     r = Ring(rat(), ["b"], {(0, 0): {0: 2}})
     v = ring_is_nil(r)
     assert v.status == Status.REFUTED and v.witness == r.basis_element(0)
-    assert v.note == "from the stable power R^1 = R^2"
+    assert v.note == "R^1 = R^2 != 0 and x^2 != 0 at the witness"
     comp = s_nil_check(trivial_grading(r))
     assert comp[0].status == Status.REFUTED and comp[0].witness == r.basis_element(0)
     assert bounded_nil_index_auto(r).witness == r.basis_element(0)
+
+
+def test_ring_is_nil_witness_may_lie_outside_the_stable_power():
+    # (F_3 a + F_3 a^2, a^3 = 0) + F_3 e in a changed basis: R^3 = R^4 is
+    # spanned by the idempotent b0 + 2 b1 + b2, and the witness b2, the
+    # point of x, lies outside it
+    sc = {(1, 1): {1: 2, 2: 1}, (1, 2): {0: 1, 1: 1, 2: 2},
+          (2, 1): {0: 1, 1: 1, 2: 2}, (2, 2): {1: 2, 2: 1}}
+    r = Ring(fp(3), ["b0", "b1", "b2"], sc, check=True)
+    v = ring_is_nil(r)
+    assert v.status == Status.REFUTED and v.witness == r.basis_element(2)
+    assert not nil.power_chain(r)[-1].contains(v.witness)
+    assert not element_nil_index(v.witness, cap=_index_bound(r)).proved
+    assert v.note == "R^3 = R^4 != 0 and x^4 != 0 at the witness"
+
+
+def test_e_first_witness_expands_through_the_nilpotent_part():
+    # nagata(3,3) + F_3 e with e first: the least terms of x and x^2 have
+    # points in nagata(3,3), which are nilpotent; that of x^3 is e
+    n = truncated_nagata(3, 3)
+    sc = {(i + 1, j + 1): {k + 1: c for k, c in terms.items()} for (i, j), terms in n.sc.items()}
+    sc[(0, 0)] = {0: 1}
+    r = Ring(fp(3), ["e", *n.names], sc)
+    v = nilpotency_index(r)
+    assert v.status == Status.REFUTED and v.witness == r.basis_element(0)
+    assert nil._component_nil(r, range(r.rank)).note == (
+        "symbolic expansion: x^28 != 0 at the witness, the point of x^3; "
+        "every nilpotent x has x^28 = 0")
+
+
+# F_p, composite Z/m and Q, and moduli whose products pass int64
+WITNESS_DOMAINS = (fp(2), fp(3), zmod(4), zmod(6), rat(), fp(2**61 - 1), zmod(2**63 - 25),
+                   zmod(2**64 + 13))
+
+
+@st.composite
+def non_nilpotent_rings(draw):
+    """A nilpotent ring plus F e with e^2 = e, in a random basis: an upper
+    unitriangular change of basis, then a permutation, so e may lie
+    anywhere in the basis and in any number of basis vectors."""
+    r = draw(nilpotent_rings(domains=WITNESS_DOMAINS, idempotent=st.just(True)))
+    return permuted(r, draw(st.permutations(range(r.rank))))
+
+
+@given(non_nilpotent_rings())
+@settings(max_examples=60, deadline=None)
+def test_every_refuted_nil_verdict_has_a_non_nilpotent_witness(r):
+    nd, v = nilpotency_index(r), ring_is_nil(r)
+    assert nd.status == v.status == Status.REFUTED
+    assert v.witness is not None and v.witness == nd.witness
+    assert not element_nil_index(v.witness, cap=_index_bound(r)).proved
+    # the repeated-squaring reference agrees: the witness row, and some
+    # element of a ring small enough to enumerate, is not nilpotent
+    row = np.array([v.witness.coords], dtype=kernel_dtype(r) if r.coeff.finite else object)
+    assert classify_all_nilpotent(r, row) == 0
+    if r.coeff.finite and r.element_count() <= 4096:
+        assert not enumerated_is_nil(r)
 
 
 def test_bounded_auto_refutes_a_non_nil_ring_past_the_element_cap():
@@ -1326,13 +1465,6 @@ def test_ring_is_nil_capped_only_past_the_power_cap():
     v = ring_is_nil(two_z_2k(3), power_cap=1)
     assert v.status == Status.CAPPED
     assert v.note == "power chain longer than power_cap 1"
-
-
-def test_ring_is_nil_without_a_witness_names_the_theorem(monkeypatch):
-    monkeypatch.setattr(nil, "_classify_all_nilpotent", lambda r, X: None)
-    v = ring_is_nil(idempotent_ring(fp(2)))
-    assert v.status == Status.REFUTED and v.witness is None
-    assert v.note.startswith("R^1 = R^2 != 0 and a nil ring of finite rank is nilpotent")
 
 
 def test_bounded_auto_caps_a_symbolic_survivor_on_a_nil_ring():
