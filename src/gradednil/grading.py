@@ -2,7 +2,8 @@
 
 A grading assigns a monoid element to every basis vector; the grading axiom
 (nonzero c[i][j][k] forces deg k = deg i * deg j) is checked exhaustively on
-construction, and the grading monoid must be left cancellative.
+construction, and the grading monoid must be left cancellative.  Gradings
+derived here from checked ones hold by construction and are built unchecked.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ def homogeneous_parts(gr: GradedRing, x: Element):
 
 
 def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:
-    """Regrade by the quotient monoid; degrees map to congruence classes."""
+    """Regrade by the quotient monoid; degrees map to congruence classes.
+    The class map is a homomorphism, so only cancellativity needs a check."""
     q = quotient(gr.monoid, c)
     flags = check_cancellative(q)
     if not flags.left:
@@ -136,20 +138,21 @@ def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:
             "quotient monoid is not left cancellative; induced grading rejected"
         )
     degrees = [c.class_index(g) for g in gr.degrees]
-    return GradedRing(gr.ring, q, degrees)
+    return GradedRing(gr.ring, q, degrees, check=False)
 
 
 def elementary_grading(r: Ring, n: int) -> GradedRing:
-    """M_n(r) graded over the cyclic group Z_n by deg E_ij = (j - i) mod n."""
+    """M_n(r) graded over the cyclic group Z_n by deg E_ij = (j - i) mod n,
+    which E_ij E_jl = E_il respects."""
     mr = matrix_ring(r, n)
     monoid = Monoid.cyclic(n)
     degrees = []
     for i in range(n):
         for j in range(n):
             degrees.extend([(j - i) % n] * r.rank)
-    return GradedRing(mr, monoid, degrees)
+    return GradedRing(mr, monoid, degrees, check=False)
 
 
 def trivial_grading(r: Ring) -> GradedRing:
     """Everything in degree e over the one-element monoid."""
-    return GradedRing(r, Monoid.cyclic(1), [0] * r.rank)
+    return GradedRing(r, Monoid.cyclic(1), [0] * r.rank, check=False)

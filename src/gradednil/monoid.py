@@ -65,7 +65,6 @@ class Monoid:
             self._validate_table()
         else:
             raise MonoidError(f"unknown monoid kind {kind!r}")
-        self._cancellativity = None
 
     def _validate_table(self):
         e, t = self.identity, self.table
@@ -124,19 +123,6 @@ class Monoid:
         if self.kind == INT_ADD:
             raise MonoidError("int-add monoid is not enumerable")
         return range(self.size)
-
-    def power(self, g, n):
-        if n < 1:
-            raise MonoidError("power exponent must be >= 1")
-        acc = g
-        for _ in range(n - 1):
-            acc = self.op(acc, g)
-        return acc
-
-    def cancellative(self):
-        if self._cancellativity is None:
-            self._cancellativity = check_cancellative(self)
-        return self._cancellativity
 
     def __eq__(self, other):
         return (

@@ -24,12 +24,13 @@ from .fcomm import (
     scalar_f_search,
 )
 from .grading import (
+    CancellativityError,
     GradedRing,
     induced_quotient_grading,
     neutral_ring,
     support,
 )
-from .monoid import Congruence
+from .monoid import Congruence, CongruenceError
 from .nil import (
     DEFAULT_POWER_CAP,
     DEFAULT_SYMBOLIC_CAP,
@@ -543,7 +544,7 @@ def verify_quotient_grading_transfer(
         return _na(check, "no congruence supplied")
     try:
         induced = induced_quotient_grading(gr, cong)
-    except Exception as exc:
+    except (CancellativityError, CongruenceError) as exc:
         return _na(check, f"induced grading rejected: {exc}")
     check.details["induced_support_size"] = len(support(induced))
     if f is None or act is None:

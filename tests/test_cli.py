@@ -6,6 +6,8 @@ import pytest
 
 from gradednil import cli, nil, words
 from gradednil.cli import main
+from gradednil.fcomm import Action
+from gradednil.grading import GradedRing, elementary_grading
 from gradednil.monoid import Monoid
 from gradednil.specfile import (
     SpecFileError,
@@ -13,7 +15,7 @@ from gradednil.specfile import (
     emit_spec,
     parse_spec_text,
 )
-from gradednil.ringcore import fp
+from gradednil.ringcore import Ring, fp
 from gradednil.words import (
     DegreeWord,
     ProductVerdict,
@@ -257,6 +259,58 @@ def test_cli_input_error_exit_3(tmp_path, capsys):
     assert code == 3
     path2 = str(tmp_path / "missing.spec")
     assert main(["analyze", path2]) == 3
+
+
+def _non_associative_spec():
+    lines = emit_graded(SUT3).splitlines()
+    lines.insert(lines.index("sc = 0 2 1 1"), "sc = 0 1 0 1")
+    return "\n".join(lines) + "\n"
+
+
+def _non_cancellative_spec():
+    ring = Ring(fp(2), ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    return emit_spec(ring, Monoid.from_table([[0, 1], [1, 1]]), [0, 1])
+
+
+@pytest.mark.parametrize("text,message", [
+    (_non_associative_spec(), "error: not associative at basis triple (0, 0, 2): "
+     "(b0*b0)*b2 = {} but b0*(b0*b2) = {0: 1}"),
+    (emit_graded(SUT3).replace("deg = 1 2 1", "deg = 1 2 2"),
+     "error: grading axiom fails at (0, 2, 1): product degree should be 3 but "
+     "basis vector 1 has degree 2"),
+    (_non_cancellative_spec(), "error: grading monoid is not left cancellative"),
+], ids=["associativity", "grading-axiom", "cancellativity"])
+def test_cli_spec_structure_checked_on_entry(tmp_path, capsys, text, message):
+    path = _write(tmp_path, "bad.spec", text)
+    assert main(["report", path]) == 3
+    assert capsys.readouterr().err.strip() == message
+
+
+def test_cli_report_checks_only_the_parsed_ring(tmp_path, capsys, monkeypatch):
+    # Each structure is checked where it enters: the spec's ring once, and
+    # nothing derived from it (neutral ring, M_2(R), the scalar action).
+    text = emit_graded(elementary_grading(two_z_2k(3), 2), fmap_mode="constant 1")
+    path = _write(tmp_path, "m2z8.spec", text)
+    parsed = parse_spec_text(text)
+    checked = {"assoc": [], "axiom": [], "action": []}
+
+    def counted(cls, attr, key):
+        original = getattr(cls, attr)
+
+        def wrapper(self):
+            checked[key].append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, attr, wrapper)
+
+    counted(Ring, "_check_associativity", "assoc")
+    counted(GradedRing, "_check_axiom", "axiom")
+    counted(Action, "_validate", "action")
+    assert main(["report", "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]
+    assert [r.sc for r in checked["assoc"]] == [parsed.ring.sc]
+    assert [g.degrees for g in checked["axiom"]] == [parsed.graded.degrees]
+    assert checked["action"] == []
 
 
 def test_cli_fp_modulus_past_the_primality_bound_exits_3(tmp_path, capsys):

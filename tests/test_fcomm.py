@@ -31,6 +31,8 @@ from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
 from gradednil.specfile import emit_spec, parse_spec_text
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
+from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
+
 
 def zero_product_ring(dom, rank):
     return Ring(dom, [f"b{t}" for t in range(rank)], {})
@@ -446,14 +448,64 @@ def test_scalar_search_matches_pointwise_reference(ring):
 
 
 def test_scalar_action_validation_at_large_modulus():
-    # past 64 scalars validation samples 0, 1, -1, 2, -2 instead of listing
-    # the whole domain
+    # a scalar action is never validated, so a constant factor parses at a
+    # modulus far past any list of its scalars
     r = Ring(zmod(2**61 - 1), ["b"], {(0, 0): {0: 3}})
-    act = scalar_action(r)
-    assert sorted(act._sample_semigroup()) == sorted(
-        r.coeff.normalize(v) for v in (0, 1, -1, 2, -2))
     parsed = parse_spec_text(emit_spec(r, fmap_mode="constant 1"))
     assert parsed.fmap.is_constant() and parsed.action.kind == SCALAR
+
+
+# --- Scalar actions are not validated: scalar multiplication obeys both
+# action laws in every algebra over a commutative ring.  The loop that once
+# validated them is kept here as a reference, over the scalars it sampled.
+
+
+def scalar_law_failure(r, act_coords):
+    """The first (law, witness) at which ``act_coords`` breaks an action law on
+    basis vectors, or None; scalars 0, +-1, +-2 and the whole domain when it
+    has at most 64 elements."""
+    dom = r.coeff
+    sample = [dom.normalize(v) for v in (0, 1, -1, 2, -2)]
+    if dom.finite and dom.size <= 64:
+        sample += [dom.normalize(v) for v in dom.elements()]
+    basis = [r.basis_element(t).coords for t in range(r.rank)]
+    for lam, gam in itertools.product(sample, repeat=2):
+        for t, x in enumerate(basis):
+            if act_coords(dom.mul(lam, gam), x) != act_coords(lam, act_coords(gam, x)):
+                return "semigroup", (lam, gam, t)
+    for lam in sample:
+        for i, j in itertools.product(range(r.rank), repeat=2):
+            xy = r.mul_coords(basis[i], basis[j])
+            if act_coords(lam, xy) != r.mul_coords(act_coords(lam, basis[i]), basis[j]):
+                return "product", (lam, i, j)
+    return None
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()))
+@settings(max_examples=100, deadline=None)
+def test_scalar_action_obeys_action_laws(r):
+    assert scalar_law_failure(r, scalar_action(r).act_coords) is None
+
+
+def test_scalar_law_reference_catches_a_broken_action():
+    r = two_z_2k(3)
+    act = scalar_action(r)
+    shifted = lambda s, coords: act.act_coords(r.coeff.add(s, 1), coords)
+    assert scalar_law_failure(r, shifted)[0] == "semigroup"
+
+
+def test_scalar_action_multiplies_nothing(monkeypatch):
+    r = truncated_nagata(3, 3)
+    calls = []
+    mul = Ring.mul_coords
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(Ring, "mul_coords", counted)
+    act = scalar_action(r)
+    assert act.kind == SCALAR and calls == []
 
 
 # --- The diagonal lift.  T3.26 reads it off the check on R, because the

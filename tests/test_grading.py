@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradednil.grading import (
     CancellativityError,
@@ -17,7 +18,7 @@ from gradednil.grading import (
     trivial_grading,
 )
 from gradednil.monoid import Congruence, Monoid
-from gradednil.ringcore import Ring, fp, zmod
+from gradednil.ringcore import Ring, fp, matrix_ring, zmod
 from gradednil.zoo import (
     grassmann_star,
     sut,
@@ -25,6 +26,8 @@ from gradednil.zoo import (
     truncated_poly_positive,
     two_z_2k,
 )
+
+from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
 
 
 def cyclic_group_ring(dom, n):
@@ -146,6 +149,33 @@ def test_induced_quotient_support_shrinks():
     q = induced_quotient_grading(gr, cong)
     assert len(support(q)) == 3
     assert len(support(gr)) == 6
+
+
+def rechecked(gr):
+    """``gr`` rebuilt with every check: cancellativity and the axiom."""
+    return GradedRing(gr.ring, gr.monoid, gr.degrees, check=True)
+
+
+@pytest.mark.parametrize("n,classes", [
+    (4, [[0, 2], [1, 3]]), (4, [[0, 1, 2, 3]]), (6, [[0, 3], [1, 4], [2, 5]]),
+])
+def test_induced_quotient_grading_passes_full_check(n, classes):
+    # built unchecked: the class map is a homomorphism, so the axiom carries over
+    q = induced_quotient_grading(cyclic_group_ring(fp(2), n),
+                                 Congruence(Monoid.cyclic(n), classes))
+    assert rechecked(q) == q
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_derived_structures_pass_full_check(r, n):
+    # M_n(r), its elementary grading and the trivial grading are built
+    # unchecked; the checks they skip must all pass
+    mr = matrix_ring(r, n)
+    assert Ring(mr.coeff, mr.names, mr.sc, check=True).sc == mr.sc
+    gr = elementary_grading(r, n)
+    assert gr.ring.sc == mr.sc and rechecked(gr) == gr
+    assert rechecked(trivial_grading(r)) == trivial_grading(r)
 
 
 def test_elementary_grading_size_one_is_trivial():

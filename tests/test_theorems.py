@@ -1,3 +1,6 @@
+import pytest
+
+from gradednil import theorems
 from gradednil.fcomm import (
     TABLE,
     Action,
@@ -356,6 +359,29 @@ def test_quotient_transfer_all_in_one_class():
     # nilpotent-iff equivalence must hold and nothing may FAIL
     assert chk.status in (CheckStatus.NOT_APPLICABLE, CheckStatus.PASS)
     assert chk.details["coarse_neutral_nilpotent"] == chk.details["ring_nilpotent"]
+
+
+def test_quotient_transfer_non_cancellative_quotient_not_applicable():
+    # a finite left-cancellative monoid is a group, so no spec reaches this:
+    # the grading is built unchecked over a monoid whose 1 absorbs
+    m = Monoid.from_table([[0, 1], [1, 1]])
+    ring = Ring(fp(2), ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
+    gr = GradedRing(ring, m, [0, 1], check=False)
+    chk = verify_quotient_grading_transfer(gr, Congruence(m, [[0], [1]]), CAPS)
+    assert chk.status == CheckStatus.NOT_APPLICABLE
+    assert chk.reason == ("induced grading rejected: quotient monoid is not left "
+                          "cancellative; induced grading rejected")
+
+
+def test_quotient_transfer_lets_other_errors_propagate(monkeypatch):
+    # only a rejected grading is NOT_APPLICABLE; any other error is a bug
+    def broken(gr, c):
+        raise RuntimeError("bug in the induced grading")
+
+    monkeypatch.setattr(theorems, "induced_quotient_grading", broken)
+    gr = cyclic_group_ring(fp(2), 4)
+    with pytest.raises(RuntimeError, match="bug in the induced grading"):
+        verify_quotient_grading_transfer(gr, Congruence(gr.monoid, [[0, 2], [1, 3]]), CAPS)
 
 
 def test_quotient_transfer_identity_congruence():
