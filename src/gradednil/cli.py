@@ -363,36 +363,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process.  ``main`` looks each
-    command up by name when it runs, so a wrapper installed on a ``cmd_*``
-    function after the first build is still called."""
-    parser = _Parser(
-        prog="gradednil",
-        description="Exact analysis of monoid-graded rings and their nilpotency bounds",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="support, components, nil and nilpotency verdicts")
+def _analyze_args(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     _add_caps(p)
 
-    p = sub.add_parser("verify", help="run one bound check by id (e.g. P3.03, T3.18)")
+
+def _verify_args(p):
     p.add_argument("check_id")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="congruence classes for C3.04, e.g. '0 2 | 1 3'")
     _add_caps(p)
 
-    p = sub.add_parser("report", help="run every applicable check")
+
+def _report_args(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="optional congruence classes for C3.04")
     _add_caps(p)
 
-    p = sub.add_parser("oracle", help="cross-validate the neutral-split construction")
+
+def _oracle_args(p):
     p.add_argument("which", choices=["lemma-3-5"])
     p.add_argument("--cyclic", type=int, help="use the cyclic monoid Z_N")
     p.add_argument("--file", help="take the monoid from a spec file")
@@ -401,13 +393,15 @@ def build_parser():
     p.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
     p.add_argument("--exhaustive", action="store_true")
 
-    p = sub.add_parser("construct", help="emit a derived spec file")
+
+def _construct_args(p):
     p.add_argument("which", choices=["elementary"])
     p.add_argument("file")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--out", default="-")
 
-    p = sub.add_parser("zoo", help="emit a spec file for a built-in example ring")
+
+def _zoo_args(p):
     p.add_argument("name")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=int, default=2)
@@ -415,12 +409,62 @@ def build_parser():
     p.add_argument("--domain", default="fp 2")
     p.add_argument("--out", default="-")
 
+
+# name -> (help, function adding the command's arguments); the full parser
+# and each command's own parser are both built from this one table
+COMMANDS = {
+    "analyze": ("support, components, nil and nilpotency verdicts", _analyze_args),
+    "verify": ("run one bound check by id (e.g. P3.03, T3.18)", _verify_args),
+    "report": ("run every applicable check", _report_args),
+    "oracle": ("cross-validate the neutral-split construction", _oracle_args),
+    "construct": ("emit a derived spec file", _construct_args),
+    "zoo": ("emit a spec file for a built-in example ring", _zoo_args),
+}
+
+
+@functools.cache
+def build_parser():
+    """The full argument parser, built once per process.  It serves help,
+    usage errors and every argv that does not start with a command name."""
+    parser = _Parser(
+        prog="gradednil",
+        description="Exact analysis of monoid-graded rings and their nilpotency bounds",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_args) in COMMANDS.items():
+        add_args(sub.add_parser(name, help=text))
     return parser
 
 
+@functools.cache
+def _command_parser(name):
+    """One command's parser alone, built once per process: the parser that
+    ``build_parser`` adds for the command, without the other five."""
+    parser = _Parser(prog=f"gradednil {name}")
+    COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, building only the command's own
+    parser when argv starts with a command name.  Arguments that parser
+    leaves over are parsed again by the full parser, so the error shows the
+    top-level usage line, as a parse by the full parser alone does."""
+    if argv and argv[0] in COMMANDS:
+        # command set first, as the full parser's subparser action sets it
+        args, extra = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
+        # looked up when it runs, so a wrapper installed on a ``cmd_*``
+        # function after the parser is built is still called
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT

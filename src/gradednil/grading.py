@@ -134,9 +134,7 @@ def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:
     q = quotient(gr.monoid, c)
     flags = check_cancellative(q)
     if not flags.left:
-        raise CancellativityError(
-            "quotient monoid is not left cancellative; induced grading rejected"
-        )
+        raise CancellativityError("quotient monoid is not left cancellative")
     degrees = [c.class_index(g) for g in gr.degrees]
     return GradedRing(gr.ring, q, degrees, check=False)
 

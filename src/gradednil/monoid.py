@@ -1,7 +1,8 @@
 """Monoids as finite multiplication tables, plus the integer-addition monoid.
 
 Table monoids live on dense element ids 0..size-1 and are validated on
-construction (identity law, associativity).  The integer-addition monoid
+construction (identity law, associativity), unless built with
+``check=False`` from a structure that already obeys them.  The integer-addition monoid
 stands in for unbounded integer gradings; its elements are arbitrary ints.
 """
 
@@ -41,7 +42,7 @@ class Cancellativity:
 class Monoid:
     """A monoid given by a multiplication table, or integer addition."""
 
-    def __init__(self, kind, table=None, identity=0):
+    def __init__(self, kind, table=None, identity=0, check=True):
         self.kind = kind
         if kind == INT_ADD:
             self.table = None
@@ -62,7 +63,8 @@ class Monoid:
             if not 0 <= identity < size:
                 raise MonoidError(f"identity id {identity} outside 0..{size - 1}")
             self.identity = identity
-            self._validate_table()
+            if check:
+                self._validate_table()
         else:
             raise MonoidError(f"unknown monoid kind {kind!r}")
 
@@ -82,8 +84,8 @@ class Monoid:
                         )
 
     @classmethod
-    def from_table(cls, table, identity=0):
-        return cls(TABLE, table=table, identity=identity)
+    def from_table(cls, table, identity=0, check=True):
+        return cls(TABLE, table=table, identity=identity, check=check)
 
     @classmethod
     def int_add(cls):
@@ -94,7 +96,8 @@ class Monoid:
         """The cyclic group Z_n as a table monoid (identity 0)."""
         if n < 1:
             raise MonoidError("cyclic monoid needs n >= 1")
-        return cls(TABLE, table=[[(i + j) % n for j in range(n)] for i in range(n)])
+        return cls(TABLE, table=[[(i + j) % n for j in range(n)] for i in range(n)],
+                   check=False)
 
     def op(self, a, b):
         if self.kind == INT_ADD:
@@ -237,7 +240,9 @@ class Congruence:
 
 
 def quotient(m: Monoid, c: Congruence) -> Monoid:
-    """The monoid on congruence classes with [g][h] = [gh]."""
+    """The monoid on congruence classes with [g][h] = [gh].  It is a monoid
+    because m is and the congruence is compatible; its identity is the
+    identity's class, class 0 in the congruence's canonical order."""
     if c.monoid is not m and c.monoid != m:
         raise CongruenceError("congruence belongs to a different monoid")
     n = len(c.classes)
@@ -245,4 +250,4 @@ def quotient(m: Monoid, c: Congruence) -> Monoid:
     for i, ci in enumerate(c.classes):
         for j, cj in enumerate(c.classes):
             table[i][j] = c.class_index(m.op(ci[0], cj[0]))
-    return Monoid.from_table(table, identity=0)
+    return Monoid.from_table(table, identity=0, check=False)

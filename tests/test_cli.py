@@ -190,25 +190,32 @@ def test_cli_analyze_d4_ring_over_z12_prints_the_exact_index(tmp_path, capsys):
         "NilVerdict(PROVED, index=3, symbolic expansion: x^2 != 0 at x = B)")
 
 
+def _clear_parsers():
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+
+
 def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
-    # the parser is built once per process: calls through it print and exit
-    # as calls through a freshly built one do, whatever the subcommand
+    # each parser is built once per process: calls through the cached ones
+    # print and exit as calls through freshly built ones do, whatever the
+    # subcommand
     path = _write(tmp_path, "d4z12.spec", D4_Z12_SPEC)
     argvs = [["analyze", path, "--json"], ["zoo", "sut", "--n", "3"],
              ["verify", "P3.17", path], ["analyze", path, "--power-cap", "0"],
              ["oracle", "lemma-3-5", "--cyclic", "2", "--supp", "1", "--r", "2",
-              "--exhaustive"]]
+              "--exhaustive"], ["analyze", path, "--bogus"]]
 
     def run(argv, fresh):
         if fresh:
-            cli.build_parser.cache_clear()
+            _clear_parsers()
         code = main(argv)
         return code, capsys.readouterr()
 
     fresh = [run(argv, True) for argv in argvs]
-    assert [code for code, _ in fresh] == [0, 0, 0, 3, 0]
+    assert [code for code, _ in fresh] == [0, 0, 0, 3, 0, 3]
     assert [run(argv, False) for argv in argvs] == fresh
     assert cli.build_parser() is cli.build_parser()
+    assert cli._command_parser("zoo") is cli._command_parser("zoo")
     for _ in range(2):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: gradednil")
@@ -218,6 +225,80 @@ def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.file) or analyze(args))
     assert main(["analyze", path]) == 0
     assert seen == [path]
+
+
+def test_cli_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    _clear_parsers()
+    assert main(["analyze", path]) == 0
+    assert built == ["gradednil analyze"]
+    capsys.readouterr()
+    # a usage error falls back to the full parser: itself and six subparsers
+    assert main(["analyze", path, "--bogus"]) == 3
+    assert len(built) == 1 + 1 + len(cli.COMMANDS)
+    assert capsys.readouterr().err.startswith("usage: gradednil [-h] {analyze,")
+
+
+def _parity_cases(spec):
+    """Per command: valid arguments, -h, a missing positional, a non-integer
+    cap, an unknown option and an extra positional; then top-level cases."""
+    valid = {
+        "analyze": [spec, "--json"],
+        "verify": ["P3.03", spec, "--classes", "0"],
+        "report": [spec, "--samples", "5"],
+        "oracle": ["lemma-3-5", "--cyclic", "2", "--supp", "1", "--r", "2", "--exhaustive"],
+        "construct": ["elementary", spec, "--n", "3"],
+        "zoo": ["sut", "--domain", "fp 3"],
+    }
+    missing = {"analyze": [], "verify": ["P3.03"], "report": ["--json"],
+               "oracle": ["lemma-3-5", "--supp", "1"], "construct": ["elementary"],
+               "zoo": []}
+    bad_int = {"analyze": [spec, "--power-cap", "abc"],
+               "verify": ["P3.03", spec, "--seed", "1.5"],
+               "report": [spec, "--pair-cap", "x"],
+               "oracle": ["lemma-3-5", "--supp", "1", "--r", "two"],
+               "construct": ["elementary", spec, "--n", "x"],
+               "zoo": ["sut", "--k", "x"]}
+    cases = []
+    for name in cli.COMMANDS:
+        cases += [[name, *valid[name]], [name, "-h"], [name, *missing[name]],
+                  [name, *bad_int[name]], [name, *valid[name], "--bogus"],
+                  [name, *valid[name], "extra"]]
+    return cases + [["--help"], [], ["anal"], ["-x", "analyze", spec]]
+
+
+def test_cli_command_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch):
+    # main parses with the invoked command's parser alone; exit code,
+    # stdout, stderr and Namespace are those of the full parser's parse
+    spec = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
+    seen = []
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or 0)
+    codes = []
+    for argv in _parity_cases(spec):
+        _clear_parsers()
+        seen.clear()
+        code = main(list(argv))
+        got = (code, capsys.readouterr(), [list(vars(a).items()) for a in seen])
+        try:
+            args = cli.build_parser().parse_args(list(argv))
+            want = (0, capsys.readouterr(), [list(vars(args).items())])
+        except SystemExit as exc:
+            want = (exc.code, capsys.readouterr(), [])
+        assert got == want, argv
+        codes.append((code, len(seen)))
+    # each command's valid case runs it; -h and --help exit 0 without
+    # running one; every other case is a usage error
+    assert codes == [(0, 1), (0, 0), (3, 0), (3, 0), (3, 0), (3, 0)] * len(cli.COMMANDS) + [
+        (0, 0), (3, 0), (3, 0), (3, 0)]
 
 
 def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):

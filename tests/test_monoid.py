@@ -11,6 +11,7 @@ from gradednil.monoid import (
     element_order,
     quotient,
 )
+from gradednil.specfile import parse_spec_text
 
 
 def test_cyclic_group_is_cancellative():
@@ -146,3 +147,34 @@ def test_power_sequence_is_eventually_periodic():
 @settings(max_examples=300, deadline=None)
 def test_contains_all_matches_contains(gs, m):
     assert m.contains_all(tuple(gs)) == all(m.contains(g) for g in gs)
+
+
+
+@st.composite
+def cyclic_congruences(draw):
+    """Z_n for n <= 12 and its congruence mod a divisor d, classes shuffled."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return n, draw(st.permutations([list(range(i, n, d)) for i in range(d)]))
+
+
+@given(cyclic_congruences())
+@settings(max_examples=150, deadline=None)
+def test_unchecked_cyclic_and_quotient_monoids_obey_the_laws(n_classes):
+    # Monoid.cyclic and quotient skip the cubic table proof; the tables they
+    # build pass it, and the quotient's identity is class 0 whatever order
+    # the classes are given in
+    n, classes = n_classes
+    m = Monoid.cyclic(n)
+    m._validate_table()
+    q = quotient(m, Congruence(m, classes))
+    q._validate_table()
+    assert q == Monoid.from_table(q.table) == Monoid.cyclic(len(classes))
+
+
+def test_spec_file_tables_are_still_checked():
+    # only derived monoids skip the proof; a table read from a spec keeps it
+    text = ("[monoid]\nkind = table\nsize = 3\ntable = 0 1 2  1 2 2  2 0 1\n"
+            "[ring]\ncoeff = fp 2\nrank = 1\nnames = a\n[grading]\ndeg = 1\n")
+    with pytest.raises(MonoidError, match="not associative"):
+        parse_spec_text(text)
