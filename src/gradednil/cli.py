@@ -37,14 +37,13 @@ EXIT_INPUT = 3
 INT64_MAX = np.iinfo(np.int64).max
 
 ENV_CAPS = {
-    "GRADEDNIL_POWER_CAP": "power_cap",
     "GRADEDNIL_PAIR_CAP": "pair_cap",
     "GRADEDNIL_SAMPLES": "samples",
     "GRADEDNIL_SEED": "seed",
 }
-# Smallest legal value of each cap: a power cap or sample count below 1
-# decides nothing, while a pair cap of 0 means "never enumerate".
-CAP_FLOORS = {"power_cap": 1, "pair_cap": 0, "samples": 1}
+# Smallest legal value of each cap: a sample count below 1 decides nothing,
+# while a pair cap of 0 means "never enumerate".
+CAP_FLOORS = {"pair_cap": 0, "samples": 1}
 
 
 def _caps_from(args) -> Caps:
@@ -118,7 +117,8 @@ def _verdict_exit(statuses):
 
 
 def cmd_analyze(args):
-    caps = _caps_from(args)
+    # analyze reads no cap, but rejects a bad one as verify and report do
+    _caps_from(args)
     parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
     r = gr.ring
@@ -132,13 +132,13 @@ def cmd_analyze(args):
             str(g): len(component_indices(gr, g)) for g in supp
         },
     }
-    nilv = ring_is_nil(r, power_cap=caps.power_cap)
-    ndv = nilpotency_index(r, cap=caps.power_cap)
-    sv = bounded_nil_index_auto(r, power_cap=caps.power_cap)
+    nilv = ring_is_nil(r)
+    ndv = nilpotency_index(r)
+    sv = bounded_nil_index_auto(r)
     out["nil"] = repr(nilv)
     out["nilpotency"] = repr(ndv)
     out["bounded_nil_index"] = repr(sv)
-    comp = s_nil_check(gr, power_cap=caps.power_cap)
+    comp = s_nil_check(gr)
     out["component_nil"] = {str(g): repr(v) for g, v in comp.items()}
     if args.json:
         print(json.dumps(out, indent=2))

@@ -209,27 +209,27 @@ class Congruence:
         self._validate_compatibility()
 
     def _validate_compatibility(self):
-        # g~h and k~t imply gk~ht; checking pairs against single elements on
-        # both sides is equivalent and quadratic instead of quartic.
-        m = self.monoid
-        for cls in self.classes:
-            for g in cls:
-                for h in cls:
-                    if g >= h:
-                        continue
-                    for k in range(m.size):
-                        if self._index[m.op(g, k)] != self._index[m.op(h, k)]:
-                            raise CongruenceError(
-                                f"incompatible: {g}~{h} and {k}~{k} but "
-                                f"{g}*{k}={m.op(g, k)} !~ {h}*{k}={m.op(h, k)}",
-                                witness=(g, h, k, k),
-                            )
-                        if self._index[m.op(k, g)] != self._index[m.op(k, h)]:
-                            raise CongruenceError(
-                                f"incompatible: {k}~{k} and {g}~{h} but "
-                                f"{k}*{g}={m.op(k, g)} !~ {k}*{h}={m.op(k, h)}",
-                                witness=(k, k, g, h),
-                            )
+        # g~h and k~t imply gk~ht.  Checking pairs against single elements on
+        # both sides is equivalent, and by transitivity so is checking each
+        # member h against its class's first member g alone: a failing pair
+        # (h, h') of one class fails (g, h) or (g, h') at the same k, and the
+        # pairs (g, h) come first, so the first failure is the same.
+        t, index = self.monoid.table, self._index
+        for g, *rest in self.classes:
+            for h in rest:
+                for k in range(self.monoid.size):
+                    if index[t[g][k]] != index[t[h][k]]:
+                        raise CongruenceError(
+                            f"incompatible: {g}~{h} and {k}~{k} but "
+                            f"{g}*{k}={t[g][k]} !~ {h}*{k}={t[h][k]}",
+                            witness=(g, h, k, k),
+                        )
+                    if index[t[k][g]] != index[t[k][h]]:
+                        raise CongruenceError(
+                            f"incompatible: {k}~{k} and {g}~{h} but "
+                            f"{k}*{g}={t[k][g]} !~ {k}*{h}={t[k][h]}",
+                            witness=(k, k, g, h),
+                        )
 
     def class_index(self, g):
         self.monoid._check_element(g)

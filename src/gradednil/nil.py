@@ -44,13 +44,9 @@ from .monoid import element_order
 from .ringcore import (
     DEFAULT_ELEM_CAP,
     Element,
-    PowerChainError,
     Ring,
     power_chain,
 )
-
-DEFAULT_POWER_CAP = 512
-DEFAULT_SYMBOLIC_CAP = 16
 
 
 class Status(str, Enum):
@@ -82,22 +78,16 @@ class NilVerdict:
         return f"NilVerdict({', '.join(bits)})"
 
 
-def element_nil_index(a: Element, cap=DEFAULT_POWER_CAP) -> NilVerdict:
-    """Smallest n with a^n = 0, by power iteration with cycle detection."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    seen = set()
-    acc = a
-    n = 1
-    while n <= cap:
-        if acc.is_zero():
-            return NilVerdict(Status.PROVED, index=n)
-        if acc.coords in seen:
-            return NilVerdict(Status.REFUTED, witness=a, note="power sequence cycles")
-        seen.add(acc.coords)
-        acc = acc * a
-        n += 1
-    return NilVerdict(Status.CAPPED, note=f"no zero power within {cap} steps")
+def element_nil_index(a: Element) -> NilVerdict:
+    """Smallest n with a^n = 0, by power iteration up to N = ``_index_bound``:
+    a nilpotent a has a^N = 0, so a^N != 0 refutes it."""
+    n = _index_bound(a.ring)
+    acc, k = a, 1
+    while not acc.is_zero():
+        if k == n:
+            return NilVerdict(Status.REFUTED, witness=a, note=f"x^{n} != 0")
+        acc, k = acc * a, k + 1
+    return NilVerdict(Status.PROVED, index=k)
 
 
 # ---------------------------------------------------------------------------
@@ -118,25 +108,22 @@ def _index_bound(r: Ring):
     return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
 
 
-def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP) -> NilVerdict:
+def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP) -> NilVerdict:
     """Is every element nilpotent?  The power chain decides.
 
-    PROVED when the chain reaches zero, CAPPED when it runs past
-    ``power_cap``.  Otherwise it stabilizes at R^k = R^(k+1) != 0, so R is
-    not nilpotent, hence not nil (a nil ring of finite rank is nilpotent):
-    REFUTED, with ``nilpotency_index``'s witness x, whose x^N is checked
-    nonzero for N = ``_index_bound``.  Nothing is enumerated, so
-    ``elem_cap`` is unused; it stays because ``perfbench/layers.py`` binds
-    it by name.
+    PROVED when the chain reaches zero.  Otherwise it stabilizes at
+    R^k = R^(k+1) != 0, so R is not nilpotent, hence not nil (a nil ring of
+    finite rank is nilpotent): REFUTED, with ``nilpotency_index``'s witness
+    x, whose x^N is checked nonzero for N = ``_index_bound``.  Nothing is
+    enumerated, so ``elem_cap`` is unused; it stays because
+    ``perfbench/layers.py`` binds it by name.
     """
     if r.rank == 0:
         return NilVerdict(Status.PROVED, note="zero ring")
-    nd = nilpotency_index(r, cap=power_cap)
+    nd = nilpotency_index(r)
     if nd.proved:
         return NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
-    if nd.status == Status.CAPPED:
-        return NilVerdict(Status.CAPPED, note=nd.note)
-    k = len(power_chain(r, cap=power_cap)) - 1
+    k = len(power_chain(r)) - 1
     return NilVerdict(Status.REFUTED, witness=nd.witness,
                       note=f"R^{k} = R^{k + 1} != 0 and x^{_index_bound(r)} != 0 "
                       "at the witness")
@@ -287,7 +274,6 @@ def nil_bounded_index(
     r: Ring,
     mode="symbolic",
     elem_cap=DEFAULT_ELEM_CAP,
-    power_cap=DEFAULT_POWER_CAP,
     candidate=None,
 ) -> NilVerdict:
     """Smallest s up to ``candidate`` with a^s = 0 for every element.
@@ -299,8 +285,8 @@ def nil_bounded_index(
     the power at ``candidate`` survives.
 
     ``symbolic`` is the only mode, and nothing is enumerated, so
-    ``elem_cap`` and ``power_cap`` are unused.  The three stay because
-    ``perfbench/layers.py`` binds them by name.
+    ``elem_cap`` is unused.  Both stay because ``perfbench/layers.py`` binds
+    them by name.
     """
     if mode != "symbolic":
         raise ValueError(f"unknown mode {mode!r}; only 'symbolic' remains")
@@ -337,53 +323,35 @@ def _component_nil(r: Ring, positions) -> NilVerdict:
                               note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
         alive = mono
         w, _ = _witness(r, mono, 1)
-        if not element_nil_index(w, cap=n).proved:
+        if not element_nil_index(w).proved:
             return NilVerdict(Status.REFUTED, witness=w,
                               note=f"symbolic expansion: x^{n} != 0 at the witness, the "
                               f"point of x^{s}; every nilpotent x has x^{n} = 0")
     raise SymbolicInternalError(f"x^{n} survives, but the point of its least term is nilpotent")
 
 
-def bounded_nil_index_auto(r: Ring, power_cap=DEFAULT_POWER_CAP,
-                           symbolic_cap=DEFAULT_SYMBOLIC_CAP) -> NilVerdict:
+def bounded_nil_index_auto(r: Ring) -> NilVerdict:
     """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
     that is not nil has no bounded nil index.  Else the symbolic expansion,
     which is exact: up to d when R^d = 0, where x^d vanishes, so it always
-    ends at an empty power, or up to ``symbolic_cap`` when the chain runs
-    past ``power_cap``.  There only an index within ``power_cap`` stands; a
-    term surviving at ``symbolic_cap`` refutes only the cap, and an index
-    past ``power_cap`` is past the cap, so both are CAPPED.  The verdict is
-    kept on the ring per cap pair, so every caller with the same caps
-    shares one computation."""
-    key = (power_cap, symbolic_cap)
-    if key not in r._nil_index:
-        nd = nilpotency_index(r, cap=power_cap)
-        if nd.status == Status.REFUTED:
-            verdict = ring_is_nil(r, power_cap=power_cap)
-        elif nd.proved:
-            verdict = nil_bounded_index(r, "symbolic", candidate=nd.index)
+    ends at an empty power.  The verdict is kept on the ring, so every
+    caller shares one computation."""
+    if r._nil_index is None:
+        nd = nilpotency_index(r)
+        if nd.proved:
+            r._nil_index = nil_bounded_index(r, "symbolic", candidate=nd.index)
         else:
-            verdict = nil_bounded_index(r, "symbolic", candidate=symbolic_cap)
-            if not verdict.proved:
-                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; {verdict.note}")
-            elif verdict.index > power_cap:
-                verdict = NilVerdict(Status.CAPPED, note=f"{nd.note}; symbolic "
-                                     f"index {verdict.index} is past it")
-        r._nil_index[key] = verdict
-    return r._nil_index[key]
+            r._nil_index = ring_is_nil(r)
+    return r._nil_index
 
 
-def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
-    """Smallest d with all length-d products zero, from the power chain;
-    CAPPED when the chain runs past ``cap`` entries.  A chain that
-    stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the witness of
-    ``_component_nil`` on the whole basis, an x with x^N != 0 for N =
-    ``_index_bound``.  The chain is the same at every cap, so the REFUTED
-    verdict is expanded once and kept on the ring beside it."""
-    try:
-        chain = power_chain(r, cap=cap)
-    except PowerChainError:
-        return NilVerdict(Status.CAPPED, note=f"power chain longer than power_cap {cap}")
+def nilpotency_index(r: Ring) -> NilVerdict:
+    """Smallest d with all length-d products zero, from the power chain.  A
+    chain that stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the witness
+    of ``_component_nil`` on the whole basis, an x with x^N != 0 for N =
+    ``_index_bound``.  The chain is kept on the ring, and so is the REFUTED
+    verdict, so its witness is expanded once."""
+    chain = power_chain(r)
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
     if r._not_nilpotent is None:
@@ -400,7 +368,7 @@ def nilpotency_index(r: Ring, cap=DEFAULT_POWER_CAP) -> NilVerdict:
     return r._not_nilpotent
 
 
-def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP):
+def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP):
     """Nil verdict for each homogeneous component, keyed by degree.
 
     When the power chain reaches zero every component is PROVED nil.
@@ -415,12 +383,12 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POW
     ``perfbench/layers.py`` binds it by name.
     """
     r = gr.ring
-    nd = nilpotency_index(r, cap=power_cap)
+    nd = nilpotency_index(r)
     if nd.proved:
         note = f"power chain: R^{nd.index} = 0"
         return {g: NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
     m0, idx0 = neutral_ring(gr)
-    nd0 = nilpotency_index(m0, cap=power_cap)
+    nd0 = nilpotency_index(m0)
     out = {}
     for g, (_, end, length) in _degree_walks(gr).items():
         if end is None:
@@ -432,7 +400,7 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POW
                 note=f"degree walk reaches e, R_e^{nd0.index} = 0: x^{length * nd0.index} = 0",
             )
         elif g == end:
-            out[g] = v = ring_is_nil(m0, power_cap=power_cap)
+            out[g] = v = ring_is_nil(m0)
             if v.witness is not None:
                 coords = np.zeros(r.rank, dtype=object)
                 coords[idx0] = v.witness.coords
@@ -454,7 +422,6 @@ class HomogeneousPowerReport:
     For each support degree g, ``kg[g]`` letters of degree g multiply into
     the neutral component or to zero, so every such product raised to the
     neutral bounded nil index s vanishes; ``k`` is the lcm of the kg.
-    ``neutral`` is the verdict on that index, None for a zero component.
     """
 
     applicable: bool
@@ -463,12 +430,9 @@ class HomogeneousPowerReport:
     kg: dict = field(default_factory=dict)
     k: int | None = None
     per_degree: dict = field(default_factory=dict)
-    neutral: NilVerdict | None = None
 
 
-def homogeneous_power_report(
-    gr: GradedRing, power_cap=DEFAULT_POWER_CAP, symbolic_cap=DEFAULT_SYMBOLIC_CAP,
-) -> HomogeneousPowerReport:
+def homogeneous_power_report(gr: GradedRing) -> HomogeneousPowerReport:
     """Prove (a_1 ... a_{kg})^s = 0 per degree, and a^{k*s} = 0, by degrees.
 
     Requires a nonzero neutral component that is nil of bounded index s;
@@ -487,15 +451,14 @@ def homogeneous_power_report(
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero")
-    sv = bounded_nil_index_auto(m0, power_cap=power_cap, symbolic_cap=symbolic_cap)
+    sv = bounded_nil_index_auto(m0)
     if not sv.proved:
         return HomogeneousPowerReport(
             False, reason=f"neutral component not proved nil of bounded index ({sv.status.value})",
-            neutral=sv,
         )
     walks = _degree_walks(gr)
     kg = {g: walk[0] for g, walk in walks.items()}
-    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()), neutral=sv)
+    report = HomogeneousPowerReport(True, s=sv.index, kg=kg, k=math.lcm(*kg.values()))
     for g, (_, end, length) in walks.items():
         report.per_degree[g] = {
             "tuples_checked": 0,

@@ -232,8 +232,8 @@ class Ring:
         # the REFUTED nilpotency verdict once its witness is expanded; see
         # nil.nilpotency_index
         self._not_nilpotent = None
-        # bounded nil index verdicts by caps; see nil.bounded_nil_index_auto
-        self._nil_index = {}
+        # the bounded nil index verdict; see nil.bounded_nil_index_auto
+        self._nil_index = None
         if check:
             self._check_associativity()
 
@@ -463,10 +463,6 @@ class Submodule:
         return f"Submodule(ngens={len(self.rows)})"
 
 
-class PowerChainError(RuntimeError):
-    """The power chain neither stabilized nor reached zero within the cap."""
-
-
 def _word_spans(r: Ring, gens):
     """Spans of the words in ``gens``, by length, up to closure.
 
@@ -531,37 +527,31 @@ def _chain_start(r: Ring):
     return [full, square]
 
 
-def power_chain(r: Ring, cap=512):
+def power_chain(r: Ring):
     """Descending chain of product spans, one entry per product length.
 
     Entry t (0-based) is R^(t+1), the span of all products of t+1 elements;
     the chain stops at the zero module or at the first repeat (a nonzero
-    stable span certifies the ring is not nilpotent).  Raises
-    ``PowerChainError`` when it runs past ``cap`` entries.  The entries are
-    computed once per ring and kept on it, so every cap sees the same chain.
+    stable span certifies the ring is not nilpotent).  Every entry before
+    the end is a proper submodule of the one before it, and a strict chain
+    of nonzero submodules of (Z/m)^rank has at most rank * Omega(m) members
+    (rank over F_p or Q), so the chain has at most rank * Omega(m) + 1
+    entries, within ``nil._index_bound``.  The entries are computed once per
+    ring and kept on it.
 
     R^2 is read off the structure constants, and when the words in the
     basis vectors that generate R modulo R^2 vanish, the whole chain off
     their spans (see ``_chain_start``).  Any other chain grows one entry at
     a time as R^(k+1) = span(R^k * basis).
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     chain = r._chain
     if not chain:
         chain += _chain_start(r) if r.rank else [Submodule(r, [])]
-
-    def ended():
-        return chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])
-
-    while not ended() and len(chain) <= cap:
+    while not (chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])):
         basis = [b.coords for b in r.basis()]
         products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
         chain.append(Submodule(r, products))
-    # a zero end is seen one step after it is appended, a repeat at once
-    if ended() and len(chain) - (not chain[-1].is_zero()) <= cap:
-        return list(chain)
-    raise PowerChainError(f"power chain did not stabilize within {cap} steps")
+    return list(chain)
 
 
 def generated_subalgebra(r: Ring, elements) -> Submodule:

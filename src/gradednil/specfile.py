@@ -29,6 +29,7 @@ errors carry the line number.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -182,6 +183,15 @@ def _parse_grading(entries, monoid, ring):
     return GradedRing(ring, monoid, degrees)
 
 
+def _first_missing_pair(rule, dom, rank):
+    """The first pair of coordinate tuples, in product order, that ``rule``
+    has no scalar for; it is among the first len(rule) + 1 pairs."""
+    for a in itertools.product(dom.elements(), repeat=rank):
+        for b in itertools.product(dom.elements(), repeat=rank):
+            if (a, b) not in rule:
+                return a, b
+
+
 def _parse_fmap(entries, ring, graded):
     kv = {}
     pair_lines = []
@@ -212,6 +222,12 @@ def _parse_fmap(entries, ring, graded):
             ca = tuple(dom.normalize(_coeff_value(t, dom, num)) for t in parts[0])
             cb = tuple(dom.normalize(_coeff_value(t, dom, num)) for t in parts[1])
             rule[(ca, cb)] = dom.normalize(_coeff_value(parts[2][0], dom, num))
+        if dom.finite and len(rule) < dom.size ** (2 * target.rank):
+            a, b = _first_missing_pair(rule, dom, target.rank)
+            raise SpecFileError(
+                f"pair lines give no scalar for the pair ({a}, {b}); over "
+                f"{dom.label()} every pair of elements needs one", pair_lines[0][0],
+            )
         return FMap.from_rule(rule, label="explicit pairwise rule"), scalar_action(target), "pairs"
     if "rule" in kv:
         num, text = kv["rule"]

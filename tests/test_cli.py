@@ -201,7 +201,7 @@ def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     # subcommand
     path = _write(tmp_path, "d4z12.spec", D4_Z12_SPEC)
     argvs = [["analyze", path, "--json"], ["zoo", "sut", "--n", "3"],
-             ["verify", "P3.17", path], ["analyze", path, "--power-cap", "0"],
+             ["verify", "P3.17", path], ["analyze", path, "--samples", "0"],
              ["oracle", "lemma-3-5", "--cyclic", "2", "--supp", "1", "--r", "2",
               "--exhaustive"], ["analyze", path, "--bogus"]]
 
@@ -261,7 +261,7 @@ def _parity_cases(spec):
     missing = {"analyze": [], "verify": ["P3.03"], "report": ["--json"],
                "oracle": ["lemma-3-5", "--supp", "1"], "construct": ["elementary"],
                "zoo": []}
-    bad_int = {"analyze": [spec, "--power-cap", "abc"],
+    bad_int = {"analyze": [spec, "--samples", "abc"],
                "verify": ["P3.03", spec, "--seed", "1.5"],
                "report": [spec, "--pair-cap", "x"],
                "oracle": ["lemma-3-5", "--supp", "1", "--r", "two"],
@@ -446,10 +446,12 @@ def test_cli_oracle_rejects_r_below_2_first(capsys, r, mode):
 
 @pytest.mark.parametrize("args", [
     ["report", "--bogus", "x"],
-    ["report", "--power-cap", "abc", "x.spec"],
+    ["report", "--pair-cap", "abc", "x.spec"],
     ["report", "--tuple-cap", "5", "x.spec"],
     ["analyze", "--elem-cap", "5", "x.spec"],
-], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap", "removed-elem-cap"])
+    ["analyze", "--power-cap", "5", "x.spec"],
+], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap", "removed-elem-cap",
+        "removed-power-cap"])
 def test_cli_usage_errors_exit_3(capsys, args):
     # exit 2 means a capped verdict, so argparse's own usage exit is not used
     assert main(args) == 3
@@ -461,12 +463,9 @@ def test_cli_usage_errors_exit_3(capsys, args):
 @pytest.mark.parametrize("flags, env, named", [
     (["--samples", "-3"], {}, "--samples"),
     (["--samples", "0"], {}, "--samples"),
-    (["--power-cap", "0"], {}, "--power-cap"),
     (["--pair-cap", "-1"], {}, "--pair-cap"),
-    ([], {"GRADEDNIL_POWER_CAP": "abc"}, "GRADEDNIL_POWER_CAP"),
     ([], {"GRADEDNIL_SAMPLES": "0"}, "GRADEDNIL_SAMPLES"),
-], ids=["samples-negative", "samples-zero", "power-cap-zero", "pair-cap-negative",
-        "env-power-cap-text", "env-samples-zero"])
+], ids=["samples-negative", "samples-zero", "pair-cap-negative", "env-samples-zero"])
 def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, named):
     path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
     for name, value in env.items():
@@ -476,6 +475,32 @@ def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, 
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
+
+
+def test_cli_power_cap_environment_is_ignored(tmp_path, capsys, monkeypatch):
+    # the power cap is gone, so its old variable is no longer read
+    monkeypatch.setenv("GRADEDNIL_POWER_CAP", "abc")
+    path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
+    assert main(["analyze", path]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_verify_t318_reads_a_chain_past_512(tmp_path, capsys):
+    # two_z_2k(600) has nilpotency index 600; the whole chain is read
+    path = str(tmp_path / "z600.spec")
+    assert main(["zoo", "two-z-2k", "--k", "600", "--out", path]) == 0
+    assert main(["verify", "T3.18", path, "--json"]) == 0
+    check = json.loads(capsys.readouterr().out)
+    assert (check["status"], check["bound"], check["observed"]) == ("PASS", [600, 600], 600)
+
+
+def test_cli_capped_pair_check_exits_2(tmp_path, capsys):
+    # CAPPED now comes only from the f-commutativity pair check: a
+    # pointwise rule past --pair-cap is sampled, and over F_3 that is CAPPED
+    path = _write(tmp_path, "pairs.spec", PAIR_RULE_SPEC)
+    assert main(["verify", "T3.19", path, "--pair-cap", "0"]) == 2
+    assert capsys.readouterr().out == "T3.19: CAPPED\nreason: f-commutativity check capped\n"
+    assert main(["verify", "T3.19", path]) == 0
 
 
 def test_cli_zero_caps_mean_never_enumerate(tmp_path, capsys, monkeypatch):
@@ -762,17 +787,6 @@ def test_cli_verify_c304_agrees_with_report(tmp_path, capsys):
     assert alone["status"] == "PASS"
 
 
-def test_cli_verify_p331_honours_power_cap(tmp_path, capsys):
-    # the neutral nil index under --power-cap 1 is CAPPED, as for T3.18
-    path = _bench_spec(tmp_path, "m2z8")
-    capsys.readouterr()
-    assert main(["verify", "P3.31", path, "--power-cap", "1"]) == 2
-    assert capsys.readouterr().out.startswith("P3.31: CAPPED\n")
-    assert main(["verify", "T3.18", path, "--power-cap", "1"]) == 2
-    assert capsys.readouterr().out.startswith("T3.18: CAPPED\n")
-    assert main(["verify", "P3.31", path]) == 0
-
-
 def test_cli_seed_determinism(tmp_path, capsys):
     gr = grassmann_star(2, fp(3))
     path = _write(tmp_path, "gr.spec", emit_graded(gr, fmap_mode="auto"))
@@ -785,16 +799,18 @@ def test_cli_seed_determinism(tmp_path, capsys):
     assert a == b
 
 
+# square-zero rank-1 ring: f(b, b) = -1 on the only interesting pair
+PAIR_RULE_SPEC = (
+    "[ring]\ncoeff = fp 3\nrank = 1\nnames = b\n\n"
+    "[fmap]\n"
+    "pair = 0 ; 0 ; 1\npair = 0 ; 1 ; 1\npair = 1 ; 0 ; 1\npair = 1 ; 1 ; 2\n"
+    "pair = 0 ; 2 ; 1\npair = 2 ; 0 ; 1\npair = 2 ; 2 ; 2\npair = 1 ; 2 ; 2\n"
+    "pair = 2 ; 1 ; 2\n"
+)
+
+
 def test_parse_explicit_pair_rule():
-    # square-zero rank-1 ring: f(b, b) = -1 on the only interesting pair
-    text = (
-        "[ring]\ncoeff = fp 3\nrank = 1\nnames = b\n\n"
-        "[fmap]\n"
-        "pair = 0 ; 0 ; 1\npair = 0 ; 1 ; 1\npair = 1 ; 0 ; 1\npair = 1 ; 1 ; 2\n"
-        "pair = 0 ; 2 ; 1\npair = 2 ; 0 ; 1\npair = 2 ; 2 ; 2\npair = 1 ; 2 ; 2\n"
-        "pair = 2 ; 1 ; 2\n"
-    )
-    parsed = parse_spec_text(text)
+    parsed = parse_spec_text(PAIR_RULE_SPEC)
     assert parsed.fmap.kind == "scalar-rule"
     assert parsed.fmap_mode == "pairs"
     from gradednil.fcomm import check_f_commutative
@@ -802,6 +818,24 @@ def test_parse_explicit_pair_rule():
 
     v = check_f_commutative(parsed.ring, parsed.fmap, parsed.action)
     assert v.status == Status.PROVED
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[ring]\ncoeff = fp 2\nrank = 1\nsc = 0 0 0 1\n\n[fmap]\npair = 1 ; 1 ; 1\n",
+     "line 7: pair lines give no scalar for the pair ((0,), (0,)); "
+     "over fp 2 every pair of elements needs one"),
+    (PAIR_RULE_SPEC.replace("pair = 1 ; 1 ; 2\n", ""),
+     "line 7: pair lines give no scalar for the pair ((1,), (1,)); "
+     "over fp 3 every pair of elements needs one"),
+], ids=["first-pair", "inner-pair"])
+def test_parse_pair_rule_missing_a_pair(tmp_path, capsys, text, message):
+    # over Z/m and F_p every pair needs a line; the first missing one in
+    # product order is named at the first pair line
+    with pytest.raises(SpecFileError) as err:
+        parse_spec_text(text)
+    assert str(err.value) == message
+    assert main(["report", _write(tmp_path, "p.spec", text)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_pair_rule_bad_shape():

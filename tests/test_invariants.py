@@ -152,41 +152,6 @@ def test_symbolic_enum_agreement_chain_ring():
     assert enum.proved and sym.proved and enum.index == sym.index == 4
 
 
-def test_cli_capped_exit_code(tmp_path, capsys):
-    # sut(4) has nilpotency index 4, so its power chain outgrows a cap of 2
-    path = tmp_path / "s4.spec"
-    path.write_text(emit_graded(sut(4, fp(2))))
-    code = main(["verify", "T3.18", str(path), "--power-cap", "2"])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "T3.18: CAPPED" in out and "power_cap 2" in out
-
-
-@pytest.mark.parametrize("check_id", ["P3.03", "T3.15", "T3.20", "T3.24"])
-def test_power_cap_is_capped_not_fail(tmp_path, capsys, monkeypatch, check_id):
-    path = tmp_path / "s4.spec"
-    path.write_text(emit_graded(sut(4, fp(2))))
-    monkeypatch.setenv("GRADEDNIL_POWER_CAP", "2")
-    code = main(["verify", check_id, str(path), "--json"])
-    data = json.loads(capsys.readouterr().out)
-    assert code == 2
-    assert data["status"] == "CAPPED"
-    assert data["reason"] == "power chain longer than power_cap 2"
-
-
-@pytest.mark.parametrize("gr", [sut(4, fp(2)), grassmann_star(3, fp(5))], ids=["sut4", "grass3"])
-def test_report_under_a_small_power_cap_exits_2(tmp_path, capsys, monkeypatch, gr):
-    path = tmp_path / "r.spec"
-    path.write_text(emit_graded(gr))
-    monkeypatch.setenv("GRADEDNIL_POWER_CAP", "2")
-    code = main(["report", str(path), "--json"])
-    data = json.loads(capsys.readouterr().out)
-    assert code == 2
-    statuses = {c["id"]: c["status"] for c in data["checks"]}
-    assert "FAIL" not in statuses.values()
-    assert statuses["T3.18"] == "CAPPED"
-
-
 def test_cli_env_caps_override(tmp_path, capsys, monkeypatch):
     gr = sut(3, fp(2))
     path = tmp_path / "s3.spec"

@@ -178,3 +178,55 @@ def test_spec_file_tables_are_still_checked():
             "[ring]\ncoeff = fp 2\nrank = 1\nnames = a\n[grading]\ndeg = 1\n")
     with pytest.raises(MonoidError, match="not associative"):
         parse_spec_text(text)
+
+
+def pairwise_compatibility(m, classes):
+    """Reference for ``Congruence._validate_compatibility``: every pair g < h
+    of each class against every k, in the congruence's canonical class
+    order.  Returns the (message, witness) of the first failure, or None."""
+    classes = sorted((sorted(set(c)) for c in classes),
+                     key=lambda c: (m.identity not in c, c[0]))
+    index = {g: i for i, c in enumerate(classes) for g in c}
+    for cls in classes:
+        for g in cls:
+            for h in cls:
+                if g >= h:
+                    continue
+                for k in range(m.size):
+                    if index[m.op(g, k)] != index[m.op(h, k)]:
+                        return (f"incompatible: {g}~{h} and {k}~{k} but "
+                                f"{g}*{k}={m.op(g, k)} !~ {h}*{k}={m.op(h, k)}", (g, h, k, k))
+                    if index[m.op(k, g)] != index[m.op(k, h)]:
+                        return (f"incompatible: {k}~{k} and {g}~{h} but "
+                                f"{k}*{g}={m.op(k, g)} !~ {k}*{h}={m.op(k, h)}", (k, k, g, h))
+    return None
+
+
+@st.composite
+def partitioned_monoids(draw):
+    """A cyclic, max, truncated-add or (not commutative) left-zero monoid of
+    size <= 10 and a random partition of its elements, each element given a
+    random class label."""
+    n = draw(st.integers(1, 10))
+    op = draw(st.sampled_from([lambda a, b: (a + b) % n, max, lambda a, b: min(a + b, n - 1),
+                               lambda a, b: a or b]))
+    m = Monoid.from_table([[op(a, b) for b in range(n)] for a in range(n)])
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    classes = {}
+    for g, label in enumerate(labels):
+        classes.setdefault(label, []).append(g)
+    return m, list(classes.values())
+
+
+@given(partitioned_monoids())
+@settings(max_examples=400, deadline=None)
+def test_compatibility_per_class_matches_the_pairwise_loop(case):
+    # comparing each member with its class's first member alone finds the
+    # pairwise loop's first failure, with the same message and witness
+    m, classes = case
+    try:
+        Congruence(m, classes)
+        got = None
+    except CongruenceError as exc:
+        got = (str(exc), exc.witness)
+    assert got == pairwise_compatibility(m, classes)

@@ -19,7 +19,6 @@ from gradednil.grading import (
 )
 from gradednil.monoid import Monoid, element_order
 from gradednil.nil import (
-    DEFAULT_POWER_CAP,
     HomogeneousPowerReport,
     Status,
     _index_bound,
@@ -151,6 +150,24 @@ def test_element_nil_index_idempotent_refuted():
     v = element_nil_index(r.basis_element(0))
     assert v.status == Status.REFUTED
     assert v.witness == r.basis_element(0)
+
+
+def test_element_nil_index_never_cycling_power_is_refuted():
+    # b^n = 2^(n-1) b over Q never cycles and never vanishes; x^N != 0 at
+    # N = _index_bound = 2 refutes it, where power iteration used to run to
+    # a cap of 512 products
+    r = Ring(rat(), ["b"], {(0, 0): {0: 2}})
+    v = element_nil_index(r.basis_element(0))
+    assert v.status == Status.REFUTED and v.witness == r.basis_element(0)
+    assert v.note == "x^2 != 0"
+
+
+def test_two_z_2k_600_nil_verdicts_are_exact():
+    # a chain of 600 entries, past the old cap of 512, is read to its end
+    r = two_z_2k(600)
+    v = nilpotency_index(r)
+    assert v.proved and v.index == 600
+    assert ring_is_nil(r).proved
 
 
 def test_element_nil_index_grassmann_mixed():
@@ -355,7 +372,7 @@ def test_bounded_auto_switches_to_symbolic():
 
 
 def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
-    # the symbolic expansion runs once per ring and cap triple
+    # the symbolic expansion runs once per ring, with no cap to key it by
     modes = []
     expand = nil.nil_bounded_index
 
@@ -366,44 +383,9 @@ def test_bounded_auto_keeps_its_verdict_per_caps(monkeypatch):
     monkeypatch.setattr(nil, "nil_bounded_index", counted)
     r = grassmann_star(2, rat()).ring
     first = bounded_nil_index_auto(r)
-    assert bounded_nil_index_auto(r) == first
+    assert bounded_nil_index_auto(r) is first
     assert modes == ["symbolic"]
-    other = bounded_nil_index_auto(r, symbolic_cap=4)
-    assert modes == ["symbolic", "symbolic"]
-    assert other.proved and other.index == first.index == 2
-
-
-@pytest.mark.parametrize("dom", [fp(2), rat()], ids=["f2", "q"])
-def test_bounded_auto_keeps_a_capped_chain_capped(dom):
-    # sut(6) has nil index 6: x^3 != 0 refutes a symbolic cap of 3, not
-    # nil-ness, while the power chain runs past its cap
-    v = bounded_nil_index_auto(sut(6, dom).ring, power_cap=2, symbolic_cap=3)
-    assert v.status == Status.CAPPED
-    assert v.note.startswith("power chain longer than power_cap 2; candidate 3 refuted")
-    # a chain that ends nonzero proves the ring not nil, so REFUTED stands
-    v = bounded_nil_index_auto(idempotent_ring(dom), symbolic_cap=3)
-    assert v.status == Status.REFUTED
-    assert element_nil_index(v.witness).status == Status.REFUTED
-
-
-def test_bounded_auto_caps_an_index_past_the_power_cap_over_q():
-    # Grassmann(2) over Q has R^3 = 0 and bounded nil index 2: with
-    # power_cap 1 the chain is capped and the expansion's exact index is
-    # past the cap, so it is CAPPED; with power_cap 2 it stands
-    r = grassmann_star(2, rat()).ring
-    v = bounded_nil_index_auto(r, power_cap=1)
-    assert v.status == Status.CAPPED
-    assert v.note == "power chain longer than power_cap 1; symbolic index 2 is past it"
-    v = bounded_nil_index_auto(r, power_cap=2)
-    assert v.proved and v.index == 2
-    assert v.note == "symbolic expansion: x^1 != 0 at x = e12"
-
-
-def test_homogeneous_power_report_uses_the_callers_power_cap():
-    gr = elementary_grading(two_z_2k(3), 2)
-    rep = homogeneous_power_report(gr, power_cap=1)
-    assert not rep.applicable and rep.neutral.status == Status.CAPPED
-    assert homogeneous_power_report(gr).neutral.proved
+    assert first.proved and first.index == 2
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +517,11 @@ def batch_nil_indices(ring, X, power_cap):
     return Status.PROVED, indices, None
 
 
-def enum_bounded_index(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP):
+# the enumeration references' own limit on power iteration
+REFERENCE_POWER_CAP = 512
+
+
+def enum_bounded_index(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=REFERENCE_POWER_CAP):
     """The bounded nil index as the largest element nil index over every
     element of a finite ring, by batched power iteration."""
     if r.rank == 0:
@@ -1110,13 +1096,12 @@ def test_batched_tuples_fail_at_the_first_product_order_tuple(case, monkeypatch)
 # enumeration and sampling they replaced.
 
 
-def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
-                          samples=100, seed=0):
+def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, samples=100, seed=0):
     """Past a silent power chain: every element within ``elem_cap``, else
     the basis plus seeded random small-integer elements."""
     if r.rank == 0:
         return nil.NilVerdict(Status.PROVED, note="zero ring")
-    nd = nilpotency_index(r, cap=power_cap)
+    nd = nilpotency_index(r)
     if nd.proved:
         return nil.NilVerdict(Status.PROVED, note=f"power chain: R^{nd.index} = 0")
     count = r.element_count()
@@ -1129,25 +1114,18 @@ def reference_ring_is_nil(r, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_
     rng = random.Random(seed)
     sampled = list(r.basis()) + [r.element([rng.randint(-3, 3) for _ in range(r.rank)])
                                  for _ in range(samples)]
-    capped = False
     for a in sampled:
-        verdict = element_nil_index(a, cap=power_cap)
-        if verdict.status == Status.REFUTED:
+        if element_nil_index(a).status == Status.REFUTED:
             return nil.NilVerdict(Status.REFUTED, witness=a)
-        if verdict.status == Status.CAPPED:
-            capped = True
-    if capped:
-        return nil.NilVerdict(Status.CAPPED, note="some sampled power sequences hit the cap")
     return nil.NilVerdict(Status.SAMPLED_OK, note=f"basis plus {samples} seeded samples")
 
 
-def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER_CAP,
-                          samples=100, seed=0):
+def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, samples=100, seed=0):
     """Past a silent power chain, per component: every element within
     ``elem_cap``, else seeded random small-integer elements, with powers
     taken in the ambient ring."""
     r = gr.ring
-    nd = nilpotency_index(r, cap=power_cap)
+    nd = nilpotency_index(r)
     if nd.proved:
         note = f"power chain: R^{nd.index} = 0"
         return {g: nil.NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
@@ -1163,24 +1141,15 @@ def reference_s_nil_check(gr, elem_cap=DEFAULT_ELEM_CAP, power_cap=DEFAULT_POWER
                       nil.NilVerdict(Status.REFUTED, witness=r.element([int(v) for v in X[bad]])))
             continue
         rng = random.Random(seed)
-        capped = False
-        verdict = None
+        out[g] = nil.NilVerdict(Status.SAMPLED_OK, note=f"{samples} seeded samples")
         for _ in range(samples):
             coords = [r.coeff.zero()] * r.rank
             for t in idx:
                 coords[t] = rng.randint(-3, 3)
             a = r.element(coords)
-            v = element_nil_index(a, cap=power_cap)
-            if v.status == Status.REFUTED:
-                verdict = nil.NilVerdict(Status.REFUTED, witness=a)
+            if element_nil_index(a).status == Status.REFUTED:
+                out[g] = nil.NilVerdict(Status.REFUTED, witness=a)
                 break
-            if v.status == Status.CAPPED:
-                capped = True
-        if verdict is None:
-            verdict = (nil.NilVerdict(Status.CAPPED, note="sampled power sequences hit the cap")
-                       if capped else
-                       nil.NilVerdict(Status.SAMPLED_OK, note=f"{samples} seeded samples"))
-        out[g] = verdict
     return out
 
 
@@ -1241,7 +1210,7 @@ def enumerated_component_index(gr, g, elem_cap=4096):
     if not r.coeff.finite or r.coeff.size ** len(idx) > elem_cap:
         return None
     status, indices, _ = batch_nil_indices(r, coord_rows(r.coeff.size, idx, r.rank),
-                                           DEFAULT_POWER_CAP)
+                                           REFERENCE_POWER_CAP)
     assert status == Status.PROVED
     return int(indices.max())
 
@@ -1261,7 +1230,7 @@ NON_NIL_GRADINGS = [
     idempotent_acting_on_square_zero(fp(3), Monoid.int_add()),
     *(idempotent_acting_on_square_zero(dom, Monoid.cyclic(2)) for dom in (fp(2), zmod(4), rat())),
     *(identity_on_powers(dom, n) for dom, n in ((fp(2), 7), (fp(3), 6), (zmod(4), 5))),
-    # b^n = 2^(n-1) b never cycles, so sampling hits the power cap
+    # b^n = 2^(n-1) b never cycles; a sampled b is refuted at b^2 != 0
     trivial_grading(Ring(rat(), ["b"], {(0, 0): {0: 2}})),
 ]
 
@@ -1290,7 +1259,7 @@ def assert_agrees_with_reference(new, ref):
 @given(nil_cross_check_gradings(), st.sampled_from([1, 4096]))
 @settings(max_examples=80, deadline=None)
 def test_nil_verdicts_match_enumeration_and_sampling(gr, elem_cap):
-    # ten samples keep the references' capped power sequences over Q short
+    # ten samples keep the references' power sequences short
     r = gr.ring
     assert_agrees_with_reference(ring_is_nil(r, elem_cap=elem_cap),
                                  reference_ring_is_nil(r, elem_cap=elem_cap, samples=10))
@@ -1386,7 +1355,7 @@ def test_ring_is_nil_witness_may_lie_outside_the_stable_power():
     v = ring_is_nil(r)
     assert v.status == Status.REFUTED and v.witness == r.basis_element(2)
     assert not nil.power_chain(r)[-1].contains(v.witness)
-    assert not element_nil_index(v.witness, cap=_index_bound(r)).proved
+    assert not element_nil_index(v.witness).proved
     assert v.note == "R^3 = R^4 != 0 and x^4 != 0 at the witness"
 
 
@@ -1424,7 +1393,7 @@ def test_every_refuted_nil_verdict_has_a_non_nilpotent_witness(r):
     nd, v = nilpotency_index(r), ring_is_nil(r)
     assert nd.status == v.status == Status.REFUTED
     assert v.witness is not None and v.witness == nd.witness
-    assert not element_nil_index(v.witness, cap=_index_bound(r)).proved
+    assert not element_nil_index(v.witness).proved
     # the repeated-squaring reference agrees: the witness row, and some
     # element of a ring small enough to enumerate, is not nilpotent
     row = np.array([v.witness.coords], dtype=kernel_dtype(r) if r.coeff.finite else object)
@@ -1458,23 +1427,3 @@ def test_s_nil_check_walk_leaving_the_support_proves_the_degree():
     assert out[0].witness.coords == (1, 0)
     assert out[1].proved
     assert out[1].note == "degree walk leaves the support: x^2 = 0"
-
-
-def test_ring_is_nil_capped_only_past_the_power_cap():
-    # nothing is enumerated, so a chain past the cap leaves even a nil ring CAPPED
-    v = ring_is_nil(two_z_2k(3), power_cap=1)
-    assert v.status == Status.CAPPED
-    assert v.note == "power chain longer than power_cap 1"
-
-
-def test_bounded_auto_caps_a_symbolic_survivor_on_a_nil_ring():
-    # R^3 = 0 but x^2 = 0 for every x.  With the chain capped, x^1 != 0
-    # refutes the symbolic cap 1, not nil-ness
-    r = grassmann_star(2, rat()).ring
-    v = bounded_nil_index_auto(r, power_cap=2, symbolic_cap=1)
-    assert v.status == Status.CAPPED
-    assert v.note == ("power chain longer than power_cap 2; "
-                      "candidate 1 refuted: monomial (0, 0, 1) survives")
-    # with R^3 = 0 the expansion runs to 3, whatever the symbolic cap
-    v = bounded_nil_index_auto(r, symbolic_cap=1)
-    assert v.proved and v.index == 2

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradednil import ringcore
+from gradednil.nil import _index_bound
 from gradednil.ringcore import (
     AssociativityError,
-    PowerChainError,
     Ring,
     RingMismatchError,
     Submodule,
@@ -194,26 +194,17 @@ def test_power_chain_stabilizes_on_idempotent():
     assert not chain[-1].is_zero()
 
 
-def reference_power_chain(r, cap):
-    """The power chain recomputed from scratch, kept nowhere."""
+def reference_power_chain(r):
+    """The power chain recomputed from scratch, kept nowhere, as rows."""
     basis = [b.coords for b in r.basis()]
     chain = [Submodule(r, basis)]
-    while len(chain) <= cap:
-        cur = chain[-1]
-        if cur.is_zero():
-            return chain
-        nxt = Submodule(r, [r.mul_coords(row, b) for row in cur.rows for b in basis])
-        chain.append(nxt)
-        if nxt == cur:
-            return chain
-    raise PowerChainError(f"power chain did not stabilize within {cap} steps")
+    while not chain[-1].is_zero() and (len(chain) == 1 or chain[-1] != chain[-2]):
+        chain.append(Submodule(r, [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]))
+    return [s.rows for s in chain]
 
 
-def chain_outcome(chain_fn, r, cap):
-    try:
-        return [s.rows for s in chain_fn(r, cap=cap)]
-    except PowerChainError as exc:
-        return f"PowerChainError: {exc}"
+def chain_rows(r):
+    return [s.rows for s in power_chain(r)]
 
 
 def plus_idempotent(r):
@@ -243,15 +234,11 @@ def plus_idempotent(r):
 ], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q",
         "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-close"])
 def test_power_chain_memo_matches_reference_at_every_cap(make):
-    length = len(reference_power_chain(make(), 512))
-    caps = range(1, length + 2)
-    want = [chain_outcome(reference_power_chain, make(), cap) for cap in caps]
-    # one ring per call order: the memo must not depend on which cap came first
-    for order in (list(caps), list(reversed(caps))):
-        r = make()
-        got = {cap: chain_outcome(power_chain, r, cap) for cap in order}
-        assert [got[cap] for cap in caps] == want
-    assert want[-1] == chain_outcome(reference_power_chain, make(), 512)
+    # the chain has no cap; the one kept on the ring is read on every later call
+    r = make()
+    want = reference_power_chain(make())
+    assert chain_rows(r) == want
+    assert chain_rows(r) == want
 
 
 @pytest.mark.parametrize("make, dims", [
@@ -394,15 +381,30 @@ def nilpotent_rings(draw, domains=(fp(2), fp(3), zmod(4), zmod(6), zmod(12), rat
 CHAIN_DOMAINS = (zmod(4), zmod(6), zmod(8), zmod(9), fp(2), fp(3), rat(), zmod(2**64 + 13))
 
 
-@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.integers(1, 6))
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()))
 @settings(max_examples=150, deadline=None)
-def test_power_chain_matches_reference(r, cap):
-    want = chain_outcome(reference_power_chain, r, 512)
-    assert chain_outcome(power_chain, r, 512) == want
-    # the small cap first: the chain kept on the ring must not depend on it
-    fresh = Ring(r.coeff, r.names, r.sc)
-    assert chain_outcome(power_chain, fresh, cap) == chain_outcome(reference_power_chain, r, cap)
-    assert chain_outcome(power_chain, fresh, 512) == want
+def test_power_chain_matches_reference(r):
+    assert chain_rows(r) == reference_power_chain(r)
+
+
+@st.composite
+def one_dimensional_rings(draw):
+    """b^2 = c b over Z/m (m a power of 2 or composite), F_p or Q: R^n is
+    spanned by c^(n-1) b, so over Z/p^k with p dividing c once the chain
+    has k + 1 entries."""
+    dom = draw(st.sampled_from([zmod(2**k) for k in (1, 5, 12, 63, 64)]
+                               + [zmod(360), zmod(3**10), zmod(2**64 + 13), fp(2**61 - 1), rat()]))
+    c = draw(st.sampled_from([0, 1, 2, 3, 6]) | st.integers(0, 2**64))
+    return Ring(dom, ["b"], {(0, 0): {0: c}})
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()) | one_dimensional_rings())
+@settings(max_examples=200, deadline=None)
+def test_power_chain_length_within_the_index_bound(r):
+    # each entry before the end is a proper submodule of the one before it,
+    # so the chain ends without a cap, within the bound every nilpotent
+    # element's index meets
+    assert len(power_chain(r)) <= _index_bound(r)
 
 
 @given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.data())

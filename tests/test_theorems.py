@@ -67,19 +67,19 @@ def test_bound_formulas():
 
 
 def test_empty_neutral_sut5_tight():
-    chk = verify_empty_neutral_bound(sut(5, fp(2)), CAPS)
+    chk = verify_empty_neutral_bound(sut(5, fp(2)))
     assert chk.status == CheckStatus.PASS
     assert chk.bound == 5 and chk.observed == 5
 
 
 def test_empty_neutral_not_applicable_on_trivial_grading():
-    chk = verify_empty_neutral_bound(trivial_grading(two_z_2k(3)), CAPS)
+    chk = verify_empty_neutral_bound(trivial_grading(two_z_2k(3)))
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_empty_neutral_zero_ring():
     gr = trivial_grading(Ring(fp(2), [], {}))
-    chk = verify_empty_neutral_bound(gr, CAPS)
+    chk = verify_empty_neutral_bound(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.observed == 1
 
@@ -118,7 +118,7 @@ def test_nil_fcomm_not_applicable_without_factor():
 
 def test_nilpotent_neutral_m2_two_z8():
     gr = elementary_grading(two_z_2k(3), 2)
-    chk = verify_nilpotent_neutral_bounds(gr, CAPS)
+    chk = verify_nilpotent_neutral_bounds(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == [3, 6]
     assert chk.observed == 3
@@ -126,7 +126,7 @@ def test_nilpotent_neutral_m2_two_z8():
 
 
 def test_nilpotent_neutral_r1_path_sut3():
-    chk = verify_nilpotent_neutral_bounds(sut(3, fp(2)), CAPS)
+    chk = verify_nilpotent_neutral_bounds(sut(3, fp(2)))
     assert chk.status == CheckStatus.PASS
     assert chk.bound == [1, 3]
     assert chk.observed == 3
@@ -134,14 +134,14 @@ def test_nilpotent_neutral_r1_path_sut3():
 
 def test_nilpotent_neutral_trivial_grading_tight():
     gr = trivial_grading(sut(4, fp(2)).ring)
-    chk = verify_nilpotent_neutral_bounds(gr, CAPS)
+    chk = verify_nilpotent_neutral_bounds(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == [4, 4]
 
 
 def test_nilpotent_neutral_not_applicable():
     gr = trivial_grading(idempotent_ring(fp(2)))
-    chk = verify_nilpotent_neutral_bounds(gr, CAPS)
+    chk = verify_nilpotent_neutral_bounds(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
@@ -198,7 +198,7 @@ def test_generated_neutral_zero_component_clause():
 
 def test_index2_char_grassmann_f3_tight():
     gr = trivial_grading(grassmann_star(2, fp(3)).ring)
-    chk = verify_index2_char_bound(gr, CAPS)
+    chk = verify_index2_char_bound(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == 3 and chk.observed == 3
     assert chk.details["neutral_nilpotency_index"] == 3
@@ -206,19 +206,19 @@ def test_index2_char_grassmann_f3_tight():
 
 def test_index2_char_rejects_char2():
     gr = trivial_grading(grassmann_star(2, fp(2)).ring)
-    chk = verify_index2_char_bound(gr, CAPS)
+    chk = verify_index2_char_bound(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_index2_char_rejects_other_indices():
     gr = trivial_grading(two_z_2k(3))  # nil index 3
-    chk = verify_index2_char_bound(gr, CAPS)
+    chk = verify_index2_char_bound(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_field_bounded_index_grassmann_q():
     gr = grassmann_star(2, rat())
-    chk = verify_field_bounded_index_bound(gr, CAPS)
+    chk = verify_field_bounded_index_bound(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.details["neutral_nil_index"] == 2
     assert chk.details["char"] == 0
@@ -227,19 +227,19 @@ def test_field_bounded_index_grassmann_q():
 
 def test_field_bounded_index_char_p_case():
     gr = grassmann_star(2, fp(5))
-    chk = verify_field_bounded_index_bound(gr, CAPS)
+    chk = verify_field_bounded_index_bound(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == 6  # d * (2^s - 1) with d=2, s=2
 
 
 def test_field_bounded_index_small_char_rejected():
     gr = grassmann_star(2, fp(2))  # p = 2 = s
-    chk = verify_field_bounded_index_bound(gr, CAPS)
+    chk = verify_field_bounded_index_bound(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_field_bounded_index_s1_clause():
-    chk = verify_field_bounded_index_bound(sut(4, fp(2)), CAPS)
+    chk = verify_field_bounded_index_bound(sut(4, fp(2)))
     assert chk.status == CheckStatus.PASS
     assert chk.bound == 4  # d + 1 with d = 3
     assert chk.observed == 4
@@ -247,20 +247,20 @@ def test_field_bounded_index_s1_clause():
 
 def test_field_bounded_index_needs_field():
     gr = trivial_grading(two_z_2k(3))
-    chk = verify_field_bounded_index_bound(gr, CAPS)
+    chk = verify_field_bounded_index_bound(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_product_length_grassmann_f5():
     gr = grassmann_star(2, fp(5))
-    chk = verify_product_length_vanishing(gr, CAPS)
+    chk = verify_product_length_vanishing(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == 6  # d(2^s - 1) = 2 * 3
 
 
 def test_product_length_excludes_char3():
     gr = grassmann_star(2, fp(3))
-    chk = verify_product_length_vanishing(gr, CAPS)
+    chk = verify_product_length_vanishing(gr)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
@@ -301,24 +301,24 @@ def test_matrix_transfer_not_applicable_non_nil():
 def test_matrix_nil_verdict_predicate_sizes_2_and_3():
     r = two_z_2k(3)
     for n in (2, 3):
-        v = bounded_nil_index_auto(matrix_ring(r, n), power_cap=CAPS.power_cap)
+        v = bounded_nil_index_auto(matrix_ring(r, n))
         assert v.proved
 
 
 def test_diagonal_reduction_two_z8():
-    chk = verify_diagonal_power_reduction(two_z_2k(3), 2, CAPS)
+    chk = verify_diagonal_power_reduction(two_z_2k(3), 2)
     assert chk.status == CheckStatus.PASS
     assert chk.details["base_nil"] == "PROVED"
     assert chk.details["diagonal_nil"] == "PROVED"
 
 
 def test_diagonal_reduction_zero_ring():
-    chk = verify_diagonal_power_reduction(zero_product_ring(fp(2), 1), 2, CAPS)
+    chk = verify_diagonal_power_reduction(zero_product_ring(fp(2), 1), 2)
     assert chk.status == CheckStatus.PASS
 
 
 def test_diagonal_reduction_non_nil_agrees():
-    chk = verify_diagonal_power_reduction(idempotent_ring(fp(2)), 2, CAPS)
+    chk = verify_diagonal_power_reduction(idempotent_ring(fp(2)), 2)
     assert chk.status == CheckStatus.PASS
     assert chk.details["base_nil"] == "REFUTED"
     assert chk.details["diagonal_nil"] == "REFUTED"
@@ -326,14 +326,14 @@ def test_diagonal_reduction_non_nil_agrees():
 
 def test_homogeneous_power_m2_two_z8():
     gr = elementary_grading(two_z_2k(3), 2)
-    chk = verify_homogeneous_power_vanishing(gr, CAPS)
+    chk = verify_homogeneous_power_vanishing(gr)
     assert chk.status == CheckStatus.PASS
     assert chk.bound["kg"] == {"0": 1, "1": 2}
     assert chk.bound["k"] == 2
 
 
 def test_homogeneous_power_not_applicable_zero_neutral():
-    chk = verify_homogeneous_power_vanishing(sut(4, fp(2)), CAPS)
+    chk = verify_homogeneous_power_vanishing(sut(4, fp(2)))
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
@@ -430,6 +430,8 @@ def test_full_report_serializes():
     rep = full_report(trivial_grading(two_z_2k(3)))
     d = rep.to_dict()
     assert {"checks", "caps", "seed", "timings", "notes"} <= set(d)
+    # the power chain always ends, so no power cap is recorded
+    assert set(d["caps"]) == {"pair_cap", "samples", "seed"}
     for chk in d["checks"]:
         assert {"id", "anchor", "status", "bound", "observed"} <= set(chk)
     text = rep.to_text()
