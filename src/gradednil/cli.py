@@ -239,9 +239,9 @@ def cmd_oracle(args):
     elif args.exhaustive:
         n = r * len(supp)
         if monoid.size > 1 and (n >= 63 or monoid.size**n > INT64_MAX):
-            # no walk over so many words ends, and the writer's cut codes are
-            # int64 bitmasks of positions; for size >= 2 a word length of 63
-            # or more is past the limit, checked first so no huge power is taken
+            # no walk over so many words ends, and the walk numbers its words
+            # in int64; for size >= 2 a word length of 63 or more is past the
+            # limit, checked first so no huge power is taken
             return _input_error(
                 f"{monoid.size}**{n} words are past the int64 limit; lower --r")
         disagreements = _write_exhaustive(monoid, r, supp)
@@ -252,50 +252,98 @@ def cmd_oracle(args):
 
 
 def _write_exhaustive(monoid, r, supp):
-    """Write ``oracle --exhaustive``'s line for every word, one chunk of
+    """Write ``oracle --exhaustive``'s line for every word, one block of
     ``exhaustive_splits`` at a time, and return the number of disagreements.
 
-    A chunk is one head followed by every tail, so a line is three pieces:
-    ``word=[`` and the head letters (or ``DISAGREE word=[`` and them), made
-    once per chunk; the tail letters, made once for all chunks; and the
-    verdict suffix.  Each chunk's pieces fill a (words, 3) object array that
-    is joined once.  Suffixes are made once per cut sequence, coded as the
-    bitmask of its cut positions: the word count fits int64, so n <= 62
-    unless the monoid has one element, and then one word.  Only disagreeing
-    rows, none on a correct run, are formatted one by one.
+    A block is h heads, each followed by every tail, and a line is a lead,
+    ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
+    disagreeing row), the tail letters, made once for all blocks, and the
+    verdict suffix.  A block is written as one joined list: its first lead,
+    then per line its tail text and its suffix followed by the next line's
+    lead (nothing after the block's last line).  Within a head the next
+    lead is the same, so each suffix + lead is made once per head and cut
+    sequence; only a head's last line, and a disagreeing row and the row
+    before it, are made one by one, and a correct run has no disagreeing
+    row.  Suffixes are made once per cut sequence and looked up by its id.
+    Ids are dealt one cut at a time: ``link[i][p * width + c]`` is the id
+    of the first i + 1 cuts of the sequences whose first i have id p and
+    whose cut i is c, -1 until one is seen.  Id 0 and the last column stand
+    for a row that is not split, so the last level's id indexes the
+    suffixes with FORCED_ZERO at 0, and a block finds every line's suffix
+    with r + 1 takes.
     """
     d = len(supp)
     names = [str(g) for g in monoid.elements()]
-    tails, chunks = exhaustive_splits(monoid, r, supp)
+    tails, blocks = exhaustive_splits(monoid, r, supp)
     # j < n keeps one head letter, so every tail text starts with ", "
-    tail_texts = np.array(["".join(", " + names[g] for g in t) for t in tails.tolist()],
-                          dtype=object)
-    suffixes = {}
+    tail_texts, letters = [""], [", " + g for g in names]
+    for _ in range(tails.shape[1]):
+        tail_texts = [t + x for t in tail_texts for x in letters]
+    m = len(tail_texts)
+    width = r * d + 2
+    link = [np.full(width, -1, dtype=np.intp) for _ in range(r + 1)]
+    for level in link:
+        level[-1] = 0
+    suffixes = np.array(["] FORCED_ZERO (both)\n"], dtype=object)
+    # a block's pieces: the tail texts at the odd places stay from block to
+    # block, made again only for a block of another size; every even place
+    # is written for each block
+    pieces = []
     disagreements = 0
-    for head, got, ref in chunks:
+    for heads, got, ref in blocks:
         agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
-        split = agree & ~got.zero
-        code = np.where(split, (1 << np.maximum(got.cuts, 0)).sum(axis=1), 0)
-        codes, code_at, code_of = np.unique(code, return_index=True, return_inverse=True)
-        for c, i in zip(codes.tolist(), code_at.tolist()):
-            if c in suffixes:
-                continue
-            if not split[i]:
-                suffixes[c] = "] FORCED_ZERO (both)\n"
-                continue
-            dec = Decomposition(tuple(got.cuts[i].tolist()))
-            suffixes[c] = f"] cuts={dec.cuts} small-gap blocks={small_gap_blocks(dec, d)}\n"
+        column = np.where(agree & ~got.zero, got.cuts.T, width - 1)
+        at = np.zeros(len(agree), dtype=np.intp)
+        for i, level in enumerate(link):
+            to = at * width + column[i]
+            at = level.take(to)
+            if at.min() < 0:
+                fresh = at < 0
+                # new ids in ascending place, marked in the table, no sort
+                level[to[fresh]] = -2
+                new = np.flatnonzero(level == -2)
+                count = len(link[i + 1]) // width if i < r else len(suffixes)
+                level[new] = np.arange(count, count + len(new))
+                at = level.take(to)
+                if i < r:
+                    link[i + 1] = np.concatenate((link[i + 1], np.full(len(new) * width, -1)))
+                else:
+                    # one row per new sequence, any row: they share their cuts
+                    rows = np.empty(len(new), dtype=np.intp)
+                    rows[at[fresh] - count] = np.flatnonzero(fresh)
+                    texts = []
+                    for cuts in got.cuts[rows].tolist():
+                        dec = Decomposition(tuple(cuts))
+                        texts.append(f"] cuts={dec.cuts} "
+                                     f"small-gap blocks={small_gap_blocks(dec, d)}\n")
+                    suffixes = np.concatenate((suffixes, np.array(texts, dtype=object)))
 
-        lead = ", ".join(map(names.__getitem__, head))
-        pieces = np.empty((len(tail_texts), 3), dtype=object)
-        pieces[:, 0] = "word=[" + lead
-        pieces[:, 1] = tail_texts
-        pieces[:, 2] = np.array([suffixes[c] for c in codes.tolist()], dtype=object)[code_of]
-        for i in np.flatnonzero(~agree).tolist():
-            disagreements += 1
-            pieces[i, 0] = "DISAGREE word=[" + lead
-            pieces[i, 2] = f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
-        sys.stdout.write("".join(pieces.ravel().tolist()))
+        leads = ["word=[" + ", ".join(map(names.__getitem__, head)) for head in heads.tolist()]
+        bad = set(np.flatnonzero(~agree).tolist())
+
+        def lead(i):
+            if i == len(agree):
+                return ""
+            return ("DISAGREE " if i in bad else "") + leads[i // m]
+
+        def suffix(i):
+            if i in bad:
+                return f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
+            return suffixes[at[i]]
+
+        if len(pieces) != 2 * len(agree) + 1:
+            pieces = [None] * (2 * len(agree) + 1)
+            pieces[1::2] = tail_texts * len(leads)
+        pieces[0] = lead(0)
+        for h, text in enumerate(leads):
+            lines = at[h * m:(h + 1) * m]
+            pieces[2 * h * m + 2:2 * (h + 1) * m + 2:2] = (suffixes + text)[lines].tolist()
+        for i in sorted(bad | set(range(m - 1, len(agree), m))):
+            pieces[2 * i + 2] = suffix(i) + lead(i + 1)
+            if i in bad:
+                pieces[2 * i] = (suffix(i - 1) if i else "") + lead(i)
+        disagreements += len(bad)
+        sys.stdout.write("".join(pieces))
     return disagreements
 
 
@@ -385,13 +433,16 @@ def _report_args(p):
 
 
 def _oracle_args(p):
+    # one monoid and one mode: a second is a usage error, never ignored
     p.add_argument("which", choices=["lemma-3-5"])
-    p.add_argument("--cyclic", type=int, help="use the cyclic monoid Z_N")
-    p.add_argument("--file", help="take the monoid from a spec file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--cyclic", type=int, help="use the cyclic monoid Z_N")
+    source.add_argument("--file", help="take the monoid from a spec file")
     p.add_argument("--supp", required=True, help="support element ids, e.g. '0,1'")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
-    p.add_argument("--exhaustive", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
+    mode.add_argument("--exhaustive", action="store_true")
 
 
 def _construct_args(p):

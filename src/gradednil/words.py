@@ -9,18 +9,20 @@ each of neutral degree; ``neutral_split`` constructs the cut positions and
 
 ``exhaustive_splits`` decides both on every word of length r*d over a table
 monoid, each word factored as head . tail: the tails of the last j letters
-form one block of at most ``_CHUNK`` words, kept on the contiguous last
-axis, and a chunk is one head followed by every tail.  Each numpy kernel
+form one array, kept on the contiguous last axis, and a block is up to
+``_BLOCK`` words, a run of consecutive heads each followed by every tail,
+so each numpy kernel call covers about ``_BLOCK`` words.  Each kernel
 builds the tables that depend on the tail alone once, indexed at most by
-the degree g a head hands to the tail, and then works only on the head's
-own positions.  ``_split_batch`` reads the prefix degrees past the head as
-g times the tail's prefix degrees (associativity) and applies the
-pigeonhole cut rule to their counts; ``_brute_batch`` extends every degree
-letter by letter through ``table``, tests the support on each, and finds
-the first cut sequence by a reachability DP over neutral blocks.  Neither
-reads the other's tables, so the brute force stays an independent twin of
-the split; the per-word functions are the reference both are tested
-against.
+the degree g a head hands to the tail, in time and memory linear in the
+tails and in the narrowest dtypes that hold them, and then works only on
+the block's heads and their own positions.  ``_split_batch`` reads the
+prefix degrees past the head as g times the tail's prefix degrees
+(associativity) and applies the pigeonhole cut rule to their counts;
+``_brute_batch`` extends every degree letter by letter through ``table``,
+tests the support on each, and finds the first cut sequence by a
+reachability DP over neutral blocks.  Neither reads the other's tables, so
+the brute force stays an independent twin of the split; the per-word
+functions are the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -28,16 +30,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate, product
-from operator import add, and_, lt, sub
+from itertools import accumulate
+from operator import add, lt, sub
 
 import numpy as np
 
 from .monoid import TABLE, Monoid
 
-# Most tails per block of ``exhaustive_splits``.  The split holds a (j+1,
-# j+1, tails) triangle, so a small block keeps peak memory flat.
-_CHUNK = 1 << 10
+# Most words per kernel call of ``exhaustive_splits``: the kernels'
+# temporaries grow with the words of a block, so it bounds the walk's peak
+# memory, and about 4,096 words a call keep numpy's per-call overhead small.
+_BLOCK = 1 << 12
 
 
 class ProductVerdict(Enum):
@@ -301,150 +304,200 @@ class Splits:
         return cls(np.ones(m, dtype=bool), np.full((m, r + 1), -1, dtype=np.intp))
 
 
-def _word_letters(size, j):
-    """The tail block: the words of ``itertools.product(range(size),
-    repeat=j)`` as a (size**j, j) array, letter c of word i being
-    (i // size^(j-1-c)) % size.  size**j <= ``_CHUNK``, so no place value
-    nears int64."""
-    place = size ** np.arange(j - 1, -1, -1)
-    return np.arange(size**j)[:, None] // place % size
+def _word_letters(size, j, start, stop, dtype):
+    """Words start .. stop-1 of ``itertools.product(range(size), repeat=j)``
+    as a (stop - start, j) array of ``dtype``, letter c of word i being
+    (i // size^(j-1-c)) % size.  Callers keep stop <= size**n for a word
+    length n >= j whose word count fits int64, so no place value wraps."""
+    place = size ** np.arange(j - 1, -1, -1, dtype=np.int64)
+    return (np.arange(start, stop, dtype=np.int64)[:, None] // place % size).astype(dtype)
+
+
+def _times(table, g, x):
+    """``table[g, x]`` elementwise, for arrays of ids that broadcast: one take
+    from the flat table, the index computed in the narrowest unsigned dtype
+    that holds every flat position."""
+    at = g.astype(np.min_scalar_type(table.size - 1)) * table.shape[1] + x
+    return table.ravel().take(at)
 
 
 def _split_batch(table, e, inside, tails, r):
-    """``neutral_split`` on the words head + tail over the rows of ``tails``,
-    returned as a function of the head.
+    """``neutral_split`` on the words head + tail, for every head of an (h, k)
+    array of heads and every row of ``tails``, returned as a function of the
+    heads; word i of its ``Splits`` is head i // m followed by tail i % m.
 
-    Built here once from the tail alone: its subproduct triangle ``tri[b,
-    a]`` (letters a+1..b, e where a = b) with the support tested on it and
-    its prefix degrees S = ``tri[:, 0]``; and, per starting degree g in the
-    support or e, G[g] = ``table[g, S]``, the prefix degrees of g followed
-    by the tail (associativity, nothing more), with the support tested on
-    them and their counts.  A head h_1..h_k of subproducts inside the
-    support adds only its own positions: with P_a the degree of letters
-    a+1..k, a word is clean iff every G[P_a] stays inside, its prefix
-    degrees are the head's B_0 = e, B_1..B_k followed by G[B_k], and their
+    Products are read from ``within``, the table with every product outside
+    the support replaced by ``size``, whose row and column keep it: a degree
+    extended letter by letter reads ``size`` from the first subproduct that
+    leaves the support on.  Built here once from the tail alone: its
+    subproduct triangle ``tri``, whose last row tests the support on every
+    subproduct; and, per starting degree g among the keys supp + {e}, G[g]
+    = ``within[g, S]`` for the tail's prefix degrees S (the prefix degrees
+    of g followed by the tail, by associativity), with the support tested
+    on them and the count of each key among them.  A head's own triangle
+    gives its subproducts P_a of letters a+1..k and its prefix degrees B_0
+    = e, B_1..B_k: a word is clean iff the head is and every G[P_a] stays
+    inside, its prefix degrees are B_0..B_k followed by G[B_k], and their
     counts are the head's plus G[B_k]'s.  The cuts are
     ``_pigeonhole_cuts``'s: the first r+1 positions of e if it occurs r+1
-    times, else of the most frequent other degree (a score of count * K plus
-    a rank sends ties to the smallest id), read off cumulative hit counts.  Each block's
-    degree is read from the head, from G or from ``tri``.  Raises
-    ``SplitInternalError`` if a clean word breaks the dichotomy or gets a
-    non-neutral block.  The tail tables hold degrees in ``table.dtype`` and
-    are indexed at most by one starting degree: G has (K, j+1, m) entries
-    and the count scores (K, K, m), for K = |supp + {e}| and m tails.
-    Positions and counts take the narrowest unsigned dtype above n: uint8,
-    as n <= 62 whenever size**n fits int64 and the monoid has two elements
-    or more.
+    times, else of the most frequent other degree (a score of the count
+    shifted past K-1 minus the key's rank sends ties to the smallest id),
+    read off cumulative hit counts.  Each block's degree is read from one flat
+    table, G then ``tri`` then a row of e and a row of not e: block a+1..b
+    lies at G[P_a] at b - k if a < k < b, at tri[b - k, a - k] if a >= k,
+    and in the row that gives the head's own verdict on it if b <= k.
+    Raises ``SplitInternalError`` if a clean word breaks the dichotomy or
+    gets a non-neutral block.  Every table is linear in the tails: (j+1)^2
+    degrees per tail in ``tri``, K(j+1) in G and K^2 counts, for K keys.
+    Degrees take the narrowest unsigned dtype that holds ``size``, counts
+    and positions the narrowest above n: uint8, as n <= 62 whenever
+    size**n fits int64 and the monoid has two elements or more.
     """
     m, j = tails.shape
-    rows = table.tolist()
-    supp = set(np.flatnonzero(inside).tolist())
-    keys = np.array(sorted(supp | {e}), dtype=table.dtype)
-    slot = {g: i for i, g in enumerate(keys.tolist())}
-    x = tails.T
-    tri = np.full((j + 1, j + 1, m), e, dtype=table.dtype)
-    for b in range(1, j + 1):
-        tri[b, :b] = table[tri[b - 1, :b], x[b - 1]]
-    clean = inside[tri[np.tril_indices(j + 1, -1)]].all(axis=0)
-    G = table[keys[:, None, None], tri[:, 0]]
-    clean_from = clean & inside[G[:, 1:]].all(axis=1)
-    # score = count * K + rank, rank K-1 for the smallest id: the largest
-    # score is the most frequent degree, ties going to the smallest id
+    size = len(table)
+    within = np.full((size + 1, size + 1), size, dtype=np.min_scalar_type(size))
+    within[:size, :size] = np.where(inside[table], table, size)
+    keys = np.flatnonzero(inside | (np.arange(size) == e)).astype(within.dtype)
     K = len(keys)
-    rank = K - 1 - np.arange(K)[:, None]
-    by_rank = keys[::-1]
-    score_from = (G[:, 1:, None] == keys[:, None]).sum(axis=1) * K + rank
-    # one flat source for the block degrees: G, then tri
-    source = np.concatenate((G.ravel(), tri.ravel()))
+    shift, by_rank = (K - 1).bit_length(), keys[::-1].copy()
+    # the sentinel takes rank 0, on a word that is not clean
+    rank = np.zeros(size + 1, dtype=np.intp)
+    rank[keys] = np.arange(K)
+    re = int(rank[e])
+    # tri[b, a]: the degree of tail letters a+1..b (e where a >= b)
+    tri = np.full((j + 1, j + 1, m), e, dtype=within.dtype)
+    for b in range(1, j + 1):
+        tri[b, :b] = _times(within, tri[b - 1, :b], tails[:, b - 1])
+    clean = (tri[j, :j] < size).all(axis=0)
+    G = within[keys].take(tri[:, 0], axis=1)
+    clean_from = clean & (G[:, 1:] < size).all(axis=1)
+    count_from = np.empty((K, K, m), dtype=np.min_scalar_type(j))
+    for c, g in enumerate(keys):
+        np.add.reduce((G[:, 1:] == g).view(np.uint8), axis=1, dtype=count_from.dtype,
+                      out=count_from[:, c])
+    source = np.concatenate((G.ravel(), tri.ravel(), np.full(m, e, dtype=G.dtype),
+                             np.full(m, e ^ 1, dtype=G.dtype)))
+    neutral_row, broken_row = G.size + tri.size, G.size + tri.size + m
     column = np.arange(m)
+    rows = within.tolist()
+    # per head length k, the parts of a block's start in ``source`` that do
+    # not depend on the heads: past the head, tri's offset where a >= k and
+    # G's at b - k where a < k, to which G[P_a]'s row is added
+    layout = {}
 
-    def split(head):
-        k = len(head)
+    def split(heads):
+        h, k = heads.shape
         n = k + j
-        subs = [[e, *accumulate(head[a:], lambda g, h: rows[g][h])] for a in range(k + 1)]
-        if not all(supp.issuperset(row[1:]) for row in subs):
-            return Splits.forced_zero(m, r)
-        prefix = subs[0]
+        # each head's own triangle, [a][b] the degree of letters a+1..b
+        # (e where b <= a), made in Python: a head has few letters
+        heads_tri = []
+        for head in heads.tolist():
+            tri = []
+            for a in range(k + 1):
+                sub = [e] * (a + 1)
+                for x in head[a:]:
+                    sub.append(rows[sub[-1]][x])
+                tri.append(sub)
+            heads_tri.append(tri)
+        head_clean = [all(sub[-1] < size for sub in tri[:k]) for tri in heads_tri]
+        if not any(head_clean):
+            return Splits.forced_zero(h * m, r)
         pos = np.min_scalar_type(n + 1)
-        word_clean = reduce(and_, (clean_from[slot[row[-1]]] for row in subs[:k]), clean)
+        head_tri = np.array(heads_tri, dtype=within.dtype).reshape(h, k + 1, k + 1)
+        head_tri = head_tri.transpose(2, 1, 0)
+        P = rank[head_tri[k]]
+        word_clean = np.array(head_clean)[:, None] & clean & clean_from[P[:k]].all(axis=0)
 
-        head_score = np.zeros((K, 1), dtype=np.intp)
-        for g in prefix:
-            head_score[slot[g]] += K
-        score = score_from[slot[prefix[-1]]] + head_score
-        neutral = score[slot[e]] >= (r + 1) * K
-        score[slot[e]] = 0
-        target = np.where(neutral, e, by_rank[score.max(axis=0) % K])
-        hits = np.empty((n + 1, m), dtype=bool)
-        hits[:k + 1] = np.array(prefix, dtype=table.dtype)[:, None] == target
-        hits[k + 1:] = G[slot[prefix[-1]], 1:] == target
-        seen = np.empty((n + 1, m), dtype=pos)
-        seen[0] = hits[0]
+        # score: the count shifted past K - 1 - rank, so the largest is the
+        # most frequent degree, ties going to the smallest id; e scores
+        # above all when it occurs r+1 times, else 0
+        score_t = np.min_scalar_type((n + 2) << shift)
+        score = np.add(count_from[P[0]],
+                       (head_tri[:, 0, :, None] == keys).sum(axis=0, dtype=pos)[:, :, None],
+                       dtype=score_t)
+        neutral = score[:, re] > r
+        score <<= shift
+        score |= (K - 1 - np.arange(K, dtype=score_t))[:, None]
+        np.multiply(neutral, score_t.type(((n + 2) << shift) | (K - 1 - re)), out=score[:, re])
+        target = by_rank.take(score.max(axis=1) & ((1 << shift) - 1))
+        prefix = np.empty((n + 1, h, m), dtype=within.dtype)
+        prefix[:k + 1] = head_tri[:, 0, :, None]
+        prefix[k + 1:] = G[P[0], 1:].transpose(1, 0, 2)
+        seen = np.equal(prefix, target, out=np.empty((n + 1, h, m), dtype=pos))
         for p in range(1, n + 1):
-            np.add(seen[p - 1], hits[p], out=seen[p])
+            seen[p] += seen[p - 1]
         # hit i (from 0) is at the number of positions with at most i hits so
         # far; a word with fewer hits reads n+1, clipped to n, and is broken
-        cuts = np.minimum((seen[:, None] <= np.arange(r + 1, dtype=pos)[:, None])
-                          .sum(axis=0, dtype=pos), n)
+        cuts = np.empty((r + 1, h, m), dtype=pos)
+        for i in range(r + 1):
+            np.add.reduce((seen <= i).view(np.uint8), axis=0, dtype=pos, out=cuts[i])
+        cuts = np.minimum(cuts, n, out=cuts).astype(np.intp)
 
-        # block a+1..b: from the head if b <= k, else from G[P_a] at b - k
-        # if a < k, else from tri[b - k, a - k]
-        head_neutral = np.zeros((k + 1, k + 1), dtype=bool)
-        for a, row in enumerate(subs):
-            head_neutral[a, a:] = np.equal(row, e)
-        base = np.empty(n + 1, dtype=np.intp)
-        stride = np.full(n + 1, (j + 1) * m, dtype=np.intp)
-        base[:k] = [(slot[row[-1]] * (j + 1) - k) * m for row in subs[:k]]
-        stride[:k] = m
-        base[k:] = G.size + (np.arange(j + 1) - k * (j + 1)) * m
-        a, b = cuts[:-1].astype(np.intp), cuts[1:].astype(np.intp)
-        in_head = np.take(head_neutral, np.minimum(a, k) * (k + 1) + np.minimum(b, k))
-        in_tail = np.take(source, base[a] + b * stride[a] + column, mode="clip") == e
-        broken = (seen[n] <= r) | ~np.where(b <= k, in_head, in_tail).all(axis=0)
+        # where block a+1..b starts in ``source``, per (a, b, head)
+        if k not in layout:
+            a = np.arange(n + 1)[:, None]
+            b = np.arange(n + 1)
+            tb = np.maximum(b - k, 0)
+            past = np.where(a >= k, G.size + (tb * (j + 1) + a - k) * m, tb * m)[:, :, None]
+            layout[k] = (past, ((a < k) & (b > k))[:, :, None], (b > k)[:, None],
+                         np.minimum(a[:, 0], k), np.minimum(b, k), np.minimum(a, k))
+        past, cross, beyond, a_row, b_head, a_head = layout[k]
+        start = past + cross * (P[a_row] * ((j + 1) * m))[:, None]
+        inner = head_tri[b_head, a_head] == e
+        start = np.where(beyond, start, np.where(inner, neutral_row, broken_row))
+        at = (cuts[:-1] * (n + 1) + cuts[1:]) * h + np.arange(h)[:, None]
+        blocks = source.take(start.ravel().take(at) + column) == e
+        broken = (seen[n] <= r) | ~blocks.all(axis=0)
         bad = np.flatnonzero(word_clean & broken)
         if bad.size:
+            i = bad[0]
             raise SplitInternalError(
-                f"word {[*head, *tails[bad[0]].tolist()]}: pigeonhole dichotomy failed "
-                "or a block is not neutral"
+                f"word {heads[i // m].tolist() + tails[i % m].tolist()}: pigeonhole "
+                "dichotomy failed or a block is not neutral"
             )
-        cuts = cuts.astype(np.intp)
         cuts[:, ~word_clean] = -1
-        return Splits(~word_clean, cuts.T)
+        return Splits(~word_clean.ravel(), cuts.reshape(r + 1, -1).T)
 
     return split
 
 
 def _brute_batch(table, e, inside, tails, r):
-    """``neutral_split_bruteforce`` on the words head + tail over the rows of
-    ``tails``, returned as a function of the head.
+    """``neutral_split_bruteforce`` on the words head + tail, for every head
+    of an (h, k) array of heads and every row of ``tails``, returned as a
+    function of the heads; word i of its ``Splits`` is head i // m followed
+    by tail i % m.
 
-    Every degree is extended letter by letter through ``table``, one gather
-    of ``table[g, x]`` at g*size + x in the flat table per letter, and the
+    Every degree is extended letter by letter through ``table`` and the
     support is tested on each.  Built here once from the tail alone:
     ``neutral[L][c]``, that tail letters c+1..c+L have neutral degree, and
-    from those a reachability DP over shifted slices, ``first[t][c]``, the
+    from those a reachability DP over shifted slices, ``first[t, c]``, the
     shortest neutral block at c that t-1 more can follow (0 if none); and,
-    per starting degree g in the support, E[g], g extended by the tail
-    letters, tested against the support and reduced to ``cross[g][t]``, the
-    shortest c >= 1 with E[g][c] neutral and t-1 blocks placeable after
-    tail letter c.  A head h_1..h_k of subproducts inside the support adds
-    only the DP rows of its own k start positions: a block from head
-    position a is a head subproduct or, past the head, Q_a = h_{a+1}..h_k
-    extended by E[Q_a].  The smallest reachable cut, then the shortest block
-    at each step, is the lexicographically first cut sequence, as in
-    ``_first_cut_sequence``; a clean word with none gets cuts of -1 (None).
+    for every starting degree g in the support at once, E[g], g extended by
+    the tail letters, tested against the support and reduced to
+    ``cross[t, g]``, the shortest c >= 1 with E[g][c] neutral and t-1 blocks
+    placeable after tail letter c.  The heads' subproducts are extended the
+    same way, and they add only the DP rows of their own k start positions:
+    a block from head position a is a head subproduct or, past the head,
+    Q_a = h_{a+1}..h_k extended by E[Q_a].  The smallest reachable cut, then
+    the shortest block at each step, read from the head's DP rows and
+    ``first`` laid end to end, is the lexicographically first cut sequence,
+    as in ``_first_cut_sequence``; a clean word with none gets cuts of -1
+    (None).  Every table is linear in the tails: j(j+1)/2 neutral flags and
+    (r+1)(j+1) DP entries per tail, and (r+1) cross entries per support
+    element, lengths in the narrowest unsigned dtype above j.
     """
     m, j = tails.shape
-    size = len(table)
-    rows = table.tolist()
-    supp = set(np.flatnonzero(inside).tolist())
-    flat = table.ravel().astype(np.intp)
-    x = tails.T.astype(np.intp)
+    supp = np.flatnonzero(inside)
+    slot = np.zeros(len(table), dtype=np.intp)
+    slot[supp] = np.arange(len(supp))
+    x = tails.T
     clean = np.ones(m, dtype=bool)
     neutral = [None]
+    degs = x
     for length in range(1, j + 1):
-        degs = np.take(flat, degs[:-1] * size + x[length - 1:]) if length > 1 else x
-        clean &= inside[degs].all(axis=0)
+        if length > 1:
+            degs = _times(table, degs[:-1], x[length - 1:])
+        clean &= inside.take(degs).all(axis=0)
         neutral.append(degs == e)
     lengths = np.min_scalar_type(j + 1)
     first = np.zeros((r + 1, j + 1, m), dtype=lengths)
@@ -454,70 +507,104 @@ def _brute_batch(table, e, inside, tails, r):
             np.copyto(first[t, :j + 1 - length], length,
                       where=neutral[length] & reach[t - 1, length:])
         reach[t] = first[t] > 0
-    tail_start = np.full(m, -1, dtype=np.intp)
+    # the first reachable cut in the tail; far below 0 if none, so that no
+    # head length lifts it to a position
+    tail_start = np.full(m, -1 << 62, dtype=np.intp)
     for c in range(j, -1, -1):
         np.copyto(tail_start, c, where=reach[r, c])
 
-    cross = {}
-    for g in supp:
-        degs, ends = np.full(m, g, dtype=np.intp), []
-        ok = clean.copy()
-        for c in range(j):
-            degs = np.take(flat, degs * size + x[c])
-            ok &= inside[degs]
-            ends.append(degs == e)
-        shortest = np.zeros((r + 1, m), dtype=lengths)
-        for t in range(1, r + 1):
-            for c in range(j, 0, -1):
-                np.copyto(shortest[t], c, where=ends[c - 1] & reach[t - 1, c])
-        cross[g] = ok, shortest
+    degs = np.repeat(supp[:, None], m, axis=1)
+    ok_from = np.repeat(clean[None], len(supp), axis=0)
+    cross = np.zeros((r + 1, len(supp), m), dtype=lengths)
+    ends = []
+    for c in range(j):
+        degs = _times(table, degs, x[c])
+        ok_from &= inside.take(degs)
+        ends.append(degs == e)
+    for t in range(1, r + 1):
+        for c in range(j, 0, -1):
+            np.copyto(cross[t], c, where=ends[c - 1] & reach[t - 1, c])
     column = np.arange(m)
 
-    def brute(head):
-        k = len(head)
+    rows = table.tolist()
+    in_supp = set(supp.tolist())
+    # per (head length, heads): where the step at position p with t blocks
+    # to go lies in ``steps``, head_first then ``first`` laid end to end:
+    # at ((t * k + p) * h + head) * m + column if p < k, else past
+    # head_first at (t * (j + 1) + p - k) * m + column
+    step_at = {}
+
+    def brute(heads):
+        h, k = heads.shape
         n = k + j
-        prods = [list(accumulate(head[a:], lambda g, h: rows[g][h])) for a in range(k)]
-        if not all(supp.issuperset(row) for row in prods):
-            return Splits.forced_zero(m, r)
-        word_clean = reduce(and_, (cross[row[-1]][0] for row in prods), clean)
+        # prods[i][a][L - 1]: the degree of letters a+1..a+L of head i, made
+        # in Python: a head has few letters
+        prods = [[list(accumulate(head[a:], lambda g, x: rows[g][x])) for a in range(k)]
+                 for head in heads.tolist()]
+        head_clean = [all(in_supp.issuperset(row) for row in p) for p in prods]
+        if not any(head_clean):
+            return Splits.forced_zero(h * m, r)
         pos = np.min_scalar_type(n + 1)
-        head_first = np.zeros((r + 1, k, m), dtype=pos)
-        head_reach = np.ones((r + 1, k, m), dtype=bool)
+        # Q[a]: the support slot of Q_a = prods[..][a][-1]; head_ends[a, L - 1]:
+        # that head letters a+1..a+L are neutral
+        Q = slot[[[p[a][-1] for p in prods] for a in range(k)]].reshape(k, h)
+        head_ends = np.array([[[g == e for g in row] + [False] * a for a, row in enumerate(p)]
+                         for p in prods], dtype=bool).reshape(h, k, k).transpose(1, 2, 0)
+        word_clean = np.array(head_clean)[:, None] & clean & ok_from[Q].all(axis=0)
+        # DP rows of the head's start positions, all at once per t: row k of
+        # head_reach is the tail's reach at its start
+        head_first = np.zeros((r + 1, k, h, m), dtype=pos)
+        head_reach = np.ones((r + 1, k + 1, h, m), dtype=bool)
+        # a cross block ends k - a letters later than in the tail
+        later = (k - np.arange(k, dtype=pos))[:, None, None]
         for t in range(1, r + 1):
-            for a in range(k - 1, -1, -1):
-                row = head_first[t, a]
-                shortest = cross[prods[a][-1]][1][t]
-                # a cross block ends k - a letters later than in the tail
-                np.multiply(np.add(shortest, k - a, dtype=pos), shortest > 0, out=row)
-                for length in range(k - a, 0, -1):
-                    if prods[a][length - 1] == e:
-                        after = head_reach[t - 1, a + length] if a + length < k else reach[t - 1, 0]
-                        np.copyto(row, length, where=after)
-                np.greater(row, 0, out=head_reach[t, a])
-        start = np.where(tail_start < 0, -1, tail_start + k)
+            head_reach[t - 1, k] = reach[t - 1, 0]
+            row = head_first[t]
+            shortest = cross[t][Q]
+            np.multiply(shortest + later, shortest > 0, out=row)
+            for length in range(k, 0, -1):  # the shortest block writes last
+                after = head_reach[t - 1, length:]
+                np.copyto(row[:k + 1 - length], length,
+                          where=head_ends[:k + 1 - length, length - 1, :, None] & after)
+            np.greater(row, 0, out=head_reach[t, :k])
+        start = np.empty((h, m), dtype=np.intp)
+        start[:] = tail_start + k
         for a in range(k - 1, -1, -1):
             np.copyto(start, a, where=head_reach[r, a])
-        cuts = np.empty((r + 1, m), dtype=np.intp)
-        cuts[0] = start
+
+        if (k, h) not in step_at:
+            t = np.arange(r + 1)[:, None, None]
+            p = np.arange(n + 1)[:, None]
+            step_at[k, h] = np.where(p < k, ((t * k + p) * h + np.arange(h)) * m,
+                                     head_first.size + (t * (j + 1) + p - k) * m).reshape(r + 1, -1)
+        at = step_at[k, h]
+        steps = np.concatenate((head_first.ravel(), first.ravel()))
+        # a word with no cut sequence steps from 0 and is marked after
+        cuts = np.empty((r + 1, h, m), dtype=np.intp)
+        np.maximum(start, 0, out=cuts[0])
+        head = np.arange(h)[:, None]
         for i in range(1, r + 1):
-            steps = np.concatenate((head_first[r + 1 - i], first[r + 1 - i])).ravel()
-            cuts[i] = cuts[i - 1] + np.take(steps, cuts[i - 1] * m + column, mode="clip")
+            to = at[r + 1 - i].take(cuts[i - 1] * h + head)
+            np.add(cuts[i - 1], steps.take(to + column), out=cuts[i])
         cuts[:, ~(word_clean & (start >= 0))] = -1
-        return Splits(~word_clean, cuts.T)
+        return Splits(~word_clean.ravel(), cuts.reshape(r + 1, -1).T)
 
     return brute
 
 
 def exhaustive_splits(monoid: Monoid, r: int, supp):
-    """The words of length n = r*d over a table monoid as ``(tails, chunks)``.
+    """The words of length n = r*d over a table monoid as ``(tails, blocks)``.
 
     A word is a head of k = n - j letters followed by a tail of j, for the
-    largest j < n with size**j <= ``_CHUNK``.  ``tails`` is the (size**j, j)
-    block of every tail, in ``itertools.product`` order.  ``chunks`` yields
-    ``(head, split, brute)`` per head, heads in that order too, so the words
-    head + tails[0], head + tails[1], ... of one chunk after another are
-    those of ``itertools.product(monoid.elements(), repeat=n)``.  ``split``
-    and ``brute`` are ``Splits`` whose verdicts equal ``neutral_split`` and
+    largest j < n with size**j <= ``_BLOCK``.  ``tails`` is the (size**j, j)
+    array of every tail, in ``itertools.product`` order.  ``blocks`` yields
+    ``(heads, split, brute)`` per block of max(1, ``_BLOCK`` // size**j)
+    consecutive heads, heads in that order too and the last block holding
+    what is left: ``heads`` is their (h, k) array, and the words heads[0] +
+    tails[0], heads[0] + tails[1], ..., heads[h-1] + tails[-1] of one block
+    after another are those of ``itertools.product(monoid.elements(),
+    repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
+    words whose verdicts equal ``neutral_split`` and
     ``neutral_split_bruteforce`` on each word.
     """
     size = len(monoid.elements())
@@ -529,10 +616,16 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     inside = np.isin(np.arange(size), list(supp))
     e = monoid.identity
     j = 0
-    while j < n - 1 and size ** (j + 1) <= _CHUNK:
+    while j < n - 1 and size ** (j + 1) <= _BLOCK:
         j += 1
-    tails = _word_letters(size, j).astype(table.dtype)
+    tails = _word_letters(size, j, 0, size**j, table.dtype)
     split = _split_batch(table, e, inside, tails, r)
     brute = _brute_batch(table, e, inside, tails, r)
-    heads = product(range(size), repeat=n - j)
-    return tails, ((head, split(head), brute(head)) for head in heads)
+    count, step = size ** (n - j), max(1, _BLOCK // size**j)
+
+    def blocks():
+        for start in range(0, count, step):
+            heads = _word_letters(size, n - j, start, min(start + step, count), table.dtype)
+            yield heads, split(heads), brute(heads)
+
+    return tails, blocks()

@@ -1,6 +1,9 @@
 import functools
+import hashlib
 import itertools
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -591,14 +594,33 @@ def _cached_reference_stdout(monoid, supp, r):
     return _oracle_reference_stdout(monoid, supp, r)
 
 
-@pytest.mark.parametrize("chunk", [7, 1000])
+# (case, _BLOCK) -> heads per block, first and last block, and the block
+# count.  Z_4 words of 6 letters and S_3 words of 6: 7 leaves one head a
+# block; Z_4 at 1000 and S_3 at 1100 end on a block that is not full; S_3 at
+# 1000 fills every block; 10**9 is larger than the whole word set, which
+# then makes one block.
+BLOCK_SHAPES = {
+    ("cyclic", 7): (1, 1, 1024), ("cyclic", 1000): (3, 1, 6),
+    ("cyclic", 1100): (1, 1, 4), ("cyclic", 10**9): (4, 4, 1),
+    ("s3", 7): (1, 1, 7776), ("s3", 1000): (4, 4, 54),
+    ("s3", 1100): (5, 1, 44), ("s3", 10**9): (6, 6, 1),
+}
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 1100, 10**9])
 @pytest.mark.parametrize("case", ["cyclic", "s3"])
 def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeypatch,
                                                        chunk, case):
-    # 4096 and 46656 words: batches of at most 7 or 1000 words make heads of
-    # 5 or 2 letters of Z_4 and of 5 or 3 letters of S_3, and the output
-    # must not show where one head's batch ends and the next begins.
-    monkeypatch.setattr(words, "_CHUNK", chunk)
+    # 4096 and 46656 words: the output must not show where one block of
+    # heads ends and the next begins, whatever the block shape.
+    monkeypatch.setattr(words, "_BLOCK", chunk)
+    heads_per_block = []
+
+    def recording(*args):
+        tails, blocks = words.exhaustive_splits(*args)
+        return tails, ((heads_per_block.append(len(b[0])), b)[1] for b in blocks)
+
+    monkeypatch.setattr(cli, "exhaustive_splits", recording)
     if case == "cyclic":
         source, supp, r = ["--cyclic", "4"], "0,2", 3
         monoid = Monoid.cyclic(4)
@@ -610,6 +632,8 @@ def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeyp
                  "--exhaustive"])
     out = capsys.readouterr().out
     assert code == 0
+    assert (heads_per_block[0], heads_per_block[-1], len(heads_per_block)) == \
+        BLOCK_SHAPES[case, chunk]
     ids = frozenset(int(t) for t in supp.split(","))
     _assert_same_text(out, _cached_reference_stdout(monoid, ids, r))
 
@@ -627,6 +651,68 @@ def test_cli_oracle_exhaustive_rejects_a_word_count_past_int64(capsys, n, supp, 
     assert captured.out == ""
 
 
+# The oracle-words benchmark command: 65,536 words of Z_4.
+CYCLIC4 = ["oracle", "lemma-3-5", "--cyclic", "4", "--supp", "0,1,2,3", "--r", "2",
+           "--exhaustive"]
+CYCLIC4_SHA256 = "196be5c2c6af46aad6d53059b6c9633d0590b489333dbec7d486831b4e643e53"
+
+
+class _HashingSink:
+    """A stdout that keeps only the sha256 and the last line of what is
+    written to it, so no output piles up in memory."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.tail = ""
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.tail = (self.tail + text)[-200:]
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_cli_oracle_exhaustive_output_is_pinned(monkeypatch):
+    # the benchmarked output, byte for byte, whatever the block layout
+    sink = _HashingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(CYCLIC4) == 0
+    assert sink.tail.endswith("\ndisagreements: 0\n")
+    assert sink.sha.hexdigest() == CYCLIC4_SHA256
+
+
+def test_cli_oracle_exhaustive_walk_memory_is_bounded(monkeypatch):
+    # A block of words bounds what the kernels and the writer hold at once:
+    # the traced peak of the whole command, its output sent nowhere, stays
+    # within 8 MiB, however many words the walk covers.
+    monkeypatch.setattr(sys, "stdout", _HashingSink())
+    tracemalloc.start()
+    try:
+        code = main(CYCLIC4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 8 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("pair", ["cyclic-and-file", "word-and-exhaustive"])
+def test_cli_oracle_rejects_two_monoids_or_two_modes(tmp_path, capsys, pair):
+    # Neither option of a pair is silently dropped: with both, the command
+    # is a usage error before it opens a file or writes a line.
+    missing = str(tmp_path / "missing.spec")
+    args = {"cyclic-and-file": ["--file", missing, "--cyclic", "2", "--word", "0,1,0,1"],
+            "word-and-exhaustive": ["--cyclic", "2", "--exhaustive", "--word", "0,1,0,1"]}[pair]
+    code = main(["oracle", "lemma-3-5", "--supp", "0,1", "--r", "2", *args])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "not allowed with argument" in captured.err
+    assert "no such file" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
     # A brute side that finds no cut sequence for the word 1 1 1 1 (word 15)
     # gives one DISAGREE line in its place, and exit 1.
@@ -635,9 +721,9 @@ def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
     def lose_word_15(table, e, inside, tails, r):
         brute = brute_batch(table, e, inside, tails, r)
 
-        def lossy(head):
-            out = brute(head)
-            out.cuts[(tails == 1).all(axis=1) & all(h == 1 for h in head)] = -1
+        def lossy(heads):
+            out = brute(heads)
+            out.cuts[((heads == 1).all(axis=1)[:, None] & (tails == 1).all(axis=1)).ravel()] = -1
             return out
 
         return lossy

@@ -238,13 +238,19 @@ WALK_IDS = [f"{m.size}-{sorted(s)}-r{r}" + (f"-e{m.identity}" if m.identity else
 
 
 def _unpack(walk):
-    """``(letters, split, brute)`` per word from the ``(tails, chunks)`` of
+    """``(letters, split, brute)`` per word from the ``(tails, blocks)`` of
     ``exhaustive_splits``, with each side's verdict as a per-word function
     returns it."""
-    tails, chunks = walk
-    for head, split, brute in chunks:
-        for i, tail in enumerate(tails.tolist()):
-            yield head + tuple(tail), split.verdict(i), brute.verdict(i)
+    tails, blocks = walk
+    for heads, split, brute in blocks:
+        words = itertools.product(heads.tolist(), tails.tolist())
+        for i, (head, tail) in enumerate(words):
+            yield tuple(head + tail), split.verdict(i), brute.verdict(i)
+
+
+def _one_head(head, dtype=int):
+    """``head`` as the (1, k) array of heads the kernels take."""
+    return np.array(head, dtype=dtype).reshape(1, len(head))
 
 
 @pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
@@ -267,9 +273,26 @@ def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
 @pytest.mark.parametrize("chunk", [1, 10**9], ids=["one-word-chunks", "one-letter-heads"])
 @pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
 def test_exhaustive_walk_at_the_extreme_chunk_sizes(monkeypatch, monoid, supp, r, chunk):
-    # _CHUNK = 1 leaves an empty tail, so every word is a head of n letters;
-    # 10**9 leaves a head of one letter and a tail of n - 1.
-    monkeypatch.setattr(words_module, "_CHUNK", chunk)
+    # _BLOCK = 1 leaves an empty tail, so every block is one word, a head of
+    # n letters; 10**9 leaves heads of one letter and a tail of n - 1, and
+    # one block holds every word.
+    monkeypatch.setattr(words_module, "_BLOCK", chunk)
+    test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
+
+
+@pytest.mark.parametrize("monoid,supp,r,block,heads_per_block,blocks", [
+    (Z3, {0, 1, 2}, 2, 20, 2, 41),     # 81 heads of 4 letters, two a block
+    (KLEIN, {0, 1, 2}, 2, 50, 3, 86),  # 256 heads of 4 letters, three a block
+    (S3_E4, {1, 2, 4}, 2, 1100, 5, 44),
+], ids=["z3", "klein", "s3-e4"])
+def test_exhaustive_walk_across_blocks_of_several_heads(monkeypatch, monoid, supp, r, block,
+                                                         heads_per_block, blocks):
+    # Blocks of several heads whose last block holds one: the per-word
+    # functions decide every word of each, in order.
+    monkeypatch.setattr(words_module, "_BLOCK", block)
+    _, walk = exhaustive_splits(monoid, r, supp)
+    sizes = [len(heads) for heads, _, _ in walk]
+    assert (sizes[0], sizes[-1], len(sizes)) == (heads_per_block, 1, blocks)
     test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
 
 
@@ -333,7 +356,7 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
         except SplitInternalError:
             per_word = True
         try:
-            _split_batch(table, nc.identity, inside, np.array([letters]), 2)(())
+            _split_batch(table, nc.identity, inside, np.array([letters]), 2)(_one_head(()))
             batched = False
         except SplitInternalError:
             batched = True
@@ -342,7 +365,7 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
     assert 0 < sum(raises) < len(words)
     # a batch holding one such word raises as a whole
     with pytest.raises(SplitInternalError, match=r"word \[0, 1, 0, 1\]"):
-        _split_batch(table, nc.identity, inside, np.array(words), 2)(())
+        _split_batch(table, nc.identity, inside, np.array(words), 2)(_one_head(()))
 
 
 def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
@@ -360,13 +383,14 @@ def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
     for kernel in (_split_batch, _brute_batch):
         for k in range(len(letters) + 1):
             run = kernel(table, Z4.identity, inside, np.array([letters[k:]]), 3)
-            assert run(letters[:k]).verdict(0) == ProductVerdict.FORCED_ZERO, (kernel.__name__, k)
+            assert run(_one_head(letters[:k])).verdict(0) == ProductVerdict.FORCED_ZERO, \
+                (kernel.__name__, k)
     # The brute twin extends every degree letter by letter through ``table``
     # and tests the support on the degrees directly: with every degree
     # inside, its block 1..4 is neutral only because 1*1 = 2 and 2*1 = 3
     # are read from the table and 3*1 = 0 follows them.
     everywhere = np.ones(4, dtype=bool)
-    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(())
+    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(_one_head(()))
     assert splits.verdict(0) == Decomposition((0, 4, 5, 6))
 
 
@@ -395,8 +419,8 @@ def test_head_tail_kernels_match_per_word_functions(monoid, data):
     table = np.array(monoid.table, dtype=dtype)
     inside = np.isin(np.arange(size), sorted(supp))
     block = np.array(tails, dtype=dtype).reshape(len(tails), n - k)
-    split = _split_batch(table, monoid.identity, inside, block, r)(head)
-    brute = _brute_batch(table, monoid.identity, inside, block, r)(head)
+    split = _split_batch(table, monoid.identity, inside, block, r)(_one_head(head, dtype))
+    brute = _brute_batch(table, monoid.identity, inside, block, r)(_one_head(head, dtype))
     for i, tail in enumerate(tails):
         w = DegreeWord(monoid, head + tuple(tail))
         assert split.verdict(i) == neutral_split(w, r, supp), w.degrees
