@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
-2 a capped or unknown verdict, 3 an input or validation error.
+2 a capped verdict (kept for a work budget: every verdict is exact now, so
+none is capped), 3 an input or validation error.
 """
 
 from __future__ import annotations
@@ -36,47 +37,25 @@ EXIT_CAPPED = 2
 EXIT_INPUT = 3
 INT64_MAX = np.iinfo(np.int64).max
 
-ENV_CAPS = {
-    "GRADEDNIL_PAIR_CAP": "pair_cap",
-    "GRADEDNIL_SAMPLES": "samples",
-    "GRADEDNIL_SEED": "seed",
-}
-# Smallest legal value of each cap: a sample count below 1 decides nothing,
-# while a pair cap of 0 means "never enumerate".
-CAP_FLOORS = {"pair_cap": 0, "samples": 1}
+PAIR_CAP_ENV = "GRADEDNIL_PAIR_CAP"
 
 
 def _caps_from(args) -> Caps:
-    """Caps from the environment, overridden by flags; a value that is not an
-    integer or lies below its floor is an input error naming its source."""
-    given = {}
-    for env, attr in ENV_CAPS.items():
-        if env in os.environ:
-            try:
-                given[attr] = (env, int(os.environ[env]))
-            except ValueError:
-                raise SystemExit(_input_error(
-                    f"{env} must be an integer, got {os.environ[env]!r}"))
-    for attr in ENV_CAPS.values():
-        v = getattr(args, attr, None)
-        if v is not None:
-            given[attr] = (_flag(attr), v)
-    caps = Caps()
-    for attr, (source, v) in given.items():
-        floor = CAP_FLOORS.get(attr)
-        if floor is not None and v < floor:
-            raise SystemExit(_input_error(f"{source} must be >= {floor}, got {v}"))
-        setattr(caps, attr, v)
-    return caps
-
-
-def _flag(attr):
-    return "--" + attr.replace("_", "-")
-
-
-def _add_caps(parser):
-    for attr in ENV_CAPS.values():
-        parser.add_argument(_flag(attr), dest=attr, type=int)
+    """The pair cap of ``--pair-cap``, else of ``GRADEDNIL_PAIR_CAP``, else
+    the default; one that is not an integer, or is below 0, is an input
+    error naming its source.  0 means "never enumerate"."""
+    source, value = "--pair-cap", args.pair_cap
+    if value is None:
+        if PAIR_CAP_ENV not in os.environ:
+            return Caps()
+        source, text = PAIR_CAP_ENV, os.environ[PAIR_CAP_ENV]
+        try:
+            value = int(text)
+        except ValueError:
+            raise SystemExit(_input_error(f"{source} must be an integer, got {text!r}"))
+    if value < 0:
+        raise SystemExit(_input_error(f"{source} must be >= 0, got {value}"))
+    return Caps(pair_cap=value)
 
 
 def _load(path):
@@ -117,8 +96,6 @@ def _verdict_exit(statuses):
 
 
 def cmd_analyze(args):
-    # analyze reads no cap, but rejects a bad one as verify and report do
-    _caps_from(args)
     parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
     r = gr.ring
@@ -238,12 +215,14 @@ def cmd_oracle(args):
             print(f"word={letters} FORCED_ZERO (both)")
     elif args.exhaustive:
         n = r * len(supp)
-        if monoid.size > 1 and (n >= 63 or monoid.size**n > INT64_MAX):
-            # no walk over so many words ends, and the walk numbers its words
-            # in int64; for size >= 2 a word length of 63 or more is past the
-            # limit, checked first so no huge power is taken
+        if n >= 63 or monoid.size**n > INT64_MAX:
+            # the walk numbers its words in int64, and the length is checked
+            # first so that no huge power is taken; on one element, whose
+            # only word is e^n, the length bound alone stops a walk whose
+            # tables grow as n^2
             return _input_error(
-                f"{monoid.size}**{n} words are past the int64 limit; lower --r")
+                f"--exhaustive needs r*d below 63 and at most int64-max words; "
+                f"r*d = {n} gives {monoid.size}**{n} words; lower --r")
         disagreements = _write_exhaustive(monoid, r, supp)
     else:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
@@ -411,10 +390,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _add_ignored_seed(p):
+    # nothing is sampled; the flag stays accepted for old command lines
+    p.add_argument("--seed", help="ignored: every verdict is exact")
+
+
+def _add_pair_cap(p):
+    p.add_argument("--pair-cap", type=int,
+                   help=f"most pairs the factor search enumerates (env {PAIR_CAP_ENV})")
+
+
 def _analyze_args(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    _add_caps(p)
+    _add_ignored_seed(p)
 
 
 def _verify_args(p):
@@ -422,14 +411,15 @@ def _verify_args(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="congruence classes for C3.04, e.g. '0 2 | 1 3'")
-    _add_caps(p)
+    _add_pair_cap(p)
 
 
 def _report_args(p):
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.add_argument("--classes", help="optional congruence classes for C3.04")
-    _add_caps(p)
+    _add_pair_cap(p)
+    _add_ignored_seed(p)
 
 
 def _oracle_args(p):

@@ -50,6 +50,8 @@ from .ringcore import (
 
 
 class Status(str, Enum):
+    # every verdict made here is PROVED or REFUTED; CAPPED and SAMPLED_OK
+    # stay in the output contract for a work budget to produce
     PROVED = "PROVED"
     REFUTED = "REFUTED"
     CAPPED = "CAPPED"

@@ -2,7 +2,8 @@
 
 Every check in the registry evaluates one explicit bound formula with exact
 arbitrary-precision arithmetic, computes the corresponding index on the given
-ring, and reports PASS, FAIL, NOT_APPLICABLE, or CAPPED.  Applicability is
+ring, and reports PASS, FAIL or NOT_APPLICABLE; every verdict is exact, so
+no check reports CAPPED, which stays for a work budget.  Applicability is
 always decided by computed predicates (never asserted by the caller), and a
 FAIL on an applicable check is a hard inconsistency that carries a full
 witness bundle.
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .fcomm import (
-    DEFAULT_SAMPLES,
     Action,
     FMap,
     check_f_commutative,
@@ -51,18 +51,13 @@ class CheckStatus(str, Enum):
 
 @dataclass
 class Caps:
-    """Work limits and the sampling seed, recorded in every report."""
+    """Work limits, recorded in every report.  ``pair_cap`` bounds the
+    pointwise factor search over a finite domain (``scalar_f_search``)."""
 
     pair_cap: int = 10**6
-    samples: int = DEFAULT_SAMPLES
-    seed: int = 0
 
     def to_dict(self):
-        return {
-            "pair_cap": self.pair_cap,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return {"pair_cap": self.pair_cap}
 
 
 @dataclass
@@ -130,12 +125,6 @@ def _na(check, reason):
     return check
 
 
-def _capped(check, reason):
-    check.status = CheckStatus.CAPPED
-    check.reason = reason
-    return check
-
-
 def _judge_nilpotency(check, ndv, holds):
     """Observe the nilpotency verdict ``ndv``: PASS or FAIL by ``holds(index)``;
     a ring that is not nilpotent FAILs with ``nilpotency_index``'s
@@ -160,23 +149,18 @@ def _nil_index(check, r, not_nil):
 _NO_FACTOR = "no commutation factor supplied or derived"
 
 
-def _f_commutative(check, r, f, act, caps, where=""):
+def _f_commutative(check, r, f, act, where=""):
     """The verdict that ``r`` commutes up to ``f``, or None with ``check``
     finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
-    prefixes its reason), CAPPED when the pair check is capped."""
+    prefixes its reason)."""
     if f is None or act is None:
         _na(check, _NO_FACTOR)
         return None
-    fc = check_f_commutative(
-        r, f, act, pair_cap=caps.pair_cap, samples=caps.samples, seed=caps.seed
-    )
+    fc = check_f_commutative(r, f, act)
     if fc.status == Status.REFUTED:
         _na(check, f"{where}not f-commutative at {fc.witness}")
-    elif fc.status == Status.CAPPED:
-        _capped(check, "f-commutativity check capped")
-    else:
-        return fc
-    return None
+        return None
+    return fc
 
 
 def _grading_data(gr: GradedRing):
@@ -201,7 +185,7 @@ def verify_empty_neutral_bound(gr: GradedRing) -> TheoremCheck:
 
 
 def verify_neutral_nil_fcomm_bound(
-    gr: GradedRing, f: FMap | None, act: Action | None, caps=Caps()
+    gr: GradedRing, f: FMap | None, act: Action | None
 ) -> TheoremCheck:
     """T3.15: nil f-commutative neutral part makes the whole ring nil.
 
@@ -218,7 +202,7 @@ def verify_neutral_nil_fcomm_bound(
         check.bound = d + 1
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
         return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
-    fc = _f_commutative(check, m0, f, act, caps, "neutral component ")
+    fc = _f_commutative(check, m0, f, act, "neutral component ")
     if fc is None:
         return check
     check.details["f_commutative"] = fc.status.value
@@ -263,7 +247,7 @@ def _generator_nil_index(witness):
 
 
 def verify_generated_nil_ring_bound(
-    r: Ring, f: FMap | None, act: Action | None, caps=Caps()
+    r: Ring, f: FMap | None, act: Action | None
 ) -> TheoremCheck:
     """T3.19: a nil ring commuting up to f with n generators is nilpotent,
     s <= nd <= (s-1)*n + 1 with s the largest generator nil index."""
@@ -272,7 +256,7 @@ def verify_generated_nil_ring_bound(
     )
     if not _nil_index(check, r, "ring is not nil").proved:
         return check
-    if r.rank and _f_commutative(check, r, f, act, caps) is None:
+    if r.rank and _f_commutative(check, r, f, act) is None:
         return check
     # a ring with a bounded nil index is nilpotent, so ndv is PROVED
     ndv = nilpotency_index(r)
@@ -286,7 +270,7 @@ def verify_generated_nil_ring_bound(
 
 
 def verify_generated_neutral_bound(
-    gr: GradedRing, f: FMap | None, act: Action | None, caps=Caps()
+    gr: GradedRing, f: FMap | None, act: Action | None
 ) -> TheoremCheck:
     """T3.20: nil f-commutative neutral part with n generators:
     s <= nd <= d*((s-1)*n + 1); if the neutral part is zero, nd <= d + 1."""
@@ -303,7 +287,7 @@ def verify_generated_neutral_bound(
         return _na(check, _NO_FACTOR)
     if not _nil_index(check, m0, "neutral component is not nil").proved:
         return check
-    if _f_commutative(check, m0, f, act, caps, "neutral component ") is None:
+    if _f_commutative(check, m0, f, act, "neutral component ") is None:
         return check
     ndv = nilpotency_index(gr.ring)
     if not ndv.proved:
@@ -408,7 +392,7 @@ def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
 
 
 def verify_matrix_nil_transfer(
-    r: Ring, f: FMap | None, act: Action | None, caps=Caps()
+    r: Ring, f: FMap | None, act: Action | None
 ) -> TheoremCheck:
     """T3.26: for a nil ring commuting up to f, the 2x2 matrices are nil.
 
@@ -429,7 +413,7 @@ def verify_matrix_nil_transfer(
         check.observed = 1
         check.status = CheckStatus.PASS
         return check
-    fc = _f_commutative(check, r, f, act, caps)
+    fc = _f_commutative(check, r, f, act)
     if fc is None:
         return check
     check.details["diagonal_lift"] = lift_f_to_diagonal(fc).status.value
@@ -518,7 +502,7 @@ def verify_quotient_grading_transfer(
             check.details["derived_factor"] = f.label
     sub = {
         "P3.03": verify_empty_neutral_bound(induced),
-        "T3.15": verify_neutral_nil_fcomm_bound(induced, f, act, caps),
+        "T3.15": verify_neutral_nil_fcomm_bound(induced, f, act),
         "T3.18": verify_nilpotent_neutral_bounds(induced),
     }
     check.details["sub_checks"] = {k: v.status.value for k, v in sub.items()}
@@ -534,8 +518,6 @@ def verify_quotient_grading_transfer(
     if CheckStatus.FAIL in statuses:
         check.status = CheckStatus.FAIL
         check.witnesses = {k: v.witnesses for k, v in sub.items() if v.witnesses}
-    elif CheckStatus.CAPPED in statuses:
-        check.status = CheckStatus.CAPPED
     elif CheckStatus.PASS in statuses:
         check.status = CheckStatus.PASS
     else:
@@ -551,7 +533,6 @@ def verify_quotient_grading_transfer(
 class VerifierReport:
     checks: list
     caps: Caps
-    seed: int
     timings: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -559,7 +540,6 @@ class VerifierReport:
         return {
             "checks": [c.to_dict() for c in self.checks],
             "caps": self.caps.to_dict(),
-            "seed": self.seed,
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "notes": list(self.notes),
         }
@@ -577,7 +557,7 @@ class VerifierReport:
             lines.append(" ".join(bits))
         for note in self.notes:
             lines.append(f"note: {note}")
-        lines.append(f"seed: {self.seed}; caps: {self.caps.to_dict()}")
+        lines.append(f"caps: {self.caps.to_dict()}")
         return "\n".join(lines)
 
     def worst(self):
@@ -589,27 +569,32 @@ class VerifierReport:
 
 
 def _derive_fmap(gr: GradedRing, caps):
-    """Pointwise scalar search on the neutral component, used when the caller
-    supplies no commutation factor.
+    """The scalar factor search on the neutral component, used when the
+    caller supplies no commutation factor.
 
     Returns (f, act, why); when no factor is found, ``why`` says whether the
-    neutral component is zero, the pair search was capped, or which pair no
-    scalar fits.
+    neutral component is zero, which pair no scalar fits, that no constant
+    holds over the rationals, or that the pair search was capped.
     """
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return None, None, "the neutral component is zero"
-    fmap, witness = scalar_f_search(m0, pair_cap=caps.pair_cap, seed=caps.seed)
+    fmap, witness = scalar_f_search(m0, pair_cap=caps.pair_cap)
     if fmap is not None:
         return fmap, scalar_action(m0), None
-    if witness is None:
-        count = m0.element_count()
+    if witness is not None:
+        a, b = witness
+        return None, None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
+    if not m0.coeff.finite:
         return None, None, (
-            f"pair search capped: {count}^2 pairs of the neutral component "
-            f"exceed pair_cap {caps.pair_cap}"
+            "no constant l has a*b = l*(b*a) for all a, b: 1 and -1 fail on "
+            "the basis pairs, and no other constant can hold"
         )
-    a, b = witness
-    return None, None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
+    count = m0.element_count()
+    return None, None, (
+        f"pair search capped: {count}^2 pairs of the neutral component "
+        f"exceed pair_cap {caps.pair_cap}"
+    )
 
 
 def full_report(
@@ -624,7 +609,8 @@ def full_report(
     check with id ``only``.
 
     The supplied commutation factor pertains to the neutral component; when
-    none is given a pointwise scalar rule is searched for automatically.
+    none is given (a spec without ``[fmap]``, or with ``rule = auto``) one is
+    derived here by ``scalar_f_search``, under ``caps``.
     Ring-level checks (T3.19, T3.26, T3.29-REDUCTION) run on the neutral
     component ring.
     """
@@ -646,12 +632,12 @@ def full_report(
         "P3.03": lambda: verify_empty_neutral_bound(gr),
         "P3.17": lambda: verify_index2_char_bound(gr),
         "P3.31": lambda: verify_homogeneous_power_vanishing(gr),
-        "T3.15": lambda: verify_neutral_nil_fcomm_bound(gr, f, act, caps),
+        "T3.15": lambda: verify_neutral_nil_fcomm_bound(gr, f, act),
         "T3.18": lambda: verify_nilpotent_neutral_bounds(gr),
-        "T3.19": lambda: verify_generated_nil_ring_bound(m0, f, act, caps),
-        "T3.20": lambda: verify_generated_neutral_bound(gr, f, act, caps),
+        "T3.19": lambda: verify_generated_nil_ring_bound(m0, f, act),
+        "T3.20": lambda: verify_generated_neutral_bound(gr, f, act),
         "T3.24": lambda: verify_field_bounded_index_bound(gr),
-        "T3.26": lambda: verify_matrix_nil_transfer(m0, f, act, caps),
+        "T3.26": lambda: verify_matrix_nil_transfer(m0, f, act),
         "T3.29-REDUCTION": lambda: verify_diagonal_power_reduction(m0, 2),
     }
     if only is not None and only not in registry:
@@ -661,4 +647,4 @@ def full_report(
         t0 = time.monotonic()
         checks.append(registry[name]())
         timings[name] = time.monotonic() - t0
-    return VerifierReport(checks, caps, caps.seed, timings, notes)
+    return VerifierReport(checks, caps, timings, notes)

@@ -350,8 +350,8 @@ def _split_batch(table, e, inside, tails, r):
     gets a non-neutral block.  Every table is linear in the tails: (j+1)^2
     degrees per tail in ``tri``, K(j+1) in G and K^2 counts, for K keys.
     Degrees take the narrowest unsigned dtype that holds ``size``, counts
-    and positions the narrowest above n: uint8, as n <= 62 whenever
-    size**n fits int64 and the monoid has two elements or more.
+    and positions the narrowest above n: uint8, as the oracle walks only
+    n <= 62.
     """
     m, j = tails.shape
     size = len(table)

@@ -39,7 +39,6 @@ from gradednil.ringcore import (
     rat,
 )
 from gradednil.theorems import (
-    Caps,
     CheckStatus,
     nil_index_bound,
     verify_field_bounded_index_bound,
@@ -166,7 +165,7 @@ def test_criterion_05_matrix_nil_instances():
         assert bound == 2 * s.index * 2**2 * (2**4 - 1) // (2 - 1)
         ok = ok and v.proved and v.index <= bound
         fmap, _ = scalar_f_search(base)
-        chk = verify_matrix_nil_transfer(base, fmap, scalar_action(base), Caps())
+        chk = verify_matrix_nil_transfer(base, fmap, scalar_action(base))
         ok = ok and chk.status == CheckStatus.PASS
         details.append(f"{label}: nd_nil(M_2)={v.index} <= {bound}")
     _criterion(5, ok, "; ".join(details), time.monotonic() - t0, 120.0)

@@ -44,7 +44,8 @@ def test_roundtrip_grassmann_with_rule():
     text = emit_graded(gr, fmap_mode="auto")
     parsed = parse_spec_text(text)
     assert parsed.graded == gr
-    assert parsed.fmap is not None
+    # the factor is derived when a check runs, under its pair cap
+    assert parsed.fmap is None and parsed.action is None
     assert parsed.fmap_mode == "auto"
 
 
@@ -121,7 +122,7 @@ def test_cli_report_m2_two_z8(tmp_path, capsys):
     assert status["T3.18"] == "PASS"
     assert status["T3.20"] == "PASS"
     assert status["T3.26"] == "PASS"
-    assert data["caps"]["seed"] == 0
+    assert data["caps"] == {"pair_cap": 10**6} and "seed" not in data
 
 
 def test_cli_report_nagata_23_exits_0(tmp_path, capsys):
@@ -256,7 +257,7 @@ def _parity_cases(spec):
     valid = {
         "analyze": [spec, "--json"],
         "verify": ["P3.03", spec, "--classes", "0"],
-        "report": [spec, "--samples", "5"],
+        "report": [spec, "--seed", "5"],
         "oracle": ["lemma-3-5", "--cyclic", "2", "--supp", "1", "--r", "2", "--exhaustive"],
         "construct": ["elementary", spec, "--n", "3"],
         "zoo": ["sut", "--domain", "fp 3"],
@@ -264,8 +265,8 @@ def _parity_cases(spec):
     missing = {"analyze": [], "verify": ["P3.03"], "report": ["--json"],
                "oracle": ["lemma-3-5", "--supp", "1"], "construct": ["elementary"],
                "zoo": []}
-    bad_int = {"analyze": [spec, "--samples", "abc"],
-               "verify": ["P3.03", spec, "--seed", "1.5"],
+    bad_int = {"analyze": [spec, "--pair-cap", "5"],
+               "verify": ["P3.03", spec, "--pair-cap", "1.5"],
                "report": [spec, "--pair-cap", "x"],
                "oracle": ["lemma-3-5", "--supp", "1", "--r", "two"],
                "construct": ["elementary", spec, "--n", "x"],
@@ -453,8 +454,11 @@ def test_cli_oracle_rejects_r_below_2_first(capsys, r, mode):
     ["report", "--tuple-cap", "5", "x.spec"],
     ["analyze", "--elem-cap", "5", "x.spec"],
     ["analyze", "--power-cap", "5", "x.spec"],
+    ["report", "--samples", "5", "x.spec"],
+    ["analyze", "--pair-cap", "5", "x.spec"],
+    ["verify", "P3.03", "--seed", "1", "x.spec"],
 ], ids=["unknown-option", "non-integer-cap", "removed-tuple-cap", "removed-elem-cap",
-        "removed-power-cap"])
+        "removed-power-cap", "removed-samples", "analyze-pair-cap", "verify-seed"])
 def test_cli_usage_errors_exit_3(capsys, args):
     # exit 2 means a capped verdict, so argparse's own usage exit is not used
     assert main(args) == 3
@@ -463,17 +467,24 @@ def test_cli_usage_errors_exit_3(capsys, args):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flags, env, named", [
-    (["--samples", "-3"], {}, "--samples"),
-    (["--samples", "0"], {}, "--samples"),
-    (["--pair-cap", "-1"], {}, "--pair-cap"),
-    ([], {"GRADEDNIL_SAMPLES": "0"}, "GRADEDNIL_SAMPLES"),
-], ids=["samples-negative", "samples-zero", "pair-cap-negative", "env-samples-zero"])
-def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, named):
+@pytest.mark.parametrize("flags, env, named, commands", [
+    (["--samples", "-3"], {}, "--samples", ("analyze", "verify", "report")),
+    (["--samples", "0"], {}, "--samples", ("analyze", "verify", "report")),
+    (["--pair-cap", "-1"], {}, "--pair-cap", ("verify", "report")),
+    ([], {"GRADEDNIL_PAIR_CAP": "-1"}, "GRADEDNIL_PAIR_CAP", ("verify", "report")),
+    ([], {"GRADEDNIL_PAIR_CAP": "x"}, "GRADEDNIL_PAIR_CAP", ("verify", "report")),
+], ids=["samples-negative", "samples-zero", "pair-cap-negative", "env-pair-cap-negative",
+        "env-pair-cap-not-integer"])
+def test_cli_cap_out_of_range_exit_3(tmp_path, capsys, monkeypatch, flags, env, named,
+                                     commands):
+    # --samples is gone, so any value of it is a usage error on every
+    # command; the pair cap is read by verify and report only
     path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    for cmd in (["analyze", path], ["verify", "P3.03", path], ["report", path]):
+    argvs = {"analyze": ["analyze", path], "verify": ["verify", "P3.03", path],
+             "report": ["report", path]}
+    for cmd in (argvs[c] for c in commands):
         assert main(cmd + flags) == 3
         captured = capsys.readouterr()
         assert named in captured.err
@@ -497,22 +508,25 @@ def test_cli_verify_t318_reads_a_chain_past_512(tmp_path, capsys):
     assert (check["status"], check["bound"], check["observed"]) == ("PASS", [600, 600], 600)
 
 
-def test_cli_capped_pair_check_exits_2(tmp_path, capsys):
-    # CAPPED now comes only from the f-commutativity pair check: a
-    # pointwise rule past --pair-cap is sampled, and over F_3 that is CAPPED
+def test_cli_pair_rule_checked_past_the_pair_cap(tmp_path, capsys):
+    # a pointwise rule lists every pair, so it is checked on all of them
+    # whatever --pair-cap says: nothing is sampled and nothing is CAPPED
     path = _write(tmp_path, "pairs.spec", PAIR_RULE_SPEC)
-    assert main(["verify", "T3.19", path, "--pair-cap", "0"]) == 2
-    assert capsys.readouterr().out == "T3.19: CAPPED\nreason: f-commutativity check capped\n"
-    assert main(["verify", "T3.19", path]) == 0
+    for cap in (["--pair-cap", "0"], []):
+        assert main(["verify", "T3.19", path, *cap]) == 0
+        assert capsys.readouterr().out.startswith("T3.19: PASS\n")
 
 
 def test_cli_zero_caps_mean_never_enumerate(tmp_path, capsys, monkeypatch):
-    # a flag overrides the environment, and 0 is a legal pair cap
+    # a flag overrides the environment, and 0 is a legal pair cap; analyze
+    # reads no cap, so the bad variable does not stop it
     monkeypatch.setenv("GRADEDNIL_PAIR_CAP", "-1")
     path = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
-    code = main(["analyze", path, "--json", "--pair-cap", "0"])
+    code = main(["analyze", path, "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["nil"].startswith("NilVerdict(PROVED")
+    assert main(["report", path, "--json", "--pair-cap", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["caps"] == {"pair_cap": 0}
 
 
 def test_cli_oracle_exhaustive(capsys):
@@ -561,10 +575,10 @@ def _assert_same_text(out, want):
 
 
 # r*d odd: the leading and trailing letter groups of the word texts differ
-# in length.  Over Z_1 the one word's cuts reach position 65, past the bits
-# of an int64 cut code.
+# in length.  Over Z_1 the one word of the longest length the walk takes,
+# 62, prints its one line.
 @pytest.mark.parametrize("n,supp,r", [(3, "0,1", 2), (4, "0,2", 3), (3, "0", 5),
-                                      (3, "0,1,2", 3), (1, "0", 65)])
+                                      (3, "0,1,2", 3), (1, "0", 62)])
 def test_cli_oracle_exhaustive_matches_per_word_loop(capsys, n, supp, r):
     code = main([
         "oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp,
@@ -639,10 +653,11 @@ def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize("n,supp,r", [(4, "0,1,2,3", 9), (2, "0", 63),
-                                      (3, "0,1", 10**9)])
+                                      (3, "0,1", 10**9), (1, "0", 63)])
 def test_cli_oracle_exhaustive_rejects_a_word_count_past_int64(capsys, n, supp, r):
     # 4**36, 2**63 and 3**(2*10**9) words cannot be numbered in int64; the
-    # command says so before it writes a line
+    # command says so before it writes a line.  Z_1 has one word, but its
+    # walk's tables grow as (r*d)^2, so the length bound of 63 holds there too
     code = main(["oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp,
                  "--r", str(r), "--exhaustive"])
     captured = capsys.readouterr()
@@ -873,16 +888,19 @@ def test_cli_verify_c304_agrees_with_report(tmp_path, capsys):
     assert alone["status"] == "PASS"
 
 
-def test_cli_seed_determinism(tmp_path, capsys):
+def test_cli_seed_determinism(tmp_path, capsys, monkeypatch):
+    # nothing is sampled: --seed is accepted and ignored, and so is
+    # GRADEDNIL_SEED, so every seed gives the same report, byte for byte
     gr = grassmann_star(2, fp(3))
     path = _write(tmp_path, "gr.spec", emit_graded(gr, fmap_mode="auto"))
-    main(["report", path, "--json", "--seed", "11"])
-    first = capsys.readouterr().out
-    main(["report", path, "--json", "--seed", "11"])
-    second = capsys.readouterr().out
-    a, b = json.loads(first), json.loads(second)
-    a.pop("timings"), b.pop("timings")
-    assert a == b
+    outs = []
+    for argv in (["--seed", "1"], ["--seed", "2"], []):
+        if not argv:
+            monkeypatch.setenv("GRADEDNIL_SEED", "3")
+        assert main(["report", path, *argv]) == 0
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1] == outs[2]
+    assert "note: commutation factor derived automatically" in outs[0].out
 
 
 # square-zero rank-1 ring: f(b, b) = -1 on the only interesting pair
@@ -913,15 +931,61 @@ def test_parse_explicit_pair_rule():
     (PAIR_RULE_SPEC.replace("pair = 1 ; 1 ; 2\n", ""),
      "line 7: pair lines give no scalar for the pair ((1,), (1,)); "
      "over fp 3 every pair of elements needs one"),
-], ids=["first-pair", "inner-pair"])
+    ("[ring]\ncoeff = rat\nrank = 1\nnames = b\n[fmap]\npair = 1 ; 1 ; 1\n",
+     "line 6: pair lines cannot give a scalar for every pair over rat; "
+     "use constant = <scalar> or rule = auto"),
+], ids=["first-pair", "inner-pair", "rationals"])
 def test_parse_pair_rule_missing_a_pair(tmp_path, capsys, text, message):
     # over Z/m and F_p every pair needs a line; the first missing one in
-    # product order is named at the first pair line
+    # product order is named at the first pair line.  Over Q no lines cover
+    # every pair, so any pair line is an error
+    path = _write(tmp_path, "p.spec", text)
     with pytest.raises(SpecFileError) as err:
         parse_spec_text(text)
     assert str(err.value) == message
-    assert main(["report", _write(tmp_path, "p.spec", text)]) == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    for cmd in (["analyze", path], ["report", path]):
+        assert main(cmd) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_rule_auto_on_a_commutative_ring_past_the_pair_cap(tmp_path, capsys):
+    # rule = auto is derived when the checks run, under the pair cap: on
+    # nagata(2,3) the search is capped, which the report notes; parsing
+    # searches nothing
+    spec = str(tmp_path / "n.spec")
+    assert main(["zoo", "truncated-nagata", "--k", "2", "--p", "3", "--out", spec]) == 0
+    with open(spec, "a") as fh:
+        fh.write("\n[fmap]\nrule = auto\n")
+    assert parse_spec_text(open(spec).read()).fmap_mode == "auto"
+    assert main(["analyze", spec]) == 0
+    capsys.readouterr()
+    assert main(["report", spec, "--json"]) == 0
+    assert ("no commutation factor derived: pair search capped: 6561^2 pairs "
+            "of the neutral component exceed pair_cap 1000000") in json.loads(
+                capsys.readouterr().out)["notes"]
+
+
+# x*y = z = 2*(y*x) and u*v = w = 3*(v*u) over Q: each basis pair has a
+# scalar, but no constant fits both
+TWO_FACTORS_Q = ("[ring]\ncoeff = rat\nrank = 6\nnames = x y z u v w\n"
+                 "sc = 0 1 2 1\nsc = 1 0 2 1/2\nsc = 3 4 5 1\nsc = 4 3 5 1/3\n")
+
+
+def test_cli_no_rational_constant_note_is_exact(tmp_path, capsys, monkeypatch):
+    # the note says no constant holds, names no pair (each basis pair has a
+    # scalar of its own) and is the same whatever seed is given
+    path = _write(tmp_path, "q.spec", TWO_FACTORS_Q)
+    outs = []
+    for seed in ("1", "2", "77"):
+        monkeypatch.setenv("GRADEDNIL_SEED", seed)
+        assert main(["report", path, "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    notes = [line for line in outs[0].splitlines() if line.startswith("note: ")]
+    assert notes == [
+        "note: no commutation factor derived: no constant l has a*b = l*(b*a) "
+        "for all a, b: 1 and -1 fail on the basis pairs, and no other constant "
+        "can hold"]
 
 
 def test_parse_pair_rule_bad_shape():

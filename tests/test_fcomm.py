@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradednil.fcomm import (
-    DEFAULT_SAMPLES,
     Action,
     ActionLawError,
     FMap,
@@ -17,6 +16,7 @@ from gradednil.fcomm import (
     SemigroupTable,
     TABLE,
     WEAKENED,
+    _basis_certificate,
     _element_coords,
     _pair_commutes,
     check_f_commutative,
@@ -139,7 +139,7 @@ def test_search_result_always_passes_check():
         assert v.status == Status.PROVED
 
 
-def rewrite_identity_check(r, f, act, tuple_cap=10**6, samples=DEFAULT_SAMPLES, seed=0):
+def rewrite_identity_check(r, f, act, tuple_cap=10**6, samples=10**4, seed=0):
     """Verify both commutation-factor rewriting chains on 7-tuples.
 
     For x, m1, y, m2, z, m3, t the product x m1 y m2 z m3 t must equal
@@ -380,8 +380,6 @@ SMALL = [(fp(2), 3), (zmod(4), 3), (fp(5), 2), (zmod(6), 2)]
 @settings(max_examples=100, deadline=None)
 def test_certificate_matches_exhaustive_reference(dom, max_rank, data):
     r, f, act, variant = data.draw(constant_factor_cases(dom, max_rank))
-    # pair_cap=0: the element-pair path would only sample, so an exact
-    # verdict here can come from the certificate alone
     v = check_f_commutative(r, f, act, pair_cap=0, variant=variant)
     assert v.status == exhaustive_reference(r, f, act, variant)
     if v.status == Status.REFUTED:
@@ -445,6 +443,51 @@ def test_scalar_search_matches_pointwise_reference(ring):
     else:
         assert (fmap.kind, fmap.value, fmap.label) == (ref.kind, ref.value, ref.label)
         assert fmap == ref
+
+
+def rational_constant_reference(r):
+    """The constant a ring over Q commutes up to, or None: l is solved from
+    the first basis pair (b_i, b_j) with b_j*b_i != 0 (1 if there is none)
+    and kept if it passes the basis-pair certificate."""
+    lam = Fraction(1)
+    basis = [r.basis_element(t).coords for t in range(r.rank)]
+    for ca, cb in itertools.product(basis, repeat=2):
+        ab, ba = r.mul_coords(ca, cb), r.mul_coords(cb, ca)
+        k = next((k for k, v in enumerate(ba) if v), None)
+        if k is not None:
+            lam = ab[k] / ba[k]
+            break
+    f = FMap.constant(lam)
+    return f if _basis_certificate(r, f, scalar_action(r)).proved else None
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_search_finds_the_constant_exactly(data):
+    # over Q the search puts 1 and -1 to the certificate: exact, since no
+    # other constant can pass
+    r = data.draw(constant_factor_cases(rat(), 3))[0]
+    fmap, witness = scalar_f_search(r)
+    ref = rational_constant_reference(r)
+    assert witness is None
+    if ref is None:
+        assert fmap is None
+    else:
+        assert fmap.is_constant()
+        assert (fmap.value, fmap.label) == (ref.value, ref.label)
+
+
+def test_rational_grassmann_derives_minus_one_exactly():
+    fmap, witness = scalar_f_search(grassmann_star(2, rat()).ring)
+    assert witness is None
+    assert fmap == FMap.constant(-1) and fmap.label == "constant -1"
+
+
+def test_pointwise_rule_over_the_rationals_is_a_domain_error():
+    q = Ring(rat(), ["b"], {(0, 0): {0: 2}})
+    rule = FMap.from_rule({((Fraction(1),), (Fraction(1),)): Fraction(1)})
+    with pytest.raises(FMapDomainError, match="every pair over rat"):
+        check_f_commutative(q, rule, scalar_action(q))
 
 
 def test_scalar_action_validation_at_large_modulus():
@@ -587,7 +630,9 @@ def lift_cases(draw, dom, rank):
 @settings(max_examples=40, deadline=None)
 def test_lift_matches_diagonal_pair_reference(dom, rank, data):
     r, f, act, variant = data.draw(lift_cases(dom, rank))
-    base = check_f_commutative(r, f, act, variant=variant)
+    # every pointwise rule is checked on all of its pairs, so a pair cap of
+    # 0 leaves the verdict exact
+    base = check_f_commutative(r, f, act, pair_cap=0, variant=variant)
     assert lift_f_to_diagonal(base).status == diagonal_lift_reference(r, f, act, variant)
 
 

@@ -156,8 +156,12 @@ def test_cli_env_caps_override(tmp_path, capsys, monkeypatch):
     gr = sut(3, fp(2))
     path = tmp_path / "s3.spec"
     path.write_text(emit_graded(gr))
-    monkeypatch.setenv("GRADEDNIL_SEED", "99")
+    # the pair cap is read from the environment; the seed and sample count
+    # are no longer read, since nothing is sampled
+    monkeypatch.setenv("GRADEDNIL_PAIR_CAP", "99")
+    monkeypatch.setenv("GRADEDNIL_SEED", "abc")
+    monkeypatch.setenv("GRADEDNIL_SAMPLES", "0")
     code = main(["report", str(path), "--json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert data["seed"] == 99
+    assert data["caps"] == {"pair_cap": 99} and "seed" not in data

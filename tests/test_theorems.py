@@ -87,7 +87,7 @@ def test_empty_neutral_zero_ring():
 def test_nil_fcomm_grassmann_f3():
     gr = grassmann_star(2, fp(3))
     f, act = scalar_pair(gr_neutral(gr))
-    chk = verify_neutral_nil_fcomm_bound(gr, f, act, CAPS)
+    chk = verify_neutral_nil_fcomm_bound(gr, f, act)
     assert chk.status == CheckStatus.PASS
     # neutral part is span{e12} with nil index 2, support size 2: bound 240
     assert chk.bound == nil_index_bound(2, 2) == 240
@@ -104,7 +104,7 @@ def gr_neutral(gr):
 def test_nil_fcomm_degenerate_support_size_one():
     gr = trivial_grading(two_z_2k(3))
     f, act = scalar_pair(gr.ring)
-    chk = verify_neutral_nil_fcomm_bound(gr, f, act, CAPS)
+    chk = verify_neutral_nil_fcomm_bound(gr, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == nil_index_bound(3, 1) == 2 * 3 * 1 * 2
     assert chk.observed == 3
@@ -112,7 +112,7 @@ def test_nil_fcomm_degenerate_support_size_one():
 
 def test_nil_fcomm_not_applicable_without_factor():
     gr = trivial_grading(two_z_2k(3))
-    chk = verify_neutral_nil_fcomm_bound(gr, None, None, CAPS)
+    chk = verify_neutral_nil_fcomm_bound(gr, None, None)
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
@@ -148,7 +148,7 @@ def test_nilpotent_neutral_not_applicable():
 def test_generated_nil_two_z8_tight():
     r = two_z_2k(3)
     f, act = scalar_pair(r)
-    chk = verify_generated_nil_ring_bound(r, f, act, CAPS)
+    chk = verify_generated_nil_ring_bound(r, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.details["generators"] == 1
     assert chk.details["generator_nil_index"] == 3
@@ -158,7 +158,7 @@ def test_generated_nil_two_z8_tight():
 def test_generated_nil_zero_product_rank2():
     r = zero_product_ring(fp(2), 2)
     f, act = scalar_pair(r)
-    chk = verify_generated_nil_ring_bound(r, f, act, CAPS)
+    chk = verify_generated_nil_ring_bound(r, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == [2, 3] and chk.observed == 2
 
@@ -166,7 +166,7 @@ def test_generated_nil_zero_product_rank2():
 def test_generated_nil_grassmann_tight():
     r = grassmann_star(2, fp(3)).ring
     f, act = scalar_pair(r)
-    chk = verify_generated_nil_ring_bound(r, f, act, CAPS)
+    chk = verify_generated_nil_ring_bound(r, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.details["generators"] == 2
     assert chk.details["generator_nil_index"] == 2
@@ -175,14 +175,14 @@ def test_generated_nil_grassmann_tight():
 
 def test_generated_nil_not_applicable_when_not_nil():
     r = idempotent_ring(fp(2))
-    chk = verify_generated_nil_ring_bound(r, FMap.constant(1), scalar_action(r), CAPS)
+    chk = verify_generated_nil_ring_bound(r, FMap.constant(1), scalar_action(r))
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
 def test_generated_neutral_m2_two_z8():
     gr = elementary_grading(two_z_2k(3), 2)
     f, act = scalar_pair(gr_neutral(gr))
-    chk = verify_generated_neutral_bound(gr, f, act, CAPS)
+    chk = verify_generated_neutral_bound(gr, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.details["generators"] == 2
     assert chk.details["generator_nil_index"] == 3
@@ -191,7 +191,7 @@ def test_generated_neutral_m2_two_z8():
 
 
 def test_generated_neutral_zero_component_clause():
-    chk = verify_generated_neutral_bound(sut(3, fp(2)), None, None, CAPS)
+    chk = verify_generated_neutral_bound(sut(3, fp(2)), None, None)
     assert chk.status == CheckStatus.PASS
     assert chk.bound == [1, 3]
 
@@ -267,7 +267,7 @@ def test_product_length_excludes_char3():
 def test_matrix_transfer_two_z8():
     r = two_z_2k(3)
     f, act = scalar_pair(r)
-    chk = verify_matrix_nil_transfer(r, f, act, CAPS)
+    chk = verify_matrix_nil_transfer(r, f, act)
     assert chk.status == CheckStatus.PASS
     assert chk.details["diagonal_nil_index"] == 3
     assert chk.bound == nil_index_bound(3, 2) == 360
@@ -277,7 +277,7 @@ def test_matrix_transfer_two_z8():
 def test_matrix_transfer_rank1_zero_ring():
     r = zero_product_ring(fp(3), 1)
     f, act = scalar_pair(r)
-    chk = verify_matrix_nil_transfer(r, f, act, CAPS)
+    chk = verify_matrix_nil_transfer(r, f, act)
     assert chk.status == CheckStatus.PASS
 
 
@@ -294,7 +294,7 @@ def test_report_with_a_table_action_decides_the_matrix_transfer():
 
 def test_matrix_transfer_not_applicable_non_nil():
     r = idempotent_ring(fp(2))
-    chk = verify_matrix_nil_transfer(r, FMap.constant(1), scalar_action(r), CAPS)
+    chk = verify_matrix_nil_transfer(r, FMap.constant(1), scalar_action(r))
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
@@ -429,13 +429,15 @@ def test_full_report_zero_ring():
 def test_full_report_serializes():
     rep = full_report(trivial_grading(two_z_2k(3)))
     d = rep.to_dict()
-    assert {"checks", "caps", "seed", "timings", "notes"} <= set(d)
-    # the power chain always ends, so no power cap is recorded
-    assert set(d["caps"]) == {"pair_cap", "samples", "seed"}
+    assert set(d) == {"checks", "caps", "timings", "notes"}
+    # the power chain always ends and nothing is sampled, so the pair cap
+    # of the factor search is the one cap recorded, and there is no seed
+    assert d["caps"] == {"pair_cap": 10**6}
     for chk in d["checks"]:
         assert {"id", "anchor", "status", "bound", "observed"} <= set(chk)
     text = rep.to_text()
-    assert "T3.19" in text and "seed" in text
+    assert "T3.19" in text and "caps: {'pair_cap': 1000000}" in text
+    assert "seed" not in text
 
 
 def test_no_applicable_check_fails_across_examples():
