@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -176,7 +177,7 @@ def cmd_oracle(args):
         raise SystemExit(_input_error(f"--r must be greater than 1, got {args.r}"))
     if args.cyclic is not None:
         monoid = Monoid.cyclic(args.cyclic)
-    elif args.file:
+    elif args.file is not None:
         parsed = _load(args.file)
         if parsed.monoid is None or parsed.monoid.kind != "table":
             raise SystemExit(_input_error("oracle needs a table monoid"))
@@ -195,7 +196,7 @@ def cmd_oracle(args):
         # the split cuts at repeated prefix degrees, which needs left cancellation
         raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
     r = args.r
-    if args.word:
+    if args.word is not None:
         letters = [int(t) for t in args.word.replace(",", " ").split()]
         if len(letters) != r * len(supp):
             raise SystemExit(
@@ -452,7 +453,8 @@ def _zoo_args(p):
 
 
 # name -> (help, function adding the command's arguments); the full parser
-# and each command's own parser are both built from this one table
+# and each command's recorded arguments (``_command_table``) both come from
+# this one table
 COMMANDS = {
     "analyze": ("support, components, nil and nilpotency verdicts", _analyze_args),
     "verify": ("run one bound check by id (e.g. P3.03, T3.18)", _verify_args),
@@ -465,8 +467,10 @@ COMMANDS = {
 
 @functools.cache
 def build_parser():
-    """The full argument parser, built once per process.  It serves help,
-    usage errors and every argv that does not start with a command name."""
+    """The full argument parser, built once per process.  It serves every
+    argv that ``_parse_plain`` leaves to it: help, usage errors,
+    abbreviations, ``--opt=value`` and any argv that does not start with a
+    command name."""
     parser = _Parser(
         prog="gradednil",
         description="Exact analysis of monoid-graded rings and their nilpotency bounds",
@@ -477,27 +481,108 @@ def build_parser():
     return parser
 
 
+class _Recorder:
+    """Stands in for an ``ArgumentParser`` in a ``_*_args`` function and
+    records the arguments it adds, in order, each as a namespace of its
+    ``dest``, its ``option`` (None for a positional) and the keywords
+    below.  It models positionals, ``--name`` options with ``type``,
+    ``action="store_true"`` (a ``flag``), ``default``, ``required`` and
+    ``choices``, and mutually exclusive groups; anything else raises, so
+    that an argument argparse would parse otherwise is never declared
+    unnoticed."""
+
+    def __init__(self, args=None, group=None):
+        self.args = [] if args is None else args
+        self.group = group
+
+    def add_argument(self, name, *, type=None, action=None, default=None,
+                     required=False, choices=None, help=None):
+        flag = action == "store_true"
+        if action not in (None, "store_true") or (
+                isinstance(default, str) and type is not None):
+            # argparse would convert a str default through type at parse time
+            raise TypeError(f"argument {name!r}: action {action!r} or a typed "
+                            "str default is not modelled")
+        if not name.startswith("-"):
+            if flag or required or default is not None or self.group is not None:
+                raise TypeError(f"positional {name!r}: only type and choices are modelled")
+            dest, option = name, None
+        elif name.startswith("--") and len(name) > 2:
+            dest, option = name[2:].replace("-", "_"), name
+        else:
+            raise TypeError(f"option {name!r}: only --name options are modelled")
+        self.args.append(SimpleNamespace(
+            dest=dest, option=option, type=type, flag=flag,
+            default=False if flag else default, required=required,
+            choices=None if choices is None else tuple(choices), group=self.group))
+
+    def add_mutually_exclusive_group(self):
+        return _Recorder(self.args, group=object())
+
+
 @functools.cache
-def _command_parser(name):
-    """One command's parser alone, built once per process: the parser that
-    ``build_parser`` adds for the command, without the other five."""
-    parser = _Parser(prog=f"gradednil {name}")
-    COMMANDS[name][1](parser)
-    return parser
+def _command_table(name):
+    """The arguments of command ``name`` in declaration order, recorded
+    once per process from its ``_*_args`` function."""
+    recorder = _Recorder()
+    COMMANDS[name][1](recorder)
+    return tuple(recorder.args)
+
+
+def _parse_plain(name, tokens):
+    """The Namespace ``build_parser().parse_args([name, *tokens])`` gives,
+    or None for a call this parse does not reproduce exactly.  It takes
+    each option by its whole name, at most once, with its value, if it
+    takes one, as the next token; at most one member of each group; no
+    other token starting with "-"; and each positional once.  A value must
+    pass its type and choices, and every required option must be given."""
+    table = _command_table(name)
+    options = {arg.option: arg for arg in table if arg.option}
+    positionals = iter([arg for arg in table if not arg.option])
+    values, groups = {}, set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if token.startswith("-"):
+            arg = options.get(token)
+            if arg is None or arg.dest in values or arg.group in groups:
+                return None
+            if arg.group is not None:
+                groups.add(arg.group)
+            if arg.flag:
+                values[arg.dest] = True
+                continue
+            token = next(tokens, None)
+            if token is None or token.startswith("-"):
+                return None
+        else:
+            arg = next(positionals, None)
+            if arg is None:
+                return None
+        try:
+            value = token if arg.type is None else arg.type(token)
+        except (TypeError, ValueError):
+            return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        values[arg.dest] = value
+    if next(positionals, None) is not None or any(
+            arg.required and arg.dest not in values for arg in table):
+        return None
+    # command first, then every dest in declaration order, as the full
+    # parser's subparser action sets them
+    args = argparse.Namespace(command=name)
+    for arg in table:
+        setattr(args, arg.dest, values.get(arg.dest, arg.default))
+    return args
 
 
 def _parse_args(argv):
-    """``build_parser().parse_args(argv)``, building only the command's own
-    parser when argv starts with a command name.  Arguments that parser
-    leaves over are parsed again by the full parser, so the error shows the
-    top-level usage line, as a parse by the full parser alone does."""
-    if argv and argv[0] in COMMANDS:
-        # command set first, as the full parser's subparser action sets it
-        args, extra = _command_parser(argv[0]).parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``.  A plain call of a command is
+    parsed from its recorded arguments, with no parser built; help, usage
+    errors, abbreviations, ``--opt=value`` and every other argv go to the
+    full parser, so their output and exit codes are argparse's."""
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv=None):

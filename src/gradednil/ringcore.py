@@ -234,6 +234,9 @@ class Ring:
         self._not_nilpotent = None
         # the bounded nil index verdict; see nil.bounded_nil_index_auto
         self._nil_index = None
+        # the f-commutativity verdicts by factor and action; see
+        # theorems._f_commutative
+        self._f_commutative = {}
         if check:
             self._check_associativity()
 

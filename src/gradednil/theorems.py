@@ -152,11 +152,16 @@ _NO_FACTOR = "no commutation factor supplied or derived"
 def _f_commutative(check, r, f, act, where=""):
     """The verdict that ``r`` commutes up to ``f``, or None with ``check``
     finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
-    prefixes its reason)."""
+    prefixes its reason).  The verdict is computed once per ring, factor and
+    action, and kept on the ring."""
     if f is None or act is None:
         _na(check, _NO_FACTOR)
         return None
-    fc = check_f_commutative(r, f, act)
+    key = (id(f), id(act))
+    if key not in r._f_commutative:
+        # f and act are kept with their verdict, so no other object takes their ids
+        r._f_commutative[key] = (f, act, check_f_commutative(r, f, act))
+    fc = r._f_commutative[key][2]
     if fc.status == Status.REFUTED:
         _na(check, f"{where}not f-commutative at {fc.witness}")
         return None

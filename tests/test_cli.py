@@ -2,12 +2,15 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from gradednil import cli, nil, words
+from gradednil import cli, nil, theorems, words
 from gradednil.cli import main
 from gradednil.fcomm import Action
 from gradednil.grading import GradedRing, elementary_grading
@@ -196,7 +199,6 @@ def test_cli_analyze_d4_ring_over_z12_prints_the_exact_index(tmp_path, capsys):
 
 def _clear_parsers():
     cli.build_parser.cache_clear()
-    cli._command_parser.cache_clear()
 
 
 def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
@@ -219,7 +221,7 @@ def test_cli_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
     assert [code for code, _ in fresh] == [0, 0, 0, 3, 0, 3]
     assert [run(argv, False) for argv in argvs] == fresh
     assert cli.build_parser() is cli.build_parser()
-    assert cli._command_parser("zoo") is cli._command_parser("zoo")
+    assert cli._command_table("zoo") is cli._command_table("zoo")
     for _ in range(2):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: gradednil")
@@ -242,18 +244,20 @@ def test_cli_builds_only_the_invoked_commands_parser(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     _clear_parsers()
+    # a well-formed call is parsed from the command table: no parser at all
     assert main(["analyze", path]) == 0
-    assert built == ["gradednil analyze"]
+    assert built == []
     capsys.readouterr()
     # a usage error falls back to the full parser: itself and six subparsers
     assert main(["analyze", path, "--bogus"]) == 3
-    assert len(built) == 1 + 1 + len(cli.COMMANDS)
+    assert len(built) == 1 + len(cli.COMMANDS)
     assert capsys.readouterr().err.startswith("usage: gradednil [-h] {analyze,")
 
 
 def _parity_cases(spec):
     """Per command: valid arguments, -h, a missing positional, a non-integer
-    cap, an unknown option and an extra positional; then top-level cases."""
+    cap, an unknown option, an extra positional and an option value that
+    argparse reads as an option; then top-level cases."""
     valid = {
         "analyze": [spec, "--json"],
         "verify": ["P3.03", spec, "--classes", "0"],
@@ -271,16 +275,22 @@ def _parity_cases(spec):
                "oracle": ["lemma-3-5", "--supp", "1", "--r", "two"],
                "construct": ["elementary", spec, "--n", "x"],
                "zoo": ["sut", "--k", "x"]}
+    dash_value = {"analyze": [spec, "--seed", "-x"],
+                  "verify": ["P3.03", spec, "--classes", "-x"],
+                  "report": [spec, "--classes", "-x"],
+                  "oracle": ["lemma-3-5", "--supp", "-x", "--r", "2"],
+                  "construct": ["elementary", spec, "--out", "-x"],
+                  "zoo": ["sut", "--domain", "-x"]}
     cases = []
     for name in cli.COMMANDS:
         cases += [[name, *valid[name]], [name, "-h"], [name, *missing[name]],
                   [name, *bad_int[name]], [name, *valid[name], "--bogus"],
-                  [name, *valid[name], "extra"]]
+                  [name, *valid[name], "extra"], [name, *dash_value[name]]]
     return cases + [["--help"], [], ["anal"], ["-x", "analyze", spec]]
 
 
 def test_cli_command_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch):
-    # main parses with the invoked command's parser alone; exit code,
+    # main parses a plain call from the command table alone; exit code,
     # stdout, stderr and Namespace are those of the full parser's parse
     spec = _write(tmp_path, "sut3.spec", emit_graded(SUT3))
     seen = []
@@ -301,8 +311,141 @@ def test_cli_command_parser_matches_the_full_parser(tmp_path, capsys, monkeypatc
         codes.append((code, len(seen)))
     # each command's valid case runs it; -h and --help exit 0 without
     # running one; every other case is a usage error
-    assert codes == [(0, 1), (0, 0), (3, 0), (3, 0), (3, 0), (3, 0)] * len(cli.COMMANDS) + [
+    assert codes == [(0, 1), (0, 0), (3, 0), (3, 0), (3, 0), (3, 0), (3, 0)] * len(cli.COMMANDS) + [
         (0, 0), (3, 0), (3, 0), (3, 0)]
+
+
+# values a drawn argv gives an argument: "1" and each choice are well
+# formed; argparse reads "-1" as a value but "-x" as an option, rejects "x"
+# and "1.5" as ints and takes "" as a value
+DRAWN_VALUES = ["1", "-1", "-x", "", "x", "1.5", "spec"]
+
+
+# the ways a drawn argv departs from a well formed call; see command_lines
+FAULTS = ["value", "abbreviate", "equals", "drop", "insert", "name"]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv built from one command's own tokens, with up to two faults.
+
+    The well formed call has the command's positionals in order, with a
+    drawn subset of its options spliced in (both members of a group
+    included), each with a well formed value.  A fault replaces a value,
+    abbreviates an option, writes it as --opt=value, drops a positional or
+    option, inserts a token anywhere (-h, --help, --, an unknown option,
+    one of its options again, an extra positional) or replaces the command
+    name."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    table = cli._command_table(name)
+
+    def good(arg):
+        return "1" if arg.type is int else arg.choices[0] if arg.choices else "spec"
+
+    units = [[good(arg)] for arg in table if arg.option is None]
+    args = [arg for arg in table if arg.option is None]
+    for arg in table:
+        if arg.option is not None and (arg.required or draw(st.booleans())):
+            at = draw(st.integers(0, len(units)))
+            units.insert(at, [arg.option] if arg.flag else [arg.option, good(arg)])
+            args.insert(at, arg)
+    noise = ["-h", "--help", "--", "--bogus", "spec"] + [a.option for a in table if a.option]
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=2)):
+        i = draw(st.integers(0, len(units) - 1)) if units else None
+        if fault == "name":
+            name = draw(st.sampled_from(["anal", "-h", "", "--json"]))
+        elif fault == "insert":
+            at = draw(st.integers(0, len(units)))
+            units.insert(at, [draw(st.sampled_from(noise))])
+            args.insert(at, None)
+        elif i is None or args[i] is None:
+            continue
+        elif fault == "drop":
+            del units[i], args[i]
+        elif fault == "value":
+            value = draw(st.sampled_from(DRAWN_VALUES + list(args[i].choices or ())))
+            units[i] = [f"{units[i][0]}={value}"] if args[i].flag else [*units[i][:-1], value]
+        elif args[i].option is None:
+            continue
+        elif fault == "abbreviate":
+            units[i][0] = units[i][0][:draw(st.integers(2, len(args[i].option)))]
+        elif len(units[i]) == 2:
+            units[i] = ["=".join(units[i])]
+    return [name, *(token for unit in units for token in unit)]
+
+
+@given(argv=command_lines())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cli_plain_parse_matches_the_full_parser_on_drawn_argv(capsys, monkeypatch, argv):
+    # on any argv main exits, prints and parses as the full parser does;
+    # when the plain parse accepts an argv, the full parser accepts it too
+    seen = []
+    for name in cli.COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or 0)
+    capsys.readouterr()
+    plain = cli._parse_plain(argv[0], argv[1:]) if argv[0] in cli.COMMANDS else None
+    code = main(list(argv))
+    got = (code, capsys.readouterr(), [list(vars(a).items()) for a in seen])
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+        want = (0, capsys.readouterr(), [list(vars(args).items())])
+    except SystemExit as exc:
+        want = (exc.code, capsys.readouterr(), [])
+    assert got == want
+    if plain is not None:
+        assert want[2] == [list(vars(plain).items())]
+
+
+def test_cli_recorder_rejects_what_it_does_not_model():
+    # an argument the plain parse would read otherwise than argparse fails
+    # at declaration, not at parse time
+    rec = cli._Recorder()
+    for name, kwargs in [("--x", {"nargs": 2}), ("--x", {"action": "append"}),
+                         ("--x", {"type": int, "default": "1"}), ("-x", {}),
+                         ("x", {"required": True}), ("x", {"default": "a"}),
+                         ("x", {"action": "store_true"})]:
+        with pytest.raises(TypeError):
+            rec.add_argument(name, **kwargs)
+    with pytest.raises(TypeError):
+        rec.add_mutually_exclusive_group().add_argument("x")
+    assert rec.args == []
+
+
+BENCH_LINES_SCRIPT = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from gradednil import cli
+at_import = (len(built), "locale" in sys.modules)
+sys.path.insert(0, sys.argv[1])
+from workloads import WORKLOADS, generate_specs
+exits = []
+for wl in WORKLOADS.values():
+    spec_dir = sys.argv[2] + "/" + wl.name
+    generate_specs(cli.main, wl, spec_dir)
+    for kind, label in wl.commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exits.append(cli.main(wl.argv(kind, label, spec_dir, 1)))
+print(json.dumps([at_import, len(built), "locale" in sys.modules, exits]))
+"""
+
+
+def test_cli_benchmark_command_lines_build_no_parser(tmp_path):
+    # in a fresh process, importing the CLI and running every command line
+    # of the benchmark workloads, spec generation included, constructs no
+    # ArgumentParser and imports no locale (argparse's first gettext lookup
+    # imports it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", BENCH_LINES_SCRIPT, perfbench, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300, check=True)
+    at_import, built, locale_imported, exits = json.loads(out.stdout.splitlines()[-1])
+    assert at_import == [0, False]
+    assert (built, locale_imported) == (0, False)
+    assert exits and set(exits) == {0}
 
 
 def test_cli_runs_each_non_nilpotent_search_once(tmp_path, capsys, monkeypatch):
@@ -431,6 +574,19 @@ def test_cli_oracle_rejects_len(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "--len" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("source, mode, message", [
+    (["--cyclic", "2"], ["--word", ""], "word length must be r*d = 2"),
+    (["--file", ""], ["--exhaustive"], "no such file: "),
+], ids=["empty-word", "empty-file"])
+def test_cli_oracle_empty_value_is_given_not_absent(capsys, source, mode, message):
+    # an empty --word is a word of length 0 and an empty --file a path that
+    # names no file; neither is taken for a missing option
+    assert main(["oracle", "lemma-3-5", *source, "--supp", "1", "--r", "2", *mode]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -875,6 +1031,28 @@ def test_cli_verify_agrees_with_report(tmp_path, capsys, label):
             continue  # verify needs --classes; see the test below
         main(["verify", entry["id"], path, "--json"])
         assert json.loads(capsys.readouterr().out) == entry, entry["id"]
+
+
+@pytest.mark.parametrize("label", ["m2z8", "grass3", "z8"])
+def test_cli_report_computes_each_f_commutativity_verdict_once(tmp_path, capsys, monkeypatch,
+                                                               label):
+    # T3.15, T3.19, T3.20 and T3.26 share one verdict on the neutral ring
+    # under one factor and action; each check verified alone, on a ring of
+    # its own, gives the entry the report holds for it
+    path = _bench_spec(tmp_path, label)
+    calls = []
+    check = theorems.check_f_commutative
+    monkeypatch.setattr(theorems, "check_f_commutative",
+                        lambda *args: calls.append(args) or check(*args))
+    capsys.readouterr()
+    assert main(["report", path, "--json"]) == 0
+    entries = {e["id"]: e for e in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(calls) == 1
+    for check_id in ("T3.15", "T3.19", "T3.20", "T3.26"):
+        calls.clear()
+        main(["verify", check_id, path, "--json"])
+        assert json.loads(capsys.readouterr().out) == entries[check_id], check_id
+        assert len(calls) == 1
 
 
 def test_cli_verify_c304_agrees_with_report(tmp_path, capsys):

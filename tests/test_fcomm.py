@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from gradednil.fcomm import (
     Action,
@@ -461,12 +461,42 @@ def rational_constant_reference(r):
     return f if _basis_certificate(r, f, scalar_action(r)).proved else None
 
 
+@st.composite
+def twisted_minus_one_rings(draw):
+    """A ring over Q twisted by mu = -1, b_j b_i = -(b_i b_j) for i < j,
+    with a zero diagonal three times in four, so that it often commutes up
+    to -1; otherwise a square b_i b_i is drawn, which -1 fits only if it is
+    zero.  Now and then one coefficient of one b_j b_i is moved off the
+    twist, so that no constant fits."""
+    coeff = st.one_of(st.just(Fraction(0)), st.sampled_from((1, -1, 2)).map(Fraction),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4))
+    rank = draw(st.integers(2, 4))
+    zero_diagonal = draw(st.integers(0, 3)) > 0
+
+    def vector():
+        return {k: draw(coeff) for k in range(rank)}
+
+    sc = {}
+    for i in range(rank):
+        sc[(i, i)] = {} if zero_diagonal else vector()
+        for j in range(i + 1, rank):
+            sc[(i, j)] = vector()
+            sc[(j, i)] = {k: -c for k, c in sc[(i, j)].items()}
+    if draw(st.integers(0, 4)) == 0:
+        i, j = sorted(draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        k = draw(st.integers(0, rank - 1))
+        sc[(j, i)][k] = sc[(j, i)].get(k, 0) + draw(coeff)
+    return Ring(rat(), [f"b{t}" for t in range(rank)], sc, check=False)
+
+
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_rational_search_finds_the_constant_exactly(data):
     # over Q the search puts 1 and -1 to the certificate: exact, since no
-    # other constant can pass
-    r = data.draw(constant_factor_cases(rat(), 3))[0]
+    # other constant can pass; the twisted rings test the -1 branch
+    r = data.draw(st.one_of(constant_factor_cases(rat(), 3).map(lambda case: case[0]),
+                            twisted_minus_one_rings()))
     fmap, witness = scalar_f_search(r)
     ref = rational_constant_reference(r)
     assert witness is None
@@ -475,6 +505,18 @@ def test_rational_search_finds_the_constant_exactly(data):
     else:
         assert fmap.is_constant()
         assert (fmap.value, fmap.label) == (ref.value, ref.label)
+
+
+def test_twisted_rings_reach_the_minus_one_branch():
+    # the strategy draws rings on which the search and the reference both
+    # return -1, and rings twisted by -1 on which neither returns a constant
+    def values(r):
+        return [getattr(f, "value", None)
+                for f in (scalar_f_search(r)[0], rational_constant_reference(r))]
+
+    unshrunk = settings(database=None, phases=[Phase.generate])
+    find(twisted_minus_one_rings(), lambda r: values(r) == [-1, -1], settings=unshrunk)
+    find(twisted_minus_one_rings(), lambda r: values(r) == [None, None], settings=unshrunk)
 
 
 def test_rational_grassmann_derives_minus_one_exactly():
