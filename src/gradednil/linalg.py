@@ -14,7 +14,9 @@ Two reducers back every span computation:
   reachable by greedy reduction.
 
 Rows are tuples of normalized coefficients; the canonical form of a span is
-the tuple of its nonzero rows ordered by pivot column.  Nothing here knows
+the tuple of its nonzero rows ordered by pivot column.  Both reducers take
+an optional kept form and reduce only the new rows against it, so a span
+that grows by a few rows is extended, not rebuilt.  Nothing here knows
 about rings; callers supply raw coefficient rows.
 """
 
@@ -45,14 +47,25 @@ def _unit_lift(a, m):
     return u % m
 
 
-def howell(rows, ncols, m):
-    """Howell normal form of the Z/mZ-span of ``rows``.
+def _lead(row):
+    """Column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
+def howell(rows, ncols, m, form=()):
+    """Howell normal form of the Z/mZ-span of ``rows`` and the kept Howell
+    form ``form``.
 
     Returns a tuple of row tuples sorted by pivot column; the result is the
     unique Howell basis of the span, so two generator sets span the same
-    module iff their forms are equal.
+    module iff their forms are equal.  The rows of ``form`` start as the
+    pivots and only ``rows`` are reduced: the annihilator multiple of each
+    kept row already lies in the span of the kept rows after it, and that
+    span only grows, so the rows that stay pivots need no new annihilator.
     """
-    pivots = {}  # leading column -> row (list of ints mod m)
+    if not rows:
+        return tuple(form)
+    pivots = {_lead(row): list(row) for row in form}  # leading column -> row
 
     def leading(row):
         for j, v in enumerate(row):
@@ -124,15 +137,19 @@ def howell_contains(form, vec, m):
     return not any(v)
 
 
-def rref(rows, ncols, dom):
-    """Reduced row echelon form over a field domain (fp or rat).
+def rref(rows, ncols, dom, form=()):
+    """Reduced row echelon form over a field domain (fp or rat) of the span
+    of ``rows`` and the kept form ``form``.
 
-    Entries are plain ints reduced mod p over F_p and Fractions over Q.  A
-    new row is reduced by every pivot row (each is 0 at the other pivots, so
-    their order does not matter), scaled only when its leading entry is not
-    already 1, and then cleared from the lead column of the other pivots.
-    The row length gives the width; ``ncols`` keeps ``howell``'s signature.
+    Entries are plain ints reduced mod p over F_p and Fractions over Q.  The
+    rows of ``form`` start as the pivots.  A new row is reduced by every
+    pivot row (each is 0 at the other pivots, so their order does not
+    matter), scaled only when its leading entry is not already 1, and then
+    cleared from the lead column of the other pivots.  The row length gives
+    the width; ``ncols`` keeps ``howell``'s signature.
     """
+    if not rows:
+        return tuple(form)
     p = dom.modulus if dom.finite else None
 
     def axpy(row, c, prow):
@@ -141,7 +158,7 @@ def rref(rows, ncols, dom):
             return [a - c * b for a, b in zip(row, prow)]
         return [(a - c * b) % p for a, b in zip(row, prow)]
 
-    pivots = {}  # leading column -> row
+    pivots = {_lead(row): row for row in form}  # leading column -> row
     for row in rows:
         if not any(row):
             continue

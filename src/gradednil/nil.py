@@ -33,7 +33,6 @@ powers of each support degree and reads the verdict off the grading.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -45,6 +44,7 @@ from .ringcore import (
     DEFAULT_ELEM_CAP,
     Element,
     Ring,
+    _ranges,
     power_chain,
 )
 
@@ -143,15 +143,10 @@ class SymbolicInternalError(RuntimeError):
 
 
 def kernel_dtype(r: Ring):
-    """int64 when every coordinate's sum of reduced terms stays below 2^63,
-    else object: with t constants landing on one coordinate, each term
-    reduced as ((a_i b_j) mod m) c is at most (m - 1)^2, so the sum is at
-    most t (m - 1)^2 (the delayed-reduction bound of FFLAS-FFPACK, Dumas,
-    Giorgi & Pernet, ACM TOMS 34(3), 2008)."""
-    m = r.coeff.size
-    per_target = Counter(k for terms in r.sc.values() for k in terms)
-    worst = max(per_target.values(), default=1)
-    return np.int64 if worst * (m - 1) ** 2 < 2**63 else object
+    """The dtype of ``r``'s structure table constants: int64 when every
+    coordinate's sum of reduced terms stays below 2^63, else object (see
+    ``Ring.table``)."""
+    return np.int64 if r.table().const.dtype == np.int64 else object
 
 
 def _general_powers(r: Ring, last, positions=None):
@@ -186,10 +181,8 @@ def _general_powers(r: Ring, last, positions=None):
     """
     dom, rank = r.coeff, r.rank
     m = dom.modulus
-    dtype = kernel_dtype(r) if dom.finite else object
-    trip = sorted((i, j, k, c) for (i, j), terms in r.sc.items() for k, c in terms.items())
-    left, right, target = (np.array([t[n] for t in trip], dtype=np.int32) for n in range(3))
-    const = np.array([t[3] for t in trip], dtype=dtype)
+    dtype = kernel_dtype(r)
+    left, right, target, const = r.table()
     positions = np.arange(rank) if positions is None else np.asarray(positions)
     if len(positions) < rank:
         on = np.isin(right, positions)
@@ -207,8 +200,7 @@ def _general_powers(r: Ring, last, positions=None):
         if not per.any():
             key, coef = key[:0], coef[:0]
             break
-        src = np.repeat(np.arange(len(coef)), per)
-        con = np.arange(src.size) + np.repeat(first - np.cumsum(per) + per, per)
+        src, con = _ranges(first, per)
         c = coef[src] * const[con]
         if m is not None:
             c %= m

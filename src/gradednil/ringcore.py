@@ -4,10 +4,12 @@ A ring of rank R is stored as sparse structure constants c[i][j][k] with
 b_i * b_j = sum_k c[i][j][k] b_k.  Coefficients live in Z/mZ, a prime field,
 or the rationals; all arithmetic is exact.  Rings carry no implicit unit.
 
-The product and the associativity check walk only the nonzero constants,
-grouped once by left index (the row-wise sparse product of Gustavson, ACM
-TOMS 4(3), 1978), and reduce each output coordinate mod m once.  Sums are
-Python integers or Fractions, so they are exact at every modulus.
+The product walks only the nonzero constants, grouped once by left index
+(the row-wise sparse product of Gustavson, ACM TOMS 4(3), 1978), and
+reduces each output coordinate mod m once.  Sums are Python integers or
+Fractions, so they are exact at every modulus.  The batched kernels (the
+associativity check here, the symbolic expansion in ``nil``) read one flat
+structure table per ring, built on first use and kept on it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from . import linalg
 
@@ -40,6 +45,25 @@ class AssociativityError(ValueError):
 
 class RingMismatchError(ValueError):
     """Operands belong to different rings."""
+
+
+class StructureTable(NamedTuple):
+    """The nonzero constants c b_k of b_i b_j as flat arrays, one entry per
+    (i, j, k), sorted by (i, j, k): ``left`` i, ``right`` j, ``target`` k
+    and ``const`` c.  ``const`` has the kernel dtype (see ``Ring.table``)."""
+
+    left: np.ndarray
+    right: np.ndarray
+    target: np.ndarray
+    const: np.ndarray
+
+
+def _ranges(first, per):
+    """(src, con): each n repeated per[n] times beside first[n], first[n] + 1,
+    ..., first[n] + per[n] - 1, for a join with contiguous runs."""
+    src = np.repeat(np.arange(len(per)), per)
+    con = np.arange(src.size) + np.repeat(first - np.cumsum(per) + per, per)
+    return src, con
 
 
 # Miller-Rabin with the prime bases up to 41 decides primality exactly below
@@ -237,42 +261,111 @@ class Ring:
         # the f-commutativity verdicts by factor and action; see
         # theorems._f_commutative
         self._f_commutative = {}
+        # the generator count of a nilpotent ring; see min_generators
+        self._generators = None
+        # the flat structure table; see table
+        self._table = None
         if check:
             self._check_associativity()
+
+    def table(self):
+        """The ``StructureTable`` of the ring, built on first use and kept.
+
+        Its constants are int64 when every coordinate's sum of reduced terms
+        stays below 2^63, else object (Python integers, or Fractions over
+        Q): with t constants landing on one coordinate, each term reduced as
+        ((a_i b_j) mod m) c is at most (m - 1)^2, so the sum is at most
+        t (m - 1)^2 (the delayed-reduction bound of FFLAS-FFPACK, Dumas,
+        Giorgi & Pernet, ACM TOMS 34(3), 2008).
+        """
+        if self._table is None:
+            trip = sorted((i, j, k, c) for (i, j), terms in self.sc.items()
+                          for k, c in terms.items())
+            left, right, target = (np.array([t[n] for t in trip], dtype=np.int32)
+                                   for n in range(3))
+            m = self.coeff.modulus
+            worst = int(np.bincount(target).max()) if trip else 1
+            wide = not self.coeff.finite or worst * (m - 1) ** 2 >= 2**63
+            const = np.array([t[3] for t in trip], dtype=object if wide else np.int64)
+            self._table = StructureTable(left, right, target, const)
+            for column in self._table:
+                column.flags.writeable = False
+        return self._table
 
     def _check_associativity(self):
         """Check (b_i b_j) b_k = b_i (b_j b_k) on every basis triple.
 
-        Both sides are expanded from the nonzero constants, one left index i
-        at a time: (b_i b_j) b_k through ``_left``, b_i (b_j b_k) through the
-        pairs (j, k) whose product reaches each target t.  A triple that no
-        constant reaches is zero on both sides.  Raises on the first failing
-        triple in lexicographic order.
+        One join over the structure table: (b_i b_j) b_k pairs each constant
+        with those whose left index is its target, b_i (b_j b_k) pairs each
+        with those whose right index is its target.  Every product, reduced
+        mod m, is keyed by (i, j, k, v) packed into one integer, the right
+        side's negated; one stable sort and one ``np.add.reduceat`` sum both
+        sides per key.  A triple that no constant reaches is zero on both
+        sides.  The kernel dtype keeps every step exact: a product is at
+        most (m - 1)^2 before its reduction, and a key takes at most t terms
+        below m from each side, t the constants landing on v, where
+        2 t (m - 1) <= t (m - 1)^2 once m >= 3, and 2 t is far below 2^63 at
+        m = 2.  Raises on the first failing triple in lexicographic order,
+        its two sides expanded by ``_sides``.
         """
-        into = {}
-        for (j, k), terms in self.sc.items():
-            for t, c in terms.items():
-                into.setdefault(t, []).append((j, k, c))
-        for i in range(self.rank):
-            row = self._left.get(i, ())
-            left = {}
-            for j, terms in row:
-                for t, c in terms:
-                    for k, terms_tk in self._left.get(t, ()):
-                        acc = left.setdefault((j, k), {})
-                        for v, c2 in terms_tk:
-                            acc[v] = acc.get(v, 0) + c * c2
-            right = {}
-            for t, terms_it in row:
-                for j, k, c in into.get(t, ()):
-                    acc = right.setdefault((j, k), {})
-                    for v, c2 in terms_it:
-                        acc[v] = acc.get(v, 0) + c * c2
-            for j, k in sorted(left.keys() | right.keys()):
-                lhs = self._reduced(left.get((j, k), {}))
-                rhs = self._reduced(right.get((j, k), {}))
-                if lhs != rhs:
-                    raise AssociativityError(i, j, k, lhs, rhs)
+        left, right, target, const = self.table()
+        n, m = self.rank, self.coeff.modulus
+        wide = np.int64 if n**4 < 2**63 else object
+        groups = np.arange(n + 1)
+
+        def join(start, order=None):
+            """Each constant (outer) against the run of constants (inner)
+            whose index, read in ``order``, is its target."""
+            first = start[target]
+            outer, inner = _ranges(first, start[target + 1] - first)
+            if order is not None:
+                inner = order[inner]
+            value = const[outer] * const[inner]
+            if m is not None:
+                value %= m
+            return outer, inner, value
+
+        def pack(*cols):
+            key = np.zeros(len(cols[0]), dtype=wide)
+            for col in cols:
+                key = key * n + col.astype(wide)
+            return key
+
+        # (b_i b_j) b_k: outer (i, j, t), inner (t, k, v)
+        outer, inner, lhs = join(np.searchsorted(left, groups))
+        keys = [pack(left[outer], right[outer], right[inner], target[inner])]
+        # b_i (b_j b_k): outer (j, k, t), inner (i, t, v)
+        by_right = np.argsort(right, kind="stable")
+        outer, inner, rhs = join(np.searchsorted(right[by_right], groups), by_right)
+        keys.append(pack(left[inner], left[outer], right[outer], target[inner]))
+        key = np.concatenate(keys)
+        if not len(key):
+            return
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(np.concatenate((lhs, -rhs))[order], heads)
+        if m is not None:
+            sums %= m
+        bad = np.flatnonzero(sums != 0)
+        if len(bad):
+            triple = int(key[heads[bad[0]]]) // n
+            i, j, k = triple // (n * n), triple // n % n, triple % n
+            raise AssociativityError(i, j, k, *self._sides(i, j, k))
+
+    def _sides(self, i, j, k):
+        """(b_i b_j) b_k and b_i (b_j b_k) as {v: coeff}, zeros dropped, in
+        the order the constants are stored."""
+        left, right = {}, {}
+        for t, c in self.sc.get((i, j), {}).items():
+            for v, c2 in self.sc.get((t, k), {}).items():
+                left[v] = left.get(v, 0) + c * c2
+        jk = self.sc.get((j, k), {})
+        for t, terms_it in self._left.get(i, ()):
+            if t in jk:
+                for v, c2 in terms_it:
+                    right[v] = right.get(v, 0) + jk[t] * c2
+        return self._reduced(left), self._reduced(right)
 
     def _reduced(self, acc):
         """A raw sum {k: coeff} normalized, with zero coordinates dropped."""
@@ -424,17 +517,19 @@ class Submodule:
 
     Over fields the canonical form is the reduced row echelon basis; over
     Z/mZ it is the Howell normal form, so equality of forms decides equality
-    of submodules and membership is a greedy reduction.
+    of submodules and membership is a greedy reduction.  ``form``, the rows
+    of a submodule already in canonical form, is kept: the result is its sum
+    with the span of ``generators``, and only the generators are reduced.
     """
 
-    def __init__(self, ring: Ring, generators):
+    def __init__(self, ring: Ring, generators, form=()):
         self.ring = ring
         rows = [list(g.coords if isinstance(g, Element) else g) for g in generators]
         dom = ring.coeff
         if dom.kind == ZMOD:
-            self.rows = linalg.howell(rows, ring.rank, dom.modulus)
+            self.rows = linalg.howell(rows, ring.rank, dom.modulus, form)
         else:
-            self.rows = linalg.rref(rows, ring.rank, dom)
+            self.rows = linalg.rref(rows, ring.rank, dom, form)
 
     def contains(self, x) -> bool:
         coords = x.coords if isinstance(x, Element) else tuple(x)
@@ -472,7 +567,9 @@ def _word_spans(r: Ring, gens):
     W_1 = span(gens) and W_(k+1) = span(W_k * gens), so only the generators
     multiply.  Returns ``(words, tail)``: ``words`` is W_1 ... W_k, each
     outside the sum of the ones before it, and ``tail`` is W_(k+1), the
-    first that is zero or lies in that sum.  Every later W lies in
+    first that is zero or lies in that sum.  The sum is kept in canonical
+    form: a W lies in it when extending it by W leaves its rows unchanged,
+    and otherwise that extension is the next sum.  Every later W lies in
     V = W_2 + ... + W_(k+1): W_(k+2) = W_(k+1) * gens lies in it since
     W_(k+1) lies in W_1 + ... + W_k, and if W_j lies in V, then so does
     W_(j+1) = W_j * gens, in W_3 + ... + W_(k+2).  So the words sum to the
@@ -482,11 +579,13 @@ def _word_spans(r: Ring, gens):
     words, closure = [], None
     w = Submodule(r, gens)
     while not w.is_zero():
-        if words:
-            # the sum of the words so far, formed only once a nonzero W needs it
-            closure = words[0] if closure is None else Submodule(r, closure.rows + words[-1].rows)
-            if all(closure.contains(row) for row in w.rows):
+        if closure is None:
+            closure = w
+        else:
+            grown = Submodule(r, w.rows, closure.rows)
+            if grown == closure:
                 break
+            closure = grown
         words.append(w)
         w = Submodule(r, [r.mul_coords(row, g) for row in w.rows for g in gens])
     return words, w
@@ -496,21 +595,22 @@ def _chain_start(r: Ring):
     """The start of the power chain of a ring of nonzero rank, from its
     structure table and the words in a generating set.
 
-    R^2 is the span of the structure-constant vectors b_i b_j, each distinct
-    one reduced once.  The basis vectors S that are not unit pivots of R^2's
-    canonical form give R = span(S) + R^2, since a unit pivot row is b_t
-    plus a combination of columns in S.  So S generates R exactly when its
-    words of length 2 or more span R^2, and then R^k = W_k + W_(k+1) + ...
-    for the word spans W of S.  When S is smaller than the basis, its words
-    vanish and they span R^2, the whole chain is their suffix sums.
-    Otherwise the chain is returned up to R^2 for ``power_chain`` to grow by
-    the basis: S is the whole basis, or S does not generate R (an
-    idempotent lies in R^2, so no word in S reaches it), or its words close
-    before they vanish (over Z/mZ a word span can fall back into W_1, as
-    for a^2 = b, ab = ba = 2c over Z/4, nilpotent all the same).
+    R is the identity rows, already in canonical form.  R^2 is the span of
+    the structure-constant vectors b_i b_j, each distinct one reduced once.
+    The basis vectors S that are not unit pivots of R^2's canonical form
+    give R = span(S) + R^2, since a unit pivot row is b_t plus a combination
+    of columns in S.  So S generates R exactly when its words of length 2 or
+    more span R^2, and then R^k = W_k + W_(k+1) + ... for the word spans W
+    of S.  When S is smaller than the basis, its words vanish and they span
+    R^2, the whole chain is their suffix sums, each the one after it
+    extended by a word span.  Otherwise the chain is returned up to R^2 for
+    ``power_chain`` to grow by the basis: S is the whole basis, or S does
+    not generate R (an idempotent lies in R^2, so no word in S reaches it),
+    or its words close before they vanish (over Z/mZ a word span can fall
+    back into W_1, as for a^2 = b, ab = ba = 2c over Z/4, nilpotent all the
+    same).
     """
-    basis = [b.coords for b in r.basis()]
-    full = Submodule(r, basis)
+    full = Submodule(r, [], tuple(b.coords for b in r.basis()))
     distinct = {tuple(sorted(v.items())): v for v in r.sc.values()}.values()
     square = Submodule(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
     units = set()
@@ -518,13 +618,13 @@ def _chain_start(r: Ring):
         lead = next(t for t, v in enumerate(row) if v)
         if row[lead] == 1:
             units.add(lead)
-    gens = [b for t, b in enumerate(basis) if t not in units]
+    gens = [b for t, b in enumerate(full.rows) if t not in units]
     if len(gens) < r.rank:
         words, tail = _word_spans(r, gens)
         if tail.is_zero():
             suffix = [tail]
             for w in reversed(words[1:]):
-                suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows + suffix[-1].rows))
+                suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows, suffix[-1].rows))
             if suffix[-1] == square:
                 return [full] + suffix[::-1]
     return [full, square]
@@ -585,8 +685,15 @@ def min_generators(r: Ring) -> MinGenerators:
     the per-prime lists, padded with 0, are glued with CRT idempotents:
     basis vectors alone may need more generators.  R^2 is entry 1 of the
     power chain, read off the structure constants; the chain also proves
-    nilpotency, and raises ValueError otherwise.
+    nilpotency, and raises ValueError otherwise.  The result is computed
+    once per ring and kept on it.
     """
+    if r._generators is None:
+        r._generators = _min_generators(r)
+    return r._generators
+
+
+def _min_generators(r: Ring) -> MinGenerators:
     chain = power_chain(r)
     if not chain[-1].is_zero():
         raise ValueError("the generator count needs a nilpotent ring")

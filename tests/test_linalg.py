@@ -172,3 +172,48 @@ def test_residue_pivots_match_rref_mod_each_prime(m, rows):
         assert all(e2 % p == 0 for e2, _ in parts if e2 != e)
         assert e * e % m == e
         assert pivots == rref_pivots(rows, 4, p)
+
+
+@st.composite
+def kept_and_new_rows(draw):
+    """(reducer, old, new): rows over F_p, Q, Z/4, Z/12 or a modulus near
+    2^63, split into the rows of a kept form and the rows added to it."""
+    kind = draw(st.sampled_from(["fp 3", "fp 2^61-1", "rat", "z4", "z12", "z2^63-1"]))
+    ncols = draw(st.integers(1, 5))
+    if kind == "rat":
+        dom = rat()
+        entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5))
+
+        def reduce(rows, form=()):
+            return rref(rows, ncols, dom, form)
+    else:
+        m = {"fp 3": 3, "fp 2^61-1": 2**61 - 1, "z4": 4, "z12": 12, "z2^63-1": 2**63 - 1}[kind]
+        entry = st.one_of(st.integers(0, 12), st.integers(0, m - 1))
+        if kind.startswith("fp"):
+            dom = fp(m)
+
+            def reduce(rows, form=()):
+                return rref(rows, ncols, dom, form)
+        else:
+            def reduce(rows, form=()):
+                return howell(rows, ncols, m, form)
+    rows = st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5)
+    old, new = draw(rows), draw(rows)
+    # repeat a kept row, scaled, among the new ones
+    if old and draw(st.booleans()):
+        new.append([2 * v for v in old[draw(st.integers(0, len(old) - 1))]])
+    return reduce, old, new
+
+
+@given(kept_and_new_rows())
+@settings(max_examples=400, deadline=None)
+def test_extending_a_kept_form_matches_the_form_from_scratch(case):
+    reduce, old, new = case
+    kept = reduce(old)
+    extended = reduce(new, kept)
+    assert extended == reduce(old + new)
+    assert [type(v) for row in extended for v in row] == [
+        type(v) for row in reduce(old + new) for v in row]
+    # extending by nothing, or by rows already in the span, keeps the form
+    assert reduce([], kept) == kept
+    assert reduce([list(row) for row in kept], kept) == kept

@@ -231,8 +231,20 @@ def plus_idempotent(r):
     # R^2 = span(b, 2c) has the unit pivot b, so S = {a, c}; W_3 = span(2c)
     # lies in W_1, so the words close nonzero, yet the ring is nilpotent
     lambda: Ring(zmod(4), ["a", "b", "c"], {(0, 0): {1: 1}, (0, 1): {2: 2}, (1, 0): {2: 2}}),
+    # zoo rings whose chains come from word spans, the closure and suffix
+    # sums extended rather than rebuilt
+    lambda: truncated_nagata(3, 3),
+    lambda: matrix_ring(truncated_nagata(2, 3), 2),
+    lambda: sut(5, fp(2)).ring,
+    lambda: sut(4, zmod(6)).ring,
+    lambda: grassmann_star(3, fp(5)).ring,
+    lambda: truncated_poly_positive(6, zmod(8)).ring,
+    lambda: two_z_2k(5),
+    lambda: matrix_ring(two_z_2k(3), 2),
 ], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q",
-        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-close"])
+        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-close",
+        "nagata33", "m2-nagata23", "sut5-f2", "sut4-z6", "grassmann3-f5", "poly6-z8", "2z32",
+        "m2-2z8"])
 def test_power_chain_memo_matches_reference_at_every_cap(make):
     # the chain has no cap; the one kept on the ring is read on every later call
     r = make()
@@ -410,7 +422,10 @@ def test_power_chain_length_within_the_index_bound(r):
 @given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()), st.data())
 @settings(max_examples=100, deadline=None)
 def test_generated_subalgebra_matches_reference(r, data):
-    gens = data.draw(st.lists(st.sampled_from(r.basis()), max_size=3))
+    # any elements, not basis vectors alone: over Z/m a word span can then
+    # turn a non-unit pivot of the sum before it into a unit
+    element = st.lists(st.integers(-6, 6), min_size=r.rank, max_size=r.rank).map(r.element)
+    gens = data.draw(st.lists(st.sampled_from(r.basis()) | element, max_size=3))
     assert generated_subalgebra(r, gens) == reference_generated_subalgebra(r, gens)
 
 
@@ -578,6 +593,101 @@ def test_associativity_check_accepts_zoo_and_matrix_rings(make):
     r = make()
     assert Ring(r.coeff, r.names, r.sc) == r
     assert matrix_ring(r, 2).rank == 4 * r.rank
+
+
+def dict_walk_associativity(ring):
+    """The message of the first failing basis triple, or None, by the dict
+    walk the numpy join replaced: one left index i at a time, (b_i b_j) b_k
+    through the constants grouped by left index and b_i (b_j b_k) through
+    the pairs (j, k) whose product reaches each target t."""
+    norm = ring.coeff.normalize
+    by_left, into = {}, {}
+    for (i, j), terms in ring.sc.items():
+        by_left.setdefault(i, []).append((j, tuple(terms.items())))
+        for t, c in terms.items():
+            into.setdefault(t, []).append((i, j, c))
+    for i in range(ring.rank):
+        row = by_left.get(i, ())
+        left = {}
+        for j, terms in row:
+            for t, c in terms:
+                for k, terms_tk in by_left.get(t, ()):
+                    acc = left.setdefault((j, k), {})
+                    for v, c2 in terms_tk:
+                        acc[v] = acc.get(v, 0) + c * c2
+        right = {}
+        for t, terms_it in row:
+            for j, k, c in into.get(t, ()):
+                acc = right.setdefault((j, k), {})
+                for v, c2 in terms_it:
+                    acc[v] = acc.get(v, 0) + c * c2
+        for j, k in sorted(left.keys() | right.keys()):
+            lhs = {v: y for v, x in left.get((j, k), {}).items() if (y := norm(x))}
+            rhs = {v: y for v, x in right.get((j, k), {}).items() if (y := norm(x))}
+            if lhs != rhs:
+                return str(AssociativityError(i, j, k, lhs, rhs))
+    return None
+
+
+# F_p, Z/m with zero divisors, the largest modulus whose constants stay in
+# int64 (one term per coordinate), moduli near 2^63 (object arrays) and Q
+ASSOC_DOMAINS = (fp(2), fp(5), zmod(4), zmod(12), zmod(3037000500), zmod(2**63 - 1),
+                 zmod(2**63 + 9), fp(2**61 - 1), rat())
+
+
+@st.composite
+def perturbed(draw, rings):
+    """A ring's table with one constant moved by a nonzero amount."""
+    r = draw(rings)
+    sc = {ij: dict(terms) for ij, terms in r.sc.items()}
+    i, j, k = (draw(st.integers(0, r.rank - 1)) for _ in range(3))
+    delta = draw(st.sampled_from((1, -1, 2, 3, 6)))
+    terms = sc.setdefault((i, j), {})
+    terms[k] = terms.get(k, 0) + delta
+    return r.coeff, r.names, sc
+
+
+@given(st.one_of(
+    tables(ASSOC_DOMAINS, 4, 3, min_pairs=3),
+    nilpotent_rings(ASSOC_DOMAINS).map(lambda r: (r.coeff, r.names, r.sc)),
+    perturbed(nilpotent_rings(ASSOC_DOMAINS)),
+    perturbed(st.sampled_from([grassmann_star(2, fp(3)).ring, two_z_2k(3),
+                               sut(3, zmod(12)).ring, grassmann_star(2, rat()).ring])),
+))
+@settings(max_examples=400, deadline=None)
+def test_associativity_join_matches_the_dict_walk(case):
+    dom, names, sc = case
+    expect = dict_walk_associativity(Ring(dom, names, sc, check=False))
+    if expect is None:
+        Ring(dom, names, sc)
+        return
+    with pytest.raises(AssociativityError) as err:
+        Ring(dom, names, sc)
+    assert str(err.value) == expect
+
+
+def test_associativity_join_keys_past_int64():
+    # at rank 55,109, rank^4 passes 2^63, so the packed keys (i, j, k, v)
+    # are Python integers; in int64 the top triples would wrap
+    n = 55109
+    t = n - 1
+    sc = {(t, t): {t - 1: 1}, (t - 1, t): {t: 1}}
+    names = [f"b{v}" for v in range(n)]
+    expect = dict_walk_associativity(Ring(fp(2), names, sc, check=False))
+    assert expect.startswith(f"not associative at basis triple ({t - 1}, {t - 1}, {t})")
+    with pytest.raises(AssociativityError) as err:
+        Ring(fp(2), names, sc)
+    assert str(err.value) == expect
+
+
+def test_min_generators_are_kept_on_the_ring():
+    r = sut(4, fp(2)).ring
+    assert min_generators(r) is min_generators(r)
+    # a ring that is not nilpotent keeps nothing and raises every time
+    e = idempotent_ring(fp(3))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nilpotent"):
+            min_generators(e)
 
 
 # ---------------------------------------------------------------------------
