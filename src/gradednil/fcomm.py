@@ -1,10 +1,9 @@
-"""Semigroup actions, pairwise commutation factors, and their checks.
+"""The scalar action, pairwise commutation factors, and their checks.
 
-The commutation factor of a pair (a, b) is a semigroup element f(a, b) acting
-on the ring from the left; the pair commutes up to f when a*b equals f(a, b)
-acting on b*a.  Scalar actions (the multiplicative semigroup of the
-coefficient domain) cover every construction in this package.  Explicit
-table semigroups with a per-basis action map are supported for small cases.
+The commutation factor of a pair (a, b) is an element f(a, b) of the
+multiplicative semigroup of the coefficient domain, acting on the ring by
+scalar multiplication; the pair commutes up to f when a*b equals f(a, b)
+times b*a.  Every factor this package parses or derives is such a scalar.
 The diagonal lift onto the neutral component of a 2x2 matrix grading needs no
 machinery of its own: that component is R x R, so the lift holds exactly when
 the check on R does (see ``lift_f_to_diagonal``).
@@ -16,123 +15,33 @@ import itertools
 from dataclasses import dataclass
 
 from .nil import Status
-from .ringcore import Element, Ring
-
-
-class ActionLawError(ValueError):
-    """An action violates compatibility with the semigroup or the product."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+from .ringcore import Ring
 
 
 class FMapDomainError(KeyError):
     """A pairwise rule was queried at a pair it does not cover."""
 
 
-class SemigroupTable:
-    """A finite semigroup on ids 0..size-1; associativity checked, no identity."""
-
-    def __init__(self, table):
-        size = len(table)
-        for row in table:
-            if len(row) != size or any(not 0 <= v < size for v in row):
-                raise ActionLawError("semigroup table is not square over its ids")
-        self.table = tuple(tuple(row) for row in table)
-        self.size = size
-        for a in range(size):
-            for b in range(size):
-                for c in range(size):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ActionLawError(
-                            f"semigroup not associative at ({a}, {b}, {c})"
-                        )
-
-    def op(self, a, b):
-        return self.table[a][b]
-
-
-SCALAR = "scalar"
-TABLE = "table"
-
-
 class Action:
-    """A left semigroup action on a ring.
+    """The left action of the coefficient domain on a ring by scalar
+    multiplication.
 
-    * ``scalar``: the coefficient domain acts by scalar multiplication.
-    * ``table``: an explicit SemigroupTable with ``act_map[(s, t)]`` giving
-      the coordinates of s acting on basis vector t; extended linearly.
-
-    A table action is validated on construction: both action laws (with the
-    semigroup operation and with the ring product) on every basis vector.
-    A scalar action needs no check: scalar multiplication obeys both laws in
-    every algebra over a commutative ring.
+    It needs no check: scalar multiplication obeys both action laws (with
+    the product of scalars and with the ring product) in every algebra over
+    a commutative ring.
     """
 
-    def __init__(self, kind, ring: Ring, semigroup=None, act_map=None, check=True):
-        self.kind = kind
+    def __init__(self, ring: Ring):
         self.ring = ring
-        self.semigroup = semigroup
-        self.act_map = act_map
-        if kind == TABLE:
-            if semigroup is None or act_map is None:
-                raise ActionLawError("table action needs a semigroup and an act map")
-        elif kind != SCALAR:
-            raise ActionLawError(f"unknown action kind {kind!r}")
-        if check and kind == TABLE:
-            self._validate()
 
     def act_coords(self, s, coords):
         dom = self.ring.coeff
-        if self.kind == SCALAR:
-            s = dom.normalize(s)
-            return tuple(dom.mul(s, c) for c in coords)
-        out = [dom.zero()] * self.ring.rank
-        for t, c in enumerate(coords):
-            if dom.is_zero(c):
-                continue
-            img = self.act_map.get((s, t))
-            if img is None:
-                raise FMapDomainError(f"action undefined at ({s}, basis {t})")
-            for k, v in enumerate(img):
-                out[k] = dom.add(out[k], dom.mul(c, v))
-        return tuple(out)
-
-    def act(self, s, x: Element) -> Element:
-        return self.ring.element(self.act_coords(s, x.coords))
-
-    def _validate(self):
-        ring = self.ring
-        ids = range(self.semigroup.size)
-        for lam, gam in itertools.product(ids, repeat=2):
-            lg = self.semigroup.op(lam, gam)
-            for t in range(ring.rank):
-                x = ring.basis_element(t)
-                left = self.act_coords(lg, x.coords)
-                right = self.act_coords(lam, self.act_coords(gam, x.coords))
-                if left != right:
-                    raise ActionLawError(
-                        "action incompatible with semigroup product",
-                        witness=(lam, gam, t),
-                    )
-        for lam in ids:
-            for i in range(ring.rank):
-                for j in range(ring.rank):
-                    x = ring.basis_element(i)
-                    y = ring.basis_element(j)
-                    xy = ring.mul_coords(x.coords, y.coords)
-                    left = self.act_coords(lam, xy)
-                    right = ring.mul_coords(self.act_coords(lam, x.coords), y.coords)
-                    if left != right:
-                        raise ActionLawError(
-                            "action incompatible with the ring product",
-                            witness=(lam, i, j),
-                        )
+        s = dom.normalize(s)
+        return tuple(dom.mul(s, c) for c in coords)
 
 
 def scalar_action(ring: Ring) -> Action:
-    return Action(SCALAR, ring)
+    return Action(ring)
 
 
 CONSTANT = "constant"
@@ -140,7 +49,7 @@ SCALAR_RULE = "scalar-rule"
 
 
 class FMap:
-    """A pairwise commutation-factor map into an action's semigroup."""
+    """A pairwise commutation-factor map: one scalar for every pair, or one per pair."""
 
     def __init__(self, kind, value=None, rule=None, label=""):
         self.kind = kind
@@ -168,9 +77,6 @@ class FMap:
         except KeyError:
             raise FMapDomainError(f"commutation factor undefined at ({ca}, {cb})")
 
-    def at(self, a: Element, b: Element):
-        return self.at_coords(a.coords, b.coords)
-
     def is_constant(self):
         return self.kind == CONSTANT
 
@@ -184,22 +90,6 @@ class FMap:
 
     def __repr__(self):
         return f"FMap({self.label or self.kind})"
-
-
-STANDARD = "standard"
-WEAKENED = "weakened"
-
-
-def f_commutator(a: Element, b: Element, f: FMap, act: Action,
-                 variant=STANDARD) -> Element:
-    """a*b - f(a,b).(b*a); the weakened variant uses (f(a,b).b)*a instead."""
-    ab = a * b
-    s = f.at(a, b)
-    if variant == STANDARD:
-        return ab - act.act(s, b * a)
-    if variant == WEAKENED:
-        return ab - act.act(s, b) * a
-    raise ValueError(f"unknown commutator variant {variant!r}")
 
 
 @dataclass
@@ -222,7 +112,7 @@ def _element_coords(ring):
 
 
 def check_f_commutative(
-    r: Ring, f: FMap, act: Action, pair_cap=10**6, samples=10**4, variant=STANDARD,
+    r: Ring, f: FMap, act: Action, pair_cap=10**6, samples=10**4,
 ) -> PairVerdict:
     """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
 
@@ -234,7 +124,7 @@ def check_f_commutative(
     ``perfbench/layers.py`` binds them by name.
     """
     if f.is_constant():
-        return _basis_certificate(r, f, act, variant)
+        return _basis_certificate(r, f, act)
     count = r.element_count()
     if count is None:
         raise FMapDomainError(
@@ -242,35 +132,28 @@ def check_f_commutative(
     coords_list = _element_coords(r)
     for ca in coords_list:
         for cb in coords_list:
-            if not _pair_commutes(r, act, f, ca, cb, variant):
+            if not _pair_commutes(r, act, f, ca, cb):
                 return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
     return PairVerdict(Status.PROVED, note=f"exhaustive over {count}^2 pairs")
 
 
-def _basis_certificate(r, f, act, variant=STANDARD) -> PairVerdict:
+def _basis_certificate(r, f, act) -> PairVerdict:
     """Decide commutation up to a constant factor on basis pairs alone.
 
-    Every action here is linear (scalars, and table images extended
-    linearly), so for a constant f both a*b - f.(b*a) and
-    a*b - (f.b)*a are bilinear in (a, b): they vanish on all pairs exactly
-    when they vanish on the pairs (b_i, b_j).  The witness of a refutation is
+    Scalar multiplication is linear, so for a constant f the map
+    (a, b) -> a*b - f.(b*a) is bilinear: it vanishes on all pairs exactly
+    when it vanishes on the pairs (b_i, b_j).  The witness of a refutation is
     the first failing basis pair.
     """
     basis = [r.basis_element(t).coords for t in range(r.rank)]
     for ca, cb in itertools.product(basis, repeat=2):
-        if not _pair_commutes(r, act, f, ca, cb, variant):
+        if not _pair_commutes(r, act, f, ca, cb):
             return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
     return PairVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
 
 
-def _pair_commutes(r, act, f, ca, cb, variant=STANDARD):
-    ab = r.mul_coords(ca, cb)
-    s = f.at_coords(ca, cb)
-    if variant == STANDARD:
-        rhs = act.act_coords(s, r.mul_coords(cb, ca))
-    else:
-        rhs = r.mul_coords(act.act_coords(s, cb), ca)
-    return ab == rhs
+def _pair_commutes(r, act, f, ca, cb):
+    return r.mul_coords(ca, cb) == act.act_coords(f.at_coords(ca, cb), r.mul_coords(cb, ca))
 
 
 def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):

@@ -9,7 +9,7 @@ derived here from checked ones hold by construction and are built unchecked.
 from __future__ import annotations
 
 from .monoid import Monoid, Congruence, check_cancellative, quotient
-from .ringcore import Ring, Element, Submodule, matrix_ring
+from .ringcore import Ring, matrix_ring
 
 
 class GradingAxiomError(ValueError):
@@ -57,9 +57,6 @@ class GradedRing:
                 if deg[k] != dij:
                     raise GradingAxiomError(i, j, k, dij, deg[k])
 
-    def deg(self, t):
-        return self.degrees[t]
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedRing)
@@ -75,14 +72,6 @@ class GradedRing:
 def support(gr: GradedRing):
     """Degrees carried by some basis vector (basis vectors are nonzero)."""
     return set(gr.degrees)
-
-
-def component(gr: GradedRing, g) -> Submodule:
-    """Span of the basis vectors of degree g (zero module if none)."""
-    if gr.monoid.kind == "table":
-        gr.monoid._check_element(g)
-    idx = [t for t, d in enumerate(gr.degrees) if d == g]
-    return Submodule(gr.ring, [gr.ring.basis_element(t) for t in idx])
 
 
 def component_indices(gr: GradedRing, g):
@@ -113,19 +102,6 @@ def neutral_ring(gr: GradedRing):
         names = [gr.ring.names[t] for t in idx]
         gr._neutral = Ring(gr.ring.coeff, names, sc, check=False), idx
     return gr._neutral
-
-
-def homogeneous_parts(gr: GradedRing, x: Element):
-    """Decompose an element into its nonzero homogeneous components."""
-    dom = gr.ring.coeff
-    parts = {}
-    for t, c in enumerate(x.coords):
-        if dom.is_zero(c):
-            continue
-        g = gr.degrees[t]
-        coords = parts.setdefault(g, [dom.zero()] * gr.ring.rank)
-        coords[t] = c
-    return {g: gr.ring.element(coords) for g, coords in parts.items()}
 
 
 def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:

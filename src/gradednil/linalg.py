@@ -123,20 +123,6 @@ def howell(rows, ncols, m, form=()):
     return tuple(tuple(pivots[j]) for j in cols)
 
 
-def howell_contains(form, vec, m):
-    """Membership of ``vec`` in the span with Howell form ``form``."""
-    v = [x % m for x in vec]
-    for row in form:
-        j = next(t for t, x in enumerate(row) if x)
-        if v[j]:
-            p = row[j]
-            if v[j] % p:
-                return False
-            q = v[j] // p
-            v = [(v[t] - q * row[t]) % m for t in range(len(v))]
-    return not any(v)
-
-
 def rref(rows, ncols, dom, form=()):
     """Reduced row echelon form over a field domain (fp or rat) of the span
     of ``rows`` and the kept form ``form``.
@@ -177,16 +163,6 @@ def rref(rows, ncols, dom, form=()):
                 pivots[j] = axpy(prow, prow[lead], row)
         pivots[lead] = row
     return tuple(tuple(pivots[j]) for j in sorted(pivots))
-
-
-def rref_contains(form, vec, dom):
-    v = [dom.normalize(x) for x in vec]
-    for row in form:
-        j = next(t for t, x in enumerate(row) if not dom.is_zero(x))
-        if not dom.is_zero(v[j]):
-            c = v[j]
-            v = [dom.sub(v[t], dom.mul(c, row[t])) for t in range(len(v))]
-    return all(dom.is_zero(x) for x in v)
 
 
 def _strip(q, g):

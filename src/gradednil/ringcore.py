@@ -517,7 +517,8 @@ class Submodule:
 
     Over fields the canonical form is the reduced row echelon basis; over
     Z/mZ it is the Howell normal form, so equality of forms decides equality
-    of submodules and membership is a greedy reduction.  ``form``, the rows
+    of submodules, and x lies in a submodule exactly when extending its form
+    by x leaves the form unchanged.  ``form``, the rows
     of a submodule already in canonical form, is kept: the result is its sum
     with the span of ``generators``, and only the generators are reduced.
     """
@@ -530,13 +531,6 @@ class Submodule:
             self.rows = linalg.howell(rows, ring.rank, dom.modulus, form)
         else:
             self.rows = linalg.rref(rows, ring.rank, dom, form)
-
-    def contains(self, x) -> bool:
-        coords = x.coords if isinstance(x, Element) else tuple(x)
-        dom = self.ring.coeff
-        if dom.kind == ZMOD:
-            return linalg.howell_contains(self.rows, coords, dom.modulus)
-        return linalg.rref_contains(self.rows, coords, dom)
 
     def is_zero(self) -> bool:
         return not self.rows

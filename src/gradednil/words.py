@@ -45,7 +45,6 @@ _BLOCK = 1 << 12
 
 class ProductVerdict(Enum):
     FORCED_ZERO = "FORCED_ZERO"
-    POSSIBLY_NONZERO = "POSSIBLY_NONZERO"
 
 
 FORCED_ZERO = ProductVerdict.FORCED_ZERO
@@ -108,23 +107,6 @@ def _subproduct_rows(w: DegreeWord):
             g = table[g][x]
             row.append(g)
         yield row
-
-
-def subproduct_degrees(w: DegreeWord):
-    """Degrees of all contiguous subproducts, via prefix extension."""
-    out = set()
-    for row in _subproduct_rows(w):
-        out.update(row)
-    return out
-
-
-def product_verdict(w: DegreeWord, supp) -> ProductVerdict:
-    """FORCED_ZERO iff some contiguous subproduct degree leaves the support."""
-    supp = set(supp)
-    for row in _subproduct_rows(w):
-        if not supp.issuperset(row):
-            return ProductVerdict.FORCED_ZERO
-    return ProductVerdict.POSSIBLY_NONZERO
 
 
 def block_degrees(w: DegreeWord, dec: Decomposition):

@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gradednil import cli, nil, theorems, words
 from gradednil.cli import main
-from gradednil.fcomm import Action
 from gradednil.grading import GradedRing, elementary_grading
 from gradednil.monoid import Monoid
 from gradednil.specfile import (
@@ -516,11 +515,11 @@ def test_cli_spec_structure_checked_on_entry(tmp_path, capsys, text, message):
 
 def test_cli_report_checks_only_the_parsed_ring(tmp_path, capsys, monkeypatch):
     # Each structure is checked where it enters: the spec's ring once, and
-    # nothing derived from it (neutral ring, M_2(R), the scalar action).
+    # nothing derived from it (neutral ring, M_2(R)).
     text = emit_graded(elementary_grading(two_z_2k(3), 2), fmap_mode="constant 1")
     path = _write(tmp_path, "m2z8.spec", text)
     parsed = parse_spec_text(text)
-    checked = {"assoc": [], "axiom": [], "action": []}
+    checked = {"assoc": [], "axiom": []}
 
     def counted(cls, attr, key):
         original = getattr(cls, attr)
@@ -533,12 +532,10 @@ def test_cli_report_checks_only_the_parsed_ring(tmp_path, capsys, monkeypatch):
 
     counted(Ring, "_check_associativity", "assoc")
     counted(GradedRing, "_check_axiom", "axiom")
-    counted(Action, "_validate", "action")
     assert main(["report", "--json", path]) == 0
     assert json.loads(capsys.readouterr().out)["checks"]
     assert [r.sc for r in checked["assoc"]] == [parsed.ring.sc]
     assert [g.degrees for g in checked["axiom"]] == [parsed.graded.degrees]
-    assert checked["action"] == []
 
 
 def test_cli_fp_modulus_past_the_primality_bound_exits_3(tmp_path, capsys):

@@ -7,20 +7,13 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from gradednil.fcomm import (
     Action,
-    ActionLawError,
     FMap,
     FMapDomainError,
     PairVerdict,
-    SCALAR,
-    STANDARD,
-    SemigroupTable,
-    TABLE,
-    WEAKENED,
     _basis_certificate,
     _element_coords,
     _pair_commutes,
     check_f_commutative,
-    f_commutator,
     lift_f_to_diagonal,
     scalar_action,
     scalar_f_search,
@@ -53,15 +46,20 @@ def test_commutator_with_factor_one_vanishes_on_commutative():
     f = FMap.constant(1)
     for a in all_elements(r):
         for b in all_elements(r):
-            assert f_commutator(a, b, f, act).is_zero()
+            assert _pair_commutes(r, act, f, a.coords, b.coords)
 
 
 def test_zero_factor_gives_plain_product():
+    # with factor 0 a pair commutes exactly when its plain product a*b is 0
     r = m2_f2()
     act = scalar_action(r)
     f = FMap.constant(0)
     a, b = r.basis_element(0), r.basis_element(1)
-    assert f_commutator(a, b, f, act) == a * b
+    assert not (a * b).is_zero() and not _pair_commutes(r, act, f, a.coords, b.coords)
+    assert (b * a).is_zero() and _pair_commutes(r, act, f, b.coords, a.coords)
+    v = check_f_commutative(r, f, act)
+    assert v.status == Status.REFUTED
+    assert not (v.witness[0] * v.witness[1]).is_zero()
 
 
 def test_minus_one_factor_on_grassmann():
@@ -70,15 +68,8 @@ def test_minus_one_factor_on_grassmann():
     f = FMap.constant(-1)
     for a in all_elements(r):
         for b in all_elements(r):
-            assert f_commutator(a, b, f, act).is_zero()
-
-
-def test_weakened_variant_on_commutative():
-    r = two_z_2k(3)
-    act = scalar_action(r)
-    f = FMap.constant(1)
-    a, b = r.element([1]), r.element([3])
-    assert f_commutator(a, b, f, act, variant=WEAKENED).is_zero()
+            assert _pair_commutes(r, act, f, a.coords, b.coords)
+    assert check_f_commutative(r, f, act).status == Status.PROVED
 
 
 def test_check_f_commutative_proved():
@@ -120,6 +111,9 @@ def test_scalar_search_grassmann_minus_one_on_nonzero_products():
             assert lam == minus_one
     v = check_f_commutative(r, fmap, scalar_action(r))
     assert v.status == Status.PROVED
+    # the rule lists R's pairs and no other
+    with pytest.raises(FMapDomainError):
+        fmap.at_coords((9, 9, 9), (9, 9, 9))
 
 
 def test_scalar_search_none_on_matrices():
@@ -243,55 +237,16 @@ def test_lift_grassmann_rule():
     assert lift_f_to_diagonal(base).status == Status.PROVED
 
 
-def test_table_action_validation():
-    r = two_z_2k(3)
-    # the two-element semigroup {1, -1} under multiplication, acting by sign
-    sg = SemigroupTable([[0, 1], [1, 0]])
-    act = Action(
-        TABLE, r, semigroup=sg, act_map={(0, 0): (1,), (1, 0): (3,)}
-    )
-    assert act.act(1, r.element([1])).coords == (3,)
-    # scaling the image breaks compatibility with the ring product
-    with pytest.raises(ActionLawError):
-        Action(TABLE, r, semigroup=sg, act_map={(0, 0): (1,), (1, 0): (2,)})
-
-
-def test_pair_table_fmap_with_table_action():
-    r = zero_product_ring(fp(3), 1)
-    sg = SemigroupTable([[0]])
-    act = Action(TABLE, r, semigroup=sg, act_map={(0, 0): (0,)})
-    f = FMap("pair-table", rule={(a.coords, b.coords): 0
-                                 for a in all_elements(r)
-                                 for b in all_elements(r)})
-    v = check_f_commutative(r, f, act)
-    assert v.status == Status.PROVED
-    with pytest.raises(FMapDomainError):
-        f.at_coords((9,), (9,))
-
-
-def test_weakened_variant_through_pair_check():
-    # commutative base: both variants hold with the constant factor 1
-    r = two_z_2k(3)
-    act = scalar_action(r)
-    v = check_f_commutative(r, FMap.constant(1), act, variant=WEAKENED)
-    assert v.status == Status.PROVED
-    # noncommutative matrices: the weakened variant is refuted too
-    m2 = m2_f2()
-    v2 = check_f_commutative(m2, FMap.constant(1), scalar_action(m2),
-                             variant=WEAKENED)
-    assert v2.status == Status.REFUTED
-
-
 # --- The basis-pair certificate for constant factors, checked against the
 # element-pair loops it replaced, kept here as references.
 
 
-def exhaustive_reference(r, f, act, variant=STANDARD):
+def exhaustive_reference(r, f, act):
     """Every element pair through ``_pair_commutes``; REFUTED at the first failure."""
     coords = [e.coords for e in r.elements()]
     for ca in coords:
         for cb in coords:
-            if not _pair_commutes(r, act, f, ca, cb, variant):
+            if not _pair_commutes(r, act, f, ca, cb):
                 return Status.REFUTED
     return Status.PROVED
 
@@ -321,12 +276,12 @@ def pointwise_search_reference(r):
 
 @st.composite
 def constant_factor_cases(draw, dom, max_rank):
-    """A random ring, a linear action and a constant factor for it.
+    """A random ring, the scalar action and a constant factor for it.
 
     Unless the products are drawn freely the ring is twisted,
     b_j b_i = mu * b_i b_j for i < j, and the factor is often mu, so that
     PROVED and REFUTED both occur.
-    Rings and actions skip their law checks: the certificate needs only
+    Rings skip their associativity check: the certificate needs only
     bilinearity.
     """
     if dom.finite:
@@ -350,25 +305,8 @@ def constant_factor_cases(draw, dom, max_rank):
             sc[(i, j)] = vector()
             sc[(j, i)] = vector() if free else {k: mu * c for k, c in sc[(i, j)].items()}
     ring = Ring(dom, [f"b{t}" for t in range(rank)], sc, check=False)
-    scalar = st.one_of(st.just(mu), st.sampled_from((1, -1, 0)), coeff)
-    if draw(st.booleans()):
-        act = Action(SCALAR, ring, check=False)
-        value = dom.normalize(draw(scalar))
-    else:
-        # the sign semigroup {1, -1}; each id acts by a scalar or by random images
-        sg = SemigroupTable([[0, 1], [1, 0]])
-        act_map = {}
-        for s in range(2):
-            lam = draw(scalar)
-            scaled = draw(st.booleans())
-            for t in range(rank):
-                act_map[(s, t)] = tuple(
-                    dom.normalize(lam if k == t else 0) if scaled else
-                    dom.normalize(draw(coeff)) for k in range(rank))
-        act = Action(TABLE, ring, semigroup=sg, act_map=act_map, check=False)
-        value = draw(st.integers(0, 1))
-    variant = draw(st.sampled_from((STANDARD, WEAKENED)))
-    return ring, FMap.constant(value), act, variant
+    value = dom.normalize(draw(st.one_of(st.just(mu), st.sampled_from((1, -1, 0)), coeff)))
+    return ring, FMap.constant(value), scalar_action(ring)
 
 
 # element count at most 64, so the reference loop stays small
@@ -379,12 +317,12 @@ SMALL = [(fp(2), 3), (zmod(4), 3), (fp(5), 2), (zmod(6), 2)]
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_certificate_matches_exhaustive_reference(dom, max_rank, data):
-    r, f, act, variant = data.draw(constant_factor_cases(dom, max_rank))
-    v = check_f_commutative(r, f, act, pair_cap=0, variant=variant)
-    assert v.status == exhaustive_reference(r, f, act, variant)
+    r, f, act = data.draw(constant_factor_cases(dom, max_rank))
+    v = check_f_commutative(r, f, act, pair_cap=0)
+    assert v.status == exhaustive_reference(r, f, act)
     if v.status == Status.REFUTED:
         a, b = v.witness
-        assert not _pair_commutes(r, act, f, a.coords, b.coords, variant)
+        assert not _pair_commutes(r, act, f, a.coords, b.coords)
     else:
         assert v.note == f"bilinear: {r.rank}^2 basis pairs"
 
@@ -394,11 +332,11 @@ def test_certificate_matches_exhaustive_reference(dom, max_rank, data):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_certificate_holds_on_random_pairs_past_enumeration(dom, data):
-    r, f, act, variant = data.draw(constant_factor_cases(dom, 3))
-    v = check_f_commutative(r, f, act, variant=variant)
+    r, f, act = data.draw(constant_factor_cases(dom, 3))
+    v = check_f_commutative(r, f, act)
     if v.status == Status.REFUTED:
         a, b = v.witness
-        assert not _pair_commutes(r, act, f, a.coords, b.coords, variant)
+        assert not _pair_commutes(r, act, f, a.coords, b.coords)
         return
     assert v.status == Status.PROVED
     rng = random.Random(11)
@@ -408,17 +346,16 @@ def test_certificate_holds_on_random_pairs_past_enumeration(dom, data):
         draw = lambda: tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                              for _ in range(r.rank))
     for _ in range(50):
-        assert _pair_commutes(r, act, f, draw(), draw(), variant)
+        assert _pair_commutes(r, act, f, draw(), draw())
 
 
 def test_certificate_refutes_on_a_diagonal_pair_only():
     # b0*b0 = b1 and every other product is zero: with f = -1 only the pair
     # (b0, b0) fails, 2*b1 != 0 over F_5
     r = Ring(fp(5), ["b0", "b1"], {(0, 0): {1: 1}})
-    for variant in (STANDARD, WEAKENED):
-        v = check_f_commutative(r, FMap.constant(-1), scalar_action(r), variant=variant)
-        assert v.status == Status.REFUTED
-        assert v.witness == (r.basis_element(0), r.basis_element(0))
+    v = check_f_commutative(r, FMap.constant(-1), scalar_action(r))
+    assert v.status == Status.REFUTED
+    assert v.witness == (r.basis_element(0), r.basis_element(0))
 
 
 def test_constant_minus_one_on_rational_grassmann_is_proved():
@@ -537,7 +474,7 @@ def test_scalar_action_validation_at_large_modulus():
     # modulus far past any list of its scalars
     r = Ring(zmod(2**61 - 1), ["b"], {(0, 0): {0: 3}})
     parsed = parse_spec_text(emit_spec(r, fmap_mode="constant 1"))
-    assert parsed.fmap.is_constant() and parsed.action.kind == SCALAR
+    assert parsed.fmap.is_constant() and isinstance(parsed.action, Action)
 
 
 # --- Scalar actions are not validated: scalar multiplication obeys both
@@ -590,7 +527,7 @@ def test_scalar_action_multiplies_nothing(monkeypatch):
 
     monkeypatch.setattr(Ring, "mul_coords", counted)
     act = scalar_action(r)
-    assert act.kind == SCALAR and calls == []
+    assert isinstance(act, Action) and calls == []
 
 
 # --- The diagonal lift.  T3.26 reads it off the check on R, because the
@@ -599,7 +536,7 @@ def test_scalar_action_multiplies_nothing(monkeypatch):
 # with the lifted factor (f(a, c), f(b, d)) acting on each diagonal block.
 
 
-def diagonal_lift_reference(r, f, act, variant=STANDARD):
+def diagonal_lift_reference(r, f, act):
     """Every pair ((a, b), (c, d)) of the diagonal; REFUTED at the first pair
     that does not commute up to the componentwise lift of f."""
     m0, _ = neutral_ring(elementary_grading(r, 2))
@@ -612,25 +549,21 @@ def diagonal_lift_reference(r, f, act, variant=STANDARD):
     for ca in coords:
         for cb in coords:
             s = (f.at_coords(ca[:n], cb[:n]), f.at_coords(ca[n:], cb[n:]))
-            if variant == STANDARD:
-                rhs = lifted_act(s, m0.mul_coords(cb, ca))
-            else:
-                rhs = m0.mul_coords(lifted_act(s, cb), ca)
-            if m0.mul_coords(ca, cb) != rhs:
+            if m0.mul_coords(ca, cb) != lifted_act(s, m0.mul_coords(cb, ca)):
                 return Status.REFUTED
     return Status.PROVED
 
 
 @st.composite
 def lift_cases(draw, dom, rank):
-    """An associative ring R of at most 8 elements, an action, a factor map.
+    """An associative ring R of at most 8 elements, the scalar action, a
+    factor map.
 
     Over F_2 at rank 3, R is square-zero: b_0 and b_1 multiply into b_2, which
     annihilates everything, so every triple product vanishes whatever the
     coefficients, and R need not commute.  At rank 1, b*b = c*b.  The map is
-    a constant, a pointwise scalar rule or a pair table under a table action;
-    a rule drawn from the scalars that fit each pair is often valid, so PROVED
-    and REFUTED both occur.
+    a constant or a pointwise scalar rule; a rule drawn from the scalars that
+    fit each pair is often valid, so PROVED and REFUTED both occur.
     """
     coeff = st.integers(0, dom.size - 1)
     if rank == 1:
@@ -640,30 +573,18 @@ def lift_cases(draw, dom, rank):
     r = Ring(dom, [f"b{t}" for t in range(rank)], sc)
     coords = [e.coords for e in r.elements()]
     pairs = [(ca, cb) for ca in coords for cb in coords]
-    kind = draw(st.sampled_from(("constant", "scalar-rule", "pair-table")))
-    if kind == "pair-table":
-        # the sign semigroup {1, -1}: id 0 acts as 1, id 1 by a drawn scalar
-        lam = draw(coeff)
-        act = Action(TABLE, r, semigroup=SemigroupTable([[0, 1], [1, 0]]),
-                     act_map={(s, t): tuple(v if k == t else 0 for k in range(rank))
-                              for s, v in ((0, 1), (1, lam)) for t in range(rank)},
-                     check=False)
-        scalars = st.integers(0, 1)
-    else:
-        act = scalar_action(r)
-        scalars = coeff
-    if kind == "constant":
-        f = FMap.constant(draw(scalars))
+    act = scalar_action(r)
+    if draw(st.booleans()):
+        f = FMap.constant(draw(coeff))
     else:
         fit = draw(st.booleans())
         rule = {}
         for ca, cb in pairs:
             ba = r.mul_coords(cb, ca)
-            ok = [s for s in range(2 if kind == "pair-table" else dom.size)
-                  if r.mul_coords(ca, cb) == act.act_coords(s, ba)]
-            rule[(ca, cb)] = draw(st.sampled_from(ok) if fit and ok else scalars)
-        f = FMap(kind, rule=rule)
-    return r, f, act, draw(st.sampled_from((STANDARD, WEAKENED)))
+            ok = [s for s in range(dom.size) if r.mul_coords(ca, cb) == act.act_coords(s, ba)]
+            rule[(ca, cb)] = draw(st.sampled_from(ok) if fit and ok else coeff)
+        f = FMap.from_rule(rule)
+    return r, f, act
 
 
 @pytest.mark.parametrize("dom,rank", [(fp(2), 3), (zmod(4), 1), (zmod(6), 1),
@@ -671,11 +592,11 @@ def lift_cases(draw, dom, rank):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_lift_matches_diagonal_pair_reference(dom, rank, data):
-    r, f, act, variant = data.draw(lift_cases(dom, rank))
+    r, f, act = data.draw(lift_cases(dom, rank))
     # every pointwise rule is checked on all of its pairs, so a pair cap of
     # 0 leaves the verdict exact
-    base = check_f_commutative(r, f, act, pair_cap=0, variant=variant)
-    assert lift_f_to_diagonal(base).status == diagonal_lift_reference(r, f, act, variant)
+    base = check_f_commutative(r, f, act, pair_cap=0)
+    assert lift_f_to_diagonal(base).status == diagonal_lift_reference(r, f, act)
 
 
 @pytest.mark.parametrize("ring", [

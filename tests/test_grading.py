@@ -8,17 +8,15 @@ from gradednil.grading import (
     CancellativityError,
     GradedRing,
     GradingAxiomError,
-    component,
     component_indices,
     elementary_grading,
-    homogeneous_parts,
     induced_quotient_grading,
     neutral_ring,
     support,
     trivial_grading,
 )
 from gradednil.monoid import Congruence, Monoid
-from gradednil.ringcore import Ring, fp, matrix_ring, zmod
+from gradednil.ringcore import Ring, Submodule, fp, matrix_ring, zmod
 from gradednil.zoo import (
     grassmann_star,
     sut,
@@ -58,9 +56,10 @@ def test_elementary_grading_of_m2_f2():
 
 def test_component_spans():
     gr = sut(3, fp(2))
-    c1 = component(gr, 1)
+    assert component_indices(gr, 1) == [0, 2] and component_indices(gr, 2) == [1]
+    c1 = Submodule(gr.ring, [gr.ring.basis_element(t) for t in component_indices(gr, 1)])
     assert c1.rows == ((1, 0, 0), (0, 0, 1))  # span{E12, E23}
-    assert component(gr, 0).is_zero()
+    assert component_indices(gr, 0) == []
 
 
 def test_neutral_ring_of_elementary_grading_is_product():
@@ -189,15 +188,6 @@ def test_elementary_grading_m2_two_z8_support():
     assert support(gr) == {0, 1}
 
 
-def test_homogeneous_parts_split():
-    gr = sut(3, fp(2))
-    x = gr.ring.element([1, 1, 1])
-    parts = homogeneous_parts(gr, x)
-    assert set(parts) == {1, 2}
-    assert parts[1].coords == (1, 0, 1)
-    assert parts[2].coords == (0, 1, 0)
-
-
 @pytest.mark.parametrize("k", [2, 3])
 def test_homogeneous_expansion_identity(k):
     # The product of k elements equals the sum of the products of their
@@ -209,9 +199,10 @@ def test_homogeneous_expansion_identity(k):
     prod = elems[0]
     for x in elems[1:]:
         prod = prod * x
-    parts = [homogeneous_parts(gr, x) for x in elems]
+    parts = [[r.element([c if d == g else 0 for c, d in zip(x.coords, gr.degrees)])
+              for g in support(gr)] for x in elems]
     total = r.zero()
-    for combo in itertools.product(*[list(p.values()) for p in parts]):
+    for combo in itertools.product(*parts):
         term = combo[0]
         for x in combo[1:]:
             term = term * x

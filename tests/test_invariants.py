@@ -19,7 +19,7 @@ from gradednil.nil import (
     ring_is_nil,
     s_nil_check,
 )
-from gradednil.ringcore import Ring, fp, power_chain, rat
+from gradednil.ringcore import Ring, Submodule, fp, power_chain, rat
 from gradednil.specfile import emit_graded
 from gradednil.theorems import (
     CheckStatus,
@@ -55,8 +55,8 @@ def test_power_chain_is_monotone_descending():
     for ring in (sut(4, fp(2)).ring, two_z_2k(4), truncated_nagata(2, 3)):
         chain = power_chain(ring)
         for bigger, smaller in zip(chain, chain[1:]):
-            for row in smaller.rows:
-                assert bigger.contains(ring.element(row))
+            # extending a canonical form by a subspace leaves it unchanged
+            assert Submodule(ring, smaller.rows, bigger.rows) == bigger
 
 
 @pytest.mark.parametrize("n", [2, 3])

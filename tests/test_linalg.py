@@ -1,8 +1,10 @@
 import itertools
+from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from gradednil.linalg import howell, howell_contains, residue_pivots, rref, rref_contains
+from gradednil.linalg import howell, residue_pivots, rref
 from gradednil.ringcore import fp, rat
 
 
@@ -27,11 +29,46 @@ def brute_span(rows, ncols, m):
 )
 @settings(max_examples=150, deadline=None)
 def test_howell_membership_matches_bruteforce(m, _seed, rows):
+    # The form is canonical, so v lies in the span exactly when extending
+    # the form by v leaves it unchanged.
     ncols = 3
     form = howell(rows, ncols, m)
     span = brute_span(rows, ncols, m)
     for vec in itertools.product(range(m), repeat=ncols):
-        assert howell_contains(form, list(vec), m) == (vec in span)
+        assert (howell([list(vec)], ncols, m, form) == form) == (vec in span)
+
+
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.lists(st.integers(0, 11), min_size=3, max_size=3), max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_rref_membership_matches_bruteforce(p, rows):
+    # over F_p the additive span is the linear span
+    ncols, dom = 3, fp(p)
+    form = rref(rows, ncols, dom)
+    span = brute_span(rows, ncols, p)
+    for vec in itertools.product(range(p), repeat=ncols):
+        assert (rref([list(vec)], ncols, dom, form) == form) == (vec in span)
+
+
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), max_size=4),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+@settings(max_examples=150, deadline=None)
+def test_rref_membership_over_q_matches_rank(rows, halves):
+    # v lies in the span over Q exactly when appending it keeps the rank;
+    # the candidates are small vectors and a combination of the rows with
+    # coefficients in (1/2)Z, always a member
+    ncols, dom = 3, rat()
+    form = rref(rows, ncols, dom)
+    rank = np.linalg.matrix_rank(np.array(rows + [[0] * ncols], dtype=float))
+    member = [sum((Fraction(c, 2) * row[k] for c, row in zip(halves, rows)), Fraction(0))
+              for k in range(ncols)]
+    for vec in itertools.chain(itertools.product(range(-1, 2), repeat=ncols), [member]):
+        grown = np.linalg.matrix_rank(np.array(rows + [list(vec)], dtype=float))
+        assert (rref([list(vec)], ncols, dom, form) == form) == (grown == rank)
 
 
 @given(
@@ -62,8 +99,8 @@ def test_rref_over_f2():
     dom = fp(2)
     form = rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3, dom)
     assert form == ((1, 0, 1), (0, 1, 1))
-    assert rref_contains(form, (1, 1, 0), dom)
-    assert not rref_contains(form, (0, 0, 1), dom)
+    assert rref([[1, 1, 0]], 3, dom, form) == form
+    assert rref([[0, 0, 1]], 3, dom, form) != form
 
 
 def test_rref_over_q_is_canonical():

@@ -2,10 +2,7 @@ import pytest
 
 from gradednil import theorems
 from gradednil.fcomm import (
-    TABLE,
-    Action,
     FMap,
-    SemigroupTable,
     scalar_action,
     scalar_f_search,
 )
@@ -279,17 +276,6 @@ def test_matrix_transfer_rank1_zero_ring():
     f, act = scalar_pair(r)
     chk = verify_matrix_nil_transfer(r, f, act)
     assert chk.status == CheckStatus.PASS
-
-
-def test_report_with_a_table_action_decides_the_matrix_transfer():
-    # the diagonal lift is the check on R, so it takes any action R takes
-    r = two_z_2k(3)
-    identity = Action(TABLE, r, semigroup=SemigroupTable([[0]]),
-                      act_map={(0, 0): (1,)})
-    rep = full_report(trivial_grading(r), FMap.constant(0), identity)
-    chk = {c.id: c for c in rep.checks}["T3.26"]
-    assert chk.status == CheckStatus.PASS
-    assert chk.details == {"diagonal_lift": "PROVED", "diagonal_nil_index": 3}
 
 
 def test_matrix_transfer_not_applicable_non_nil():

@@ -13,13 +13,12 @@ from gradednil.words import (
     SplitInternalError,
     _brute_batch,
     _split_batch,
+    _subproduct_rows,
     block_degrees,
     exhaustive_splits,
     neutral_split,
     neutral_split_bruteforce,
-    product_verdict,
     small_gap_blocks,
-    subproduct_degrees,
 )
 
 Z2 = Monoid.cyclic(2)
@@ -29,30 +28,15 @@ ZADD = Monoid.int_add()
 
 
 def test_subproduct_degrees_z2():
-    assert subproduct_degrees(DegreeWord(Z2, (1, 1))) == {0, 1}
+    assert set().union(*_subproduct_rows(DegreeWord(Z2, (1, 1)))) == {0, 1}
 
 
 def test_subproduct_degrees_single_letter():
-    assert subproduct_degrees(DegreeWord(Z3, (2,))) == {2}
+    assert set().union(*_subproduct_rows(DegreeWord(Z3, (2,)))) == {2}
 
 
 def test_subproduct_degrees_int_add():
-    assert subproduct_degrees(DegreeWord(ZADD, (1, 2, 1))) == {1, 2, 3, 4}
-
-
-def test_product_verdict_prefix_escape():
-    w = DegreeWord(ZADD, (1, 1, 1, 1, 1))
-    assert product_verdict(w, {1, 2, 3, 4}) == ProductVerdict.FORCED_ZERO
-
-
-def test_product_verdict_all_neutral():
-    w = DegreeWord(Z4, (0, 0, 0))
-    assert product_verdict(w, {0}) == ProductVerdict.POSSIBLY_NONZERO
-
-
-def test_product_verdict_missing_identity():
-    w = DegreeWord(Z2, (1, 1))
-    assert product_verdict(w, {1}) == ProductVerdict.FORCED_ZERO
+    assert set().union(*_subproduct_rows(DegreeWord(ZADD, (1, 2, 1)))) == {1, 2, 3, 4}
 
 
 def test_neutral_split_z2_alternating():
@@ -60,6 +44,8 @@ def test_neutral_split_z2_alternating():
     dec = neutral_split(w, 2, {0, 1})
     assert dec.cuts == (0, 2, 4)
     assert block_degrees(w, dec) == [0, 0]
+    # without the identity in the support, 1*1 = 0 leaves it
+    assert neutral_split(DegreeWord(Z2, (1, 1)), 2, {1}) == ProductVerdict.FORCED_ZERO
 
 
 def test_neutral_split_all_neutral_word():
@@ -81,6 +67,9 @@ def test_neutral_split_repeat_branch():
     # times; this word instead violates the support and is forced zero.
     w = DegreeWord(ZADD, (1, 1, 1, 1, 1, 1))
     assert neutral_split(w, 2, {1, 2, 3}) == ProductVerdict.FORCED_ZERO
+    # the prefix 1+1+1+1+1 leaves the support {1, 2, 3, 4} at the fifth letter
+    w = DegreeWord(ZADD, (1,) * 8)
+    assert neutral_split(w, 2, {1, 2, 3, 4}) == ProductVerdict.FORCED_ZERO
 
 
 def test_neutral_split_rejects_bad_length():
