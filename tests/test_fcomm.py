@@ -116,6 +116,19 @@ def test_scalar_search_grassmann_minus_one_on_nonzero_products():
         fmap.at_coords((9, 9, 9), (9, 9, 9))
 
 
+def test_pair_table_fmap_with_table_action():
+    # a pair-table factor on a zero-product ring; the action is the scalar
+    # one, the only kind left
+    r = zero_product_ring(fp(3), 1)
+    f = FMap("pair-table", rule={(a.coords, b.coords): 0
+                                 for a in all_elements(r)
+                                 for b in all_elements(r)})
+    v = check_f_commutative(r, f, scalar_action(r))
+    assert v.status == Status.PROVED
+    with pytest.raises(FMapDomainError):
+        f.at_coords((9,), (9,))
+
+
 def test_scalar_search_none_on_matrices():
     fmap, witness = scalar_f_search(m2_f2())
     assert fmap is None

@@ -188,6 +188,17 @@ def test_elementary_grading_m2_two_z8_support():
     assert support(gr) == {0, 1}
 
 
+def test_homogeneous_parts_split():
+    # x = E12 + E13 + E23 in sut(3) splits by degree into E12 + E23 and E13
+    gr = sut(3, fp(2))
+    x = gr.ring.element([1, 1, 1])
+    parts = {g: tuple(c if d == g else 0 for c, d in zip(x.coords, gr.degrees))
+             for g in support(gr)}
+    assert set(parts) == {1, 2}
+    assert parts[1] == (1, 0, 1)
+    assert parts[2] == (0, 1, 0)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_homogeneous_expansion_identity(k):
     # The product of k elements equals the sum of the products of their

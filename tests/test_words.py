@@ -39,13 +39,33 @@ def test_subproduct_degrees_int_add():
     assert set().union(*_subproduct_rows(DegreeWord(ZADD, (1, 2, 1)))) == {1, 2, 3, 4}
 
 
+# The per-word verdicts that words.product_verdict gave, now read off
+# neutral_split, which the oracle calls.
+
+
+def test_product_verdict_prefix_escape():
+    # the prefix 1+1+1+1+1 leaves the support {1, 2, 3, 4} at the fifth letter
+    w = DegreeWord(ZADD, (1,) * 8)
+    assert neutral_split(w, 2, {1, 2, 3, 4}) == ProductVerdict.FORCED_ZERO
+
+
+def test_product_verdict_all_neutral():
+    w = DegreeWord(Z4, (0, 0, 0))
+    dec = neutral_split(w, 3, {0})
+    assert dec != ProductVerdict.FORCED_ZERO and dec.cuts == (0, 1, 2, 3)
+
+
+def test_product_verdict_missing_identity():
+    # without the identity in the support, 1*1 = 0 leaves it
+    w = DegreeWord(Z2, (1, 1))
+    assert neutral_split(w, 2, {1}) == ProductVerdict.FORCED_ZERO
+
+
 def test_neutral_split_z2_alternating():
     w = DegreeWord(Z2, (1, 1, 1, 1))
     dec = neutral_split(w, 2, {0, 1})
     assert dec.cuts == (0, 2, 4)
     assert block_degrees(w, dec) == [0, 0]
-    # without the identity in the support, 1*1 = 0 leaves it
-    assert neutral_split(DegreeWord(Z2, (1, 1)), 2, {1}) == ProductVerdict.FORCED_ZERO
 
 
 def test_neutral_split_all_neutral_word():
@@ -67,9 +87,6 @@ def test_neutral_split_repeat_branch():
     # times; this word instead violates the support and is forced zero.
     w = DegreeWord(ZADD, (1, 1, 1, 1, 1, 1))
     assert neutral_split(w, 2, {1, 2, 3}) == ProductVerdict.FORCED_ZERO
-    # the prefix 1+1+1+1+1 leaves the support {1, 2, 3, 4} at the fifth letter
-    w = DegreeWord(ZADD, (1,) * 8)
-    assert neutral_split(w, 2, {1, 2, 3, 4}) == ProductVerdict.FORCED_ZERO
 
 
 def test_neutral_split_rejects_bad_length():
