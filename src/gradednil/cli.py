@@ -138,7 +138,7 @@ def _report(args, classes, only=None):
         if gr.monoid.kind != "table":
             raise SystemExit(_input_error("--classes needs a table monoid grading"))
         cong = _parse_classes(classes, gr.monoid)
-    return full_report(gr, parsed.fmap, parsed.action, caps, congruence=cong, only=only)
+    return full_report(gr, parsed.fmap, caps, congruence=cong, only=only)
 
 
 def cmd_verify(args):

@@ -1,9 +1,11 @@
-"""The scalar action, pairwise commutation factors, and their checks.
+"""Pairwise commutation factors and their checks.
 
 The commutation factor of a pair (a, b) is an element f(a, b) of the
-multiplicative semigroup of the coefficient domain, acting on the ring by
-scalar multiplication; the pair commutes up to f when a*b equals f(a, b)
-times b*a.  Every factor this package parses or derives is such a scalar.
+coefficient domain, acting on the ring by scalar multiplication; the pair
+commutes up to f when a*b equals f(a, b) times b*a.  Scalar multiplication
+obeys both action laws in every algebra over a commutative ring, so a factor
+needs no check of its own.  A constant factor is decided on the structure
+constants alone (see ``_basis_certificate``).
 The diagonal lift onto the neutral component of a 2x2 matrix grading needs no
 machinery of its own: that component is R x R, so the lift holds exactly when
 the check on R does (see ``lift_f_to_diagonal``).
@@ -20,28 +22,6 @@ from .ringcore import Ring
 
 class FMapDomainError(KeyError):
     """A pairwise rule was queried at a pair it does not cover."""
-
-
-class Action:
-    """The left action of the coefficient domain on a ring by scalar
-    multiplication.
-
-    It needs no check: scalar multiplication obeys both action laws (with
-    the product of scalars and with the ring product) in every algebra over
-    a commutative ring.
-    """
-
-    def __init__(self, ring: Ring):
-        self.ring = ring
-
-    def act_coords(self, s, coords):
-        dom = self.ring.coeff
-        s = dom.normalize(s)
-        return tuple(dom.mul(s, c) for c in coords)
-
-
-def scalar_action(ring: Ring) -> Action:
-    return Action(ring)
 
 
 CONSTANT = "constant"
@@ -111,20 +91,18 @@ def _element_coords(ring):
     ]
 
 
-def check_f_commutative(
-    r: Ring, f: FMap, act: Action, pair_cap=10**6, samples=10**4,
-) -> PairVerdict:
+def check_f_commutative(r: Ring, f: FMap, pair_cap=10**6, samples=10**4) -> PairVerdict:
     """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
 
-    A constant factor is decided on the rank^2 basis pairs over every domain
-    (see ``_basis_certificate``).  A pointwise rule lists a factor for every
-    pair, which only a finite domain allows, so it is checked on all pairs
-    in product order; a pair it leaves out raises ``FMapDomainError``.
+    A constant factor is decided on the structure constants over every
+    domain (see ``_basis_certificate``).  A pointwise rule lists a factor for
+    every pair, which only a finite domain allows, so it is checked on all
+    pairs in product order; a pair it leaves out raises ``FMapDomainError``.
     ``pair_cap`` and ``samples`` are unused; they stay because
     ``perfbench/layers.py`` binds them by name.
     """
     if f.is_constant():
-        return _basis_certificate(r, f, act)
+        return _basis_certificate(r, f)
     count = r.element_count()
     if count is None:
         raise FMapDomainError(
@@ -132,28 +110,40 @@ def check_f_commutative(
     coords_list = _element_coords(r)
     for ca in coords_list:
         for cb in coords_list:
-            if not _pair_commutes(r, act, f, ca, cb):
+            if not _pair_commutes(r, f.at_coords(ca, cb), ca, cb):
                 return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
     return PairVerdict(Status.PROVED, note=f"exhaustive over {count}^2 pairs")
 
 
-def _basis_certificate(r, f, act) -> PairVerdict:
-    """Decide commutation up to a constant factor on basis pairs alone.
+def _basis_certificate(r, f) -> PairVerdict:
+    """Decide commutation up to a constant factor l on the structure
+    constants alone.
 
-    Scalar multiplication is linear, so for a constant f the map
-    (a, b) -> a*b - f.(b*a) is bilinear: it vanishes on all pairs exactly
-    when it vanishes on the pairs (b_i, b_j).  The witness of a refutation is
-    the first failing basis pair.
+    Scalar multiplication is linear, so (a, b) -> a*b - l.(b*a) is bilinear:
+    it vanishes on all pairs exactly when it vanishes on the pairs
+    (b_i, b_j), where it is c(i, j) - l.c(j, i).  So each basis pair compares
+    two entries of the table and makes no product.  The witness of a
+    refutation is the first failing basis pair.
     """
-    basis = [r.basis_element(t).coords for t in range(r.rank)]
-    for ca, cb in itertools.product(basis, repeat=2):
-        if not _pair_commutes(r, act, f, ca, cb):
-            return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
+    dom = r.coeff
+    lam = dom.normalize(f.value)
+    for i, j in itertools.product(range(r.rank), repeat=2):
+        ba = {k: y for k, c in r.mul_basis(j, i).items() if (y := dom.mul(lam, c))}
+        if r.mul_basis(i, j) != ba:
+            return PairVerdict(
+                Status.REFUTED, witness=(r.basis_element(i), r.basis_element(j)))
     return PairVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
 
 
-def _pair_commutes(r, act, f, ca, cb):
-    return r.mul_coords(ca, cb) == act.act_coords(f.at_coords(ca, cb), r.mul_coords(cb, ca))
+def _scaled(dom, s, coords):
+    """The scalar product s.x of a coordinate tuple x."""
+    s = dom.normalize(s)
+    return tuple(dom.mul(s, c) for c in coords)
+
+
+def _pair_commutes(r, s, ca, cb):
+    """Does a*b = s.(b*a) hold at the coordinates ``ca`` and ``cb``?"""
+    return r.mul_coords(ca, cb) == _scaled(r.coeff, s, r.mul_coords(cb, ca))
 
 
 def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
@@ -175,18 +165,17 @@ def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
     because ``perfbench/layers.py`` binds it by name.
     """
     dom = r.coeff
-    act = scalar_action(r)
     if not dom.finite:
         for value in (dom.one(), dom.normalize(-1)):
             f = FMap.constant(value)
-            if _basis_certificate(r, f, act).proved:
+            if _basis_certificate(r, f).proved:
                 return f, None
         return None, None
     count = r.element_count()
     if count * count > pair_cap:
         return None, None
     one = FMap.constant(dom.one())
-    if _basis_certificate(r, one, act).proved:
+    if _basis_certificate(r, one).proved:
         return one, None
     candidates = []
     for c in [dom.normalize(1), dom.normalize(-1), dom.zero()] + list(dom.elements()):
@@ -198,10 +187,7 @@ def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
         for cb in coords_list:
             ab = r.mul_coords(ca, cb)
             ba = r.mul_coords(cb, ca)
-            lam = next(
-                (c for c in candidates if ab == tuple(dom.mul(c, v) for v in ba)),
-                None,
-            )
+            lam = next((c for c in candidates if ab == _scaled(dom, c, ba)), None)
             if lam is None:
                 return None, (r.element(ca), r.element(cb))
             rule[(ca, cb)] = lam

@@ -258,8 +258,7 @@ class Ring:
         self._not_nilpotent = None
         # the bounded nil index verdict; see nil.bounded_nil_index_auto
         self._nil_index = None
-        # the f-commutativity verdicts by factor and action; see
-        # theorems._f_commutative
+        # the f-commutativity verdicts by factor; see theorems._f_commutative
         self._f_commutative = {}
         # the generator count of a nilpotent ring; see min_generators
         self._generators = None
@@ -506,10 +505,6 @@ class Element:
             if not dom.is_zero(c)
         ]
         return " + ".join(parts) if parts else "0"
-
-
-def mul(a: Element, b: Element) -> Element:
-    return a * b
 
 
 class Submodule:

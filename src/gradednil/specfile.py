@@ -34,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fcomm import Action, FMap, scalar_action
+from .fcomm import FMap
 from .grading import GradedRing, neutral_ring
 from .monoid import INT_ADD, Monoid
 from .ringcore import Ring, parse_domain
@@ -52,9 +52,7 @@ class ParsedSpec:
     monoid: Monoid | None
     ring: Ring
     graded: GradedRing | None
-    fmap: FMap | None
-    action: Action | None
-    fmap_mode: str | None = None  # "constant <v>", "pairs" or "auto" (fmap None)
+    fmap: FMap | None  # None without [fmap] or with rule = auto
 
 
 def _tokenize(text):
@@ -207,7 +205,7 @@ def _parse_fmap(entries, ring, graded):
     if "constant" in kv:
         num, text = kv["constant"]
         value = _coeff_value(text, target.coeff, num)
-        return FMap.constant(target.coeff.normalize(value)), scalar_action(target), f"constant {text}"
+        return FMap.constant(target.coeff.normalize(value))
     if pair_lines:
         dom = target.coeff
         if not dom.finite:
@@ -234,13 +232,13 @@ def _parse_fmap(entries, ring, graded):
                 f"pair lines give no scalar for the pair ({a}, {b}); over "
                 f"{dom.label()} every pair of elements needs one", pair_lines[0][0],
             )
-        return FMap.from_rule(rule, label="explicit pairwise rule"), scalar_action(target), "pairs"
+        return FMap.from_rule(rule, label="explicit pairwise rule")
     if "rule" in kv:
         num, text = kv["rule"]
         if text != "auto":
             raise SpecFileError(f"unknown fmap rule {text!r}", num)
         # derived by ``theorems.full_report``, under the caps of the run
-        return None, None, "auto"
+        return None
     raise SpecFileError(
         "[fmap] needs constant = <scalar>, rule = auto, or pair lines"
     )
@@ -260,10 +258,8 @@ def parse_spec_text(text) -> ParsedSpec:
         if "grading" in sections
         else None
     )
-    fmap = action = fmap_mode = None
-    if "fmap" in sections:
-        fmap, action, fmap_mode = _parse_fmap(sections["fmap"], ring, graded)
-    return ParsedSpec(monoid, ring, graded, fmap, action, fmap_mode)
+    fmap = _parse_fmap(sections["fmap"], ring, graded) if "fmap" in sections else None
+    return ParsedSpec(monoid, ring, graded, fmap)
 
 
 def parse_spec(path) -> ParsedSpec:

@@ -15,14 +15,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .fcomm import (
-    Action,
-    FMap,
-    check_f_commutative,
-    lift_f_to_diagonal,
-    scalar_action,
-    scalar_f_search,
-)
+from .fcomm import FMap, check_f_commutative, lift_f_to_diagonal, scalar_f_search
 from .grading import (
     CancellativityError,
     GradedRing,
@@ -149,19 +142,18 @@ def _nil_index(check, r, not_nil):
 _NO_FACTOR = "no commutation factor supplied or derived"
 
 
-def _f_commutative(check, r, f, act, where=""):
+def _f_commutative(check, r, f, where=""):
     """The verdict that ``r`` commutes up to ``f``, or None with ``check``
     finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
-    prefixes its reason).  The verdict is computed once per ring, factor and
-    action, and kept on the ring."""
-    if f is None or act is None:
+    prefixes its reason).  The verdict is computed once per ring and factor,
+    and kept on the ring."""
+    if f is None:
         _na(check, _NO_FACTOR)
         return None
-    key = (id(f), id(act))
-    if key not in r._f_commutative:
-        # f and act are kept with their verdict, so no other object takes their ids
-        r._f_commutative[key] = (f, act, check_f_commutative(r, f, act))
-    fc = r._f_commutative[key][2]
+    if id(f) not in r._f_commutative:
+        # f is kept with its verdict, so no other object takes its id
+        r._f_commutative[id(f)] = (f, check_f_commutative(r, f))
+    fc = r._f_commutative[id(f)][1]
     if fc.status == Status.REFUTED:
         _na(check, f"{where}not f-commutative at {fc.witness}")
         return None
@@ -189,9 +181,7 @@ def verify_empty_neutral_bound(gr: GradedRing) -> TheoremCheck:
     return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
 
 
-def verify_neutral_nil_fcomm_bound(
-    gr: GradedRing, f: FMap | None, act: Action | None
-) -> TheoremCheck:
+def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
     """T3.15: nil f-commutative neutral part makes the whole ring nil.
 
     With the neutral nil index s known, nd_nil(R) <= 2*s*d*(d + ... + d^(2d)).
@@ -207,7 +197,7 @@ def verify_neutral_nil_fcomm_bound(
         check.bound = d + 1
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
         return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
-    fc = _f_commutative(check, m0, f, act, "neutral component ")
+    fc = _f_commutative(check, m0, f, "neutral component ")
     if fc is None:
         return check
     check.details["f_commutative"] = fc.status.value
@@ -251,9 +241,7 @@ def _generator_nil_index(witness):
     return max((element_nil_index(g).index for g in witness), default=1)
 
 
-def verify_generated_nil_ring_bound(
-    r: Ring, f: FMap | None, act: Action | None
-) -> TheoremCheck:
+def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
     """T3.19: a nil ring commuting up to f with n generators is nilpotent,
     s <= nd <= (s-1)*n + 1 with s the largest generator nil index."""
     check = TheoremCheck(
@@ -261,7 +249,7 @@ def verify_generated_nil_ring_bound(
     )
     if not _nil_index(check, r, "ring is not nil").proved:
         return check
-    if r.rank and _f_commutative(check, r, f, act) is None:
+    if r.rank and _f_commutative(check, r, f) is None:
         return check
     # a ring with a bounded nil index is nilpotent, so ndv is PROVED
     ndv = nilpotency_index(r)
@@ -274,9 +262,7 @@ def verify_generated_nil_ring_bound(
     return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= (s - 1) * n + 1)
 
 
-def verify_generated_neutral_bound(
-    gr: GradedRing, f: FMap | None, act: Action | None
-) -> TheoremCheck:
+def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
     """T3.20: nil f-commutative neutral part with n generators:
     s <= nd <= d*((s-1)*n + 1); if the neutral part is zero, nd <= d + 1."""
     supp, d, m0, _ = _grading_data(gr)
@@ -288,11 +274,11 @@ def verify_generated_neutral_bound(
     if m0.rank == 0:
         check.bound = [1, d + 1]
         return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
-    if f is None or act is None:  # not applicable, whatever the neutral nil index
+    if f is None:  # not applicable, whatever the neutral nil index
         return _na(check, _NO_FACTOR)
     if not _nil_index(check, m0, "neutral component is not nil").proved:
         return check
-    if _f_commutative(check, m0, f, act, "neutral component ") is None:
+    if _f_commutative(check, m0, f, "neutral component ") is None:
         return check
     ndv = nilpotency_index(gr.ring)
     if not ndv.proved:
@@ -396,9 +382,7 @@ def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
     return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= length)
 
 
-def verify_matrix_nil_transfer(
-    r: Ring, f: FMap | None, act: Action | None
-) -> TheoremCheck:
+def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     """T3.26: for a nil ring commuting up to f, the 2x2 matrices are nil.
 
     The diagonal component of the elementary grading is R x R as a ring, so
@@ -418,7 +402,7 @@ def verify_matrix_nil_transfer(
         check.observed = 1
         check.status = CheckStatus.PASS
         return check
-    fc = _f_commutative(check, r, f, act)
+    fc = _f_commutative(check, r, f)
     if fc is None:
         return check
     check.details["diagonal_lift"] = lift_f_to_diagonal(fc).status.value
@@ -482,8 +466,7 @@ def verify_homogeneous_power_vanishing(gr: GradedRing) -> TheoremCheck:
 
 
 def verify_quotient_grading_transfer(
-    gr: GradedRing, cong: Congruence | None, caps=Caps(),
-    f: FMap | None = None, act: Action | None = None,
+    gr: GradedRing, cong: Congruence | None, caps=Caps()
 ) -> TheoremCheck:
     """C3.04: rerun the zero-neutral bound, the f-commutative transfer, and
     the nilpotent-neutral bounds on the grading induced by a congruence;
@@ -501,13 +484,12 @@ def verify_quotient_grading_transfer(
     except (CancellativityError, CongruenceError) as exc:
         return _na(check, f"induced grading rejected: {exc}")
     check.details["induced_support_size"] = len(support(induced))
-    if f is None or act is None:
-        f, act, _ = _derive_fmap(induced, caps)
-        if f is not None:
-            check.details["derived_factor"] = f.label
+    f, _ = _derive_fmap(induced, caps)
+    if f is not None:
+        check.details["derived_factor"] = f.label
     sub = {
         "P3.03": verify_empty_neutral_bound(induced),
-        "T3.15": verify_neutral_nil_fcomm_bound(induced, f, act),
+        "T3.15": verify_neutral_nil_fcomm_bound(induced, f),
         "T3.18": verify_nilpotent_neutral_bounds(induced),
     }
     check.details["sub_checks"] = {k: v.status.value for k, v in sub.items()}
@@ -565,38 +547,31 @@ class VerifierReport:
         lines.append(f"caps: {self.caps.to_dict()}")
         return "\n".join(lines)
 
-    def worst(self):
-        order = [CheckStatus.FAIL, CheckStatus.CAPPED]
-        for status in order:
-            if any(c.status == status for c in self.checks):
-                return status
-        return CheckStatus.PASS
-
 
 def _derive_fmap(gr: GradedRing, caps):
     """The scalar factor search on the neutral component, used when the
     caller supplies no commutation factor.
 
-    Returns (f, act, why); when no factor is found, ``why`` says whether the
+    Returns (f, why); when no factor is found, ``why`` says whether the
     neutral component is zero, which pair no scalar fits, that no constant
     holds over the rationals, or that the pair search was capped.
     """
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
-        return None, None, "the neutral component is zero"
+        return None, "the neutral component is zero"
     fmap, witness = scalar_f_search(m0, pair_cap=caps.pair_cap)
     if fmap is not None:
-        return fmap, scalar_action(m0), None
+        return fmap, None
     if witness is not None:
         a, b = witness
-        return None, None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
+        return None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
     if not m0.coeff.finite:
-        return None, None, (
+        return None, (
             "no constant l has a*b = l*(b*a) for all a, b: 1 and -1 fail on "
             "the basis pairs, and no other constant can hold"
         )
     count = m0.element_count()
-    return None, None, (
+    return None, (
         f"pair search capped: {count}^2 pairs of the neutral component "
         f"exceed pair_cap {caps.pair_cap}"
     )
@@ -605,7 +580,6 @@ def _derive_fmap(gr: GradedRing, caps):
 def full_report(
     gr: GradedRing,
     f: FMap | None = None,
-    act: Action | None = None,
     caps: Caps | None = None,
     congruence: Congruence | None = None,
     only: str | None = None,
@@ -621,8 +595,8 @@ def full_report(
     """
     caps = caps or Caps()
     notes = []
-    if f is None or act is None:
-        f, act, why = _derive_fmap(gr, caps)
+    if f is None:
+        f, why = _derive_fmap(gr, caps)
         if f is not None:
             notes.append(f"commutation factor derived automatically: {f.label}")
         else:
@@ -637,12 +611,12 @@ def full_report(
         "P3.03": lambda: verify_empty_neutral_bound(gr),
         "P3.17": lambda: verify_index2_char_bound(gr),
         "P3.31": lambda: verify_homogeneous_power_vanishing(gr),
-        "T3.15": lambda: verify_neutral_nil_fcomm_bound(gr, f, act),
+        "T3.15": lambda: verify_neutral_nil_fcomm_bound(gr, f),
         "T3.18": lambda: verify_nilpotent_neutral_bounds(gr),
-        "T3.19": lambda: verify_generated_nil_ring_bound(m0, f, act),
-        "T3.20": lambda: verify_generated_neutral_bound(gr, f, act),
+        "T3.19": lambda: verify_generated_nil_ring_bound(m0, f),
+        "T3.20": lambda: verify_generated_neutral_bound(gr, f),
         "T3.24": lambda: verify_field_bounded_index_bound(gr),
-        "T3.26": lambda: verify_matrix_nil_transfer(m0, f, act),
+        "T3.26": lambda: verify_matrix_nil_transfer(m0, f),
         "T3.29-REDUCTION": lambda: verify_diagonal_power_reduction(m0, 2),
     }
     if only is not None and only not in registry:

@@ -13,7 +13,7 @@ import pytest
 from test_fcomm import rewrite_identity_check
 from test_nil import enum_bounded_index
 
-from gradednil.fcomm import FMap, scalar_action, scalar_f_search
+from gradednil.fcomm import FMap, scalar_f_search
 from gradednil.grading import (
     GradedRing,
     GradingAxiomError,
@@ -165,7 +165,7 @@ def test_criterion_05_matrix_nil_instances():
         assert bound == 2 * s.index * 2**2 * (2**4 - 1) // (2 - 1)
         ok = ok and v.proved and v.index <= bound
         fmap, _ = scalar_f_search(base)
-        chk = verify_matrix_nil_transfer(base, fmap, scalar_action(base))
+        chk = verify_matrix_nil_transfer(base, fmap)
         ok = ok and chk.status == CheckStatus.PASS
         details.append(f"{label}: nd_nil(M_2)={v.index} <= {bound}")
     _criterion(5, ok, "; ".join(details), time.monotonic() - t0, 120.0)
@@ -175,7 +175,7 @@ def test_criterion_06_generated_ring_tightness():
     t0 = time.monotonic()
     r1 = two_z_2k(3)
     f1, _ = scalar_f_search(r1)
-    chk1 = verify_generated_nil_ring_bound(r1, f1, scalar_action(r1))
+    chk1 = verify_generated_nil_ring_bound(r1, f1)
     ok = (
         chk1.status == CheckStatus.PASS
         and chk1.details["generators"] == 1
@@ -184,7 +184,7 @@ def test_criterion_06_generated_ring_tightness():
     )
     r2 = grassmann_star(2, fp(3)).ring
     f2, _ = scalar_f_search(r2)
-    chk2 = verify_generated_nil_ring_bound(r2, f2, scalar_action(r2))
+    chk2 = verify_generated_nil_ring_bound(r2, f2)
     ok = ok and (
         chk2.status == CheckStatus.PASS
         and chk2.details["generators"] == 2
@@ -261,13 +261,12 @@ def test_criterion_10_rewriting_identities():
     t0 = time.monotonic()
     r1 = two_z_2k(3)
     v1 = rewrite_identity_check(
-        r1, FMap.constant(1), scalar_action(r1), tuple_cap=1,
-        samples=10_000, seed=SEED,
+        r1, FMap.constant(1), tuple_cap=1, samples=10_000, seed=SEED
     )
     r2 = grassmann_star(2, fp(3)).ring
     f2, _ = scalar_f_search(r2)
     v2 = rewrite_identity_check(
-        r2, f2, scalar_action(r2), tuple_cap=1, samples=10_000, seed=SEED
+        r2, f2, tuple_cap=1, samples=10_000, seed=SEED
     )
     ok = v1.status != Status.REFUTED and v2.status != Status.REFUTED
     _criterion(10, ok, "both chains exact on 10^4 seeded tuples per ring",

@@ -47,8 +47,8 @@ def test_roundtrip_grassmann_with_rule():
     parsed = parse_spec_text(text)
     assert parsed.graded == gr
     # the factor is derived when a check runs, under its pair cap
-    assert parsed.fmap is None and parsed.action is None
-    assert parsed.fmap_mode == "auto"
+    assert text.endswith("\n[fmap]\nrule = auto\n")
+    assert parsed.fmap is None
 
 
 def test_roundtrip_two_z8_constant_fmap():
@@ -1034,8 +1034,8 @@ def test_cli_verify_agrees_with_report(tmp_path, capsys, label):
 def test_cli_report_computes_each_f_commutativity_verdict_once(tmp_path, capsys, monkeypatch,
                                                                label):
     # T3.15, T3.19, T3.20 and T3.26 share one verdict on the neutral ring
-    # under one factor and action; each check verified alone, on a ring of
-    # its own, gives the entry the report holds for it
+    # under one factor; each check verified alone, on a ring of its own,
+    # gives the entry the report holds for it
     path = _bench_spec(tmp_path, label)
     calls = []
     check = theorems.check_f_commutative
@@ -1091,11 +1091,11 @@ PAIR_RULE_SPEC = (
 def test_parse_explicit_pair_rule():
     parsed = parse_spec_text(PAIR_RULE_SPEC)
     assert parsed.fmap.kind == "scalar-rule"
-    assert parsed.fmap_mode == "pairs"
+    assert parsed.fmap.label == "explicit pairwise rule" and len(parsed.fmap.rule) == 9
     from gradednil.fcomm import check_f_commutative
     from gradednil.nil import Status
 
-    v = check_f_commutative(parsed.ring, parsed.fmap, parsed.action)
+    v = check_f_commutative(parsed.ring, parsed.fmap)
     assert v.status == Status.PROVED
 
 
@@ -1131,7 +1131,8 @@ def test_cli_rule_auto_on_a_commutative_ring_past_the_pair_cap(tmp_path, capsys)
     assert main(["zoo", "truncated-nagata", "--k", "2", "--p", "3", "--out", spec]) == 0
     with open(spec, "a") as fh:
         fh.write("\n[fmap]\nrule = auto\n")
-    assert parse_spec_text(open(spec).read()).fmap_mode == "auto"
+    text = open(spec).read()
+    assert text.endswith("\n[fmap]\nrule = auto\n") and parse_spec_text(text).fmap is None
     assert main(["analyze", spec]) == 0
     capsys.readouterr()
     assert main(["report", spec, "--json"]) == 0

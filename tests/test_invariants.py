@@ -30,7 +30,7 @@ from gradednil.theorems import (
     verify_generated_nil_ring_bound,
     verify_product_length_vanishing,
 )
-from gradednil.fcomm import scalar_action, scalar_f_search
+from gradednil.fcomm import scalar_f_search
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
 
 
@@ -128,9 +128,8 @@ def test_product_length_s3_d1_instance():
 def test_trivial_grading_t320_reduces_to_t319():
     r = two_z_2k(3)
     f, _ = scalar_f_search(r)
-    act = scalar_action(r)
-    ring_chk = verify_generated_nil_ring_bound(r, f, act)
-    graded_chk = verify_generated_neutral_bound(trivial_grading(r), f, act)
+    ring_chk = verify_generated_nil_ring_bound(r, f)
+    graded_chk = verify_generated_neutral_bound(trivial_grading(r), f)
     assert ring_chk.status == graded_chk.status == CheckStatus.PASS
     assert graded_chk.bound[1] == ring_chk.bound[1]  # d = 1
     assert ring_chk.observed == graded_chk.observed

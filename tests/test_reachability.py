@@ -1,22 +1,25 @@
 """Every top-level definition in ``src/gradednil`` is reached from the program.
 
 A definition counts as reached when its name appears in ``src/`` or
-``perfbench/`` outside its own definition, as a Name, an Attribute, an
-import alias or a string constant (``perfbench/layers.py`` patches by
-name).  ``cmd_*`` is exempt: ``cli.main`` dispatches by ``globals()``.
+``perfbench/`` outside its own definition, as a Name, an attribute of a
+gradednil module (``ringcore.power_chain``; an attribute of any other value,
+such as ``dom.mul``, names a method), an import alias or a string constant
+(``perfbench/layers.py`` patches by name).  ``cmd_*`` is exempt: ``cli.main`` dispatches by ``globals()``.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = {path.stem for path in (ROOT / "src" / "gradednil").glob("*.py")}
 
 
 def _names(node):
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                and sub.value.id in MODULES):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name.rpartition(".")[2]
