@@ -391,77 +391,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _add_ignored_seed(p):
-    # nothing is sampled; the flag stays accepted for old command lines
-    p.add_argument("--seed", help="ignored: every verdict is exact")
+# nothing is sampled; --seed stays accepted for old command lines
+_SEED = ("--seed", {"help": "ignored: every verdict is exact"})
+_PAIR_CAP = ("--pair-cap", {
+    "type": int, "help": f"most pairs the factor search enumerates (env {PAIR_CAP_ENV})"})
+_JSON = ("--json", {"action": "store_true"})
 
-
-def _add_pair_cap(p):
-    p.add_argument("--pair-cap", type=int,
-                   help=f"most pairs the factor search enumerates (env {PAIR_CAP_ENV})")
-
-
-def _analyze_args(p):
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    _add_ignored_seed(p)
-
-
-def _verify_args(p):
-    p.add_argument("check_id")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--classes", help="congruence classes for C3.04, e.g. '0 2 | 1 3'")
-    _add_pair_cap(p)
-
-
-def _report_args(p):
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--classes", help="optional congruence classes for C3.04")
-    _add_pair_cap(p)
-    _add_ignored_seed(p)
-
-
-def _oracle_args(p):
-    # one monoid and one mode: a second is a usage error, never ignored
-    p.add_argument("which", choices=["lemma-3-5"])
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--cyclic", type=int, help="use the cyclic monoid Z_N")
-    source.add_argument("--file", help="take the monoid from a spec file")
-    p.add_argument("--supp", required=True, help="support element ids, e.g. '0,1'")
-    p.add_argument("--r", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--word", help="degree word, e.g. '1,1,1,1'")
-    mode.add_argument("--exhaustive", action="store_true")
-
-
-def _construct_args(p):
-    p.add_argument("which", choices=["elementary"])
-    p.add_argument("file")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--out", default="-")
-
-
-def _zoo_args(p):
-    p.add_argument("name")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--domain", default="fp 2")
-    p.add_argument("--out", default="-")
-
-
-# name -> (help, function adding the command's arguments); the full parser
-# and each command's recorded arguments (``_command_table``) both come from
-# this one table
+# name -> (help, arguments).  An argument is (name, add_argument keywords),
+# and a list of them is a mutually exclusive group.  The full parser and the
+# plain parse (``_command_table``) both read this one table.
 COMMANDS = {
-    "analyze": ("support, components, nil and nilpotency verdicts", _analyze_args),
-    "verify": ("run one bound check by id (e.g. P3.03, T3.18)", _verify_args),
-    "report": ("run every applicable check", _report_args),
-    "oracle": ("cross-validate the neutral-split construction", _oracle_args),
-    "construct": ("emit a derived spec file", _construct_args),
-    "zoo": ("emit a spec file for a built-in example ring", _zoo_args),
+    "analyze": ("support, components, nil and nilpotency verdicts", [("file", {}), _JSON, _SEED]),
+    "verify": ("run one bound check by id (e.g. P3.03, T3.18)", [
+        ("check_id", {}), ("file", {}), _JSON,
+        ("--classes", {"help": "congruence classes for C3.04, e.g. '0 2 | 1 3'"}), _PAIR_CAP]),
+    "report": ("run every applicable check", [
+        ("file", {}), _JSON, ("--classes", {"help": "optional congruence classes for C3.04"}),
+        _PAIR_CAP, _SEED]),
+    # one monoid and one mode: a second is a usage error, never ignored
+    "oracle": ("cross-validate the neutral-split construction", [
+        ("which", {"choices": ["lemma-3-5"]}),
+        [("--cyclic", {"type": int, "help": "use the cyclic monoid Z_N"}),
+         ("--file", {"help": "take the monoid from a spec file"})],
+        ("--supp", {"required": True, "help": "support element ids, e.g. '0,1'"}),
+        ("--r", {"type": int, "required": True}),
+        [("--word", {"help": "degree word, e.g. '1,1,1,1'"}),
+         ("--exhaustive", {"action": "store_true"})]]),
+    "construct": ("emit a derived spec file", [("which", {"choices": ["elementary"]}), ("file", {}),
+                  ("--n", {"type": int, "default": 2}), ("--out", {"default": "-"})]),
+    "zoo": ("emit a spec file for a built-in example ring", [
+        ("name", {}), ("--n", {"type": int, "default": 3}), ("--k", {"type": int, "default": 2}),
+        ("--p", {"type": int, "default": 2}), ("--domain", {"default": "fp 2"}),
+        ("--out", {"default": "-"})]),
 }
 
 
@@ -471,62 +432,55 @@ def build_parser():
     argv that ``_parse_plain`` leaves to it: help, usage errors,
     abbreviations, ``--opt=value`` and any argv that does not start with a
     command name."""
-    parser = _Parser(
-        prog="gradednil",
-        description="Exact analysis of monoid-graded rings and their nilpotency bounds",
-    )
+    parser = _Parser(prog="gradednil", description="Exact analysis of monoid-graded "
+                     "rings and their nilpotency bounds")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_args) in COMMANDS.items():
-        add_args(sub.add_parser(name, help=text))
+    for name, (text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for entry in arguments:
+            grouped = isinstance(entry, list)
+            target = p.add_mutually_exclusive_group() if grouped else p
+            for arg, keywords in entry if grouped else [entry]:
+                target.add_argument(arg, **keywords)
     return parser
 
 
-class _Recorder:
-    """Stands in for an ``ArgumentParser`` in a ``_*_args`` function and
-    records the arguments it adds, in order, each as a namespace of its
-    ``dest``, its ``option`` (None for a positional) and the keywords
-    below.  It models positionals, ``--name`` options with ``type``,
-    ``action="store_true"`` (a ``flag``), ``default``, ``required`` and
-    ``choices``, and mutually exclusive groups; anything else raises, so
-    that an argument argparse would parse otherwise is never declared
-    unnoticed."""
-
-    def __init__(self, args=None, group=None):
-        self.args = [] if args is None else args
-        self.group = group
-
-    def add_argument(self, name, *, type=None, action=None, default=None,
-                     required=False, choices=None, help=None):
-        flag = action == "store_true"
-        if action not in (None, "store_true") or (
-                isinstance(default, str) and type is not None):
-            # argparse would convert a str default through type at parse time
-            raise TypeError(f"argument {name!r}: action {action!r} or a typed "
-                            "str default is not modelled")
-        if not name.startswith("-"):
-            if flag or required or default is not None or self.group is not None:
-                raise TypeError(f"positional {name!r}: only type and choices are modelled")
-            dest, option = name, None
-        elif name.startswith("--") and len(name) > 2:
-            dest, option = name[2:].replace("-", "_"), name
-        else:
-            raise TypeError(f"option {name!r}: only --name options are modelled")
-        self.args.append(SimpleNamespace(
-            dest=dest, option=option, type=type, flag=flag,
-            default=False if flag else default, required=required,
-            choices=None if choices is None else tuple(choices), group=self.group))
-
-    def add_mutually_exclusive_group(self):
-        return _Recorder(self.args, group=object())
+def _modelled(name, group, *, type=None, action=None, default=None,
+              required=False, choices=None, help=None):
+    """One argument of ``_command_table``.  A keyword not named here, or a
+    use of one that the plain parse would read otherwise than argparse,
+    raises, so that no such argument is declared unnoticed."""
+    flag = action == "store_true"
+    if action not in (None, "store_true") or (
+            isinstance(default, str) and type is not None):
+        # argparse would convert a str default through type at parse time
+        raise TypeError(f"argument {name!r}: action {action!r} or a typed "
+                        "str default is not modelled")
+    if not name.startswith("-"):
+        if flag or required or default is not None or group is not None:
+            raise TypeError(f"positional {name!r}: only type and choices are modelled")
+        dest, option = name, None
+    elif name.startswith("--") and len(name) > 2:
+        dest, option = name[2:].replace("-", "_"), name
+    else:
+        raise TypeError(f"option {name!r}: only --name options are modelled")
+    return SimpleNamespace(
+        dest=dest, option=option, type=type, flag=flag,
+        default=False if flag else default, required=required,
+        choices=None if choices is None else tuple(choices), group=group)
 
 
 @functools.cache
 def _command_table(name):
-    """The arguments of command ``name`` in declaration order, recorded
-    once per process from its ``_*_args`` function."""
-    recorder = _Recorder()
-    COMMANDS[name][1](recorder)
-    return tuple(recorder.args)
+    """The arguments of command ``name`` in ``COMMANDS`` order, built once
+    per process, each a namespace of its ``dest``, its ``option`` (None for
+    a positional), ``type``, ``flag`` (store_true), ``default``,
+    ``required``, ``choices`` and ``group``: the index of its mutually
+    exclusive group in the command's arguments, or None."""
+    return tuple(
+        _modelled(arg, i if isinstance(entry, list) else None, **keywords)
+        for i, entry in enumerate(COMMANDS[name][1])
+        for arg, keywords in (entry if isinstance(entry, list) else [entry]))
 
 
 def _parse_plain(name, tokens):
@@ -578,7 +532,7 @@ def _parse_plain(name, tokens):
 
 def _parse_args(argv):
     """``build_parser().parse_args(argv)``.  A plain call of a command is
-    parsed from its recorded arguments, with no parser built; help, usage
+    parsed from its ``_command_table``, with no parser built; help, usage
     errors, abbreviations, ``--opt=value`` and every other argv go to the
     full parser, so their output and exit codes are argparse's."""
     args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None

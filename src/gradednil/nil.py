@@ -264,6 +264,14 @@ def _witness(r: Ring, mono, k):
     return w, point
 
 
+def _proved_at(r: Ring, alive, s) -> NilVerdict:
+    """PROVED at the first empty power x^s; ``alive`` holds the monomials
+    of x^(s-1), whose ``_witness`` point the note names."""
+    w, _ = _witness(r, alive, s - 1)
+    return NilVerdict(Status.PROVED, index=s,
+                      note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
+
+
 def nil_bounded_index(
     r: Ring,
     mode="symbolic",
@@ -291,9 +299,7 @@ def nil_bounded_index(
     # x itself is never empty, so a surviving power comes before the empty one
     for s, (mono, _, coef) in enumerate(_general_powers(r, candidate), 1):
         if not len(coef):
-            w, _ = _witness(r, alive, s - 1)
-            return NilVerdict(Status.PROVED, index=s,
-                              note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
+            return _proved_at(r, alive, s)
         alive = mono
     w, point = _witness(r, mono, candidate)
     return NilVerdict(
@@ -312,9 +318,7 @@ def _component_nil(r: Ring, positions) -> NilVerdict:
     n = _index_bound(r)
     for s, (mono, _, coef) in enumerate(_general_powers(r, n, positions), 1):
         if not len(coef):
-            w, _ = _witness(r, alive, s - 1)
-            return NilVerdict(Status.PROVED, index=s,
-                              note=f"symbolic expansion: x^{s - 1} != 0 at x = {w!r}")
+            return _proved_at(r, alive, s)
         alive = mono
         w, _ = _witness(r, mono, 1)
         if not element_nil_index(w).proved:

@@ -24,6 +24,8 @@ Format (``#`` starts a comment, blank lines ignored)::
 
 The factor map applies to the neutral component when a grading is present,
 otherwise to the whole ring.  Sections other than [ring] are optional.
+A section takes the keys shown above and no other; sc and pair repeat, one
+line per constant or pair, and any other key is given at most once.
 Validation failures surface the violated axiom and its witness; syntax
 errors carry the line number.
 """
@@ -74,12 +76,23 @@ def _tokenize(text):
         yield num, section, key.strip().lower(), value.strip()
 
 
+SECTION_KEYS = {"monoid": {"kind", "size", "table"}, "ring": {"coeff", "rank", "names", "sc"},
+                "grading": {"deg"}, "fmap": {"constant", "rule", "pair"}}
+
+
 def _collect(text):
-    sections = {}
+    sections, first = {}, {}
     for num, section, key, value in _tokenize(text):
         entry = sections.setdefault(section, [])
-        if key is not None:
-            entry.append((num, key, value))
+        if key is None or section not in SECTION_KEYS:
+            continue  # an unknown section is rejected by name once all are read
+        if key not in SECTION_KEYS[section]:
+            raise SpecFileError(f"unknown key {key!r} in [{section}]", num)
+        if key not in ("sc", "pair") and (section, key) in first:
+            raise SpecFileError(
+                f"key {key!r} repeats line {first[section, key]} of [{section}]", num)
+        first.setdefault((section, key), num)
+        entry.append((num, key, value))
     return sections
 
 
@@ -122,13 +135,8 @@ def _parse_monoid(entries):
 
 
 def _parse_ring(entries):
-    kv = {}
-    sc_lines = []
-    for num, key, value in entries:
-        if key == "sc":
-            sc_lines.append((num, value))
-        else:
-            kv[key] = (num, value)
+    kv = {k: (n, v) for n, k, v in entries if k != "sc"}
+    sc_lines = [(n, v) for n, k, v in entries if k == "sc"]
     for needed in ("coeff", "rank"):
         if needed not in kv:
             raise SpecFileError(f"[ring] needs {needed}")
@@ -152,7 +160,7 @@ def _parse_ring(entries):
             )
     else:
         names = [f"b{t}" for t in range(rank)]
-    sc = {}
+    sc, first = {}, {}
     for num, value in sc_lines:
         toks = value.split()
         if len(toks) != 4:
@@ -164,6 +172,9 @@ def _parse_ring(entries):
         c = _coeff_value(toks[3], dom, num)
         if not (0 <= i < rank and 0 <= j < rank and 0 <= k < rank):
             raise SpecFileError(f"sc indices ({i}, {j}, {k}) out of range", num)
+        if (i, j, k) in first:
+            raise SpecFileError(f"sc ({i}, {j}, {k}) repeats line {first[i, j, k]}", num)
+        first[i, j, k] = num
         sc.setdefault((i, j), {})[k] = c
     return Ring(dom, names, sc)
 
@@ -192,13 +203,8 @@ def _first_missing_pair(rule, dom, rank):
 
 
 def _parse_fmap(entries, ring, graded):
-    kv = {}
-    pair_lines = []
-    for num, key, value in entries:
-        if key == "pair":
-            pair_lines.append((num, value))
-        else:
-            kv[key] = (num, value)
+    kv = {k: (n, v) for n, k, v in entries if k != "pair"}
+    pair_lines = [(n, v) for n, k, v in entries if k == "pair"]
     target = ring
     if graded is not None:
         target, _ = neutral_ring(graded)
@@ -213,7 +219,7 @@ def _parse_fmap(entries, ring, graded):
                 f"pair lines cannot give a scalar for every pair over {dom.label()}; "
                 "use constant = <scalar> or rule = auto", pair_lines[0][0],
             )
-        rule = {}
+        rule, first = {}, {}
         for num, value in pair_lines:
             parts = [p.split() for p in value.split(";")]
             if len(parts) != 3 or len(parts[0]) != target.rank or len(parts[1]) != target.rank or len(parts[2]) != 1:
@@ -225,6 +231,9 @@ def _parse_fmap(entries, ring, graded):
                 )
             ca = tuple(dom.normalize(_coeff_value(t, dom, num)) for t in parts[0])
             cb = tuple(dom.normalize(_coeff_value(t, dom, num)) for t in parts[1])
+            if (ca, cb) in first:
+                raise SpecFileError(f"pair ({ca}, {cb}) repeats line {first[ca, cb]}", num)
+            first[ca, cb] = num
             rule[(ca, cb)] = dom.normalize(_coeff_value(parts[2][0], dom, num))
         if len(rule) < dom.size ** (2 * target.rank):
             a, b = _first_missing_pair(rule, dom, target.rank)
@@ -246,7 +255,7 @@ def _parse_fmap(entries, ring, graded):
 
 def parse_spec_text(text) -> ParsedSpec:
     sections = _collect(text)
-    unknown = set(sections) - {"monoid", "ring", "grading", "fmap"}
+    unknown = set(sections) - SECTION_KEYS.keys()
     if unknown:
         raise SpecFileError(f"unknown sections: {sorted(unknown)}")
     if "ring" not in sections:

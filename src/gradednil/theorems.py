@@ -118,12 +118,12 @@ def _na(check, reason):
     return check
 
 
-def _judge_nilpotency(check, ndv, holds):
-    """Observe the nilpotency verdict ``ndv``: PASS or FAIL by ``holds(index)``;
-    a ring that is not nilpotent FAILs with ``nilpotency_index``'s
-    non-nilpotent witness."""
+def _judge_nilpotency(check, ndv, holds, witness="non_nilpotent"):
+    """Observe the verdict ``ndv``, a nilpotency index unless ``witness``
+    names another: PASS or FAIL by ``holds(index)``; an unproved verdict
+    FAILs with its witness under the key ``witness``."""
     if not ndv.proved:
-        return _fail(check, non_nilpotent=ndv.witness)
+        return _fail(check, **{witness: ndv.witness})
     check.observed = ndv.index
     check.status = CheckStatus.PASS if holds(ndv.index) else CheckStatus.FAIL
     return check
@@ -208,14 +208,8 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
     check.details["support_size"] = d
-    whole = bounded_nil_index_auto(gr.ring)
-    if not whole.proved:
-        return _fail(check, non_nil=whole.witness)
-    check.observed = whole.index
-    check.status = (
-        CheckStatus.PASS if whole.index <= check.bound else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, bounded_nil_index_auto(gr.ring),
+                             lambda index: index <= check.bound, "non_nil")
 
 
 def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
@@ -303,8 +297,6 @@ def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
     char = dom.char()
     if char % 2 == 0 and char != 0:
         return _na(check, f"coefficient characteristic {char} has 2-torsion")
-    if m0.rank == 0:
-        return _na(check, "neutral nil index is 1, not 2")
     sv = _nil_index(check, m0, "neutral component is not nil")
     if not sv.proved:
         return check
@@ -334,13 +326,10 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
     if not dom.is_field:
         return _na(check, f"coefficients {dom.label()} are not a field")
     p = dom.char()
-    if m0.rank == 0:
-        s = 1
-    else:
-        sv = _nil_index(check, m0, "neutral component is not nil of bounded index")
-        if not sv.proved:
-            return check
-        s = sv.index
+    sv = _nil_index(check, m0, "neutral component is not nil of bounded index")
+    if not sv.proved:
+        return check
+    s = sv.index
     check.details.update({"neutral_nil_index": s, "char": p, "support_size": d})
     if s == 1:
         check.bound = d + 1
@@ -408,14 +397,8 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     check.details["diagonal_lift"] = lift_f_to_diagonal(fc).status.value
     check.details["diagonal_nil_index"] = sv.index
     check.bound = nil_index_bound(sv.index, 2)
-    m2_nil = bounded_nil_index_auto(matrix_ring(r, 2))
-    if not m2_nil.proved:
-        return _fail(check, non_nil_matrix=m2_nil.witness)
-    check.observed = m2_nil.index
-    check.status = (
-        CheckStatus.PASS if m2_nil.index <= check.bound else CheckStatus.FAIL
-    )
-    return check
+    return _judge_nilpotency(check, bounded_nil_index_auto(matrix_ring(r, 2)),
+                             lambda index: index <= check.bound, "non_nil_matrix")
 
 
 def verify_diagonal_power_reduction(r: Ring, n=2) -> TheoremCheck:

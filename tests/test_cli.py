@@ -20,7 +20,7 @@ from gradednil.specfile import (
     emit_spec,
     parse_spec_text,
 )
-from gradednil.ringcore import Ring, fp
+from gradednil.ringcore import Ring, fp, rat
 from gradednil.words import (
     DegreeWord,
     ProductVerdict,
@@ -28,7 +28,13 @@ from gradednil.words import (
     neutral_split_bruteforce,
     small_gap_blocks,
 )
-from gradednil.zoo import grassmann_star, sut, truncated_poly_positive, two_z_2k
+from gradednil.zoo import (
+    grassmann_star,
+    sut,
+    truncated_nagata,
+    truncated_poly_positive,
+    two_z_2k,
+)
 
 SUT3 = sut(3, fp(2))
 
@@ -90,6 +96,78 @@ def test_parse_rejects_grading_violation():
 def test_parse_unknown_section():
     with pytest.raises(SpecFileError, match="unknown sections"):
         parse_spec_text("[ringg]\ncoeff = fp 2\n")
+
+
+def test_parse_rejects_unknown_key():
+    # a misspelled key was ignored: names fell back to b0, b1
+    with pytest.raises(SpecFileError, match="unknown key 'nmaes' in \\[ring\\]") as err:
+        parse_spec_text("[ring]\ncoeff = fp 2\nrank = 2\nnmaes = a b\n")
+    assert err.value.line == 4
+    for section, key in [("monoid", "sise"), ("grading", "degs"), ("fmap", "constnat")]:
+        with pytest.raises(SpecFileError, match=f"unknown key '{key}' in \\[{section}\\]"):
+            parse_spec_text(f"[ring]\ncoeff = fp 2\nrank = 0\n[{section}]\n{key} = 1\n")
+
+
+def test_cli_analyze_rejects_unknown_key(tmp_path, capsys):
+    # analyze exited 0 on this spec and named the basis b0, b1
+    path = tmp_path / "nmaes.spec"
+    path.write_text("[ring]\ncoeff = fp 2\nrank = 2\nnmaes = a b\n")
+    assert main(["analyze", str(path)]) == 3
+    assert capsys.readouterr().err == "error: line 4: unknown key 'nmaes' in [ring]\n"
+
+
+def test_parse_rejects_repeated_key():
+    # the last of two rank lines was read, silently
+    with pytest.raises(SpecFileError, match="key 'rank' repeats line 3 of \\[ring\\]") as err:
+        parse_spec_text("[ring]\ncoeff = fp 2\nrank = 2\nrank = 1\n")
+    assert err.value.line == 4
+    # a section given twice is one section, so its keys still repeat
+    text = ("[monoid]\nkind = int-add\n[ring]\ncoeff = rat\nrank = 1\n"
+            "[grading]\ndeg = 1\n[grading]\ndeg = 1\n")
+    with pytest.raises(SpecFileError, match="key 'deg' repeats line 7 of \\[grading\\]") as err:
+        parse_spec_text(text)
+    assert err.value.line == 9
+
+
+def test_parse_rejects_repeated_structure_constant():
+    # two sc lines for one (i, j, k) collapsed into one constant
+    text = "[ring]\ncoeff = fp 2\nrank = 1\nsc = 0 0 0 1\nsc = 0 0 0 1\n"
+    with pytest.raises(SpecFileError, match=r"sc \(0, 0, 0\) repeats line 4") as err:
+        parse_spec_text(text)
+    assert err.value.line == 5
+    # distinct targets of one product are separate constants
+    ring = parse_spec_text("[ring]\ncoeff = fp 2\nrank = 2\nsc = 0 0 1 1\nsc = 1 1 1 0\n").ring
+    assert ring.sc[(0, 0)] == {1: 1}
+
+
+def test_parse_rejects_repeated_pair():
+    # a pair given twice, as written or after reduction mod 2, is an error;
+    # the second line's scalar used to win
+    pairs = ["0 ; 0 ; 1", "0 ; 1 ; 1", "1 ; 0 ; 1", "1 ; 1 ; 1"]
+    head = "[ring]\ncoeff = fp 2\nrank = 1\n[fmap]\n"
+    assert parse_spec_text(head + "".join(f"pair = {p}\n" for p in pairs)).fmap is not None
+    for repeat in ["1 ; 1 ; 0", "3 ; 1 ; 1"]:
+        text = head + "".join(f"pair = {p}\n" for p in pairs + [repeat])
+        with pytest.raises(SpecFileError, match=r"pair \(\(1,\), \(1,\)\) repeats line 8") as err:
+            parse_spec_text(text)
+        assert err.value.line == 9
+
+
+def test_emitted_specs_still_parse():
+    # every key emit_spec writes is one its section defines, given once, so
+    # what it writes parses back and is written again to the byte
+    cases = [(SUT3, None), (sut(4, rat()), "auto"), (truncated_poly_positive(4, fp(2)), None),
+             (grassmann_star(2, fp(3)), "auto"), (elementary_grading(two_z_2k(2), 2), None),
+             (two_z_2k(3), "constant 1"), (truncated_nagata(2, 3), None),
+             (Ring(fp(2), [], {}), None)]
+    for obj, mode in cases:
+        if isinstance(obj, GradedRing):
+            text = emit_graded(obj, fmap_mode=mode)
+        else:
+            text = emit_spec(obj, fmap_mode=mode)
+        parsed = parse_spec_text(text)
+        degrees = None if parsed.graded is None else parsed.graded.degrees
+        assert emit_spec(parsed.ring, parsed.monoid, degrees, mode) == text
 
 
 def test_parse_needs_ring():
@@ -396,19 +474,50 @@ def test_cli_plain_parse_matches_the_full_parser_on_drawn_argv(capsys, monkeypat
         assert want[2] == [list(vars(plain).items())]
 
 
-def test_cli_recorder_rejects_what_it_does_not_model():
+def test_cli_command_table_rejects_what_it_does_not_model(monkeypatch):
     # an argument the plain parse would read otherwise than argparse fails
-    # at declaration, not at parse time
-    rec = cli._Recorder()
-    for name, kwargs in [("--x", {"nargs": 2}), ("--x", {"action": "append"}),
-                         ("--x", {"type": int, "default": "1"}), ("-x", {}),
-                         ("x", {"required": True}), ("x", {"default": "a"}),
-                         ("x", {"action": "store_true"})]:
+    # when its command's table is built, not at parse time; the last entry
+    # is a positional inside a mutually exclusive group
+    text, arguments = cli.COMMANDS["zoo"]
+    for entry in [("--x", {"nargs": 2}), ("--x", {"action": "append"}),
+                  ("--x", {"type": int, "default": "1"}), ("-x", {}),
+                  ("x", {"required": True}), ("x", {"default": "a"}),
+                  ("x", {"action": "store_true"}), [("x", {})]]:
+        monkeypatch.setitem(cli.COMMANDS, "zoo", (text, [*arguments, entry]))
+        cli._command_table.cache_clear()
         with pytest.raises(TypeError):
-            rec.add_argument(name, **kwargs)
-    with pytest.raises(TypeError):
-        rec.add_mutually_exclusive_group().add_argument("x")
-    assert rec.args == []
+            cli._command_table("zoo")
+    monkeypatch.undo()
+    cli._command_table.cache_clear()
+    assert len(cli._command_table("zoo")) == len(arguments)
+
+
+def test_cli_command_table_matches_every_subparser():
+    # the plain parse's table and the full parser are read from COMMANDS:
+    # per command, the same arguments in the same order, with the same
+    # option string, type, default, required, choices and exclusive group
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    assert list(subparsers) == list(cli.COMMANDS)
+    for name, sub in subparsers.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        group_of = {id(a): i for i, g in enumerate(sub._mutually_exclusive_groups)
+                    for a in g._group_actions}
+        table = cli._command_table(name)
+        assert [a.dest for a in actions] == [arg.dest for arg in table], name
+        groups = {}
+        for action, arg in zip(actions, table):
+            assert action.option_strings == ([arg.option] if arg.option else []), arg
+            assert action.type is arg.type, arg
+            assert action.default == arg.default, arg
+            assert action.required == (arg.required or arg.option is None), arg
+            assert action.nargs == (0 if arg.flag else None), arg
+            assert (None if action.choices is None else tuple(action.choices)) == arg.choices, arg
+            # one exclusive group per table group, and no other
+            assert (arg.group is None) == (id(action) not in group_of), arg
+            if arg.group is not None:
+                assert groups.setdefault(arg.group, group_of[id(action)]) == group_of[id(action)]
+        assert len(set(groups.values())) == len(groups) == len(sub._mutually_exclusive_groups)
 
 
 BENCH_LINES_SCRIPT = """
