@@ -147,53 +147,46 @@ def _pair_commutes(r, s, ca, cb):
 
 
 def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
-    """Scalars l with a*b = l*(b*a), one per pair or one for all.
+    """Scalars l with a*b = l*(b*a), one for all pairs or one per pair.
 
-    Returns (FMap, None) on success, compressed to a constant map when one
-    scalar works everywhere, (None, witness_pair) when some pair admits no
-    scalar, or (None, None) when no factor is derived otherwise: over a
-    finite domain when enumeration exceeds the pair cap, over the
+    Returns (FMap, None) on success, (None, witness_pair) when some pair
+    admits no scalar, or (None, None) when no factor is derived otherwise:
+    over a finite domain when enumeration exceeds the pair cap, over the
     rationals when no constant holds.
 
-    Over a finite domain, a ring on which constant 1 passes the basis-pair
-    certificate returns it without enumerating; otherwise every pair takes
-    the first of 1, -1, 0 and the remaining domain elements that fits it.
-    Over the rationals only a constant can be listed, and only 1 or -1 can
-    hold: if b_i*b_j = l*(b_j*b_i) and b_j*b_i = l*(b_i*b_j) for a nonzero
-    product then l^2 = 1, and if every product is zero 1 holds.  So 1 and
-    then -1 are put to the certificate.  ``samples`` is unused; it stays
-    because ``perfbench/layers.py`` binds it by name.
+    The scalars are 1 and -1, then over a finite domain 0 and the other
+    elements.  Each is put to the basis-pair certificate in turn, and the
+    first that passes is returned.  Over the rationals no other constant
+    can hold: if b_i*b_j = l*(b_j*b_i) and b_j*b_i = l*(b_i*b_j) for a
+    nonzero product then l^2 = 1, and if every product is zero 1 holds.
+    Over a finite domain with no constant factor, every pair takes the
+    first scalar that fits it.  ``samples`` is unused; it stays because
+    ``perfbench/layers.py`` binds it by name.
     """
     dom = r.coeff
+    if dom.finite and r.element_count() ** 2 > pair_cap:
+        return None, None
+    rest = itertools.chain([dom.zero()], dom.elements()) if dom.finite else ()
+    scalars = {}  # an ordered set: the scalars tried so far
+    for c in itertools.chain([dom.one(), dom.normalize(-1)], rest):
+        if c in scalars:
+            continue
+        scalars[c] = None
+        f = FMap.constant(c)
+        if _basis_certificate(r, f).proved:
+            return f, None
     if not dom.finite:
-        for value in (dom.one(), dom.normalize(-1)):
-            f = FMap.constant(value)
-            if _basis_certificate(r, f).proved:
-                return f, None
         return None, None
-    count = r.element_count()
-    if count * count > pair_cap:
-        return None, None
-    one = FMap.constant(dom.one())
-    if _basis_certificate(r, one).proved:
-        return one, None
-    candidates = []
-    for c in [dom.normalize(1), dom.normalize(-1), dom.zero()] + list(dom.elements()):
-        if c not in candidates:
-            candidates.append(c)
     coords_list = _element_coords(r)
     rule = {}
     for ca in coords_list:
         for cb in coords_list:
             ab = r.mul_coords(ca, cb)
             ba = r.mul_coords(cb, ca)
-            lam = next((c for c in candidates if ab == _scaled(dom, c, ba)), None)
+            lam = next((c for c in scalars if ab == _scaled(dom, c, ba)), None)
             if lam is None:
                 return None, (r.element(ca), r.element(cb))
             rule[(ca, cb)] = lam
-    values = set(rule.values())
-    if len(values) == 1:
-        return FMap.constant(values.pop()), None
     return FMap.from_rule(rule), None
 
 

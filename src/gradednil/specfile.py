@@ -25,7 +25,9 @@ Format (``#`` starts a comment, blank lines ignored)::
 The factor map applies to the neutral component when a grading is present,
 otherwise to the whole ring.  Sections other than [ring] are optional.
 A section takes the keys shown above and no other; sc and pair repeat, one
-line per constant or pair, and any other key is given at most once.
+line per constant or pair, and any other key is given at most once.  Each
+section header appears once, [fmap] takes exactly one of constant, rule and
+pair lines, and kind = int-add takes no size or table.
 Validation failures surface the violated axiom and its witness; syntax
 errors carry the line number.
 """
@@ -83,8 +85,13 @@ SECTION_KEYS = {"monoid": {"kind", "size", "table"}, "ring": {"coeff", "rank", "
 def _collect(text):
     sections, first = {}, {}
     for num, section, key, value in _tokenize(text):
-        entry = sections.setdefault(section, [])
-        if key is None or section not in SECTION_KEYS:
+        if key is None:
+            if section in sections:
+                raise SpecFileError(
+                    f"section [{section}] repeats line {first[section, None]}", num)
+            sections[section], first[section, None] = [], num
+            continue
+        if section not in SECTION_KEYS:
             continue  # an unknown section is rejected by name once all are read
         if key not in SECTION_KEYS[section]:
             raise SpecFileError(f"unknown key {key!r} in [{section}]", num)
@@ -92,7 +99,7 @@ def _collect(text):
             raise SpecFileError(
                 f"key {key!r} repeats line {first[section, key]} of [{section}]", num)
         first.setdefault((section, key), num)
-        entry.append((num, key, value))
+        sections[section].append((num, key, value))
     return sections
 
 
@@ -111,6 +118,10 @@ def _parse_monoid(entries):
         raise SpecFileError("[monoid] needs kind = table | int-add")
     num, kind = kv["kind"]
     if kind == "int-add":
+        for key in ("size", "table"):
+            if key in kv:
+                raise SpecFileError(
+                    f"kind int-add on line {num} takes no {key!r}", kv[key][0])
         return Monoid.int_add()
     if kind != "table":
         raise SpecFileError(f"unknown monoid kind {kind!r}", num)
@@ -203,6 +214,14 @@ def _first_missing_pair(rule, dom, rank):
 
 
 def _parse_fmap(entries, ring, graded):
+    forms = {}  # the first line of each form, in file order
+    for num, key, _ in entries:
+        forms.setdefault(key, num)
+    if len(forms) > 1:
+        (k0, n0), (k1, n1) = list(forms.items())[:2]
+        raise SpecFileError(
+            f"[fmap] takes one of constant, rule and pair lines: {k1!r} "
+            f"conflicts with {k0!r} on line {n0}", n1)
     kv = {k: (n, v) for n, k, v in entries if k != "pair"}
     pair_lines = [(n, v) for n, k, v in entries if k == "pair"]
     target = ring

@@ -29,6 +29,7 @@ from .nil import (
     bounded_nil_index_auto,
     element_nil_index,
     homogeneous_power_report,
+    nil_bounded_index,
     nilpotency_index,
     ring_is_nil,
 )
@@ -376,9 +377,9 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
 
     The diagonal component of the elementary grading is R x R as a ring, so
     the lift of f holds exactly when R commutes up to f, and the diagonal
-    nil index is R's: both are read off the verdicts on R.  The matrix
-    ring's bounded nil index, from its power chain or the exact symbolic
-    expansion, is checked against the bound.
+    nil index is R's: both are read off the verdicts on R.  M_2(R)^k is
+    M_2(R^k), so M_2(R) has R's nilpotency index d, and the exact symbolic
+    expansion of its bounded nil index up to d is checked against the bound.
     """
     check = TheoremCheck(
         "T3.26", "2x2 matrices over a nil f-commutative ring are nil", True
@@ -397,7 +398,8 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     check.details["diagonal_lift"] = lift_f_to_diagonal(fc).status.value
     check.details["diagonal_nil_index"] = sv.index
     check.bound = nil_index_bound(sv.index, 2)
-    return _judge_nilpotency(check, bounded_nil_index_auto(matrix_ring(r, 2)),
+    nd = nilpotency_index(r).index
+    return _judge_nilpotency(check, nil_bounded_index(matrix_ring(r, 2), candidate=nd),
                              lambda index: index <= check.bound, "non_nil_matrix")
 
 

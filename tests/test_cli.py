@@ -121,12 +121,12 @@ def test_parse_rejects_repeated_key():
     with pytest.raises(SpecFileError, match="key 'rank' repeats line 3 of \\[ring\\]") as err:
         parse_spec_text("[ring]\ncoeff = fp 2\nrank = 2\nrank = 1\n")
     assert err.value.line == 4
-    # a section given twice is one section, so its keys still repeat
+    # a key given twice in a section given twice stops at the second header
     text = ("[monoid]\nkind = int-add\n[ring]\ncoeff = rat\nrank = 1\n"
             "[grading]\ndeg = 1\n[grading]\ndeg = 1\n")
-    with pytest.raises(SpecFileError, match="key 'deg' repeats line 7 of \\[grading\\]") as err:
+    with pytest.raises(SpecFileError, match="section \\[grading\\] repeats line 6") as err:
         parse_spec_text(text)
-    assert err.value.line == 9
+    assert err.value.line == 8
 
 
 def test_parse_rejects_repeated_structure_constant():
@@ -151,6 +151,53 @@ def test_parse_rejects_repeated_pair():
         with pytest.raises(SpecFileError, match=r"pair \(\(1,\), \(1,\)\) repeats line 8") as err:
             parse_spec_text(text)
         assert err.value.line == 9
+
+
+def test_parse_rejects_repeated_section():
+    # a second [ring] merged into the first: this parsed as one ring named b
+    text = "[ring]\ncoeff = fp 2\nrank = 1\n[ring]\nnames = b\n"
+    with pytest.raises(SpecFileError, match="section \\[ring\\] repeats line 1") as err:
+        parse_spec_text(text)
+    assert err.value.line == 4
+
+
+def test_parse_rejects_two_fmap_forms():
+    # [fmap] read its constant and never looked at the rest: this parsed as
+    # FMap(constant 1), the unknown rule and the malformed pair unread
+    head = "[ring]\ncoeff = fp 2\nrank = 1\n[fmap]\n"
+    text = head + "constant = 1\nrule = bogus\npair = 9 ; 9 ; 9 ; 9\n"
+    with pytest.raises(SpecFileError, match="'rule' conflicts with 'constant' on line 5") as err:
+        parse_spec_text(text)
+    assert err.value.line == 6
+    pairs = "".join(f"pair = {a} ; {b} ; 1\n" for a in (0, 1) for b in (0, 1))
+    with pytest.raises(SpecFileError, match="'rule' conflicts with 'pair' on line 5") as err:
+        parse_spec_text(head + pairs + "rule = auto\n")
+    assert err.value.line == 9
+
+
+def test_parse_rejects_int_add_with_a_table():
+    # kind = int-add ignored the size and table lines after it
+    ring = "[ring]\ncoeff = fp 2\nrank = 0\n"
+    for extra, key, line in [("size = 2\ntable = 0 1 1 0\n", "size", 3),
+                             ("table = 0 1 1 0\n", "table", 3)]:
+        text = "[monoid]\nkind = int-add\n" + extra + ring
+        with pytest.raises(SpecFileError, match=f"kind int-add on line 2 takes no '{key}'") as err:
+            parse_spec_text(text)
+        assert err.value.line == line
+
+
+def test_cli_conflicting_sections_exit_3(tmp_path, capsys):
+    ring = "[ring]\ncoeff = fp 2\nrank = 1\n"
+    for name, text, message in [
+        ("fmap2.spec", ring + "[fmap]\nconstant = 1\nrule = auto\n",
+         "line 6: [fmap] takes one of constant, rule and pair lines: "
+         "'rule' conflicts with 'constant' on line 5"),
+        ("ring2.spec", ring + "[ring]\nnames = b\n", "line 4: section [ring] repeats line 1"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["report", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_emitted_specs_still_parse():

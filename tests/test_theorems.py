@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradednil import theorems
 from gradednil.fcomm import FMap, scalar_f_search
 from gradednil.grading import GradedRing, elementary_grading, trivial_grading
 from gradednil.monoid import Congruence, Monoid
-from gradednil.nil import bounded_nil_index_auto
-from gradednil.ringcore import Ring, fp, matrix_ring, rat
+from gradednil.nil import bounded_nil_index_auto, nil_bounded_index, nilpotency_index
+from gradednil.ringcore import Ring, fp, matrix_ring, power_chain, rat, zmod
 from gradednil.theorems import (
     Caps,
     CheckStatus,
@@ -25,7 +26,9 @@ from gradednil.theorems import (
     verify_product_length_vanishing,
     verify_quotient_grading_transfer,
 )
-from gradednil.zoo import grassmann_star, sut, two_z_2k
+from gradednil.zoo import grassmann_star, sut, truncated_nagata, truncated_poly_positive, two_z_2k
+
+from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
 
 CAPS = Caps()
 
@@ -277,6 +280,48 @@ def test_matrix_transfer_not_applicable_non_nil():
     r = idempotent_ring(fp(2))
     chk = verify_matrix_nil_transfer(r, FMap.constant(1))
     assert chk.status == CheckStatus.NOT_APPLICABLE
+
+
+MATRIX_TRANSFER_RINGS = {
+    "2Z_8": lambda: two_z_2k(3),
+    "nagata23": lambda: truncated_nagata(2, 3),
+    "grassmann2-f3": lambda: grassmann_star(2, fp(3)).ring,
+    "grassmann3-f5": lambda: grassmann_star(3, fp(5)).ring,
+    "grassmann2-q": lambda: grassmann_star(2, rat()).ring,
+    "sut4-z6": lambda: sut(4, zmod(6)).ring,
+    "tpoly5-q": lambda: truncated_poly_positive(5, rat()).ring,
+    "M2-2Z_8": lambda: matrix_ring(two_z_2k(3), 2),
+}
+
+
+def assert_matrix_transfer_matches_reference(r):
+    # M_2(R)^k = M_2(R^k), so T3.26 takes R's nilpotency index as the
+    # candidate for the matrices' expansion; their own chain is the reference
+    assert len(power_chain(matrix_ring(r, 2))) == len(power_chain(r))
+    nd = nilpotency_index(r)
+    if not nd.proved:
+        return None
+    ref = bounded_nil_index_auto(matrix_ring(r, 2))
+    assert nil_bounded_index(matrix_ring(r, 2), candidate=nd.index) == ref
+    chk = verify_matrix_nil_transfer(r, derived_factor(r))
+    if chk.bound is not None and r.rank:
+        assert chk.observed == ref.index
+        assert chk.status == (CheckStatus.PASS if ref.index <= chk.bound else CheckStatus.FAIL)
+    return chk
+
+
+@pytest.mark.parametrize("make", MATRIX_TRANSFER_RINGS.values(), ids=MATRIX_TRANSFER_RINGS)
+def test_matrix_transfer_matches_matrix_chain_reference(make):
+    r = make()
+    chk = assert_matrix_transfer_matches_reference(r)
+    # the rings with a constant factor reach the matrices' expansion
+    assert chk.status == (CheckStatus.PASS if derived_factor(r) else CheckStatus.NOT_APPLICABLE)
+
+
+@given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()))
+@settings(max_examples=40, deadline=None)
+def test_matrix_transfer_matches_matrix_chain_reference_on_random_rings(r):
+    assert_matrix_transfer_matches_reference(r)
 
 
 def test_matrix_nil_verdict_predicate_sizes_2_and_3():
