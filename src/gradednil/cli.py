@@ -170,8 +170,6 @@ def cmd_report(args):
 
 
 def cmd_oracle(args):
-    if args.which != "lemma-3-5":
-        raise SystemExit(_input_error(f"unknown oracle {args.which!r}"))
     if args.r <= 1:
         # checked first: the word length r*d means nothing for such an r
         raise SystemExit(_input_error(f"--r must be greater than 1, got {args.r}"))
@@ -328,8 +326,6 @@ def _write_exhaustive(monoid, r, supp):
 
 
 def cmd_construct(args):
-    if args.which != "elementary":
-        raise SystemExit(_input_error(f"unknown construction {args.which!r}"))
     parsed = _load(args.file)
     gr = elementary_grading(parsed.ring, args.n)
     text = specfile.emit_graded(
@@ -347,38 +343,42 @@ def _write_out(text, out):
         sys.stdout.write(text)
 
 
+# name -> (constructor called on the parsed arguments, header formatted with them,
+# [fmap] mode); a built ring's note, when it has one, ends the spec
+ZOO = {
+    "sut": (lambda a: zoo.sut(a.n, parse_domain(a.domain)),
+            "strictly upper triangular {n}x{n}", None),
+    "truncated-nagata": (lambda a: zoo.truncated_nagata(a.k, a.p),
+                         "truncated commutative nil ring, {k} generators mod {p}", None),
+    "grassmann-star": (lambda a: zoo.grassmann_star(a.k, parse_domain(a.domain)),
+                       "unitless exterior algebra on {k} generators", "auto"),
+    "two-z-2k": (lambda a: zoo.two_z_2k(a.k), "even residues modulo 2^{k}", "constant 1"),
+    "truncated-poly": (lambda a: zoo.truncated_poly_positive(a.n, parse_domain(a.domain)),
+                       "positive-degree polynomials truncated at x^{n}", None),
+}
+
+
 def cmd_zoo(args):
     name = args.name.replace("_", "-")
+    if name == "list":
+        for key, note in zoo.NON_CONSTRUCTIBLE.items():
+            print(f"{key}: not constructible; {note}")
+        print(f"constructible: {', '.join(ZOO)}")
+        return EXIT_OK
+    if name not in ZOO:
+        raise SystemExit(_input_error(f"unknown zoo ring {args.name!r}"))
+    build, header, fmap_mode = ZOO[name]
     try:
-        if name == "sut":
-            gr = zoo.sut(args.n, parse_domain(args.domain))
-            text = specfile.emit_graded(gr, header=f"strictly upper triangular {args.n}x{args.n}")
-        elif name == "truncated-nagata":
-            r = zoo.truncated_nagata(args.k, args.p)
-            text = specfile.emit_spec(r, header=f"truncated commutative nil ring, {args.k} generators mod {args.p}")
-            text += f"# note: {r.note}\n"
-        elif name == "grassmann-star":
-            gr = zoo.grassmann_star(args.k, parse_domain(args.domain))
-            text = specfile.emit_graded(gr, fmap_mode="auto", header=f"unitless exterior algebra on {args.k} generators")
-            text += f"# note: {gr.ring.note}\n"
-        elif name == "two-z-2k":
-            r = zoo.two_z_2k(args.k)
-            text = specfile.emit_spec(r, fmap_mode="constant 1", header=f"even residues modulo 2^{args.k}")
-        elif name == "truncated-poly":
-            gr = zoo.truncated_poly_positive(args.n, parse_domain(args.domain))
-            text = specfile.emit_graded(gr, header=f"positive-degree polynomials truncated at x^{args.n}")
-            text += f"# note: {gr.ring.note}\n"
-        elif name == "list":
-            for key, note in zoo.NON_CONSTRUCTIBLE.items():
-                print(f"{key}: not constructible; {note}")
-            print("constructible: sut, truncated-nagata, grassmann-star, two-z-2k, truncated-poly")
-            return EXIT_OK
-        else:
-            raise SystemExit(_input_error(f"unknown zoo ring {args.name!r}"))
-    except SystemExit:
-        raise
+        built = build(args)
     except Exception as exc:
         raise SystemExit(_input_error(str(exc)))
+    header = header.format(**vars(args))
+    if isinstance(built, GradedRing):
+        ring, text = built.ring, specfile.emit_graded(built, fmap_mode, header)
+    else:
+        ring, text = built, specfile.emit_spec(built, fmap_mode=fmap_mode, header=header)
+    if ring.note:
+        text += f"# note: {ring.note}\n"
     _write_out(text, args.out)
     return EXIT_OK
 

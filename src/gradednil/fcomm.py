@@ -68,6 +68,10 @@ class FMap:
             and self.rule == other.rule
         )
 
+    def __hash__(self):
+        # every rule hashes alike, and __eq__ tells rules apart
+        return hash((self.kind, self.value))
+
     def __repr__(self):
         return f"FMap({self.label or self.kind})"
 
@@ -166,12 +170,10 @@ def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
     dom = r.coeff
     if dom.finite and r.element_count() ** 2 > pair_cap:
         return None, None
-    rest = itertools.chain([dom.zero()], dom.elements()) if dom.finite else ()
-    scalars = {}  # an ordered set: the scalars tried so far
-    for c in itertools.chain([dom.one(), dom.normalize(-1)], rest):
-        if c in scalars:
-            continue
-        scalars[c] = None
+    # an ordered set; over F_2, 1 = -1
+    scalars = dict.fromkeys(itertools.chain(
+        [dom.one(), dom.normalize(-1)], dom.elements() if dom.finite else ()))
+    for c in scalars:
         f = FMap.constant(c)
         if _basis_certificate(r, f).proved:
             return f, None

@@ -9,7 +9,7 @@ derived here from checked ones hold by construction and are built unchecked.
 from __future__ import annotations
 
 from .monoid import Monoid, Congruence, check_cancellative, quotient
-from .ringcore import Ring, matrix_ring
+from .ringcore import Ring, kept, matrix_ring
 
 
 class GradingAxiomError(ValueError):
@@ -35,7 +35,6 @@ class GradedRing:
         self.monoid = monoid
         self.degrees = tuple(degrees)
         self.note = note
-        self._neutral = None  # see neutral_ring
         if len(self.degrees) != ring.rank:
             raise ValueError(
                 f"need {ring.rank} degrees, got {len(self.degrees)}"
@@ -78,6 +77,7 @@ def component_indices(gr: GradedRing, g):
     return [t for t, d in enumerate(gr.degrees) if d == g]
 
 
+@kept
 def neutral_ring(gr: GradedRing):
     """The degree-e component as a ring of its own, plus its basis indices.
 
@@ -87,21 +87,18 @@ def neutral_ring(gr: GradedRing):
     unchecked, once per graded ring; every caller shares it and its power
     chain.  When every degree is e the neutral ring is the ring itself.
     """
-    if gr._neutral is None:
-        idx = component_indices(gr, gr.monoid.identity)
-        if len(idx) == gr.ring.rank:
-            gr._neutral = gr.ring, idx
-            return gr._neutral
-        back = {t: a for a, t in enumerate(idx)}
-        sc = {}
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                entry = {back[k]: c for k, c in gr.ring.mul_basis(i, j).items()}
-                if entry:
-                    sc[(a, b)] = entry
-        names = [gr.ring.names[t] for t in idx]
-        gr._neutral = Ring(gr.ring.coeff, names, sc, check=False), idx
-    return gr._neutral
+    idx = component_indices(gr, gr.monoid.identity)
+    if len(idx) == gr.ring.rank:
+        return gr.ring, idx
+    back = {t: a for a, t in enumerate(idx)}
+    sc = {}
+    for a, i in enumerate(idx):
+        for b, j in enumerate(idx):
+            entry = {back[k]: c for k, c in gr.ring.mul_basis(i, j).items()}
+            if entry:
+                sc[(a, b)] = entry
+    names = [gr.ring.names[t] for t in idx]
+    return Ring(gr.ring.coeff, names, sc, check=False), idx
 
 
 def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:

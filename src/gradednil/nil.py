@@ -33,7 +33,7 @@ powers of each support degree and reads the verdict off the grading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -45,6 +45,7 @@ from .ringcore import (
     Element,
     Ring,
     _ranges,
+    kept,
     power_chain,
 )
 
@@ -328,42 +329,37 @@ def _component_nil(r: Ring, positions) -> NilVerdict:
     raise SymbolicInternalError(f"x^{n} survives, but the point of its least term is nilpotent")
 
 
+@kept
 def bounded_nil_index_auto(r: Ring) -> NilVerdict:
     """A chain that ends nonzero: ``ring_is_nil``'s REFUTED, since a ring
     that is not nil has no bounded nil index.  Else the symbolic expansion,
     which is exact: up to d when R^d = 0, where x^d vanishes, so it always
     ends at an empty power.  The verdict is kept on the ring, so every
     caller shares one computation."""
-    if r._nil_index is None:
-        nd = nilpotency_index(r)
-        if nd.proved:
-            r._nil_index = nil_bounded_index(r, "symbolic", candidate=nd.index)
-        else:
-            r._nil_index = ring_is_nil(r)
-    return r._nil_index
+    nd = nilpotency_index(r)
+    if nd.proved:
+        return nil_bounded_index(r, "symbolic", candidate=nd.index)
+    return ring_is_nil(r)
 
 
+@kept
 def nilpotency_index(r: Ring) -> NilVerdict:
     """Smallest d with all length-d products zero, from the power chain.  A
     chain that stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the witness
     of ``_component_nil`` on the whole basis, an x with x^N != 0 for N =
-    ``_index_bound``.  The chain is kept on the ring, and so is the REFUTED
-    verdict, so its witness is expanded once."""
+    ``_index_bound``.  The verdict is kept on the ring, so a REFUTED one's
+    witness is expanded once."""
     chain = power_chain(r)
     if chain[-1].is_zero():
         return NilVerdict(Status.PROVED, index=len(chain))
-    if r._not_nilpotent is None:
-        v = _component_nil(r, range(r.rank))
-        if v.proved:
-            raise SymbolicInternalError(
-                f"R^{len(chain) - 1} = R^{len(chain)} != 0, but the expansion "
-                f"gives every element nil index {v.index}"
-            )
-        r._not_nilpotent = NilVerdict(
-            Status.REFUTED, witness=v.witness,
-            note=f"product spans stabilize nonzero at length {len(chain) - 1}",
+    v = _component_nil(r, range(r.rank))
+    if v.proved:
+        raise SymbolicInternalError(
+            f"R^{len(chain) - 1} = R^{len(chain)} != 0, but the expansion "
+            f"gives every element nil index {v.index}"
         )
-    return r._not_nilpotent
+    return NilVerdict(Status.REFUTED, witness=v.witness,
+                      note=f"product spans stabilize nonzero at length {len(chain) - 1}")
 
 
 def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP):
@@ -398,11 +394,13 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP):
                 note=f"degree walk reaches e, R_e^{nd0.index} = 0: x^{length * nd0.index} = 0",
             )
         elif g == end:
-            out[g] = v = ring_is_nil(m0)
+            # verdicts may be kept and shared: R's coordinates go on a new one
+            v = ring_is_nil(m0)
             if v.witness is not None:
                 coords = np.zeros(r.rank, dtype=object)
                 coords[idx0] = v.witness.coords
-                v.witness = r.element(coords)
+                v = replace(v, witness=r.element(coords))
+            out[g] = v
         else:
             out[g] = _component_nil(r, component_indices(gr, g))
     return out

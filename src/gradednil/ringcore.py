@@ -14,6 +14,7 @@ structure table per ring, built on first use and kept on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,26 @@ class AssociativityError(ValueError):
 
 class RingMismatchError(ValueError):
     """Operands belong to different rings."""
+
+
+def facts(obj):
+    """The dict of facts kept on ``obj`` (see ``kept``), made on first use."""
+    return vars(obj).setdefault("facts", {})
+
+
+def kept(fn):
+    """``fn(obj)``, computed on first use and kept in ``facts(obj)`` under
+    ``fn``, so every later call returns the same value.  A call that raises
+    keeps nothing."""
+
+    @functools.wraps(fn)
+    def known(obj):
+        found = facts(obj)
+        if fn not in found:
+            found[fn] = fn(obj)
+        return found[fn]
+
+    return known
 
 
 class StructureTable(NamedTuple):
@@ -251,22 +272,10 @@ class Ring:
         for (i, j), terms in table.items():
             self._left.setdefault(i, []).append((j, tuple(terms.items())))
         self.note = note
-        # the power chain computed so far; see power_chain
-        self._chain = []
-        # the REFUTED nilpotency verdict once its witness is expanded; see
-        # nil.nilpotency_index
-        self._not_nilpotent = None
-        # the bounded nil index verdict; see nil.bounded_nil_index_auto
-        self._nil_index = None
-        # the f-commutativity verdicts by factor; see theorems._f_commutative
-        self._f_commutative = {}
-        # the generator count of a nilpotent ring; see min_generators
-        self._generators = None
-        # the flat structure table; see table
-        self._table = None
         if check:
             self._check_associativity()
 
+    @kept
     def table(self):
         """The ``StructureTable`` of the ring, built on first use and kept.
 
@@ -277,19 +286,18 @@ class Ring:
         t (m - 1)^2 (the delayed-reduction bound of FFLAS-FFPACK, Dumas,
         Giorgi & Pernet, ACM TOMS 34(3), 2008).
         """
-        if self._table is None:
-            trip = sorted((i, j, k, c) for (i, j), terms in self.sc.items()
-                          for k, c in terms.items())
-            left, right, target = (np.array([t[n] for t in trip], dtype=np.int32)
-                                   for n in range(3))
-            m = self.coeff.modulus
-            worst = int(np.bincount(target).max()) if trip else 1
-            wide = not self.coeff.finite or worst * (m - 1) ** 2 >= 2**63
-            const = np.array([t[3] for t in trip], dtype=object if wide else np.int64)
-            self._table = StructureTable(left, right, target, const)
-            for column in self._table:
-                column.flags.writeable = False
-        return self._table
+        trip = sorted((i, j, k, c) for (i, j), terms in self.sc.items()
+                      for k, c in terms.items())
+        left, right, target = (np.array([t[n] for t in trip], dtype=np.int32)
+                               for n in range(3))
+        m = self.coeff.modulus
+        worst = int(np.bincount(target).max()) if trip else 1
+        wide = not self.coeff.finite or worst * (m - 1) ** 2 >= 2**63
+        const = np.array([t[3] for t in trip], dtype=object if wide else np.int64)
+        table = StructureTable(left, right, target, const)
+        for column in table:
+            column.flags.writeable = False
+        return table
 
     def _check_associativity(self):
         """Check (b_i b_j) b_k = b_i (b_j b_k) on every basis triple.
@@ -619,6 +627,7 @@ def _chain_start(r: Ring):
     return [full, square]
 
 
+@kept
 def power_chain(r: Ring):
     """Descending chain of product spans, one entry per product length.
 
@@ -628,22 +637,20 @@ def power_chain(r: Ring):
     the end is a proper submodule of the one before it, and a strict chain
     of nonzero submodules of (Z/m)^rank has at most rank * Omega(m) members
     (rank over F_p or Q), so the chain has at most rank * Omega(m) + 1
-    entries, within ``nil._index_bound``.  The entries are computed once per
-    ring and kept on it.
+    entries, within ``nil._index_bound``.  The chain is a tuple, computed
+    once per ring and kept on it.
 
     R^2 is read off the structure constants, and when the words in the
     basis vectors that generate R modulo R^2 vanish, the whole chain off
     their spans (see ``_chain_start``).  Any other chain grows one entry at
     a time as R^(k+1) = span(R^k * basis).
     """
-    chain = r._chain
-    if not chain:
-        chain += _chain_start(r) if r.rank else [Submodule(r, [])]
+    chain = _chain_start(r) if r.rank else [Submodule(r, [])]
     while not (chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])):
         basis = [b.coords for b in r.basis()]
         products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
         chain.append(Submodule(r, products))
-    return list(chain)
+    return tuple(chain)
 
 
 def generated_subalgebra(r: Ring, elements) -> Submodule:
@@ -661,6 +668,7 @@ class MinGenerators:
     witness: tuple
 
 
+@kept
 def min_generators(r: Ring) -> MinGenerators:
     """Smallest size of a set generating the nilpotent ring r.
 
@@ -677,12 +685,6 @@ def min_generators(r: Ring) -> MinGenerators:
     nilpotency, and raises ValueError otherwise.  The result is computed
     once per ring and kept on it.
     """
-    if r._generators is None:
-        r._generators = _min_generators(r)
-    return r._generators
-
-
-def _min_generators(r: Ring) -> MinGenerators:
     chain = power_chain(r)
     if not chain[-1].is_zero():
         raise ValueError("the generator count needs a nilpotent ring")

@@ -33,7 +33,7 @@ from .nil import (
     nilpotency_index,
     ring_is_nil,
 )
-from .ringcore import Ring, matrix_ring, min_generators
+from .ringcore import Ring, facts, matrix_ring, min_generators
 
 
 class CheckStatus(str, Enum):
@@ -147,14 +147,14 @@ def _f_commutative(check, r, f, where=""):
     """The verdict that ``r`` commutes up to ``f``, or None with ``check``
     finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
     prefixes its reason).  The verdict is computed once per ring and factor,
-    and kept on the ring."""
+    and kept on the ring under the factor, so an equal factor reuses it."""
     if f is None:
         _na(check, _NO_FACTOR)
         return None
-    if id(f) not in r._f_commutative:
-        # f is kept with its verdict, so no other object takes its id
-        r._f_commutative[id(f)] = (f, check_f_commutative(r, f))
-    fc = r._f_commutative[id(f)][1]
+    known = facts(r)
+    if f not in known:
+        known[f] = check_f_commutative(r, f)
+    fc = known[f]
     if fc.status == Status.REFUTED:
         _na(check, f"{where}not f-commutative at {fc.witness}")
         return None

@@ -324,6 +324,19 @@ def test_s_nil_check_elementary_m2_f2_refutes_diagonal():
         assert element_nil_index(v.witness).status == Status.REFUTED
 
 
+def test_s_nil_check_leaves_the_neutral_verdict_in_its_own_coordinates():
+    # F_2[C_2] graded by C_2: R_0 = F_2 t0 is idempotent, so degree 0 takes
+    # ring_is_nil of the neutral ring, with its witness moved into R's
+    # coordinates on a verdict of its own
+    gr = GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1])
+    m0, _ = neutral_ring(gr)
+    first = s_nil_check(gr)
+    assert first[0].status == Status.REFUTED and first[0].witness.ring is gr.ring
+    assert s_nil_check(gr) == first
+    for v in (ring_is_nil(m0), nilpotency_index(m0), bounded_nil_index_auto(m0)):
+        assert v.witness.ring is m0 and v.witness.coords == (1,)
+
+
 def test_nilpotent_implies_bounded_implies_nil():
     for ring in (two_z_2k(3), sut(4, fp(2)).ring, truncated_nagata(1, 3),
                  grassmann_star(2, fp(3)).ring):

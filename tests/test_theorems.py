@@ -3,10 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 from gradednil import theorems
 from gradednil.fcomm import FMap, scalar_f_search
-from gradednil.grading import GradedRing, elementary_grading, trivial_grading
+from gradednil.grading import GradedRing, elementary_grading, neutral_ring, trivial_grading
 from gradednil.monoid import Congruence, Monoid
 from gradednil.nil import bounded_nil_index_auto, nil_bounded_index, nilpotency_index
-from gradednil.ringcore import Ring, fp, matrix_ring, power_chain, rat, zmod
+from gradednil.ringcore import Ring, facts, fp, matrix_ring, power_chain, rat, zmod
 from gradednil.theorems import (
     Caps,
     CheckStatus,
@@ -450,6 +450,24 @@ def test_full_report_zero_ring():
     assert not {c.status for c in rep.checks} & {CheckStatus.FAIL, CheckStatus.CAPPED}
     by_id = {c.id: c for c in rep.checks}
     assert by_id["P3.03"].observed == 1
+
+
+def test_an_equal_factor_reuses_the_kept_verdict():
+    # every report derives a new FMap, and a caller may build an equal one;
+    # the f-commutativity verdict is kept under the factor's value, so
+    # repeated reports on one ring add no entry to its facts
+    gr = grassmann_star(2, zmod(4))
+    m0, _ = neutral_ring(gr)
+    full_report(gr)
+    size = len(facts(m0))
+    full_report(gr)
+    assert len(facts(m0)) == size
+    coords = [e.coords for e in m0.elements()]
+    for _ in range(2):
+        rule = FMap.from_rule({(a, b): 1 for a in coords for b in coords})
+        rep = full_report(gr, f=rule)
+        assert {c.id: c for c in rep.checks}["T3.15"].status == CheckStatus.PASS
+    assert len(facts(m0)) == size + 1
 
 
 def test_full_report_serializes():
