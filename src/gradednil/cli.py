@@ -190,7 +190,7 @@ def cmd_oracle(args):
         raise SystemExit(_input_error(
             f"--supp needs element ids in 0..{monoid.size - 1}, got {sorted(supp)}"
         ))
-    if not check_cancellative(monoid).left:
+    if not check_cancellative(monoid):
         # the split cuts at repeated prefix degrees, which needs left cancellation
         raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
     r = args.r

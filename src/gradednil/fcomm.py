@@ -150,6 +150,16 @@ def _pair_commutes(r, s, ca, cb):
     return r.mul_coords(ca, cb) == _scaled(r.coeff, s, r.mul_coords(cb, ca))
 
 
+def _scalars(dom):
+    """1 and -1, then over a finite domain 0 and the other elements in
+    order, each once (over F_2, 1 = -1), made one at a time: a search that
+    stops at 1 costs nothing at any modulus."""
+    signs = dict.fromkeys([dom.one(), dom.normalize(-1)])
+    yield from signs
+    if dom.finite:
+        yield from (c for c in dom.elements() if c not in signs)
+
+
 def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
     """Scalars l with a*b = l*(b*a), one for all pairs or one per pair.
 
@@ -170,15 +180,14 @@ def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
     dom = r.coeff
     if dom.finite and r.element_count() ** 2 > pair_cap:
         return None, None
-    # an ordered set; over F_2, 1 = -1
-    scalars = dict.fromkeys(itertools.chain(
-        [dom.one(), dom.normalize(-1)], dom.elements() if dom.finite else ()))
-    for c in scalars:
+    for c in _scalars(dom):
         f = FMap.constant(c)
         if _basis_certificate(r, f).proved:
             return f, None
     if not dom.finite:
         return None, None
+    # the cap bounds the domain's size, since count >= size at rank >= 1
+    scalars = list(_scalars(dom))
     coords_list = _element_coords(r)
     rule = {}
     for ca in coords_list:

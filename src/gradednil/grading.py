@@ -43,8 +43,7 @@ class GradedRing:
             if not monoid.contains(g):
                 raise ValueError(f"degree {g!r} is not a monoid element")
         if check:
-            flags = check_cancellative(monoid)
-            if not flags.left:
+            if not check_cancellative(monoid):
                 raise CancellativityError("grading monoid is not left cancellative")
             self._check_axiom()
 
@@ -105,8 +104,7 @@ def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:
     """Regrade by the quotient monoid; degrees map to congruence classes.
     The class map is a homomorphism, so only cancellativity needs a check."""
     q = quotient(gr.monoid, c)
-    flags = check_cancellative(q)
-    if not flags.left:
+    if not check_cancellative(q):
         raise CancellativityError("quotient monoid is not left cancellative")
     degrees = [c.class_index(g) for g in gr.degrees]
     return GradedRing(gr.ring, q, degrees, check=False)

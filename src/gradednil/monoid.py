@@ -9,7 +9,6 @@ stands in for unbounded integer gradings; its elements are arbitrary ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 INFINITE = math.inf
 
@@ -31,12 +30,6 @@ class CongruenceError(ValueError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class Cancellativity:
-    left: bool
-    right: bool
 
 
 class Monoid:
@@ -115,13 +108,6 @@ class Monoid:
             return isinstance(g, int)
         return isinstance(g, int) and 0 <= g < self.size
 
-    def contains_all(self, gs):
-        """``all(map(self.contains, gs))`` for a sequence, in one pass when
-        every entry is a plain int (or bool)."""
-        if not set(map(type, gs)) <= {int, bool}:
-            return all(map(self.contains, gs))
-        return self.kind == INT_ADD or not gs or (min(gs) >= 0 and max(gs) < self.size)
-
     def elements(self):
         if self.kind == INT_ADD:
             raise MonoidError("int-add monoid is not enumerable")
@@ -144,15 +130,9 @@ class Monoid:
         return f"Monoid(table, size={self.size})"
 
 
-def check_cancellative(m: Monoid) -> Cancellativity:
-    """Left flag: every row injective; right flag: every column injective."""
-    if m.kind == INT_ADD:
-        return Cancellativity(True, True)
-    left = all(len(set(row)) == m.size for row in m.table)
-    right = all(
-        len({m.table[a][b] for a in range(m.size)}) == m.size for b in range(m.size)
-    )
-    return Cancellativity(left, right)
+def check_cancellative(m: Monoid) -> bool:
+    """Is ``m`` left cancellative: is every row of its table injective?"""
+    return m.kind == INT_ADD or all(len(set(row)) == m.size for row in m.table)
 
 
 def element_order(m: Monoid, g):

@@ -54,16 +54,16 @@ def facts(obj):
 
 
 def kept(fn):
-    """``fn(obj)``, computed on first use and kept in ``facts(obj)`` under
-    ``fn``, so every later call returns the same value.  A call that raises
-    keeps nothing."""
+    """``fn(obj, *args)``, computed on first use and kept in ``facts(obj)``
+    under ``(fn, *args)``, so every later call with equal arguments returns
+    the same value.  A call that raises keeps nothing."""
 
     @functools.wraps(fn)
-    def known(obj):
-        found = facts(obj)
-        if fn not in found:
-            found[fn] = fn(obj)
-        return found[fn]
+    def known(obj, *args):
+        found, key = facts(obj), (fn, *args)
+        if key not in found:
+            found[key] = fn(obj, *args)
+        return found[key]
 
     return known
 
@@ -172,16 +172,6 @@ class CoeffDomain:
     def neg(self, a):
         return (-a) % self.modulus if self.finite else -a
 
-    def inv(self, a):
-        if not self.is_field:
-            raise ValueError("inverse needs a field domain")
-        if self.kind == FP:
-            return pow(a, -1, self.modulus)
-        return Fraction(1) / a
-
-    def is_zero(self, a):
-        return a == 0
-
     def zero(self):
         return 0 if self.finite else Fraction(0)
 
@@ -261,8 +251,7 @@ class Ring:
             for k, c in terms.items():
                 if not 0 <= k < self.rank:
                     raise ValueError(f"structure constant target {k} out of range")
-                c = coeff.normalize(c)
-                if not coeff.is_zero(c):
+                if c := coeff.normalize(c):
                     clean[k] = c
             if clean:
                 table[(i, j)] = clean
@@ -313,7 +302,7 @@ class Ring:
         below m from each side, t the constants landing on v, where
         2 t (m - 1) <= t (m - 1)^2 once m >= 3, and 2 t is far below 2^63 at
         m = 2.  Raises on the first failing triple in lexicographic order,
-        its two sides expanded by ``_sides``.
+        its two sides computed by ``mul_coords``, in basis-index order.
         """
         left, right, target, const = self.table()
         n, m = self.rank, self.coeff.modulus
@@ -358,26 +347,11 @@ class Ring:
         if len(bad):
             triple = int(key[heads[bad[0]]]) // n
             i, j, k = triple // (n * n), triple // n % n, triple % n
-            raise AssociativityError(i, j, k, *self._sides(i, j, k))
-
-    def _sides(self, i, j, k):
-        """(b_i b_j) b_k and b_i (b_j b_k) as {v: coeff}, zeros dropped, in
-        the order the constants are stored."""
-        left, right = {}, {}
-        for t, c in self.sc.get((i, j), {}).items():
-            for v, c2 in self.sc.get((t, k), {}).items():
-                left[v] = left.get(v, 0) + c * c2
-        jk = self.sc.get((j, k), {})
-        for t, terms_it in self._left.get(i, ()):
-            if t in jk:
-                for v, c2 in terms_it:
-                    right[v] = right.get(v, 0) + jk[t] * c2
-        return self._reduced(left), self._reduced(right)
-
-    def _reduced(self, acc):
-        """A raw sum {k: coeff} normalized, with zero coordinates dropped."""
-        norm = self.coeff.normalize
-        return {k: y for k, x in acc.items() if (y := norm(x))}
+            bi, bj, bk = (self.basis_element(t).coords for t in (i, j, k))
+            sides = (self.mul_coords(self.mul_coords(bi, bj), bk),
+                     self.mul_coords(bi, self.mul_coords(bj, bk)))
+            raise AssociativityError(
+                i, j, k, *({v: c for v, c in enumerate(side) if c} for side in sides))
 
     def mul_basis(self, i, j):
         return self.sc.get((i, j), {})
@@ -486,14 +460,8 @@ class Element:
         self._check_same(other)
         return Element(self.ring, self.ring.mul_coords(self.coords, other.coords))
 
-    def scale(self, c):
-        dom = self.ring.coeff
-        c = dom.normalize(c)
-        return Element(self.ring, tuple(dom.mul(c, a) for a in self.coords))
-
     def is_zero(self):
-        dom = self.ring.coeff
-        return all(dom.is_zero(a) for a in self.coords)
+        return not any(self.coords)
 
     def __eq__(self, other):
         return (
@@ -510,7 +478,7 @@ class Element:
         parts = [
             f"{c}*{name}" if c != dom.one() else name
             for c, name in zip(self.coords, self.ring.names)
-            if not dom.is_zero(c)
+            if c
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -537,9 +505,6 @@ class Submodule:
 
     def is_zero(self) -> bool:
         return not self.rows
-
-    def generators(self):
-        return [self.ring.element(row) for row in self.rows]
 
     def __len__(self):
         return len(self.rows)

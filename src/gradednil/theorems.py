@@ -33,7 +33,7 @@ from .nil import (
     nilpotency_index,
     ring_is_nil,
 )
-from .ringcore import Ring, facts, matrix_ring, min_generators
+from .ringcore import Ring, kept, matrix_ring, min_generators
 
 
 class CheckStatus(str, Enum):
@@ -143,18 +143,21 @@ def _nil_index(check, r, not_nil):
 _NO_FACTOR = "no commutation factor supplied or derived"
 
 
+@kept
+def _commutes(r, f):
+    """The verdict that ``r`` commutes up to ``f``, kept on the ring under
+    the factor, so an equal factor reuses it."""
+    return check_f_commutative(r, f)
+
+
 def _f_commutative(check, r, f, where=""):
     """The verdict that ``r`` commutes up to ``f``, or None with ``check``
     finished: NOT_APPLICABLE with no factor or at a refuting pair (``where``
-    prefixes its reason).  The verdict is computed once per ring and factor,
-    and kept on the ring under the factor, so an equal factor reuses it."""
+    prefixes its reason)."""
     if f is None:
         _na(check, _NO_FACTOR)
         return None
-    known = facts(r)
-    if f not in known:
-        known[f] = check_f_commutative(r, f)
-    fc = known[f]
+    fc = _commutes(r, f)
     if fc.status == Status.REFUTED:
         _na(check, f"{where}not f-commutative at {fc.witness}")
         return None
@@ -230,10 +233,13 @@ def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
     return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: lo <= nd <= hi)
 
 
-def _generator_nil_index(witness):
-    """Largest nil index of the generators, 1 for none; the caller has
-    proved the ring nilpotent, so each generator's index is PROVED."""
-    return max((element_nil_index(g).index for g in witness), default=1)
+@kept
+def _generator_nil_index(r):
+    """Largest nil index of the generators ``min_generators`` picks, 1 for
+    none; the caller has proved ``r`` nilpotent, so each generator's index
+    is PROVED."""
+    return max((element_nil_index(g).index for g in min_generators(r).witness),
+               default=1)
 
 
 def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
@@ -249,7 +255,7 @@ def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
     # a ring with a bounded nil index is nilpotent, so ndv is PROVED
     ndv = nilpotency_index(r)
     mg = min_generators(r)
-    n, s = mg.count, _generator_nil_index(mg.witness)
+    n, s = mg.count, _generator_nil_index(r)
     check.details["generators"] = n
     check.details["generator_nil_index"] = s
     check.bound = [s, (s - 1) * n + 1]
@@ -279,7 +285,7 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     if not ndv.proved:
         return _judge_nilpotency(check, ndv, None)
     mg = min_generators(m0)
-    n, s = mg.count, _generator_nil_index(mg.witness)
+    n, s = mg.count, _generator_nil_index(m0)
     check.details.update(
         {"generators": n, "generator_nil_index": s, "support_size": d}
     )

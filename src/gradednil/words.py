@@ -62,9 +62,9 @@ class DegreeWord:
     def __post_init__(self):
         degrees = tuple(self.degrees)
         object.__setattr__(self, "degrees", degrees)
-        if not self.monoid.contains_all(degrees):
-            bad = next(g for g in degrees if not self.monoid.contains(g))
-            raise ValueError(f"degree {bad!r} is not a monoid element")
+        for g in degrees:
+            if not self.monoid.contains(g):
+                raise ValueError(f"degree {g!r} is not a monoid element")
 
     def __len__(self):
         return len(self.degrees)
@@ -147,7 +147,8 @@ def _pigeonhole_cuts(buckets, e, r):
     candidates = [(g, pos) for g, pos in buckets.items() if g != e and pos]
     if not candidates:
         raise SplitInternalError("no prefix buckets despite clean word")
-    g0, pos = max(candidates, key=lambda it: (len(it[1]), _neg_key(it[0])))
+    # every degree is an int (``DegreeWord`` checks), so -g prefers the smallest
+    g0, pos = max(candidates, key=lambda it: (len(it[1]), -it[0]))
     if len(pos) < r + 1:
         raise SplitInternalError(
             f"pigeonhole dichotomy failed: {len(neutral_pos)} neutral prefixes "
@@ -211,11 +212,6 @@ def neutral_split(w: DegreeWord, r: int, supp):
     cuts = _pigeonhole_cuts(buckets, e, r)
     _require_neutral([rows[a][b - a - 1] for a, b in zip(cuts, cuts[1:])], e)
     return Decomposition(cuts)
-
-
-def _neg_key(g):
-    # max() with this secondary key prefers the smallest element id.
-    return -g if isinstance(g, int) else g
 
 
 def small_gap_blocks(dec: Decomposition, d: int):

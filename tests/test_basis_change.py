@@ -1,13 +1,18 @@
 """Basis-change invariance: the ring, its grading and every verdict are
 independent of the basis chosen within each homogeneous component, so a
-report on a rebased ring must match the report on the ring itself."""
+report, and the verdicts ``analyze`` prints, on a rebased ring must match
+those on the ring itself."""
 
+import json
 import random
+import re
 
 import pytest
 
+from gradednil.cli import main
 from gradednil.grading import GradedRing, elementary_grading, trivial_grading
 from gradednil.ringcore import Ring, fp, rat, zmod
+from gradednil.specfile import emit_graded
 from gradednil.theorems import full_report
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, truncated_poly_positive, two_z_2k
 
@@ -114,3 +119,26 @@ def test_rebase_keeps_the_ring_up_to_isomorphism():
                                          rebased.ring.basis_element(j).coords)
             assert back(ab) == gr.ring.mul_coords(back(rebased.ring.basis_element(i).coords),
                                                   back(rebased.ring.basis_element(j).coords))
+
+
+VERDICT = re.compile(r"NilVerdict\((\w+)(?:, index=(\d+))?")
+
+
+def analyzed(gr, path, capsys):
+    """``analyze --json`` on ``gr``: the status and index of its ``nil``,
+    ``nilpotency`` and ``bounded_nil_index`` verdicts and of each component's."""
+    path.write_text(emit_graded(gr))
+    main(["analyze", "--json", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    verdicts = {key: out[key] for key in ("nil", "nilpotency", "bounded_nil_index")}
+    verdicts.update({f"component {g}": v for g, v in out["component_nil"].items()})
+    return {key: VERDICT.match(v).groups() for key, v in verdicts.items()}
+
+
+@pytest.mark.parametrize("make", RINGS.values(), ids=RINGS)
+def test_analyze_survives_a_homogeneous_change_of_basis(make, tmp_path, capsys):
+    gr = make()
+    want = analyzed(gr, tmp_path / "ring.spec", capsys)
+    for seed in range(3):
+        rebased, p = rebase(gr, seed)
+        assert analyzed(rebased, tmp_path / f"rebased{seed}.spec", capsys) == want, p

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from gradednil import fcomm
 from gradednil.fcomm import (
     FMap,
     FMapDomainError,
@@ -19,7 +20,7 @@ from gradednil.fcomm import (
 )
 from gradednil.grading import elementary_grading, neutral_ring
 from gradednil.nil import Status, bounded_nil_index_auto
-from gradednil.ringcore import Ring, fp, matrix_ring, rat, zmod
+from gradednil.ringcore import CoeffDomain, Ring, fp, matrix_ring, rat, zmod
 from gradednil.specfile import emit_spec, parse_spec_text
 from gradednil.theorems import Caps, _derive_fmap
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, two_z_2k
@@ -474,6 +475,38 @@ def test_d7_ring_derives_a_constant_with_no_product(monkeypatch):
     fmap, why = _derive_fmap(gr, Caps())
     assert why is None and calls == []
     assert fmap == FMap.constant(2) and fmap.label == "constant 2"
+
+
+@pytest.mark.parametrize("dom", [fp(2), fp(5), zmod(6), zmod(8), rat()], ids=str)
+def test_constants_meet_the_certificate_in_scalar_order(dom, monkeypatch):
+    # b0 b1 = b0 and b1 b0 = 0: no constant holds, so every scalar of the
+    # search is put to the certificate, in the order of ``scalar_order``
+    # (over the rationals 1 and -1 alone)
+    r = Ring(dom, ["a", "b"], {(0, 1): {0: 1}}, check=False)
+    tried = []
+    certificate = _basis_certificate
+
+    def recorded(ring, f):
+        tried.append(f.value)
+        return certificate(ring, f)
+
+    monkeypatch.setattr(fcomm, "_basis_certificate", recorded)
+    scalar_f_search(r)
+    assert tried == (scalar_order(dom) if dom.finite else [1, -1])
+
+
+def test_constant_one_never_lists_the_domain(monkeypatch):
+    # the scalars are made one at a time, so a search that stops at 1 costs
+    # nothing at any modulus; at p = 2^61 - 1 a list of the domain's
+    # elements could not be built
+    p = 2**61 - 1
+
+    def listed(dom):
+        raise AssertionError(f"the search listed the elements of {dom}")
+
+    monkeypatch.setattr(CoeffDomain, "elements", listed)
+    fmap, witness = scalar_f_search(zero_product_ring(fp(p), 1), pair_cap=p * p)
+    assert witness is None and fmap.label == "constant 1"
 
 
 def rational_constant_reference(r):

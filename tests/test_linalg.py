@@ -139,7 +139,7 @@ def rref_reference(rows, ncols, dom):
     def reduce(row):
         row = list(row)
         for j in sorted(pivots):
-            if not dom.is_zero(row[j]):
+            if row[j] != 0:
                 c = row[j]
                 prow = pivots[j]
                 row = [dom.sub(row[t], dom.mul(c, prow[t])) for t in range(ncols)]
@@ -149,14 +149,14 @@ def rref_reference(rows, ncols, dom):
         if not any(row):
             continue
         row = reduce([dom.normalize(v) for v in row])
-        lead = next((j for j, v in enumerate(row) if not dom.is_zero(v)), None)
+        lead = next((j for j, v in enumerate(row) if v != 0), None)
         if lead is None:
             continue
-        inv = dom.inv(row[lead])
+        inv = pow(row[lead], -1, dom.modulus) if dom.finite else 1 / row[lead]
         row = [dom.mul(inv, v) for v in row]
         for j, prow in list(pivots.items()):
             c = prow[lead]
-            if not dom.is_zero(c):
+            if c != 0:
                 pivots[j] = [dom.sub(prow[t], dom.mul(c, row[t])) for t in range(ncols)]
         pivots[lead] = row
     return tuple(tuple(pivots[j]) for j in sorted(pivots))

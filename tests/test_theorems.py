@@ -6,7 +6,7 @@ from gradednil.fcomm import FMap, scalar_f_search
 from gradednil.grading import GradedRing, elementary_grading, neutral_ring, trivial_grading
 from gradednil.monoid import Congruence, Monoid
 from gradednil.nil import bounded_nil_index_auto, nil_bounded_index, nilpotency_index
-from gradednil.ringcore import Ring, facts, fp, matrix_ring, power_chain, rat, zmod
+from gradednil.ringcore import Ring, facts, fp, matrix_ring, min_generators, power_chain, rat, zmod
 from gradednil.theorems import (
     Caps,
     CheckStatus,
@@ -468,6 +468,20 @@ def test_an_equal_factor_reuses_the_kept_verdict():
         rep = full_report(gr, f=rule)
         assert {c.id: c for c in rep.checks}["T3.15"].status == CheckStatus.PASS
     assert len(facts(m0)) == size + 1
+    # every fact is kept by ``kept``, under (function, *arguments)
+    assert all(isinstance(key, tuple) and callable(key[0]) for key in facts(m0))
+
+
+def test_t319_and_t320_power_each_generator_once(monkeypatch):
+    # both read the largest generator nil index of R_e, kept on R_e: M_2(2Z_8)
+    # has R_e = 2Z_8 x 2Z_8, with two generators
+    calls = []
+    power = theorems.element_nil_index
+    monkeypatch.setattr(theorems, "element_nil_index", lambda a: calls.append(a) or power(a))
+    gr = elementary_grading(two_z_2k(3), 2)
+    checks = {c.id: c for c in full_report(gr).checks}
+    assert checks["T3.19"].status == checks["T3.20"].status == CheckStatus.PASS
+    assert len(calls) == len(set(calls)) == min_generators(neutral_ring(gr)[0]).count == 2
 
 
 def test_full_report_serializes():

@@ -27,6 +27,25 @@ Z4 = Monoid.cyclic(4)
 ZADD = Monoid.int_add()
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-3, 6), st.booleans(), st.floats(0, 4), st.none(),
+            st.just("1"),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from([Monoid.cyclic(1), Z4, ZADD]),
+)
+@settings(max_examples=300, deadline=None)
+def test_degree_word_accepts_exactly_the_contained_degrees(gs, m):
+    if all(m.contains(g) for g in gs):
+        assert DegreeWord(m, gs).degrees == tuple(gs)
+    else:
+        with pytest.raises(ValueError, match="is not a monoid element"):
+            DegreeWord(m, gs)
+
+
 def test_subproduct_degrees_z2():
     assert set().union(*_subproduct_rows(DegreeWord(Z2, (1, 1)))) == {0, 1}
 
