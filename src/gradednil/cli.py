@@ -14,29 +14,18 @@ import os
 import sys
 from types import SimpleNamespace
 
-import numpy as np
-
 from . import specfile, zoo
 from .grading import GradedRing, component_indices, elementary_grading, support, trivial_grading
 from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
 from .ringcore import parse_domain
 from .theorems import Caps, CheckStatus, full_report
-from .words import (
-    Decomposition,
-    DegreeWord,
-    ProductVerdict,
-    exhaustive_splits,
-    neutral_split,
-    neutral_split_bruteforce,
-    small_gap_blocks,
-)
+from .words import write_oracle
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_CAPPED = 2
 EXIT_INPUT = 3
-INT64_MAX = np.iinfo(np.int64).max
 
 PAIR_CAP_ENV = "GRADEDNIL_PAIR_CAP"
 
@@ -193,136 +182,15 @@ def cmd_oracle(args):
     if not check_cancellative(monoid):
         # the split cuts at repeated prefix degrees, which needs left cancellation
         raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
-    r = args.r
+    word = None
     if args.word is not None:
-        letters = [int(t) for t in args.word.replace(",", " ").split()]
-        if len(letters) != r * len(supp):
-            raise SystemExit(
-                _input_error(f"word length must be r*d = {r * len(supp)}")
-            )
-        w = DegreeWord(monoid, tuple(letters))
-        got = neutral_split(w, r, supp)
-        ref = neutral_split_bruteforce(w, r, supp)
-        got_zero = got == ProductVerdict.FORCED_ZERO
-        disagreements = int(got_zero != (ref == ProductVerdict.FORCED_ZERO) or ref is None)
-        if disagreements:
-            print(f"DISAGREE word={letters} split={got} oracle={ref}")
-        elif not got_zero:
-            blocks = small_gap_blocks(got, len(supp))
-            print(f"word={letters} cuts={got.cuts} small-gap blocks={blocks}")
-        else:
-            print(f"word={letters} FORCED_ZERO (both)")
-    elif args.exhaustive:
-        n = r * len(supp)
-        if n >= 63 or monoid.size**n > INT64_MAX:
-            # the walk numbers its words in int64, and the length is checked
-            # first so that no huge power is taken; on one element, whose
-            # only word is e^n, the length bound alone stops a walk whose
-            # tables grow as n^2
-            return _input_error(
-                f"--exhaustive needs r*d below 63 and at most int64-max words; "
-                f"r*d = {n} gives {monoid.size}**{n} words; lower --r")
-        disagreements = _write_exhaustive(monoid, r, supp)
-    else:
+        word = tuple(int(t) for t in args.word.replace(",", " ").split())
+        if len(word) != args.r * len(supp):
+            raise SystemExit(_input_error(f"word length must be r*d = {args.r * len(supp)}"))
+    elif not args.exhaustive:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
-    print(f"disagreements: {disagreements}")
+    disagreements = write_oracle(monoid, args.r, supp, sys.stdout, word)
     return EXIT_OK if disagreements == 0 else EXIT_REFUTED
-
-
-def _write_exhaustive(monoid, r, supp):
-    """Write ``oracle --exhaustive``'s line for every word, one block of
-    ``exhaustive_splits`` at a time, and return the number of disagreements.
-
-    A block is h heads, each followed by every tail, and a line is a lead,
-    ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
-    disagreeing row), the tail letters, made once for all blocks, and the
-    verdict suffix.  A block is written as one joined list: its first lead,
-    then per line its tail text and its suffix followed by the next line's
-    lead (nothing after the block's last line).  Within a head the next
-    lead is the same, so each suffix + lead is made once per head and cut
-    sequence; only a head's last line, and a disagreeing row and the row
-    before it, are made one by one, and a correct run has no disagreeing
-    row.  Suffixes are made once per cut sequence and looked up by its id.
-    Ids are dealt one cut at a time: ``link[i][p * width + c]`` is the id
-    of the first i + 1 cuts of the sequences whose first i have id p and
-    whose cut i is c, -1 until one is seen.  Id 0 and the last column stand
-    for a row that is not split, so the last level's id indexes the
-    suffixes with FORCED_ZERO at 0, and a block finds every line's suffix
-    with r + 1 takes.
-    """
-    d = len(supp)
-    names = [str(g) for g in monoid.elements()]
-    tails, blocks = exhaustive_splits(monoid, r, supp)
-    # j < n keeps one head letter, so every tail text starts with ", "
-    tail_texts, letters = [""], [", " + g for g in names]
-    for _ in range(tails.shape[1]):
-        tail_texts = [t + x for t in tail_texts for x in letters]
-    m = len(tail_texts)
-    width = r * d + 2
-    link = [np.full(width, -1, dtype=np.intp) for _ in range(r + 1)]
-    for level in link:
-        level[-1] = 0
-    suffixes = np.array(["] FORCED_ZERO (both)\n"], dtype=object)
-    # a block's pieces: the tail texts at the odd places stay from block to
-    # block, made again only for a block of another size; every even place
-    # is written for each block
-    pieces = []
-    disagreements = 0
-    for heads, got, ref in blocks:
-        agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
-        column = np.where(agree & ~got.zero, got.cuts.T, width - 1)
-        at = np.zeros(len(agree), dtype=np.intp)
-        for i, level in enumerate(link):
-            to = at * width + column[i]
-            at = level.take(to)
-            if at.min() < 0:
-                fresh = at < 0
-                # new ids in ascending place, marked in the table, no sort
-                level[to[fresh]] = -2
-                new = np.flatnonzero(level == -2)
-                count = len(link[i + 1]) // width if i < r else len(suffixes)
-                level[new] = np.arange(count, count + len(new))
-                at = level.take(to)
-                if i < r:
-                    link[i + 1] = np.concatenate((link[i + 1], np.full(len(new) * width, -1)))
-                else:
-                    # one row per new sequence, any row: they share their cuts
-                    rows = np.empty(len(new), dtype=np.intp)
-                    rows[at[fresh] - count] = np.flatnonzero(fresh)
-                    texts = []
-                    for cuts in got.cuts[rows].tolist():
-                        dec = Decomposition(tuple(cuts))
-                        texts.append(f"] cuts={dec.cuts} "
-                                     f"small-gap blocks={small_gap_blocks(dec, d)}\n")
-                    suffixes = np.concatenate((suffixes, np.array(texts, dtype=object)))
-
-        leads = ["word=[" + ", ".join(map(names.__getitem__, head)) for head in heads.tolist()]
-        bad = set(np.flatnonzero(~agree).tolist())
-
-        def lead(i):
-            if i == len(agree):
-                return ""
-            return ("DISAGREE " if i in bad else "") + leads[i // m]
-
-        def suffix(i):
-            if i in bad:
-                return f"] split={got.verdict(i)} oracle={ref.verdict(i)}\n"
-            return suffixes[at[i]]
-
-        if len(pieces) != 2 * len(agree) + 1:
-            pieces = [None] * (2 * len(agree) + 1)
-            pieces[1::2] = tail_texts * len(leads)
-        pieces[0] = lead(0)
-        for h, text in enumerate(leads):
-            lines = at[h * m:(h + 1) * m]
-            pieces[2 * h * m + 2:2 * (h + 1) * m + 2:2] = (suffixes + text)[lines].tolist()
-        for i in sorted(bad | set(range(m - 1, len(agree), m))):
-            pieces[2 * i + 2] = suffix(i) + lead(i + 1)
-            if i in bad:
-                pieces[2 * i] = (suffix(i - 1) if i else "") + lead(i)
-        disagreements += len(bad)
-        sys.stdout.write("".join(pieces))
-    return disagreements
 
 
 def cmd_construct(args):

@@ -165,9 +165,7 @@ def _f_commutative(check, r, f, where=""):
 
 
 def _grading_data(gr: GradedRing):
-    supp = support(gr)
-    m0, idx = neutral_ring(gr)
-    return supp, len(supp), m0, idx
+    return len(support(gr)), neutral_ring(gr)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def _grading_data(gr: GradedRing):
 
 def verify_empty_neutral_bound(gr: GradedRing) -> TheoremCheck:
     """P3.03: zero neutral component forces nd <= d + 1."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "P3.03", "neutral component zero: nd <= d+1", True, bound=d + 1
     )
@@ -190,7 +188,7 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
 
     With the neutral nil index s known, nd_nil(R) <= 2*s*d*(d + ... + d^(2d)).
     """
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "T3.15",
         "neutral nil and commuting up to f: ring nil, "
@@ -218,7 +216,7 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
 
 def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
     """T3.18: nilpotent neutral part of index r gives r <= nd <= d*r (d+1 if r=1)."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "T3.18", "neutral nilpotent of index r: r <= nd <= d*r (r>1), nd <= d+1 (r=1)",
         True,
@@ -266,7 +264,7 @@ def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
 def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
     """T3.20: nil f-commutative neutral part with n generators:
     s <= nd <= d*((s-1)*n + 1); if the neutral part is zero, nd <= d + 1."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "T3.20",
         "neutral nil, f-commutative, n generators: s <= nd <= d*((s-1)*n+1)",
@@ -295,7 +293,7 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
 
 def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
     """P3.17: neutral nil index 2 and no 2-torsion force (R_e)^3 = 0, nd <= 3d."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "P3.17", "neutral nil index 2, char != 2: cube of neutral part zero, nd <= 3d",
         True, bound=3 * d,
@@ -322,7 +320,7 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
     index s makes the algebra nilpotent with nd <= d*(2^s - 1) for p > s,
     nd <= d*q with q = 2^s - 1 (s <= 4) or s^2 (s >= 5) for p = 0, and
     nd <= d + 1 when s = 1."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "T3.24",
         "field scalars, neutral nil index s: nd <= d*(2^s-1) for char > s; "
@@ -353,7 +351,7 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
 def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
     """C3.28: field characteristic outside {2, 3} and neutral nil index
     s in {2, 3, 4}: every product of d*(2^s - 1) elements vanishes."""
-    supp, d, m0, _ = _grading_data(gr)
+    d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "C3.28", "products of length d*(2^s-1) vanish for s in {2,3,4}, char not 2 or 3",
         True,

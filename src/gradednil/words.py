@@ -22,7 +22,8 @@ prefix degrees past the head as g times the tail's prefix degrees
 tests the support on each, and finds the first cut sequence by a
 reachability DP over neutral blocks.  Neither reads the other's tables, so
 the brute force stays an independent twin of the split; the per-word
-functions are the reference both are tested against.
+functions are the reference both are tested against.  ``write_oracle``
+writes the lines of ``oracle lemma-3-5``, one word's or the whole walk's.
 """
 
 from __future__ import annotations
@@ -583,12 +584,18 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     after another are those of ``itertools.product(monoid.elements(),
     repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
     words whose verdicts equal ``neutral_split`` and
-    ``neutral_split_bruteforce`` on each word.
+    ``neutral_split_bruteforce`` on each word.  Raises ``ValueError`` when
+    n >= 63 or size**n is past int64.
     """
     size = len(monoid.elements())
     supp = set(supp)
     n = r * len(supp)
     _check_split_args(r, supp, n)
+    # words are numbered in int64; n is checked first, so no huge power is
+    # taken, and it alone stops a one-element walk, whose tables grow as n^2
+    if n >= 63 or size**n > np.iinfo(np.int64).max:
+        raise ValueError(f"--exhaustive needs r*d below 63 and at most int64-max words; "
+                         f"r*d = {n} gives {size}**{n} words; lower --r")
     # the narrowest dtype that holds every element id keeps the arrays small
     table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
     inside = np.isin(np.arange(size), list(supp))
@@ -607,3 +614,127 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
             yield heads, split(heads), brute(heads)
 
     return tails, blocks()
+
+
+def _verdict_text(got, ref, d):
+    """``(mark, suffix)`` of the oracle line ``mark word=[letters suffix`` of
+    a word with split ``got`` and brute-force verdict ``ref``.  The mark is
+    ``DISAGREE `` when one side is FORCED_ZERO and the other not, or the
+    brute force finds no cut sequence, else empty."""
+    if (got == FORCED_ZERO) != (ref == FORCED_ZERO) or ref is None:
+        return "DISAGREE ", f"] split={got} oracle={ref}\n"
+    if got == FORCED_ZERO:
+        return "", "] FORCED_ZERO (both)\n"
+    return "", f"] cuts={got.cuts} small-gap blocks={small_gap_blocks(got, d)}\n"
+
+
+def _write_exhaustive(monoid, r, supp, out):
+    """Write the oracle line of every word to ``out``, one block of
+    ``exhaustive_splits`` at a time, and return the number of disagreements.
+
+    A block is h heads, each followed by every tail, and a line is a lead,
+    ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
+    disagreeing row), the tail letters, made once for all blocks, and the
+    verdict suffix.  A block is written as one joined list: its first lead,
+    then per line its tail text and its suffix followed by the next line's
+    lead (nothing after the block's last line).  Within a head the next
+    lead is the same, so each suffix + lead is made once per head and cut
+    sequence; only a head's last line, and a disagreeing row and the row
+    before it, are made one by one, and a correct run has no disagreeing
+    row.  Suffixes are made once per cut sequence and looked up by its id.
+    Ids are dealt one cut at a time: ``link[i][p * width + c]`` is the id
+    of the first i + 1 cuts of the sequences whose first i have id p and
+    whose cut i is c, -1 until one is seen.  Id 0 and the last column stand
+    for a row that is not split, so the last level's id indexes the
+    suffixes with FORCED_ZERO at 0, and a block finds every line's suffix
+    with r + 1 takes.
+    """
+    d = len(supp)
+    names = [str(g) for g in monoid.elements()]
+    tails, blocks = exhaustive_splits(monoid, r, supp)
+    # j < n keeps one head letter, so every tail text starts with ", "
+    tail_texts, letters = [""], [", " + g for g in names]
+    for _ in range(tails.shape[1]):
+        tail_texts = [t + x for t in tail_texts for x in letters]
+    m = len(tail_texts)
+    width = r * d + 2
+    link = [np.full(width, -1, dtype=np.intp) for _ in range(r + 1)]
+    for level in link:
+        level[-1] = 0
+    suffixes = np.array([_verdict_text(FORCED_ZERO, FORCED_ZERO, d)[1]], dtype=object)
+    # a block's pieces: the tail texts at the odd places stay from block to
+    # block, made again only for a block of another size; every even place
+    # is written for each block
+    pieces = []
+    disagreements = 0
+    for heads, got, ref in blocks:
+        agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
+        column = np.where(agree & ~got.zero, got.cuts.T, width - 1)
+        at = np.zeros(len(agree), dtype=np.intp)
+        for i, level in enumerate(link):
+            to = at * width + column[i]
+            at = level.take(to)
+            if at.min() < 0:
+                fresh = at < 0
+                # new ids in ascending place, marked in the table, no sort
+                level[to[fresh]] = -2
+                new = np.flatnonzero(level == -2)
+                count = len(link[i + 1]) // width if i < r else len(suffixes)
+                level[new] = np.arange(count, count + len(new))
+                at = level.take(to)
+                if i < r:
+                    link[i + 1] = np.concatenate((link[i + 1], np.full(len(new) * width, -1)))
+                else:
+                    # one row per new sequence, any row: they share their cuts
+                    rows = np.empty(len(new), dtype=np.intp)
+                    rows[at[fresh] - count] = np.flatnonzero(fresh)
+                    texts = [_verdict_text(got.verdict(row), ref.verdict(row), d)[1]
+                             for row in rows.tolist()]
+                    suffixes = np.concatenate((suffixes, np.array(texts, dtype=object)))
+
+        leads = ["word=[" + ", ".join(map(names.__getitem__, head)) for head in heads.tolist()]
+        bad = set(np.flatnonzero(~agree).tolist())
+
+        def own_text(i):
+            return _verdict_text(got.verdict(i), ref.verdict(i), d)
+
+        def lead(i):
+            if i == len(agree):
+                return ""
+            return (own_text(i)[0] if i in bad else "") + leads[i // m]
+
+        def suffix(i):
+            return own_text(i)[1] if i in bad else suffixes[at[i]]
+
+        if len(pieces) != 2 * len(agree) + 1:
+            pieces = [None] * (2 * len(agree) + 1)
+            pieces[1::2] = tail_texts * len(leads)
+        pieces[0] = lead(0)
+        for h, text in enumerate(leads):
+            lines = at[h * m:(h + 1) * m]
+            pieces[2 * h * m + 2:2 * (h + 1) * m + 2:2] = (suffixes + text)[lines].tolist()
+        for i in sorted(bad | set(range(m - 1, len(agree), m))):
+            pieces[2 * i + 2] = suffix(i) + lead(i + 1)
+            if i in bad:
+                pieces[2 * i] = (suffix(i - 1) if i else "") + lead(i)
+        disagreements += len(bad)
+        out.write("".join(pieces))
+    return disagreements
+
+
+def write_oracle(monoid: Monoid, r: int, supp, out, word=None):
+    """Write ``oracle lemma-3-5``'s lines to ``out``: that of ``word``, a tuple
+    of element ids, or, when it is None, of every word of length r*d in
+    ``itertools.product`` order (none if ``exhaustive_splits`` raises);
+    then ``disagreements: N``, and return N."""
+    d = len(supp)
+    if word is None:
+        disagreements = _write_exhaustive(monoid, r, supp, out)
+    else:
+        w = DegreeWord(monoid, word)
+        mark, suffix = _verdict_text(neutral_split(w, r, supp),
+                                     neutral_split_bruteforce(w, r, supp), d)
+        out.write(mark + "word=[" + ", ".join(map(str, word)) + suffix)
+        disagreements = int(mark != "")
+    out.write(f"disagreements: {disagreements}\n")
+    return disagreements

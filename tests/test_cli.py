@@ -938,12 +938,13 @@ def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeyp
     # heads ends and the next begins, whatever the block shape.
     monkeypatch.setattr(words, "_BLOCK", chunk)
     heads_per_block = []
+    exhaustive_splits = words.exhaustive_splits
 
     def recording(*args):
-        tails, blocks = words.exhaustive_splits(*args)
+        tails, blocks = exhaustive_splits(*args)
         return tails, ((heads_per_block.append(len(b[0])), b)[1] for b in blocks)
 
-    monkeypatch.setattr(cli, "exhaustive_splits", recording)
+    monkeypatch.setattr(words, "exhaustive_splits", recording)
     if case == "cyclic":
         source, supp, r = ["--cyclic", "4"], "0,2", 3
         monoid = Monoid.cyclic(4)
@@ -1060,6 +1061,62 @@ def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
     want[16] = "disagreements: 1"
     assert code == 1
     assert capsys.readouterr().out.splitlines() == want
+
+
+# Z_3 words of 4 letters at _BLOCK = 20: heads of 2 letters, each followed by
+# 9 tails, two heads a block and one in the last.  Words 8 and 9 sit either
+# side of a head boundary inside a block, 17 and 18 end and start blocks of
+# two heads, 0 and 80 start and end the run.
+@pytest.mark.parametrize("lost", [0, 8, 9, 17, 18, 80])
+def test_cli_oracle_exhaustive_disagreement_at_head_and_block_edges(capsys, monkeypatch,
+                                                                    lost):
+    # A brute side that finds no cut sequence for word ``lost`` gives one
+    # DISAGREE line in its place, whichever line of its block it is.
+    monkeypatch.setattr(words, "_BLOCK", 20)
+    brute_batch = words._brute_batch
+    heads_per_block = []
+
+    def lose_one_word(table, e, inside, tails, r):
+        brute = brute_batch(table, e, inside, tails, r)
+
+        def lossy(heads):
+            out = brute(heads)
+            heads_per_block.append(len(heads))
+            first = functools.reduce(lambda a, x: a * len(table) + x, heads[0].tolist(), 0)
+            i = lost - first * len(tails)
+            if 0 <= i < len(out.zero):
+                out.zero[i] = False
+                out.cuts[i] = -1
+            return out
+
+        return lossy
+
+    monkeypatch.setattr(words, "_brute_batch", lose_one_word)
+    code = main(["oracle", "lemma-3-5", "--cyclic", "3", "--supp", "0,1", "--r", "2",
+                 "--exhaustive"])
+    assert heads_per_block == [2, 2, 2, 2, 1]
+    monoid = Monoid.cyclic(3)
+    want = _oracle_reference_stdout(monoid, {0, 1}, 2).splitlines()
+    letters = list(itertools.product(range(3), repeat=4))[lost]
+    got = neutral_split(DegreeWord(monoid, letters), 2, {0, 1})
+    want[lost] = f"DISAGREE word={list(letters)} split={got} oracle=None"
+    want[-1] = "disagreements: 1"
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == want
+
+
+# Every word of Z_3 over {0, 1}, and every 61st word of Z_4 over {0, 2} and
+# its last word.
+@pytest.mark.parametrize("n,supp,r,stride", [(3, "0,1", 2, 1), (4, "0,2", 3, 61)])
+def test_cli_oracle_word_prints_its_exhaustive_line(capsys, n, supp, r, stride):
+    oracle = ["oracle", "lemma-3-5", "--cyclic", str(n), "--supp", supp, "--r", str(r)]
+    assert main([*oracle, "--exhaustive"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    words_of = list(itertools.product(range(n), repeat=r * len(supp.split(","))))
+    assert len(lines) == len(words_of) + 1
+    for i in [*range(0, len(words_of), stride), len(words_of) - 1]:
+        assert main([*oracle, "--word", ",".join(map(str, words_of[i]))]) == 0
+        assert capsys.readouterr().out == lines[i] + "disagreements: 0\n"
 
 
 IDEMPOTENT = "[ring]\ncoeff = fp {p}\nrank = 1\nsc = 0 0 0 1\n"
