@@ -184,7 +184,10 @@ def cmd_oracle(args):
         raise SystemExit(_input_error("oracle needs a left-cancellative monoid"))
     word = None
     if args.word is not None:
-        word = tuple(int(t) for t in args.word.replace(",", " ").split())
+        try:
+            word = tuple(int(t) for t in args.word.replace(",", " ").split())
+        except ValueError:
+            raise SystemExit(_input_error("bad --word"))
         if len(word) != args.r * len(supp):
             raise SystemExit(_input_error(f"word length must be r*d = {args.r * len(supp)}"))
     elif not args.exhaustive:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 
 from .nil import Status
 from .ringcore import Ring
@@ -150,14 +151,28 @@ def _pair_commutes(r, s, ca, cb):
     return r.mul_coords(ca, cb) == _scaled(r.coeff, s, r.mul_coords(cb, ca))
 
 
-def _scalars(dom):
-    """1 and -1, then over a finite domain 0 and the other elements in
-    order, each once (over F_2, 1 = -1), made one at a time: a search that
-    stops at 1 costs nothing at any modulus."""
-    signs = dict.fromkeys([dom.one(), dom.normalize(-1)])
-    yield from signs
-    if dom.finite:
-        yield from (c for c in dom.elements() if c not in signs)
+def _least_factor(dom, entries):
+    """The scalar l with a = l.b for every (a, b) in the list ``entries``, or
+    None; of several, 1, then -1, then the least.  Over Q the first b != 0
+    fixes l.  Over Z/m and F_p, a = l.b is solvable exactly when
+    g = gcd(b, m) divides a, and then l = (a/g).(b/g)^-1 mod m/g; the
+    Chinese remainder theorem joins these into one class c mod step."""
+    if not dom.finite:
+        lam = next((dom.normalize(a) / b for a, b in entries if b), dom.one())
+        return lam if all(a == lam * b for a, b in entries) else None
+    m, c, step = dom.modulus, 0, 1
+    for a, b in entries:
+        g = gcd(b, m)
+        if a % g:
+            return None
+        n = m // g
+        d = gcd(step, n)
+        x = (a // g) * pow(b // g, -1, n) - c
+        if x % d:
+            return None
+        c += step * (x // d * pow(step // d, -1, n // d) % (n // d))
+        step = step // d * n
+    return next(s for s in (1, m - 1, c) if (s - c) % step == 0)
 
 
 def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
@@ -165,36 +180,32 @@ def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
 
     Returns (FMap, None) on success, (None, witness_pair) when some pair
     admits no scalar, or (None, None) when no factor is derived otherwise:
-    over a finite domain when enumeration exceeds the pair cap, over the
-    rationals when no constant holds.
+    over a finite domain when enumeration exceeds the pair cap, checked
+    first, over the rationals when no constant holds.
 
-    The scalars are 1 and -1, then over a finite domain 0 and the other
-    elements.  Each is put to the basis-pair certificate in turn, and the
-    first that passes is returned.  Over the rationals no other constant
-    can hold: if b_i*b_j = l*(b_j*b_i) and b_j*b_i = l*(b_i*b_j) for a
-    nonzero product then l^2 = 1, and if every product is zero 1 holds.
-    Over a finite domain with no constant factor, every pair takes the
-    first scalar that fits it.  ``samples`` is unused; it stays because
+    A constant l holds exactly when c(i, j) = l.c(j, i) for every basis
+    pair (see ``_basis_certificate``), so it is solved from those rank^2
+    pairs of entries at any modulus, preferring 1, then -1, then the least
+    solution.  With none, over a finite domain each pair takes the scalar
+    solved from its two products.  ``samples`` is unused; it stays because
     ``perfbench/layers.py`` binds it by name.
     """
     dom = r.coeff
     if dom.finite and r.element_count() ** 2 > pair_cap:
         return None, None
-    for c in _scalars(dom):
-        f = FMap.constant(c)
-        if _basis_certificate(r, f).proved:
-            return f, None
+    pairs = ((r.mul_basis(i, j), r.mul_basis(j, i))
+             for i, j in itertools.product(range(r.rank), repeat=2))
+    lam = _least_factor(dom, [(ab.get(k, 0), ba.get(k, 0))
+                              for ab, ba in pairs for k in ab.keys() | ba.keys()])
+    if lam is not None:
+        return FMap.constant(lam), None
     if not dom.finite:
         return None, None
-    # the cap bounds the domain's size, since count >= size at rank >= 1
-    scalars = list(_scalars(dom))
     coords_list = _element_coords(r)
     rule = {}
     for ca in coords_list:
         for cb in coords_list:
-            ab = r.mul_coords(ca, cb)
-            ba = r.mul_coords(cb, ca)
-            lam = next((c for c in scalars if ab == _scaled(dom, c, ba)), None)
+            lam = _least_factor(dom, list(zip(r.mul_coords(ca, cb), r.mul_coords(cb, ca))))
             if lam is None:
                 return None, (r.element(ca), r.element(cb))
             rule[(ca, cb)] = lam

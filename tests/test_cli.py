@@ -743,6 +743,19 @@ def test_cli_oracle_empty_value_is_given_not_absent(capsys, source, mode, messag
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("supp, word, message", [
+    ("0,x", "0,1,2,1", "bad --supp"),
+    ("0,1", "0,1,2,a", "bad --word"),
+], ids=["supp", "word"])
+def test_cli_oracle_rejects_a_letter_that_is_not_an_integer(capsys, supp, word, message):
+    # the error names the option, not Python's int() message
+    assert main(["oracle", "lemma-3-5", "--cyclic", "3", "--supp", supp, "--r", "2",
+                 "--word", word]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("r", ["-1", "0", "1"])
 @pytest.mark.parametrize("mode", [["--word", "0"], ["--exhaustive"]],
                          ids=["word", "exhaustive"])
