@@ -2,7 +2,8 @@
 
 Exit codes: 0 every check passed or was proved, 1 a refutation or failure,
 2 a capped verdict (kept for a work budget: every verdict is exact now, so
-none is capped), 3 an input or validation error.
+none is capped), 3 an input or validation error, 141 output cut short by a
+closed pipe.
 """
 
 from __future__ import annotations
@@ -20,12 +21,15 @@ from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
 from .ringcore import parse_domain
 from .theorems import Caps, CheckStatus, full_report
+# not lazy: that moves compiling ``words`` into an oracle call, the benchmark's timed pass
 from .words import write_oracle
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_CAPPED = 2
 EXIT_INPUT = 3
+# what a shell reports for a tool that a closed pipe stops (128 + SIGPIPE)
+EXIT_PIPE = 141
 
 PAIR_CAP_ENV = "GRADEDNIL_PAIR_CAP"
 
@@ -416,11 +420,19 @@ def main(argv=None):
         args = _parse_args(argv)
         # looked up when it runs, so a wrapper installed on a ``cmd_*``
         # function after the parser is built is still called
-        return globals()[f"cmd_{args.command}"](args)
+        code = globals()[f"cmd_{args.command}"](args)
+        # flushed here, so a reader that has gone is met inside the try
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     except (ValueError, KeyError) as exc:
         return _input_error(str(exc))
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): what is left unwritten
+        # goes to os.devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ any contiguous subproduct degree leaves the support, the ring product is
 forced to vanish.  Otherwise, for a word of length r*d over a support of
 size d (r > 1), pigeonholing the prefix degrees yields r consecutive blocks
 each of neutral degree; ``neutral_split`` constructs the cut positions and
-``neutral_split_bruteforce`` re-derives the verdict by exhaustive search.
+``neutral_split_bruteforce`` re-derives the verdict by exhaustive search,
+each by running one batched kernel on the word alone.
 
 ``exhaustive_splits`` decides both on every word of length r*d over a table
 monoid, each word factored as head . tail: the tails of the last j letters
@@ -22,8 +23,9 @@ prefix degrees past the head as g times the tail's prefix degrees
 tests the support on each, and finds the first cut sequence by a
 reachability DP over neutral blocks.  Neither reads the other's tables, so
 the brute force stays an independent twin of the split; the per-word
-functions are the reference both are tested against.  ``write_oracle``
-writes the lines of ``oracle lemma-3-5``, one word's or the whole walk's.
+functions of ``tests/lemma35_reference.py`` are the reference both are
+tested against.  ``write_oracle`` writes the lines of ``oracle lemma-3-5``,
+one word's or the whole walk's.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import accumulate
-from operator import add, lt, sub
+from operator import lt, sub
 
 import numpy as np
 
-from .monoid import TABLE, Monoid
+from .monoid import Monoid
 
 # Most words per kernel call of ``exhaustive_splits``: the kernels'
 # temporaries grow with the words of a block, so it bounds the walk's peak
@@ -91,38 +93,9 @@ class Decomposition:
         return list(map(sub, self.cuts[1:], self.cuts))
 
 
-def _subproduct_rows(w: DegreeWord):
-    """Row a lists the degrees of letters a+1..b for b = a+1..n, lazily.
-
-    Table monoids index ``monoid.table`` directly; integer addition adds.
-    """
-    degs = w.degrees
-    if w.monoid.kind != TABLE:
-        for a in range(len(degs)):
-            yield list(accumulate(degs[a:]))
-        return
-    table = w.monoid.table
-    for a, g in enumerate(degs):
-        row = [g]
-        for x in degs[a + 1:]:
-            g = table[g][x]
-            row.append(g)
-        yield row
-
-
 def block_degrees(w: DegreeWord, dec: Decomposition):
     """The degree of each block of a decomposition."""
-    degs = w.degrees
-    if w.monoid.kind != TABLE:
-        return [reduce(add, degs[a:b]) for a, b in dec.blocks]
-    table = w.monoid.table
-    out = []
-    for a, b in dec.blocks:
-        acc = degs[a]
-        for x in degs[a + 1:b]:
-            acc = table[acc][x]
-        out.append(acc)
-    return out
+    return [reduce(w.monoid.op, w.degrees[a:b]) for a, b in dec.blocks]
 
 
 def _check_split_args(r, supp, n):
@@ -132,87 +105,34 @@ def _check_split_args(r, supp, n):
         raise ValueError(f"word length {n} is not r*d = {r}*{len(supp)}")
 
 
-def _pigeonhole_cuts(buckets, e, r):
-    """The split's cut positions from the prefix-degree buckets.
-
-    ``buckets`` maps each degree to the ascending 1-based positions of the
-    prefixes with that degree.  Either the identity occurs at least r times
-    (cut at the first r such prefixes), or some other degree occurs at least
-    r+1 times (cut at its first r+1 positions, whose consecutive quotients
-    are neutral by left cancellation).  Ties between maximal degrees break
-    toward the smallest element, positions toward the earliest index.
-    """
-    neutral_pos = buckets.get(e, ())
-    if len(neutral_pos) >= r:
-        return (0,) + tuple(neutral_pos[:r])
-    candidates = [(g, pos) for g, pos in buckets.items() if g != e and pos]
-    if not candidates:
-        raise SplitInternalError("no prefix buckets despite clean word")
-    # every degree is an int (``DegreeWord`` checks), so -g prefers the smallest
-    g0, pos = max(candidates, key=lambda it: (len(it[1]), -it[0]))
-    if len(pos) < r + 1:
-        raise SplitInternalError(
-            f"pigeonhole dichotomy failed: {len(neutral_pos)} neutral prefixes "
-            f"and at most {len(pos)} repeats of any other degree"
-        )
-    return tuple(pos[: r + 1])
+def _kernel_input(monoid: Monoid, supp):
+    """The kernels' ``(table, e, inside)``: the table in the narrowest dtype
+    that holds every element id, the identity, and ``supp`` as a mask."""
+    size = len(monoid.elements())
+    table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
+    return table, monoid.identity, np.isin(np.arange(size), list(supp))
 
 
-def _require_neutral(block_degs, e):
-    for g in block_degs:
-        if g != e:
-            raise SplitInternalError(f"constructed block has degree {g!r}, not neutral")
-
-
-def _first_cut_sequence(neutral_after, n, r):
-    """The lexicographically first cuts s_0 < ... < s_r of r neutral blocks.
-
-    ``neutral_after[a]`` lists, ascending, the ends b whose block a+1..b has
-    neutral degree; ``neutral_after[n]`` is empty.  Cut positions are tried
-    depth first in increasing order, pruning at the first non-neutral block,
-    so the first hit is the first of all cut sequences in lexicographic
-    order.  None if there is none.
-    """
-
-    def extend(pos, left):
-        if not left:
-            return (pos,)
-        for b in neutral_after[pos]:
-            rest = extend(b, left - 1)
-            if rest:
-                return (pos,) + rest
-        return None
-
-    for s0 in range(n - r + 1):
-        cuts = extend(s0, r)
-        if cuts:
-            return cuts
-    return None
+def _one_word(w: DegreeWord, r: int, supp):
+    """The kernels' arguments for ``w`` alone, a one-row tail, and its first letter as the head."""
+    supp = set(supp)
+    _check_split_args(r, supp, len(w))
+    table, e, inside = _kernel_input(w.monoid, supp)
+    letters = np.array(w.degrees, dtype=table.dtype).reshape(1, len(w))
+    return (table, e, inside, letters[:, 1:], r), letters[:, :1]
 
 
 def neutral_split(w: DegreeWord, r: int, supp):
-    """Cut a clean word of length r*d into r consecutive neutral blocks.
-
-    Returns FORCED_ZERO when some contiguous subproduct leaves the support;
-    otherwise cuts by ``_pigeonhole_cuts`` on the prefix degrees and checks
-    that every block is neutral.
+    """Cut a clean word of length r*d over a table monoid into r consecutive
+    neutral blocks, by ``_split_batch`` on the word alone: FORCED_ZERO when
+    some contiguous subproduct leaves the support, else the cuts at the
+    first r prefixes of neutral degree, if r have it, or at the first r+1 of
+    the most frequent other degree (the smallest on a tie), whose quotients
+    are neutral by left cancellation.  Raises ``SplitInternalError`` if that
+    dichotomy fails or a block is not neutral.
     """
-    supp = set(supp)
-    _check_split_args(r, supp, len(w))
-    rows = []
-    for row in _subproduct_rows(w):
-        if not supp.issuperset(row):
-            return ProductVerdict.FORCED_ZERO
-        rows.append(row)
-
-    # Row 0 holds the prefix degrees b_1..b_n.
-    buckets = {}
-    for pos, g in enumerate(rows[0] if rows else (), start=1):
-        buckets.setdefault(g, []).append(pos)
-    e = w.monoid.identity
-    cuts = _pigeonhole_cuts(buckets, e, r)
-    _require_neutral([rows[a][b - a - 1] for a, b in zip(cuts, cuts[1:])], e)
-    return Decomposition(cuts)
+    args, head = _one_word(w, r, supp)
+    return _split_batch(*args)(head).verdict(0)
 
 
 def small_gap_blocks(dec: Decomposition, d: int):
@@ -232,31 +152,14 @@ def small_gap_blocks(dec: Decomposition, d: int):
 
 
 def neutral_split_bruteforce(w: DegreeWord, r: int, supp):
-    """Exhaustive-search twin of ``neutral_split`` for cross-validation.
-
-    Re-derives the forced-zero verdict from a table of all (start, end)
-    subproduct degrees, then searches every cut sequence for r neutral
-    blocks (``_first_cut_sequence``), never pigeonholing prefixes.  Returns
-    the first decomposition found, FORCED_ZERO, or None if neither applies
-    (which would contradict the pigeonhole construction).
+    """Exhaustive-search twin of ``neutral_split``, by ``_brute_batch`` on the
+    word alone: FORCED_ZERO, re-derived from every subproduct degree, else
+    the lexicographically first cuts of r neutral blocks, never pigeonholing
+    prefixes, or None if there are none (which would contradict the
+    pigeonhole construction).
     """
-    supp = set(supp)
-    n = len(w)
-    _check_split_args(r, supp, n)
-
-    # prod[a][b - a - 1] = degree of letters a+1 .. b (0 <= a < b <= n)
-    prod = list(_subproduct_rows(w))
-    if not all(supp.issuperset(row) for row in prod):
-        return ProductVerdict.FORCED_ZERO
-
-    e = w.monoid.identity
-    neutral_after = [
-        [b for b, g in enumerate(row, start=a + 1) if g == e]
-        for a, row in enumerate(prod)
-    ]
-    neutral_after.append([])
-    cuts = _first_cut_sequence(neutral_after, n, r)
-    return None if cuts is None else Decomposition(cuts)
+    args, head = _one_word(w, r, supp)
+    return _brute_batch(*args)(head).verdict(0)
 
 
 @dataclass(frozen=True)
@@ -271,7 +174,7 @@ class Splits:
     cuts: np.ndarray
 
     def verdict(self, i):
-        """Word i's verdict as the per-word functions give it."""
+        """Word i's verdict: FORCED_ZERO, a ``Decomposition`` or None."""
         if self.zero[i]:
             return FORCED_ZERO
         cuts = self.cuts[i].tolist()
@@ -317,11 +220,11 @@ def _split_batch(table, e, inside, tails, r):
     gives its subproducts P_a of letters a+1..k and its prefix degrees B_0
     = e, B_1..B_k: a word is clean iff the head is and every G[P_a] stays
     inside, its prefix degrees are B_0..B_k followed by G[B_k], and their
-    counts are the head's plus G[B_k]'s.  The cuts are
-    ``_pigeonhole_cuts``'s: the first r+1 positions of e if it occurs r+1
-    times, else of the most frequent other degree (a score of the count
-    shifted past K-1 minus the key's rank sends ties to the smallest id),
-    read off cumulative hit counts.  Each block's degree is read from one flat
+    counts are the head's plus G[B_k]'s.  The cuts pigeonhole those
+    degrees: the first r+1 positions of e if it occurs r+1 times, else of
+    the most frequent other degree (a score of the count shifted past K-1
+    minus the key's rank sends ties to the smallest id), read off
+    cumulative hit counts.  Each block's degree is read from one flat
     table, G then ``tri`` then a row of e and a row of not e: block a+1..b
     lies at G[P_a] at b - k if a < k < b, at tri[b - k, a - k] if a >= k,
     and in the row that gives the head's own verdict on it if b <= k.
@@ -459,11 +362,11 @@ def _brute_batch(table, e, inside, tails, r):
     a block from head position a is a head subproduct or, past the head,
     Q_a = h_{a+1}..h_k extended by E[Q_a].  The smallest reachable cut, then
     the shortest block at each step, read from the head's DP rows and
-    ``first`` laid end to end, is the lexicographically first cut sequence,
-    as in ``_first_cut_sequence``; a clean word with none gets cuts of -1
-    (None).  Every table is linear in the tails: j(j+1)/2 neutral flags and
-    (r+1)(j+1) DP entries per tail, and (r+1) cross entries per support
-    element, lengths in the narrowest unsigned dtype above j.
+    ``first`` laid end to end, is the lexicographically first cut sequence;
+    a clean word with none gets cuts of -1 (None).  Every table is linear
+    in the tails: j(j+1)/2 neutral flags and (r+1)(j+1) DP entries per
+    tail, and (r+1) cross entries per support element, lengths in the
+    narrowest unsigned dtype above j.
     """
     m, j = tails.shape
     supp = np.flatnonzero(inside)
@@ -596,10 +499,7 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     if n >= 63 or size**n > np.iinfo(np.int64).max:
         raise ValueError(f"--exhaustive needs r*d below 63 and at most int64-max words; "
                          f"r*d = {n} gives {size}**{n} words; lower --r")
-    # the narrowest dtype that holds every element id keeps the arrays small
-    table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
-    inside = np.isin(np.arange(size), list(supp))
-    e = monoid.identity
+    table, e, inside = _kernel_input(monoid, supp)
     j = 0
     while j < n - 1 and size ** (j + 1) <= _BLOCK:
         j += 1

@@ -10,6 +10,7 @@ import random
 import time
 
 import pytest
+from lemma35_reference import neutral_split, neutral_split_bruteforce
 from test_fcomm import rewrite_identity_check
 from test_nil import enum_bounded_index
 
@@ -47,14 +48,7 @@ from gradednil.theorems import (
     verify_matrix_nil_transfer,
     verify_nilpotent_neutral_bounds,
 )
-from gradednil.words import (
-    DegreeWord,
-    ProductVerdict,
-    block_degrees,
-    neutral_split,
-    neutral_split_bruteforce,
-    small_gap_blocks,
-)
+from gradednil.words import DegreeWord, ProductVerdict, block_degrees, small_gap_blocks
 from gradednil.zoo import grassmann_star, sut, two_z_2k
 
 SEED = 20260810

@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from lemma35_reference import neutral_split, neutral_split_bruteforce
 
 from gradednil import cli, nil, theorems, words
 from gradednil.cli import main
@@ -21,13 +22,7 @@ from gradednil.specfile import (
     parse_spec_text,
 )
 from gradednil.ringcore import Ring, fp, rat
-from gradednil.words import (
-    DegreeWord,
-    ProductVerdict,
-    neutral_split,
-    neutral_split_bruteforce,
-    small_gap_blocks,
-)
+from gradednil.words import DegreeWord, ProductVerdict, small_gap_blocks
 from gradednil.zoo import (
     grassmann_star,
     sut,
@@ -756,6 +751,15 @@ def test_cli_oracle_rejects_a_letter_that_is_not_an_integer(capsys, supp, word, 
     assert captured.out == ""
 
 
+def test_cli_oracle_rejects_a_letter_that_is_not_an_element(capsys):
+    # the word is checked as a DegreeWord before either kernel runs
+    assert main(["oracle", "lemma-3-5", "--cyclic", "4", "--supp", "0,1,2,3", "--r", "2",
+                 "--word", "0,1,2,7,0,0,0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: degree 7 is not a monoid element\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("r", ["-1", "0", "1"])
 @pytest.mark.parametrize("mode", [["--word", "0"], ["--exhaustive"]],
                          ids=["word", "exhaustive"])
@@ -859,6 +863,25 @@ def test_cli_oracle_exhaustive(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "disagreements: 0" in out
+
+
+def test_cli_oracle_into_a_closed_pipe_exits_141_quietly():
+    # as in ``gradednil oracle ... --exhaustive | head -n 1``: the reader
+    # takes a line and closes the pipe while the oracle still has about
+    # 4 MB of its 65,537 lines to write; it stops with 141, what a shell
+    # reports for a tool a closed pipe stops, and writes nothing to stderr
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradednil.cli", "oracle", "lemma-3-5", "--cyclic", "4",
+         "--supp", "0,1,2,3", "--r", "2", "--exhaustive"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"word=[0, 0, 0, 0, 0, 0, 0, 0] cuts=(0, 1, 2) small-gap blocks=[1, 2]\n"
+    assert err == b""
 
 
 def _oracle_reference_stdout(monoid, supp, r):

@@ -11,6 +11,9 @@ own body; dunder methods are called by the language.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -105,3 +108,13 @@ def test_every_parameter_is_read():
     assert not unread - set(UNREAD), f"parameters never read: {sorted(unread - set(UNREAD))}"
     # an entry whose parameter is gone, or now read, leaves UNREAD with it
     assert set(UNREAD) <= unread, f"stale entries: {sorted(set(UNREAD) - unread)}"
+
+
+def test_the_benchmark_layers_find_every_name_they_patch():
+    # ``perfbench/layers.py`` patches functions by name; in a fresh process,
+    # installing it raises if ``src/`` has lost or renamed one of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "perfbench"), str(ROOT / "src")]))
+    out = subprocess.run([sys.executable, "-c", "import layers; layers.install()"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr

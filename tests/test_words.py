@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from lemma35_reference import _subproduct_rows, neutral_split, neutral_split_bruteforce
 
 from gradednil import words as words_module
 from gradednil.monoid import Monoid, MonoidError
@@ -13,11 +14,9 @@ from gradednil.words import (
     SplitInternalError,
     _brute_batch,
     _split_batch,
-    _subproduct_rows,
+    _verdict_text,
     block_degrees,
     exhaustive_splits,
-    neutral_split,
-    neutral_split_bruteforce,
     small_gap_blocks,
 )
 
@@ -58,8 +57,8 @@ def test_subproduct_degrees_int_add():
     assert set().union(*_subproduct_rows(DegreeWord(ZADD, (1, 2, 1)))) == {1, 2, 3, 4}
 
 
-# The per-word verdicts that words.product_verdict gave, now read off
-# neutral_split, which the oracle calls.
+# The per-word verdicts that words.product_verdict gave, now read off the
+# reference neutral_split.
 
 
 def test_product_verdict_prefix_escape():
@@ -450,3 +449,29 @@ def test_head_tail_kernels_match_per_word_functions(monoid, data):
         w = DegreeWord(monoid, head + tuple(tail))
         assert split.verdict(i) == neutral_split(w, r, supp), w.degrees
         assert brute.verdict(i) == neutral_split_bruteforce(w, r, supp), w.degrees
+
+
+@given(st.sampled_from([Monoid.cyclic(size) for size in range(2, 7)] + [S3]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernels_on_one_word_print_the_reference_line_at_every_head_length(monoid, data):
+    # One random word, cut into a (1, k) head and a (1, n - k) tail at every
+    # k from 1 to n - 1: both kernels give the oracle line the per-word
+    # reference gives.  neutral_split and neutral_split_bruteforce, which
+    # run the kernels at k = 1, give the reference's verdicts.
+    size = monoid.size
+    supp = data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=min(size, 4)))
+    supp |= data.draw(st.sampled_from([set(), {monoid.identity}]))
+    r = data.draw(st.integers(2, 3))
+    n = r * len(supp)
+    letter = st.sampled_from(data.draw(st.sampled_from([sorted(supp), list(range(size))])))
+    w = DegreeWord(monoid, tuple(data.draw(st.lists(letter, min_size=n, max_size=n))))
+    want = (neutral_split(w, r, supp), neutral_split_bruteforce(w, r, supp))
+    assert (words_module.neutral_split(w, r, supp),
+            words_module.neutral_split_bruteforce(w, r, supp)) == want, w.degrees
+    table, e, inside = words_module._kernel_input(monoid, supp)
+    letters = np.array(w.degrees, dtype=table.dtype).reshape(1, n)
+    for k in range(1, n):
+        head, tail = letters[:, :k], letters[:, k:]
+        got = [kernel(table, e, inside, tail, r)(head).verdict(0)
+               for kernel in (_split_batch, _brute_batch)]
+        assert _verdict_text(*got, len(supp)) == _verdict_text(*want, len(supp)), (w.degrees, k)
