@@ -20,7 +20,7 @@ from .grading import GradedRing, component_indices, elementary_grading, support,
 from .monoid import Congruence, Monoid, check_cancellative
 from .nil import Status, bounded_nil_index_auto, nilpotency_index, ring_is_nil, s_nil_check
 from .ringcore import parse_domain
-from .theorems import Caps, CheckStatus, full_report
+from .theorems import PAIR_CAP, CheckStatus, full_report
 # not lazy: that moves compiling ``words`` into an oracle call, the benchmark's timed pass
 from .words import write_oracle
 
@@ -34,14 +34,14 @@ EXIT_PIPE = 141
 PAIR_CAP_ENV = "GRADEDNIL_PAIR_CAP"
 
 
-def _caps_from(args) -> Caps:
+def _caps_from(args) -> int:
     """The pair cap of ``--pair-cap``, else of ``GRADEDNIL_PAIR_CAP``, else
     the default; one that is not an integer, or is below 0, is an input
     error naming its source.  0 means "never enumerate"."""
     source, value = "--pair-cap", args.pair_cap
     if value is None:
         if PAIR_CAP_ENV not in os.environ:
-            return Caps()
+            return PAIR_CAP
         source, text = PAIR_CAP_ENV, os.environ[PAIR_CAP_ENV]
         try:
             value = int(text)
@@ -49,7 +49,7 @@ def _caps_from(args) -> Caps:
             raise SystemExit(_input_error(f"{source} must be an integer, got {text!r}"))
     if value < 0:
         raise SystemExit(_input_error(f"{source} must be >= 0, got {value}"))
-    return Caps(pair_cap=value)
+    return value
 
 
 def _load(path):
@@ -123,7 +123,7 @@ def cmd_analyze(args):
 def _report(args, classes, only=None):
     """Load the spec and run the checks of ``full_report`` on it: all of
     them, or the one with id ``only``."""
-    caps = _caps_from(args)
+    pair_cap = _caps_from(args)
     parsed = _load(args.file)
     gr = _graded_or_trivial(parsed)
     cong = None
@@ -131,7 +131,7 @@ def _report(args, classes, only=None):
         if gr.monoid.kind != "table":
             raise SystemExit(_input_error("--classes needs a table monoid grading"))
         cong = _parse_classes(classes, gr.monoid)
-    return full_report(gr, parsed.fmap, caps, congruence=cong, only=only)
+    return full_report(gr, parsed.fmap, pair_cap, congruence=cong, only=only)
 
 
 def cmd_verify(args):

@@ -123,7 +123,7 @@ def howell(rows, ncols, m, form=()):
     return tuple(tuple(pivots[j]) for j in cols)
 
 
-def rref(rows, ncols, dom, form=()):
+def rref(rows, dom, form=()):
     """Reduced row echelon form over a field domain (fp or rat) of the span
     of ``rows`` and the kept form ``form``.
 
@@ -131,8 +131,7 @@ def rref(rows, ncols, dom, form=()):
     rows of ``form`` start as the pivots.  A new row is reduced by every
     pivot row (each is 0 at the other pivots, so their order does not
     matter), scaled only when its leading entry is not already 1, and then
-    cleared from the lead column of the other pivots.  The row length gives
-    the width; ``ncols`` keeps ``howell``'s signature.
+    cleared from the lead column of the other pivots.
     """
     if not rows:
         return tuple(form)

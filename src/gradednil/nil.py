@@ -44,6 +44,7 @@ from .ringcore import (
     DEFAULT_ELEM_CAP,
     Element,
     Ring,
+    _index_bound,
     _ranges,
     kept,
     power_chain,
@@ -51,12 +52,11 @@ from .ringcore import (
 
 
 class Status(str, Enum):
-    # every verdict made here is PROVED or REFUTED; CAPPED and SAMPLED_OK
-    # stay in the output contract for a work budget to produce
+    # every verdict made here is PROVED or REFUTED; CAPPED stays in the
+    # output contract for a work budget to produce
     PROVED = "PROVED"
     REFUTED = "REFUTED"
     CAPPED = "CAPPED"
-    SAMPLED_OK = "SAMPLED_OK"
 
 
 @dataclass
@@ -95,20 +95,6 @@ def element_nil_index(a: Element) -> NilVerdict:
 
 # ---------------------------------------------------------------------------
 # Witnesses of non-nilpotence.
-
-
-def _index_bound(r: Ring):
-    """N with x^N = 0 for every nilpotent x of ``r``.
-
-    For a nilpotent x the spans S_k of {x^j : j >= k} fall strictly until
-    they reach 0: S_k = S_(k+1) puts x^k = x^k z with z a combination of
-    powers of x, so z is nilpotent and x^k = x^k z^n = 0.  A strict chain of
-    submodules of (Z/m)^rank has at most rank * Omega(m) <=
-    rank * bit_length(m) steps, and one of subspaces over F_p or Q at most
-    rank, so N is one more than that.
-    """
-    dom = r.coeff
-    return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
 
 
 def ring_is_nil(r: Ring, elem_cap=DEFAULT_ELEM_CAP) -> NilVerdict:
@@ -350,7 +336,7 @@ def nilpotency_index(r: Ring) -> NilVerdict:
     ``_index_bound``.  The verdict is kept on the ring, so a REFUTED one's
     witness is expanded once."""
     chain = power_chain(r)
-    if chain[-1].is_zero():
+    if not chain[-1]:
         return NilVerdict(Status.PROVED, index=len(chain))
     v = _component_nil(r, range(r.rank))
     if v.proved:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -483,165 +482,125 @@ class Element:
         return " + ".join(parts) if parts else "0"
 
 
-class Submodule:
-    """An additive subgroup of the coordinate module in canonical form.
+def span(r: Ring, generators, form=()):
+    """The canonical rows of the span of the coordinate rows ``generators``:
+    the reduced row echelon form over a field, the Howell form over Z/mZ
+    (see ``linalg``).  Equal spans have equal rows, and a row lies in a span
+    exactly when extending the span by it leaves its rows unchanged.
+    ``form``, the rows of a span already in canonical form, is kept: the
+    result is its sum with the span of ``generators``, and only the
+    generators are reduced."""
+    dom = r.coeff
+    if dom.kind == ZMOD:
+        return linalg.howell(generators, r.rank, dom.modulus, form)
+    return linalg.rref(generators, dom, form)
 
-    Over fields the canonical form is the reduced row echelon basis; over
-    Z/mZ it is the Howell normal form, so equality of forms decides equality
-    of submodules, and x lies in a submodule exactly when extending its form
-    by x leaves the form unchanged.  ``form``, the rows
-    of a submodule already in canonical form, is kept: the result is its sum
-    with the span of ``generators``, and only the generators are reduced.
+
+def _index_bound(r: Ring):
+    """N with x^N = 0 for every nilpotent x of ``r``, and R^N = 0 when ``r``
+    is nilpotent.
+
+    For a nilpotent x the spans S_k of {x^j : j >= k} fall strictly until
+    they reach 0: S_k = S_(k+1) puts x^k = x^k z with z a combination of
+    powers of x, so z is nilpotent and x^k = x^k z^n = 0.  A strict chain of
+    submodules of (Z/m)^rank has at most rank * Omega(m) <=
+    rank * bit_length(m) steps, and one of subspaces over F_p or Q at most
+    rank, so N is one more than that.  The power chain of a nilpotent ring
+    is such a strict chain too (see ``power_chain``).
     """
-
-    def __init__(self, ring: Ring, generators, form=()):
-        self.ring = ring
-        rows = [list(g.coords if isinstance(g, Element) else g) for g in generators]
-        dom = ring.coeff
-        if dom.kind == ZMOD:
-            self.rows = linalg.howell(rows, ring.rank, dom.modulus, form)
-        else:
-            self.rows = linalg.rref(rows, ring.rank, dom, form)
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Submodule)
-            and self.ring == other.ring
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"Submodule(ngens={len(self.rows)})"
+    dom = r.coeff
+    return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1
 
 
 def _word_spans(r: Ring, gens):
-    """Spans of the words in ``gens``, by length, up to closure.
+    """The spans W_1, ..., W_k of the words in the coordinate rows ``gens``,
+    by length, up to the first zero span W_(k+1).
 
-    W_1 = span(gens) and W_(k+1) = span(W_k * gens), so only the generators
-    multiply.  Returns ``(words, tail)``: ``words`` is W_1 ... W_k, each
-    outside the sum of the ones before it, and ``tail`` is W_(k+1), the
-    first that is zero or lies in that sum.  The sum is kept in canonical
-    form: a W lies in it when extending it by W leaves its rows unchanged,
-    and otherwise that extension is the next sum.  Every later W lies in
-    V = W_2 + ... + W_(k+1): W_(k+2) = W_(k+1) * gens lies in it since
-    W_(k+1) lies in W_1 + ... + W_k, and if W_j lies in V, then so does
-    W_(j+1) = W_j * gens, in W_3 + ... + W_(k+2).  So the words sum to the
-    subring the generators span, and those of length 2 or more to V.
+    W_1 = span(gens) and W_(j+1) = span(W_j * gens), so only the generators
+    multiply.  None when a span repeats an earlier one, or when W_(N+1) is
+    nonzero for N = ``_index_bound``.  A repeat W_j = W_i with i < j makes
+    the words periodic, so they never vanish; W_(N+1) != 0 puts a nonzero
+    product of N + 1 elements in the ring.  Either way the ring is not
+    nilpotent.
     """
-    gens = [g.coords if isinstance(g, Element) else tuple(g) for g in gens]
-    words, closure = [], None
-    w = Submodule(r, gens)
-    while not w.is_zero():
-        if closure is None:
-            closure = w
-        else:
-            grown = Submodule(r, w.rows, closure.rows)
-            if grown == closure:
-                break
-            closure = grown
+    words, w, n = [], span(r, gens), _index_bound(r)
+    while w and w not in words and len(words) < n:
         words.append(w)
-        w = Submodule(r, [r.mul_coords(row, g) for row in w.rows for g in gens])
-    return words, w
-
-
-def _chain_start(r: Ring):
-    """The start of the power chain of a ring of nonzero rank, from its
-    structure table and the words in a generating set.
-
-    R is the identity rows, already in canonical form.  R^2 is the span of
-    the structure-constant vectors b_i b_j, each distinct one reduced once.
-    The basis vectors S that are not unit pivots of R^2's canonical form
-    give R = span(S) + R^2, since a unit pivot row is b_t plus a combination
-    of columns in S.  So S generates R exactly when its words of length 2 or
-    more span R^2, and then R^k = W_k + W_(k+1) + ... for the word spans W
-    of S.  When S is smaller than the basis, its words vanish and they span
-    R^2, the whole chain is their suffix sums, each the one after it
-    extended by a word span.  Otherwise the chain is returned up to R^2 for
-    ``power_chain`` to grow by the basis: S is the whole basis, or S does
-    not generate R (an idempotent lies in R^2, so no word in S reaches it),
-    or its words close before they vanish (over Z/mZ a word span can fall
-    back into W_1, as for a^2 = b, ab = ba = 2c over Z/4, nilpotent all the
-    same).
-    """
-    full = Submodule(r, [], tuple(b.coords for b in r.basis()))
-    distinct = {tuple(sorted(v.items())): v for v in r.sc.values()}.values()
-    square = Submodule(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
-    units = set()
-    for row in square.rows:
-        lead = next(t for t, v in enumerate(row) if v)
-        if row[lead] == 1:
-            units.add(lead)
-    gens = [b for t, b in enumerate(full.rows) if t not in units]
-    if len(gens) < r.rank:
-        words, tail = _word_spans(r, gens)
-        if tail.is_zero():
-            suffix = [tail]
-            for w in reversed(words[1:]):
-                suffix.append(w if suffix[-1].is_zero() else Submodule(r, w.rows, suffix[-1].rows))
-            if suffix[-1] == square:
-                return [full] + suffix[::-1]
-    return [full, square]
+        w = span(r, [r.mul_coords(row, g) for row in w for g in gens])
+    return None if w else words
 
 
 @kept
 def power_chain(r: Ring):
     """Descending chain of product spans, one entry per product length.
 
-    Entry t (0-based) is R^(t+1), the span of all products of t+1 elements;
-    the chain stops at the zero module or at the first repeat (a nonzero
-    stable span certifies the ring is not nilpotent).  Every entry before
-    the end is a proper submodule of the one before it, and a strict chain
-    of nonzero submodules of (Z/m)^rank has at most rank * Omega(m) members
-    (rank over F_p or Q), so the chain has at most rank * Omega(m) + 1
-    entries, within ``nil._index_bound``.  The chain is a tuple, computed
-    once per ring and kept on it.
+    Entry t (0-based) is R^(t+1), the canonical rows (see ``span``) of the
+    span of all products of t+1 elements; the chain stops at the zero span
+    or at the first repeat (a nonzero stable span certifies the ring is not
+    nilpotent).  Every entry before the end is a proper submodule of the
+    one before it, and a strict chain of nonzero submodules of (Z/m)^rank
+    has at most rank * Omega(m) members (rank over F_p or Q), so the chain
+    has at most rank * Omega(m) + 1 entries, within ``_index_bound``.  The
+    chain is a tuple, computed once per ring and kept on it.
 
-    R^2 is read off the structure constants, and when the words in the
-    basis vectors that generate R modulo R^2 vanish, the whole chain off
-    their spans (see ``_chain_start``).  Any other chain grows one entry at
-    a time as R^(k+1) = span(R^k * basis).
+    R is the identity rows, already in canonical form.  R^2 is the span of
+    the structure-constant vectors b_i b_j, each distinct one reduced once.
+    The basis vectors S that are not unit pivots of R^2's canonical form
+    give R = span(S) + R^2, since a unit pivot row is b_t plus a combination
+    of columns in S.  If S is smaller than the basis, its words vanish
+    (``_word_spans``) and W_2 + W_3 + ... equals R^2, then every element of
+    R is a sum of words in S, so R^k = W_k + W_(k+1) + ... and the chain is
+    these suffix sums, each the one after it extended by a word span.  Any
+    other chain grows from R^2 one entry at a time as
+    R^(k+1) = span(R^k * basis): S is the whole basis, or its words never
+    vanish (the ring is not nilpotent), or they do not span R^2 (an
+    idempotent lies in R^2, so no word in S reaches it).
     """
-    chain = _chain_start(r) if r.rank else [Submodule(r, [])]
-    while not (chain[-1].is_zero() or (len(chain) > 1 and chain[-1] == chain[-2])):
-        basis = [b.coords for b in r.basis()]
-        products = [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]
-        chain.append(Submodule(r, products))
+    full = tuple(b.coords for b in r.basis())
+    if not full:
+        return (full,)
+    distinct = {tuple(sorted(v.items())): v for v in r.sc.values()}.values()
+    square = span(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
+    units = set()
+    for row in square:
+        lead = next(t for t, v in enumerate(row) if v)
+        if row[lead] == 1:
+            units.add(lead)
+    gens = [b for t, b in enumerate(full) if t not in units]
+    if len(gens) < r.rank and (words := _word_spans(r, gens)):
+        suffix = [()]
+        for w in reversed(words[1:]):
+            suffix.append(span(r, w, suffix[-1]) if suffix[-1] else w)
+        if suffix[-1] == square:
+            return (full, *reversed(suffix))
+    chain = [full, square]
+    while chain[-1] and chain[-1] != chain[-2]:
+        chain.append(span(r, [r.mul_coords(row, b) for row in chain[-1] for b in full]))
     return tuple(chain)
 
 
-def generated_subalgebra(r: Ring, elements) -> Submodule:
-    """Smallest coefficient-span closed under multiplication containing the
-    set: the sum of its word spans, which multiply by the set alone."""
-    words, _ = _word_spans(r, elements)
-    return Submodule(r, [row for w in words for row in w.rows])
-
-
-@dataclass
-class MinGenerators:
-    """Minimal generator count of a nilpotent ring and a generating set of that size."""
-
-    count: int
-    witness: tuple
+def generated_subalgebra(r: Ring, elements):
+    """The canonical rows of the subring the elements generate: their span,
+    grown by its products with the elements until they add nothing.  That
+    span holds every word in the elements and is closed under products with
+    them, so it is the sum of the words, which is closed under every
+    product."""
+    gens = [a.coords for a in elements]
+    rows = span(r, gens)
+    while (grown := span(r, [r.mul_coords(row, g) for row in rows for g in gens], rows)) != rows:
+        rows = grown
+    return rows
 
 
 @kept
-def min_generators(r: Ring) -> MinGenerators:
-    """Smallest size of a set generating the nilpotent ring r.
+def min_generators(r: Ring):
+    """A smallest set generating the nilpotent ring r, as a tuple of elements.
 
     A set S generates a nilpotent R exactly when S spans R modulo R^2:
     products land in R^2, and R = A + R^2 gives R = A + R^k for every k.
     So the count is rank - dim R^2 over a field and the largest
     dim_{F_p} R/(R^2 + pR) over the primes p | m over Z/mZ; no set can do
-    with fewer, since it must span each of these quotients.  The witness is
+    with fewer, since it must span each of these quotients.  The set is
     the basis vectors outside the pivot columns of R^2 (mod p; Nakayama's
     lemma covers Z/p^k).  When the primes of m disagree on those columns,
     the per-prime lists, padded with 0, are glued with CRT idempotents:
@@ -651,9 +610,9 @@ def min_generators(r: Ring) -> MinGenerators:
     once per ring and kept on it.
     """
     chain = power_chain(r)
-    if not chain[-1].is_zero():
+    if chain[-1]:
         raise ValueError("the generator count needs a nilpotent ring")
-    square = chain[1].rows if len(chain) > 1 else ()
+    square = chain[1] if len(chain) > 1 else ()
     if r.coeff.kind == ZMOD:
         parts = linalg.residue_pivots(square, r.rank, r.coeff.modulus)
     else:
@@ -664,7 +623,7 @@ def min_generators(r: Ring) -> MinGenerators:
     for e, cols in lists:
         for gen, t in zip(gens, cols):
             gen[t] += e
-    return MinGenerators(len(gens), tuple(r.element(g) for g in gens))
+    return tuple(r.element(g) for g in gens)
 
 
 def matrix_ring(r: Ring, n: int) -> Ring:

@@ -265,7 +265,7 @@ def _parse_fmap(entries, ring, graded):
         num, text = kv["rule"]
         if text != "auto":
             raise SpecFileError(f"unknown fmap rule {text!r}", num)
-        # derived by ``theorems.full_report``, under the caps of the run
+        # derived by ``theorems.full_report``, under the pair cap of the run
         return None
     raise SpecFileError(
         "[fmap] needs constant = <scalar>, rule = auto, or pair lines"

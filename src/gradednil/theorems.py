@@ -35,23 +35,16 @@ from .nil import (
 )
 from .ringcore import Ring, kept, matrix_ring, min_generators
 
+# The work limit recorded in every report: it bounds the pointwise factor
+# search over a finite domain (``scalar_f_search``).
+PAIR_CAP = 10**6
+
 
 class CheckStatus(str, Enum):
     PASS = "PASS"
     FAIL = "FAIL"
     NOT_APPLICABLE = "NOT_APPLICABLE"
     CAPPED = "CAPPED"
-
-
-@dataclass
-class Caps:
-    """Work limits, recorded in every report.  ``pair_cap`` bounds the
-    pointwise factor search over a finite domain (``scalar_f_search``)."""
-
-    pair_cap: int = 10**6
-
-    def to_dict(self):
-        return {"pair_cap": self.pair_cap}
 
 
 @dataclass
@@ -236,8 +229,7 @@ def _generator_nil_index(r):
     """Largest nil index of the generators ``min_generators`` picks, 1 for
     none; the caller has proved ``r`` nilpotent, so each generator's index
     is PROVED."""
-    return max((element_nil_index(g).index for g in min_generators(r).witness),
-               default=1)
+    return max((element_nil_index(g).index for g in min_generators(r)), default=1)
 
 
 def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
@@ -252,12 +244,12 @@ def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
         return check
     # a ring with a bounded nil index is nilpotent, so ndv is PROVED
     ndv = nilpotency_index(r)
-    mg = min_generators(r)
-    n, s = mg.count, _generator_nil_index(r)
+    gens = min_generators(r)
+    n, s = len(gens), _generator_nil_index(r)
     check.details["generators"] = n
     check.details["generator_nil_index"] = s
     check.bound = [s, (s - 1) * n + 1]
-    check.witnesses["generators"] = mg.witness
+    check.witnesses["generators"] = gens
     return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= (s - 1) * n + 1)
 
 
@@ -282,8 +274,7 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     ndv = nilpotency_index(gr.ring)
     if not ndv.proved:
         return _judge_nilpotency(check, ndv, None)
-    mg = min_generators(m0)
-    n, s = mg.count, _generator_nil_index(m0)
+    n, s = len(min_generators(m0)), _generator_nil_index(m0)
     check.details.update(
         {"generators": n, "generator_nil_index": s, "support_size": d}
     )
@@ -455,7 +446,7 @@ def verify_homogeneous_power_vanishing(gr: GradedRing) -> TheoremCheck:
 
 
 def verify_quotient_grading_transfer(
-    gr: GradedRing, cong: Congruence | None, caps=Caps()
+    gr: GradedRing, cong: Congruence | None, pair_cap=PAIR_CAP
 ) -> TheoremCheck:
     """C3.04: rerun the zero-neutral bound, the f-commutative transfer, and
     the nilpotent-neutral bounds on the grading induced by a congruence;
@@ -473,7 +464,7 @@ def verify_quotient_grading_transfer(
     except (CancellativityError, CongruenceError) as exc:
         return _na(check, f"induced grading rejected: {exc}")
     check.details["induced_support_size"] = len(support(induced))
-    f, _ = _derive_fmap(induced, caps)
+    f, _ = _derive_fmap(induced, pair_cap)
     if f is not None:
         check.details["derived_factor"] = f.label
     sub = {
@@ -508,14 +499,14 @@ def verify_quotient_grading_transfer(
 @dataclass
 class VerifierReport:
     checks: list
-    caps: Caps
+    pair_cap: int
     timings: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def to_dict(self):
         return {
             "checks": [c.to_dict() for c in self.checks],
-            "caps": self.caps.to_dict(),
+            "caps": {"pair_cap": self.pair_cap},
             "timings": {k: round(v, 6) for k, v in self.timings.items()},
             "notes": list(self.notes),
         }
@@ -533,11 +524,11 @@ class VerifierReport:
             lines.append(" ".join(bits))
         for note in self.notes:
             lines.append(f"note: {note}")
-        lines.append(f"caps: {self.caps.to_dict()}")
+        lines.append(f"caps: {dict(pair_cap=self.pair_cap)}")
         return "\n".join(lines)
 
 
-def _derive_fmap(gr: GradedRing, caps):
+def _derive_fmap(gr: GradedRing, pair_cap):
     """The scalar factor search on the neutral component, used when the
     caller supplies no commutation factor.
 
@@ -548,7 +539,7 @@ def _derive_fmap(gr: GradedRing, caps):
     m0, _ = neutral_ring(gr)
     if m0.rank == 0:
         return None, "the neutral component is zero"
-    fmap, witness = scalar_f_search(m0, pair_cap=caps.pair_cap)
+    fmap, witness = scalar_f_search(m0, pair_cap=pair_cap)
     if fmap is not None:
         return fmap, None
     if witness is not None:
@@ -562,14 +553,14 @@ def _derive_fmap(gr: GradedRing, caps):
     count = m0.element_count()
     return None, (
         f"pair search capped: {count}^2 pairs of the neutral component "
-        f"exceed pair_cap {caps.pair_cap}"
+        f"exceed pair_cap {pair_cap}"
     )
 
 
 def full_report(
     gr: GradedRing,
     f: FMap | None = None,
-    caps: Caps | None = None,
+    pair_cap: int = PAIR_CAP,
     congruence: Congruence | None = None,
     only: str | None = None,
 ) -> VerifierReport:
@@ -578,14 +569,13 @@ def full_report(
 
     The supplied commutation factor pertains to the neutral component; when
     none is given (a spec without ``[fmap]``, or with ``rule = auto``) one is
-    derived here by ``scalar_f_search``, under ``caps``.
+    derived here by ``scalar_f_search``, under ``pair_cap``.
     Ring-level checks (T3.19, T3.26, T3.29-REDUCTION) run on the neutral
     component ring.
     """
-    caps = caps or Caps()
     notes = []
     if f is None:
-        f, why = _derive_fmap(gr, caps)
+        f, why = _derive_fmap(gr, pair_cap)
         if f is not None:
             notes.append(f"commutation factor derived automatically: {f.label}")
         else:
@@ -595,7 +585,7 @@ def full_report(
     # module globals when it runs, so a wrapper installed on that name sees
     # every call.
     registry = {
-        "C3.04": lambda: verify_quotient_grading_transfer(gr, congruence, caps),
+        "C3.04": lambda: verify_quotient_grading_transfer(gr, congruence, pair_cap),
         "C3.28": lambda: verify_product_length_vanishing(gr),
         "P3.03": lambda: verify_empty_neutral_bound(gr),
         "P3.17": lambda: verify_index2_char_bound(gr),
@@ -615,4 +605,4 @@ def full_report(
         t0 = time.monotonic()
         checks.append(registry[name]())
         timings[name] = time.monotonic() - t0
-    return VerifierReport(checks, caps, timings, notes)
+    return VerifierReport(checks, pair_cap, timings, notes)

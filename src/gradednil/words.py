@@ -101,6 +101,8 @@ def block_degrees(w: DegreeWord, dec: Decomposition):
 def _check_split_args(r, supp, n):
     if r <= 1:
         raise ValueError("split needs r > 1")
+    if not supp:
+        raise ValueError("split needs a nonempty support")
     if n != r * len(supp):
         raise ValueError(f"word length {n} is not r*d = {r}*{len(supp)}")
 
@@ -128,8 +130,9 @@ def neutral_split(w: DegreeWord, r: int, supp):
     some contiguous subproduct leaves the support, else the cuts at the
     first r prefixes of neutral degree, if r have it, or at the first r+1 of
     the most frequent other degree (the smallest on a tie), whose quotients
-    are neutral by left cancellation.  Raises ``SplitInternalError`` if that
-    dichotomy fails or a block is not neutral.
+    are neutral by left cancellation.  Raises ``ValueError`` on an empty
+    support, r <= 1 or a length other than r*d, and ``SplitInternalError``
+    if that dichotomy fails or a block is not neutral.
     """
     args, head = _one_word(w, r, supp)
     return _split_batch(*args)(head).verdict(0)
@@ -487,8 +490,8 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     after another are those of ``itertools.product(monoid.elements(),
     repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
     words whose verdicts equal ``neutral_split`` and
-    ``neutral_split_bruteforce`` on each word.  Raises ``ValueError`` when
-    n >= 63 or size**n is past int64.
+    ``neutral_split_bruteforce`` on each word.  Raises ``ValueError`` on an
+    empty support, r <= 1, n >= 63 or size**n past int64.
     """
     size = len(monoid.elements())
     supp = set(supp)

@@ -215,7 +215,7 @@ def test_criterion_08_index2_bound():
     chk = verify_index2_char_bound(gr)
     ok = (
         s.proved and s.index == 2
-        and chain[-1].is_zero() and len(chain) <= 3
+        and not chain[-1] and len(chain) <= 3
         and chk.status == CheckStatus.PASS
         and chk.bound == 3 and chk.observed == 3
     )

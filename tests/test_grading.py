@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from rings import cyclic_group_ring
 
 from gradednil.grading import (
     CancellativityError,
@@ -16,7 +17,7 @@ from gradednil.grading import (
     trivial_grading,
 )
 from gradednil.monoid import Congruence, Monoid
-from gradednil.ringcore import Ring, Submodule, fp, matrix_ring, zmod
+from gradednil.ringcore import Ring, fp, matrix_ring, span, zmod
 from gradednil.zoo import (
     grassmann_star,
     sut,
@@ -26,13 +27,6 @@ from gradednil.zoo import (
 )
 
 from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
-
-
-def cyclic_group_ring(dom, n):
-    """Basis t_0..t_{n-1} with t_i t_j = t_{(i+j) mod n}, graded over Z_n."""
-    sc = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
-    ring = Ring(dom, [f"t{i}" for i in range(n)], sc)
-    return GradedRing(ring, Monoid.cyclic(n), list(range(n)))
 
 
 def test_sut3_support():
@@ -57,8 +51,8 @@ def test_elementary_grading_of_m2_f2():
 def test_component_spans():
     gr = sut(3, fp(2))
     assert component_indices(gr, 1) == [0, 2] and component_indices(gr, 2) == [1]
-    c1 = Submodule(gr.ring, [gr.ring.basis_element(t) for t in component_indices(gr, 1)])
-    assert c1.rows == ((1, 0, 0), (0, 0, 1))  # span{E12, E23}
+    c1 = span(gr.ring, [gr.ring.basis_element(t).coords for t in component_indices(gr, 1)])
+    assert c1 == ((1, 0, 0), (0, 0, 1))  # span{E12, E23}
     assert component_indices(gr, 0) == []
 
 

@@ -46,10 +46,10 @@ def test_howell_membership_matches_bruteforce(m, _seed, rows):
 def test_rref_membership_matches_bruteforce(p, rows):
     # over F_p the additive span is the linear span
     ncols, dom = 3, fp(p)
-    form = rref(rows, ncols, dom)
+    form = rref(rows, dom)
     span = brute_span(rows, ncols, p)
     for vec in itertools.product(range(p), repeat=ncols):
-        assert (rref([list(vec)], ncols, dom, form) == form) == (vec in span)
+        assert (rref([list(vec)], dom, form) == form) == (vec in span)
 
 
 @given(
@@ -62,13 +62,13 @@ def test_rref_membership_over_q_matches_rank(rows, halves):
     # the candidates are small vectors and a combination of the rows with
     # coefficients in (1/2)Z, always a member
     ncols, dom = 3, rat()
-    form = rref(rows, ncols, dom)
+    form = rref(rows, dom)
     rank = np.linalg.matrix_rank(np.array(rows + [[0] * ncols], dtype=float))
     member = [sum((Fraction(c, 2) * row[k] for c, row in zip(halves, rows)), Fraction(0))
               for k in range(ncols)]
     for vec in itertools.chain(itertools.product(range(-1, 2), repeat=ncols), [member]):
         grown = np.linalg.matrix_rank(np.array(rows + [list(vec)], dtype=float))
-        assert (rref([list(vec)], ncols, dom, form) == form) == (grown == rank)
+        assert (rref([list(vec)], dom, form) == form) == (grown == rank)
 
 
 @given(
@@ -97,23 +97,23 @@ def test_howell_pivots_divide_modulus():
 
 def test_rref_over_f2():
     dom = fp(2)
-    form = rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3, dom)
+    form = rref([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dom)
     assert form == ((1, 0, 1), (0, 1, 1))
-    assert rref([[1, 1, 0]], 3, dom, form) == form
-    assert rref([[0, 0, 1]], 3, dom, form) != form
+    assert rref([[1, 1, 0]], dom, form) == form
+    assert rref([[0, 0, 1]], dom, form) != form
 
 
 def test_rref_over_q_is_canonical():
     dom = rat()
-    a = rref([[2, 4], [1, 3]], 2, dom)
-    b = rref([[1, 2], [0, 1], [3, 7]], 2, dom)
+    a = rref([[2, 4], [1, 3]], dom)
+    b = rref([[1, 2], [0, 1], [3, 7]], dom)
     assert a == b == ((1, 0), (0, 1))
 
 
 def test_empty_and_zero_rows():
     assert howell([], 3, 6) == ()
     assert howell([[0, 0, 0]], 3, 6) == ()
-    assert rref([[0, 0]], 2, rat()) == ()
+    assert rref([[0, 0]], rat()) == ()
 
 
 @given(
@@ -127,7 +127,7 @@ def test_rref_ignores_zero_rows(dom, rows, slots):
     mixed = list(rows)
     for slot in slots:
         mixed.insert(slot % (len(mixed) + 1), [dom.zero()] * ncols)
-    assert rref(mixed, ncols, dom) == rref(rows, ncols, dom)
+    assert rref(mixed, dom) == rref(rows, dom)
 
 
 def rref_reference(rows, ncols, dom):
@@ -184,15 +184,15 @@ def field_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_rref_matches_the_domain_method_reference(case):
     dom, ncols, rows = case
-    form = rref(rows, ncols, dom)
+    form = rref(rows, dom)
     ref = rref_reference(rows, ncols, dom)
     assert form == ref
     # the same entry types: ints over F_p, Fractions over Q
     assert [type(v) for row in form for v in row] == [type(v) for row in ref for v in row]
 
 
-def rref_pivots(rows, ncols, p):
-    return tuple(next(j for j, v in enumerate(row) if v) for row in rref(rows, ncols, fp(p)))
+def rref_pivots(rows, p):
+    return tuple(next(j for j, v in enumerate(row) if v) for row in rref(rows, fp(p)))
 
 
 @given(
@@ -208,7 +208,7 @@ def test_residue_pivots_match_rref_mod_each_prime(m, rows):
         [(e, pivots)] = [(e, piv) for e, piv in parts if e % p == 1]
         assert all(e2 % p == 0 for e2, _ in parts if e2 != e)
         assert e * e % m == e
-        assert pivots == rref_pivots(rows, 4, p)
+        assert pivots == rref_pivots(rows, p)
 
 
 @st.composite
@@ -222,7 +222,7 @@ def kept_and_new_rows(draw):
         entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5))
 
         def reduce(rows, form=()):
-            return rref(rows, ncols, dom, form)
+            return rref(rows, dom, form)
     else:
         m = {"fp 3": 3, "fp 2^61-1": 2**61 - 1, "z4": 4, "z12": 12, "z2^63-1": 2**63 - 1}[kind]
         entry = st.one_of(st.integers(0, 12), st.integers(0, m - 1))
@@ -230,7 +230,7 @@ def kept_and_new_rows(draw):
             dom = fp(m)
 
             def reduce(rows, form=()):
-                return rref(rows, ncols, dom, form)
+                return rref(rows, dom, form)
         else:
             def reduce(rows, form=()):
                 return howell(rows, ncols, m, form)

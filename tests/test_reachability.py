@@ -33,8 +33,6 @@ UNREAD = {
     ("fcomm.py", "check_f_commutative", "samples"): "bound by perfbench/layers.py",
     ("fcomm.py", "check_f_commutative", "pair_cap"): "bound by perfbench/layers.py",
     ("fcomm.py", "scalar_f_search", "samples"): "bound by perfbench/layers.py",
-    # ``rref`` keeps ``howell``'s signature, so ``Submodule`` calls either alike
-    ("linalg.py", "rref", "ncols"): "the signature of howell",
     # argparse's ``help`` is accepted so a table entry reads like add_argument
     ("cli.py", "_modelled", "help"): "accepted on purpose",
     # the verdict is R's at every n; ROADMAP direction 16 will read n

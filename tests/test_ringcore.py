@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from rings import idempotent_ring, zero_product_ring
 
 from gradednil import ringcore
-from gradednil.nil import _index_bound
 from gradednil.ringcore import (
     AssociativityError,
     Ring,
     RingMismatchError,
-    Submodule,
+    _index_bound,
     fp,
     generated_subalgebra,
     matrix_ring,
@@ -20,6 +20,7 @@ from gradednil.ringcore import (
     parse_domain,
     power_chain,
     rat,
+    span,
     zmod,
 )
 from gradednil.zoo import (
@@ -29,14 +30,6 @@ from gradednil.zoo import (
     truncated_poly_positive,
     two_z_2k,
 )
-
-
-def zero_product_ring(dom, rank):
-    return Ring(dom, [f"b{t}" for t in range(rank)], {})
-
-
-def idempotent_ring(dom):
-    return Ring(dom, ["b"], {(0, 0): {0: 1}})
 
 
 def test_domain_parsing_and_validation():
@@ -176,33 +169,28 @@ def test_power_chain_sut3():
     chain = power_chain(r)
     assert len(chain) == 3
     assert len(chain[0]) == 3
-    assert chain[1].rows == ((0, 1, 0),)  # span{E13}
-    assert chain[2].is_zero()
+    assert chain[1] == ((0, 1, 0),)  # span{E13}
+    assert chain[2] == ()
 
 
 def test_power_chain_two_z8():
     chain = power_chain(two_z_2k(3))
-    assert [list(s.rows) for s in chain] == [[(1,)], [(2,)], []]
+    assert chain == (((1,),), ((2,),), ())
 
 
 def test_power_chain_stabilizes_on_idempotent():
     chain = power_chain(idempotent_ring(fp(3)))
     assert len(chain) == 2
-    assert chain[0] == chain[1]
-    assert not chain[-1].is_zero()
+    assert chain[0] == chain[1] != ()
 
 
 def reference_power_chain(r):
-    """The power chain recomputed from scratch, kept nowhere, as rows."""
+    """The power chain recomputed from scratch, kept nowhere."""
     basis = [b.coords for b in r.basis()]
-    chain = [Submodule(r, basis)]
-    while not chain[-1].is_zero() and (len(chain) == 1 or chain[-1] != chain[-2]):
-        chain.append(Submodule(r, [r.mul_coords(row, b) for row in chain[-1].rows for b in basis]))
-    return [s.rows for s in chain]
-
-
-def chain_rows(r):
-    return [s.rows for s in power_chain(r)]
+    chain = [span(r, basis)]
+    while chain[-1] and (len(chain) == 1 or chain[-1] != chain[-2]):
+        chain.append(span(r, [r.mul_coords(row, b) for row in chain[-1] for b in basis]))
+    return tuple(chain)
 
 
 def plus_idempotent(r):
@@ -213,42 +201,63 @@ def plus_idempotent(r):
     return Ring(r.coeff, list(r.names) + ["e"], sc)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Ring(fp(2), [], {}),
-    lambda: zero_product_ring(fp(3), 2),
-    lambda: two_z_2k(3),
-    lambda: sut(4, fp(2)).ring,
-    lambda: idempotent_ring(fp(3)),
-    lambda: Ring(zmod(3**6), ["b"], {(0, 0): {0: 3**6 - 3}}),
-    lambda: grassmann_star(2, rat()).ring,
-    lambda: matrix_ring(idempotent_ring(fp(2)), 2),
-    lambda: plus_idempotent(sut(3, fp(2)).ring),
+def idempotent_beside_poly(dom, n):
+    """a^2 = b and ab = ba = b^2 = b beside the truncated polynomials x, ...,
+    x^(n-1): not nilpotent.  R^2 = span(b, x^2, ..., x^(n-1)) leaves
+    S = {a, x}, whose word spans W_k = span(b, x^k) reach span(b) at k = n
+    and repeat it."""
+    poly = truncated_poly_positive(n, dom).ring
+    sc = {(i, j): {1: 1} for i in (0, 1) for j in (0, 1)}
+    for (i, j), terms in poly.sc.items():
+        sc[(i + 2, j + 2)] = {k + 2: c for k, c in terms.items()}
+    return Ring(dom, ["a", "b", *poly.names], sc)
+
+
+@pytest.mark.parametrize("make, products", [
+    (lambda: Ring(fp(2), [], {}), None),
+    (lambda: zero_product_ring(fp(3), 2), None),
+    (lambda: two_z_2k(3), None),
+    (lambda: sut(4, fp(2)).ring, None),
+    (lambda: idempotent_ring(fp(3)), None),
+    (lambda: Ring(zmod(3**6), ["b"], {(0, 0): {0: 3**6 - 3}}), None),
+    (lambda: grassmann_star(2, rat()).ring, None),
+    (lambda: matrix_ring(idempotent_ring(fp(2)), 2), None),
+    (lambda: plus_idempotent(sut(3, fp(2)).ring), None),
     # R^2 = span(2b) has the non-unit Howell pivot 2, so b stays a generator
-    lambda: Ring(zmod(4), ["a", "b"], {(0, 0): {1: 2}}),
-    lambda: Ring(zmod(6), ["b"], {(0, 0): {0: 2}}),
+    (lambda: Ring(zmod(4), ["a", "b"], {(0, 0): {1: 2}}), None),
+    (lambda: Ring(zmod(6), ["b"], {(0, 0): {0: 2}}), None),
     # R^2 = span(b, 2c) has the unit pivot b, so S = {a, c}; W_3 = span(2c)
-    # lies in W_1, so the words close nonzero, yet the ring is nilpotent
-    lambda: Ring(zmod(4), ["a", "b", "c"], {(0, 0): {1: 1}, (0, 1): {2: 2}, (1, 0): {2: 2}}),
-    # zoo rings whose chains come from word spans, the closure and suffix
-    # sums extended rather than rebuilt
-    lambda: truncated_nagata(3, 3),
-    lambda: matrix_ring(truncated_nagata(2, 3), 2),
-    lambda: sut(5, fp(2)).ring,
-    lambda: sut(4, zmod(6)).ring,
-    lambda: grassmann_star(3, fp(5)).ring,
-    lambda: truncated_poly_positive(6, zmod(8)).ring,
-    lambda: two_z_2k(5),
-    lambda: matrix_ring(two_z_2k(3), 2),
+    # lies in W_1, but W_4 = 0 and W_2 + W_3 = R^2, so the chain is the
+    # suffix sums: 8 products, where growing from R^2 by the basis takes 9
+    (lambda: Ring(zmod(4), ["a", "b", "c"], {(0, 0): {1: 1}, (0, 1): {2: 2}, (1, 0): {2: 2}}),
+     8),
+    # the words stop at their first repeat, span(b) at length 11; run on to
+    # _index_bound = 683 lengths they take over 1,300 more products
+    (lambda: idempotent_beside_poly(zmod(2**62 - 1), 10), 540),
+    # zoo rings whose chains come from word spans, the suffix sums extended
+    # rather than rebuilt
+    (lambda: truncated_nagata(3, 3), None),
+    (lambda: matrix_ring(truncated_nagata(2, 3), 2), None),
+    (lambda: sut(5, fp(2)).ring, None),
+    (lambda: sut(4, zmod(6)).ring, None),
+    (lambda: grassmann_star(3, fp(5)).ring, None),
+    (lambda: truncated_poly_positive(6, zmod(8)).ring, None),
+    (lambda: two_z_2k(5), None),
+    (lambda: matrix_ring(two_z_2k(3), 2), None),
 ], ids=["rank0", "zero-f3", "2z8", "sut4", "idempotent", "z3^6", "grassmann2-q",
-        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-close",
-        "nagata33", "m2-nagata23", "sut5-f2", "sut4-z6", "grassmann3-f5", "poly6-z8", "2z32",
-        "m2-2z8"])
-def test_power_chain_memo_matches_reference_at_every_cap(make):
-    # the chain has no cap; the one kept on the ring is read on every later call
+        "m2-f2", "sut3+idempotent", "z4-howell-pivot", "z6-2b", "z4-words-vanish",
+        "idempotent-beside-poly10", "nagata33", "m2-nagata23", "sut5-f2", "sut4-z6",
+        "grassmann3-f5", "poly6-z8", "2z32", "m2-2z8"])
+def test_power_chain_memo_matches_reference_at_every_cap(make, products, monkeypatch):
+    # the chain has no cap; the one kept on the ring is read on every later
+    # call; ``products`` bounds the Ring.mul_coords calls the chain makes
     r = make()
     want = reference_power_chain(make())
-    assert chain_rows(r) == want
-    assert chain_rows(r) == want
+    mul, calls = Ring.mul_coords, []
+    monkeypatch.setattr(Ring, "mul_coords", lambda *args: calls.append(1) or mul(*args))
+    assert power_chain(r) == want
+    assert power_chain(r) == want
+    assert products is None or len(calls) <= products, len(calls)
 
 
 @pytest.mark.parametrize("make, dims", [
@@ -259,58 +268,54 @@ def test_power_chain_dimensions_of_m2_nagata(make, dims):
     assert [len(s) for s in power_chain(make())] == dims
 
 
-def test_submodule_membership_over_zmod():
+def test_span_membership_over_zmod():
     r = matrix_ring(two_z_2k(3), 2)
     b = r.basis_element(0)
-    sub = Submodule(r, [b + b])
-    # x lies in sub exactly when extending sub's canonical form by x keeps it
-    assert Submodule(r, [b + b], sub.rows) == sub
-    assert Submodule(r, [b], sub.rows) != sub
+    rows = span(r, [(b + b).coords])
+    # x lies in a span exactly when extending its canonical rows by x keeps them
+    assert span(r, [(b + b).coords], rows) == rows
+    assert span(r, [b.coords], rows) != rows
+
+
+def full_span(r):
+    return span(r, [b.coords for b in r.basis()])
 
 
 def test_generated_subalgebra_two_z8():
     r = two_z_2k(3)
     closure = generated_subalgebra(r, [r.basis_element(0)])
-    assert closure == Submodule(r, r.basis())
+    assert closure == full_span(r)
 
 
 def test_generated_subalgebra_checks_every_row_of_a_word_span():
     # a^2 = a and ab = ac = c: W_2 = span(a, c) leads with a, which lies in
     # W_1 = span(a, b), while c does not
     r = Ring(fp(2), ["a", "b", "c"], {(0, 0): {0: 1}, (0, 1): {2: 1}, (0, 2): {2: 1}})
-    assert generated_subalgebra(r, r.basis()[:2]) == Submodule(r, r.basis())
+    assert generated_subalgebra(r, r.basis()[:2]) == full_span(r)
 
 
 def test_min_generators_two_z8():
-    res = min_generators(two_z_2k(3))
-    assert res.count == 1
-    assert res.witness[0].coords == (1,)
+    assert [g.coords for g in min_generators(two_z_2k(3))] == [(1,)]
 
 
 def test_min_generators_zero_product_rank2():
-    res = min_generators(zero_product_ring(fp(2), 2))
-    assert res.count == 2
+    assert len(min_generators(zero_product_ring(fp(2), 2))) == 2
 
 
 def test_min_generators_sut3():
-    res = min_generators(sut(3, fp(2)).ring)
-    assert res.count == 2
-    names = {repr(w) for w in res.witness}
-    assert names == {"E12", "E23"}
+    assert {repr(g) for g in min_generators(sut(3, fp(2)).ring)} == {"E12", "E23"}
 
 
 def test_min_generators_rank0():
-    res = min_generators(Ring(fp(2), [], {}))
-    assert res.count == 0
+    assert min_generators(Ring(fp(2), [], {})) == ()
 
 
 def test_min_generators_grassmann2_over_q():
     # e1 e2 spans R^2, so e1 and e2 generate; over Q no subset search can run
     r = grassmann_star(2, rat()).ring
-    res = min_generators(r)
-    assert res.count == 2
-    assert {repr(w) for w in res.witness} == {"e1", "e2"}
-    assert generated_subalgebra(r, res.witness) == Submodule(r, r.basis())
+    gens = min_generators(r)
+    assert {repr(g) for g in gens} == {"e1", "e2"}
+    assert generated_subalgebra(r, gens) == full_span(r)
 
 
 def test_min_generators_rejects_a_ring_that_is_not_nilpotent():
@@ -325,7 +330,7 @@ def exhaustive_min_generators_reference(r, elem_cap=4096, combo_cap=2000):
     Returns (count, witness), or None when the element count passes
     ``elem_cap`` or ``combo_cap`` subsets were tried without an answer.
     """
-    full = Submodule(r, r.basis())
+    full = full_span(r)
     if r.rank == 0:
         return 0, ()
     n_elems = r.element_count()
@@ -396,7 +401,7 @@ CHAIN_DOMAINS = (zmod(4), zmod(6), zmod(8), zmod(9), fp(2), fp(3), rat(), zmod(2
 @given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()))
 @settings(max_examples=150, deadline=None)
 def test_power_chain_matches_reference(r):
-    assert chain_rows(r) == reference_power_chain(r)
+    assert power_chain(r) == reference_power_chain(r)
 
 
 @st.composite
@@ -431,24 +436,23 @@ def test_generated_subalgebra_matches_reference(r, data):
 
 def reference_generated_subalgebra(r, elements):
     """Close the span under all products of its generators until it stops growing."""
-    span = Submodule(r, list(elements))
+    rows = span(r, [a.coords for a in elements])
     while True:
-        gens = [r.element(row) for row in span.rows]
-        bigger = Submodule(r, gens + [a * b for a in gens for b in gens])
-        if bigger == span:
-            return span
-        span = bigger
+        gens = [r.element(row) for row in rows]
+        bigger = span(r, [a.coords for a in gens] + [(a * b).coords for a in gens for b in gens])
+        if bigger == rows:
+            return rows
+        rows = bigger
 
 
 @given(nilpotent_rings())
 @settings(max_examples=60, deadline=None)
 def test_min_generators_matches_exhaustive_reference(r):
-    res = min_generators(r)
-    assert len(res.witness) == res.count
-    assert generated_subalgebra(r, res.witness) == Submodule(r, r.basis())
+    gens = min_generators(r)
+    assert generated_subalgebra(r, gens) == full_span(r)
     ref = exhaustive_min_generators_reference(r)
     if ref is not None:
-        assert res.count == ref[0]
+        assert len(gens) == ref[0]
 
 
 @pytest.mark.parametrize("make", [
@@ -461,7 +465,7 @@ def test_min_generators_matches_exhaustive_reference(r):
 ], ids=["sut3", "2z8", "2z16", "grassmann2-f3", "zero-f2", "rank2-z12"])
 def test_min_generators_matches_reference_on_zoo_rings(make):
     r = make()
-    assert min_generators(r).count == exhaustive_min_generators_reference(r)[0]
+    assert len(min_generators(r)) == exhaustive_min_generators_reference(r)[0]
 
 
 def two_prime_ring(p, q):
@@ -472,10 +476,10 @@ def two_prime_ring(p, q):
 @pytest.mark.parametrize("p, q", [(2, 3), (2**61 - 1, 2**31 - 1)], ids=["z6", "z-large"])
 def test_min_generators_glues_primes_with_crt_idempotents(p, q):
     r = two_prime_ring(p, q)
-    full = Submodule(r, r.basis())
-    res = min_generators(r)
-    assert res.count == len(res.witness) == 3
-    assert generated_subalgebra(r, res.witness) == full
+    full = full_span(r)
+    gens = min_generators(r)
+    assert len(gens) == 3
+    assert generated_subalgebra(r, gens) == full
     # basis vectors alone need all four
     assert not any(generated_subalgebra(r, combo) == full
                    for combo in itertools.combinations(r.basis(), 3))

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
+from rings import cyclic_group_ring, idempotent_ring, zero_product_ring
 
 from gradednil import theorems
 from gradednil.fcomm import FMap, scalar_f_search
@@ -8,7 +9,6 @@ from gradednil.monoid import Congruence, Monoid
 from gradednil.nil import bounded_nil_index_auto, nil_bounded_index, nilpotency_index
 from gradednil.ringcore import Ring, facts, fp, matrix_ring, min_generators, power_chain, rat, zmod
 from gradednil.theorems import (
-    Caps,
     CheckStatus,
     full_report,
     geometric_support_sum,
@@ -29,22 +29,6 @@ from gradednil.theorems import (
 from gradednil.zoo import grassmann_star, sut, truncated_nagata, truncated_poly_positive, two_z_2k
 
 from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
-
-CAPS = Caps()
-
-
-def idempotent_ring(dom):
-    return Ring(dom, ["b"], {(0, 0): {0: 1}})
-
-
-def zero_product_ring(dom, rank):
-    return Ring(dom, [f"b{t}" for t in range(rank)], {})
-
-
-def cyclic_group_ring(dom, n):
-    sc = {(i, j): {(i + j) % n: 1} for i in range(n) for j in range(n)}
-    ring = Ring(dom, [f"t{i}" for i in range(n)], sc)
-    return GradedRing(ring, Monoid.cyclic(n), list(range(n)))
 
 
 def derived_factor(ring):
@@ -371,7 +355,7 @@ def test_quotient_transfer_zero_neutral_class():
     ring = Ring(fp(2), ["a", "c"], {})
     gr = GradedRing(ring, Monoid.cyclic(4), [1, 3])
     cong = Congruence(gr.monoid, [[0, 2], [1, 3]])
-    chk = verify_quotient_grading_transfer(gr, cong, CAPS)
+    chk = verify_quotient_grading_transfer(gr, cong)
     assert chk.status == CheckStatus.PASS
     assert chk.details["sub_checks"]["P3.03"] == "PASS"
     assert chk.details["induced_support_size"] == 1
@@ -380,7 +364,7 @@ def test_quotient_transfer_zero_neutral_class():
 def test_quotient_transfer_all_in_one_class():
     gr = cyclic_group_ring(fp(2), 4)
     cong = Congruence(gr.monoid, [[0, 1, 2, 3]])
-    chk = verify_quotient_grading_transfer(gr, cong, CAPS)
+    chk = verify_quotient_grading_transfer(gr, cong)
     # the ring has an identity element, so nothing nil applies, but the
     # nilpotent-iff equivalence must hold and nothing may FAIL
     assert chk.status in (CheckStatus.NOT_APPLICABLE, CheckStatus.PASS)
@@ -393,7 +377,7 @@ def test_quotient_transfer_non_cancellative_quotient_not_applicable():
     m = Monoid.from_table([[0, 1], [1, 1]])
     ring = Ring(fp(2), ["a", "b"], {(0, 0): {0: 1}, (1, 1): {1: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}})
     gr = GradedRing(ring, m, [0, 1], check=False)
-    chk = verify_quotient_grading_transfer(gr, Congruence(m, [[0], [1]]), CAPS)
+    chk = verify_quotient_grading_transfer(gr, Congruence(m, [[0], [1]]))
     assert chk.status == CheckStatus.NOT_APPLICABLE
     assert chk.reason == "induced grading rejected: quotient monoid is not left cancellative"
 
@@ -406,13 +390,13 @@ def test_quotient_transfer_lets_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(theorems, "induced_quotient_grading", broken)
     gr = cyclic_group_ring(fp(2), 4)
     with pytest.raises(RuntimeError, match="bug in the induced grading"):
-        verify_quotient_grading_transfer(gr, Congruence(gr.monoid, [[0, 2], [1, 3]]), CAPS)
+        verify_quotient_grading_transfer(gr, Congruence(gr.monoid, [[0, 2], [1, 3]]))
 
 
 def test_quotient_transfer_identity_congruence():
     gr = cyclic_group_ring(fp(2), 4)
     cong = Congruence(gr.monoid, [[0], [1], [2], [3]])
-    chk = verify_quotient_grading_transfer(gr, cong, CAPS)
+    chk = verify_quotient_grading_transfer(gr, cong)
     assert chk.details["induced_support_size"] == 4
 
 
@@ -481,7 +465,7 @@ def test_t319_and_t320_power_each_generator_once(monkeypatch):
     gr = elementary_grading(two_z_2k(3), 2)
     checks = {c.id: c for c in full_report(gr).checks}
     assert checks["T3.19"].status == checks["T3.20"].status == CheckStatus.PASS
-    assert len(calls) == len(set(calls)) == min_generators(neutral_ring(gr)[0]).count == 2
+    assert len(calls) == len(set(calls)) == len(min_generators(neutral_ring(gr)[0])) == 2
 
 
 def test_full_report_serializes():

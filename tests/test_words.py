@@ -327,6 +327,15 @@ def test_exhaustive_walk_rejects_int_add_and_small_r():
         next(exhaustive_splits(Z2, 1, {0, 1}))
 
 
+def test_split_rejects_an_empty_support():
+    # the empty word has length r*0, but an empty support is an input error,
+    # not the implementation bug SplitInternalError marks
+    with pytest.raises(ValueError, match="nonempty support"):
+        words_module.neutral_split(DegreeWord(Z2, ()), 2, set())
+    with pytest.raises(ValueError, match="nonempty support"):
+        exhaustive_splits(Z2, 2, set())
+
+
 def test_degree_word_names_the_first_bad_letter():
     with pytest.raises(ValueError, match="degree 3 is not a monoid element"):
         DegreeWord(Z3, (0, 3, 1.0))
