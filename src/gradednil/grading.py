@@ -30,11 +30,10 @@ class CancellativityError(ValueError):
 class GradedRing:
     """A ring together with a degree map on its basis."""
 
-    def __init__(self, ring: Ring, monoid: Monoid, degrees, check=True, note=None):
+    def __init__(self, ring: Ring, monoid: Monoid, degrees, check=True):
         self.ring = ring
         self.monoid = monoid
         self.degrees = tuple(degrees)
-        self.note = note
         if len(self.degrees) != ring.rank:
             raise ValueError(
                 f"need {ring.rank} degrees, got {len(self.degrees)}"

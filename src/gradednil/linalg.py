@@ -48,8 +48,9 @@ def _unit_lift(a, m):
 
 
 def _lead(row):
-    """Column of the first nonzero entry of a nonzero row."""
-    return row.index(next(filter(None, row)))
+    """Column of the first nonzero entry of ``row``, None for a zero row."""
+    v = next(filter(None, row), None)
+    return None if v is None else row.index(v)
 
 
 def howell(rows, ncols, m, form=()):
@@ -67,21 +68,15 @@ def howell(rows, ncols, m, form=()):
         return tuple(form)
     pivots = {_lead(row): list(row) for row in form}  # leading column -> row
 
-    def leading(row):
-        for j, v in enumerate(row):
-            if v:
-                return j
-        return None
-
     def push_annihilator(row, work):
-        ann = m // math.gcd(row[leading(row)], m)
+        ann = m // math.gcd(row[_lead(row)], m)
         if ann != 1:
             work.append([(ann * v) % m for v in row])
 
     work = [[v % m for v in row] for row in rows]
     while work:
         row = work.pop()
-        j = leading(row)
+        j = _lead(row)
         while j is not None:
             if j not in pivots:
                 pivots[j] = row
@@ -101,7 +96,7 @@ def howell(rows, ncols, m, form=()):
             else:
                 q = b // a
                 row = [(row[t] - q * piv[t]) % m for t in range(ncols)]
-            j = leading(row)
+            j = _lead(row)
 
     # Normalize pivots to divisors of m, then reduce entries above each pivot
     # into 0..pivot-1, walking pivot columns left to right so that later
@@ -151,7 +146,7 @@ def rref(rows, dom, form=()):
         for j, prow in pivots.items():
             if row[j]:
                 row = axpy(row, row[j], prow)
-        lead = next((j for j, v in enumerate(row) if v), None)
+        lead = _lead(row)
         if lead is None:
             continue
         if row[lead] != 1:

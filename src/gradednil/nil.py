@@ -6,11 +6,10 @@ decides whether a ring is nil.  R^d = 0 proves the ring and each
 homogeneous component nil.  A chain that stabilizes at R^k = R^(k+1) != 0
 refutes it, and the expansion below names the witness: ``_component_nil``
 on the whole basis, a point x with x^N != 0 for N the bound
-``_index_bound`` that every nilpotent element meets.  Per component,
-P3.31's degree walk decides: a walk of g that leaves the support kills
-x^l, and one that reaches e kills x^(k_g d_e) when R_e^(d_e) = 0.  A degree
-whose walk reaches a non-nilpotent R_e takes the same expansion, with
-variables on its own basis only.
+``_index_bound`` that every nilpotent element meets.  Per component of a
+ring that is not nilpotent, one rule decides: a P3.31 degree walk of g that
+leaves the support kills x^l, and every other component, e included, takes
+the same expansion with variables on its own basis only.
 
 The bounded nil index comes from the powers of a general element
 x = sum_j t_j b_j in commuting indeterminates, kept as flat sparse entries
@@ -33,7 +32,7 @@ powers of each support degree and reads the verdict off the grading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -129,13 +128,6 @@ class SymbolicInternalError(RuntimeError):
     theorem make both impossible, so either indicates an implementation bug."""
 
 
-def kernel_dtype(r: Ring):
-    """The dtype of ``r``'s structure table constants: int64 when every
-    coordinate's sum of reduced terms stays below 2^63, else object (see
-    ``Ring.table``)."""
-    return np.int64 if r.table().const.dtype == np.int64 else object
-
-
 def _general_powers(r: Ring, last, positions=None):
     """Yield x, x^2, ..., x^last of the general element x = sum_j t_j b_j,
     with j over the basis ``positions`` (all by default), stopping after the
@@ -158,18 +150,18 @@ def _general_powers(r: Ring, last, positions=None):
     positions meets no variable, so it is left out.  The step has no memory
     budget: its working set is entries x constants per coordinate.
 
-    Coefficients use ``kernel_dtype``.  c c' is reduced mod m before it is
-    scaled by a, and reduced again after; a is below m, since I_j >= m makes
-    I_j! = 0 mod m and drops the entry.  So every summand is below m, and a
-    merge group (I, k) takes at most two per constant with target k: with
-    t such constants its sum is at most 2 t (m - 1), within the
-    t (m - 1)^2 < 2^63 that ``kernel_dtype`` checks once m >= 3, and far
-    below 2^63 at m = 2.
+    Coefficients take the dtype of the table's constants.  c c' is reduced
+    mod m before it is scaled by a, and reduced again after; a is below m,
+    since I_j >= m makes I_j! = 0 mod m and drops the entry.  So every
+    summand is below m, and a merge group (I, k) takes at most two per
+    constant with target k: with t such constants its sum is at most
+    2 t (m - 1), within the t (m - 1)^2 < 2^63 that ``Ring.table`` checks
+    once m >= 3, and far below 2^63 at m = 2.
     """
     dom, rank = r.coeff, r.rank
     m = dom.modulus
-    dtype = kernel_dtype(r)
     left, right, target, const = r.table()
+    dtype = const.dtype
     positions = np.arange(rank) if positions is None else np.asarray(positions)
     if len(positions) < rank:
         on = np.isin(right, positions)
@@ -295,13 +287,15 @@ def nil_bounded_index(
     )
 
 
+@kept
 def _component_nil(r: Ring, positions) -> NilVerdict:
     """PROVED at the first empty power of the general element of the span of
     the basis ``positions``, with its index, or REFUTED by the first
     ``_witness`` point of a power that is not nilpotent, every nilpotent
     element having x^N = 0 for N = ``_index_bound``.  The point of a
     surviving x^N is one, and trying each power's point stops a span that is
-    not nil before its terms grow to degree N."""
+    not nil before its terms grow to degree N.  The verdict is kept on the
+    ring under the tuple ``positions``."""
     n = _index_bound(r)
     for s, (mono, _, coef) in enumerate(_general_powers(r, n, positions), 1):
         if not len(coef):
@@ -333,12 +327,12 @@ def nilpotency_index(r: Ring) -> NilVerdict:
     """Smallest d with all length-d products zero, from the power chain.  A
     chain that stabilizes at R^k = R^(k+1) != 0 is REFUTED, with the witness
     of ``_component_nil`` on the whole basis, an x with x^N != 0 for N =
-    ``_index_bound``.  The verdict is kept on the ring, so a REFUTED one's
-    witness is expanded once."""
+    ``_index_bound``.  Both verdicts are kept on the ring, so a REFUTED
+    one's witness is expanded once."""
     chain = power_chain(r)
     if not chain[-1]:
         return NilVerdict(Status.PROVED, index=len(chain))
-    v = _component_nil(r, range(r.rank))
+    v = _component_nil(r, tuple(range(r.rank)))
     if v.proved:
         raise SymbolicInternalError(
             f"R^{len(chain) - 1} = R^{len(chain)} != 0, but the expansion "
@@ -352,14 +346,13 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP):
     """Nil verdict for each homogeneous component, keyed by degree.
 
     When the power chain reaches zero every component is PROVED nil.
-    Otherwise P3.31's degree walk decides.  A walk of g that leaves the
-    support after l steps puts x^l in a zero component.  One that reaches e
-    after k_g steps puts x^(k_g) in R_e, so x^(k_g d_e) = 0 when
-    R_e^(d_e) = 0.  Degree e of a neutral ring that is not nilpotent takes
-    ``ring_is_nil`` of that ring.  A degree g != e whose walk reaches it
-    takes ``_component_nil``, the expansion on its own basis: PROVED with
-    its index, or REFUTED by a point that is not nilpotent.  Nothing is
-    enumerated, so ``elem_cap`` is unused; it stays because
+    Otherwise one rule decides each support degree g.  A P3.31 degree walk
+    of g that leaves the support after l steps puts x^l in a zero
+    component.  Every other component, e included, takes
+    ``_component_nil``, the expansion on its own basis: PROVED with its
+    index, or REFUTED by a point that is not nilpotent.  No walk reaches a
+    nilpotent R_e here: by T3.18 a nilpotent R_e makes R nilpotent.
+    Nothing is enumerated, so ``elem_cap`` is unused; it stays because
     ``perfbench/layers.py`` binds it by name.
     """
     r = gr.ring
@@ -367,28 +360,13 @@ def s_nil_check(gr: GradedRing, elem_cap=DEFAULT_ELEM_CAP):
     if nd.proved:
         note = f"power chain: R^{nd.index} = 0"
         return {g: NilVerdict(Status.PROVED, note=note) for g in sorted(support(gr))}
-    m0, idx0 = neutral_ring(gr)
-    nd0 = nilpotency_index(m0)
     out = {}
     for g, (_, end, length) in _degree_walks(gr).items():
         if end is None:
             out[g] = NilVerdict(Status.PROVED,
                                 note=f"degree walk leaves the support: x^{length} = 0")
-        elif nd0.proved:
-            out[g] = NilVerdict(
-                Status.PROVED,
-                note=f"degree walk reaches e, R_e^{nd0.index} = 0: x^{length * nd0.index} = 0",
-            )
-        elif g == end:
-            # verdicts may be kept and shared: R's coordinates go on a new one
-            v = ring_is_nil(m0)
-            if v.witness is not None:
-                coords = np.zeros(r.rank, dtype=object)
-                coords[idx0] = v.witness.coords
-                v = replace(v, witness=r.element(coords))
-            out[g] = v
         else:
-            out[g] = _component_nil(r, component_indices(gr, g))
+            out[g] = _component_nil(r, tuple(component_indices(gr, g)))
     return out
 
 

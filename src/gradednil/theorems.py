@@ -74,15 +74,10 @@ class TheoremCheck:
 
 
 def _plain(v):
-    if isinstance(v, (int, str, bool, float, type(None))):
-        return v
+    """A ``details`` value, a scalar or a dict of them, with string keys."""
     if isinstance(v, dict):
         return {str(k): _plain(x) for k, x in v.items()}
-    if isinstance(v, set):
-        return [_plain(x) for x in sorted(v, key=repr)]
-    if isinstance(v, (list, tuple)):
-        return [_plain(x) for x in v]
-    return repr(v)
+    return v
 
 
 def geometric_support_sum(d: int) -> int:

@@ -59,7 +59,19 @@ def sut(n: int, domain: CoeffDomain) -> GradedRing:
     return GradedRing(ring, Monoid.int_add(), degrees)
 
 
-def truncated_nagata(k: int, p: int, rank_cap=4096) -> Ring:
+# The largest rank ``truncated_nagata`` and ``grassmann_star`` build.
+RANK_CAP = 4096
+
+
+def _check_rank(p, k):
+    """Refuse the rank p^k - 1 past ``RANK_CAP`` before anything is listed.
+    Every k with 2^k > RANK_CAP is past it, so p^k is formed only for a
+    small k."""
+    if k >= RANK_CAP.bit_length() or p**k - 1 > RANK_CAP:
+        raise ValueError(f"rank {p}^{k} - 1 exceeds cap {RANK_CAP}")
+
+
+def truncated_nagata(k: int, p: int) -> Ring:
     """Commutative ring on k generators with x_i^p = 0, over F_p.
 
     Basis: monomials with exponents below p and positive total degree, so
@@ -68,9 +80,8 @@ def truncated_nagata(k: int, p: int, rank_cap=4096) -> Ring:
     if k < 1:
         raise ValueError("need at least one generator")
     dom = fp(p)
+    _check_rank(p, k)
     monos = [e for e in itertools.product(range(p), repeat=k) if any(e)]
-    if len(monos) > rank_cap:
-        raise ValueError(f"rank {len(monos)} exceeds cap {rank_cap}")
     monos.sort(key=lambda e: (sum(e), e))
     index = {e: t for t, e in enumerate(monos)}
 
@@ -100,10 +111,12 @@ def grassmann_star(k: int, domain: CoeffDomain) -> GradedRing:
     """Exterior algebra on k generators without unit, graded by parity.
 
     Basis: wedge products over nonempty generator subsets, with the sign of
-    the shuffle; the even part is commutative and nil.
+    the shuffle; the even part is commutative and nil.  The rank is
+    2^k - 1.
     """
     if k < 1:
         raise ValueError("need at least one generator")
+    _check_rank(2, k)
     subsets = []
     for size in range(1, k + 1):
         subsets.extend(itertools.combinations(range(1, k + 1), size))

@@ -287,6 +287,19 @@ def test_cli_report_grassmann3_f5_lift_is_proved(tmp_path, capsys):
     assert code == 0
 
 
+def test_cli_report_refutes_a_supplied_constant_at_the_first_basis_pair(tmp_path, capsys):
+    # strictly upper triangular 3x3 matrices over F_5, trivially graded:
+    # E12*E23 = E13 but E23*E12 = 0, so the supplied constant 1 fails there
+    text = ("[ring]\ncoeff = fp 5\nrank = 3\nnames = E12 E13 E23\nsc = 0 2 1 1\n"
+            "[fmap]\nconstant = 1\n")
+    assert main(["report", _write(tmp_path, "sut3c1.spec", text), "--json"]) == 0
+    checks = {c["id"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for cid, where in (("T3.15", "neutral component "), ("T3.19", ""),
+                       ("T3.20", "neutral component "), ("T3.26", "")):
+        assert checks[cid]["status"] == "NOT_APPLICABLE", cid
+        assert checks[cid]["reason"] == f"{where}not f-commutative at (E12, E23)", cid
+
+
 def test_cli_analyze_idempotent_exits_1(tmp_path, capsys):
     text = "[ring]\ncoeff = fp 2\nrank = 1\nnames = b\nsc = 0 0 0 1\n"
     path = _write(tmp_path, "idem.spec", text)

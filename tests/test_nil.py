@@ -10,6 +10,7 @@ from rings import idempotent_ring, zero_product_ring
 from test_ringcore import nilpotent_rings
 
 from gradednil import nil
+from gradednil.cli import main
 from gradednil.grading import (
     GradedRing,
     component_indices,
@@ -26,7 +27,6 @@ from gradednil.nil import (
     bounded_nil_index_auto,
     element_nil_index,
     homogeneous_power_report,
-    kernel_dtype,
     nil_bounded_index,
     nilpotency_index,
     ring_is_nil,
@@ -61,12 +61,12 @@ def mul_rows(ring, A, B):
 
     ``A`` and ``B`` hold coordinate rows reduced mod m (entries in [0, m)),
     one row per element.  Each term is reduced as ((a_i * b_j) mod m) * c,
-    and the result has ``kernel_dtype(ring)``, which keeps every target's
-    sum of terms below 2^63 in int64.  Rows are taken ``_CHUNK`` at a time
-    and transposed per chunk, so columns are contiguous.
+    and the result has the dtype of the ring's table constants, which keeps
+    every target's sum of terms below 2^63 in int64.  Rows are taken
+    ``_CHUNK`` at a time and transposed per chunk, so columns are contiguous.
     """
     m = ring.coeff.size
-    dtype = kernel_dtype(ring)
+    dtype = ring.table().const.dtype
     A = np.asarray(A).astype(dtype, copy=False)
     B = np.asarray(B).astype(dtype, copy=False)
     out = np.empty(A.shape, dtype=dtype)
@@ -319,8 +319,9 @@ def test_s_nil_check_elementary_m2_f2_refutes_diagonal():
 
 def test_s_nil_check_leaves_the_neutral_verdict_in_its_own_coordinates():
     # F_2[C_2] graded by C_2: R_0 = F_2 t0 is idempotent, so degree 0 takes
-    # ring_is_nil of the neutral ring, with its witness moved into R's
-    # coordinates on a verdict of its own
+    # the expansion on its own basis, as every component does, with its
+    # witness in R's coordinates; the verdicts on the neutral ring stay in
+    # that ring's coordinates
     gr = GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1])
     m0, _ = neutral_ring(gr)
     first = s_nil_check(gr)
@@ -328,6 +329,24 @@ def test_s_nil_check_leaves_the_neutral_verdict_in_its_own_coordinates():
     assert s_nil_check(gr) == first
     for v in (ring_is_nil(m0), nilpotency_index(m0), bounded_nil_index_auto(m0)):
         assert v.witness.ring is m0 and v.witness.coords == (1,)
+
+
+def test_analyze_expands_a_trivially_graded_ring_once(tmp_path, monkeypatch):
+    # b^2 = b over F_3 beside x with bx = xb = x: not nilpotent, so the
+    # witness of nilpotency_index and the e component are one expansion
+    spec = tmp_path / "ex.spec"
+    spec.write_text("[ring]\ncoeff = fp 3\nrank = 2\nnames = b x\n"
+                    "sc = 0 0 0 1\nsc = 0 1 1 1\nsc = 1 0 1 1\n")
+    calls = []
+    expand = nil._general_powers
+
+    def counted(*args):
+        calls.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(nil, "_general_powers", counted)
+    assert main(["analyze", str(spec)]) == 1
+    assert len(calls) == 1
 
 
 def test_nilpotent_implies_bounded_implies_nil():
@@ -552,7 +571,7 @@ def monomial_powers(r, last):
     dom, rank = r.coeff, r.rank
     m = dom.modulus
     wrap = m if dom.kind == "fp" and m <= last else None
-    dtype = kernel_dtype(r) if dom.finite else object
+    dtype = r.table().const.dtype
 
     def merge(parts):
         exps = np.concatenate([e for e, _ in parts])
@@ -706,8 +725,8 @@ def test_kernel_dtype_follows_the_int64_bound():
         sc = {(0, j): {0: m - 1} for j in range(terms_on_b0)}
         return Ring(zmod(m), ["b0", "b1", "b2"], sc, check=False)
 
-    assert kernel_dtype(ring(2)) == np.int64
-    assert kernel_dtype(ring(3)) == object
+    assert ring(2).table().const.dtype == np.int64
+    assert ring(3).table().const.dtype == object
     top = np.full((3, 3), m - 1, dtype=np.int64)
     for t in (2, 3):
         expect = t * (m - 1) ** 3 % m
@@ -721,7 +740,7 @@ def test_scatter_in_int64_at_the_kernel_bound():
     p = 1073741789
     r = d4_ring()
     r = Ring(fp(p), r.names, {ij: {k: -1 for k in t} for ij, t in r.sc.items()})
-    assert kernel_dtype(r) is np.int64
+    assert r.table().const.dtype == np.int64
     assert_scatter_matches_dict_expansion(r, 4)
 
 
@@ -731,7 +750,7 @@ def test_scatter_reduces_before_scaling_by_the_exponent():
     # times a constant must be reduced before the exponent I_j scales it
     p = 1518500213
     r = Ring(fp(p), ["b0", "b1"], {(i, j): {1: -1} for i in (0, 1) for j in (0, 1)})
-    assert kernel_dtype(r) is np.int64
+    assert r.table().const.dtype == np.int64
     want = difference_tables(r, sym_powers_reference(r, 16), False, 16)
     assert difference_tables(r, scatter_dicts(r, 16), True, 16) == want
     v = nil_bounded_index(r, candidate=16)
@@ -1292,7 +1311,8 @@ def test_component_over_c2_has_the_rings_bounded_index(r):
 def test_component_over_q_reaching_a_non_nilpotent_neutral_part_is_proved():
     # nothing over Q is enumerable, so this component used to be CAPPED
     out = s_nil_check(idempotent_acting_on_square_zero(rat(), Monoid.cyclic(2)))
-    assert out[0].status == Status.REFUTED
+    assert out[0].status == Status.REFUTED and repr(out[0].witness) == "e"
+    assert out[0].note.startswith("symbolic expansion:")
     assert out[1].proved and out[1].index == 2
     assert out[1].note == "symbolic expansion: x^1 != 0 at x = x"
 
@@ -1407,7 +1427,7 @@ def test_every_refuted_nil_verdict_has_a_non_nilpotent_witness(r):
     assert not element_nil_index(v.witness).proved
     # the repeated-squaring reference agrees: the witness row, and some
     # element of a ring small enough to enumerate, is not nilpotent
-    row = np.array([v.witness.coords], dtype=kernel_dtype(r) if r.coeff.finite else object)
+    row = np.array([v.witness.coords], dtype=r.table().const.dtype)
     assert classify_all_nilpotent(r, row) == 0
     if r.coeff.finite and r.element_count() <= 4096:
         assert not enumerated_is_nil(r)

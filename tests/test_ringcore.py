@@ -34,6 +34,7 @@ from gradednil.zoo import (
 
 def test_domain_parsing_and_validation():
     assert parse_domain("zmod 6").label() == "zmod 6"
+    assert parse_domain("z6") == zmod(6)
     assert parse_domain("f5") == fp(5)
     assert parse_domain("q") == rat()
     with pytest.raises(ValueError):

@@ -243,6 +243,13 @@ def test_product_length_excludes_char3():
     assert chk.status == CheckStatus.NOT_APPLICABLE
 
 
+def test_product_length_needs_a_neutral_nil_index_in_2_to_4():
+    # x, ..., x^4 over Q, trivially graded: the neutral nil index is 5
+    chk = verify_product_length_vanishing(trivial_grading(truncated_poly_positive(5, rat()).ring))
+    assert chk.status == CheckStatus.NOT_APPLICABLE
+    assert chk.reason == "neutral nil index 5 outside {2,3,4}"
+
+
 def test_matrix_transfer_two_z8():
     r = two_z_2k(3)
     f = derived_factor(r)

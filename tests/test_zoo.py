@@ -1,11 +1,17 @@
+import time
+
 import pytest
 from test_nil import enum_bounded_index
+
+from gradednil.cli import main
 
 from gradednil.grading import component_indices, neutral_ring, support
 from gradednil.nil import nil_bounded_index, nilpotency_index, ring_is_nil
 from gradednil.ringcore import fp, rat
 from gradednil.zoo import (
     NON_CONSTRUCTIBLE,
+    RANK_CAP,
+    _check_rank,
     grassmann_star,
     sut,
     truncated_nagata,
@@ -135,3 +141,28 @@ def test_non_constructible_notes_exist():
     }
     for note in NON_CONSTRUCTIBLE.values():
         assert len(note) > 20
+
+
+@pytest.mark.parametrize("k", [40, 10**9])
+@pytest.mark.parametrize("argv", [["truncated-nagata", "--p", "2"],
+                                  ["grassmann-star", "--domain", "fp 2"]],
+                         ids=["truncated-nagata", "grassmann-star"])
+def test_zoo_refuses_a_rank_past_the_cap_before_building(argv, k, capsys):
+    # rank 2^k - 1 is compared with the cap before any basis is listed, and
+    # 2^k is not formed for a k this large
+    t0 = time.monotonic()
+    assert main(["zoo", *argv, "--k", str(k)]) == 3
+    assert time.monotonic() - t0 < 0.5
+    assert capsys.readouterr().err == f"error: rank 2^{k} - 1 exceeds cap {RANK_CAP}\n"
+
+
+def test_zoo_rank_cap_boundary():
+    # 3^7 - 1 = 2186 and 2^12 - 1 = 4095 are within the cap, 3^8 - 1 = 6560
+    # and 2^13 - 1 = 8191 past it
+    assert RANK_CAP == 4096
+    _check_rank(3, 7)
+    _check_rank(2, 12)
+    with pytest.raises(ValueError, match=r"rank 3\^8 - 1 exceeds cap 4096"):
+        truncated_nagata(8, 3)
+    with pytest.raises(ValueError, match=r"rank 2\^13 - 1 exceeds cap 4096"):
+        grassmann_star(13, fp(2))
