@@ -28,6 +28,10 @@ class FMapDomainError(KeyError):
 CONSTANT = "constant"
 SCALAR_RULE = "scalar-rule"
 
+# The work limit recorded in every report: it bounds the pointwise factor
+# search over a finite domain (``scalar_f_search``).
+PAIR_CAP = 10**6
+
 
 class FMap:
     """A pairwise commutation-factor map: one scalar for every pair, or one per pair."""
@@ -96,7 +100,7 @@ def _element_coords(ring):
     ]
 
 
-def check_f_commutative(r: Ring, f: FMap, pair_cap=10**6, samples=10**4) -> PairVerdict:
+def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> PairVerdict:
     """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
 
     A constant factor is decided on the structure constants over every
@@ -175,7 +179,7 @@ def _least_factor(dom, entries):
     return next(s for s in (1, m - 1, c) if (s - c) % step == 0)
 
 
-def scalar_f_search(r: Ring, pair_cap=10**6, samples=2000):
+def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
     """Scalars l with a*b = l*(b*a), one for all pairs or one per pair.
 
     Returns (FMap, None) on success, (None, witness_pair) when some pair

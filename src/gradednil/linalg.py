@@ -47,7 +47,7 @@ def _unit_lift(a, m):
     return u % m
 
 
-def _lead(row):
+def lead(row):
     """Column of the first nonzero entry of ``row``, None for a zero row."""
     v = next(filter(None, row), None)
     return None if v is None else row.index(v)
@@ -66,17 +66,17 @@ def howell(rows, ncols, m, form=()):
     """
     if not rows:
         return tuple(form)
-    pivots = {_lead(row): list(row) for row in form}  # leading column -> row
+    pivots = {lead(row): list(row) for row in form}  # leading column -> row
 
     def push_annihilator(row, work):
-        ann = m // math.gcd(row[_lead(row)], m)
+        ann = m // math.gcd(row[lead(row)], m)
         if ann != 1:
             work.append([(ann * v) % m for v in row])
 
     work = [[v % m for v in row] for row in rows]
     while work:
         row = work.pop()
-        j = _lead(row)
+        j = lead(row)
         while j is not None:
             if j not in pivots:
                 pivots[j] = row
@@ -96,7 +96,7 @@ def howell(rows, ncols, m, form=()):
             else:
                 q = b // a
                 row = [(row[t] - q * piv[t]) % m for t in range(ncols)]
-            j = _lead(row)
+            j = lead(row)
 
     # Normalize pivots to divisors of m, then reduce entries above each pivot
     # into 0..pivot-1, walking pivot columns left to right so that later
@@ -138,7 +138,7 @@ def rref(rows, dom, form=()):
             return [a - c * b for a, b in zip(row, prow)]
         return [(a - c * b) % p for a, b in zip(row, prow)]
 
-    pivots = {_lead(row): row for row in form}  # leading column -> row
+    pivots = {lead(row): row for row in form}  # leading column -> row
     for row in rows:
         if not any(row):
             continue
@@ -146,16 +146,16 @@ def rref(rows, dom, form=()):
         for j, prow in pivots.items():
             if row[j]:
                 row = axpy(row, row[j], prow)
-        lead = _lead(row)
-        if lead is None:
+        col = lead(row)
+        if col is None:
             continue
-        if row[lead] != 1:
-            inv = 1 / row[lead] if p is None else pow(row[lead], -1, p)
+        if row[col] != 1:
+            inv = 1 / row[col] if p is None else pow(row[col], -1, p)
             row = [v * inv for v in row] if p is None else [v * inv % p for v in row]
         for j, prow in pivots.items():
-            if prow[lead]:
-                pivots[j] = axpy(prow, prow[lead], row)
-        pivots[lead] = row
+            if prow[col]:
+                pivots[j] = axpy(prow, prow[col], row)
+        pivots[col] = row
     return tuple(tuple(pivots[j]) for j in sorted(pivots))
 
 

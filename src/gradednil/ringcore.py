@@ -563,7 +563,7 @@ def power_chain(r: Ring):
     square = span(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
     units = set()
     for row in square:
-        lead = next(t for t, v in enumerate(row) if v)
+        lead = linalg.lead(row)
         if row[lead] == 1:
             units.add(lead)
     gens = [b for t, b in enumerate(full) if t not in units]
@@ -617,7 +617,7 @@ def min_generators(r: Ring):
         parts = linalg.residue_pivots(square, r.rank, r.coeff.modulus)
     else:
         # the field rows are in rref: each pivot is its row's first nonzero
-        parts = [(1, [next(j for j, v in enumerate(row) if v) for row in square])]
+        parts = [(1, [linalg.lead(row) for row in square])]
     lists = [(e, [t for t in range(r.rank) if t not in pivots]) for e, pivots in parts]
     gens = [[0] * r.rank for _ in range(max(len(cols) for _, cols in lists))]
     for e, cols in lists:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .fcomm import FMap, check_f_commutative, lift_f_to_diagonal, scalar_f_search
+from .fcomm import PAIR_CAP, FMap, check_f_commutative, lift_f_to_diagonal, scalar_f_search
 from .grading import (
     CancellativityError,
     GradedRing,
@@ -33,11 +33,7 @@ from .nil import (
     nilpotency_index,
     ring_is_nil,
 )
-from .ringcore import Ring, kept, matrix_ring, min_generators
-
-# The work limit recorded in every report: it bounds the pointwise factor
-# search over a finite domain (``scalar_f_search``).
-PAIR_CAP = 10**6
+from .ringcore import Ring, kept, matrix_ring, min_generators, power_chain
 
 
 class CheckStatus(str, Enum):
@@ -51,13 +47,16 @@ class CheckStatus(str, Enum):
 class TheoremCheck:
     id: str
     anchor: str
-    applicable: bool
     reason: str = ""
     bound: object = None
     observed: object = None
     status: CheckStatus = CheckStatus.NOT_APPLICABLE
     witnesses: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
+
+    @property
+    def applicable(self):
+        return self.status != CheckStatus.NOT_APPLICABLE
 
     def to_dict(self):
         return {
@@ -69,15 +68,8 @@ class TheoremCheck:
             "observed": self.observed,
             "status": self.status.value,
             "witnesses": {k: repr(v) for k, v in self.witnesses.items()},
-            "details": {k: _plain(v) for k, v in self.details.items()},
+            "details": dict(self.details),
         }
-
-
-def _plain(v):
-    """A ``details`` value, a scalar or a dict of them, with string keys."""
-    if isinstance(v, dict):
-        return {str(k): _plain(x) for k, x in v.items()}
-    return v
 
 
 def geometric_support_sum(d: int) -> int:
@@ -102,19 +94,20 @@ def _fail(check, **witnesses):
 
 def _na(check, reason):
     check.status = CheckStatus.NOT_APPLICABLE
-    check.applicable = False
     check.reason = reason
     return check
 
 
-def _judge_nilpotency(check, ndv, holds, witness="non_nilpotent"):
+def _judge_nilpotency(check, ndv, witness="non_nilpotent"):
     """Observe the verdict ``ndv``, a nilpotency index unless ``witness``
-    names another: PASS or FAIL by ``holds(index)``; an unproved verdict
-    FAILs with its witness under the key ``witness``."""
+    names another, against the printed ``check.bound``: a number bounds the
+    index above (every index is at least 1), and [lo, hi] bounds it on both
+    sides.  An unproved verdict FAILs with its witness under ``witness``."""
     if not ndv.proved:
         return _fail(check, **{witness: ndv.witness})
     check.observed = ndv.index
-    check.status = CheckStatus.PASS if holds(ndv.index) else CheckStatus.FAIL
+    lo, hi = check.bound if isinstance(check.bound, list) else (1, check.bound)
+    check.status = CheckStatus.PASS if lo <= ndv.index <= hi else CheckStatus.FAIL
     return check
 
 
@@ -163,12 +156,10 @@ def _grading_data(gr: GradedRing):
 def verify_empty_neutral_bound(gr: GradedRing) -> TheoremCheck:
     """P3.03: zero neutral component forces nd <= d + 1."""
     d, m0 = _grading_data(gr)
-    check = TheoremCheck(
-        "P3.03", "neutral component zero: nd <= d+1", True, bound=d + 1
-    )
+    check = TheoremCheck("P3.03", "neutral component zero: nd <= d+1", bound=d + 1)
     if m0.rank != 0:
         return _na(check, "neutral component is nonzero")
-    return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
+    return _judge_nilpotency(check, nilpotency_index(gr.ring))
 
 
 def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
@@ -181,12 +172,11 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
         "T3.15",
         "neutral nil and commuting up to f: ring nil, "
         "nd_nil <= 2*s*d*(d+...+d^(2d))",
-        True,
     )
     if m0.rank == 0:
         check.bound = d + 1
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
-        return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
+        return _judge_nilpotency(check, nilpotency_index(gr.ring))
     fc = _f_commutative(check, m0, f, "neutral component ")
     if fc is None:
         return check
@@ -198,8 +188,7 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
     check.details["support_size"] = d
-    return _judge_nilpotency(check, bounded_nil_index_auto(gr.ring),
-                             lambda index: index <= check.bound, "non_nil")
+    return _judge_nilpotency(check, bounded_nil_index_auto(gr.ring), "non_nil")
 
 
 def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
@@ -207,16 +196,14 @@ def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
     d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "T3.18", "neutral nilpotent of index r: r <= nd <= d*r (r>1), nd <= d+1 (r=1)",
-        True,
     )
     rv = nilpotency_index(m0)
     if not rv.proved:
         return _na(check, "neutral component is not nilpotent")
     r = rv.index
-    lo, hi = (r, d + 1) if r == 1 else (r, d * r)
-    check.bound = [lo, hi]
+    check.bound = [r, d + 1 if r == 1 else d * r]
     check.details["neutral_nilpotency_index"] = r
-    return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: lo <= nd <= hi)
+    return _judge_nilpotency(check, nilpotency_index(gr.ring))
 
 
 @kept
@@ -230,9 +217,7 @@ def _generator_nil_index(r):
 def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
     """T3.19: a nil ring commuting up to f with n generators is nilpotent,
     s <= nd <= (s-1)*n + 1 with s the largest generator nil index."""
-    check = TheoremCheck(
-        "T3.19", "nil, f-commutative, n generators: s <= nd <= (s-1)*n+1", True
-    )
+    check = TheoremCheck("T3.19", "nil, f-commutative, n generators: s <= nd <= (s-1)*n+1")
     if not _nil_index(check, r, "ring is not nil").proved:
         return check
     if r.rank and _f_commutative(check, r, f) is None:
@@ -245,7 +230,7 @@ def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
     check.details["generator_nil_index"] = s
     check.bound = [s, (s - 1) * n + 1]
     check.witnesses["generators"] = gens
-    return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= (s - 1) * n + 1)
+    return _judge_nilpotency(check, ndv)
 
 
 def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
@@ -255,11 +240,10 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     check = TheoremCheck(
         "T3.20",
         "neutral nil, f-commutative, n generators: s <= nd <= d*((s-1)*n+1)",
-        True,
     )
     if m0.rank == 0:
         check.bound = [1, d + 1]
-        return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= d + 1)
+        return _judge_nilpotency(check, nilpotency_index(gr.ring))
     if f is None:  # not applicable, whatever the neutral nil index
         return _na(check, _NO_FACTOR)
     if not _nil_index(check, m0, "neutral component is not nil").proved:
@@ -268,13 +252,13 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
         return check
     ndv = nilpotency_index(gr.ring)
     if not ndv.proved:
-        return _judge_nilpotency(check, ndv, None)
+        return _judge_nilpotency(check, ndv)
     n, s = len(min_generators(m0)), _generator_nil_index(m0)
     check.details.update(
         {"generators": n, "generator_nil_index": s, "support_size": d}
     )
     check.bound = [s, d * ((s - 1) * n + 1)]
-    return _judge_nilpotency(check, ndv, lambda nd: s <= nd <= check.bound[1])
+    return _judge_nilpotency(check, ndv)
 
 
 def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
@@ -282,7 +266,7 @@ def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
     d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "P3.17", "neutral nil index 2, char != 2: cube of neutral part zero, nd <= 3d",
-        True, bound=3 * d,
+        bound=3 * d,
     )
     dom = gr.ring.coeff
     char = dom.char()
@@ -293,12 +277,13 @@ def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
         return check
     if sv.index != 2:
         return _na(check, f"neutral nil index is {sv.index}, not 2")
-    # R_e has a bounded nil index, so it is nilpotent and cube is PROVED
+    # R_e has a bounded nil index, so it is nilpotent and cube is PROVED;
+    # past index 3, the first row of R_e^3 (chain entry 2) is nonzero
     cube = nilpotency_index(m0)
     check.details["neutral_nilpotency_index"] = cube.index
     if cube.index > 3:
-        return _fail(check, neutral_cube_nonzero=cube.witness)
-    return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= 3 * d)
+        return _fail(check, neutral_cube_nonzero=m0.element(power_chain(m0)[2][0]))
+    return _judge_nilpotency(check, nilpotency_index(gr.ring))
 
 
 def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
@@ -311,7 +296,6 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
         "T3.24",
         "field scalars, neutral nil index s: nd <= d*(2^s-1) for char > s; "
         "nd <= d*q, q = 2^s-1 (s<=4) or s^2 (s>=5), for char 0; nd <= d+1 for s=1",
-        True,
     )
     dom = gr.ring.coeff
     if not dom.is_field:
@@ -331,7 +315,7 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
         check.bound = d * (2**s - 1)
     else:
         return _na(check, f"characteristic {p} is neither 0 nor > nil index {s}")
-    return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= check.bound)
+    return _judge_nilpotency(check, nilpotency_index(gr.ring))
 
 
 def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
@@ -340,7 +324,6 @@ def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
     d, m0 = _grading_data(gr)
     check = TheoremCheck(
         "C3.28", "products of length d*(2^s-1) vanish for s in {2,3,4}, char not 2 or 3",
-        True,
     )
     dom = gr.ring.coeff
     if not dom.is_field:
@@ -355,11 +338,10 @@ def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
     s = sv.index
     if s not in (2, 3, 4):
         return _na(check, f"neutral nil index {s} outside {{2,3,4}}")
-    length = d * (2**s - 1)
-    check.bound = length
-    # Nilpotency index <= length is exactly "every product of length
-    # `length` vanishes"; the power chain proves it.
-    return _judge_nilpotency(check, nilpotency_index(gr.ring), lambda nd: nd <= length)
+    check.bound = d * (2**s - 1)
+    # Nilpotency index <= the bound is exactly "every product of that
+    # length vanishes"; the power chain proves it.
+    return _judge_nilpotency(check, nilpotency_index(gr.ring))
 
 
 def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
@@ -371,9 +353,7 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     M_2(R^k), so M_2(R) has R's nilpotency index d, and the exact symbolic
     expansion of its bounded nil index up to d is checked against the bound.
     """
-    check = TheoremCheck(
-        "T3.26", "2x2 matrices over a nil f-commutative ring are nil", True
-    )
+    check = TheoremCheck("T3.26", "2x2 matrices over a nil f-commutative ring are nil")
     sv = _nil_index(check, r, "ring is not nil")
     if not sv.proved:
         return check
@@ -390,7 +370,7 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     check.bound = nil_index_bound(sv.index, 2)
     nd = nilpotency_index(r).index
     return _judge_nilpotency(check, nil_bounded_index(matrix_ring(r, 2), candidate=nd),
-                             lambda index: index <= check.bound, "non_nil_matrix")
+                             "non_nil_matrix")
 
 
 def verify_diagonal_power_reduction(r: Ring, n=2) -> TheoremCheck:
@@ -403,7 +383,6 @@ def verify_diagonal_power_reduction(r: Ring, n=2) -> TheoremCheck:
     check = TheoremCheck(
         "T3.29-REDUCTION",
         "diag(b_1..b_n)^s = diag(b_1^s..b_n^s); diagonal component nil iff base nil",
-        True,
     )
     base_nil = ring_is_nil(r)
     check.details["base_nil"] = base_nil.status.value
@@ -425,7 +404,6 @@ def verify_homogeneous_power_vanishing(gr: GradedRing) -> TheoremCheck:
         "P3.31",
         "per-degree products of k_g = min(o(g), d) factors vanish at the "
         "neutral nil index; k = lcm(k_g)",
-        True,
     )
     report = homogeneous_power_report(gr)
     if not report.applicable:
@@ -447,11 +425,7 @@ def verify_quotient_grading_transfer(
     the nilpotent-neutral bounds on the grading induced by a congruence;
     also check that the coarse neutral part is nilpotent iff the ring is.
     Without a congruence the check is not applicable."""
-    check = TheoremCheck(
-        "C3.04",
-        "checks transfer to the grading induced by a monoid congruence",
-        True,
-    )
+    check = TheoremCheck("C3.04", "checks transfer to the grading induced by a monoid congruence")
     if cong is None:
         return _na(check, "no congruence supplied")
     try:

@@ -38,6 +38,30 @@ def test_howell_membership_matches_bruteforce(m, _seed, rows):
         assert (howell([list(vec)], ncols, m, form) == form) == (vec in span)
 
 
+def test_howell_reemits_the_annihilator_of_an_improved_pivot():
+    # over Z/6, (2, 1) improves the pivot 4 of (4, 0) to 2 and leaves (0, 2);
+    # the improved pivot's annihilator multiple 3 * (2, 1) = (0, 3) then
+    # brings in (0, 1).  Without it the form is ((2, 1), (0, 2)), from which
+    # greedy reduction does not reach (0, 1)
+    assert howell([(2, 1), (4, 0)], 2, 6) == ((2, 0), (0, 1))
+
+
+@given(
+    st.sampled_from([6, 12, 18, 30, 36]),
+    st.lists(st.lists(st.integers(0, 35), min_size=2, max_size=2), max_size=4),
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_howell_membership_matches_bruteforce_over_two_primes(m, rows):
+    # a modulus with two distinct primes is where a pivot improves to a gcd
+    # that is not a prime power, and its annihilator matters; two columns
+    # keep the m^2 membership tests per draw cheap
+    ncols = 2
+    form = howell(rows, ncols, m)
+    span = brute_span(rows, ncols, m)
+    for vec in itertools.product(range(m), repeat=ncols):
+        assert (howell([list(vec)], ncols, m, form) == form) == (vec in span)
+
+
 @given(
     st.sampled_from([2, 3, 5]),
     st.lists(st.lists(st.integers(0, 11), min_size=3, max_size=3), max_size=4),

@@ -1,3 +1,5 @@
+from typing import Callable, NamedTuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from rings import cyclic_group_ring, idempotent_ring, zero_product_ring
@@ -6,7 +8,13 @@ from gradednil import theorems
 from gradednil.fcomm import FMap, scalar_f_search
 from gradednil.grading import GradedRing, elementary_grading, neutral_ring, trivial_grading
 from gradednil.monoid import Congruence, Monoid
-from gradednil.nil import bounded_nil_index_auto, nil_bounded_index, nilpotency_index
+from gradednil.nil import (
+    NilVerdict,
+    Status,
+    bounded_nil_index_auto,
+    nil_bounded_index,
+    nilpotency_index,
+)
 from gradednil.ringcore import Ring, facts, fp, matrix_ring, min_generators, power_chain, rat, zmod
 from gradednil.theorems import (
     CheckStatus,
@@ -505,3 +513,173 @@ def test_no_applicable_check_fails_across_examples():
         rep = full_report(gr)
         for chk in rep.checks:
             assert chk.status != CheckStatus.FAIL, (gr, chk.id, chk.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# Every check is judged by the bound it prints: a kept verdict seeded at the
+# bound PASSes, one past it (or one below an interval's lo) FAILs, and an
+# unproved verdict FAILs with its witness under the check's witness key.
+
+
+def _kept(fact, ring_of):
+    """Seeds the kept ``fact`` of the ring ``ring_of(obj)``."""
+    def seed(obj, verdict, monkeypatch):
+        facts(ring_of(obj))[(fact.__wrapped__,)] = verdict
+    return seed
+
+
+def _matrix_expansion(obj, verdict, monkeypatch):
+    # T3.26 builds M_2(R) afresh on every call, so its expansion is replaced
+    monkeypatch.setattr(theorems, "nil_bounded_index", lambda ring, candidate: verdict)
+
+
+def _whole(gr):
+    return gr.ring
+
+
+def _itself(r):
+    return r
+
+
+class Boundary(NamedTuple):
+    id: str
+    make: Callable  # a fresh graded ring, or ring, for the check
+    run: Callable  # the check on it
+    bound: object  # the bound it prints
+    seed: Callable  # (obj, verdict, monkeypatch): seeds the verdict it judges
+    witness: str  # the key of an unproved verdict's witness
+
+
+BOUNDARY = {
+    "P3.03 sut(5,F_2)": Boundary(
+        "P3.03", lambda: sut(5, fp(2)), verify_empty_neutral_bound, 5,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.15 grassmann(2,F_3)": Boundary(
+        "T3.15", lambda: grassmann_star(2, fp(3)),
+        lambda gr: verify_neutral_nil_fcomm_bound(gr, derived_factor(gr_neutral(gr))), 240,
+        _kept(bounded_nil_index_auto, _whole), "non_nil"),
+    "T3.15 zero neutral sut(4,F_2)": Boundary(
+        "T3.15", lambda: sut(4, fp(2)), lambda gr: verify_neutral_nil_fcomm_bound(gr, None), 4,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.18 M_2(2Z_8)": Boundary(
+        "T3.18", lambda: elementary_grading(two_z_2k(3), 2), verify_nilpotent_neutral_bounds,
+        [3, 6], _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.19 grassmann(2,F_3) ring": Boundary(
+        "T3.19", lambda: grassmann_star(2, fp(3)).ring,
+        lambda r: verify_generated_nil_ring_bound(r, derived_factor(r)), [2, 3],
+        _kept(nilpotency_index, _itself), "non_nilpotent"),
+    "T3.20 M_2(2Z_8)": Boundary(
+        "T3.20", lambda: elementary_grading(two_z_2k(3), 2),
+        lambda gr: verify_generated_neutral_bound(gr, derived_factor(gr_neutral(gr))), [3, 10],
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.20 zero neutral sut(4,F_2)": Boundary(
+        "T3.20", lambda: sut(4, fp(2)), lambda gr: verify_generated_neutral_bound(gr, None),
+        [1, 4], _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "P3.17 grassmann(2,F_3)": Boundary(
+        "P3.17", lambda: grassmann_star(2, fp(3)), verify_index2_char_bound, 6,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.24 char 0 grassmann(2,Q)": Boundary(
+        "T3.24", lambda: grassmann_star(2, rat()), verify_field_bounded_index_bound, 6,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.24 char p > s grassmann(2,F_5)": Boundary(
+        "T3.24", lambda: grassmann_star(2, fp(5)), verify_field_bounded_index_bound, 6,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.24 s = 1 sut(4,F_2)": Boundary(
+        "T3.24", lambda: sut(4, fp(2)), verify_field_bounded_index_bound, 4,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "C3.28 grassmann(2,F_5)": Boundary(
+        "C3.28", lambda: grassmann_star(2, fp(5)), verify_product_length_vanishing, 6,
+        _kept(nilpotency_index, _whole), "non_nilpotent"),
+    "T3.26 2Z_8": Boundary(
+        "T3.26", lambda: two_z_2k(3), lambda r: verify_matrix_nil_transfer(r, derived_factor(r)),
+        360, _matrix_expansion, "non_nil_matrix"),
+}
+
+# Both set PASS without comparing two independently computed values, so no
+# kept verdict makes them FAIL (ROADMAP direction 16).  C3.04 has no bound of
+# its own: it is judged by its sub-checks, tested below.
+CANNOT_FAIL = {
+    "T3.29-REDUCTION": "direction 16: reads one nil verdict for both sides",
+    "P3.31": "direction 16: proved by degrees, no index is compared",
+}
+
+
+def _boundary_seeds():
+    """(case, seeded index, expected status): at hi and one past it, and at
+    lo and one below it for an interval with lo > 1."""
+    for name, case in BOUNDARY.items():
+        lo, hi = case.bound if isinstance(case.bound, list) else (1, case.bound)
+        seeds = [(hi, CheckStatus.PASS), (hi + 1, CheckStatus.FAIL)]
+        if lo > 1:
+            seeds += [(lo, CheckStatus.PASS), (lo - 1, CheckStatus.FAIL)]
+        for index, status in seeds:
+            yield pytest.param(case, index, status, id=f"{name} at {index}")
+
+
+def test_the_boundary_cases_cover_the_registry():
+    registry = {c.id for c in full_report(sut(3, fp(2))).checks}
+    judged = {case.id for case in BOUNDARY.values()}
+    assert judged | set(CANNOT_FAIL) | {"C3.04"} == registry
+    assert not judged & set(CANNOT_FAIL)
+
+
+@pytest.mark.parametrize("case, index, status", _boundary_seeds())
+def test_every_bound_check_judges_the_bound_it_prints(case, index, status, monkeypatch):
+    obj = case.make()
+    chk = case.run(obj)  # keeps every other verdict the check reads
+    assert (chk.id, chk.status, chk.bound) == (case.id, CheckStatus.PASS, case.bound)
+    case.seed(obj, NilVerdict(Status.PROVED, index=index), monkeypatch)
+    chk = case.run(obj)
+    assert (chk.status, chk.bound, chk.observed) == (status, case.bound, index)
+
+
+@pytest.mark.parametrize("case", BOUNDARY.values(), ids=BOUNDARY)
+def test_every_bound_check_fails_an_unproved_verdict_under_its_witness_key(case, monkeypatch):
+    obj = case.make()
+    case.run(obj)
+    witness = object()
+    case.seed(obj, NilVerdict(Status.REFUTED, witness=witness), monkeypatch)
+    chk = case.run(obj)
+    assert chk.status == CheckStatus.FAIL and chk.applicable
+    assert chk.witnesses[case.witness] is witness
+
+
+@pytest.mark.parametrize("index, status", [(2, CheckStatus.PASS), (3, CheckStatus.FAIL)])
+def test_quotient_transfer_is_judged_by_its_sub_checks(index, status):
+    # the zero-neutral class of test_quotient_transfer_zero_neutral_class:
+    # the induced grading has support size 1, so P3.03 and T3.15 print the
+    # bound 2 and T3.18 prints [1, 2], all judged on the ring's own index
+    ring = Ring(fp(2), ["a", "c"], {})
+    gr = GradedRing(ring, Monoid.cyclic(4), [1, 3])
+    cong = Congruence(gr.monoid, [[0, 2], [1, 3]])
+    assert verify_quotient_grading_transfer(gr, cong).status == CheckStatus.PASS
+    facts(ring)[(nilpotency_index.__wrapped__,)] = NilVerdict(Status.PROVED, index=index)
+    chk = verify_quotient_grading_transfer(gr, cong)
+    assert chk.status == status
+    assert chk.details["sub_checks"] == dict.fromkeys(("P3.03", "T3.15", "T3.18"), status.value)
+
+
+@pytest.mark.parametrize("index", [3, 4])
+def test_index2_char_cube_fail_names_a_nonzero_cube(index):
+    # x, x^2, x^3 over F_5, trivially graded, with the bounded nil index of
+    # R_e = R seeded to 2: a neutral nilpotency index of 3 passes the cube
+    # test and its bound 3d = 3; at 4, R_e^3 = span{x^3} is nonzero and the
+    # FAIL names x^3
+    r = truncated_poly_positive(4, fp(5)).ring
+    facts(r)[(bounded_nil_index_auto.__wrapped__,)] = NilVerdict(Status.PROVED, index=2)
+    facts(r)[(nilpotency_index.__wrapped__,)] = NilVerdict(Status.PROVED, index=index)
+    chk = verify_index2_char_bound(trivial_grading(r))
+    assert chk.details["neutral_nilpotency_index"] == index
+    if index == 3:
+        assert (chk.status, chk.observed, chk.witnesses) == (CheckStatus.PASS, 3, {})
+    else:
+        assert chk.status == CheckStatus.FAIL
+        assert chk.witnesses == {"neutral_cube_nonzero": r.element((0, 0, 1))}
+        assert chk.to_dict()["witnesses"] == {"neutral_cube_nonzero": "x^3"}
+
+
+def test_applicable_is_read_off_the_status():
+    rep = full_report(grassmann_star(2, fp(3)))
+    for chk in rep.checks:
+        assert chk.applicable == (chk.status != CheckStatus.NOT_APPLICABLE)
+        assert chk.to_dict()["applicable"] == chk.applicable
