@@ -220,17 +220,19 @@ def _write_out(text, out):
 
 
 # name -> (constructor called on the parsed arguments, header formatted with them,
-# [fmap] mode); a built ring's note, when it has one, ends the spec
+# [fmap] mode, the zoo.NON_CONSTRUCTIBLE key whose entry ends the spec or None)
 ZOO = {
     "sut": (lambda a: zoo.sut(a.n, parse_domain(a.domain)),
-            "strictly upper triangular {n}x{n}", None),
+            "strictly upper triangular {n}x{n}", None, None),
     "truncated-nagata": (lambda a: zoo.truncated_nagata(a.k, a.p),
-                         "truncated commutative nil ring, {k} generators mod {p}", None),
+                         "truncated commutative nil ring, {k} generators mod {p}", None,
+                         "nagata-union"),
     "grassmann-star": (lambda a: zoo.grassmann_star(a.k, parse_domain(a.domain)),
-                       "unitless exterior algebra on {k} generators", "auto"),
-    "two-z-2k": (lambda a: zoo.two_z_2k(a.k), "even residues modulo 2^{k}", "constant 1"),
+                       "unitless exterior algebra on {k} generators", "auto", "full-grassmann"),
+    "two-z-2k": (lambda a: zoo.two_z_2k(a.k), "even residues modulo 2^{k}", "constant 1", None),
     "truncated-poly": (lambda a: zoo.truncated_poly_positive(a.n, parse_domain(a.domain)),
-                       "positive-degree polynomials truncated at x^{n}", None),
+                       "positive-degree polynomials truncated at x^{n}", None,
+                       "positive-polynomials"),
 }
 
 
@@ -243,18 +245,18 @@ def cmd_zoo(args):
         return EXIT_OK
     if name not in ZOO:
         raise SystemExit(_input_error(f"unknown zoo ring {args.name!r}"))
-    build, header, fmap_mode = ZOO[name]
+    build, header, fmap_mode, note = ZOO[name]
     try:
         built = build(args)
     except Exception as exc:
         raise SystemExit(_input_error(str(exc)))
     header = header.format(**vars(args))
     if isinstance(built, GradedRing):
-        ring, text = built.ring, specfile.emit_graded(built, fmap_mode, header)
+        text = specfile.emit_graded(built, fmap_mode, header)
     else:
-        ring, text = built, specfile.emit_spec(built, fmap_mode=fmap_mode, header=header)
-    if ring.note:
-        text += f"# note: {ring.note}\n"
+        text = specfile.emit_spec(built, fmap_mode=fmap_mode, header=header)
+    if note:
+        text += f"# note: {zoo.NON_CONSTRUCTIBLE[note]}\n"
     _write_out(text, args.out)
     return EXIT_OK
 

@@ -5,7 +5,9 @@ coefficient domain, acting on the ring by scalar multiplication; the pair
 commutes up to f when a*b equals f(a, b) times b*a.  Scalar multiplication
 obeys both action laws in every algebra over a commutative ring, so a factor
 needs no check of its own.  A constant factor is decided on the structure
-constants alone (see ``_basis_certificate``).
+constants alone (see ``_basis_certificate``).  Every rule about a factor is
+kept here: ``FMap.from_rule`` checks that a pair table covers every pair, and
+``scalar_f_search`` says why it found no factor.
 The diagonal lift onto the neutral component of a 2x2 matrix grading needs no
 machinery of its own: that component is R x R, so the lift holds exactly when
 the check on R does (see ``lift_f_to_diagonal``).
@@ -21,64 +23,50 @@ from .nil import Status
 from .ringcore import Ring
 
 
-class FMapDomainError(KeyError):
-    """A pairwise rule was queried at a pair it does not cover."""
-
-
-CONSTANT = "constant"
-SCALAR_RULE = "scalar-rule"
-
 # The work limit recorded in every report: it bounds the pointwise factor
 # search over a finite domain (``scalar_f_search``).
 PAIR_CAP = 10**6
 
 
 class FMap:
-    """A pairwise commutation-factor map: one scalar for every pair, or one per pair."""
+    """A commutation factor: one scalar ``value`` for every pair, or a pair
+    table ``rule`` with one scalar per pair of coordinate tuples."""
 
-    def __init__(self, kind, value=None, rule=None, label=""):
-        self.kind = kind
+    def __init__(self, value=None, rule=None, label=""):
         self.value = value
         self.rule = rule
         self.label = label
-        if kind == CONSTANT and value is None:
-            raise ValueError("constant map needs a value")
-        if kind == SCALAR_RULE and rule is None:
-            raise ValueError("rule map needs a pair table")
 
     @classmethod
     def constant(cls, value):
-        return cls(CONSTANT, value=value, label=f"constant {value}")
+        return cls(value=value, label=f"constant {value}")
 
     @classmethod
-    def from_rule(cls, rule, label="pointwise scalar rule"):
-        return cls(SCALAR_RULE, rule=dict(rule), label=label)
-
-    def at_coords(self, ca, cb):
-        if self.kind == CONSTANT:
-            return self.value
-        try:
-            return self.rule[(ca, cb)]
-        except KeyError:
-            raise FMapDomainError(f"commutation factor undefined at ({ca}, {cb})")
+    def from_rule(cls, rule, ring, label="pointwise scalar rule"):
+        """The pair table ``rule`` on the finite ``ring``.  It must give a
+        scalar for every pair of elements: a ValueError names the first pair,
+        in product order, that it leaves out."""
+        rule = dict(rule)
+        pairs = itertools.product(_element_coords(ring), repeat=2)
+        missing = next((pair for pair in pairs if pair not in rule), None)
+        if missing is not None:
+            raise ValueError(
+                f"no scalar for the pair ({missing[0]}, {missing[1]}); over "
+                f"{ring.coeff.label()} every pair of elements needs one")
+        return cls(rule=rule, label=label)
 
     def is_constant(self):
-        return self.kind == CONSTANT
+        return self.rule is None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FMap)
-            and self.kind == other.kind
-            and self.value == other.value
-            and self.rule == other.rule
-        )
+        return isinstance(other, FMap) and (self.value, self.rule) == (other.value, other.rule)
 
     def __hash__(self):
         # every rule hashes alike, and __eq__ tells rules apart
-        return hash((self.kind, self.value))
+        return hash(self.value)
 
     def __repr__(self):
-        return f"FMap({self.label or self.kind})"
+        return f"FMap({self.label})"
 
 
 @dataclass
@@ -104,24 +92,19 @@ def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> P
     """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
 
     A constant factor is decided on the structure constants over every
-    domain (see ``_basis_certificate``).  A pointwise rule lists a factor for
-    every pair, which only a finite domain allows, so it is checked on all
-    pairs in product order; a pair it leaves out raises ``FMapDomainError``.
-    ``pair_cap`` and ``samples`` are unused; they stay because
-    ``perfbench/layers.py`` binds them by name.
+    domain (see ``_basis_certificate``).  A pair table gives a scalar for
+    every pair of a finite ring (``FMap.from_rule`` checks it), so it is
+    checked on all pairs in product order.  ``pair_cap`` and ``samples``
+    are unused; they stay because ``perfbench/layers.py`` binds them by name.
     """
     if f.is_constant():
         return _basis_certificate(r, f)
-    count = r.element_count()
-    if count is None:
-        raise FMapDomainError(
-            f"a pointwise rule cannot list every pair over {r.coeff.label()}")
     coords_list = _element_coords(r)
     for ca in coords_list:
         for cb in coords_list:
-            if not _pair_commutes(r, f.at_coords(ca, cb), ca, cb):
+            if not _pair_commutes(r, f.rule[ca, cb], ca, cb):
                 return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
-    return PairVerdict(Status.PROVED, note=f"exhaustive over {count}^2 pairs")
+    return PairVerdict(Status.PROVED, note=f"exhaustive over {len(coords_list)}^2 pairs")
 
 
 def _basis_certificate(r, f) -> PairVerdict:
@@ -182,10 +165,11 @@ def _least_factor(dom, entries):
 def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
     """Scalars l with a*b = l*(b*a), one for all pairs or one per pair.
 
-    Returns (FMap, None) on success, (None, witness_pair) when some pair
-    admits no scalar, or (None, None) when no factor is derived otherwise:
-    over a finite domain when enumeration exceeds the pair cap, checked
-    first, over the rationals when no constant holds.
+    Returns (FMap, None), or (None, why) with the reason no factor was
+    found, worded for the neutral component, where ``theorems`` searches:
+    over a finite domain, the count^2 element pairs exceed ``pair_cap``
+    (checked first) or some pair admits no scalar; over the rationals, no
+    constant holds.
 
     A constant l holds exactly when c(i, j) = l.c(j, i) for every basis
     pair (see ``_basis_certificate``), so it is solved from those rank^2
@@ -195,8 +179,9 @@ def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
     ``perfbench/layers.py`` binds it by name.
     """
     dom = r.coeff
-    if dom.finite and r.element_count() ** 2 > pair_cap:
-        return None, None
+    if dom.finite and (count := r.element_count()) ** 2 > pair_cap:
+        return None, (f"pair search capped: {count}^2 pairs of the neutral component "
+                      f"exceed pair_cap {pair_cap}")
     pairs = ((r.mul_basis(i, j), r.mul_basis(j, i))
              for i, j in itertools.product(range(r.rank), repeat=2))
     lam = _least_factor(dom, [(ab.get(k, 0), ba.get(k, 0))
@@ -204,16 +189,18 @@ def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
     if lam is not None:
         return FMap.constant(lam), None
     if not dom.finite:
-        return None, None
+        return None, ("no constant l has a*b = l*(b*a) for all a, b: 1 and -1 fail on "
+                      "the basis pairs, and no other constant can hold")
     coords_list = _element_coords(r)
     rule = {}
     for ca in coords_list:
         for cb in coords_list:
             lam = _least_factor(dom, list(zip(r.mul_coords(ca, cb), r.mul_coords(cb, ca))))
             if lam is None:
-                return None, (r.element(ca), r.element(cb))
+                a, b = r.element(ca), r.element(cb)
+                return None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
             rule[(ca, cb)] = lam
-    return FMap.from_rule(rule), None
+    return FMap.from_rule(rule, r), None
 
 
 def lift_f_to_diagonal(base: PairVerdict) -> PairVerdict:

@@ -77,7 +77,8 @@ def component_indices(gr: GradedRing, g):
 
 @kept
 def neutral_ring(gr: GradedRing):
-    """The degree-e component as a ring of its own, plus its basis indices.
+    """The degree-e component as a ring of its own; its basis is the basis
+    vectors of degree e, in order (``component_indices`` at the identity).
 
     Degree e is the only component guaranteed multiplicatively closed; the
     grading axiom makes the restricted structure constants well defined.
@@ -87,7 +88,7 @@ def neutral_ring(gr: GradedRing):
     """
     idx = component_indices(gr, gr.monoid.identity)
     if len(idx) == gr.ring.rank:
-        return gr.ring, idx
+        return gr.ring
     back = {t: a for a, t in enumerate(idx)}
     sc = {}
     for a, i in enumerate(idx):
@@ -96,7 +97,7 @@ def neutral_ring(gr: GradedRing):
             if entry:
                 sc[(a, b)] = entry
     names = [gr.ring.names[t] for t in idx]
-    return Ring(gr.ring.coeff, names, sc, check=False), idx
+    return Ring(gr.ring.coeff, names, sc, check=False)
 
 
 def induced_quotient_grading(gr: GradedRing, c: Congruence) -> GradedRing:

@@ -408,7 +408,7 @@ def homogeneous_power_report(gr: GradedRing) -> HomogeneousPowerReport:
     Each ``per_degree`` entry records the walk's ``product_degree`` (e, or
     None when it left the support) and ``length``; no tuple is multiplied.
     """
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero")
     sv = bounded_nil_index_auto(m0)

@@ -238,7 +238,7 @@ class Ring:
     ``check=False`` (used internally when it holds by construction).
     """
 
-    def __init__(self, coeff: CoeffDomain, names, sc, check=True, note=None):
+    def __init__(self, coeff: CoeffDomain, names, sc, check=True):
         self.coeff = coeff
         self.names = tuple(names)
         self.rank = len(self.names)
@@ -259,7 +259,6 @@ class Ring:
         self._left = {}
         for (i, j), terms in table.items():
             self._left.setdefault(i, []).append((j, tuple(terms.items())))
-        self.note = note
         if check:
             self._check_associativity()
 

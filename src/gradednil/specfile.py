@@ -34,7 +34,6 @@ errors carry the line number.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,15 +203,6 @@ def _parse_grading(entries, monoid, ring):
     return GradedRing(ring, monoid, degrees)
 
 
-def _first_missing_pair(rule, dom, rank):
-    """The first pair of coordinate tuples, in product order, that ``rule``
-    has no scalar for; it is among the first len(rule) + 1 pairs."""
-    for a in itertools.product(dom.elements(), repeat=rank):
-        for b in itertools.product(dom.elements(), repeat=rank):
-            if (a, b) not in rule:
-                return a, b
-
-
 def _parse_fmap(entries, ring, graded):
     forms = {}  # the first line of each form, in file order
     for num, key, _ in entries:
@@ -226,7 +216,7 @@ def _parse_fmap(entries, ring, graded):
     pair_lines = [(n, v) for n, k, v in entries if k == "pair"]
     target = ring
     if graded is not None:
-        target, _ = neutral_ring(graded)
+        target = neutral_ring(graded)
     if "constant" in kv:
         num, text = kv["constant"]
         value = _coeff_value(text, target.coeff, num)
@@ -254,13 +244,10 @@ def _parse_fmap(entries, ring, graded):
                 raise SpecFileError(f"pair ({ca}, {cb}) repeats line {first[ca, cb]}", num)
             first[ca, cb] = num
             rule[(ca, cb)] = dom.normalize(_coeff_value(parts[2][0], dom, num))
-        if len(rule) < dom.size ** (2 * target.rank):
-            a, b = _first_missing_pair(rule, dom, target.rank)
-            raise SpecFileError(
-                f"pair lines give no scalar for the pair ({a}, {b}); over "
-                f"{dom.label()} every pair of elements needs one", pair_lines[0][0],
-            )
-        return FMap.from_rule(rule, label="explicit pairwise rule")
+        try:
+            return FMap.from_rule(rule, target, label="explicit pairwise rule")
+        except ValueError as exc:
+            raise SpecFileError(f"pair lines give {exc}", pair_lines[0][0]) from None
     if "rule" in kv:
         num, text = kv["rule"]
         if text != "auto":

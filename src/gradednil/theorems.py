@@ -98,16 +98,26 @@ def _na(check, reason):
     return check
 
 
-def _judge_nilpotency(check, ndv, witness="non_nilpotent"):
-    """Observe the verdict ``ndv``, a nilpotency index unless ``witness``
-    names another, against the printed ``check.bound``: a number bounds the
-    index above (every index is at least 1), and [lo, hi] bounds it on both
-    sides.  An unproved verdict FAILs with its witness under ``witness``."""
+def _judge_nilpotency(check, ring, ndv, witness="non_nilpotent"):
+    """Observe the verdict ``ndv`` on ``ring``, a nilpotency index unless
+    ``witness`` names another (a bounded nil index), against the printed
+    ``check.bound``: a number bounds the index above (every index is at
+    least 1), and [lo, hi] bounds it on both sides.  A FAIL carries its
+    witness under ``witness``: an unproved verdict's own; past hi, a nonzero
+    element of R^hi (the first row of chain entry hi - 1) for a nilpotency
+    index, or an x with x^hi != 0 for a bounded nil index; below lo, the
+    verdict itself."""
     if not ndv.proved:
         return _fail(check, **{witness: ndv.witness})
     check.observed = ndv.index
     lo, hi = check.bound if isinstance(check.bound, list) else (1, check.bound)
     check.status = CheckStatus.PASS if lo <= ndv.index <= hi else CheckStatus.FAIL
+    if ndv.index > hi:
+        check.witnesses[witness] = (
+            ring.element(power_chain(ring)[hi - 1][0]) if witness == "non_nilpotent"
+            else nil_bounded_index(ring, candidate=hi).witness)
+    elif ndv.index < lo:
+        check.witnesses[witness] = ndv
     return check
 
 
@@ -146,7 +156,7 @@ def _f_commutative(check, r, f, where=""):
 
 
 def _grading_data(gr: GradedRing):
-    return len(support(gr)), neutral_ring(gr)[0]
+    return len(support(gr)), neutral_ring(gr)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +169,7 @@ def verify_empty_neutral_bound(gr: GradedRing) -> TheoremCheck:
     check = TheoremCheck("P3.03", "neutral component zero: nd <= d+1", bound=d + 1)
     if m0.rank != 0:
         return _na(check, "neutral component is nonzero")
-    return _judge_nilpotency(check, nilpotency_index(gr.ring))
+    return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
 
 
 def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
@@ -176,7 +186,7 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     if m0.rank == 0:
         check.bound = d + 1
         check.details["path"] = "zero neutral component, nd <= d+1 applies"
-        return _judge_nilpotency(check, nilpotency_index(gr.ring))
+        return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
     fc = _f_commutative(check, m0, f, "neutral component ")
     if fc is None:
         return check
@@ -188,7 +198,7 @@ def verify_neutral_nil_fcomm_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     check.bound = nil_index_bound(s, d)
     check.details["neutral_nil_index"] = s
     check.details["support_size"] = d
-    return _judge_nilpotency(check, bounded_nil_index_auto(gr.ring), "non_nil")
+    return _judge_nilpotency(check, gr.ring, bounded_nil_index_auto(gr.ring), "non_nil")
 
 
 def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
@@ -203,7 +213,7 @@ def verify_nilpotent_neutral_bounds(gr: GradedRing) -> TheoremCheck:
     r = rv.index
     check.bound = [r, d + 1 if r == 1 else d * r]
     check.details["neutral_nilpotency_index"] = r
-    return _judge_nilpotency(check, nilpotency_index(gr.ring))
+    return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
 
 
 @kept
@@ -230,7 +240,7 @@ def verify_generated_nil_ring_bound(r: Ring, f: FMap | None) -> TheoremCheck:
     check.details["generator_nil_index"] = s
     check.bound = [s, (s - 1) * n + 1]
     check.witnesses["generators"] = gens
-    return _judge_nilpotency(check, ndv)
+    return _judge_nilpotency(check, r, ndv)
 
 
 def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremCheck:
@@ -243,7 +253,7 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
     )
     if m0.rank == 0:
         check.bound = [1, d + 1]
-        return _judge_nilpotency(check, nilpotency_index(gr.ring))
+        return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
     if f is None:  # not applicable, whatever the neutral nil index
         return _na(check, _NO_FACTOR)
     if not _nil_index(check, m0, "neutral component is not nil").proved:
@@ -252,13 +262,13 @@ def verify_generated_neutral_bound(gr: GradedRing, f: FMap | None) -> TheoremChe
         return check
     ndv = nilpotency_index(gr.ring)
     if not ndv.proved:
-        return _judge_nilpotency(check, ndv)
+        return _judge_nilpotency(check, gr.ring, ndv)
     n, s = len(min_generators(m0)), _generator_nil_index(m0)
     check.details.update(
         {"generators": n, "generator_nil_index": s, "support_size": d}
     )
     check.bound = [s, d * ((s - 1) * n + 1)]
-    return _judge_nilpotency(check, ndv)
+    return _judge_nilpotency(check, gr.ring, ndv)
 
 
 def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
@@ -283,7 +293,7 @@ def verify_index2_char_bound(gr: GradedRing) -> TheoremCheck:
     check.details["neutral_nilpotency_index"] = cube.index
     if cube.index > 3:
         return _fail(check, neutral_cube_nonzero=m0.element(power_chain(m0)[2][0]))
-    return _judge_nilpotency(check, nilpotency_index(gr.ring))
+    return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
 
 
 def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
@@ -315,7 +325,7 @@ def verify_field_bounded_index_bound(gr: GradedRing) -> TheoremCheck:
         check.bound = d * (2**s - 1)
     else:
         return _na(check, f"characteristic {p} is neither 0 nor > nil index {s}")
-    return _judge_nilpotency(check, nilpotency_index(gr.ring))
+    return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
 
 
 def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
@@ -341,7 +351,7 @@ def verify_product_length_vanishing(gr: GradedRing) -> TheoremCheck:
     check.bound = d * (2**s - 1)
     # Nilpotency index <= the bound is exactly "every product of that
     # length vanishes"; the power chain proves it.
-    return _judge_nilpotency(check, nilpotency_index(gr.ring))
+    return _judge_nilpotency(check, gr.ring, nilpotency_index(gr.ring))
 
 
 def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
@@ -368,12 +378,12 @@ def verify_matrix_nil_transfer(r: Ring, f: FMap | None) -> TheoremCheck:
     check.details["diagonal_lift"] = lift_f_to_diagonal(fc).status.value
     check.details["diagonal_nil_index"] = sv.index
     check.bound = nil_index_bound(sv.index, 2)
+    m2 = matrix_ring(r, 2)
     nd = nilpotency_index(r).index
-    return _judge_nilpotency(check, nil_bounded_index(matrix_ring(r, 2), candidate=nd),
-                             "non_nil_matrix")
+    return _judge_nilpotency(check, m2, nil_bounded_index(m2, candidate=nd), "non_nil_matrix")
 
 
-def verify_diagonal_power_reduction(r: Ring, n=2) -> TheoremCheck:
+def verify_diagonal_power_reduction(r: Ring) -> TheoremCheck:
     """T3.29-REDUCTION: diagonal powers are componentwise, so the diagonal
     component of the n x n matrix grading is nil exactly when the base ring is.
 
@@ -442,7 +452,7 @@ def verify_quotient_grading_transfer(
         "T3.18": verify_nilpotent_neutral_bounds(induced),
     }
     check.details["sub_checks"] = {k: v.status.value for k, v in sub.items()}
-    m0, _ = neutral_ring(induced)
+    m0 = neutral_ring(induced)
     coarse = nilpotency_index(m0)
     whole = nilpotency_index(gr.ring)
     equiv = coarse.proved == whole.proved
@@ -498,32 +508,13 @@ class VerifierReport:
 
 
 def _derive_fmap(gr: GradedRing, pair_cap):
-    """The scalar factor search on the neutral component, used when the
-    caller supplies no commutation factor.
-
-    Returns (f, why); when no factor is found, ``why`` says whether the
-    neutral component is zero, which pair no scalar fits, that no constant
-    holds over the rationals, or that the pair search was capped.
-    """
-    m0, _ = neutral_ring(gr)
+    """The factor ``scalar_f_search`` finds on the neutral component, used
+    when the caller supplies none: (f, None), or (None, why) with the reason
+    none was found."""
+    m0 = neutral_ring(gr)
     if m0.rank == 0:
         return None, "the neutral component is zero"
-    fmap, witness = scalar_f_search(m0, pair_cap=pair_cap)
-    if fmap is not None:
-        return fmap, None
-    if witness is not None:
-        a, b = witness
-        return None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
-    if not m0.coeff.finite:
-        return None, (
-            "no constant l has a*b = l*(b*a) for all a, b: 1 and -1 fail on "
-            "the basis pairs, and no other constant can hold"
-        )
-    count = m0.element_count()
-    return None, (
-        f"pair search capped: {count}^2 pairs of the neutral component "
-        f"exceed pair_cap {pair_cap}"
-    )
+    return scalar_f_search(m0, pair_cap=pair_cap)
 
 
 def full_report(
@@ -549,7 +540,7 @@ def full_report(
             notes.append(f"commutation factor derived automatically: {f.label}")
         else:
             notes.append(f"no commutation factor derived: {why}")
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     # The check registry.  Each entry looks its verify_* function up in the
     # module globals when it runs, so a wrapper installed on that name sees
     # every call.
@@ -565,7 +556,7 @@ def full_report(
         "T3.20": lambda: verify_generated_neutral_bound(gr, f),
         "T3.24": lambda: verify_field_bounded_index_bound(gr),
         "T3.26": lambda: verify_matrix_nil_transfer(m0, f),
-        "T3.29-REDUCTION": lambda: verify_diagonal_power_reduction(m0, 2),
+        "T3.29-REDUCTION": lambda: verify_diagonal_power_reduction(m0),
     }
     if only is not None and only not in registry:
         raise ValueError(f"unknown check id {only!r}")

@@ -3,8 +3,8 @@
 Each constructor returns a validated ring or graded ring at desk scale with
 known support, nil index, and nilpotency index.  Some of them are finite
 truncations of infinite objects that cannot be modelled with structure
-constants; the ``note`` field on the result and the NON_CONSTRUCTIBLE table
-record what the truncation leaves out.
+constants; the NON_CONSTRUCTIBLE table records what the truncation leaves
+out, and ``gradednil zoo`` ends such a ring's spec file with its entry.
 """
 
 from __future__ import annotations
@@ -99,12 +99,7 @@ def truncated_nagata(k: int, p: int) -> Ring:
         es = tuple(a + b for a, b in zip(ea, eb))
         if all(a < p for a in es):
             sc[(index[ea], index[eb])] = {index[es]: 1}
-    return Ring(
-        dom,
-        [name(e) for e in monos],
-        sc,
-        note=NON_CONSTRUCTIBLE["nagata-union"],
-    )
+    return Ring(dom, [name(e) for e in monos], sc)
 
 
 def grassmann_star(k: int, domain: CoeffDomain) -> GradedRing:
@@ -131,7 +126,7 @@ def grassmann_star(k: int, domain: CoeffDomain) -> GradedRing:
         inversions = sum(1 for a in sa for b in sb if a > b)
         sign = -1 if inversions % 2 else 1
         sc[(index[sa], index[sb])] = {index[merged]: sign}
-    ring = Ring(domain, names, sc, note=NON_CONSTRUCTIBLE["full-grassmann"])
+    ring = Ring(domain, names, sc)
     degrees = [len(s) % 2 for s in subsets]
     return GradedRing(ring, Monoid.cyclic(2), degrees)
 
@@ -163,5 +158,5 @@ def truncated_poly_positive(N: int, domain: CoeffDomain) -> GradedRing:
         for j in range(1, N):
             if i + j < N:
                 sc[(i - 1, j - 1)] = {i + j - 1: 1}
-    ring = Ring(domain, names, sc, note=NON_CONSTRUCTIBLE["positive-polynomials"])
+    ring = Ring(domain, names, sc)
     return GradedRing(ring, Monoid.int_add(), list(range(1, N)))

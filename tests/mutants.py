@@ -72,6 +72,9 @@ MUTANTS = [
     (THEOREMS, "check.bound = nil_index_bound(sv.index, 2)",
      "check.bound = nil_index_bound(sv.index, 3)",
      ["tests/test_theorems.py::test_matrix_transfer_two_z8"]),
+    # -- past the bound, the judge names a nonzero element of R^hi
+    (THEOREMS, "power_chain(ring)[hi - 1][0]", "power_chain(ring)[hi][0]",
+     ["tests/test_theorems.py::test_judge_names_a_nonzero_element_of_r_hi_past_a_nilpotency_bound"]),
     # -- P3.17's cube test, and the witness its FAIL names
     (THEOREMS, "if cube.index > 3:", "if cube.index > 4:",
      ["tests/test_theorems.py::test_index2_char_cube_fail_names_a_nonzero_cube"]),
@@ -106,6 +109,13 @@ MUTANTS = [
     # the factor search prefers 1, then -1
     (FCOMM, "for s in (1, m - 1, c)", "for s in (m - 1, 1, c)",
      ["tests/test_fcomm.py::test_scalar_search_commutative_gives_constant_one"]),
+    # a pair table is refused one pair short, and the cap stops only past count^2
+    (FCOMM, "pairs = itertools.product(_element_coords(ring), repeat=2)",
+     "pairs = list(itertools.product(_element_coords(ring), repeat=2))[:-1]",
+     ["tests/test_fcomm.py::test_pair_table_one_pair_short_names_the_pair_it_leaves_out"]),
+    (FCOMM, "(count := r.element_count()) ** 2 > pair_cap",
+     "(count := r.element_count()) ** 2 >= pair_cap",
+     ["tests/test_fcomm.py::test_pair_cap_is_hit_only_past_count_squared"]),
 ]
 
 

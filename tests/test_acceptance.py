@@ -192,7 +192,7 @@ def test_criterion_06_generated_ring_tightness():
 def test_criterion_07_field_characteristic_zero_bound():
     t0 = time.monotonic()
     gr = grassmann_star(2, rat())
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     sym = nil_bounded_index(m0, "symbolic", candidate=8)
     chk = verify_field_bounded_index_bound(gr)
     ok = (
@@ -209,7 +209,7 @@ def test_criterion_07_field_characteristic_zero_bound():
 def test_criterion_08_index2_bound():
     t0 = time.monotonic()
     gr = trivial_grading(grassmann_star(2, fp(3)).ring)
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     s = enum_bounded_index(m0)
     chain = power_chain(m0)
     chk = verify_index2_char_bound(gr)

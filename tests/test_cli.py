@@ -1352,7 +1352,7 @@ PAIR_RULE_SPEC = (
 
 def test_parse_explicit_pair_rule():
     parsed = parse_spec_text(PAIR_RULE_SPEC)
-    assert parsed.fmap.kind == "scalar-rule"
+    assert not parsed.fmap.is_constant()
     assert parsed.fmap.label == "explicit pairwise rule" and len(parsed.fmap.rule) == 9
     from gradednil.fcomm import check_f_commutative
     from gradednil.nil import Status
@@ -1368,10 +1368,14 @@ def test_parse_explicit_pair_rule():
     (PAIR_RULE_SPEC.replace("pair = 1 ; 1 ; 2\n", ""),
      "line 7: pair lines give no scalar for the pair ((1,), (1,)); "
      "over fp 3 every pair of elements needs one"),
+    ("[ring]\ncoeff = fp 2\nrank = 1\nnames = b\n[fmap]\n"
+     "pair = 0 ; 0 ; 1\npair = 0 ; 1 ; 1\npair = 1 ; 0 ; 1\n",
+     "line 6: pair lines give no scalar for the pair ((1,), (1,)); "
+     "over fp 2 every pair of elements needs one"),
     ("[ring]\ncoeff = rat\nrank = 1\nnames = b\n[fmap]\npair = 1 ; 1 ; 1\n",
      "line 6: pair lines cannot give a scalar for every pair over rat; "
      "use constant = <scalar> or rule = auto"),
-], ids=["first-pair", "inner-pair", "rationals"])
+], ids=["first-pair", "inner-pair", "last-pair", "rationals"])
 def test_parse_pair_rule_missing_a_pair(tmp_path, capsys, text, message):
     # over Z/m and F_p every pair needs a line; the first missing one in
     # product order is named at the first pair line.  Over Q no lines cover

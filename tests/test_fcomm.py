@@ -10,7 +10,6 @@ from rings import zero_product_ring
 from gradednil import fcomm
 from gradednil.fcomm import (
     FMap,
-    FMapDomainError,
     PairVerdict,
     _basis_certificate,
     _element_coords,
@@ -39,9 +38,14 @@ def all_elements(r):
     return list(r.elements())
 
 
+def factor(f, ca, cb):
+    """The scalar ``f`` gives the pair at coordinates ``ca``, ``cb``."""
+    return f.value if f.is_constant() else f.rule[ca, cb]
+
+
 def commutes(r, f, ca, cb):
     """Does the pair at coordinates ``ca``, ``cb`` commute up to ``f``?"""
-    return _pair_commutes(r, f.at_coords(ca, cb), ca, cb)
+    return _pair_commutes(r, factor(f, ca, cb), ca, cb)
 
 
 def test_commutator_with_factor_one_vanishes_on_commutative():
@@ -95,8 +99,8 @@ def test_zero_product_ring_commutes_up_to_anything():
 
 
 def test_scalar_search_commutative_gives_constant_one():
-    fmap, witness = scalar_f_search(two_z_2k(3))
-    assert witness is None
+    fmap, why = scalar_f_search(two_z_2k(3))
+    assert why is None
     assert fmap.is_constant() and fmap.value == 1
 
 
@@ -105,36 +109,62 @@ def test_scalar_search_grassmann_minus_one_on_nonzero_products():
     # pointwise reference takes -1 on the pairs with a nonzero product and
     # 1, the first scalar, on the others, where every scalar fits
     r = grassmann_star(2, fp(3)).ring
-    fmap, witness = scalar_f_search(r)
-    assert witness is None
+    fmap, why = scalar_f_search(r)
+    assert why is None
     assert fmap == FMap.constant(2) and fmap.label == "constant 2"
     rule, _ = pointwise_search_reference(r)
-    assert rule.kind == "scalar-rule"
+    assert not rule.is_constant()
     for (ca, cb), lam in rule.rule.items():
         assert lam == (2 if any(r.mul_coords(cb, ca)) else 1)
     assert check_f_commutative(r, rule).status == Status.PROVED
     # the rule lists R's pairs and no other
-    with pytest.raises(FMapDomainError):
-        rule.at_coords((9, 9, 9), (9, 9, 9))
+    coords = _element_coords(r)
+    assert set(rule.rule) == {(a, b) for a in coords for b in coords}
 
 
 def test_pair_table_fmap_with_table_action():
     # a pair-table factor on a zero-product ring; the action is the scalar
     # one, the only kind left
     r = zero_product_ring(fp(3), 1)
-    f = FMap("pair-table", rule={(a.coords, b.coords): 0
-                                 for a in all_elements(r)
-                                 for b in all_elements(r)})
+    table = {(a.coords, b.coords): 0 for a in all_elements(r) for b in all_elements(r)}
+    f = FMap.from_rule(table, r, label="pair table")
+    assert (f.rule, f.value, f.label) == (table, None, "pair table")
     v = check_f_commutative(r, f)
-    assert v.status == Status.PROVED
-    with pytest.raises(FMapDomainError):
-        f.at_coords((9,), (9,))
+    assert v.status == Status.PROVED and v.note == "exhaustive over 3^2 pairs"
+
+
+def test_pair_table_one_pair_short_names_the_pair_it_leaves_out():
+    # the table is checked where it is made: the first pair it leaves out,
+    # in product order, is named, whatever else it lists
+    r = zero_product_ring(fp(2), 1)
+    full = {(a, b): 1 for a in [(0,), (1,)] for b in [(0,), (1,)]}
+    assert FMap.from_rule(full, r).rule == full
+    short = {pair: s for pair, s in full.items() if pair != ((1,), (1,))}
+    with pytest.raises(ValueError) as err:
+        FMap.from_rule({**short, ((9,), (9,)): 1}, r)
+    assert str(err.value) == ("no scalar for the pair ((1,), (1,)); over fp 2 every "
+                              "pair of elements needs one")
+    gaps = {pair: s for pair, s in full.items() if pair[0] != pair[1]}
+    with pytest.raises(ValueError, match=r"the pair \(\(0,\), \(0,\)\);"):
+        FMap.from_rule(gaps, r)
+
+
+def test_pair_cap_is_hit_only_past_count_squared():
+    # 4^2 = 16 pairs: a cap of 16 lets the search solve its constant, and
+    # a cap of 15, checked first, stops it with the reason it gives
+    r = zero_product_ring(fp(2), 2)
+    assert scalar_f_search(r, pair_cap=16) == (FMap.constant(1), None)
+    assert scalar_f_search(r, pair_cap=15) == (
+        None, "pair search capped: 4^2 pairs of the neutral component exceed pair_cap 15")
 
 
 def test_scalar_search_none_on_matrices():
-    fmap, witness = scalar_f_search(m2_f2())
+    # the reason names the first pair that no scalar fits, the reference's
+    r = m2_f2()
+    fmap, why = scalar_f_search(r)
+    _, (a, b) = pointwise_search_reference(r)
     assert fmap is None
-    a, b = witness
+    assert why == f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
     ab, ba = a * b, b * a
     assert not ab.is_zero() and ba.is_zero()
 
@@ -188,17 +218,17 @@ def rewrite_identity_check(r, f, tuple_cap=10**6, samples=10**4, seed=0):
         xyz = mul(xy, z)
         left = mul(
             mul(
-                mul(act(f.at_coords(x, m1), m1),
-                    act(f.at_coords(xy, m2), m2)),
-                act(f.at_coords(xyz, m3), m3),
+                mul(act(factor(f, x, m1), m1),
+                    act(factor(f, xy, m2), m2)),
+                act(factor(f, xyz, m3), m3),
             ),
             mul(xyz, t),
         )
         m1m2 = mul(m1, m2)
         right = mul(
             mul(
-                mul(x, act(f.at_coords(m1, y), y)),
-                act(f.at_coords(m1m2, z), z),
+                mul(x, act(factor(f, m1, y), y)),
+                act(factor(f, m1m2, z), z),
             ),
             mul(mul(m1m2, m3), t),
         )
@@ -253,7 +283,7 @@ def test_lift_grassmann_rule():
     # the pointwise rule is decided on R's pairs alone
     r = grassmann_star(2, fp(3)).ring
     fmap, _ = pointwise_search_reference(r)
-    assert fmap.kind == "scalar-rule"
+    assert not fmap.is_constant()
     base = check_f_commutative(r, fmap)
     assert base.note == "exhaustive over 27^2 pairs"
     assert lift_f_to_diagonal(base).status == Status.PROVED
@@ -308,7 +338,7 @@ def pointwise_search_reference(r):
     values = set(rule.values())
     if len(values) == 1:
         return FMap.constant(values.pop()), None
-    return FMap.from_rule(rule), None
+    return FMap.from_rule(rule, r), None
 
 
 @st.composite
@@ -428,13 +458,15 @@ def search_reference(r):
 
 
 def assert_search_matches_reference(r):
-    fmap, witness = scalar_f_search(r)
+    fmap, why = scalar_f_search(r)
     ref, ref_witness = search_reference(r)
-    assert witness == ref_witness
     if ref is None:
+        a, b = ref_witness
         assert fmap is None
+        assert why == f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
     else:
-        assert (fmap.kind, fmap.value, fmap.label) == (ref.kind, ref.value, ref.label)
+        assert why is None
+        assert (fmap.rule, fmap.value, fmap.label) == (ref.rule, ref.value, ref.label)
         assert fmap == ref
 
 
@@ -497,8 +529,8 @@ def test_factor_three_over_z8_is_solved_with_no_certificate_or_product(monkeypat
 
     monkeypatch.setattr(fcomm, "_basis_certificate", recorded)
     monkeypatch.setattr(Ring, "mul_coords", counted)
-    fmap, witness = scalar_f_search(r)
-    assert witness is None and fmap.label == "constant 3"
+    fmap, why = scalar_f_search(r)
+    assert why is None and fmap.label == "constant 3"
     assert certified == [] and multiplied == []
 
 
@@ -515,8 +547,8 @@ def test_factor_near_2_62_is_solved_at_once(monkeypatch):
 
     monkeypatch.setattr(fcomm, "_basis_certificate", refused)
     monkeypatch.setattr(CoeffDomain, "elements", refused)
-    fmap, witness = scalar_f_search(r, pair_cap=r.element_count() ** 2)
-    assert witness is None and fmap.label == f"constant {lam}"
+    fmap, why = scalar_f_search(r, pair_cap=r.element_count() ** 2)
+    assert why is None and fmap.label == f"constant {lam}"
 
 
 class Enumerated(Exception):
@@ -533,10 +565,10 @@ def solved_constant(r):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fcomm, "_element_coords", listed)
         try:
-            fmap, witness = scalar_f_search(r, pair_cap=r.element_count() ** 2)
+            fmap, why = scalar_f_search(r, pair_cap=r.element_count() ** 2)
         except Enumerated:
             return None
-    assert witness is None and fmap.is_constant()
+    assert why is None and fmap.is_constant()
     return fmap.value
 
 
@@ -626,8 +658,8 @@ def test_constant_one_never_lists_the_domain(monkeypatch):
         raise AssertionError(f"the search listed the elements of {dom}")
 
     monkeypatch.setattr(CoeffDomain, "elements", listed)
-    fmap, witness = scalar_f_search(zero_product_ring(fp(p), 1), pair_cap=p * p)
-    assert witness is None and fmap.label == "constant 1"
+    fmap, why = scalar_f_search(zero_product_ring(fp(p), 1), pair_cap=p * p)
+    assert why is None and fmap.label == "constant 1"
 
 
 def rational_constant_reference(r):
@@ -675,6 +707,10 @@ def twisted_minus_one_rings(draw):
     return Ring(rat(), [f"b{t}" for t in range(rank)], sc, check=False)
 
 
+NO_RATIONAL_CONSTANT = ("no constant l has a*b = l*(b*a) for all a, b: 1 and -1 fail on "
+                        "the basis pairs, and no other constant can hold")
+
+
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_rational_search_finds_the_constant_exactly(data):
@@ -682,13 +718,12 @@ def test_rational_search_finds_the_constant_exactly(data):
     # other constant can pass; the twisted rings test the -1 branch
     r = data.draw(st.one_of(constant_factor_cases(rat(), 3).map(lambda case: case[0]),
                             twisted_minus_one_rings()))
-    fmap, witness = scalar_f_search(r)
+    fmap, why = scalar_f_search(r)
     ref = rational_constant_reference(r)
-    assert witness is None
     if ref is None:
-        assert fmap is None
+        assert fmap is None and why == NO_RATIONAL_CONSTANT
     else:
-        assert fmap.is_constant()
+        assert why is None and fmap.is_constant()
         assert (fmap.value, fmap.label) == (ref.value, ref.label)
 
 
@@ -705,16 +740,16 @@ def test_twisted_rings_reach_the_minus_one_branch():
 
 
 def test_rational_grassmann_derives_minus_one_exactly():
-    fmap, witness = scalar_f_search(grassmann_star(2, rat()).ring)
-    assert witness is None
+    fmap, why = scalar_f_search(grassmann_star(2, rat()).ring)
+    assert why is None
     assert fmap == FMap.constant(-1) and fmap.label == "constant -1"
 
 
 def test_pointwise_rule_over_the_rationals_is_a_domain_error():
+    # a pair table cannot list every pair over Q, so none is made
     q = Ring(rat(), ["b"], {(0, 0): {0: 2}})
-    rule = FMap.from_rule({((Fraction(1),), (Fraction(1),)): Fraction(1)})
-    with pytest.raises(FMapDomainError, match="every pair over rat"):
-        check_f_commutative(q, rule)
+    with pytest.raises(ValueError, match="rationals are not enumerable"):
+        FMap.from_rule({((Fraction(1),), (Fraction(1),)): Fraction(1)}, q)
 
 
 def test_scalar_action_validation_at_large_modulus():
@@ -788,7 +823,7 @@ def test_constant_certificate_multiplies_nothing(monkeypatch):
 def diagonal_lift_reference(r, f):
     """Every pair ((a, b), (c, d)) of the diagonal; REFUTED at the first pair
     that does not commute up to the componentwise lift of f."""
-    m0, _ = neutral_ring(elementary_grading(r, 2))
+    m0 = neutral_ring(elementary_grading(r, 2))
     n = r.rank
 
     def lifted_act(s, coords):
@@ -797,7 +832,7 @@ def diagonal_lift_reference(r, f):
     coords = [e.coords for e in m0.elements()]
     for ca in coords:
         for cb in coords:
-            s = (f.at_coords(ca[:n], cb[:n]), f.at_coords(ca[n:], cb[n:]))
+            s = (factor(f, ca[:n], cb[:n]), factor(f, ca[n:], cb[n:]))
             if m0.mul_coords(ca, cb) != lifted_act(s, m0.mul_coords(cb, ca)):
                 return Status.REFUTED
     return Status.PROVED
@@ -830,7 +865,7 @@ def lift_cases(draw, dom, rank):
             ba = r.mul_coords(cb, ca)
             ok = [s for s in range(dom.size) if r.mul_coords(ca, cb) == _scaled(dom, s, ba)]
             rule[(ca, cb)] = draw(st.sampled_from(ok) if fit and ok else coeff)
-        f = FMap.from_rule(rule)
+        f = FMap.from_rule(rule, r)
     return r, f
 
 
@@ -854,7 +889,7 @@ def test_lift_matches_diagonal_pair_reference(dom, rank, data):
 ], ids=["sut5", "m2z8", "grass3", "nagata23"])
 def test_diagonal_nil_index_is_the_base_index(ring):
     # T3.26 takes the diagonal nil index from R; recomputed on R x R it agrees
-    m0, _ = neutral_ring(elementary_grading(ring, 2))
+    m0 = neutral_ring(elementary_grading(ring, 2))
     base, diag = bounded_nil_index_auto(ring), bounded_nil_index_auto(m0)
     assert base.proved
     assert (diag.status, diag.index) == (base.status, base.index)

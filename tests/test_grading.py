@@ -59,9 +59,9 @@ def test_component_spans():
 def test_neutral_ring_of_elementary_grading_is_product():
     r = two_z_2k(3)
     gr = elementary_grading(r, 2)
-    m0, idx = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     assert m0.rank == 2
-    assert idx == [0, 3]
+    assert component_indices(gr, gr.monoid.identity) == [0, 3]
     # componentwise product ring: b_i * b_j = 0 for i != j, b_i^2 = 2 b_i
     assert m0.sc == {(0, 0): {0: 2}, (1, 1): {1: 2}}
 
@@ -78,19 +78,20 @@ def test_neutral_ring_of_elementary_grading_is_product():
         "group-ring-z3"])
 def test_neutral_ring_is_built_once_and_associative(make):
     gr = make()
-    m0, idx = neutral_ring(gr)
-    assert neutral_ring(gr)[0] is m0
+    m0 = neutral_ring(gr)
+    assert neutral_ring(gr) is m0
     # built unchecked; the full associativity check must agree
     checked = Ring(m0.coeff, m0.names, m0.sc, check=True)
     assert checked.sc == m0.sc
+    idx = component_indices(gr, gr.monoid.identity)
     assert [gr.ring.names[t] for t in idx] == list(m0.names)
 
 
 def test_neutral_ring_of_trivial_grading_is_the_ring():
     r = truncated_nagata(2, 3)
-    m0, idx = neutral_ring(trivial_grading(r))
-    assert m0 is r
-    assert idx == list(range(r.rank))
+    gr = trivial_grading(r)
+    assert neutral_ring(gr) is r
+    assert component_indices(gr, gr.monoid.identity) == list(range(r.rank))
 
 
 def test_grading_axiom_mutation_detected():
@@ -132,7 +133,7 @@ def test_induced_quotient_all_in_one_class():
     cong = Congruence(gr.monoid, [[0, 1, 2, 3]])
     q = induced_quotient_grading(gr, cong)
     assert support(q) == {0}
-    m0, _ = neutral_ring(q)
+    m0 = neutral_ring(q)
     assert m0.rank == gr.ring.rank
 
 
@@ -225,5 +226,5 @@ def test_grassmann_parity_grading_valid():
     gr = grassmann_star(3, fp(3))
     assert support(gr) == {0, 1}
     assert len(component_indices(gr, 1)) == 4  # e1, e2, e3, e123
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     assert m0.rank == 3  # e12, e13, e23

@@ -63,7 +63,7 @@ def test_power_chain_is_monotone_descending():
 def test_elementary_neutral_is_n_fold_product(n):
     r = two_z_2k(3)
     gr = elementary_grading(r, n)
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     assert m0.rank == n * r.rank
     expected = {}
     for blk in range(n):

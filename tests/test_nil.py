@@ -323,7 +323,7 @@ def test_s_nil_check_leaves_the_neutral_verdict_in_its_own_coordinates():
     # witness in R's coordinates; the verdicts on the neutral ring stay in
     # that ring's coordinates
     gr = GradedRing(group_ring_f2_z2(), Monoid.cyclic(2), [0, 1])
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     first = s_nil_check(gr)
     assert first[0].status == Status.REFUTED and first[0].witness.ring is gr.ring
     assert s_nil_check(gr) == first
@@ -947,7 +947,7 @@ def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
     Returns the report and the first tuple whose power does not vanish, or
     None."""
     r = gr.ring
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     if m0.rank == 0:
         return HomogeneousPowerReport(False, reason="neutral component is zero"), None
     sv = bounded_nil_index_auto(m0)

@@ -35,8 +35,6 @@ UNREAD = {
     ("fcomm.py", "scalar_f_search", "samples"): "bound by perfbench/layers.py",
     # argparse's ``help`` is accepted so a table entry reads like add_argument
     ("cli.py", "_modelled", "help"): "accepted on purpose",
-    # the verdict is R's at every n; ROADMAP direction 16 will read n
-    ("theorems.py", "verify_diagonal_power_reduction", "n"): "the same verdict at every n",
 }
 
 

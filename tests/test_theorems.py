@@ -15,9 +15,21 @@ from gradednil.nil import (
     nil_bounded_index,
     nilpotency_index,
 )
-from gradednil.ringcore import Ring, facts, fp, matrix_ring, min_generators, power_chain, rat, zmod
+from gradednil.ringcore import (
+    Element,
+    Ring,
+    facts,
+    fp,
+    matrix_ring,
+    min_generators,
+    power_chain,
+    rat,
+    zmod,
+)
 from gradednil.theorems import (
     CheckStatus,
+    TheoremCheck,
+    _judge_nilpotency,
     full_report,
     geometric_support_sum,
     nil_index_bound,
@@ -73,19 +85,12 @@ def test_empty_neutral_zero_ring():
 
 def test_nil_fcomm_grassmann_f3():
     gr = grassmann_star(2, fp(3))
-    f = derived_factor(gr_neutral(gr))
+    f = derived_factor(neutral_ring(gr))
     chk = verify_neutral_nil_fcomm_bound(gr, f)
     assert chk.status == CheckStatus.PASS
     # neutral part is span{e12} with nil index 2, support size 2: bound 240
     assert chk.bound == nil_index_bound(2, 2) == 240
     assert chk.observed == 2
-
-
-def gr_neutral(gr):
-    from gradednil.grading import neutral_ring
-
-    m0, _ = neutral_ring(gr)
-    return m0
 
 
 def test_nil_fcomm_degenerate_support_size_one():
@@ -168,7 +173,7 @@ def test_generated_nil_not_applicable_when_not_nil():
 
 def test_generated_neutral_m2_two_z8():
     gr = elementary_grading(two_z_2k(3), 2)
-    f = derived_factor(gr_neutral(gr))
+    f = derived_factor(neutral_ring(gr))
     chk = verify_generated_neutral_bound(gr, f)
     assert chk.status == CheckStatus.PASS
     assert chk.details["generators"] == 2
@@ -331,19 +336,19 @@ def test_matrix_nil_verdict_predicate_sizes_2_and_3():
 
 
 def test_diagonal_reduction_two_z8():
-    chk = verify_diagonal_power_reduction(two_z_2k(3), 2)
+    chk = verify_diagonal_power_reduction(two_z_2k(3))
     assert chk.status == CheckStatus.PASS
     assert chk.details["base_nil"] == "PROVED"
     assert chk.details["diagonal_nil"] == "PROVED"
 
 
 def test_diagonal_reduction_zero_ring():
-    chk = verify_diagonal_power_reduction(zero_product_ring(fp(2), 1), 2)
+    chk = verify_diagonal_power_reduction(zero_product_ring(fp(2), 1))
     assert chk.status == CheckStatus.PASS
 
 
 def test_diagonal_reduction_non_nil_agrees():
-    chk = verify_diagonal_power_reduction(idempotent_ring(fp(2)), 2)
+    chk = verify_diagonal_power_reduction(idempotent_ring(fp(2)))
     assert chk.status == CheckStatus.PASS
     assert chk.details["base_nil"] == "REFUTED"
     assert chk.details["diagonal_nil"] == "REFUTED"
@@ -456,14 +461,14 @@ def test_an_equal_factor_reuses_the_kept_verdict():
     # the f-commutativity verdict is kept under the factor's value, so
     # repeated reports on one ring add no entry to its facts
     gr = grassmann_star(2, zmod(4))
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     full_report(gr)
     size = len(facts(m0))
     full_report(gr)
     assert len(facts(m0)) == size
     coords = [e.coords for e in m0.elements()]
     for _ in range(2):
-        rule = FMap.from_rule({(a, b): 1 for a in coords for b in coords})
+        rule = FMap.from_rule({(a, b): 1 for a in coords for b in coords}, m0)
         rep = full_report(gr, f=rule)
         assert {c.id: c for c in rep.checks}["T3.15"].status == CheckStatus.PASS
     assert len(facts(m0)) == size + 1
@@ -480,7 +485,7 @@ def test_t319_and_t320_power_each_generator_once(monkeypatch):
     gr = elementary_grading(two_z_2k(3), 2)
     checks = {c.id: c for c in full_report(gr).checks}
     assert checks["T3.19"].status == checks["T3.20"].status == CheckStatus.PASS
-    assert len(calls) == len(set(calls)) == len(min_generators(neutral_ring(gr)[0])) == 2
+    assert len(calls) == len(set(calls)) == len(min_generators(neutral_ring(gr))) == 2
 
 
 def test_full_report_serializes():
@@ -521,16 +526,44 @@ def test_no_applicable_check_fails_across_examples():
 # unproved verdict FAILs with its witness under the check's witness key.
 
 
-def _kept(fact, ring_of):
-    """Seeds the kept ``fact`` of the ring ``ring_of(obj)``."""
+def _nilpotency(ring_of):
+    """Seeds the kept nilpotency index of the ring ``ring_of(obj)``.  An
+    index past the ring's own comes with a kept power chain of that length,
+    its last nonzero entry repeated, since past the bound the judge reads
+    its witness off the chain."""
     def seed(obj, verdict, monkeypatch):
-        facts(ring_of(obj))[(fact.__wrapped__,)] = verdict
+        r = ring_of(obj)
+        chain = power_chain(r)
+        if verdict.proved and verdict.index > len(chain):
+            pad = chain[-2:-1] * (verdict.index - len(chain))
+            facts(r)[(power_chain.__wrapped__,)] = chain[:-1] + pad + chain[-1:]
+        facts(r)[(nilpotency_index.__wrapped__,)] = verdict
     return seed
 
 
-def _matrix_expansion(obj, verdict, monkeypatch):
-    # T3.26 builds M_2(R) afresh on every call, so its expansion is replaced
-    monkeypatch.setattr(theorems, "nil_bounded_index", lambda ring, candidate: verdict)
+def _expansion(verdict, monkeypatch):
+    """Replaces ``nil_bounded_index``, which the judge asks past the bound
+    for an x with x^hi != 0, by the expansion of a ring whose bounded nil
+    index is the seeded one: below that index, a basis vector is such an x."""
+    def expand(ring, candidate):
+        if verdict.proved and candidate < verdict.index:
+            return NilVerdict(Status.REFUTED, witness=ring.basis_element(0))
+        return verdict
+    monkeypatch.setattr(theorems, "nil_bounded_index", expand)
+
+
+def _bounded_nil(gr, verdict, monkeypatch):
+    facts(gr.ring)[(bounded_nil_index_auto.__wrapped__,)] = verdict
+    _expansion(verdict, monkeypatch)
+
+
+def _matrix_expansion(r, verdict, monkeypatch):
+    # T3.26 builds M_2(R) afresh on every call and expands it up to R's
+    # nilpotency index, so the expansion is replaced, and a proved index
+    # is R's too: M_2(R) has R's nilpotency index
+    if verdict.proved:
+        facts(r)[(nilpotency_index.__wrapped__,)] = verdict
+    _expansion(verdict, monkeypatch)
 
 
 def _whole(gr):
@@ -553,43 +586,43 @@ class Boundary(NamedTuple):
 BOUNDARY = {
     "P3.03 sut(5,F_2)": Boundary(
         "P3.03", lambda: sut(5, fp(2)), verify_empty_neutral_bound, 5,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.15 grassmann(2,F_3)": Boundary(
         "T3.15", lambda: grassmann_star(2, fp(3)),
-        lambda gr: verify_neutral_nil_fcomm_bound(gr, derived_factor(gr_neutral(gr))), 240,
-        _kept(bounded_nil_index_auto, _whole), "non_nil"),
+        lambda gr: verify_neutral_nil_fcomm_bound(gr, derived_factor(neutral_ring(gr))), 240,
+        _bounded_nil, "non_nil"),
     "T3.15 zero neutral sut(4,F_2)": Boundary(
         "T3.15", lambda: sut(4, fp(2)), lambda gr: verify_neutral_nil_fcomm_bound(gr, None), 4,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.18 M_2(2Z_8)": Boundary(
         "T3.18", lambda: elementary_grading(two_z_2k(3), 2), verify_nilpotent_neutral_bounds,
-        [3, 6], _kept(nilpotency_index, _whole), "non_nilpotent"),
+        [3, 6], _nilpotency(_whole), "non_nilpotent"),
     "T3.19 grassmann(2,F_3) ring": Boundary(
         "T3.19", lambda: grassmann_star(2, fp(3)).ring,
         lambda r: verify_generated_nil_ring_bound(r, derived_factor(r)), [2, 3],
-        _kept(nilpotency_index, _itself), "non_nilpotent"),
+        _nilpotency(_itself), "non_nilpotent"),
     "T3.20 M_2(2Z_8)": Boundary(
         "T3.20", lambda: elementary_grading(two_z_2k(3), 2),
-        lambda gr: verify_generated_neutral_bound(gr, derived_factor(gr_neutral(gr))), [3, 10],
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        lambda gr: verify_generated_neutral_bound(gr, derived_factor(neutral_ring(gr))), [3, 10],
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.20 zero neutral sut(4,F_2)": Boundary(
         "T3.20", lambda: sut(4, fp(2)), lambda gr: verify_generated_neutral_bound(gr, None),
-        [1, 4], _kept(nilpotency_index, _whole), "non_nilpotent"),
+        [1, 4], _nilpotency(_whole), "non_nilpotent"),
     "P3.17 grassmann(2,F_3)": Boundary(
         "P3.17", lambda: grassmann_star(2, fp(3)), verify_index2_char_bound, 6,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.24 char 0 grassmann(2,Q)": Boundary(
         "T3.24", lambda: grassmann_star(2, rat()), verify_field_bounded_index_bound, 6,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.24 char p > s grassmann(2,F_5)": Boundary(
         "T3.24", lambda: grassmann_star(2, fp(5)), verify_field_bounded_index_bound, 6,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.24 s = 1 sut(4,F_2)": Boundary(
         "T3.24", lambda: sut(4, fp(2)), verify_field_bounded_index_bound, 4,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "C3.28 grassmann(2,F_5)": Boundary(
         "C3.28", lambda: grassmann_star(2, fp(5)), verify_product_length_vanishing, 6,
-        _kept(nilpotency_index, _whole), "non_nilpotent"),
+        _nilpotency(_whole), "non_nilpotent"),
     "T3.26 2Z_8": Boundary(
         "T3.26", lambda: two_z_2k(3), lambda r: verify_matrix_nil_transfer(r, derived_factor(r)),
         360, _matrix_expansion, "non_nil_matrix"),
@@ -628,9 +661,20 @@ def test_every_bound_check_judges_the_bound_it_prints(case, index, status, monke
     obj = case.make()
     chk = case.run(obj)  # keeps every other verdict the check reads
     assert (chk.id, chk.status, chk.bound) == (case.id, CheckStatus.PASS, case.bound)
-    case.seed(obj, NilVerdict(Status.PROVED, index=index), monkeypatch)
+    verdict = NilVerdict(Status.PROVED, index=index)
+    case.seed(obj, verdict, monkeypatch)
     chk = case.run(obj)
     assert (chk.status, chk.bound, chk.observed) == (status, case.bound, index)
+    # a FAIL names its witness: below lo the verdict, past hi an element
+    # that the seeded ring's chain or expansion gives
+    witness = chk.witnesses.get(case.witness)
+    lo = case.bound[0] if isinstance(case.bound, list) else 1
+    if status == CheckStatus.PASS:
+        assert witness is None
+    elif index < lo:
+        assert witness == verdict
+    else:
+        assert isinstance(witness, Element) and not witness.is_zero()
 
 
 @pytest.mark.parametrize("case", BOUNDARY.values(), ids=BOUNDARY)
@@ -653,10 +697,46 @@ def test_quotient_transfer_is_judged_by_its_sub_checks(index, status):
     gr = GradedRing(ring, Monoid.cyclic(4), [1, 3])
     cong = Congruence(gr.monoid, [[0, 2], [1, 3]])
     assert verify_quotient_grading_transfer(gr, cong).status == CheckStatus.PASS
-    facts(ring)[(nilpotency_index.__wrapped__,)] = NilVerdict(Status.PROVED, index=index)
+    _nilpotency(_itself)(ring, NilVerdict(Status.PROVED, index=index), None)
     chk = verify_quotient_grading_transfer(gr, cong)
     assert chk.status == status
     assert chk.details["sub_checks"] == dict.fromkeys(("P3.03", "T3.15", "T3.18"), status.value)
+    # a FAIL carries each sub-check's witness: a, the first row of the
+    # seeded chain's entry 1, is nonzero in the seeded R^2
+    if status == CheckStatus.FAIL:
+        sub = {"non_nilpotent": ring.basis_element(0)}
+        assert chk.witnesses == dict.fromkeys(("P3.03", "T3.15", "T3.18"), sub)
+    else:
+        assert chk.witnesses == {}
+
+
+def test_judge_names_a_nonzero_element_of_r_hi_past_a_nilpotency_bound():
+    # sut(5, F_2) has nilpotency index 5; with the bound 4 the FAIL names a
+    # nonzero element of R^4 = span{E15} (E12 E23 E34 E45 = E15)
+    r = sut(5, fp(2)).ring
+    chk = _judge_nilpotency(TheoremCheck("X", "", bound=4), r, nilpotency_index(r))
+    assert (chk.status, chk.observed) == (CheckStatus.FAIL, 5)
+    w = chk.witnesses["non_nilpotent"]
+    e = {name: r.basis_element(t) for t, name in enumerate(r.names)}
+    assert w == e["E12"] * e["E23"] * e["E34"] * e["E45"] == e["E15"]
+
+
+@pytest.mark.parametrize("ring, index", [
+    (grassmann_star(2, fp(3)).ring, 2),
+    (truncated_poly_positive(4, fp(5)).ring, 4),
+], ids=["grassmann2-f3", "poly4-f5"])
+def test_judge_names_an_x_with_a_nonzero_power_past_a_nil_bound(ring, index):
+    # one below the bounded nil index, the FAIL names an x with x^hi != 0
+    verdict = bounded_nil_index_auto(ring)
+    assert verdict.index == index
+    hi = index - 1
+    chk = _judge_nilpotency(TheoremCheck("X", "", bound=hi), ring, verdict, "non_nil")
+    assert chk.status == CheckStatus.FAIL
+    x = chk.witnesses["non_nil"]
+    power = x
+    for _ in range(hi - 1):
+        power = power * x
+    assert not power.is_zero()
 
 
 @pytest.mark.parametrize("index", [3, 4])

@@ -3,7 +3,7 @@ import time
 import pytest
 from test_nil import enum_bounded_index
 
-from gradednil.cli import main
+from gradednil.cli import ZOO, main
 
 from gradednil.grading import component_indices, neutral_ring, support
 from gradednil.nil import nil_bounded_index, nilpotency_index, ring_is_nil
@@ -47,7 +47,7 @@ def test_truncated_nagata_k2_p2_bounded_index():
     assert r.rank == 3
     s = enum_bounded_index(r)
     assert s.proved and s.index == 2  # squares vanish in characteristic 2
-    assert r.note == NON_CONSTRUCTIBLE["nagata-union"]
+    assert ZOO["truncated-nagata"][3] == "nagata-union"
 
 
 def test_truncated_nagata_k1_p3_nilpotency():
@@ -66,7 +66,9 @@ def test_truncated_nagata_commutative():
 def test_grassmann_star_f3():
     gr = grassmann_star(2, fp(3))
     assert gr.ring.rank == 3
-    m0, idx = neutral_ring(gr)
+    m0 = neutral_ring(gr)
+    assert m0.names == ("e12",)
+    idx = component_indices(gr, gr.monoid.identity)
     assert [gr.ring.names[t] for t in idx] == ["e12"]
     nd = nilpotency_index(gr.ring)
     assert nd.proved and nd.index == 3
@@ -87,7 +89,7 @@ def test_grassmann_star_q_symbolic():
 
 def test_grassmann_even_part_commutative():
     gr = grassmann_star(3, fp(5))
-    m0, _ = neutral_ring(gr)
+    m0 = neutral_ring(gr)
     for a in m0.basis():
         for b in m0.basis():
             assert a * b == b * a
@@ -131,8 +133,8 @@ def test_truncated_poly_ground_truth(N):
 
 
 def test_truncated_poly_tightness_note():
-    gr = truncated_poly_positive(4, fp(2))
-    assert "infinite support" in gr.ring.note or "no vanishing power" in gr.ring.note
+    note = NON_CONSTRUCTIBLE[ZOO["truncated-poly"][3]]
+    assert "infinite support" in note or "no vanishing power" in note
 
 
 def test_non_constructible_notes_exist():
@@ -141,6 +143,23 @@ def test_non_constructible_notes_exist():
     }
     for note in NON_CONSTRUCTIBLE.values():
         assert len(note) > 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["sut", "--n", "3", "--domain", "fp 2"],
+    ["truncated-nagata", "--k", "2", "--p", "2"],
+    ["grassmann-star", "--k", "2", "--domain", "fp 3"],
+    ["two-z-2k", "--k", "3"],
+    ["truncated-poly", "--n", "3", "--domain", "fp 2"],
+], ids=lambda argv: argv[0])
+def test_zoo_spec_ends_with_the_note_its_table_entry_names(argv, capsys):
+    assert main(["zoo", *argv]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    key = ZOO[argv[0]][3]
+    if key is None:
+        assert not last.startswith("# note:")
+    else:
+        assert last == f"# note: {NON_CONSTRUCTIBLE[key]}"
 
 
 @pytest.mark.parametrize("k", [40, 10**9])
