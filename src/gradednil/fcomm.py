@@ -47,12 +47,12 @@ class FMap:
         scalar for every pair of elements: a ValueError names the first pair,
         in product order, that it leaves out."""
         rule = dict(rule)
-        pairs = itertools.product(_element_coords(ring), repeat=2)
-        missing = next((pair for pair in pairs if pair not in rule), None)
-        if missing is not None:
-            raise ValueError(
-                f"no scalar for the pair ({missing[0]}, {missing[1]}); over "
-                f"{ring.coeff.label()} every pair of elements needs one")
+        # lazily, so a short table stops within its first len(rule) + 1 pairs
+        for ca in itertools.product(ring.coeff.elements(), repeat=ring.rank):
+            for cb in itertools.product(ring.coeff.elements(), repeat=ring.rank):
+                if (ca, cb) not in rule:
+                    raise ValueError(f"no scalar for the pair ({ca}, {cb}); over "
+                                     f"{ring.coeff.label()} every pair of elements needs one")
         return cls(rule=rule, label=label)
 
     def is_constant(self):
@@ -92,10 +92,11 @@ def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> P
     """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
 
     A constant factor is decided on the structure constants over every
-    domain (see ``_basis_certificate``).  A pair table gives a scalar for
-    every pair of a finite ring (``FMap.from_rule`` checks it), so it is
-    checked on all pairs in product order.  ``pair_cap`` and ``samples``
-    are unused; they stay because ``perfbench/layers.py`` binds them by name.
+    domain (see ``_basis_certificate``).  A pair table has a scalar for
+    every pair of a finite ring (``FMap.from_rule`` checks a given one, and
+    ``scalar_f_search`` fills every pair), so all pairs are checked, in
+    product order.  ``pair_cap`` and ``samples`` are unused; they stay
+    because ``perfbench/layers.py`` binds them by name.
     """
     if f.is_constant():
         return _basis_certificate(r, f)
@@ -200,7 +201,7 @@ def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
                 a, b = r.element(ca), r.element(cb)
                 return None, f"no scalar l has a*b = l*(b*a) for a = {a!r}, b = {b!r}"
             rule[(ca, cb)] = lam
-    return FMap.from_rule(rule, r), None
+    return FMap(rule=rule, label="pointwise scalar rule"), None
 
 
 def lift_f_to_diagonal(base: PairVerdict) -> PairVerdict:

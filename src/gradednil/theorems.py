@@ -98,24 +98,30 @@ def _na(check, reason):
     return check
 
 
+# A FAIL's witness key names the index judged, and so what the FAIL names
+# past the upper bound hi: for a nilpotency index a nonzero element of R^hi
+# (the first row of chain entry hi - 1), and for a bounded nil index of R,
+# or of M_2(R) for T3.26, an x with x^hi != 0.
+_PAST_BOUND = {"non_nilpotent": lambda ring, hi: ring.element(power_chain(ring)[hi - 1][0]),
+               "non_nil": lambda ring, hi: nil_bounded_index(ring, candidate=hi).witness}
+_PAST_BOUND["non_nil_matrix"] = _PAST_BOUND["non_nil"]
+
+
 def _judge_nilpotency(check, ring, ndv, witness="non_nilpotent"):
-    """Observe the verdict ``ndv`` on ``ring``, a nilpotency index unless
-    ``witness`` names another (a bounded nil index), against the printed
-    ``check.bound``: a number bounds the index above (every index is at
-    least 1), and [lo, hi] bounds it on both sides.  A FAIL carries its
-    witness under ``witness``: an unproved verdict's own; past hi, a nonzero
-    element of R^hi (the first row of chain entry hi - 1) for a nilpotency
-    index, or an x with x^hi != 0 for a bounded nil index; below lo, the
-    verdict itself."""
+    """Observe the verdict ``ndv`` on ``ring``, of the index that ``witness``
+    names in ``_PAST_BOUND``, against the printed ``check.bound``: a number
+    bounds the index above (every index is at least 1), and [lo, hi] bounds
+    it on both sides.  A FAIL carries its witness under ``witness``: an
+    unproved verdict's own; past hi, what ``_PAST_BOUND`` names; below lo,
+    the verdict itself."""
+    past_bound = _PAST_BOUND[witness]
     if not ndv.proved:
         return _fail(check, **{witness: ndv.witness})
     check.observed = ndv.index
     lo, hi = check.bound if isinstance(check.bound, list) else (1, check.bound)
     check.status = CheckStatus.PASS if lo <= ndv.index <= hi else CheckStatus.FAIL
     if ndv.index > hi:
-        check.witnesses[witness] = (
-            ring.element(power_chain(ring)[hi - 1][0]) if witness == "non_nilpotent"
-            else nil_bounded_index(ring, candidate=hi).witness)
+        check.witnesses[witness] = past_bound(ring, hi)
     elif ndv.index < lo:
         check.witnesses[witness] = ndv
     return check

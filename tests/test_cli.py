@@ -1389,6 +1389,28 @@ def test_parse_pair_rule_missing_a_pair(tmp_path, capsys, text, message):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_one_pair_line_on_a_rank_40_ring_is_refused_at_once(tmp_path):
+    # the table is walked pair by pair, so a one-line table over the 2^40
+    # elements of F_2^40 is refused at the second pair in product order,
+    # without listing the ring; run with a 2 GiB address space and a time
+    # limit, so a walk that lists the elements fails fast
+    import resource
+
+    zeros = " ".join(["0"] * 40)
+    path = _write(tmp_path, "r40.spec", "[ring]\ncoeff = fp 2\nrank = 40\n\n"
+                  f"[fmap]\npair = {zeros} ; {zeros} ; 1\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cap = 2 * 2**30
+    out = subprocess.run(
+        [sys.executable, "-m", "gradednil.cli", "analyze", path],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    first, second = (0,) * 40, (0,) * 39 + (1,)
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == (f"error: line 6: pair lines give no scalar for the pair ({first}, "
+                          f"{second}); over fp 2 every pair of elements needs one\n")
+
+
 def test_cli_rule_auto_on_a_commutative_ring_past_the_pair_cap(tmp_path, capsys):
     # rule = auto is derived when the checks run, under the pair cap: on
     # nagata(2,3) the search is capped, which the report notes; parsing

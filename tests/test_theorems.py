@@ -739,6 +739,15 @@ def test_judge_names_an_x_with_a_nonzero_power_past_a_nil_bound(ring, index):
     assert not power.is_zero()
 
 
+def test_judge_refuses_a_witness_key_it_does_not_know():
+    # the key says which index is judged, so an unknown one is an error,
+    # even on a PASS, and never falls back to another kind of witness
+    r = sut(3, fp(2)).ring
+    with pytest.raises(KeyError, match="non_nilpotnet"):
+        _judge_nilpotency(TheoremCheck("X", "", bound=3), r, nilpotency_index(r),
+                          "non_nilpotnet")
+
+
 @pytest.mark.parametrize("index", [3, 4])
 def test_index2_char_cube_fail_names_a_nonzero_cube(index):
     # x, x^2, x^3 over F_5, trivially graded, with the bounded nil index of
