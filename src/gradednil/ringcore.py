@@ -544,28 +544,23 @@ def power_chain(r: Ring):
 
     R is the identity rows, already in canonical form.  R^2 is the span of
     the structure-constant vectors b_i b_j, each distinct one reduced once.
-    The basis vectors S that are not unit pivots of R^2's canonical form
-    give R = span(S) + R^2, since a unit pivot row is b_t plus a combination
-    of columns in S.  If S is smaller than the basis, its words vanish
-    (``_word_spans``) and W_2 + W_3 + ... equals R^2, then every element of
-    R is a sum of words in S, so R^k = W_k + W_(k+1) + ... and the chain is
-    these suffix sums, each the one after it extended by a word span.  Any
-    other chain grows from R^2 one entry at a time as
-    R^(k+1) = span(R^k * basis): S is the whole basis, or its words never
-    vanish (the ring is not nilpotent), or they do not span R^2 (an
-    idempotent lies in R^2, so no word in S reaches it).
+    S is the basis vectors outside the pivot columns of R^2's canonical
+    form.  If S is smaller than the basis, its word spans W_j vanish
+    (``_word_spans``) and W_2 + W_3 + ... equals R^2, then R^k = W_k +
+    W_(k+1) + ... for every k >= 2, whether or not S generates R: by
+    induction, R^(k+1) = R * R^k is spanned by the a * s_1 s_2 ... s_j with
+    j >= k, and a * s_1 lies in R^2 = W_2 + W_3 + ..., so each is a sum of
+    words of length at least j + 1.  The chain is then these suffix sums,
+    each the one after it extended by a word span.  Any other chain grows
+    from R^2 one entry at a time as R^(k+1) = span(R^k * basis).
     """
     full = tuple(b.coords for b in r.basis())
     if not full:
         return (full,)
     distinct = {tuple(sorted(v.items())): v for v in r.sc.values()}.values()
     square = span(r, [tuple(v.get(t, 0) for t in range(r.rank)) for v in distinct])
-    units = set()
-    for row in square:
-        lead = linalg.lead(row)
-        if row[lead] == 1:
-            units.add(lead)
-    gens = [b for t, b in enumerate(full) if t not in units]
+    pivots = {linalg.lead(row) for row in square}
+    gens = [b for t, b in enumerate(full) if t not in pivots]
     if len(gens) < r.rank and (words := _word_spans(r, gens)):
         suffix = [()]
         for w in reversed(words[1:]):

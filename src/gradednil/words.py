@@ -38,7 +38,7 @@ from operator import lt, sub
 
 import numpy as np
 
-from .monoid import Monoid
+from .monoid import TABLE, Monoid, MonoidError, check_cancellative
 
 # Most words per kernel call of ``exhaustive_splits``: the kernels'
 # temporaries grow with the words of a block, so it bounds the walk's peak
@@ -98,29 +98,42 @@ def block_degrees(w: DegreeWord, dec: Decomposition):
     return [reduce(w.monoid.op, w.degrees[a:b]) for a, b in dec.blocks]
 
 
-def _check_split_args(r, supp, n):
+def _check_split_args(monoid, r, supp, n):
+    """Refuse what Lemma 3.5's split cannot take, in this order: a monoid
+    that is not a table monoid or not left cancellative (the cuts at
+    repeated prefix degrees have neutral quotients only by left
+    cancellation), r <= 1, a support that is empty or holds a non-element,
+    and a word length n other than r*d.  Every entry point runs it first."""
+    if not isinstance(monoid, Monoid) or monoid.kind != TABLE:
+        raise MonoidError(f"a neutral split needs a table monoid, got {monoid!r}")
+    if not check_cancellative(monoid):
+        raise ValueError("a neutral split needs a left-cancellative monoid")
     if r <= 1:
-        raise ValueError("split needs r > 1")
-    if not supp:
-        raise ValueError("split needs a nonempty support")
+        raise ValueError(f"--r must be greater than 1, got {r}")
+    if not supp or not all(map(monoid.contains, supp)):
+        got = sorted(supp, key=lambda g: (type(g).__name__, g))
+        raise ValueError(f"--supp needs a nonempty support of element ids in "
+                         f"0..{monoid.size - 1}, got {got}")
     if n != r * len(supp):
-        raise ValueError(f"word length {n} is not r*d = {r}*{len(supp)}")
+        raise ValueError(f"word length must be r*d = {r * len(supp)}")
 
 
 def _kernel_input(monoid: Monoid, supp):
     """The kernels' ``(table, e, inside)``: the table in the narrowest dtype
     that holds every element id, the identity, and ``supp`` as a mask."""
-    size = len(monoid.elements())
-    table = np.array(monoid.table, dtype=np.min_scalar_type(size - 1))
-    return table, monoid.identity, np.isin(np.arange(size), list(supp))
+    table = np.array(monoid.table, dtype=np.min_scalar_type(monoid.size - 1))
+    return table, monoid.identity, np.isin(np.arange(monoid.size), list(supp))
 
 
-def _one_word(w: DegreeWord, r: int, supp):
-    """The kernels' arguments for ``w`` alone, a one-row tail, and its first letter as the head."""
+def _one_word(monoid: Monoid, degrees, r: int, supp):
+    """The kernels' arguments for the word ``degrees`` alone, a one-row tail
+    and its first letter as the head, once ``_check_split_args`` and
+    ``DegreeWord`` pass it."""
     supp = set(supp)
-    _check_split_args(r, supp, len(w))
-    table, e, inside = _kernel_input(w.monoid, supp)
-    letters = np.array(w.degrees, dtype=table.dtype).reshape(1, len(w))
+    _check_split_args(monoid, r, supp, len(degrees))
+    degrees = DegreeWord(monoid, degrees).degrees
+    table, e, inside = _kernel_input(monoid, supp)
+    letters = np.array(degrees, dtype=table.dtype).reshape(1, len(degrees))
     return (table, e, inside, letters[:, 1:], r), letters[:, :1]
 
 
@@ -130,11 +143,10 @@ def neutral_split(w: DegreeWord, r: int, supp):
     some contiguous subproduct leaves the support, else the cuts at the
     first r prefixes of neutral degree, if r have it, or at the first r+1 of
     the most frequent other degree (the smallest on a tie), whose quotients
-    are neutral by left cancellation.  Raises ``ValueError`` on an empty
-    support, r <= 1 or a length other than r*d, and ``SplitInternalError``
-    if that dichotomy fails or a block is not neutral.
+    are neutral by left cancellation.  Raises what ``_check_split_args``
+    raises, and ``SplitInternalError`` on a broken dichotomy or block.
     """
-    args, head = _one_word(w, r, supp)
+    args, head = _one_word(w.monoid, w.degrees, r, supp)
     return _split_batch(*args)(head).verdict(0)
 
 
@@ -159,9 +171,9 @@ def neutral_split_bruteforce(w: DegreeWord, r: int, supp):
     word alone: FORCED_ZERO, re-derived from every subproduct degree, else
     the lexicographically first cuts of r neutral blocks, never pigeonholing
     prefixes, or None if there are none (which would contradict the
-    pigeonhole construction).
+    pigeonhole construction).  Raises what ``_check_split_args`` raises.
     """
-    args, head = _one_word(w, r, supp)
+    args, head = _one_word(w.monoid, w.degrees, r, supp)
     return _brute_batch(*args)(head).verdict(0)
 
 
@@ -490,13 +502,13 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     after another are those of ``itertools.product(monoid.elements(),
     repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
     words whose verdicts equal ``neutral_split`` and
-    ``neutral_split_bruteforce`` on each word.  Raises ``ValueError`` on an
-    empty support, r <= 1, n >= 63 or size**n past int64.
+    ``neutral_split_bruteforce`` on each word.  Past ``_check_split_args``,
+    it raises ``ValueError`` on n >= 63 or size**n past int64.
     """
-    size = len(monoid.elements())
     supp = set(supp)
     n = r * len(supp)
-    _check_split_args(r, supp, n)
+    _check_split_args(monoid, r, supp, n)
+    size = monoid.size
     # words are numbered in int64; n is checked first, so no huge power is
     # taken, and it alone stops a one-element walk, whose tables grow as n^2
     if n >= 63 or size**n > np.iinfo(np.int64).max:
@@ -553,8 +565,8 @@ def _write_exhaustive(monoid, r, supp, out):
     with r + 1 takes.
     """
     d = len(supp)
-    names = [str(g) for g in monoid.elements()]
     tails, blocks = exhaustive_splits(monoid, r, supp)
+    names = [str(g) for g in monoid.elements()]
     # j < n keeps one head letter, so every tail text starts with ", "
     tail_texts, letters = [""], [", " + g for g in names]
     for _ in range(tails.shape[1]):
@@ -628,15 +640,16 @@ def _write_exhaustive(monoid, r, supp, out):
 def write_oracle(monoid: Monoid, r: int, supp, out, word=None):
     """Write ``oracle lemma-3-5``'s lines to ``out``: that of ``word``, a tuple
     of element ids, or, when it is None, of every word of length r*d in
-    ``itertools.product`` order (none if ``exhaustive_splits`` raises);
-    then ``disagreements: N``, and return N."""
+    ``itertools.product`` order (none if ``_one_word`` or ``exhaustive_splits``
+    raises); then ``disagreements: N``, and return N."""
+    supp = set(supp)
     d = len(supp)
     if word is None:
         disagreements = _write_exhaustive(monoid, r, supp, out)
     else:
-        w = DegreeWord(monoid, word)
-        mark, suffix = _verdict_text(neutral_split(w, r, supp),
-                                     neutral_split_bruteforce(w, r, supp), d)
+        args, head = _one_word(monoid, word, r, supp)
+        mark, suffix = _verdict_text(_split_batch(*args)(head).verdict(0),
+                                     _brute_batch(*args)(head).verdict(0), d)
         out.write(mark + "word=[" + ", ".join(map(str, word)) + suffix)
         disagreements = int(mark != "")
     out.write(f"disagreements: {disagreements}\n")

@@ -19,8 +19,19 @@ from gradednil.words import (
     DegreeWord,
     ProductVerdict,
     SplitInternalError,
-    _check_split_args,
 )
+
+
+def _check_split_args(r, supp, n):
+    """The split's conditions on r, the support and the word length, on any
+    monoid.  ``gradednil.words`` refuses table monoids only, and checks left
+    cancellation and the support's elements too."""
+    if r <= 1:
+        raise ValueError("split needs r > 1")
+    if not supp:
+        raise ValueError("split needs a nonempty support")
+    if n != r * len(supp):
+        raise ValueError(f"word length {n} is not r*d = {r}*{len(supp)}")
 
 
 def _subproduct_rows(w: DegreeWord):

@@ -32,6 +32,8 @@ NIL = "src/gradednil/nil.py"
 RINGCORE = "src/gradednil/ringcore.py"
 LINALG = "src/gradednil/linalg.py"
 FCOMM = "src/gradednil/fcomm.py"
+WORDS = "src/gradednil/words.py"
+REFUSES = "tests/test_words.py::test_every_entry_point_refuses_what_a_split_cannot_take"
 BOUNDARY = "tests/test_theorems.py::test_every_bound_check_judges_the_bound_it_prints"
 
 MUTANTS = [
@@ -97,6 +99,10 @@ MUTANTS = [
     (RINGCORE, "while w and w not in words and len(words) < n:", "while w and len(words) < n:",
      ["tests/test_ringcore.py::test_power_chain_memo_matches_reference_at_every_cap"
       "[idempotent-beside-poly10]"]),
+    # the chain takes the words' suffix sums only once they reach R^2
+    (RINGCORE, "        if suffix[-1] == square:", "        if True:",
+     ["tests/test_ringcore.py::test_power_chain_memo_matches_reference_at_every_cap"
+      "[sut3+idempotent]"]),
     # min_generators' CRT glue adds the per-prime lists
     (RINGCORE, "gen[t] += e", "gen[t] = e",
      ["tests/test_ringcore.py::test_min_generators_glues_primes_with_crt_idempotents"]),
@@ -106,6 +112,12 @@ MUTANTS = [
     # howell re-emits the annihilator multiple of an improved pivot
     (LINALG, "                push_annihilator(newp, work)\n", "",
      ["tests/test_linalg.py::test_howell_reemits_the_annihilator_of_an_improved_pivot"]),
+    # every entry point of the split refuses a support with a non-element
+    # and a monoid that is not left cancellative
+    (WORDS, "if not supp or not all(map(monoid.contains, supp)):", "if not supp:",
+     [f"{REFUSES}[exhaustive_splits-support-0-7]"]),
+    (WORDS, "if not check_cancellative(monoid):", "if False:",
+     [f"{REFUSES}[neutral_split-not-left-cancellative]"]),
     # the factor search prefers 1, then -1
     (FCOMM, "for s in (1, m - 1, c)", "for s in (m - 1, 1, c)",
      ["tests/test_fcomm.py::test_scalar_search_commutative_gives_constant_one"]),

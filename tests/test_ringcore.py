@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from rings import idempotent_ring, zero_product_ring
 
 from gradednil import ringcore
+from gradednil.linalg import lead
 from gradednil.ringcore import (
     AssociativityError,
     Ring,
@@ -224,14 +225,16 @@ def idempotent_beside_poly(dom, n):
     (lambda: grassmann_star(2, rat()).ring, None),
     (lambda: matrix_ring(idempotent_ring(fp(2)), 2), None),
     (lambda: plus_idempotent(sut(3, fp(2)).ring), None),
-    # R^2 = span(2b) has the non-unit Howell pivot 2, so b stays a generator
+    # R^2 = span(2b) has the non-unit Howell pivot 2 in b's column, so b is
+    # not a generator and S = {a}: W_2 = span(2b) = R^2 and W_3 = 0
     (lambda: Ring(zmod(4), ["a", "b"], {(0, 0): {1: 2}}), None),
     (lambda: Ring(zmod(6), ["b"], {(0, 0): {0: 2}}), None),
-    # R^2 = span(b, 2c) has the unit pivot b, so S = {a, c}; W_3 = span(2c)
-    # lies in W_1, but W_4 = 0 and W_2 + W_3 = R^2, so the chain is the
-    # suffix sums: 8 products, where growing from R^2 by the basis takes 9
+    # R^2 = span(b, 2c) has pivots in the columns of b and c, so S = {a};
+    # W_2 = span(b), W_3 = span(2c) and W_4 = 0, and W_2 + W_3 = R^2, so the
+    # chain is the suffix sums: 3 products, where growing from R^2 by the
+    # basis takes 9
     (lambda: Ring(zmod(4), ["a", "b", "c"], {(0, 0): {1: 1}, (0, 1): {2: 2}, (1, 0): {2: 2}}),
-     8),
+     3),
     # the words stop at their first repeat, span(b) at length 11; run on to
     # _index_bound = 683 lengths they take over 1,300 more products
     (lambda: idempotent_beside_poly(zmod(2**62 - 1), 10), 540),
@@ -403,6 +406,17 @@ CHAIN_DOMAINS = (zmod(4), zmod(6), zmod(8), zmod(9), fp(2), fp(3), rat(), zmod(2
 @settings(max_examples=150, deadline=None)
 def test_power_chain_matches_reference(r):
     assert power_chain(r) == reference_power_chain(r)
+
+
+@given(nilpotent_rings((zmod(4), zmod(8), zmod(9), zmod(16), zmod(27)), st.booleans()))
+@settings(max_examples=150, deadline=None)
+def test_power_chain_matches_reference_past_a_non_unit_pivot(r):
+    # a non-unit pivot column of R^2 leaves the generators as a unit one
+    # does: the check that the words' suffix sums reach R^2 alone decides
+    # whether they give the chain
+    want = reference_power_chain(r)
+    assume(len(want) > 1 and any(row[lead(row)] != 1 for row in want[1]))
+    assert power_chain(r) == want
 
 
 @st.composite

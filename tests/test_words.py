@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from gradednil.words import (
     block_degrees,
     exhaustive_splits,
     small_gap_blocks,
+    write_oracle,
 )
 
 Z2 = Monoid.cyclic(2)
@@ -320,20 +322,81 @@ def test_exhaustive_walk_across_blocks_of_several_heads(monkeypatch, monoid, sup
     test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
 
 
-def test_exhaustive_walk_rejects_int_add_and_small_r():
-    with pytest.raises(MonoidError):
-        next(exhaustive_splits(ZADD, 2, {0, 1}))
-    with pytest.raises(ValueError):
-        next(exhaustive_splits(Z2, 1, {0, 1}))
+# (monoid, r, support, word length, ValueError subclass, message): each breaks
+# one rule of ``words._check_split_args``, and the rules before it hold
+NOT_LEFT_CANCELLATIVE = Monoid.from_table([[0, 1], [1, 1]])
+REFUSED = {
+    "none": (None, 2, {0, 1}, 4, MonoidError, "needs a table monoid"),
+    "int-add": (ZADD, 2, {0, 1}, 4, MonoidError, "needs a table monoid"),
+    "not-left-cancellative": (NOT_LEFT_CANCELLATIVE, 2, {0, 1}, 4, ValueError,
+                              "left-cancellative"),
+    "r-1": (Z4, 1, {0, 1}, 2, ValueError, "--r must be greater than 1, got 1"),
+    "empty-support": (Z4, 2, set(), 0, ValueError, "nonempty support"),
+    "support-0-7": (Z4, 2, {0, 7}, 4, ValueError, r"element ids in 0\.\.3, got \[0, 7\]"),
+    "support-0-a": (Z4, 2, {0, "a"}, 4, ValueError, r"got \[0, 'a'\]"),
+    "length": (Z4, 2, {0, 1}, 3, ValueError, r"word length must be r\*d = 4"),
+}
 
 
-def test_split_rejects_an_empty_support():
-    # the empty word has length r*0, but an empty support is an input error,
-    # not the implementation bug SplitInternalError marks
-    with pytest.raises(ValueError, match="nonempty support"):
-        words_module.neutral_split(DegreeWord(Z2, ()), 2, set())
-    with pytest.raises(ValueError, match="nonempty support"):
-        exhaustive_splits(Z2, 2, set())
+def _word(monoid, n):
+    """n neutral letters; over None only the empty word can be built."""
+    return DegreeWord(monoid, (0,) * n if monoid is not None else ())
+
+
+def _write(entry):
+    """``write_oracle`` in one mode, failing if it wrote anything, whether or
+    not it raised."""
+    def write(monoid, r, supp, n):
+        out = io.StringIO()
+        try:
+            write_oracle(monoid, r, supp, out, None if entry == "exhaustive" else (0,) * n)
+        finally:
+            assert out.getvalue() == ""
+    return write
+
+
+ENTRIES = {
+    "exhaustive_splits": lambda monoid, r, supp, n: exhaustive_splits(monoid, r, supp),
+    "neutral_split": lambda monoid, r, supp, n: words_module.neutral_split(
+        _word(monoid, n), r, supp),
+    "neutral_split_bruteforce": lambda monoid, r, supp, n: words_module.neutral_split_bruteforce(
+        _word(monoid, n), r, supp),
+    "write_oracle-word": _write("word"),
+    "write_oracle-exhaustive": _write("exhaustive"),
+}
+
+
+@pytest.mark.parametrize("entry, rule", [
+    (entry, rule) for entry in ENTRIES for rule in REFUSED
+    # a walk takes no word, so its word length cannot be wrong
+    if rule != "length" or entry in ("neutral_split", "neutral_split_bruteforce",
+                                     "write_oracle-word")])
+def test_every_entry_point_refuses_what_a_split_cannot_take(monkeypatch, entry, rule):
+    # an input error, ValueError or MonoidError, raised before any kernel or
+    # written line; never SplitInternalError, which marks an implementation
+    # bug (a RuntimeError, so pytest.raises lets it through and the test fails)
+    monoid, r, supp, n, error, message = REFUSED[rule]
+
+    def kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(words_module, "_split_batch", kernel)
+    monkeypatch.setattr(words_module, "_brute_batch", kernel)
+    with pytest.raises(error, match=message):
+        ENTRIES[entry](monoid, r, supp, n)
+
+
+@pytest.mark.parametrize("word", [(0, 0, 0, 1, 0, 0, 0, 1), None], ids=["word", "exhaustive"])
+def test_write_oracle_reads_a_repeated_support_id_once(word):
+    # d is the support's size as a set in the length check and in the
+    # small-gap rule alike: cuts (0, 1, 2, 3, 8) leave block 4 out at 2d = 4
+    lines = []
+    for supp in ([0, 0, 1], {0, 1}):
+        out = io.StringIO()
+        write_oracle(Z2, 4, supp, out, word)
+        lines.append(out.getvalue())
+    assert lines[0] == lines[1]
+    assert "cuts=(0, 1, 2, 3, 8) small-gap blocks=[1, 2, 3]\n" in lines[0]
 
 
 def test_degree_word_names_the_first_bad_letter():
@@ -376,7 +439,8 @@ def test_exhaustive_walk_matches_per_word_on_non_commuting_words():
 
 def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
     # 1*0 = 1*1: not left cancellative, so a pigeonholed block can be
-    # non-neutral; the oracle command rejects this monoid up front.
+    # non-neutral; every entry point of ``words`` refuses this monoid before
+    # a kernel runs, so the kernels are called directly here.
     nc = Monoid.from_table([[0, 1], [1, 1]])
     table = np.array(nc.table)
     inside = np.ones(2, dtype=bool)
