@@ -179,7 +179,14 @@ def cmd_oracle(args):
     if args.word is None and not args.exhaustive:
         raise SystemExit(_input_error("oracle needs --word or --exhaustive"))
     word = None if args.word is None else _ids(args.word, "--word")
-    disagreements = write_oracle(monoid, args.r, supp, sys.stdout, word)
+    try:
+        disagreements = write_oracle(monoid, args.r, supp, sys.stdout, word)
+    except ValueError as exc:
+        # ``words`` starts a refusal of its parameter r or supp with the
+        # parameter's name; here the flag gives it
+        if str(exc).startswith(("r ", "supp ")):
+            raise ValueError(f"--{exc}") from None
+        raise
     return EXIT_OK if disagreements == 0 else EXIT_REFUTED
 
 

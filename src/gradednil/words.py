@@ -10,13 +10,13 @@ each by running one batched kernel on the word alone.
 
 ``exhaustive_splits`` decides both on every word of length r*d over a table
 monoid, each word factored as head . tail: the tails of the last j letters
-form one array, kept on the contiguous last axis, and a block is up to
-``_BLOCK`` words, a run of consecutive heads each followed by every tail,
-so each numpy kernel call covers about ``_BLOCK`` words.  Each kernel
-builds the tables that depend on the tail alone once, indexed at most by
-the degree g a head hands to the tail, in time and memory linear in the
-tails and in the narrowest dtypes that hold them, and then works only on
-the block's heads and their own positions.  ``_split_batch`` reads the
+form one array, kept on the contiguous last axis, and a block is one head
+followed by every tail, so each numpy kernel call covers the size**j
+tails, at least ``_BLOCK`` words unless j is capped at r*d - 1.  Each
+kernel builds the tables that depend on the tail alone once, indexed at
+most by the degree g a head hands to the tail, in time and memory linear
+in the tails and in the narrowest dtypes that hold them, and then works
+only on the block's head and its own positions.  ``_split_batch`` reads the
 prefix degrees past the head as g times the tail's prefix degrees
 (associativity) and applies the pigeonhole cut rule to their counts;
 ``_brute_batch`` extends every degree letter by letter through ``table``,
@@ -33,16 +33,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import lt, sub
 
 import numpy as np
 
 from .monoid import TABLE, Monoid, MonoidError, check_cancellative
 
-# Most words per kernel call of ``exhaustive_splits``: the kernels'
-# temporaries grow with the words of a block, so it bounds the walk's peak
-# memory, and about 4,096 words a call keep numpy's per-call overhead small.
+# Fewest words per kernel call of ``exhaustive_splits``, short of a tail of
+# r*d - 1 letters: the tail count size**j is at least ``_BLOCK`` and, j being
+# the least such, fewer than size * ``_BLOCK``, so a call covers enough words
+# to keep numpy's per-call overhead small, and the kernels' temporaries,
+# which grow with the words of a block, bound the walk's peak memory.
 _BLOCK = 1 << 12
 
 
@@ -109,10 +111,10 @@ def _check_split_args(monoid, r, supp, n):
     if not check_cancellative(monoid):
         raise ValueError("a neutral split needs a left-cancellative monoid")
     if r <= 1:
-        raise ValueError(f"--r must be greater than 1, got {r}")
+        raise ValueError(f"r must be greater than 1, got {r}")
     if not supp or not all(map(monoid.contains, supp)):
         got = sorted(supp, key=lambda g: (type(g).__name__, g))
-        raise ValueError(f"--supp needs a nonempty support of element ids in "
+        raise ValueError(f"supp needs a nonempty support of element ids in "
                          f"0..{monoid.size - 1}, got {got}")
     if n != r * len(supp):
         raise ValueError(f"word length must be r*d = {r * len(supp)}")
@@ -133,8 +135,8 @@ def _one_word(monoid: Monoid, degrees, r: int, supp):
     _check_split_args(monoid, r, supp, len(degrees))
     degrees = DegreeWord(monoid, degrees).degrees
     table, e, inside = _kernel_input(monoid, supp)
-    letters = np.array(degrees, dtype=table.dtype).reshape(1, len(degrees))
-    return (table, e, inside, letters[:, 1:], r), letters[:, :1]
+    tail = np.array(degrees[1:], dtype=table.dtype).reshape(1, len(degrees) - 1)
+    return (table, e, inside, tail, r), degrees[:1]
 
 
 def neutral_split(w: DegreeWord, r: int, supp):
@@ -201,15 +203,6 @@ class Splits:
         return cls(np.ones(m, dtype=bool), np.full((m, r + 1), -1, dtype=np.intp))
 
 
-def _word_letters(size, j, start, stop, dtype):
-    """Words start .. stop-1 of ``itertools.product(range(size), repeat=j)``
-    as a (stop - start, j) array of ``dtype``, letter c of word i being
-    (i // size^(j-1-c)) % size.  Callers keep stop <= size**n for a word
-    length n >= j whose word count fits int64, so no place value wraps."""
-    place = size ** np.arange(j - 1, -1, -1, dtype=np.int64)
-    return (np.arange(start, stop, dtype=np.int64)[:, None] // place % size).astype(dtype)
-
-
 def _times(table, g, x):
     """``table[g, x]`` elementwise, for arrays of ids that broadcast: one take
     from the flat table, the index computed in the narrowest unsigned dtype
@@ -219,9 +212,9 @@ def _times(table, g, x):
 
 
 def _split_batch(table, e, inside, tails, r):
-    """``neutral_split`` on the words head + tail, for every head of an (h, k)
-    array of heads and every row of ``tails``, returned as a function of the
-    heads; word i of its ``Splits`` is head i // m followed by tail i % m.
+    """``neutral_split`` on the words head + tail, for every row of ``tails``,
+    returned as a function of the head, a tuple of k element ids; word i of
+    its ``Splits`` is the head followed by tail i.
 
     Products are read from ``within``, the table with every product outside
     the support replaced by ``size``, whose row and column keep it: a degree
@@ -278,91 +271,82 @@ def _split_batch(table, e, inside, tails, r):
     column = np.arange(m)
     rows = within.tolist()
     # per head length k, the parts of a block's start in ``source`` that do
-    # not depend on the heads: past the head, tri's offset where a >= k and
+    # not depend on the head: past the head, tri's offset where a >= k and
     # G's at b - k where a < k, to which G[P_a]'s row is added
     layout = {}
 
-    def split(heads):
-        h, k = heads.shape
+    def split(head):
+        k = len(head)
         n = k + j
-        # each head's own triangle, [a][b] the degree of letters a+1..b
+        # the head's own triangle, [a][b] the degree of letters a+1..b
         # (e where b <= a), made in Python: a head has few letters
-        heads_tri = []
-        for head in heads.tolist():
-            tri = []
-            for a in range(k + 1):
-                sub = [e] * (a + 1)
-                for x in head[a:]:
-                    sub.append(rows[sub[-1]][x])
-                tri.append(sub)
-            heads_tri.append(tri)
-        head_clean = [all(sub[-1] < size for sub in tri[:k]) for tri in heads_tri]
-        if not any(head_clean):
-            return Splits.forced_zero(h * m, r)
+        head_tri = []
+        for a in range(k + 1):
+            sub = [e] * (a + 1)
+            for x in head[a:]:
+                sub.append(rows[sub[-1]][x])
+            head_tri.append(sub)
+        if not all(sub[-1] < size for sub in head_tri[:k]):
+            return Splits.forced_zero(m, r)
         pos = np.min_scalar_type(n + 1)
-        head_tri = np.array(heads_tri, dtype=within.dtype).reshape(h, k + 1, k + 1)
-        head_tri = head_tri.transpose(2, 1, 0)
+        head_tri = np.array(head_tri, dtype=within.dtype).T
         P = rank[head_tri[k]]
-        word_clean = np.array(head_clean)[:, None] & clean & clean_from[P[:k]].all(axis=0)
+        word_clean = clean & clean_from[P[:k]].all(axis=0)
 
         # score: the count shifted past K - 1 - rank, so the largest is the
         # most frequent degree, ties going to the smallest id; e scores
         # above all when it occurs r+1 times, else 0
         score_t = np.min_scalar_type((n + 2) << shift)
-        score = np.add(count_from[P[0]],
-                       (head_tri[:, 0, :, None] == keys).sum(axis=0, dtype=pos)[:, :, None],
-                       dtype=score_t)
-        neutral = score[:, re] > r
+        own = (head_tri[:, 0, None] == keys).sum(axis=0, dtype=pos)
+        score = np.add(count_from[P[0]], own[:, None], dtype=score_t)
+        neutral = score[re] > r
         score <<= shift
         score |= (K - 1 - np.arange(K, dtype=score_t))[:, None]
-        np.multiply(neutral, score_t.type(((n + 2) << shift) | (K - 1 - re)), out=score[:, re])
-        target = by_rank.take(score.max(axis=1) & ((1 << shift) - 1))
-        prefix = np.empty((n + 1, h, m), dtype=within.dtype)
-        prefix[:k + 1] = head_tri[:, 0, :, None]
-        prefix[k + 1:] = G[P[0], 1:].transpose(1, 0, 2)
-        seen = np.equal(prefix, target, out=np.empty((n + 1, h, m), dtype=pos))
+        np.multiply(neutral, score_t.type(((n + 2) << shift) | (K - 1 - re)), out=score[re])
+        target = by_rank.take(score.max(axis=0) & ((1 << shift) - 1))
+        prefix = np.empty((n + 1, m), dtype=within.dtype)
+        prefix[:k + 1] = head_tri[:, 0, None]
+        prefix[k + 1:] = G[P[0], 1:]
+        seen = np.equal(prefix, target, out=np.empty((n + 1, m), dtype=pos))
         for p in range(1, n + 1):
             seen[p] += seen[p - 1]
         # hit i (from 0) is at the number of positions with at most i hits so
         # far; a word with fewer hits reads n+1, clipped to n, and is broken
-        cuts = np.empty((r + 1, h, m), dtype=pos)
+        cuts = np.empty((r + 1, m), dtype=pos)
         for i in range(r + 1):
             np.add.reduce((seen <= i).view(np.uint8), axis=0, dtype=pos, out=cuts[i])
         cuts = np.minimum(cuts, n, out=cuts).astype(np.intp)
 
-        # where block a+1..b starts in ``source``, per (a, b, head)
+        # where block a+1..b starts in ``source``, per (a, b)
         if k not in layout:
             a = np.arange(n + 1)[:, None]
             b = np.arange(n + 1)
             tb = np.maximum(b - k, 0)
-            past = np.where(a >= k, G.size + (tb * (j + 1) + a - k) * m, tb * m)[:, :, None]
-            layout[k] = (past, ((a < k) & (b > k))[:, :, None], (b > k)[:, None],
-                         np.minimum(a[:, 0], k), np.minimum(b, k), np.minimum(a, k))
+            past = np.where(a >= k, G.size + (tb * (j + 1) + a - k) * m, tb * m)
+            layout[k] = (past, (a < k) & (b > k), b > k, np.minimum(a[:, 0], k),
+                         np.minimum(b, k), np.minimum(a, k))
         past, cross, beyond, a_row, b_head, a_head = layout[k]
         start = past + cross * (P[a_row] * ((j + 1) * m))[:, None]
         inner = head_tri[b_head, a_head] == e
         start = np.where(beyond, start, np.where(inner, neutral_row, broken_row))
-        at = (cuts[:-1] * (n + 1) + cuts[1:]) * h + np.arange(h)[:, None]
-        blocks = source.take(start.ravel().take(at) + column) == e
+        blocks = source.take(start.ravel().take(cuts[:-1] * (n + 1) + cuts[1:]) + column) == e
         broken = (seen[n] <= r) | ~blocks.all(axis=0)
         bad = np.flatnonzero(word_clean & broken)
         if bad.size:
-            i = bad[0]
             raise SplitInternalError(
-                f"word {heads[i // m].tolist() + tails[i % m].tolist()}: pigeonhole "
+                f"word {list(head) + tails[bad[0]].tolist()}: pigeonhole "
                 "dichotomy failed or a block is not neutral"
             )
         cuts[:, ~word_clean] = -1
-        return Splits(~word_clean.ravel(), cuts.reshape(r + 1, -1).T)
+        return Splits(~word_clean, cuts.T)
 
     return split
 
 
 def _brute_batch(table, e, inside, tails, r):
-    """``neutral_split_bruteforce`` on the words head + tail, for every head
-    of an (h, k) array of heads and every row of ``tails``, returned as a
-    function of the heads; word i of its ``Splits`` is head i // m followed
-    by tail i % m.
+    """``neutral_split_bruteforce`` on the words head + tail, for every row of
+    ``tails``, returned as a function of the head, a tuple of k element ids;
+    word i of its ``Splits`` is the head followed by tail i.
 
     Every degree is extended letter by letter through ``table`` and the
     support is tested on each.  Built here once from the tail alone:
@@ -372,7 +356,7 @@ def _brute_batch(table, e, inside, tails, r):
     for every starting degree g in the support at once, E[g], g extended by
     the tail letters, tested against the support and reduced to
     ``cross[t, g]``, the shortest c >= 1 with E[g][c] neutral and t-1 blocks
-    placeable after tail letter c.  The heads' subproducts are extended the
+    placeable after tail letter c.  The head's subproducts are extended the
     same way, and they add only the DP rows of their own k start positions:
     a block from head position a is a head subproduct or, past the head,
     Q_a = h_{a+1}..h_k extended by E[Q_a].  The smallest reachable cut, then
@@ -425,35 +409,33 @@ def _brute_batch(table, e, inside, tails, r):
 
     rows = table.tolist()
     in_supp = set(supp.tolist())
-    # per (head length, heads): where the step at position p with t blocks
-    # to go lies in ``steps``, head_first then ``first`` laid end to end:
-    # at ((t * k + p) * h + head) * m + column if p < k, else past
-    # head_first at (t * (j + 1) + p - k) * m + column
+    # per head length: where the step at position p with t blocks to go lies
+    # in ``steps``, head_first then ``first`` laid end to end: at
+    # (t * k + p) * m + column if p < k, else past head_first at
+    # (t * (j + 1) + p - k) * m + column
     step_at = {}
 
-    def brute(heads):
-        h, k = heads.shape
+    def brute(head):
+        k = len(head)
         n = k + j
-        # prods[i][a][L - 1]: the degree of letters a+1..a+L of head i, made
-        # in Python: a head has few letters
-        prods = [[list(accumulate(head[a:], lambda g, x: rows[g][x])) for a in range(k)]
-                 for head in heads.tolist()]
-        head_clean = [all(in_supp.issuperset(row) for row in p) for p in prods]
-        if not any(head_clean):
-            return Splits.forced_zero(h * m, r)
+        # prods[a][L - 1]: the degree of head letters a+1..a+L, made in
+        # Python: a head has few letters
+        prods = [list(accumulate(head[a:], lambda g, x: rows[g][x])) for a in range(k)]
+        if not all(in_supp.issuperset(row) for row in prods):
+            return Splits.forced_zero(m, r)
         pos = np.min_scalar_type(n + 1)
-        # Q[a]: the support slot of Q_a = prods[..][a][-1]; head_ends[a, L - 1]:
+        # Q[a]: the support slot of Q_a = prods[a][-1]; head_ends[a, L - 1]:
         # that head letters a+1..a+L are neutral
-        Q = slot[[[p[a][-1] for p in prods] for a in range(k)]].reshape(k, h)
-        head_ends = np.array([[[g == e for g in row] + [False] * a for a, row in enumerate(p)]
-                         for p in prods], dtype=bool).reshape(h, k, k).transpose(1, 2, 0)
-        word_clean = np.array(head_clean)[:, None] & clean & ok_from[Q].all(axis=0)
+        Q = slot[[row[-1] for row in prods]]
+        head_ends = np.array([[g == e for g in row] + [False] * a for a, row in enumerate(prods)],
+                             dtype=bool).reshape(k, k)
+        word_clean = clean & ok_from[Q].all(axis=0)
         # DP rows of the head's start positions, all at once per t: row k of
         # head_reach is the tail's reach at its start
-        head_first = np.zeros((r + 1, k, h, m), dtype=pos)
-        head_reach = np.ones((r + 1, k + 1, h, m), dtype=bool)
+        head_first = np.zeros((r + 1, k, m), dtype=pos)
+        head_reach = np.ones((r + 1, k + 1, m), dtype=bool)
         # a cross block ends k - a letters later than in the tail
-        later = (k - np.arange(k, dtype=pos))[:, None, None]
+        later = (k - np.arange(k, dtype=pos))[:, None]
         for t in range(1, r + 1):
             head_reach[t - 1, k] = reach[t - 1, 0]
             row = head_first[t]
@@ -462,29 +444,27 @@ def _brute_batch(table, e, inside, tails, r):
             for length in range(k, 0, -1):  # the shortest block writes last
                 after = head_reach[t - 1, length:]
                 np.copyto(row[:k + 1 - length], length,
-                          where=head_ends[:k + 1 - length, length - 1, :, None] & after)
+                          where=head_ends[:k + 1 - length, length - 1, None] & after)
             np.greater(row, 0, out=head_reach[t, :k])
-        start = np.empty((h, m), dtype=np.intp)
-        start[:] = tail_start + k
+        start = tail_start + k
         for a in range(k - 1, -1, -1):
             np.copyto(start, a, where=head_reach[r, a])
 
-        if (k, h) not in step_at:
-            t = np.arange(r + 1)[:, None, None]
-            p = np.arange(n + 1)[:, None]
-            step_at[k, h] = np.where(p < k, ((t * k + p) * h + np.arange(h)) * m,
-                                     head_first.size + (t * (j + 1) + p - k) * m).reshape(r + 1, -1)
-        at = step_at[k, h]
+        if k not in step_at:
+            t = np.arange(r + 1)[:, None]
+            p = np.arange(n + 1)
+            step_at[k] = np.where(p < k, (t * k + p) * m,
+                                  head_first.size + (t * (j + 1) + p - k) * m)
+        at = step_at[k]
         steps = np.concatenate((head_first.ravel(), first.ravel()))
         # a word with no cut sequence steps from 0 and is marked after
-        cuts = np.empty((r + 1, h, m), dtype=np.intp)
+        cuts = np.empty((r + 1, m), dtype=np.intp)
         np.maximum(start, 0, out=cuts[0])
-        head = np.arange(h)[:, None]
         for i in range(1, r + 1):
-            to = at[r + 1 - i].take(cuts[i - 1] * h + head)
-            np.add(cuts[i - 1], steps.take(to + column), out=cuts[i])
+            np.add(cuts[i - 1], steps.take(at[r + 1 - i].take(cuts[i - 1]) + column),
+                   out=cuts[i])
         cuts[:, ~(word_clean & (start >= 0))] = -1
-        return Splits(~word_clean.ravel(), cuts.reshape(r + 1, -1).T)
+        return Splits(~word_clean, cuts.T)
 
     return brute
 
@@ -493,14 +473,12 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     """The words of length n = r*d over a table monoid as ``(tails, blocks)``.
 
     A word is a head of k = n - j letters followed by a tail of j, for the
-    largest j < n with size**j <= ``_BLOCK``.  ``tails`` is the (size**j, j)
-    array of every tail, in ``itertools.product`` order.  ``blocks`` yields
-    ``(heads, split, brute)`` per block of max(1, ``_BLOCK`` // size**j)
-    consecutive heads, heads in that order too and the last block holding
-    what is left: ``heads`` is their (h, k) array, and the words heads[0] +
-    tails[0], heads[0] + tails[1], ..., heads[h-1] + tails[-1] of one block
-    after another are those of ``itertools.product(monoid.elements(),
-    repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
+    least j with size**j >= ``_BLOCK``, capped at n - 1.  ``tails`` is the
+    (size**j, j) array of every tail, in ``itertools.product`` order.
+    ``blocks`` yields ``(head, split, brute)`` per head, a tuple of element
+    ids, heads in that order too, made as they are reached: the words head +
+    tails[0], head + tails[1], ... of one block after another are those of
+    ``itertools.product(monoid.elements(), repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
     words whose verdicts equal ``neutral_split`` and
     ``neutral_split_bruteforce`` on each word.  Past ``_check_split_args``,
     it raises ``ValueError`` on n >= 63 or size**n past int64.
@@ -509,26 +487,21 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     n = r * len(supp)
     _check_split_args(monoid, r, supp, n)
     size = monoid.size
-    # words are numbered in int64; n is checked first, so no huge power is
-    # taken, and it alone stops a one-element walk, whose tables grow as n^2
+    # past int64-max words no walk ends; n is checked first, so no huge power
+    # is taken, and it alone stops a one-element walk, whose tables grow as n^2
     if n >= 63 or size**n > np.iinfo(np.int64).max:
-        raise ValueError(f"--exhaustive needs r*d below 63 and at most int64-max words; "
-                         f"r*d = {n} gives {size}**{n} words; lower --r")
+        raise ValueError(f"r must keep r*d below 63 and size**(r*d) words within int64 "
+                         f"for an exhaustive walk; r*d = {n} gives {size}**{n} words")
     table, e, inside = _kernel_input(monoid, supp)
     j = 0
-    while j < n - 1 and size ** (j + 1) <= _BLOCK:
+    while j < n - 1 and size**j < _BLOCK:
         j += 1
-    tails = _word_letters(size, j, 0, size**j, table.dtype)
+    # letter c of every tail is row c of the grid, on its contiguous last axis
+    tails = np.indices((size,) * j, dtype=table.dtype).reshape(j, size**j).T
     split = _split_batch(table, e, inside, tails, r)
     brute = _brute_batch(table, e, inside, tails, r)
-    count, step = size ** (n - j), max(1, _BLOCK // size**j)
-
-    def blocks():
-        for start in range(0, count, step):
-            heads = _word_letters(size, n - j, start, min(start + step, count), table.dtype)
-            yield heads, split(heads), brute(heads)
-
-    return tails, blocks()
+    heads = product(range(size), repeat=n - j)
+    return tails, ((head, split(head), brute(head)) for head in heads)
 
 
 def _verdict_text(got, ref, d):
@@ -547,22 +520,21 @@ def _write_exhaustive(monoid, r, supp, out):
     """Write the oracle line of every word to ``out``, one block of
     ``exhaustive_splits`` at a time, and return the number of disagreements.
 
-    A block is h heads, each followed by every tail, and a line is a lead,
-    ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
+    A block is one head followed by every tail, and a line is the block's
+    lead, ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
     disagreeing row), the tail letters, made once for all blocks, and the
-    verdict suffix.  A block is written as one joined list: its first lead,
-    then per line its tail text and its suffix followed by the next line's
-    lead (nothing after the block's last line).  Within a head the next
-    lead is the same, so each suffix + lead is made once per head and cut
-    sequence; only a head's last line, and a disagreeing row and the row
-    before it, are made one by one, and a correct run has no disagreeing
-    row.  Suffixes are made once per cut sequence and looked up by its id.
-    Ids are dealt one cut at a time: ``link[i][p * width + c]`` is the id
-    of the first i + 1 cuts of the sequences whose first i have id p and
-    whose cut i is c, -1 until one is seen.  Id 0 and the last column stand
-    for a row that is not split, so the last level's id indexes the
-    suffixes with FORCED_ZERO at 0, and a block finds every line's suffix
-    with r + 1 takes.
+    verdict suffix.  A block is written as one joined list: its lead, then
+    per line its tail text and its suffix followed by the lead again, which
+    is dropped after the block's last line.  Each suffix + lead is made once
+    per block and cut sequence; only a disagreeing row and the row before
+    it are made one by one, and a correct run has no disagreeing row.
+    Suffixes are made once per cut sequence and looked up by its id.  Ids
+    are dealt one cut at a time: ``link[i][p * width + c]`` is the id of the
+    first i + 1 cuts of the sequences whose first i have id p and whose cut
+    i is c, -1 until one is seen.  Id 0 and the last column stand for a row
+    that is not split, so the last level's id indexes the suffixes with
+    FORCED_ZERO at 0, and a block finds every line's suffix with r + 1
+    takes.
     """
     d = len(supp)
     tails, blocks = exhaustive_splits(monoid, r, supp)
@@ -578,11 +550,11 @@ def _write_exhaustive(monoid, r, supp, out):
         level[-1] = 0
     suffixes = np.array([_verdict_text(FORCED_ZERO, FORCED_ZERO, d)[1]], dtype=object)
     # a block's pieces: the tail texts at the odd places stay from block to
-    # block, made again only for a block of another size; every even place
-    # is written for each block
-    pieces = []
+    # block; every even place is written for each block
+    pieces = [None] * (2 * m + 1)
+    pieces[1::2] = tail_texts
     disagreements = 0
-    for heads, got, ref in blocks:
+    for head, got, ref in blocks:
         agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
         column = np.where(agree & ~got.zero, got.cuts.T, width - 1)
         at = np.zeros(len(agree), dtype=np.intp)
@@ -607,32 +579,23 @@ def _write_exhaustive(monoid, r, supp, out):
                              for row in rows.tolist()]
                     suffixes = np.concatenate((suffixes, np.array(texts, dtype=object)))
 
-        leads = ["word=[" + ", ".join(map(names.__getitem__, head)) for head in heads.tolist()]
-        bad = set(np.flatnonzero(~agree).tolist())
+        lead = "word=[" + ", ".join(map(names.__getitem__, head))
+        own = {i: _verdict_text(got.verdict(i), ref.verdict(i), d)
+               for i in np.flatnonzero(~agree).tolist()}
 
-        def own_text(i):
-            return _verdict_text(got.verdict(i), ref.verdict(i), d)
-
-        def lead(i):
-            if i == len(agree):
-                return ""
-            return (own_text(i)[0] if i in bad else "") + leads[i // m]
+        def lead_of(i):
+            return "" if i == m else (own[i][0] if i in own else "") + lead
 
         def suffix(i):
-            return own_text(i)[1] if i in bad else suffixes[at[i]]
+            return own[i][1] if i in own else suffixes[at[i]]
 
-        if len(pieces) != 2 * len(agree) + 1:
-            pieces = [None] * (2 * len(agree) + 1)
-            pieces[1::2] = tail_texts * len(leads)
-        pieces[0] = lead(0)
-        for h, text in enumerate(leads):
-            lines = at[h * m:(h + 1) * m]
-            pieces[2 * h * m + 2:2 * (h + 1) * m + 2:2] = (suffixes + text)[lines].tolist()
-        for i in sorted(bad | set(range(m - 1, len(agree), m))):
-            pieces[2 * i + 2] = suffix(i) + lead(i + 1)
-            if i in bad:
-                pieces[2 * i] = (suffix(i - 1) if i else "") + lead(i)
-        disagreements += len(bad)
+        pieces[0] = lead
+        pieces[2::2] = (suffixes + lead)[at].tolist()
+        pieces[-1] = suffixes[at[-1]]
+        for i in own:
+            pieces[2 * i] = (suffix(i - 1) if i else "") + lead_of(i)
+            pieces[2 * i + 2] = suffix(i) + lead_of(i + 1)
+        disagreements += len(own)
         out.write("".join(pieces))
     return disagreements
 

@@ -35,6 +35,8 @@ FCOMM = "src/gradednil/fcomm.py"
 WORDS = "src/gradednil/words.py"
 REFUSES = "tests/test_words.py::test_every_entry_point_refuses_what_a_split_cannot_take"
 BOUNDARY = "tests/test_theorems.py::test_every_bound_check_judges_the_bound_it_prints"
+WALK = "tests/test_words.py::test_exhaustive_walk_matches_per_word_functions"
+WRITE = "tests/test_words.py::test_exhaustive_write_prints_every_reference_line_in_order"
 
 MUTANTS = [
     # -- the one judge: it reads the printed bound, both ends
@@ -118,6 +120,17 @@ MUTANTS = [
      [f"{REFUSES}[exhaustive_splits-support-0-7]"]),
     (WORDS, "if not check_cancellative(monoid):", "if False:",
      [f"{REFUSES}[neutral_split-not-left-cancellative]"]),
+    # Lemma 3.5's kernels: the split counts the head's own prefix degrees,
+    # and the brute force ends a block that crosses into the tail k - a
+    # letters past where the tail's own table ends it
+    (WORDS, "np.add(count_from[P[0]], own[:, None], dtype=score_t)",
+     "np.add(count_from[P[0]], 0, dtype=score_t)", [WALK]),
+    (WORDS, "np.multiply(shortest + later, shortest > 0, out=row)",
+     "np.multiply(shortest, shortest > 0, out=row)", [WALK]),
+    # the walk's writer: no lead after a block's last line, and the next
+    # block's lead before its first
+    (WORDS, "        pieces[-1] = suffixes[at[-1]]\n", "", [WRITE]),
+    (WORDS, "        pieces[0] = lead\n", "        pieces[0] = \"\"\n", [WRITE]),
     # the factor search prefers 1, then -1
     (FCOMM, "for s in (1, m - 1, c)", "for s in (m - 1, 1, c)",
      ["tests/test_fcomm.py::test_scalar_search_commutative_gives_constant_one"]),

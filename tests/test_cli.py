@@ -966,16 +966,16 @@ def _cached_reference_stdout(monoid, supp, r):
     return _oracle_reference_stdout(monoid, supp, r)
 
 
-# (case, _BLOCK) -> heads per block, first and last block, and the block
-# count.  Z_4 words of 6 letters and S_3 words of 6: 7 leaves one head a
-# block; Z_4 at 1000 and S_3 at 1100 end on a block that is not full; S_3 at
-# 1000 fills every block; 10**9 is larger than the whole word set, which
-# then makes one block.
+# (case, _BLOCK) -> words per block and the block count, one block per
+# head.  Z_4 words of 6 letters and S_3 words of 6: 7 gives tails of two
+# letters; Z_4 at 1000 and S_3 at 1100 take the least tail reaching _BLOCK,
+# 4**5 and 6**4 words; Z_4 at 1100 and both at 10**9 cap the tail at five
+# letters, so the heads are one letter.
 BLOCK_SHAPES = {
-    ("cyclic", 7): (1, 1, 1024), ("cyclic", 1000): (3, 1, 6),
-    ("cyclic", 1100): (1, 1, 4), ("cyclic", 10**9): (4, 4, 1),
-    ("s3", 7): (1, 1, 7776), ("s3", 1000): (4, 4, 54),
-    ("s3", 1100): (5, 1, 44), ("s3", 10**9): (6, 6, 1),
+    ("cyclic", 7): (16, 256), ("cyclic", 1000): (1024, 4),
+    ("cyclic", 1100): (1024, 4), ("cyclic", 10**9): (1024, 4),
+    ("s3", 7): (36, 1296), ("s3", 1000): (1296, 36),
+    ("s3", 1100): (1296, 36), ("s3", 10**9): (7776, 6),
 }
 
 
@@ -983,15 +983,15 @@ BLOCK_SHAPES = {
 @pytest.mark.parametrize("case", ["cyclic", "s3"])
 def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeypatch,
                                                        chunk, case):
-    # 4096 and 46656 words: the output must not show where one block of
-    # heads ends and the next begins, whatever the block shape.
+    # 4096 and 46656 words: the output must not show where one block ends
+    # and the next begins, whatever the block shape.
     monkeypatch.setattr(words, "_BLOCK", chunk)
-    heads_per_block = []
+    words_per_block = []
     exhaustive_splits = words.exhaustive_splits
 
     def recording(*args):
         tails, blocks = exhaustive_splits(*args)
-        return tails, ((heads_per_block.append(len(b[0])), b)[1] for b in blocks)
+        return tails, ((words_per_block.append(len(b[1].zero)), b)[1] for b in blocks)
 
     monkeypatch.setattr(words, "exhaustive_splits", recording)
     if case == "cyclic":
@@ -1005,8 +1005,8 @@ def test_cli_oracle_exhaustive_across_chunk_boundaries(tmp_path, capsys, monkeyp
                  "--exhaustive"])
     out = capsys.readouterr().out
     assert code == 0
-    assert (heads_per_block[0], heads_per_block[-1], len(heads_per_block)) == \
-        BLOCK_SHAPES[case, chunk]
+    assert set(words_per_block) == {BLOCK_SHAPES[case, chunk][0]}
+    assert len(words_per_block) == BLOCK_SHAPES[case, chunk][1]
     ids = frozenset(int(t) for t in supp.split(","))
     _assert_same_text(out, _cached_reference_stdout(monoid, ids, r))
 
@@ -1095,9 +1095,10 @@ def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
     def lose_word_15(table, e, inside, tails, r):
         brute = brute_batch(table, e, inside, tails, r)
 
-        def lossy(heads):
-            out = brute(heads)
-            out.cuts[((heads == 1).all(axis=1)[:, None] & (tails == 1).all(axis=1)).ravel()] = -1
+        def lossy(head):
+            out = brute(head)
+            if set(head) == {1}:
+                out.cuts[(tails == 1).all(axis=1)] = -1
             return out
 
         return lossy
@@ -1112,26 +1113,25 @@ def test_cli_oracle_exhaustive_reports_a_disagreement(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == want
 
 
-# Z_3 words of 4 letters at _BLOCK = 20: heads of 2 letters, each followed by
-# 9 tails, two heads a block and one in the last.  Words 8 and 9 sit either
-# side of a head boundary inside a block, 17 and 18 end and start blocks of
-# two heads, 0 and 80 start and end the run.
+# Z_3 words of 4 letters at _BLOCK = 5: heads of 2 letters, each followed by
+# the 9 tails of 2 letters, one head a block.  Words 8 and 9, and 17 and 18,
+# end and start blocks, 0 and 80 start and end the run.
 @pytest.mark.parametrize("lost", [0, 8, 9, 17, 18, 80])
 def test_cli_oracle_exhaustive_disagreement_at_head_and_block_edges(capsys, monkeypatch,
                                                                     lost):
     # A brute side that finds no cut sequence for word ``lost`` gives one
     # DISAGREE line in its place, whichever line of its block it is.
-    monkeypatch.setattr(words, "_BLOCK", 20)
+    monkeypatch.setattr(words, "_BLOCK", 5)
     brute_batch = words._brute_batch
-    heads_per_block = []
+    words_per_block = []
 
     def lose_one_word(table, e, inside, tails, r):
         brute = brute_batch(table, e, inside, tails, r)
 
-        def lossy(heads):
-            out = brute(heads)
-            heads_per_block.append(len(heads))
-            first = functools.reduce(lambda a, x: a * len(table) + x, heads[0].tolist(), 0)
+        def lossy(head):
+            out = brute(head)
+            words_per_block.append(len(out.zero))
+            first = functools.reduce(lambda a, x: a * len(table) + x, head, 0)
             i = lost - first * len(tails)
             if 0 <= i < len(out.zero):
                 out.zero[i] = False
@@ -1143,7 +1143,7 @@ def test_cli_oracle_exhaustive_disagreement_at_head_and_block_edges(capsys, monk
     monkeypatch.setattr(words, "_brute_batch", lose_one_word)
     code = main(["oracle", "lemma-3-5", "--cyclic", "3", "--supp", "0,1", "--r", "2",
                  "--exhaustive"])
-    assert heads_per_block == [2, 2, 2, 2, 1]
+    assert words_per_block == [9] * 9
     monoid = Monoid.cyclic(3)
     want = _oracle_reference_stdout(monoid, {0, 1}, 2).splitlines()
     letters = list(itertools.product(range(3), repeat=4))[lost]

@@ -268,15 +268,9 @@ def _unpack(walk):
     ``exhaustive_splits``, with each side's verdict as a per-word function
     returns it."""
     tails, blocks = walk
-    for heads, split, brute in blocks:
-        words = itertools.product(heads.tolist(), tails.tolist())
-        for i, (head, tail) in enumerate(words):
-            yield tuple(head + tail), split.verdict(i), brute.verdict(i)
-
-
-def _one_head(head, dtype=int):
-    """``head`` as the (1, k) array of heads the kernels take."""
-    return np.array(head, dtype=dtype).reshape(1, len(head))
+    for head, split, brute in blocks:
+        for i, tail in enumerate(tails.tolist()):
+            yield head + tuple(tail), split.verdict(i), brute.verdict(i)
 
 
 @pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
@@ -300,26 +294,49 @@ def test_exhaustive_walk_matches_per_word_functions(monoid, supp, r):
 @pytest.mark.parametrize("monoid,supp,r", WALK_CASES, ids=WALK_IDS)
 def test_exhaustive_walk_at_the_extreme_chunk_sizes(monkeypatch, monoid, supp, r, chunk):
     # _BLOCK = 1 leaves an empty tail, so every block is one word, a head of
-    # n letters; 10**9 leaves heads of one letter and a tail of n - 1, and
-    # one block holds every word.
+    # n letters; 10**9 leaves heads of one letter and a tail of n - 1, so
+    # there are size blocks, one per one-letter head.
     monkeypatch.setattr(words_module, "_BLOCK", chunk)
     test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
 
 
-@pytest.mark.parametrize("monoid,supp,r,block,heads_per_block,blocks", [
-    (Z3, {0, 1, 2}, 2, 20, 2, 41),     # 81 heads of 4 letters, two a block
-    (KLEIN, {0, 1, 2}, 2, 50, 3, 86),  # 256 heads of 4 letters, three a block
-    (S3_E4, {1, 2, 4}, 2, 1100, 5, 44),
-], ids=["z3", "klein", "s3-e4"])
-def test_exhaustive_walk_across_blocks_of_several_heads(monkeypatch, monoid, supp, r, block,
-                                                         heads_per_block, blocks):
-    # Blocks of several heads whose last block holds one: the per-word
-    # functions decide every word of each, in order.
+@pytest.mark.parametrize("monoid,supp,r,block,j", [
+    (Z3, {0, 1, 2}, 2, 20, 3),      # 3**2 < 20 <= 3**3
+    (KLEIN, {0, 1, 2}, 2, 50, 3),   # 4**2 < 50 <= 4**3
+    (S3_E4, {1, 2, 4}, 2, 1100, 4),  # 6**3 < 1100 <= 6**4
+    (Z3, {0, 1, 2}, 2, 10**4, 5),   # 3**5 < 10**4: capped at n - 1
+], ids=["z3", "klein", "s3-e4", "z3-capped"])
+def test_exhaustive_walk_holds_one_head_per_block(monkeypatch, monoid, supp, r, block, j):
+    # Every block is one head followed by every tail: the tail count is
+    # size**j for the least j with size**j >= _BLOCK, at most n - 1, and
+    # there are size**(n - j) blocks.  The per-word functions decide every
+    # word of each, in order.
     monkeypatch.setattr(words_module, "_BLOCK", block)
-    _, walk = exhaustive_splits(monoid, r, supp)
-    sizes = [len(heads) for heads, _, _ in walk]
-    assert (sizes[0], sizes[-1], len(sizes)) == (heads_per_block, 1, blocks)
+    n = r * len(supp)
+    tails, walk = exhaustive_splits(monoid, r, supp)
+    blocks = list(walk)
+    assert tails.shape == (monoid.size**j, j)
+    assert [head for head, _, _ in blocks] == list(
+        itertools.product(range(monoid.size), repeat=n - j))
+    assert all(len(split.zero) == len(brute.zero) == len(tails) for _, split, brute in blocks)
     test_exhaustive_walk_matches_per_word_functions(monoid, supp, r)
+
+
+@pytest.mark.parametrize("block", [1, 5, 10**9], ids=["one-word", "two-letter-heads",
+                                                      "one-letter-heads"])
+def test_exhaustive_write_prints_every_reference_line_in_order(monkeypatch, block):
+    # Across blocks of every size, the walk writes each word's line as the
+    # per-word reference gives it, each once and in order, leads and all.
+    monkeypatch.setattr(words_module, "_BLOCK", block)
+    out = io.StringIO()
+    assert write_oracle(Z3, 2, {0, 1}, out) == 0
+    want = []
+    for letters in itertools.product(range(3), repeat=4):
+        w = DegreeWord(Z3, letters)
+        mark, suffix = _verdict_text(neutral_split(w, 2, {0, 1}),
+                                     neutral_split_bruteforce(w, 2, {0, 1}), 2)
+        want.append(mark + "word=[" + ", ".join(map(str, letters)) + suffix)
+    assert out.getvalue() == "".join(want) + "disagreements: 0\n"
 
 
 # (monoid, r, support, word length, ValueError subclass, message): each breaks
@@ -330,8 +347,8 @@ REFUSED = {
     "int-add": (ZADD, 2, {0, 1}, 4, MonoidError, "needs a table monoid"),
     "not-left-cancellative": (NOT_LEFT_CANCELLATIVE, 2, {0, 1}, 4, ValueError,
                               "left-cancellative"),
-    "r-1": (Z4, 1, {0, 1}, 2, ValueError, "--r must be greater than 1, got 1"),
-    "empty-support": (Z4, 2, set(), 0, ValueError, "nonempty support"),
+    "r-1": (Z4, 1, {0, 1}, 2, ValueError, "^r must be greater than 1, got 1$"),
+    "empty-support": (Z4, 2, set(), 0, ValueError, "^supp needs a nonempty support"),
     "support-0-7": (Z4, 2, {0, 7}, 4, ValueError, r"element ids in 0\.\.3, got \[0, 7\]"),
     "support-0-a": (Z4, 2, {0, "a"}, 4, ValueError, r"got \[0, 'a'\]"),
     "length": (Z4, 2, {0, 1}, 3, ValueError, r"word length must be r\*d = 4"),
@@ -366,11 +383,14 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("entry, rule", [
+REFUSALS = [
     (entry, rule) for entry in ENTRIES for rule in REFUSED
     # a walk takes no word, so its word length cannot be wrong
     if rule != "length" or entry in ("neutral_split", "neutral_split_bruteforce",
-                                     "write_oracle-word")])
+                                     "write_oracle-word")]
+
+
+@pytest.mark.parametrize("entry, rule", REFUSALS)
 def test_every_entry_point_refuses_what_a_split_cannot_take(monkeypatch, entry, rule):
     # an input error, ValueError or MonoidError, raised before any kernel or
     # written line; never SplitInternalError, which marks an implementation
@@ -384,6 +404,24 @@ def test_every_entry_point_refuses_what_a_split_cannot_take(monkeypatch, entry, 
     monkeypatch.setattr(words_module, "_brute_batch", kernel)
     with pytest.raises(error, match=message):
         ENTRIES[entry](monoid, r, supp, n)
+
+
+def test_no_refusal_names_a_command_line_flag():
+    # ``words`` names its parameters, r and supp; the flags that give them
+    # are the command line's to name
+    messages = []
+    for entry, rule in REFUSALS:
+        monoid, r, supp, n, error, _ = REFUSED[rule]
+        with pytest.raises(error) as refused:
+            ENTRIES[entry](monoid, r, supp, n)
+        messages.append(str(refused.value))
+    with pytest.raises(ValueError, match="int64") as refused:
+        exhaustive_splits(Z4, 9, {0, 1, 2, 3})
+    messages.append(str(refused.value))
+    with pytest.raises(ValueError, match="not a monoid element") as refused:
+        write_oracle(Z4, 2, {0, 1}, io.StringIO(), (0, 7, 0, 0))
+    messages.append(str(refused.value))
+    assert [m for m in messages if "--" in m] == []
 
 
 @pytest.mark.parametrize("word", [(0, 0, 0, 1, 0, 0, 0, 1), None], ids=["word", "exhaustive"])
@@ -453,7 +491,7 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
         except SplitInternalError:
             per_word = True
         try:
-            _split_batch(table, nc.identity, inside, np.array([letters]), 2)(_one_head(()))
+            _split_batch(table, nc.identity, inside, np.array([letters]), 2)(())
             batched = False
         except SplitInternalError:
             batched = True
@@ -462,7 +500,7 @@ def test_batched_split_raises_on_the_words_the_per_word_split_raises_on():
     assert 0 < sum(raises) < len(words)
     # a batch holding one such word raises as a whole
     with pytest.raises(SplitInternalError, match=r"word \[0, 1, 0, 1\]"):
-        _split_batch(table, nc.identity, inside, np.array(words), 2)(_one_head(()))
+        _split_batch(table, nc.identity, inside, np.array(words), 2)(())
 
 
 def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
@@ -480,14 +518,14 @@ def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
     for kernel in (_split_batch, _brute_batch):
         for k in range(len(letters) + 1):
             run = kernel(table, Z4.identity, inside, np.array([letters[k:]]), 3)
-            assert run(_one_head(letters[:k])).verdict(0) == ProductVerdict.FORCED_ZERO, \
+            assert run(letters[:k]).verdict(0) == ProductVerdict.FORCED_ZERO, \
                 (kernel.__name__, k)
     # The brute twin extends every degree letter by letter through ``table``
     # and tests the support on the degrees directly: with every degree
     # inside, its block 1..4 is neutral only because 1*1 = 2 and 2*1 = 3
     # are read from the table and 3*1 = 0 follows them.
     everywhere = np.ones(4, dtype=bool)
-    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(_one_head(()))
+    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(())
     assert splits.verdict(0) == Decomposition((0, 4, 5, 6))
 
 
@@ -516,8 +554,8 @@ def test_head_tail_kernels_match_per_word_functions(monoid, data):
     table = np.array(monoid.table, dtype=dtype)
     inside = np.isin(np.arange(size), sorted(supp))
     block = np.array(tails, dtype=dtype).reshape(len(tails), n - k)
-    split = _split_batch(table, monoid.identity, inside, block, r)(_one_head(head, dtype))
-    brute = _brute_batch(table, monoid.identity, inside, block, r)(_one_head(head, dtype))
+    split = _split_batch(table, monoid.identity, inside, block, r)(head)
+    brute = _brute_batch(table, monoid.identity, inside, block, r)(head)
     for i, tail in enumerate(tails):
         w = DegreeWord(monoid, head + tuple(tail))
         assert split.verdict(i) == neutral_split(w, r, supp), w.degrees
@@ -527,8 +565,8 @@ def test_head_tail_kernels_match_per_word_functions(monoid, data):
 @given(st.sampled_from([Monoid.cyclic(size) for size in range(2, 7)] + [S3]), st.data())
 @settings(max_examples=300, deadline=None)
 def test_kernels_on_one_word_print_the_reference_line_at_every_head_length(monoid, data):
-    # One random word, cut into a (1, k) head and a (1, n - k) tail at every
-    # k from 1 to n - 1: both kernels give the oracle line the per-word
+    # One random word, cut into a head of k letters and a (1, n - k) tail at
+    # every k from 1 to n - 1: both kernels give the oracle line the per-word
     # reference gives.  neutral_split and neutral_split_bruteforce, which
     # run the kernels at k = 1, give the reference's verdicts.
     size = monoid.size
@@ -544,7 +582,6 @@ def test_kernels_on_one_word_print_the_reference_line_at_every_head_length(monoi
     table, e, inside = words_module._kernel_input(monoid, supp)
     letters = np.array(w.degrees, dtype=table.dtype).reshape(1, n)
     for k in range(1, n):
-        head, tail = letters[:, :k], letters[:, k:]
-        got = [kernel(table, e, inside, tail, r)(head).verdict(0)
+        got = [kernel(table, e, inside, letters[:, k:], r)(w.degrees[:k]).verdict(0)
                for kernel in (_split_batch, _brute_batch)]
         assert _verdict_text(*got, len(supp)) == _verdict_text(*want, len(supp)), (w.degrees, k)
