@@ -170,6 +170,7 @@ def _ids(text, option):
 def cmd_oracle(args):
     # only turns flags into values: ``words`` refuses what a split cannot take
     if args.cyclic is not None:
+        zoo.check_cap(args.cyclic, f"monoid size {args.cyclic}")
         monoid = Monoid.cyclic(args.cyclic)
     elif args.file is not None:
         monoid = _load(args.file).monoid
@@ -192,6 +193,7 @@ def cmd_oracle(args):
 
 def cmd_construct(args):
     parsed = _load(args.file)
+    zoo.check_cap(args.n**2 * parsed.ring.rank, f"rank {args.n}^2*{parsed.ring.rank}")
     gr = elementary_grading(parsed.ring, args.n)
     text = specfile.emit_graded(
         gr, header=f"elementary Z_{args.n} grading of the {args.n}x{args.n} matrices"

@@ -16,10 +16,9 @@ the check on R does (see ``lift_f_to_diagonal``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
-from .nil import Status
+from .nil import NilVerdict, Status
 from .ringcore import Ring
 
 
@@ -69,17 +68,6 @@ class FMap:
         return f"FMap({self.label})"
 
 
-@dataclass
-class PairVerdict:
-    status: Status
-    witness: tuple | None = None
-    note: str = ""
-
-    @property
-    def proved(self):
-        return self.status == Status.PROVED
-
-
 def _element_coords(ring):
     """Every coordinate tuple of a finite ``ring``, in product order."""
     return [
@@ -88,8 +76,9 @@ def _element_coords(ring):
     ]
 
 
-def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> PairVerdict:
-    """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact.
+def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> NilVerdict:
+    """Does a*b = f(a,b).(b*a) hold for all pairs?  The verdict is exact,
+    and a refutation's witness is the pair (a, b).
 
     A constant factor is decided on the structure constants over every
     domain (see ``_basis_certificate``).  A pair table has a scalar for
@@ -104,11 +93,11 @@ def check_f_commutative(r: Ring, f: FMap, pair_cap=PAIR_CAP, samples=10**4) -> P
     for ca in coords_list:
         for cb in coords_list:
             if not _pair_commutes(r, f.rule[ca, cb], ca, cb):
-                return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
-    return PairVerdict(Status.PROVED, note=f"exhaustive over {len(coords_list)}^2 pairs")
+                return NilVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
+    return NilVerdict(Status.PROVED, note=f"exhaustive over {len(coords_list)}^2 pairs")
 
 
-def _basis_certificate(r, f) -> PairVerdict:
+def _basis_certificate(r, f) -> NilVerdict:
     """Decide commutation up to a constant factor l on the structure
     constants alone.
 
@@ -123,20 +112,16 @@ def _basis_certificate(r, f) -> PairVerdict:
     for i, j in itertools.product(range(r.rank), repeat=2):
         ba = {k: y for k, c in r.mul_basis(j, i).items() if (y := dom.mul(lam, c))}
         if r.mul_basis(i, j) != ba:
-            return PairVerdict(
+            return NilVerdict(
                 Status.REFUTED, witness=(r.basis_element(i), r.basis_element(j)))
-    return PairVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
-
-
-def _scaled(dom, s, coords):
-    """The scalar product s.x of a coordinate tuple x."""
-    s = dom.normalize(s)
-    return tuple(dom.mul(s, c) for c in coords)
+    return NilVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
 
 
 def _pair_commutes(r, s, ca, cb):
     """Does a*b = s.(b*a) hold at the coordinates ``ca`` and ``cb``?"""
-    return r.mul_coords(ca, cb) == _scaled(r.coeff, s, r.mul_coords(cb, ca))
+    dom = r.coeff
+    s = dom.normalize(s)
+    return r.mul_coords(ca, cb) == tuple(dom.mul(s, c) for c in r.mul_coords(cb, ca))
 
 
 def _least_factor(dom, entries):
@@ -204,7 +189,7 @@ def scalar_f_search(r: Ring, pair_cap=PAIR_CAP, samples=2000):
     return FMap(rule=rule, label="pointwise scalar rule"), None
 
 
-def lift_f_to_diagonal(base: PairVerdict) -> PairVerdict:
+def lift_f_to_diagonal(base: NilVerdict) -> NilVerdict:
     """The lift of f to the diagonal of the 2x2 matrices over R, given the
     verdict ``base`` that R commutes up to f.
 

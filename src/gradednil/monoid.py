@@ -8,10 +8,6 @@ stands in for unbounded integer gradings; its elements are arbitrary ints.
 
 from __future__ import annotations
 
-import math
-
-INFINITE = math.inf
-
 TABLE = "table"
 INT_ADD = "int-add"
 
@@ -133,25 +129,6 @@ class Monoid:
 def check_cancellative(m: Monoid) -> bool:
     """Is ``m`` left cancellative: is every row of its table injective?"""
     return m.kind == INT_ADD or all(len(set(row)) == m.size for row in m.table)
-
-
-def element_order(m: Monoid, g):
-    """Smallest n >= 1 with g^n = identity, or INFINITE if no power reaches it."""
-    if m.kind == INT_ADD:
-        if not isinstance(g, int):
-            raise MonoidError(f"unknown element {g!r}")
-        return 1 if g == 0 else INFINITE
-    m._check_element(g)
-    seen = set()
-    acc = g
-    n = 1
-    while acc not in seen:
-        if acc == m.identity:
-            return n
-        seen.add(acc)
-        acc = m.op(acc, g)
-        n += 1
-    return INFINITE
 
 
 class Congruence:

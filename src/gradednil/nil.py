@@ -38,7 +38,6 @@ from enum import Enum
 import numpy as np
 
 from .grading import GradedRing, component_indices, neutral_ring, support
-from .monoid import element_order
 from .ringcore import (
     DEFAULT_ELEM_CAP,
     Element,
@@ -434,21 +433,23 @@ def _degree_walks(gr: GradedRing):
 
     The walk g, g^2, ... stops at g^length = e (``end`` is e) or at the
     first power outside the support (``end`` is None).  It takes at most
-    kg = min(o(g), d) steps; see ``homogeneous_power_report``.
+    kg = min(o(g), d) steps, read off the powers g, ..., g^d cut at the
+    first that is e: kg is their number; see ``homogeneous_power_report``.
     """
     supp = support(gr)
-    e = gr.monoid.identity
+    d, e = len(supp), gr.monoid.identity
     out = {}
     for g in sorted(supp):
-        kg = int(min(element_order(gr.monoid, g), len(supp)))
-        h, length = g, 1
-        while h in supp and h != e:
-            if length == kg:
-                raise DegreeWalkInternalError(
-                    f"degree walk of {g!r} ends at {h!r} after {length} steps, "
-                    "inside the support and not neutral"
-                )
-            h = gr.monoid.op(h, g)
-            length += 1
+        powers = [g]
+        while len(powers) < d and powers[-1] != e:
+            powers.append(gr.monoid.op(powers[-1], g))
+        kg = len(powers)
+        length = next((n for n, h in enumerate(powers, 1) if h == e or h not in supp), None)
+        if length is None:
+            raise DegreeWalkInternalError(
+                f"degree walk of {g!r} ends at {powers[-1]!r} after {kg} steps, "
+                "inside the support and not neutral"
+            )
+        h = powers[length - 1]
         out[g] = (kg, h if h == e else None, length)
     return out

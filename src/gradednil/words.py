@@ -13,15 +13,15 @@ monoid, each word factored as head . tail: the tails of the last j letters
 form one array, kept on the contiguous last axis, and a block is one head
 followed by every tail, so each numpy kernel call covers the size**j
 tails, at least ``_BLOCK`` words unless j is capped at r*d - 1.  Each
-kernel builds the tables that depend on the tail alone once, indexed at
-most by the degree g a head hands to the tail, in time and memory linear
-in the tails and in the narrowest dtypes that hold them, and then works
-only on the block's head and its own positions.  ``_split_batch`` reads the
-prefix degrees past the head as g times the tail's prefix degrees
-(associativity) and applies the pigeonhole cut rule to their counts;
-``_brute_batch`` extends every degree letter by letter through ``table``,
-tests the support on each, and finds the first cut sequence by a
-reachability DP over neutral blocks.  Neither reads the other's tables, so
+kernel is built for the one head length k = r*d - j and builds what
+depends on the tail and k alone once, indexed at most by the degree g a
+head hands to the tail, in time and memory linear in the tails and in the
+narrowest dtypes that hold them, and then works only on the block's
+head.  ``_split_batch`` reads the prefix degrees past the head as g times
+the tail's prefix degrees (associativity) and applies the pigeonhole cut
+rule to their counts; ``_brute_batch`` extends every degree letter by
+letter through ``table``, tests the support on each, and finds the first
+cut sequence by a reachability DP over neutral blocks.  Neither reads the other's tables, so
 the brute force stays an independent twin of the split; the per-word
 functions of ``tests/lemma35_reference.py`` are the reference both are
 tested against.  ``write_oracle`` writes the lines of ``oracle lemma-3-5``,
@@ -213,8 +213,9 @@ def _times(table, g, x):
 
 def _split_batch(table, e, inside, tails, r):
     """``neutral_split`` on the words head + tail, for every row of ``tails``,
-    returned as a function of the head, a tuple of k element ids; word i of
-    its ``Splits`` is the head followed by tail i.
+    returned as a function of the head, a tuple of the k = r*d - j letters
+    that every word of length n = r*d has before a tail of j; word i of its
+    ``Splits`` is the head followed by tail i.
 
     Products are read from ``within``, the table with every product outside
     the support replaced by ``size``, whose row and column keep it: a degree
@@ -244,6 +245,8 @@ def _split_batch(table, e, inside, tails, r):
     n <= 62.
     """
     m, j = tails.shape
+    n = r * int(np.count_nonzero(inside))
+    k = n - j
     size = len(table)
     within = np.full((size + 1, size + 1), size, dtype=np.min_scalar_type(size))
     within[:size, :size] = np.where(inside[table], table, size)
@@ -270,14 +273,24 @@ def _split_batch(table, e, inside, tails, r):
     neutral_row, broken_row = G.size + tri.size, G.size + tri.size + m
     column = np.arange(m)
     rows = within.tolist()
-    # per head length k, the parts of a block's start in ``source`` that do
-    # not depend on the head: past the head, tri's offset where a >= k and
-    # G's at b - k where a < k, to which G[P_a]'s row is added
-    layout = {}
+    pos = np.min_scalar_type(n + 1)
+    # score: the count shifted past K - 1 - rank, so the largest is the most
+    # frequent degree, ties going to the smallest id; e scores above all
+    # when it occurs r+1 times, else 0
+    score_t = np.min_scalar_type((n + 2) << shift)
+    tie_break = (K - 1 - np.arange(K, dtype=score_t))[:, None]
+    e_score = score_t.type(((n + 2) << shift) | (K - 1 - re))
+    # the parts of a block's start in ``source`` that do not depend on the
+    # head: past the head, tri's offset where a >= k and G's at b - k where
+    # a < k, to which G[P_a]'s row is added
+    a = np.arange(n + 1)[:, None]
+    b = np.arange(n + 1)
+    tb = np.maximum(b - k, 0)
+    past = np.where(a >= k, G.size + (tb * (j + 1) + a - k) * m, tb * m)
+    cross, beyond = (a < k) & (b > k), b > k
+    a_row, b_head, a_head = np.minimum(a[:, 0], k), np.minimum(b, k), np.minimum(a, k)
 
     def split(head):
-        k = len(head)
-        n = k + j
         # the head's own triangle, [a][b] the degree of letters a+1..b
         # (e where b <= a), made in Python: a head has few letters
         head_tri = []
@@ -288,21 +301,16 @@ def _split_batch(table, e, inside, tails, r):
             head_tri.append(sub)
         if not all(sub[-1] < size for sub in head_tri[:k]):
             return Splits.forced_zero(m, r)
-        pos = np.min_scalar_type(n + 1)
         head_tri = np.array(head_tri, dtype=within.dtype).T
         P = rank[head_tri[k]]
         word_clean = clean & clean_from[P[:k]].all(axis=0)
 
-        # score: the count shifted past K - 1 - rank, so the largest is the
-        # most frequent degree, ties going to the smallest id; e scores
-        # above all when it occurs r+1 times, else 0
-        score_t = np.min_scalar_type((n + 2) << shift)
         own = (head_tri[:, 0, None] == keys).sum(axis=0, dtype=pos)
         score = np.add(count_from[P[0]], own[:, None], dtype=score_t)
         neutral = score[re] > r
         score <<= shift
-        score |= (K - 1 - np.arange(K, dtype=score_t))[:, None]
-        np.multiply(neutral, score_t.type(((n + 2) << shift) | (K - 1 - re)), out=score[re])
+        score |= tie_break
+        np.multiply(neutral, e_score, out=score[re])
         target = by_rank.take(score.max(axis=0) & ((1 << shift) - 1))
         prefix = np.empty((n + 1, m), dtype=within.dtype)
         prefix[:k + 1] = head_tri[:, 0, None]
@@ -318,14 +326,6 @@ def _split_batch(table, e, inside, tails, r):
         cuts = np.minimum(cuts, n, out=cuts).astype(np.intp)
 
         # where block a+1..b starts in ``source``, per (a, b)
-        if k not in layout:
-            a = np.arange(n + 1)[:, None]
-            b = np.arange(n + 1)
-            tb = np.maximum(b - k, 0)
-            past = np.where(a >= k, G.size + (tb * (j + 1) + a - k) * m, tb * m)
-            layout[k] = (past, (a < k) & (b > k), b > k, np.minimum(a[:, 0], k),
-                         np.minimum(b, k), np.minimum(a, k))
-        past, cross, beyond, a_row, b_head, a_head = layout[k]
         start = past + cross * (P[a_row] * ((j + 1) * m))[:, None]
         inner = head_tri[b_head, a_head] == e
         start = np.where(beyond, start, np.where(inner, neutral_row, broken_row))
@@ -345,8 +345,9 @@ def _split_batch(table, e, inside, tails, r):
 
 def _brute_batch(table, e, inside, tails, r):
     """``neutral_split_bruteforce`` on the words head + tail, for every row of
-    ``tails``, returned as a function of the head, a tuple of k element ids;
-    word i of its ``Splits`` is the head followed by tail i.
+    ``tails``, returned as a function of the head, a tuple of the k = r*d - j
+    letters that every word of length n = r*d has before a tail of j; word i
+    of its ``Splits`` is the head followed by tail i.
 
     Every degree is extended letter by letter through ``table`` and the
     support is tested on each.  Built here once from the tail alone:
@@ -369,6 +370,8 @@ def _brute_batch(table, e, inside, tails, r):
     """
     m, j = tails.shape
     supp = np.flatnonzero(inside)
+    n = r * len(supp)
+    k = n - j
     slot = np.zeros(len(table), dtype=np.intp)
     slot[supp] = np.arange(len(supp))
     x = tails.T
@@ -409,21 +412,23 @@ def _brute_batch(table, e, inside, tails, r):
 
     rows = table.tolist()
     in_supp = set(supp.tolist())
-    # per head length: where the step at position p with t blocks to go lies
-    # in ``steps``, head_first then ``first`` laid end to end: at
-    # (t * k + p) * m + column if p < k, else past head_first at
+    pos = np.min_scalar_type(n + 1)
+    # a cross block ends k - a letters later than in the tail
+    later = (k - np.arange(k, dtype=pos))[:, None]
+    # where the step at position p with t blocks to go lies in ``steps``,
+    # head_first then ``first`` laid end to end: at (t * k + p) * m + column
+    # if p < k, else past head_first's (r + 1) * k * m entries at
     # (t * (j + 1) + p - k) * m + column
-    step_at = {}
+    t = np.arange(r + 1)[:, None]
+    p = np.arange(n + 1)
+    step_at = np.where(p < k, (t * k + p) * m, ((r + 1) * k + t * (j + 1) + p - k) * m)
 
     def brute(head):
-        k = len(head)
-        n = k + j
         # prods[a][L - 1]: the degree of head letters a+1..a+L, made in
         # Python: a head has few letters
         prods = [list(accumulate(head[a:], lambda g, x: rows[g][x])) for a in range(k)]
         if not all(in_supp.issuperset(row) for row in prods):
             return Splits.forced_zero(m, r)
-        pos = np.min_scalar_type(n + 1)
         # Q[a]: the support slot of Q_a = prods[a][-1]; head_ends[a, L - 1]:
         # that head letters a+1..a+L are neutral
         Q = slot[[row[-1] for row in prods]]
@@ -434,8 +439,6 @@ def _brute_batch(table, e, inside, tails, r):
         # head_reach is the tail's reach at its start
         head_first = np.zeros((r + 1, k, m), dtype=pos)
         head_reach = np.ones((r + 1, k + 1, m), dtype=bool)
-        # a cross block ends k - a letters later than in the tail
-        later = (k - np.arange(k, dtype=pos))[:, None]
         for t in range(1, r + 1):
             head_reach[t - 1, k] = reach[t - 1, 0]
             row = head_first[t]
@@ -450,18 +453,12 @@ def _brute_batch(table, e, inside, tails, r):
         for a in range(k - 1, -1, -1):
             np.copyto(start, a, where=head_reach[r, a])
 
-        if k not in step_at:
-            t = np.arange(r + 1)[:, None]
-            p = np.arange(n + 1)
-            step_at[k] = np.where(p < k, (t * k + p) * m,
-                                  head_first.size + (t * (j + 1) + p - k) * m)
-        at = step_at[k]
         steps = np.concatenate((head_first.ravel(), first.ravel()))
         # a word with no cut sequence steps from 0 and is marked after
         cuts = np.empty((r + 1, m), dtype=np.intp)
         np.maximum(start, 0, out=cuts[0])
         for i in range(1, r + 1):
-            np.add(cuts[i - 1], steps.take(at[r + 1 - i].take(cuts[i - 1]) + column),
+            np.add(cuts[i - 1], steps.take(step_at[r + 1 - i].take(cuts[i - 1]) + column),
                    out=cuts[i])
         cuts[:, ~(word_clean & (start >= 0))] = -1
         return Splits(~word_clean, cuts.T)
@@ -478,10 +475,11 @@ def exhaustive_splits(monoid: Monoid, r: int, supp):
     ``blocks`` yields ``(head, split, brute)`` per head, a tuple of element
     ids, heads in that order too, made as they are reached: the words head +
     tails[0], head + tails[1], ... of one block after another are those of
-    ``itertools.product(monoid.elements(), repeat=n)``.  ``split`` and ``brute`` are ``Splits`` over the block's
-    words whose verdicts equal ``neutral_split`` and
-    ``neutral_split_bruteforce`` on each word.  Past ``_check_split_args``,
-    it raises ``ValueError`` on n >= 63 or size**n past int64.
+    ``itertools.product(monoid.elements(), repeat=n)``.  ``split`` and
+    ``brute`` are ``Splits`` over the block's words whose verdicts equal
+    ``neutral_split`` and ``neutral_split_bruteforce`` on each word.  Past
+    ``_check_split_args``, it raises ``ValueError`` on n >= 63 or size**n
+    past int64.
     """
     supp = set(supp)
     n = r * len(supp)
@@ -521,20 +519,19 @@ def _write_exhaustive(monoid, r, supp, out):
     ``exhaustive_splits`` at a time, and return the number of disagreements.
 
     A block is one head followed by every tail, and a line is the block's
-    lead, ``word=[`` and the head letters (``DISAGREE word=[`` and them on a
-    disagreeing row), the tail letters, made once for all blocks, and the
-    verdict suffix.  A block is written as one joined list: its lead, then
-    per line its tail text and its suffix followed by the lead again, which
-    is dropped after the block's last line.  Each suffix + lead is made once
-    per block and cut sequence; only a disagreeing row and the row before
-    it are made one by one, and a correct run has no disagreeing row.
-    Suffixes are made once per cut sequence and looked up by its id.  Ids
-    are dealt one cut at a time: ``link[i][p * width + c]`` is the id of the
-    first i + 1 cuts of the sequences whose first i have id p and whose cut
-    i is c, -1 until one is seen.  Id 0 and the last column stand for a row
-    that is not split, so the last level's id indexes the suffixes with
-    FORCED_ZERO at 0, and a block finds every line's suffix with r + 1
-    takes.
+    lead, ``word=[`` and the head letters, the tail letters, made once for
+    all blocks, and the verdict suffix.  A block with a disagreeing row,
+    which a correct run never has, is written line by line through
+    ``_verdict_text``, as ``--word`` writes a line.  Any other block is
+    written as one joined list: its lead, then per line its tail text and
+    its suffix followed by the lead again, which is dropped after the
+    block's last line.  Suffixes are made once per cut sequence and looked
+    up by its id.  Ids are dealt one cut at a time: ``link[i][p * width +
+    c]`` is the id of the first i + 1 cuts of the sequences whose first i
+    have id p and whose cut i is c, -1 until one is seen.  Id 0 and the
+    last column stand for a row that is not split, so the last level's id
+    indexes the suffixes with FORCED_ZERO at 0, and a block finds every
+    line's suffix with r + 1 takes.
     """
     d = len(supp)
     tails, blocks = exhaustive_splits(monoid, r, supp)
@@ -543,7 +540,6 @@ def _write_exhaustive(monoid, r, supp, out):
     tail_texts, letters = [""], [", " + g for g in names]
     for _ in range(tails.shape[1]):
         tail_texts = [t + x for t in tail_texts for x in letters]
-    m = len(tail_texts)
     width = r * d + 2
     link = [np.full(width, -1, dtype=np.intp) for _ in range(r + 1)]
     for level in link:
@@ -551,13 +547,21 @@ def _write_exhaustive(monoid, r, supp, out):
     suffixes = np.array([_verdict_text(FORCED_ZERO, FORCED_ZERO, d)[1]], dtype=object)
     # a block's pieces: the tail texts at the odd places stay from block to
     # block; every even place is written for each block
-    pieces = [None] * (2 * m + 1)
+    pieces = [None] * (2 * len(tail_texts) + 1)
     pieces[1::2] = tail_texts
     disagreements = 0
     for head, got, ref in blocks:
-        agree = (got.zero == ref.zero) & (ref.zero | (ref.cuts[:, 0] >= 0))
-        column = np.where(agree & ~got.zero, got.cuts.T, width - 1)
-        at = np.zeros(len(agree), dtype=np.intp)
+        lead = "word=[" + ", ".join(map(names.__getitem__, head))
+        # ``_verdict_text``'s DISAGREE: one side alone is FORCED_ZERO, or the
+        # brute force finds no cut sequence
+        if ((got.zero != ref.zero) | ~ref.zero & (ref.cuts[:, 0] < 0)).any():
+            for i, tail in enumerate(tail_texts):
+                mark, suffix = _verdict_text(got.verdict(i), ref.verdict(i), d)
+                out.write(mark + lead + tail + suffix)
+                disagreements += mark != ""
+            continue
+        column = np.where(got.zero, width - 1, got.cuts.T)
+        at = np.zeros(len(got.zero), dtype=np.intp)
         for i, level in enumerate(link):
             to = at * width + column[i]
             at = level.take(to)
@@ -578,24 +582,9 @@ def _write_exhaustive(monoid, r, supp, out):
                     texts = [_verdict_text(got.verdict(row), ref.verdict(row), d)[1]
                              for row in rows.tolist()]
                     suffixes = np.concatenate((suffixes, np.array(texts, dtype=object)))
-
-        lead = "word=[" + ", ".join(map(names.__getitem__, head))
-        own = {i: _verdict_text(got.verdict(i), ref.verdict(i), d)
-               for i in np.flatnonzero(~agree).tolist()}
-
-        def lead_of(i):
-            return "" if i == m else (own[i][0] if i in own else "") + lead
-
-        def suffix(i):
-            return own[i][1] if i in own else suffixes[at[i]]
-
         pieces[0] = lead
         pieces[2::2] = (suffixes + lead)[at].tolist()
         pieces[-1] = suffixes[at[-1]]
-        for i in own:
-            pieces[2 * i] = (suffix(i - 1) if i else "") + lead_of(i)
-            pieces[2 * i + 2] = suffix(i) + lead_of(i + 1)
-        disagreements += len(own)
         out.write("".join(pieces))
     return disagreements
 

@@ -47,28 +47,37 @@ def sut(n: int, domain: CoeffDomain) -> GradedRing:
     """
     if n < 2:
         raise ValueError("strictly upper triangular ring needs n >= 2")
+    check_cap(n * (n - 1) // 2, f"rank {n}*{n - 1}/2")
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {p: t for t, p in enumerate(pairs)}
     names = [f"E{i}{j}" for i, j in pairs]
+    # E_ij E_jl = E_il, the only nonzero products
     sc = {}
-    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        if j == k:
-            sc[(index[(i, j)], index[(k, l)])] = {index[(i, l)]: 1}
+    for i, j in pairs:
+        for l in range(j + 1, n + 1):
+            sc[(index[(i, j)], index[(j, l)])] = {index[(i, l)]: 1}
     ring = Ring(domain, names, sc)
     degrees = [j - i for i, j in pairs]
     return GradedRing(ring, Monoid.int_add(), degrees)
 
 
-# The largest rank ``truncated_nagata`` and ``grassmann_star`` build.
+# The largest rank a zoo ring or ``construct elementary`` builds, and the
+# largest ``oracle --cyclic`` monoid.
 RANK_CAP = 4096
 
 
+def check_cap(size, text):
+    """Refuse a rank or monoid size ``size``, written ``text`` in the
+    message, past ``RANK_CAP``; every caller checks before anything is
+    listed."""
+    if size > RANK_CAP:
+        raise ValueError(f"{text} exceeds cap {RANK_CAP}")
+
+
 def _check_rank(p, k):
-    """Refuse the rank p^k - 1 past ``RANK_CAP`` before anything is listed.
-    Every k with 2^k > RANK_CAP is past it, so p^k is formed only for a
-    small k."""
-    if k >= RANK_CAP.bit_length() or p**k - 1 > RANK_CAP:
-        raise ValueError(f"rank {p}^{k} - 1 exceeds cap {RANK_CAP}")
+    """Refuse the rank p^k - 1 past ``RANK_CAP``.  Every k with 2^k >
+    RANK_CAP is past it, so p^k is formed only for a small k."""
+    check_cap(p**k - 1 if k < RANK_CAP.bit_length() else RANK_CAP + 1, f"rank {p}^{k} - 1")
 
 
 def truncated_nagata(k: int, p: int) -> Ring:
@@ -152,11 +161,11 @@ def truncated_poly_positive(N: int, domain: CoeffDomain) -> GradedRing:
     """
     if N < 2:
         raise ValueError("need N >= 2")
+    check_cap(N - 1, f"rank {N} - 1")
     names = ["x" if i == 1 else f"x^{i}" for i in range(1, N)]
     sc = {}
     for i in range(1, N):
-        for j in range(1, N):
-            if i + j < N:
-                sc[(i - 1, j - 1)] = {i + j - 1: 1}
+        for j in range(1, N - i):
+            sc[(i - 1, j - 1)] = {i + j - 1: 1}
     ring = Ring(domain, names, sc)
     return GradedRing(ring, Monoid.int_add(), list(range(1, N)))

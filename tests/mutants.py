@@ -33,10 +33,14 @@ RINGCORE = "src/gradednil/ringcore.py"
 LINALG = "src/gradednil/linalg.py"
 FCOMM = "src/gradednil/fcomm.py"
 WORDS = "src/gradednil/words.py"
+ZOO = "src/gradednil/zoo.py"
+CLI = "src/gradednil/cli.py"
 REFUSES = "tests/test_words.py::test_every_entry_point_refuses_what_a_split_cannot_take"
 BOUNDARY = "tests/test_theorems.py::test_every_bound_check_judges_the_bound_it_prints"
 WALK = "tests/test_words.py::test_exhaustive_walk_matches_per_word_functions"
 WRITE = "tests/test_words.py::test_exhaustive_write_prints_every_reference_line_in_order"
+DISAGREE = "tests/test_cli.py::test_cli_oracle_exhaustive_reports_a_disagreement"
+AT_CAP = "tests/test_zoo.py::test_each_cap_admits_the_cap_and_refuses_one_past_it"
 
 MUTANTS = [
     # -- the one judge: it reads the printed bound, both ends
@@ -92,8 +96,8 @@ MUTANTS = [
     (NIL, "stay = np.flatnonzero(a)", "stay = np.flatnonzero(a)[:0]",
      ["tests/test_nil.py::test_bounded_index_enum_two_z8"]),
     # P3.31's k_g = min(o(g), d), on Z_5 with support size 3
-    (NIL, "kg = int(min(element_order(gr.monoid, g), len(supp)))",
-     "kg = int(element_order(gr.monoid, g))",
+    (NIL, "while len(powers) < d and powers[-1] != e:",
+     "while len(powers) < d + 1 and powers[-1] != e:",
      ["tests/test_nil.py::test_power_report_matches_tuple_loop[z5-supp-012]"]),
     (RINGCORE, "return r.rank * (1 if dom.is_field else dom.modulus.bit_length()) + 1",
      "return r.rank * (1 if dom.is_field else dom.modulus.bit_length())",
@@ -127,10 +131,24 @@ MUTANTS = [
      "np.add(count_from[P[0]], 0, dtype=score_t)", [WALK]),
     (WORDS, "np.multiply(shortest + later, shortest > 0, out=row)",
      "np.multiply(shortest, shortest > 0, out=row)", [WALK]),
+    # each kernel's head length k = r*d - j, fixed when it is built
+    (WORDS, "n = r * int(np.count_nonzero(inside))\n    k = n - j\n",
+     "n = r * int(np.count_nonzero(inside))\n    k = n - j + 1\n", [WALK]),
+    (WORDS, "n = r * len(supp)\n    k = n - j\n", "n = r * len(supp)\n    k = n - j - 1\n", [WALK]),
+    # a block with a disagreeing row is written line by line: one counted
+    # per DISAGREE line, and a brute side with no cuts found disagreeing
+    (WORDS, "disagreements += mark != \"\"", "disagreements += 1", [DISAGREE]),
+    (WORDS, "if ((got.zero != ref.zero) | ~ref.zero & (ref.cuts[:, 0] < 0)).any():",
+     "if (got.zero != ref.zero).any():", [DISAGREE]),
     # the walk's writer: no lead after a block's last line, and the next
     # block's lead before its first
     (WORDS, "        pieces[-1] = suffixes[at[-1]]\n", "", [WRITE]),
     (WORDS, "        pieces[0] = lead\n", "        pieces[0] = \"\"\n", [WRITE]),
+    # a build past the cap is refused, one at the cap is not
+    (ZOO, "if size > RANK_CAP:", "if size >= RANK_CAP:", [AT_CAP]),
+    (ZOO, "check_cap(n * (n - 1) // 2,", "check_cap(n * (n + 1) // 2,", [f"{AT_CAP}[sut]"]),
+    (CLI, "zoo.check_cap(args.cyclic,", "zoo.check_cap(args.cyclic + 1,",
+     [f"{AT_CAP}[oracle-cyclic]"]),
     # the factor search prefers 1, then -1
     (FCOMM, "for s in (1, m - 1, c)", "for s in (m - 1, 1, c)",
      ["tests/test_fcomm.py::test_scalar_search_commutative_gives_constant_one"]),

@@ -1456,3 +1456,35 @@ def test_parse_pair_rule_bad_shape():
     text = "[ring]\ncoeff = fp 3\nrank = 2\n\n[fmap]\npair = 0 ; 0 ; 1\n"
     with pytest.raises(SpecFileError, match="pair lines"):
         parse_spec_text(text)
+
+
+# each asks for far more than zoo.RANK_CAP: M_20(sut(30)) of rank 400 * 435,
+# sut(100), x..x^4999, and a 100,000-element monoid for one word
+OVERSIZE = {
+    "construct-elementary": (["construct", "elementary", "{sut30}", "--n", "20"],
+                             "rank 20^2*435"),
+    "zoo-sut": (["zoo", "sut", "--n", "100"], "rank 100*99/2"),
+    "zoo-truncated-poly": (["zoo", "truncated-poly", "--n", "5000"], "rank 5000 - 1"),
+    "oracle-cyclic": (["oracle", "lemma-3-5", "--cyclic", "100000", "--supp", "0,1", "--r", "2",
+                       "--word", "0,1,0,1"], "monoid size 100000"),
+}
+
+
+@pytest.mark.parametrize("case", OVERSIZE)
+def test_an_oversize_build_is_refused_before_it_starts(tmp_path, case):
+    # the size is compared with the cap before anything is listed: an input
+    # error within 5 s under a 512 MiB address space, where the build itself
+    # would run out of memory
+    import resource
+
+    argv, size = OVERSIZE[case]
+    sut30 = str(tmp_path / "sut30.spec")
+    assert main(["zoo", "sut", "--n", "30", "--out", sut30]) == 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    cap = 512 * 2**20
+    out = subprocess.run(
+        [sys.executable, "-m", "gradednil.cli", *(a.format(sut30=sut30) for a in argv)],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr == f"error: {size} exceeds cap 4096\n"

@@ -10,17 +10,15 @@ from rings import zero_product_ring
 from gradednil import fcomm
 from gradednil.fcomm import (
     FMap,
-    PairVerdict,
     _basis_certificate,
     _element_coords,
     _pair_commutes,
-    _scaled,
     check_f_commutative,
     lift_f_to_diagonal,
     scalar_f_search,
 )
 from gradednil.grading import elementary_grading, neutral_ring
-from gradednil.nil import Status, bounded_nil_index_auto
+from gradednil.nil import NilVerdict, Status, bounded_nil_index_auto
 from gradednil.ringcore import CoeffDomain, Ring, fp, matrix_ring, rat, zmod
 from gradednil.specfile import emit_spec, parse_spec_text
 from gradednil.theorems import PAIR_CAP, _derive_fmap
@@ -32,6 +30,12 @@ from test_ringcore import CHAIN_DOMAINS, nilpotent_rings
 def m2_f2():
     # M_2(F_2) as the matrix ring over the one-dimensional unital model
     return matrix_ring(Ring(fp(2), ["u"], {(0, 0): {0: 1}}), 2)
+
+
+def scaled(dom, s, coords):
+    """The scalar product s.x of a coordinate tuple x."""
+    s = dom.normalize(s)
+    return tuple(dom.mul(s, c) for c in coords)
 
 
 def all_elements(r):
@@ -195,7 +199,7 @@ def rewrite_identity_check(r, f, tuple_cap=10**6, samples=10**4, seed=0):
     the element count fits the cap, else seeded samples.
     """
     dom = r.coeff
-    act = lambda s, coords: _scaled(dom, s, coords)
+    act = lambda s, coords: scaled(dom, s, coords)
     count = r.element_count()
     exhaustive = count is not None and count**7 <= tuple_cap
     if exhaustive:
@@ -234,14 +238,14 @@ def rewrite_identity_check(r, f, tuple_cap=10**6, samples=10**4, seed=0):
         )
         if lhs != left or lhs != right:
             side = "left" if lhs != left else "right"
-            return PairVerdict(
+            return NilVerdict(
                 Status.REFUTED,
                 witness=tuple(r.element(c) for c in (x, m1, y, m2, z, m3, t)),
                 note=f"{side} rewriting chain differs",
             )
         checked += 1
     note = f"{checked} tuples ({'exhaustive' if exhaustive else f'seed={seed}'})"
-    return PairVerdict(
+    return NilVerdict(
         Status.PROVED if exhaustive else SAMPLED, note=note
     )
 
@@ -309,8 +313,8 @@ def basis_pair_reference(r, f):
     basis = [r.basis_element(t).coords for t in range(r.rank)]
     for ca, cb in itertools.product(basis, repeat=2):
         if not commutes(r, f, ca, cb):
-            return PairVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
-    return PairVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
+            return NilVerdict(Status.REFUTED, witness=(r.element(ca), r.element(cb)))
+    return NilVerdict(Status.PROVED, note=f"bilinear: {r.rank}^2 basis pairs")
 
 
 def scalar_order(dom):
@@ -790,12 +794,12 @@ def scalar_law_failure(r, act_coords):
 @given(nilpotent_rings(CHAIN_DOMAINS, st.booleans()))
 @settings(max_examples=100, deadline=None)
 def test_scalar_action_obeys_action_laws(r):
-    assert scalar_law_failure(r, lambda s, coords: _scaled(r.coeff, s, coords)) is None
+    assert scalar_law_failure(r, lambda s, coords: scaled(r.coeff, s, coords)) is None
 
 
 def test_scalar_law_reference_catches_a_broken_action():
     r = two_z_2k(3)
-    shifted = lambda s, coords: _scaled(r.coeff, r.coeff.add(s, 1), coords)
+    shifted = lambda s, coords: scaled(r.coeff, r.coeff.add(s, 1), coords)
     assert scalar_law_failure(r, shifted)[0] == "semigroup"
 
 
@@ -827,7 +831,7 @@ def diagonal_lift_reference(r, f):
     n = r.rank
 
     def lifted_act(s, coords):
-        return _scaled(r.coeff, s[0], coords[:n]) + _scaled(r.coeff, s[1], coords[n:])
+        return scaled(r.coeff, s[0], coords[:n]) + scaled(r.coeff, s[1], coords[n:])
 
     coords = [e.coords for e in m0.elements()]
     for ca in coords:
@@ -863,7 +867,7 @@ def lift_cases(draw, dom, rank):
         rule = {}
         for ca, cb in pairs:
             ba = r.mul_coords(cb, ca)
-            ok = [s for s in range(dom.size) if r.mul_coords(ca, cb) == _scaled(dom, s, ba)]
+            ok = [s for s in range(dom.size) if r.mul_coords(ca, cb) == scaled(dom, s, ba)]
             rule[(ca, cb)] = draw(st.sampled_from(ok) if fit and ok else coeff)
         f = FMap.from_rule(rule, r)
     return r, f

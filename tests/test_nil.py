@@ -19,7 +19,7 @@ from gradednil.grading import (
     support,
     trivial_grading,
 )
-from gradednil.monoid import Monoid, element_order
+from gradednil.monoid import Monoid
 from gradednil.nil import (
     HomogeneousPowerReport,
     Status,
@@ -941,6 +941,16 @@ def reference_component_sample(r, idx, rng, limit):
         yield tuple(coords)
 
 
+def reference_kg(monoid, g, d):
+    """min(o(g), d): the least n <= d with g^n = e, else d."""
+    h = g
+    for n in range(1, d + 1):
+        if h == monoid.identity:
+            return n
+        h = monoid.op(h, g)
+    return d
+
+
 def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
     """Every tuple multiplied one at a time with Ring.mul_coords.
 
@@ -955,7 +965,7 @@ def reference_power_report(gr, tuple_cap=10**6, samples=10**4, seed=0):
         return HomogeneousPowerReport(False, reason="neutral not proved nil"), None
     s = sv.index
     supp = sorted(support(gr))
-    kg = {g: int(min(element_order(gr.monoid, g), len(supp))) for g in supp}
+    kg = {g: reference_kg(gr.monoid, g, len(supp)) for g in supp}
     k = math.lcm(*kg.values())
     report = HomogeneousPowerReport(True, s=s, kg=kg, k=k)
     rng = random.Random(seed)

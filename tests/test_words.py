@@ -522,10 +522,12 @@ def test_a_subproduct_that_re_enters_the_support_still_forces_zero():
                 (kernel.__name__, k)
     # The brute twin extends every degree letter by letter through ``table``
     # and tests the support on the degrees directly: with every degree
-    # inside, its block 1..4 is neutral only because 1*1 = 2 and 2*1 = 3
-    # are read from the table and 3*1 = 0 follows them.
+    # inside (d = 4, so the word has r*d = 12 letters), its block 1..4 is
+    # neutral only because 1*1 = 2 and 2*1 = 3 are read from the table and
+    # 3*1 = 0 follows them.
     everywhere = np.ones(4, dtype=bool)
-    splits = _brute_batch(table, Z4.identity, everywhere, np.array([letters]), 3)(())
+    long_word = np.array([letters + (0,) * 6])
+    splits = _brute_batch(table, Z4.identity, everywhere, long_word, 3)(())
     assert splits.verdict(0) == Decomposition((0, 4, 5, 6))
 
 

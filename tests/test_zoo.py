@@ -3,6 +3,7 @@ import time
 import pytest
 from test_nil import enum_bounded_index
 
+from gradednil import zoo
 from gradednil.cli import ZOO, main
 
 from gradednil.grading import component_indices, neutral_ring, support
@@ -185,3 +186,28 @@ def test_zoo_rank_cap_boundary():
         truncated_nagata(8, 3)
     with pytest.raises(ValueError, match=r"rank 2\^13 - 1 exceeds cap 4096"):
         grassmann_star(13, fp(2))
+
+
+# (argv, size at the cap, size one past it) with the cap lowered to 16
+AT_THE_CAP = {
+    "sut": (["zoo", "sut", "--n", "{}"], 6, 7),                        # ranks 15, 21
+    "truncated-poly": (["zoo", "truncated-poly", "--n", "{}"], 17, 18),  # ranks 16, 17
+    "truncated-nagata": (["zoo", "truncated-nagata", "--k", "{}"], 4, 5),  # 2^k - 1
+    "construct-elementary": (["construct", "elementary", "{spec}", "--n", "{}"], 4, 5),
+    "oracle-cyclic": (["oracle", "lemma-3-5", "--cyclic", "{}", "--supp", "0,1", "--r", "2",
+                       "--word", "0,1,0,1"], 16, 17),
+}
+
+
+@pytest.mark.parametrize("case", AT_THE_CAP)
+def test_each_cap_admits_the_cap_and_refuses_one_past_it(tmp_path, monkeypatch, capsys, case):
+    # every size refusal reads zoo.RANK_CAP when it runs: at 16, a rank or
+    # monoid size of 16 or less is built, and one past it is an input error
+    monkeypatch.setattr(zoo, "RANK_CAP", 16)
+    spec = str(tmp_path / "b.spec")
+    assert main(["zoo", "two-z-2k", "--k", "3", "--out", spec]) == 0   # rank 1
+    argv, fits, past = AT_THE_CAP[case]
+    assert main([a.format(fits, spec=spec) for a in argv]) == 0
+    capsys.readouterr()
+    assert main([a.format(past, spec=spec) for a in argv]) == 3
+    assert capsys.readouterr().err.endswith(" exceeds cap 16\n")
